@@ -396,75 +396,137 @@ def automorphism_order(graph: StableGraph) -> int:
 # -- enumeration ------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
+    """Stable graphs with one edge more that contract back to ``graph``.
+
+    Either a vertex of positive genus trades one genus for a new loop, or
+    a vertex ``v`` splits into ``v`` and a new last vertex ``w`` joined by
+    a new edge.  A split distributes the genus of ``v``, its legs, its
+    edges to each neighbour (by count, as parallel edges are
+    interchangeable) and its loops, each of which stays at ``v``, opens
+    into an edge ``v - w`` or moves to ``w``; both sides must stay stable.
+    Of two splits that are mirror images under swapping ``v`` and ``w``
+    only one is produced.
+    """
+    w = graph.n_vertices
+    for v, gv in enumerate(graph.genera):
+        if gv > 0:
+            genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1 :]
+            yield StableGraph(genera, graph.edges + ((v, v),), graph.legs)
+
+        rest: list[tuple[int, int]] = []
+        nbr: dict[int, int] = {}
+        loops = 0
+        for a, b in graph.edges:
+            if a == b == v:
+                loops += 1
+            elif v in (a, b):
+                u = b if a == v else a
+                nbr[u] = nbr.get(u, 0) + 1
+            else:
+                rest.append((a, b))
+        others = sorted(nbr)
+        marks = [i for i, x in enumerate(graph.legs) if x == v]
+        # (kept at v, opened into v - w, moved to w)
+        loop_splits = [(k, loops - k - m, m) for k in range(loops + 1) for m in range(loops - k + 1)]
+        non_loop = sum(nbr.values()) + len(marks)
+
+        # ``split`` holds the edges to each neighbour moved to ``w``, then
+        # a 1 for each leg moved to ``w``.
+        for gw, (kept, opened, moved), *split in itertools.product(
+            range(gv + 1),
+            loop_splits,
+            *(range(nbr[u] + 1) for u in others),
+            *([(0, 1)] * len(marks)),
+        ):
+            side_w = (gw, moved, *split)
+            side_v = (
+                gv - gw,
+                kept,
+                *(nbr[u] - k for u, k in zip(others, split)),
+                *(1 - bit for bit in split[len(others) :]),
+            )
+            if side_w > side_v:
+                continue
+            to_w = sum(split)
+            if 2 * gw - 1 + 2 * moved + opened + to_w <= 0:
+                continue
+            if 2 * (gv - gw) - 1 + 2 * kept + opened + non_loop - to_w <= 0:
+                continue
+            edges = rest + [(v, v)] * kept + [(v, w)] * (opened + 1) + [(w, w)] * moved
+            for u, k in zip(others, split):
+                edges += [(u, v)] * (nbr[u] - k) + [(u, w)] * k
+            legs = list(graph.legs)
+            for i, bit in zip(marks, split[len(others) :]):
+                if bit:
+                    legs[i] = w
+            genera = graph.genera[:v] + (gv - gw,) + graph.genera[v + 1 :] + (gw,)
+            yield StableGraph(genera, edges, legs)
 
 
-def _connected_shape(V: int, shape: tuple[tuple[int, int], ...]) -> bool:
-    if V == 1:
-        return True
-    parent = list(range(V))
+def _least_labelling(graph: StableGraph) -> StableGraph:
+    """The relabeling of ``graph`` with the least ``(edges, genera, legs)``.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in shape:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(V)}) == 1
+    Tuples compare lexicographically over all vertex permutations.  This
+    fixes the representative of each isomorphism class independently of
+    the route that found it, so serialized output stays byte-identical.
+    """
+    V = graph.n_vertices
+    best = None
+    for perm in itertools.permutations(range(V)):
+        edges = tuple(
+            sorted((perm[u], perm[v]) if perm[u] <= perm[v] else (perm[v], perm[u]) for u, v in graph.edges)
+        )
+        if best is not None and edges > best[0]:
+            continue
+        genera = [0] * V
+        for v, gv in enumerate(graph.genera):
+            genera[perm[v]] = gv
+        cand = (edges, tuple(genera), tuple(perm[v] for v in graph.legs))
+        if best is None or cand < best:
+            best = cand
+    edges, genera, legs = best
+    return StableGraph(genera, edges, legs)
 
 
 @lru_cache(maxsize=None)
 def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tuple[StableGraph, ...]:
     """All isomorphism classes of stable graphs of type ``(g, n)``.
 
-    ``max_edges`` caps the edge count; by default all graphs appear, up to
-    the dimension bound ``3g - 3 + n`` edges.  The result is deterministic,
-    sorted by canonical key.  Examples: ``(0, 4)`` has 4 graphs with at most
-    one edge, ``(1, 1)`` has 2, ``(2, 0)`` has 7.
+    ``max_edges`` caps the edge count and must be non-negative; by default
+    all graphs appear, up to the dimension bound ``3g - 3 + n`` edges.
+
+    Graphs are generated by degeneration, one edge level at a time, from
+    the one-vertex graph: every graph with ``E`` edges arises from one
+    with ``E - 1`` edges by adding a loop at a vertex of positive genus or
+    by splitting a vertex in two, because contracting any edge of a stable
+    graph leaves a stable graph.  Each level is deduplicated by canonical
+    key.
+
+    The result is deterministic and sorted by canonical key.  Each class
+    is represented by its labelling with the lexicographically least
+    ``(edges, genera, legs)`` (see ``_least_labelling``).  Examples:
+    ``(0, 4)`` has 4 graphs with at most one edge, ``(1, 1)`` has 2,
+    ``(2, 0)`` has 7.
     """
     if g < 0 or n < 0 or 3 * g - 3 + n < 0:
         raise ValueError(f"no stable curves of type (g, n) = ({g}, {n})")
+    if max_edges is not None and max_edges < 0:
+        raise ValueError(f"edge cap max_edges must be non-negative, got {max_edges}")
     cap = 3 * g - 3 + n
     if max_edges is not None:
         cap = min(cap, max_edges)
-    found: dict[bytes, StableGraph] = {}
-    for E in range(cap + 1):
-        for V in range(1, E + 2):
-            b = E - V + 1
-            if b < 0 or b > g:
-                continue
-            gsum = g - b
-            pairs = [(u, v) for u in range(V) for v in range(u, V)]
-            for shape in itertools.combinations_with_replacement(pairs, E):
-                if not _connected_shape(V, shape):
-                    continue
-                degrees = [0] * V
-                for u, v in shape:
-                    degrees[u] += 1
-                    degrees[v] += 1
-                for genera in _compositions(gsum, V):
-                    for legs in itertools.product(range(V), repeat=n):
-                        stable = True
-                        for v in range(V):
-                            deg = degrees[v] + sum(1 for w in legs if w == v)
-                            if 2 * genera[v] - 2 + deg <= 0:
-                                stable = False
-                                break
-                        if not stable:
-                            continue
-                        graph = StableGraph(genera, shape, legs)
-                        key = graph.canonical_key()
-                        if key not in found:
-                            found[key] = graph
-    return tuple(found[k] for k in sorted(found))
+    level = [StableGraph((g,), (), (0,) * n)] if 2 * g - 2 + n > 0 else []
+    found = {canonical_key(graph): graph for graph in level}
+    for _ in range(cap):
+        children = dict.fromkeys(child for graph in level for child in _degenerations(graph))
+        level = []
+        for child in children:
+            key = canonical_key(child)
+            if key not in found:
+                found[key] = child
+                level.append(child)
+    return tuple(_least_labelling(found[key]) for key in sorted(found))
 
 
 # -- serialization ----------------------------------------------------

@@ -184,6 +184,20 @@ class TestErrorPaths:
         assert code == 2
         assert "no r-th roots exist" in err
 
+    def test_negative_edge_cap(self, capsys):
+        code, out, err = run(
+            capsys, ["graphs", "--g", "2", "--n", "0", "--max-edges", "-3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
+
+    def test_negative_degree(self, capsys):
+        code, out, err = run(capsys, ["pixton", "--g", "1", "--a", "1,-1", "--d", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
+
 
 class TestGlobalFlags:
     def test_help_everywhere(self, capsys):
