@@ -53,13 +53,10 @@ from .tautclass import (
     series_degree_part,
     series_exp,
     series_mul,
-    series_unit,
     trivial_class,
 )
 from .weightings import (
     DRVector,
-    SWEEP,
-    SampleSpec,
     certified_fit,
     default_r_min,
     enumerate_weightings,
@@ -184,10 +181,10 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
         aut = automorphism_order(graph)
         scalar = Fraction(r) ** (2 * g - 1 - b) / aut
         static = _vertex_leg_series(graph, dr, r, budget)
-        for weighting in enumerate_weightings(graph, r, dr):
+        for values in enumerate_weightings(graph, r, dr):
             series = static
             for t in range(n_edges):
-                pairs = edge_factor_coefficients(r, weighting(2 * t), budget)
+                pairs = edge_factor_coefficients(r, values[2 * t], budget)
                 factor = {
                     psi_edge_monomial(graph, t, i, j): c for (i, j), c in pairs
                 }
@@ -198,7 +195,7 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
     return TautClass(g, n, acc)
 
 
-def chiodo_constant(dr: DRVector, d: int, sample_spec: SampleSpec | None = None) -> TautClass:
+def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     """Constant term in r of ``r^{2d-2g+1}`` times the degree-d pushforward.
 
     Exactly balanced data is required so that every sampled modulus
@@ -208,18 +205,15 @@ def chiodo_constant(dr: DRVector, d: int, sample_spec: SampleSpec | None = None)
     """
     dr.require_exact()
     g = dr.genus
-    spec = sample_spec or SampleSpec()
-    bound = spec.degree_bound if spec.degree_bound is not None else max(0, 2 * d + 2 * g - 1)
-    r_min = spec.r_min if spec.r_min is not None else default_r_min(dr)
+    bound = max(0, 2 * d + 2 * g - 1)
+    r_min = default_r_min(dr)
     scale_exp = 2 * d - 2 * g + 1
 
     def evaluate(r: int) -> TautClass:
         return chiodo_pushforward(dr, d, r).scale(Fraction(r) ** scale_exp)
 
     label = f"chiodo constant (g={g},n={dr.n},k={dr.twist},d={d})"
-    poly, _ = certified_fit(
-        evaluate, bound, r_min, spec.n_verify, label, betti=0
-    )
+    poly, _ = certified_fit(evaluate, bound, r_min, label=label, betti=0)
     return poly.constant_term
 
 
@@ -280,10 +274,10 @@ def chern_route_class(dr: DRVector, d: int, r: int) -> TautClass:
             continue
         aut = automorphism_order(graph)
         vertex_power = sum(2 * gv - 1 for gv in graph.genera)
-        for weighting in enumerate_weightings(graph, r, dr):
+        for values in enumerate_weightings(graph, r, dr):
             coeff = (
                 -Fraction(r)
-                * bernoulli_poly(2, Fraction(weighting(0), r))
+                * bernoulli_poly(2, Fraction(values[0], r))
                 / 2
                 * Fraction(r) ** vertex_power
                 / aut

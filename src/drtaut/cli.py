@@ -17,12 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .chiodo import chiodo_constant, chiodo_pushforward, verify_samefreeterm
 from .exact import rat_to_str
 from .graphs import (
-    StableGraph,
     automorphism_order,
     enumerate_stable_graphs,
     first_betti,
@@ -250,18 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=argparse.SUPPRESS,
         help="emit schema-versioned JSON on stdout",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="upper bound on worker parallelism (results are independent of it)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="seed for randomized test selection (no effect on exact results)",
     )
 
     parser = argparse.ArgumentParser(

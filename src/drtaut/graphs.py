@@ -552,21 +552,30 @@ def graph_to_json(graph: StableGraph) -> dict:
 
 def graph_from_json(data: dict) -> StableGraph:
     """Rebuild a graph from its dict form (any consistent half-edge ids)."""
+    if not isinstance(data, dict):
+        raise ValueError("graph: expected a JSON object")
     if data.get("version") != SCHEMA_GRAPH:
         raise ValueError(f"unsupported graph schema: {data.get('version')!r}")
+    for key in ("vertices", "edges", "legs"):
+        if key not in data:
+            raise ValueError(f"graph: missing field {key!r}")
     owner: dict[int, int] = {}
     for v, rec in enumerate(data["vertices"]):
         for h in rec["half_edges"]:
             if h in owner:
                 raise ValueError(f"half-edge {h} listed twice")
             owner[h] = v
+
+    def vertex_of(h, field: str) -> int:
+        if h not in owner:
+            raise ValueError(f"{field}: half-edge {h} is not listed at any vertex")
+        return owner[h]
+
     genera = [rec["genus"] for rec in data["vertices"]]
-    edges = []
-    for h1, h2 in data["edges"]:
-        edges.append((owner[h1], owner[h2]))
+    edges = [(vertex_of(h1, "edges"), vertex_of(h2, "edges")) for h1, h2 in data["edges"]]
     legs_by_marking: dict[int, int] = {}
     for rec in data["legs"]:
-        legs_by_marking[rec["marking"]] = owner[rec["half_edge"]]
+        legs_by_marking[rec["marking"]] = vertex_of(rec["half_edge"], "legs")
     n = len(legs_by_marking)
     if sorted(legs_by_marking) != list(range(1, n + 1)):
         raise ValueError("markings must be 1..n")

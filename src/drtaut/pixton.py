@@ -38,16 +38,13 @@ from .tautclass import (
     psi_edge_monomial,
     psi_leg_monomial,
     kappa_monomial,
-    monomial_degree,
     series_degree_part,
     series_exp,
     series_mul,
     series_unit,
-    trivial_class,
 )
 from .weightings import (
     DRVector,
-    SampleSpec,
     edge_profile_sums,
     fit_edge_profiles,
 )

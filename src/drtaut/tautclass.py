@@ -299,10 +299,17 @@ class TautClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "TautClass":
+        if not isinstance(data, dict):
+            raise ValueError("class: expected a JSON object")
         if data.get("version") != SCHEMA_TAUTCLASS:
             raise ValueError(f"unsupported class schema: {data.get('version')!r}")
-        g = data["ambient"]["g"]
-        n = data["ambient"]["n"]
+        ambient = data.get("ambient")
+        if not (isinstance(ambient, dict) and "g" in ambient and "n" in ambient):
+            raise ValueError("ambient: expected an object with fields 'g' and 'n'")
+        if "terms" not in data:
+            raise ValueError("class: missing field 'terms'")
+        g = ambient["g"]
+        n = ambient["n"]
         out = cls(g, n)
         for rec in data["terms"]:
             graph_data = rec["graph"]

@@ -7,12 +7,22 @@ to ``0 mod r``, and the residues at each vertex ``v`` add to
 ``sum a_i = k (2g - 2 + n) mod r`` holds there are exactly ``r^b`` of them,
 ``b`` the first Betti number, and none otherwise.
 
+One engine enumerates them.  A solve plan, built once per graph and call,
+fixes a BFS spanning tree over the non-loop edges, the order in which its
+edges are solved (leaves first) and the half-edges at each vertex.  Free
+non-loop residues range over all values mod ``r``, each tree value is
+forced by its child vertex's congruence, and the root's congruence is
+asserted as a check.  Two consumers share this solver:
+:func:`enumerate_weightings` lists every weighting, loop residues included,
+and :func:`edge_profile_sums` sums edge-product observables, with loops
+summed in closed form.
+
 Sums of polynomial observables over all weightings are polynomials in ``r``
-for large ``r``, divisible by ``r^b``.  This module evaluates such sums
-exactly and recovers the polynomial by certified interpolation: fit on a
-window of sample values, then check the fit on fresh nodes.  Every fit is
-recorded in a module-level sweep registry so a test run can assert that no
-divisibility or verification failure occurred anywhere.
+for large ``r``, divisible by ``r^b``.  :func:`fit_edge_profiles` recovers
+them by certified interpolation (:func:`certified_fit`): fit on a window of
+sample values, then check the fit on fresh nodes.  Every fit is recorded in
+a module-level sweep registry so a test run can assert that no divisibility
+or verification failure occurred anywhere.
 """
 
 from __future__ import annotations
@@ -20,18 +30,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .exact import RPoly, interpolate
+from .exact import interpolate
 
 __all__ = [
     "DRVector",
-    "Weighting",
     "enumerate_weightings",
-    "lattice_sum",
     "edge_profile_sums",
-    "SampleSpec",
-    "fit_r_polynomial",
+    "certified_fit",
     "fit_edge_profiles",
     "SweepRecorder",
     "SWEEP",
@@ -90,17 +97,6 @@ class DRVector:
             )
 
 
-@dataclass(frozen=True)
-class Weighting:
-    """Residues per half-edge (in layout order) for a fixed modulus."""
-
-    values: tuple[int, ...]
-    modulus: int
-
-    def __call__(self, h: int) -> int:
-        return self.values[h]
-
-
 def _vertex_targets(graph, r: int, dr: DRVector) -> list[int]:
     return [
         (dr.twist * (2 * graph.genera[v] - 2 + graph.vertex_degree(v))) % r
@@ -108,14 +104,27 @@ def _vertex_targets(graph, r: int, dr: DRVector) -> list[int]:
     ]
 
 
-def _spanning_structure(graph):
-    """BFS spanning tree over non-loop edges, rooted at vertex 0.
+class _SolvePlan(NamedTuple):
+    """How to solve one graph's vertex congruences, fixed before any residue.
 
-    Returns ``(tree, free_nonloop, loops)`` where ``tree`` lists
-    ``(edge_index, child_vertex)`` in BFS order.
+    ``steps`` holds ``(child, child half-edge, other half-edges at child)``
+    for each tree edge, leaves first; ``free`` the non-loop edges off the
+    tree; ``loops`` the loop edges; ``root`` the half-edges at vertex 0.
     """
+
+    steps: tuple[tuple[int, int, tuple[int, ...]], ...]
+    free: tuple[int, ...]
+    loops: tuple[int, ...]
+    root: tuple[int, ...]
+
+
+def _solve_plan(graph) -> _SolvePlan:
+    """The plan for a BFS spanning tree over non-loop edges, rooted at vertex 0."""
     V = graph.n_vertices
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(V)}
+    at: list[list[int]] = [[] for _ in range(V)]
+    for h in range(graph.n_half_edges):
+        at[graph.half_edge_vertex(h)].append(h)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
     loops = []
     for t, (u, v) in enumerate(graph.edges):
         if u == v:
@@ -125,7 +134,6 @@ def _spanning_structure(graph):
             adj[v].append((u, t))
     seen = {0}
     tree: list[tuple[int, int]] = []
-    tree_set = set()
     queue = [0]
     while queue:
         v = queue.pop(0)
@@ -133,12 +141,16 @@ def _spanning_structure(graph):
             if w not in seen:
                 seen.add(w)
                 tree.append((t, w))
-                tree_set.add(t)
                 queue.append(w)
     if len(seen) != V:
         raise ValueError("graph is not connected")
-    free = [t for t, (u, v) in enumerate(graph.edges) if u != v and t not in tree_set]
-    return tree, free, loops
+    tree_edges = {t for t, _ in tree}
+    free = tuple(t for t, (u, v) in enumerate(graph.edges) if u != v and t not in tree_edges)
+    steps = []
+    for t, child in reversed(tree):
+        h_child = 2 * t if graph.edges[t][0] == child else 2 * t + 1
+        steps.append((child, h_child, tuple(h for h in at[child] if h != h_child)))
+    return _SolvePlan(tuple(steps), free, tuple(loops), tuple(at[0]))
 
 
 def _global_congruence(graph, r: int, dr: DRVector) -> bool:
@@ -147,75 +159,56 @@ def _global_congruence(graph, r: int, dr: DRVector) -> bool:
     return (dr.twist * (2 * g - 2 + n) - sum(dr.parts)) % r == 0
 
 
-def _solve_weighting(graph, r, targets, leg_values, free_assign, tree) -> tuple[int, ...]:
+def _solutions(graph, r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[int]]:
+    """Residues per half-edge of every weighting whose loops carry 0.
+
+    Free non-loop residues run in ``itertools.product`` order and the tree
+    values are forced.  A loop adds ``0 mod r`` at its vertex, so these
+    solutions hold for any loop residues.  The yielded list is reused:
+    copy it to keep it.
+    """
+    if not _global_congruence(graph, r, dr):
+        return
+    targets = _vertex_targets(graph, r, dr)
     values = [0] * graph.n_half_edges
-    for i, a in enumerate(leg_values):
-        values[2 * graph.n_edges + i] = a
-    for t, w in free_assign:
-        values[2 * t] = w
-        values[2 * t + 1] = (r - w) % r
-    known = [False] * graph.n_edges
-    for t, _ in free_assign:
-        known[t] = True
-    for t, child in reversed(tree):
-        h_child = 2 * t if graph.edges[t][0] == child else 2 * t + 1
-        total = 0
-        for h in range(graph.n_half_edges):
-            if h != h_child and graph.half_edge_vertex(h) == child:
-                total += values[h]
-        w = (targets[child] - total) % r
-        values[h_child] = w
-        values[h_child ^ 1] = (r - w) % r
-        known[t] = True
-    # Root congruence: forced by the global one; keep as a consistency check.
-    root_sum = sum(
-        values[h] for h in range(graph.n_half_edges) if graph.half_edge_vertex(h) == 0
-    )
-    assert root_sum % r == targets[0], "root congruence failed after tree solve"
-    return tuple(values)
+    values[2 * graph.n_edges:] = [a % r for a in dr.parts]
+    for assign in itertools.product(range(r), repeat=len(plan.free)):
+        for t, w in zip(plan.free, assign):
+            values[2 * t] = w
+            values[2 * t + 1] = (r - w) % r
+        for child, h_child, others in plan.steps:
+            w = (targets[child] - sum(values[h] for h in others)) % r
+            values[h_child] = w
+            values[h_child ^ 1] = (r - w) % r
+        # Root congruence: forced by the global one; keep as a consistency check.
+        root_sum = sum(values[h] for h in plan.root)
+        assert root_sum % r == targets[0], "root congruence failed after tree solve"
+        yield values
 
 
-def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[Weighting, ...]:
+def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], ...]:
     """All weightings mod ``r`` on ``graph`` for the given ramification data.
 
-    There are ``r^b`` of them when the global congruence holds, none
-    otherwise.  Loop edges and edges off a spanning tree range freely; the
-    tree values are forced by the vertex congruences.
+    Each weighting is a tuple of residues, one per half-edge in layout
+    order.  There are ``r^b`` of them when the global congruence holds,
+    none otherwise.  Loop edges and edges off a spanning tree range freely;
+    the tree values are forced by the vertex congruences.
     """
     if r <= 0:
         raise ValueError("modulus must be positive")
     if graph.n_legs != dr.n:
         raise ValueError("marking count does not match the ramification vector")
-    if not _global_congruence(graph, r, dr):
-        return ()
-    targets = _vertex_targets(graph, r, dr)
-    leg_values = [a % r for a in dr.parts]
-    tree, free, loops = _spanning_structure(graph)
-    free_edges = loops + free
+    plan = _solve_plan(graph)
+    solutions = [tuple(values) for values in _solutions(graph, r, dr, plan)]
     out = []
-    for assign in itertools.product(range(r), repeat=len(free_edges)):
-        values = _solve_weighting(
-            graph, r, targets, leg_values, list(zip(free_edges, assign)), tree
-        )
-        out.append(Weighting(values, r))
+    for assign in itertools.product(range(r), repeat=len(plan.loops)):
+        for solution in solutions:
+            values = list(solution)
+            for t, w in zip(plan.loops, assign):
+                values[2 * t] = w
+                values[2 * t + 1] = (r - w) % r
+            out.append(tuple(values))
     return tuple(out)
-
-
-def lattice_sum(graph, r: int, dr: DRVector, Q: Mapping[tuple[int, ...], Fraction]) -> Fraction:
-    """Sum the polynomial ``Q`` in the half-edge residues over all weightings.
-
-    ``Q`` maps exponent tuples (one entry per half-edge, layout order) to
-    rational coefficients.
-    """
-    total = Fraction(0)
-    for wt in enumerate_weightings(graph, r, dr):
-        for exps, coeff in Q.items():
-            term = Fraction(coeff)
-            for h, e in enumerate(exps):
-                if e:
-                    term *= wt.values[h] ** e
-            total += term
-    return total
 
 
 def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[tuple[int, ...]]) -> list[int]:
@@ -225,59 +218,32 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[tuple[int,
     halves of edge ``e``.  All profiles share one enumeration; loop edges
     factor out of the sum entirely since their residues are unconstrained.
     """
-    if not _global_congruence(graph, r, dr):
-        return [0] * len(profiles)
-    targets = _vertex_targets(graph, r, dr)
-    leg_values = [a % r for a in dr.parts]
-    tree, free, loops = _spanning_structure(graph)
-    loop_set = set(loops)
-    nonloop = [t for t in range(graph.n_edges) if t not in loop_set]
-
-    max_loop_pow = 0
-    for prof in profiles:
-        for t in loops:
-            max_loop_pow = max(max_loop_pow, prof[t])
-    loop_moment = [0] * (max_loop_pow + 1)
-    for p in range(max_loop_pow + 1):
-        loop_moment[p] = sum((w * ((r - w) % r)) ** p for w in range(r))
-
+    plan = _solve_plan(graph)
+    loops = plan.loops
+    max_loop_pow = max((prof[t] for prof in profiles for t in loops), default=0)
+    loop_moment = [
+        sum((w * ((r - w) % r)) ** p for w in range(r)) for p in range(max_loop_pow + 1)
+    ]
+    powers = [
+        [(t, p) for t, p in enumerate(prof) if p and t not in loops] for prof in profiles
+    ]
     partial = [0] * len(profiles)
-    for assign in itertools.product(range(r), repeat=len(free)):
-        values = _solve_weighting(
-            graph, r, targets, leg_values, list(zip(free, assign)), tree
-        )
-        xs = {t: values[2 * t] * values[2 * t + 1] for t in nonloop}
-        for i, prof in enumerate(profiles):
+    for values in _solutions(graph, r, dr, plan):
+        xs = [values[2 * t] * values[2 * t + 1] for t in range(graph.n_edges)]
+        for i, pairs in enumerate(powers):
             term = 1
-            for t in nonloop:
-                term *= xs[t] ** prof[t]
+            for t, p in pairs:
+                term *= xs[t] ** p
             partial[i] += term
     out = []
-    for i, prof in enumerate(profiles):
-        factor = 1
+    for total, prof in zip(partial, profiles):
         for t in loops:
-            factor *= loop_moment[prof[t]]
-        out.append(partial[i] * factor)
+            total *= loop_moment[prof[t]]
+        out.append(total)
     return out
 
 
 # -- certified polynomial fitting -------------------------------------
-
-
-@dataclass
-class SampleSpec:
-    """Sampling policy for fitting a weighting sum as a polynomial in r.
-
-    ``degree_bound`` caps the fitted degree (default: degree of the
-    observable plus the Betti number), ``r_min`` is the first sample modulus
-    (default: past every representative branch point of the data), and
-    ``n_verify`` fresh nodes must reproduce the fit exactly.  One retry with
-    a doubled window is attempted before giving up.
-    """
-
-    r_min: int | None = None
-    degree_bound: int | None = None
-    n_verify: int = 2
 
 
 class SweepRecorder:
@@ -349,51 +315,23 @@ def certified_fit(
     )
 
 
-def fit_r_polynomial(
-    graph,
-    dr: DRVector,
-    Q: Mapping[tuple[int, ...], Fraction],
-    sample_spec: SampleSpec | None = None,
-    label: str | None = None,
-):
-    """Fit ``r -> lattice_sum(graph, r, dr, Q)`` as an exact polynomial.
-
-    Returns ``(RPoly, divisible)`` with ``divisible`` true when the
-    polynomial is divisible by ``r^b``, ``b`` the first Betti number.
-    """
-    spec = sample_spec or SampleSpec()
-    b = graph.n_edges - graph.n_vertices + 1
-    deg_q = max((sum(exps) for exps in Q), default=0)
-    bound = spec.degree_bound if spec.degree_bound is not None else deg_q + b
-    r_min = spec.r_min if spec.r_min is not None else default_r_min(dr)
-    name = label or f"lattice sum on {graph.n_vertices}v/{graph.n_edges}e graph"
-    return certified_fit(
-        lambda rr: lattice_sum(graph, rr, dr, Q),
-        bound,
-        r_min,
-        spec.n_verify,
-        name,
-        b,
-    )
-
-
 def fit_edge_profiles(
     graph,
     dr: DRVector,
     profiles: Sequence[tuple[int, ...]],
-    sample_spec: SampleSpec | None = None,
     label: str | None = None,
 ):
     """Certified fits of all edge-power sums ``sum_w prod_e x_e^{p_e}``.
 
     Shares one weighting enumeration per sample modulus across profiles.
-    Returns a list of ``(RPoly, divisible)`` pairs, one per profile.
+    The degree bound is the largest observable degree ``2 sum_e p_e`` plus
+    the Betti number, sampling starts at :func:`default_r_min`, and two
+    fresh moduli verify each fit.  Returns a list of ``(RPoly, divisible)``
+    pairs, one per profile.
     """
-    spec = sample_spec or SampleSpec()
     b = graph.n_edges - graph.n_vertices + 1
-    max_deg = max((2 * sum(p) for p in profiles), default=0)
-    bound = spec.degree_bound if spec.degree_bound is not None else max_deg + b
-    r_min = spec.r_min if spec.r_min is not None else default_r_min(dr)
+    bound = max((2 * sum(p) for p in profiles), default=0) + b
+    r_min = default_r_min(dr)
     name = label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
 
     cache: dict[int, list[int]] = {}
@@ -407,8 +345,6 @@ def fit_edge_profiles(
         return ev
 
     return [
-        certified_fit(
-            eval_profile(i), bound, r_min, spec.n_verify, f"{name} #{i}", b
-        )
+        certified_fit(eval_profile(i), bound, r_min, label=f"{name} #{i}", betti=b)
         for i in range(len(profiles))
     ]

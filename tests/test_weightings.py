@@ -6,18 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drtaut import weightings
 from drtaut.exact import RPoly
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.weightings import (
     DRVector,
     SWEEP,
-    SampleSpec,
     certified_fit,
+    default_r_min,
     edge_profile_sums,
     enumerate_weightings,
     fit_edge_profiles,
-    fit_r_polynomial,
-    lattice_sum,
 )
 
 F = Fraction
@@ -54,6 +53,17 @@ def brute_weightings(graph, r, dr):
         if ok:
             found.add(tuple(values))
     return found
+
+
+def brute_profile_sum(graph, r, dr, profile):
+    """``sum_w prod_e (w(h) w(h'))^{p_e}`` over the brute-force weightings."""
+    total = 0
+    for values in brute_weightings(graph, r, dr):
+        term = 1
+        for t, p in enumerate(profile):
+            term *= (values[2 * t] * values[2 * t + 1]) ** p
+        total += term
+    return total
 
 
 class TestDRVector:
@@ -97,12 +107,12 @@ class TestEnumerate:
             for wt in enumerate_weightings(graph, r, dr):
                 for t in range(graph.n_edges):
                     h1, h2 = graph.edge_half_edges(t)
-                    assert (wt(h1) + wt(h2)) % r == 0
+                    assert (wt[h1] + wt[h2]) % r == 0
                 for i, a in enumerate(dr.parts):
-                    assert wt(graph.leg_half_edge(i + 1)) == a % r
+                    assert wt[graph.leg_half_edge(i + 1)] == a % r
                 for v in range(graph.n_vertices):
                     total = sum(
-                        wt(h)
+                        wt[h]
                         for h in range(graph.n_half_edges)
                         if graph.half_edge_vertex(h) == v
                     )
@@ -119,8 +129,9 @@ class TestEnumerate:
             (StableGraph([1, 0], [(0, 1), (1, 1)], [1]), DRVector(2, (1,), twist=1), 3),
         ]
         for graph, dr, r in cases:
-            ours = {wt.values for wt in enumerate_weightings(graph, r, dr)}
-            assert ours == brute_weightings(graph, r, dr)
+            ours = enumerate_weightings(graph, r, dr)
+            assert len(set(ours)) == len(ours)
+            assert set(ours) == brute_weightings(graph, r, dr)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -131,31 +142,35 @@ class TestEnumerate:
         a1 = data.draw(st.integers(min_value=-3, max_value=3))
         k = data.draw(st.integers(min_value=0, max_value=2))
         dr = DRVector(2, (a1,), twist=k)
-        ours = {wt.values for wt in enumerate_weightings(graph, r, dr)}
+        ours = set(enumerate_weightings(graph, r, dr))
         assert ours == brute_weightings(graph, r, dr)
 
 
 class TestLatticeSums:
+    """Edge-profile sums over the weighting lattice against brute force."""
+
     def test_loop_moment(self):
         dr = DRVector(2, ())
         for r in (2, 3, 7):
-            val = lattice_sum(LOOP_G1, r, dr, {(1, 1): F(1)})
-            assert val == F(r * (r * r - 1), 6)
+            [val] = edge_profile_sums(LOOP_G1, r, dr, [(1,)])
+            assert val == r * (r * r - 1) // 6
+            assert val == brute_profile_sum(LOOP_G1, r, dr, (1,))
 
-    def test_profile_sums_match_lattice(self):
-        dr = DRVector(3, ())
-        for graph in [BANANA2_G1G1, BANANA3_G0G1, TWO_LOOPS]:
+    def test_profile_sums_match_brute_force(self):
+        cases = [
+            (BANANA2_G1G1, DRVector(3, ()), (2, 5)),
+            (BANANA3_G0G1, DRVector(3, ()), (2, 5)),
+            (TWO_LOOPS, DRVector(3, ()), (2, 5)),
+            (StableGraph([0, 1], [(0, 1)], [0, 0]), DRVector(1, (2, -2)), (5,)),
+            (StableGraph([1, 0], [(0, 1), (1, 1)], [1]), DRVector(2, (1,), twist=1), (3,)),
+        ]
+        for graph, dr, rs in cases:
             profiles = [
-                tuple(p) for p in itertools.product((1, 2), repeat=graph.n_edges)
+                tuple(p) for p in itertools.product((0, 1, 2), repeat=graph.n_edges)
             ]
-            for r in (2, 5):
+            for r in rs:
                 sums = edge_profile_sums(graph, r, dr, profiles)
-                for prof, val in zip(profiles, sums):
-                    exps = [0] * graph.n_half_edges
-                    for t, p in enumerate(prof):
-                        exps[2 * t] = p
-                        exps[2 * t + 1] = p
-                    assert F(val) == lattice_sum(graph, r, dr, {tuple(exps): F(1)})
+                assert sums == [brute_profile_sum(graph, r, dr, p) for p in profiles]
 
     def test_profile_sums_congruence_failure(self):
         graph = StableGraph([1], [(0, 0)], [0])
@@ -165,7 +180,7 @@ class TestLatticeSums:
 
 class TestFitting:
     def test_loop_fit(self):
-        poly, divisible = fit_r_polynomial(LOOP_G1, DRVector(2, ()), {(1, 1): F(1)})
+        [(poly, divisible)] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [(1,)])
         assert poly == RPoly([F(0), F(-1, 6), F(0), F(1, 6)])
         assert divisible
         assert poly.shift_down(1).constant_term == F(-1, 6)
@@ -184,10 +199,28 @@ class TestFitting:
     def test_nonzero_parts_fit(self):
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
         dr = DRVector(1, (2, 1, -3))
-        poly, divisible = fit_r_polynomial(graph, dr, {(1, 1, 0, 0, 0): F(1)})
+        [(poly, divisible)] = fit_edge_profiles(graph, dr, [(1,)])
         # Bridge weight is the side sum 3, so x = 3 (r - 3) for large r.
         assert divisible  # betti 0: trivially divisible
         assert poly == RPoly([F(-9), F(3)])
+
+    def test_default_sampling(self, monkeypatch):
+        # Bound 2 * 2 + b = 5 from the (2,) profile, first modulus
+        # default_r_min, two verification moduli: eight moduli, each summed
+        # once for both profiles.
+        dr = DRVector(2, ())
+        seen = []
+        real = weightings.edge_profile_sums
+
+        def spy(graph, r, dr, profiles):
+            seen.append(r)
+            return real(graph, r, dr, profiles)
+
+        monkeypatch.setattr(weightings, "edge_profile_sums", spy)
+        fits = fit_edge_profiles(LOOP_G1, dr, [(1,), (2,)])
+        start = default_r_min(dr)
+        assert seen == list(range(start, start + 8))
+        assert [poly.shift_down(1).constant_term for poly, _ in fits] == [F(-1, 6), F(-1, 30)]
 
     def test_insufficient_degree_bound(self):
         with pytest.raises(ValueError, match="insufficient degree bound"):
@@ -207,13 +240,21 @@ class TestFitting:
 
     def test_sweep_records(self):
         SWEEP.reset()
-        fit_r_polynomial(LOOP_G1, DRVector(2, ()), {(1, 1): F(1)})
+        fit_edge_profiles(LOOP_G1, DRVector(2, ()), [(1,)])
         assert SWEEP.total == 1
         assert SWEEP.failures() == []
         assert SWEEP.summary() == {"fits": 1, "failures": 0}
         SWEEP.reset()
 
-    def test_explicit_sample_spec(self):
-        spec = SampleSpec(r_min=11, degree_bound=4)
-        poly, _ = fit_r_polynomial(LOOP_G1, DRVector(2, ()), {(1, 1): F(1)}, spec)
+    def test_explicit_sampling(self):
+        dr = DRVector(2, ())
+        seen = []
+
+        def ev(r):
+            seen.append(r)
+            [val] = edge_profile_sums(LOOP_G1, r, dr, [(1,)])
+            return F(val)
+
+        poly, _ = certified_fit(ev, degree_bound=4, r_min=11)
         assert poly == RPoly([F(0), F(-1, 6), F(0), F(1, 6)])
+        assert seen == list(range(11, 18))
