@@ -26,8 +26,8 @@ exposed for testing through :func:`edge_factor_coefficients`.
 Scaled by ``r^{2d - 2g + 1}``, the degree-d part is a polynomial in r
 whose constant term agrees with ``2^{-d}`` times the r-free degree-d
 class of the weighting graph sum -- the cross-formula identity checked
-by :func:`verify_samefreeterm`.  The constant term is extracted by the
-same certified interpolation protocol used for the weighting sums.
+by :func:`verify_samefreeterm`.  Each coefficient's constant term comes
+from the same certified scalar fit as the weighting sums.
 """
 
 from __future__ import annotations
@@ -199,22 +199,28 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     """Constant term in r of ``r^{2d-2g+1}`` times the degree-d pushforward.
 
     Exactly balanced data is required so that every sampled modulus
-    admits r-th roots; the class-valued fit runs through the same
-    certified interpolation protocol as the weighting sums (degree bound
-    2d + (2g-1), two verification nodes, one doubling retry).
+    admits r-th roots.  Each coefficient, keyed by its canonical decorated
+    graph, is a scalar fit through the same certified interpolation
+    protocol as the weighting sums (degree bound 2d + (2g-1), two
+    verification nodes, one doubling retry).
     """
     dr.require_exact()
     g = dr.genus
     bound = max(0, 2 * d + 2 * g - 1)
-    r_min = default_r_min(dr)
     scale_exp = 2 * d - 2 * g + 1
+    graphs: dict[bytes, DecoratedGraph] = {}
 
-    def evaluate(r: int) -> TautClass:
-        return chiodo_pushforward(dr, d, r).scale(Fraction(r) ** scale_exp)
+    def evaluate(r: int) -> dict[bytes, Fraction]:
+        scale = Fraction(r) ** scale_exp
+        out = {}
+        for key, (dg, coeff) in chiodo_pushforward(dr, d, r).terms.items():
+            graphs.setdefault(key, dg)
+            out[key] = coeff * scale
+        return out
 
     label = f"chiodo constant (g={g},n={dr.n},k={dr.twist},d={d})"
-    poly, _ = certified_fit(evaluate, bound, r_min, label=label, betti=0)
-    return poly.constant_term
+    fits, _ = certified_fit(evaluate, bound, default_r_min(dr), label=label, betti=0)
+    return TautClass(g, dr.n, ((graphs[key], poly.constant_term) for key, poly in fits.items()))
 
 
 def verify_samefreeterm(dr: DRVector, d: int) -> tuple[bool, str]:

@@ -218,6 +218,10 @@ def cmd_verify_socle(args) -> int:
 
 def cmd_verify_polynomiality(args) -> int:
     dr = DRVector(args.g, args.a, args.k)
+    dr.require_exact()
+    require_stable(dr.genus, dr.n)
+    if args.d < 0:
+        raise ValueError(f"degree must be non-negative, got d={args.d}")
     mark = SWEEP.total
     try:
         pixton_class(dr, args.d)

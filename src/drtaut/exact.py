@@ -7,17 +7,15 @@ the small amount of numerical machinery the rest of the library relies on:
 * Bernoulli numbers ``B_m`` in the convention with ``B_1 = -1/2`` (the
   generating function ``t e^{xt} / (e^t - 1)``).
 * Bernoulli polynomials ``B_m(x)``.
-* Exact Lagrange interpolation through rational sample points, producing an
-  :class:`RPoly`.  The values may be :class:`fractions.Fraction` scalars or
-  any vector-space-like objects supporting ``+`` and left multiplication by
-  ``Fraction`` (graph-sum classes use this to fit whole classes at once).
+* Exact Lagrange interpolation of rational samples, producing an
+  :class:`RPoly`, with one basis per node window shared by all its fits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 __all__ = [
@@ -81,57 +79,42 @@ def bernoulli_poly(m: int, x: Fraction) -> Fraction:
 
 
 class RPoly:
-    """A polynomial in one variable ``r`` with exact coefficients.
-
-    Coefficients are stored low degree first.  They are normally rationals,
-    but any values supporting addition and ``Fraction`` scaling work; the
-    fitting pipeline uses this with graph-sum classes as coefficients.
-    """
+    """A polynomial in ``r`` with ``Fraction`` coefficients, low degree first."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence):
+    def __init__(self, coeffs: Sequence[Fraction]):
         cs = list(coeffs)
-        while len(cs) > 1 and _is_zero(cs[-1]):
+        while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(cs or [Fraction(0)])
 
     @property
     def degree(self) -> int:
-        if len(self.coeffs) == 1 and _is_zero(self.coeffs[0]):
-            return -1
-        return len(self.coeffs) - 1
+        return len(self.coeffs) - 1 if any(self.coeffs) else -1
 
-    def __call__(self, r):
+    def __call__(self, r) -> Fraction:
         """Evaluate at ``r`` by Horner's rule."""
-        acc = None
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = c if acc is None else _scale(acc, Fraction(r)) + c
+            acc = acc * r + c
         return acc
 
-    def coefficient(self, j: int):
-        if j < len(self.coeffs):
-            return self.coeffs[j]
-        return Fraction(0) * self.coeffs[0]
+    def coefficient(self, j: int) -> Fraction:
+        return self.coeffs[j] if j < len(self.coeffs) else Fraction(0)
 
     @property
-    def constant_term(self):
+    def constant_term(self) -> Fraction:
         return self.coeffs[0]
 
     def divisible_by(self, b: int) -> bool:
         """True when ``r^b`` divides this polynomial."""
-        return all(_is_zero(c) for c in self.coeffs[:b])
+        return not any(self.coeffs[:b])
 
     def shift_down(self, b: int) -> "RPoly":
         """Divide by ``r^b``; requires the first ``b`` coefficients to vanish."""
-        if b == 0:
-            return self
         if not self.divisible_by(b):
             raise ValueError(f"polynomial is not divisible by r^{b}")
-        if len(self.coeffs) <= b:
-            return RPoly([Fraction(0)])
         return RPoly(self.coeffs[b:])
 
     def __eq__(self, other) -> bool:
@@ -150,7 +133,7 @@ class RPoly:
             return "0"
         parts = []
         for j, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if not c:
                 continue
             if j == 0:
                 parts.append(rat_to_str(c))
@@ -161,51 +144,38 @@ class RPoly:
         return " + ".join(parts)
 
 
-def _is_zero(value) -> bool:
-    if isinstance(value, (int, Fraction)):
-        return value == 0
-    probe = getattr(value, "is_zero", None)
-    if probe is not None:
-        return probe() if callable(probe) else bool(probe)
-    return value == 0
+@lru_cache(maxsize=128)
+def _lagrange_basis(nodes: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficient rows of the Lagrange basis on distinct ``nodes``.
 
-
-def _scale(value, c: Fraction):
-    return c * value if not isinstance(value, (int, Fraction)) else Fraction(value) * c
+    Row ``i`` holds, low degree first, the coefficients of
+    ``prod_{j != i} (X - x_j) / (x_i - x_j)``, the polynomial that is 1 at
+    ``x_i`` and 0 at every other node.
+    """
+    rows = []
+    for i, xi in enumerate(nodes):
+        others = nodes[:i] + nodes[i + 1 :]
+        num = [Fraction(1)]  # prod_{j != i} (X - x_j), built by convolution
+        for xj in others:
+            num = [a - xj * b for a, b in zip([0, *num], [*num, 0])]
+        denom = prod(xi - xj for xj in others)
+        rows.append(tuple(c / denom for c in num))
+    return tuple(rows)
 
 
 def interpolate(samples: Sequence[tuple]) -> RPoly:
-    """Exact Lagrange interpolation through ``(node, value)`` samples.
+    """Exact Lagrange interpolation through rational ``(node, value)`` samples.
 
-    Nodes must be distinct rationals; a repeated node raises ``ValueError``.
-    Values may be rationals or class-like objects with ``+`` and rational
-    scaling.  For instance the samples ``(5, 4), (6, 35/6), (7, 8)`` fit the
-    polynomial ``(r^2 - 1)/6``.
+    Nodes must be distinct; a repeated node raises ``ValueError``.  For
+    instance the samples ``(5, 4), (6, 35/6), (7, 8)`` fit the polynomial
+    ``(r^2 - 1)/6``.  With the basis cached per node window, a fit costs
+    ``O(n^2)`` products.
     """
-    pts = [(Fraction(x), y) for x, y in samples]
+    pts = [(Fraction(x), Fraction(y)) for x, y in samples]
     if not pts:
         raise ValueError("interpolation needs at least one sample")
-    nodes = [x for x, _ in pts]
+    nodes = tuple(x for x, _ in pts)
     if len(set(nodes)) != len(nodes):
         raise ValueError("interpolation nodes must be distinct")
-
-    n = len(pts)
-    coeff_acc: list = [None] * n
-    for i, (xi, yi) in enumerate(pts):
-        # Numerator prod_{j != i} (X - x_j), built by convolution.
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for t, c in enumerate(num):
-                nxt[t] += c * (-xj)
-                nxt[t + 1] += c
-            num = nxt
-        for t, c in enumerate(num):
-            w = c / denom
-            piece = _scale(yi, w)
-            coeff_acc[t] = piece if coeff_acc[t] is None else coeff_acc[t] + piece
-    return RPoly(coeff_acc)
+    terms = [(y, row) for (_, y), row in zip(pts, _lagrange_basis(nodes)) if y]
+    return RPoly([sum((y * row[t] for y, row in terms), Fraction(0)) for t in range(len(nodes))])

@@ -550,6 +550,13 @@ def graph_to_json(graph: StableGraph) -> dict:
     }
 
 
+def _json_value(value, kind: type, field: str):
+    """``value`` if of JSON type ``kind`` (a bool is no int); else ValueError naming ``field``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{field}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def graph_from_json(data: dict) -> StableGraph:
     """Rebuild a graph from its dict form (any consistent half-edge ids)."""
     if not isinstance(data, dict):
@@ -560,22 +567,29 @@ def graph_from_json(data: dict) -> StableGraph:
         if key not in data:
             raise ValueError(f"graph: missing field {key!r}")
     owner: dict[int, int] = {}
-    for v, rec in enumerate(data["vertices"]):
-        for h in rec["half_edges"]:
-            if h in owner:
+    genera = []
+    for v, rec in enumerate(_json_value(data["vertices"], list, "vertices")):
+        _json_value(rec, dict, "vertices")
+        genera.append(_json_value(rec.get("genus"), int, "genus"))
+        for h in _json_value(rec.get("half_edges"), list, "half_edges"):
+            if _json_value(h, int, "half_edges") in owner:
                 raise ValueError(f"half-edge {h} listed twice")
             owner[h] = v
 
     def vertex_of(h, field: str) -> int:
-        if h not in owner:
+        if _json_value(h, int, field) not in owner:
             raise ValueError(f"{field}: half-edge {h} is not listed at any vertex")
         return owner[h]
 
-    genera = [rec["genus"] for rec in data["vertices"]]
-    edges = [(vertex_of(h1, "edges"), vertex_of(h2, "edges")) for h1, h2 in data["edges"]]
+    pairs = [_json_value(pair, list, "edges") for pair in _json_value(data["edges"], list, "edges")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("edges: expected pairs of half-edges")
+    edges = [(vertex_of(h1, "edges"), vertex_of(h2, "edges")) for h1, h2 in pairs]
     legs_by_marking: dict[int, int] = {}
-    for rec in data["legs"]:
-        legs_by_marking[rec["marking"]] = vertex_of(rec["half_edge"], "legs")
+    for rec in _json_value(data["legs"], list, "legs"):
+        _json_value(rec, dict, "legs")
+        marking = _json_value(rec.get("marking"), int, "marking")
+        legs_by_marking[marking] = vertex_of(rec.get("half_edge"), "legs")
     n = len(legs_by_marking)
     if sorted(legs_by_marking) != list(range(1, n + 1)):
         raise ValueError("markings must be 1..n")

@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .graphs import (
     StableGraph,
+    _json_value,
     canonical_form_decorated,
     graph_from_json,
     graph_to_json,
@@ -308,11 +309,11 @@ class TautClass:
             raise ValueError("ambient: expected an object with fields 'g' and 'n'")
         if "terms" not in data:
             raise ValueError("class: missing field 'terms'")
-        g = ambient["g"]
-        n = ambient["n"]
+        g = _json_value(ambient["g"], int, "ambient.g")
+        n = _json_value(ambient["n"], int, "ambient.n")
         out = cls(g, n)
-        for rec in data["terms"]:
-            graph_data = rec["graph"]
+        for rec in _json_value(data["terms"], list, "terms"):
+            graph_data = _json_value(rec, dict, "terms").get("graph")
             graph = graph_from_json(graph_data)
             err = validate(graph, g, n)
             if err is not None:
@@ -322,7 +323,10 @@ class TautClass:
             for v, vrec in enumerate(graph_data["vertices"]):
                 for h in vrec["half_edges"]:
                     owner[h] = v
-            psi_orig = {int(h): e for h, e in rec.get("psi", {}).items()}
+            psi_orig = {
+                int(h): _json_value(e, int, "psi")
+                for h, e in _json_value(rec.get("psi", {}), dict, "psi").items()
+            }
             # Edge list in the rebuilt graph is sorted; recover which edge
             # each original pair became by matching sorted vertex pairs with
             # psi decorations carried along.
@@ -341,10 +345,13 @@ class TautClass:
             if psi_orig:
                 raise ValueError(f"psi exponents on unknown half-edges: {sorted(psi_orig)}")
             kappa = [() for _ in range(graph.n_vertices)]
-            for v, k in rec.get("kappa", {}).items():
-                kappa[int(v)] = tuple(k)
+            for v, k in _json_value(rec.get("kappa", {}), dict, "kappa").items():
+                if not 0 <= int(v) < graph.n_vertices:
+                    raise ValueError(f"kappa: vertex {v} is not in the graph")
+                exponents = _json_value(k, list, "kappa")
+                kappa[int(v)] = tuple(_json_value(e, int, "kappa") for e in exponents)
             dg = DecoratedGraph(graph, leg_psi, edge_psi, kappa)
-            out._accumulate(dg, rat_from_str(rec["coeff"]))
+            out._accumulate(dg, rat_from_str(_json_value(rec.get("coeff"), str, "coeff")))
         return out
 
 

@@ -18,11 +18,11 @@ and :func:`edge_profile_sums` sums edge-product observables, with loops
 summed in closed form.
 
 Sums of polynomial observables over all weightings are polynomials in ``r``
-for large ``r``, divisible by ``r^b``.  :func:`fit_edge_profiles` recovers
-them by certified interpolation (:func:`certified_fit`): fit on a window of
-sample values, then check the fit on fresh nodes.  Every fit is recorded in
-a module-level sweep registry so a test run can assert that no divisibility
-or verification failure occurred anywhere.
+for large ``r``, divisible by ``r^b``.  :func:`certified_fit` fits every
+key of a map of rational samples on one window of moduli and checks each
+fit on fresh ones; :func:`fit_edge_profiles` makes one fit per graph.
+Every fitted key is recorded in a module-level sweep registry so a test run
+can assert that no divisibility or verification failure occurred anywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import interpolate
 
@@ -283,36 +283,44 @@ def default_r_min(dr: DRVector) -> int:
 
 
 def certified_fit(
-    evaluate: Callable[[int], object],
+    evaluate: Callable[[int], Mapping[Hashable, Fraction]],
     degree_bound: int,
     r_min: int,
     n_verify: int = 2,
     label: str = "fit",
     betti: int = 0,
-    recorder: SweepRecorder | None = None,
 ):
-    """Fit ``evaluate(r)`` as a polynomial and certify it on fresh nodes.
+    """Fit every key of ``evaluate(r)`` as a polynomial in ``r`` and certify it.
 
-    Returns ``(RPoly, divisible)`` where ``divisible`` reports whether the
-    first ``betti`` coefficients vanish.  Raises ``ValueError`` on a fit the
-    verification nodes reject even after doubling the window once.
+    ``evaluate(r)`` maps keys to rationals, a missing key meaning 0; it is
+    called once per modulus.  Every key is fitted on ``degree_bound + 1``
+    moduli from ``r_min`` and checked at the next ``n_verify``, where a key
+    seen only there fails; on any failure the window doubles once.  Returns
+    ``({key: RPoly}, divisible)``, ``divisible`` telling whether ``r^betti``
+    divides every fit.  Records one sweep entry per key, ``"{label} #{i}"``
+    in sorted-key order; raises ``ValueError`` if the doubled window fails.
     """
+    samples: list[Mapping[Hashable, Fraction]] = []  # samples[i] is at r_min + i
     count = degree_bound + 1
-    for attempt in (0, 1):
-        nodes = list(range(r_min, r_min + count))
-        poly = interpolate([(rr, evaluate(rr)) for rr in nodes])
-        check = list(range(r_min + count, r_min + count + n_verify))
-        ok = all(poly(rr) == evaluate(rr) for rr in check)
-        if ok:
-            divisible = poly.divisible_by(betti)
-            (recorder or SWEEP).record(label, betti, divisible, True)
-            return poly, divisible
+    for _ in range(2):
+        samples += [evaluate(rr) for rr in range(r_min + len(samples), r_min + count + n_verify)]
+        keys = sorted(set().union(*samples))
+        window = list(enumerate(samples[:count], r_min))
+        check = list(enumerate(samples[count:], r_min + count))
+        fits = {key: interpolate([(rr, s.get(key, 0)) for rr, s in window]) for key in keys}
+        failed = {key for key in keys if any(fits[key](rr) != s.get(key, 0) for rr, s in check)}
+        if not failed:
+            break
         count *= 2
-    (recorder or SWEEP).record(label, betti, False, False)
-    raise ValueError(
-        f"insufficient degree bound for {label}: fit of degree < {count // 2} "
-        f"fails verification at fresh sample moduli"
-    )
+    divisible = {key: key not in failed and fits[key].divisible_by(betti) for key in keys}
+    for i, key in enumerate(keys):
+        SWEEP.record(f"{label} #{i}", betti, divisible[key], key not in failed)
+    if failed:
+        raise ValueError(
+            f"insufficient degree bound for {label}: fit of degree < {count // 2} "
+            f"fails verification at fresh sample moduli"
+        )
+    return fits, all(divisible.values())
 
 
 def fit_edge_profiles(
@@ -323,28 +331,17 @@ def fit_edge_profiles(
 ):
     """Certified fits of all edge-power sums ``sum_w prod_e x_e^{p_e}``.
 
-    Shares one weighting enumeration per sample modulus across profiles.
-    The degree bound is the largest observable degree ``2 sum_e p_e`` plus
-    the Betti number, sampling starts at :func:`default_r_min`, and two
-    fresh moduli verify each fit.  Returns a list of ``(RPoly, divisible)``
-    pairs, one per profile.
+    One :func:`certified_fit` per graph enumerates each sample modulus once
+    for all profiles.  The degree bound is the largest observable degree
+    ``2 sum_e p_e`` plus the Betti number, sampling starts at
+    :func:`default_r_min`, and two fresh moduli verify the fits.  Returns
+    ``(RPoly, divisible)`` pairs, one per profile.
     """
     b = graph.n_edges - graph.n_vertices + 1
     bound = max((2 * sum(p) for p in profiles), default=0) + b
-    r_min = default_r_min(dr)
     name = label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
-
-    cache: dict[int, list[int]] = {}
-
-    def eval_profile(i: int):
-        def ev(rr: int):
-            if rr not in cache:
-                cache[rr] = edge_profile_sums(graph, rr, dr, profiles)
-            return Fraction(cache[rr][i])
-
-        return ev
-
-    return [
-        certified_fit(eval_profile(i), bound, r_min, label=f"{name} #{i}", betti=b)
-        for i in range(len(profiles))
-    ]
+    fits, _ = certified_fit(
+        lambda rr: dict(enumerate(edge_profile_sums(graph, rr, dr, profiles))),
+        bound, default_r_min(dr), label=name, betti=b,
+    )
+    return [(fits[i], fits[i].divisible_by(b)) for i in range(len(profiles))]

@@ -144,6 +144,18 @@ class TestVerify:
         }
 
 
+def _one_vertex_class(vertex=None, term=None, **fields):
+    """The genus-1 one-leg point class as JSON, with some fields replaced."""
+    graph = {
+        "version": "stablegraph/1",
+        "vertices": [{"genus": 1, "half_edges": [0], **(vertex or {})}],
+        "edges": [],
+        "legs": [{"half_edge": 0, "marking": 1}],
+    }
+    terms = [{"coeff": "1", "graph": graph, "psi": {}, "kappa": {}, **(term or {})}]
+    return {"version": "tautclass/1", "ambient": {"g": 1, "n": 1}, "terms": terms, **fields}
+
+
 class TestErrorPaths:
     def test_unbalanced_vector(self, capsys):
         code, _, err = run(capsys, ["dr", "--g", "1", "--a", "1,2"])
@@ -198,6 +210,30 @@ class TestErrorPaths:
         assert out == ""
         assert "non-negative" in err
 
+    def test_polynomiality_unbalanced_vector(self, capsys):
+        code, out, err = run(
+            capsys, ["verify", "polynomiality", "--g", "1", "--a", "1,1", "--d", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "defect" in err
+
+    def test_polynomiality_unstable_type(self, capsys):
+        code, out, err = run(
+            capsys, ["verify", "polynomiality", "--g", "0", "--a", "1,-1", "--d", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "stable" in err
+
+    def test_polynomiality_negative_degree(self, capsys):
+        code, out, err = run(
+            capsys, ["verify", "polynomiality", "--g", "1", "--a", "1,-1", "--d", "-1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
+
 
     def _integrate(self, capsys, tmp_path, payload):
         path = tmp_path / "cls.json"
@@ -233,6 +269,23 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (_one_vertex_class(terms=5), "terms"),
+            (_one_vertex_class(vertex={"half_edges": 7}), "half_edges"),
+            (_one_vertex_class(term={"kappa": {"3": [1]}}), "kappa"),
+            (_one_vertex_class(vertex={"genus": 1.5}), "genus"),
+            (_one_vertex_class(ambient={"g": "x", "n": 1}, terms=[]), "ambient.g"),
+        ],
+        ids=["terms-int", "half-edges-int", "kappa-vertex", "genus-float", "ambient-g-str"],
+    )
+    def test_class_wrong_value_type(self, capsys, tmp_path, payload, field):
+        code, out, err = self._integrate(capsys, tmp_path, payload)
+        assert code == 2
+        assert out == ""
+        assert f"{field}:" in err
 
 
 class TestGlobalFlags:

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from drtaut.exact import interpolate
 from drtaut.graphs import StableGraph
 from drtaut.tautclass import (
     DecoratedGraph,
@@ -221,18 +220,3 @@ class TestSeries:
         u = series_unit(g)
         [(mono, c)] = u.items()
         assert c == 1 and monomial_degree(mono) == 0
-
-
-class TestClassValuedInterpolation:
-    def test_fit_class_line(self):
-        # Class-valued samples of t + t * delta0 fit exactly.
-        d = delta0(1)
-        t = trivial_class(1, 1)
-
-        def value(r):
-            return F(r) * t + F(r * r) * d
-
-        poly = interpolate([(r, value(r)) for r in (1, 2, 3)])
-        assert poly.coefficient(1) == t
-        assert poly.coefficient(2) == d
-        assert poly.coefficient(0).is_zero()

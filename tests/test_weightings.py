@@ -225,7 +225,7 @@ class TestFitting:
     def test_insufficient_degree_bound(self):
         with pytest.raises(ValueError, match="insufficient degree bound"):
             certified_fit(
-                lambda r: F(r) ** 9,
+                lambda r: {0: F(r) ** 9},
                 degree_bound=1,
                 r_min=2,
                 label="deliberate underfit",
@@ -233,10 +233,41 @@ class TestFitting:
 
     def test_retry_recovers_from_small_bound(self):
         # Degree 3 data with bound 1: the doubled window has 4 nodes and fits.
-        poly, _ = certified_fit(
-            lambda r: F(r) ** 3, degree_bound=1, r_min=2, label="retry case"
+        fits, _ = certified_fit(
+            lambda r: {0: F(r) ** 3}, degree_bound=1, r_min=2, label="retry case"
         )
-        assert poly == RPoly([F(0), F(0), F(0), F(1)])
+        assert fits == {0: RPoly([F(0), F(0), F(0), F(1)])}
+
+    def test_absent_key_is_zero(self):
+        # (r - 6)(r - 7) is left out where it vanishes, at r = 6 and 7 of
+        # the window 5..7, as classes drop zero terms; it still fits.
+        def ev(r):
+            out = {"r": F(r)}
+            if (r - 6) * (r - 7):
+                out["q"] = F((r - 6) * (r - 7))
+            return out
+
+        fits, divisible = certified_fit(ev, degree_bound=2, r_min=5)
+        assert fits == {"q": RPoly([F(42), F(-13), F(1)]), "r": RPoly([F(0), F(1)])}
+        assert divisible
+
+    def test_key_only_at_verification_modulus_raises(self):
+        # Bound 2 from r_min 5: window 5..7, checks 8, 9; the doubled window
+        # 5..10 fits the spike at 8, which the checks at 11, 12 reject.
+        def ev(r):
+            out = {0: F(r)}
+            if r == 8:
+                out[1] = F(1)
+            return out
+
+        SWEEP.reset()
+        with pytest.raises(ValueError, match="spike"):
+            certified_fit(ev, degree_bound=2, r_min=5, label="spike")
+        assert [(e["label"], e["verified"]) for e in SWEEP.entries] == [
+            ("spike #0", True),
+            ("spike #1", False),
+        ]
+        SWEEP.reset()
 
     def test_sweep_records(self):
         SWEEP.reset()
@@ -253,8 +284,8 @@ class TestFitting:
         def ev(r):
             seen.append(r)
             [val] = edge_profile_sums(LOOP_G1, r, dr, [(1,)])
-            return F(val)
+            return {0: F(val)}
 
-        poly, _ = certified_fit(ev, degree_bound=4, r_min=11)
-        assert poly == RPoly([F(0), F(-1, 6), F(0), F(1, 6)])
+        fits, _ = certified_fit(ev, degree_bound=4, r_min=11)
+        assert fits == {0: RPoly([F(0), F(-1, 6), F(0), F(1, 6)])}
         assert seen == list(range(11, 18))
