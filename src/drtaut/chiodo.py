@@ -32,6 +32,7 @@ from the same certified scalar fit as the weighting sums.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -48,7 +49,6 @@ from .tautclass import (
     DecoratedGraph,
     TautClass,
     kappa_monomial,
-    psi_edge_monomial,
     psi_leg_monomial,
     series_degree_part,
     series_exp,
@@ -59,7 +59,7 @@ from .weightings import (
     DRVector,
     certified_fit,
     default_r_min,
-    enumerate_weightings,
+    edge_profile_sums,
 )
 
 __all__ = [
@@ -153,22 +153,29 @@ def _vertex_leg_series(graph: StableGraph, dr: DRVector, r: int, cap: int) -> di
     return series_exp(x, graph, cap)
 
 
+def _require_roots(dr: DRVector, r: int) -> None:
+    if r <= 0:
+        raise ValueError("modulus must be positive")
+    if dr.defect % r:
+        raise ValueError(f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}")
+
+
 def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:
     """Degree-d part of the pushed-forward total Chern class at modulus r.
 
-    ``cap`` sets the truncation order of the exponentials (default d);
-    any cap >= d yields the same degree-d output, which the test suite
-    uses as a truncation-independence check.
+    Per graph, the edge factors' coefficients of ``psi^i psi'^j`` become
+    residue tables, one per pair ``(i, j)``; one :func:`edge_profile_sums`
+    call sums every choice of one pair per edge over the weightings.
+    Those sums are the edge monomials of one series, multiplied once by
+    the vertex and leg exponentials.  ``cap`` sets the truncation order
+    of the exponentials (default d); any cap >= d yields the same
+    degree-d output, which the test suite uses as a
+    truncation-independence check.
     """
     g, n = dr.genus, dr.n
-    if r <= 0:
-        raise ValueError("modulus must be positive")
+    _require_roots(dr, r)
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if (dr.twist * (2 * g - 2 + n) - sum(dr.parts)) % r != 0:
-        raise ValueError(
-            f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}"
-        )
     if cap is None:
         cap = d
     if cap < d:
@@ -177,21 +184,19 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
     for graph in enumerate_stable_graphs(g, n, max_edges=min(d, cap)):
         n_edges = graph.n_edges
         budget = cap - n_edges
-        b = first_betti(graph)
-        aut = automorphism_order(graph)
-        scalar = Fraction(r) ** (2 * g - 1 - b) / aut
-        static = _vertex_leg_series(graph, dr, r, budget)
-        for values in enumerate_weightings(graph, r, dr):
-            series = static
-            for t in range(n_edges):
-                pairs = edge_factor_coefficients(r, values[2 * t], budget)
-                factor = {
-                    psi_edge_monomial(graph, t, i, j): c for (i, j), c in pairs
-                }
-                series = series_mul(series, factor, budget)
-            sliced = series_degree_part(series, d - n_edges)
-            if sliced:
-                _emit(acc, graph, sliced, scalar)
+        factors = [dict(edge_factor_coefficients(r, w, budget)) for w in range(r)]
+        tables = {key: [f.get(key, 0) for f in factors] for key in sorted(set().union(*factors))}
+        profiles = [
+            prof
+            for prof in itertools.product(tables, repeat=n_edges)
+            if sum(i + j for i, j in prof) <= budget
+        ]
+        sums = edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
+        legs, kappa = (0,) * n, ((),) * graph.n_vertices
+        edges = {(legs, prof, kappa): s for prof, s in zip(profiles, sums) if s}
+        series = series_mul(_vertex_leg_series(graph, dr, r, budget), edges, budget)
+        scalar = Fraction(r) ** (2 * g - 1 - first_betti(graph)) / automorphism_order(graph)
+        _emit(acc, graph, series_degree_part(series, d - n_edges), scalar)
     return TautClass(g, n, acc)
 
 
@@ -243,9 +248,9 @@ def chern_route_class(dr: DRVector, d: int, r: int) -> TautClass:
     An independent assembly used only for cross-checking: the total
     Chern class of minus a complex is exp(sum (-1)^m (m-1)! ch_m), so
     the degree-1 part is -ch_1 -- the kappa and psi summands with their
-    Bernoulli weights, plus one boundary term per one-edge graph and
-    weighting, each edge contributing
-    ``r . B_2(w/r)/2 . r^{sum_v (2 g_v - 1)} / |Aut|``
+    Bernoulli weights, plus one boundary term per one-edge graph, summing
+    ``r . B_2(w/r)/2 . r^{sum_v (2 g_v - 1)} / |Aut|`` over its weightings
+    in one :func:`edge_profile_sums` call
     (the ordering of the two branches at the node accounts for a factor
     2 against the half in the character formula).  Degrees above 1 would
     need products of pushforward terms, which the formal class algebra
@@ -254,10 +259,7 @@ def chern_route_class(dr: DRVector, d: int, r: int) -> TautClass:
     g, n = dr.genus, dr.n
     if d not in (0, 1):
         raise ValueError("chern route implemented for degrees 0 and 1 only")
-    if (dr.twist * (2 * g - 2 + n) - sum(dr.parts)) % r != 0:
-        raise ValueError(
-            f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}"
-        )
+    _require_roots(dr, r)
     smooth = trivial_class(g, n).scale(Fraction(r) ** (2 * g - 1))
     if d == 0:
         return smooth
@@ -275,18 +277,12 @@ def chern_route_class(dr: DRVector, d: int, r: int) -> TautClass:
             acc.append(
                 (DecoratedGraph(base, leg_psi=leg_psi), leg_coeff * Fraction(r) ** (2 * g - 1))
             )
+    b2 = [bernoulli_poly(2, Fraction(w, r)) for w in range(r)]
     for graph in enumerate_stable_graphs(g, n, max_edges=1):
         if graph.n_edges != 1:
             continue
-        aut = automorphism_order(graph)
+        [total] = edge_profile_sums(graph, r, dr, [(b2,)])
         vertex_power = sum(2 * gv - 1 for gv in graph.genera)
-        for values in enumerate_weightings(graph, r, dr):
-            coeff = (
-                -Fraction(r)
-                * bernoulli_poly(2, Fraction(values[0], r))
-                / 2
-                * Fraction(r) ** vertex_power
-                / aut
-            )
-            acc.append((DecoratedGraph(graph), coeff))
+        coeff = -Fraction(r) * total / 2 * Fraction(r) ** vertex_power
+        acc.append((DecoratedGraph(graph), coeff / automorphism_order(graph)))
     return TautClass(g, n, acc)

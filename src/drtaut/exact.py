@@ -32,8 +32,11 @@ Rational = Fraction
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"n"`` into an exact rational."""
-    return Fraction(s.strip())
+    """Parse ``"p/q"`` or ``"n"`` into an exact rational; ``ValueError`` if malformed."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def rat_to_str(x: Fraction) -> str:

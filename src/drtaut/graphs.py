@@ -576,9 +576,14 @@ def graph_from_json(data: dict) -> StableGraph:
                 raise ValueError(f"half-edge {h} listed twice")
             owner[h] = v
 
+    used: set[int] = set()
+
     def vertex_of(h, field: str) -> int:
         if _json_value(h, int, field) not in owner:
             raise ValueError(f"{field}: half-edge {h} is not listed at any vertex")
+        if h in used:
+            raise ValueError(f"{field}: half-edge {h} is used twice")
+        used.add(h)
         return owner[h]
 
     pairs = [_json_value(pair, list, "edges") for pair in _json_value(data["edges"], list, "edges")]
@@ -589,7 +594,11 @@ def graph_from_json(data: dict) -> StableGraph:
     for rec in _json_value(data["legs"], list, "legs"):
         _json_value(rec, dict, "legs")
         marking = _json_value(rec.get("marking"), int, "marking")
+        if marking in legs_by_marking:
+            raise ValueError(f"marking: {marking} appears twice")
         legs_by_marking[marking] = vertex_of(rec.get("half_edge"), "legs")
+    if len(used) != len(owner):
+        raise ValueError(f"half_edges: half-edge {min(set(owner) - used)} is not used")
     n = len(legs_by_marking)
     if sorted(legs_by_marking) != list(range(1, n + 1)):
         raise ValueError("markings must be 1..n")

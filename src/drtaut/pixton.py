@@ -47,6 +47,7 @@ from .weightings import (
     DRVector,
     edge_profile_sums,
     fit_edge_profiles,
+    power_tables,
 )
 
 __all__ = [
@@ -149,7 +150,7 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
         if not templates:
             continue
         profiles = [tuple(m + 1 for m in prof) for prof, _ in templates]
-        sums = edge_profile_sums(graph, r, dr, profiles)
+        sums = edge_profile_sums(graph, r, dr, power_tables(r, profiles))
         for (prof, template), s in zip(templates, sums):
             scalar = Fraction(s, aut * r**b)
             _emit(acc, graph, template, scalar)

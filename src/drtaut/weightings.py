@@ -12,10 +12,10 @@ fixes a BFS spanning tree over the non-loop edges, the order in which its
 edges are solved (leaves first) and the half-edges at each vertex.  Free
 non-loop residues range over all values mod ``r``, each tree value is
 forced by its child vertex's congruence, and the root's congruence is
-asserted as a check.  Two consumers share this solver:
-:func:`enumerate_weightings` lists every weighting, loop residues included,
-and :func:`edge_profile_sums` sums edge-product observables, with loops
-summed in closed form.
+asserted as a check.  One consumer walks the solutions:
+:func:`edge_profile_sums` sums products of per-edge residue tables, with
+loops summed in closed form.  Pixton's graph sum, Chiodo's pushforward and
+the Chern-character route all reach the weightings through it.
 
 Sums of polynomial observables over all weightings are polynomials in ``r``
 for large ``r``, divisible by ``r^b``.  :func:`certified_fit` fits every
@@ -36,7 +36,7 @@ from .exact import interpolate
 
 __all__ = [
     "DRVector",
-    "enumerate_weightings",
+    "power_tables",
     "edge_profile_sums",
     "certified_fit",
     "fit_edge_profiles",
@@ -186,59 +186,47 @@ def _solutions(graph, r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[i
         yield values
 
 
-def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], ...]:
-    """All weightings mod ``r`` on ``graph`` for the given ramification data.
+def power_tables(r: int, profiles: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """Edge-power profiles as residue tables: ``x^p`` with ``x = w((r-w) mod r)``.
 
-    Each weighting is a tuple of residues, one per half-edge in layout
-    order.  There are ``r^b`` of them when the global congruence holds,
-    none otherwise.  Loop edges and edges off a spanning tree range freely;
-    the tree values are forced by the vertex congruences.
+    An exponent 0 becomes ``None``; tables for the same exponent are shared.
+    """
+    xs = [w * ((r - w) % r) for w in range(r)]
+    tables = {p: [x**p for x in xs] for p in {p for prof in profiles for p in prof} if p}
+    return [tuple(tables[p] if p else None for p in prof) for prof in profiles]
+
+
+def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence]) -> list:
+    """Sums of ``prod_e T_e[w_e]`` over all weightings, for many profiles.
+
+    A profile holds one entry per edge: ``None`` for the factor 1, or a
+    table of ``r`` values indexed by the residue ``w_e`` on the edge's
+    first half-edge ``2t``.  All profiles share one enumeration; a loop's
+    residue is unconstrained, so it contributes the sum of its table, or
+    ``r`` for ``None``.  :func:`power_tables` builds the ``x_e^p`` tables
+    of the graph-sum formula.
     """
     if r <= 0:
         raise ValueError("modulus must be positive")
     if graph.n_legs != dr.n:
         raise ValueError("marking count does not match the ramification vector")
     plan = _solve_plan(graph)
-    solutions = [tuple(values) for values in _solutions(graph, r, dr, plan)]
-    out = []
-    for assign in itertools.product(range(r), repeat=len(plan.loops)):
-        for solution in solutions:
-            values = list(solution)
-            for t, w in zip(plan.loops, assign):
-                values[2 * t] = w
-                values[2 * t + 1] = (r - w) % r
-            out.append(tuple(values))
-    return tuple(out)
-
-
-def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[tuple[int, ...]]) -> list[int]:
-    """Sums of ``prod_e x_e^{p_e}`` over all weightings, for many profiles.
-
-    Here ``x_e = w(h) w(h')`` is the product of the residues on the two
-    halves of edge ``e``.  All profiles share one enumeration; loop edges
-    factor out of the sum entirely since their residues are unconstrained.
-    """
-    plan = _solve_plan(graph)
     loops = plan.loops
-    max_loop_pow = max((prof[t] for prof in profiles for t in loops), default=0)
-    loop_moment = [
-        sum((w * ((r - w) % r)) ** p for w in range(r)) for p in range(max_loop_pow + 1)
-    ]
-    powers = [
-        [(t, p) for t, p in enumerate(prof) if p and t not in loops] for prof in profiles
+    factors = [
+        [(2 * t, table) for t, table in enumerate(prof) if table is not None and t not in loops]
+        for prof in profiles
     ]
     partial = [0] * len(profiles)
     for values in _solutions(graph, r, dr, plan):
-        xs = [values[2 * t] * values[2 * t + 1] for t in range(graph.n_edges)]
-        for i, pairs in enumerate(powers):
+        for i, pairs in enumerate(factors):
             term = 1
-            for t, p in pairs:
-                term *= xs[t] ** p
+            for h, table in pairs:
+                term *= table[values[h]]
             partial[i] += term
     out = []
     for total, prof in zip(partial, profiles):
         for t in loops:
-            total *= loop_moment[prof[t]]
+            total *= r if prof[t] is None else sum(prof[t])
         out.append(total)
     return out
 
@@ -341,7 +329,7 @@ def fit_edge_profiles(
     bound = max((2 * sum(p) for p in profiles), default=0) + b
     name = label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
     fits, _ = certified_fit(
-        lambda rr: dict(enumerate(edge_profile_sums(graph, rr, dr, profiles))),
+        lambda rr: dict(enumerate(edge_profile_sums(graph, rr, dr, power_tables(rr, profiles)))),
         bound, default_r_min(dr), label=name, betti=b,
     )
     return [(fits[i], fits[i].divisible_by(b)) for i in range(len(profiles))]

@@ -18,8 +18,8 @@ every equality is an exact identity of rationals or of formal classes
     required power of r and passes its verification nodes;
  9. triple Hodge integrals by two routes;
 10. two-point cycle pairings by two routes;
-11. weighting enumeration and edge-profile sums against a brute-force
-    oracle;
+11. weighting enumeration and edge-profile sums, of edge powers and of
+    residue tables, against a brute-force oracle;
 12. cycle coefficients are even polynomials in the ramification order.
 """
 
@@ -48,7 +48,9 @@ from drtaut.tautclass import (
     alpha_class,
     beta_class,
 )
-from drtaut.weightings import SWEEP, DRVector, edge_profile_sums, enumerate_weightings
+from drtaut.weightings import SWEEP, DRVector, edge_profile_sums, power_tables
+
+from oracles import enumerate_weightings
 
 F = Fraction
 
@@ -365,7 +367,15 @@ def test_c11_weighting_oracle():
                     )
                     for prof in profiles
                 ]
-                assert edge_profile_sums(graph, r, dr, profiles) == brute_sums
+                assert edge_profile_sums(graph, r, dr, power_tables(r, profiles)) == brute_sums
+                # Tables that are not symmetric under w <-> r - w.
+                tables = [None, [w * w + 1 for w in range(r)], [w**3 + 2 for w in range(r)]]
+                brute_sums = [
+                    sum(math.prod(tables[p][w[2 * t]] for t, p in enumerate(prof) if p) for w in brute)
+                    for prof in profiles
+                ]
+                chosen = [[tables[p] for p in prof] for prof in profiles]
+                assert edge_profile_sums(graph, r, dr, chosen) == brute_sums
             graphs_checked += 1
     assert graphs_checked >= 15
     assert time.time() - t0 < 30

@@ -21,6 +21,8 @@ from drtaut.pixton import pixton_class
 from drtaut.tautclass import DecoratedGraph, TautClass, delta0, trivial_class
 from drtaut.weightings import DRVector
 
+from oracles import chiodo_pushforward as per_weighting_pushforward
+
 F = Fraction
 
 
@@ -97,9 +99,38 @@ def test_cross_route_twisted_case():
     assert chiodo_pushforward(dr, 1, 3) == chern_route_class(dr, 1, 3)
 
 
+ORACLE_CASES = [
+    (DRVector(0, (1, 1, -1, -1)), 2, None),
+    (DRVector(1, (1, -1)), 3, None),
+    (DRVector(1, (1,), 1), 2, 3),
+    (DRVector(1, (1, 3), 2), 2, 4),
+    (DRVector(2, (0,)), 3, None),
+    (DRVector(2, (3,), 1), 2, 3),
+    (DRVector(2, (1, -1)), 3, None),
+]
+
+
+def test_pushforward_matches_per_weighting_oracle():
+    """Summing residue tables per graph equals summing series per weighting."""
+    checked = 0
+    for dr, d, cap in ORACLE_CASES:
+        for r in (2, 3, 4, 5):
+            if dr.defect % r:
+                continue
+            want = per_weighting_pushforward(dr, d, r, cap)
+            assert chiodo_pushforward(dr, d, r, cap).items() == want.items()
+            checked += 1
+    assert checked >= 20
+
+
 def test_chern_route_degree_validation():
     with pytest.raises(ValueError):
         chern_route_class(DRVector(1, (0,), 0), 2, 3)
+
+
+def test_chern_route_rejects_zero_modulus():
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        chern_route_class(DRVector(1, (0,), 0), 1, 0)
 
 
 def test_congruence_error():

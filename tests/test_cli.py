@@ -156,6 +156,18 @@ def _one_vertex_class(vertex=None, term=None, **fields):
     return {"version": "tautclass/1", "ambient": {"g": 1, "n": 1}, "terms": terms, **fields}
 
 
+def _loop_class(edges=([0, 1],), legs=((2, 1), (3, 2)), half_edges=(0, 1, 2, 3), coeff="1"):
+    """The genus-1 two-leg loop-graph class as JSON, with some fields replaced."""
+    graph = {
+        "version": "stablegraph/1",
+        "vertices": [{"genus": 0, "half_edges": list(half_edges)}],
+        "edges": [list(e) for e in edges],
+        "legs": [{"half_edge": h, "marking": m} for h, m in legs],
+    }
+    terms = [{"coeff": coeff, "graph": graph, "psi": {}, "kappa": {}}]
+    return {"version": "tautclass/1", "ambient": {"g": 1, "n": 2}, "terms": terms}
+
+
 class TestErrorPaths:
     def test_unbalanced_vector(self, capsys):
         code, _, err = run(capsys, ["dr", "--g", "1", "--a", "1,2"])
@@ -269,6 +281,36 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "JSON object" in err
+
+    def test_class_zero_denominator(self, capsys, tmp_path):
+        code, out, err = self._integrate(capsys, tmp_path, _loop_class(coeff="1/0"))
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (_loop_class(legs=((0, 1), (3, 2))), "legs: half-edge 0 is used twice"),
+            (_loop_class(edges=([0, 0],)), "edges: half-edge 0 is used twice"),
+            (
+                _loop_class(legs=((2, 1), (3, 2), (4, 2)), half_edges=(0, 1, 2, 3, 4)),
+                "marking: 2 appears twice",
+            ),
+            (_loop_class(half_edges=(0, 1, 2, 3, 4)), "half_edges: half-edge 4 is not used"),
+        ],
+        ids=["edge-end-and-leg", "edge-to-itself", "marking-twice", "half-edge-unused"],
+    )
+    def test_class_half_edge_not_used_once(self, capsys, tmp_path, payload, message):
+        code, out, err = self._integrate(capsys, tmp_path, payload)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_class_well_formed_loop(self, capsys, tmp_path):
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps(_loop_class()), encoding="utf-8")
+        assert run(capsys, ["integrate", "--class", str(path), "--psi", "1,0"]) == (0, "1\n", "")
 
     @pytest.mark.parametrize(
         "payload, field",

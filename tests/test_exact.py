@@ -159,3 +159,7 @@ class TestRationalStrings:
     def test_integer_form(self):
         assert rat_to_str(F(4, 2)) == "2"
         assert rat_from_str("-7/3") == F(-7, 3)
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat_from_str("1/0")

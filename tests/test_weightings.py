@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from drtaut.weightings import (
     certified_fit,
     default_r_min,
     edge_profile_sums,
-    enumerate_weightings,
     fit_edge_profiles,
+    power_tables,
 )
+
+from oracles import enumerate_weightings
 
 F = Fraction
 
@@ -64,6 +67,14 @@ def brute_profile_sum(graph, r, dr, profile):
             term *= (values[2 * t] * values[2 * t + 1]) ** p
         total += term
     return total
+
+
+def brute_table_sum(graph, r, dr, tables):
+    """``sum_w prod_e T_e[w(2t)]`` over the brute-force weightings, ``None`` being 1."""
+    return sum(
+        math.prod(table[values[2 * t]] for t, table in enumerate(tables) if table is not None)
+        for values in brute_weightings(graph, r, dr)
+    )
 
 
 class TestDRVector:
@@ -152,30 +163,54 @@ class TestLatticeSums:
     def test_loop_moment(self):
         dr = DRVector(2, ())
         for r in (2, 3, 7):
-            [val] = edge_profile_sums(LOOP_G1, r, dr, [(1,)])
+            [val] = edge_profile_sums(LOOP_G1, r, dr, power_tables(r, [(1,)]))
             assert val == r * (r * r - 1) // 6
             assert val == brute_profile_sum(LOOP_G1, r, dr, (1,))
 
     def test_profile_sums_match_brute_force(self):
+        # Powers of x = w (r - w) are symmetric under w <-> r - w; the other
+        # tables are not, so a table read from the wrong half-edge shows.
         cases = [
             (BANANA2_G1G1, DRVector(3, ()), (2, 5)),
+            (BANANA2_G1G1, DRVector(3, (), twist=1), (2, 4)),
             (BANANA3_G0G1, DRVector(3, ()), (2, 5)),
             (TWO_LOOPS, DRVector(3, ()), (2, 5)),
             (StableGraph([0, 1], [(0, 1)], [0, 0]), DRVector(1, (2, -2)), (5,)),
-            (StableGraph([1, 0], [(0, 1), (1, 1)], [1]), DRVector(2, (1,), twist=1), (3,)),
+            (StableGraph([0, 1], [(0, 1), (0, 1)], [0]), DRVector(2, (3,), twist=1), (3, 5)),
+            (StableGraph([1, 0], [(0, 1), (1, 1)], [1]), DRVector(2, (1,), twist=1), (2, 3)),
+            (StableGraph([1, 0], [(0, 1), (1, 1)], [1]), DRVector(2, (3,), twist=1), (3, 4)),
         ]
         for graph, dr, rs in cases:
             profiles = [
                 tuple(p) for p in itertools.product((0, 1, 2), repeat=graph.n_edges)
             ]
             for r in rs:
-                sums = edge_profile_sums(graph, r, dr, profiles)
+                sums = edge_profile_sums(graph, r, dr, power_tables(r, profiles))
                 assert sums == [brute_profile_sum(graph, r, dr, p) for p in profiles]
+                tables = [None, [w * w + 1 for w in range(r)], [w**3 + 2 * w + 3 for w in range(r)]]
+                chosen = [[tables[p] for p in prof] for prof in profiles]
+                sums = edge_profile_sums(graph, r, dr, chosen)
+                assert sums == [brute_table_sum(graph, r, dr, t) for t in chosen]
 
     def test_profile_sums_congruence_failure(self):
         graph = StableGraph([1], [(0, 0)], [0])
         dr = DRVector(2, (1,))
-        assert edge_profile_sums(graph, 5, dr, [(1,)]) == [0]
+        assert edge_profile_sums(graph, 5, dr, power_tables(5, [(1,)])) == [0]
+
+    @pytest.mark.parametrize(
+        "r, parts, message",
+        [
+            (0, (1, -1), "modulus"),
+            (-3, (1, -1), "modulus"),
+            (5, (1, -1, 0), "marking count"),
+            (5, (2, -1, -1, 0), "marking count"),
+        ],
+        ids=["r-zero", "r-negative", "three-parts", "four-parts"],
+    )
+    def test_rejects_bad_input(self, r, parts, message):
+        graph = StableGraph([0], [(0, 0)], [0, 0])
+        with pytest.raises(ValueError, match=message):
+            edge_profile_sums(graph, r, DRVector(1, parts), [(None,)])
 
 
 class TestFitting:
@@ -283,7 +318,7 @@ class TestFitting:
 
         def ev(r):
             seen.append(r)
-            [val] = edge_profile_sums(LOOP_G1, r, dr, [(1,)])
+            [val] = edge_profile_sums(LOOP_G1, r, dr, power_tables(r, [(1,)]))
             return {0: F(val)}
 
         fits, _ = certified_fit(ev, degree_bound=4, r_min=11)
