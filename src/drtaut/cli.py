@@ -170,8 +170,7 @@ def cmd_verify_vanishing(args) -> int:
     g, n = dr.genus, dr.n
     if args.d <= g:
         raise ValueError(f"vanishing holds for degree > genus; got d={args.d}, g={g}")
-    complement = 3 * g - 3 + n - args.d
-    sets = complementary_psi_monomials(g, n, complement)
+    sets = complementary_psi_monomials(g, n, args.d)
     values = vanishing_probe(dr, args.d, sets)
     bad = [
         f"  psi^{list(e)} -> {rat_to_str(v)}"

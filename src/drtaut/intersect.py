@@ -199,22 +199,27 @@ def integrate_vertex(
 # -- pairing decorated-graph classes against psi monomials ------------
 
 
-def _term_integral(dec: DecoratedGraph, exponents: Sequence[int]) -> Fraction:
+def _term_integral(dec: DecoratedGraph, exponents: Sequence[int]) -> Fraction | int:
+    """One term's integral against ``prod psi_i^{b_i}``, a product over vertices.
+
+    The exponents at each vertex are gathered in one pass over the edges
+    and legs; the result is 0 as soon as a vertex misses its dimension.
+    """
     graph = dec.graph
-    psi = dec.psi_by_half_edge()
-    value = Fraction(1)
-    for v in range(graph.n_vertices):
-        vertex_exps = []
-        for h in graph.vertex_half_edges(v):
-            e = psi.get(h, 0)
-            if graph.is_leg(h):
-                e += exponents[graph.marking_of(h) - 1]
-            vertex_exps.append(e)
-        value *= _vertex_integral(
-            graph.genera[v], tuple(sorted(vertex_exps)), dec.kappa[v]
-        )
+    at: list[list[int]] = [[] for _ in graph.genera]
+    for (u, v), (a, b) in zip(graph.edges, dec.edge_psi):
+        at[u].append(a)
+        at[v].append(b)
+    for v, e, x in zip(graph.legs, dec.leg_psi, exponents):
+        at[v].append(e + x)
+    for g, exps, kappa in zip(graph.genera, at, dec.kappa):
+        if sum(exps) + sum(kappa) != 3 * g - 3 + len(exps):
+            return 0
+    value: Fraction | int = 1
+    for g, exps, kappa in zip(graph.genera, at, dec.kappa):
+        value *= _vertex_integral(g, tuple(sorted(exps)), kappa)
         if not value:
-            return Fraction(0)
+            return 0
     return value
 
 
@@ -234,7 +239,9 @@ def pair_with_psi(T: TautClass, exponents: Sequence[int] = ()) -> Fraction:
         raise ValueError("psi exponents must be non-negative")
     total = Fraction(0)
     for dec, coeff in T.items():
-        total += coeff * _term_integral(dec, exps)
+        value = _term_integral(dec, exps)
+        if value:
+            total += coeff * value
     return total
 
 

@@ -7,15 +7,22 @@ to ``0 mod r``, and the residues at each vertex ``v`` add to
 ``sum a_i = k (2g - 2 + n) mod r`` holds there are exactly ``r^b`` of them,
 ``b`` the first Betti number, and none otherwise.
 
-One engine enumerates them.  A solve plan, built once per graph and call,
-fixes a BFS spanning tree over the non-loop edges, the order in which its
-edges are solved (leaves first) and the half-edges at each vertex.  Free
-non-loop residues range over all values mod ``r``, each tree value is
-forced by its child vertex's congruence, and the root's congruence is
-asserted as a check.  One consumer walks the solutions:
-:func:`edge_profile_sums` sums products of per-edge residue tables, with
-loops summed in closed form.  Pixton's graph sum, Chiodo's pushforward and
+One engine enumerates them.  A solve plan fixes a BFS spanning tree over
+the non-loop edges, the order in which its edges are solved (leaves
+first) and the half-edges at each vertex.  Free non-loop residues range
+over all values mod ``r``, each tree value is forced by its child
+vertex's congruence, and the root's congruence is asserted as a check.
+One consumer walks the solutions: :func:`edge_profile_sums` sums products
+of per-edge residue tables.  Pixton's graph sum, Chiodo's pushforward and
 the Chern-character route all reach the weightings through it.
+
+It walks the simple quotient graph, built with its plan once per graph
+and cached.  Loops leave the quotient and are summed in closed form.  The
+``m`` parallel edges between ``u`` and ``v`` meet the vertex congruences
+only through the sum ``s`` of their residues at ``u``, so they become one
+edge whose table is the cyclic convolution of theirs.  A weighting sum
+then costs ``r^b'`` steps, ``b'`` the quotient's Betti number, instead of
+``r^b``; the vertex targets are still those of the original graph.
 
 Sums of polynomial observables over all weightings are polynomials in ``r``
 for large ``r``, divisible by ``r^b``.  :func:`certified_fit` fits every
@@ -30,6 +37,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import interpolate
@@ -97,41 +106,49 @@ class DRVector:
             )
 
 
-def _vertex_targets(graph, r: int, dr: DRVector) -> list[int]:
-    return [
-        (dr.twist * (2 * graph.genera[v] - 2 + graph.vertex_degree(v))) % r
-        for v in range(graph.n_vertices)
-    ]
-
-
 class _SolvePlan(NamedTuple):
     """How to solve one graph's vertex congruences, fixed before any residue.
 
-    ``steps`` holds ``(child, child half-edge, other half-edges at child)``
-    for each tree edge, leaves first; ``free`` the non-loop edges off the
-    tree; ``loops`` the loop edges; ``root`` the half-edges at vertex 0.
+    The plan solves over ``n_edges`` edges, whose half-edges ``2t`` and
+    ``2t + 1`` come first, followed by one half-edge per leg.  ``steps``
+    holds ``(child, child half-edge, other half-edges at child)`` for each
+    tree edge, leaves first; ``free`` the non-loop edges off the tree;
+    ``loops`` the loop edges; ``root`` the half-edges at vertex 0.
+    ``excess[v]`` is ``2 g_v - 2 + deg v`` in the graph itself, whatever
+    edges the plan solves over: vertex ``v``'s residues add to
+    ``k excess[v] mod r``.
     """
 
     steps: tuple[tuple[int, int, tuple[int, ...]], ...]
     free: tuple[int, ...]
     loops: tuple[int, ...]
     root: tuple[int, ...]
+    n_edges: int
+    excess: tuple[int, ...]
 
 
-def _solve_plan(graph) -> _SolvePlan:
-    """The plan for a BFS spanning tree over non-loop edges, rooted at vertex 0."""
+def _solve_plan(graph, edges: Sequence[tuple[int, int]] | None = None) -> _SolvePlan:
+    """The plan for a BFS spanning tree over non-loop edges, rooted at vertex 0.
+
+    ``edges`` defaults to the graph's own; :func:`_quotient` passes one
+    edge ``(u, v)`` per parallel class, on the same vertices and legs.
+    """
+    if edges is None:
+        edges = graph.edges
     V = graph.n_vertices
     at: list[list[int]] = [[] for _ in range(V)]
-    for h in range(graph.n_half_edges):
-        at[graph.half_edge_vertex(h)].append(h)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
     loops = []
-    for t, (u, v) in enumerate(graph.edges):
+    for t, (u, v) in enumerate(edges):
+        at[u].append(2 * t)
+        at[v].append(2 * t + 1)
         if u == v:
             loops.append(t)
         else:
             adj[u].append((v, t))
             adj[v].append((u, t))
+    for i, v in enumerate(graph.legs):
+        at[v].append(2 * len(edges) + i)
     seen = {0}
     tree: list[tuple[int, int]] = []
     queue = [0]
@@ -145,12 +162,42 @@ def _solve_plan(graph) -> _SolvePlan:
     if len(seen) != V:
         raise ValueError("graph is not connected")
     tree_edges = {t for t, _ in tree}
-    free = tuple(t for t, (u, v) in enumerate(graph.edges) if u != v and t not in tree_edges)
+    free = tuple(t for t, (u, v) in enumerate(edges) if u != v and t not in tree_edges)
     steps = []
     for t, child in reversed(tree):
-        h_child = 2 * t if graph.edges[t][0] == child else 2 * t + 1
+        h_child = 2 * t if edges[t][0] == child else 2 * t + 1
         steps.append((child, h_child, tuple(h for h in at[child] if h != h_child)))
-    return _SolvePlan(tuple(steps), free, tuple(loops), tuple(at[0]))
+    excess = tuple(2 * g - 2 + graph.vertex_degree(v) for v, g in enumerate(graph.genera))
+    return _SolvePlan(tuple(steps), free, tuple(loops), tuple(at[0]), len(edges), excess)
+
+
+class _Quotient(NamedTuple):
+    """A graph's simple quotient: one edge per class of parallel non-loop edges.
+
+    ``classes[c]`` lists the edges merged into quotient edge ``c``; since
+    edges are stored as sorted ``(min, max)`` pairs, each class is a run of
+    equal pairs and every member has its half-edge ``2t`` at the class's
+    first vertex.  ``loops`` are the graph's loop edges, which the quotient
+    drops.  ``plan`` solves the quotient on the graph's vertices and legs.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    loops: tuple[int, ...]
+    plan: _SolvePlan
+
+
+@lru_cache(maxsize=None)
+def _quotient(graph) -> _Quotient:
+    classes: dict[tuple[int, int], list[int]] = {}
+    loops = []
+    for t, (u, v) in enumerate(graph.edges):
+        if u == v:
+            loops.append(t)
+        else:
+            classes.setdefault((u, v), []).append(t)
+    return _Quotient(
+        tuple(tuple(ts) for ts in classes.values()), tuple(loops), _solve_plan(graph, list(classes))
+    )
 
 
 def _global_congruence(graph, r: int, dr: DRVector) -> bool:
@@ -160,18 +207,18 @@ def _global_congruence(graph, r: int, dr: DRVector) -> bool:
 
 
 def _solutions(graph, r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[int]]:
-    """Residues per half-edge of every weighting whose loops carry 0.
+    """Residues per plan half-edge of every solution whose loops carry 0.
 
     Free non-loop residues run in ``itertools.product`` order and the tree
-    values are forced.  A loop adds ``0 mod r`` at its vertex, so these
-    solutions hold for any loop residues.  The yielded list is reused:
-    copy it to keep it.
+    values are forced; the vertex targets (``plan.excess``) and the global
+    congruence are those of ``graph``, whatever edges the plan solves
+    over.  A loop adds ``0 mod r`` at its vertex, so these solutions hold
+    for any loop residues.  The yielded list is reused: copy it to keep it.
     """
     if not _global_congruence(graph, r, dr):
         return
-    targets = _vertex_targets(graph, r, dr)
-    values = [0] * graph.n_half_edges
-    values[2 * graph.n_edges:] = [a % r for a in dr.parts]
+    targets = [dr.twist * e % r for e in plan.excess]
+    values = [0] * (2 * plan.n_edges) + [a % r for a in dr.parts]
     for assign in itertools.product(range(r), repeat=len(plan.free)):
         for t, w in zip(plan.free, assign):
             values[2 * t] = w
@@ -196,39 +243,88 @@ def power_tables(r: int, profiles: Sequence[tuple[int, ...]]) -> list[tuple]:
     return [tuple(tables[p] if p else None for p in prof) for prof in profiles]
 
 
+class _Convolved(dict):
+    """``s -> sum_x prefix[x] * last[(s - x) mod r]``, computed on first lookup.
+
+    ``prefix`` may itself be a :class:`_Convolved`, filled as it is read.
+    """
+
+    __slots__ = ("prefix", "last")
+
+    def __init__(self, prefix, last: Sequence):
+        super().__init__()
+        self.prefix = prefix
+        self.last = last
+
+    def __missing__(self, s: int):
+        prefix, last = self.prefix, self.last
+        value = 0
+        for x in range(len(last)):
+            p = prefix[x]
+            if p:
+                # s - x lies in (-r, r), and a negative index wraps around mod r.
+                value += p * last[s - x]
+        self[s] = value
+        return value
+
+
 def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence]) -> list:
     """Sums of ``prod_e T_e[w_e]`` over all weightings, for many profiles.
 
     A profile holds one entry per edge: ``None`` for the factor 1, or a
     table of ``r`` values indexed by the residue ``w_e`` on the edge's
-    first half-edge ``2t``.  All profiles share one enumeration; a loop's
-    residue is unconstrained, so it contributes the sum of its table, or
-    ``r`` for ``None``.  :func:`power_tables` builds the ``x_e^p`` tables
-    of the graph-sum formula.
+    first half-edge ``2t``.  :func:`power_tables` builds the ``x_e^p``
+    tables of the graph-sum formula.
+
+    The sum runs over the graph's simple quotient (:func:`_quotient`,
+    built once per graph).  The edges of a parallel class reach the
+    vertex congruences only through the sum ``s`` of their residues, so
+    the class becomes one edge with the table
+    ``H(s) = sum over w_1 + ... + w_m = s (mod r) of prod_i T_i(w_i)``.
+    ``H`` folds the tables in one at a time.  Each partial convolution is
+    keyed on the identities of its tables, so profiles that share table
+    objects (as :func:`power_tables` and Chiodo's pushforward do) share
+    it, and each entry is computed when first read: the walk reads ``H``
+    only at the residues it visits.  A ``None`` entry absorbs the class
+    congruence, making ``H`` the constant ``r^(#None - 1)`` times the sums
+    of the other tables.  A loop's residue is unconstrained, so it
+    contributes the sum of its table, or ``r`` for ``None``.  All profiles
+    share one walk of the quotient's solutions.
     """
     if r <= 0:
         raise ValueError("modulus must be positive")
     if graph.n_legs != dr.n:
         raise ValueError("marking count does not match the ramification vector")
-    plan = _solve_plan(graph)
-    loops = plan.loops
-    factors = [
-        [(2 * t, table) for t, table in enumerate(prof) if table is not None and t not in loops]
-        for prof in profiles
-    ]
+    quotient = _quotient(graph)
+    merged: dict[tuple[int, ...], Sequence] = {}  # table ids -> class table
+    factors = []
+    scales = []
+    for prof in profiles:
+        scale = 1
+        for t in quotient.loops:
+            scale *= r if prof[t] is None else sum(prof[t])
+        pairs = []
+        for c, ts in enumerate(quotient.classes):
+            tables = sorted((prof[t] for t in ts if prof[t] is not None), key=id)
+            if len(tables) < len(ts):
+                scale *= r ** (len(ts) - len(tables) - 1) * prod(sum(T) for T in tables)
+                continue
+            key: tuple[int, ...] = ()
+            for table in tables:
+                key += (id(table),)
+                if key not in merged:
+                    merged[key] = _Convolved(merged[key[:-1]], table) if len(key) > 1 else table
+            pairs.append((2 * c, merged[key]))
+        factors.append(pairs)
+        scales.append(scale)
     partial = [0] * len(profiles)
-    for values in _solutions(graph, r, dr, plan):
+    for values in _solutions(graph, r, dr, quotient.plan):
         for i, pairs in enumerate(factors):
             term = 1
             for h, table in pairs:
                 term *= table[values[h]]
             partial[i] += term
-    out = []
-    for total, prof in zip(partial, profiles):
-        for t in loops:
-            total *= r if prof[t] is None else sum(prof[t])
-        out.append(total)
-    return out
+    return [total * scale for total, scale in zip(partial, scales)]
 
 
 # -- certified polynomial fitting -------------------------------------

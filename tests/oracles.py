@@ -1,7 +1,10 @@
 """Slow reference implementations kept as test oracles.
 
 ``enumerate_weightings`` lists every weighting through the library's tree
-solve, so brute-force checks of the solve go through it.  The per-weighting
+solve, so brute-force checks of the solve go through it.  The direct
+``edge_profile_sums`` runs the same solve on the unreduced graph and
+multiplies one table entry per edge and weighting; the library merges
+parallel edges into one convolved edge first.  The per-weighting
 ``chiodo_pushforward`` multiplies whole decoration series once per
 weighting; the library sums per-edge residue tables over the weightings
 first, and the two are compared term by term.
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from drtaut.chiodo import _vertex_leg_series, edge_factor_coefficients
 from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
@@ -42,6 +46,41 @@ def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], 
                 values[2 * t + 1] = (r - w) % r
             out.append(tuple(values))
     return tuple(out)
+
+
+def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence]) -> list:
+    """Sums of ``prod_e T_e[w_e]`` over all weightings, for many profiles.
+
+    A profile holds one entry per edge: ``None`` for the factor 1, or a
+    table of ``r`` values indexed by the residue ``w_e`` on the edge's
+    first half-edge ``2t``.  All profiles share one enumeration; a loop's
+    residue is unconstrained, so it contributes the sum of its table, or
+    ``r`` for ``None``.  :func:`power_tables` builds the ``x_e^p`` tables
+    of the graph-sum formula.
+    """
+    if r <= 0:
+        raise ValueError("modulus must be positive")
+    if graph.n_legs != dr.n:
+        raise ValueError("marking count does not match the ramification vector")
+    plan = _solve_plan(graph)
+    loops = plan.loops
+    factors = [
+        [(2 * t, table) for t, table in enumerate(prof) if table is not None and t not in loops]
+        for prof in profiles
+    ]
+    partial = [0] * len(profiles)
+    for values in _solutions(graph, r, dr, plan):
+        for i, pairs in enumerate(factors):
+            term = 1
+            for h, table in pairs:
+                term *= table[values[h]]
+            partial[i] += term
+    out = []
+    for total, prof in zip(partial, profiles):
+        for t in loops:
+            total *= r if prof[t] is None else sum(prof[t])
+        out.append(total)
+    return out
 
 
 def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:

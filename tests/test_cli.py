@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from drtaut import intersect
 from drtaut.cli import main
+from drtaut.graphs import StableGraph
+from drtaut.tautclass import DecoratedGraph, TautClass
 
 
 def run(capsys, argv):
@@ -115,6 +119,25 @@ class TestVerify:
         )
         assert code == 0
         assert out.startswith("OK 0 on")
+
+    def test_vanishing_pairs_complementary_degree(self, capsys):
+        # dim Mbar_{2,2} = 5: a degree-3 class meets the 3 monomials of degree 2.
+        code, out, _ = run(
+            capsys, ["verify", "vanishing", "--g", "2", "--a", "1,-1", "--d", "3"]
+        )
+        assert code == 0
+        assert out == "OK 0 on 3 pairings\n"
+
+    def test_vanishing_detects_nonzero_class(self, capsys, monkeypatch):
+        # psi_1^2 on Mbar_{1,2} integrates to 1/24 against the degree-0 monomial.
+        smooth = DecoratedGraph(StableGraph([1], [], [0, 0]), leg_psi=(2, 0))
+        fake = TautClass(1, 2, [(smooth, Fraction(1))])
+        monkeypatch.setattr(intersect, "pixton_class", lambda dr, d: fake)
+        code, out, _ = run(
+            capsys, ["verify", "vanishing", "--g", "1", "--a", "1,-1", "--d", "2"]
+        )
+        assert code == 1
+        assert out == "FAIL 1 nonzero pairings\n  psi^[0, 0] -> 1/24\n"
 
     def test_socle(self, capsys):
         code, out, _ = run(capsys, ["verify", "socle", "--g", "3"])

@@ -263,8 +263,9 @@ def test_pair_validation():
 def test_lambda_psi_tower():
     # int_{Mbar_{g,1}} lambda_g psi^{2g-2} = (2^{2g-1}-1)/2^{2g-1} . |B_{2g}|/(2g)!
     # evaluated end to end through the graph-sum pipeline and the
-    # correlator engine.  Classical values: 1/24, 7/5760, 31/967680.
-    expected = {1: F(1, 24), 2: F(7, 5760), 3: F(31, 967680)}
+    # correlator engine.  Classical values: 1/24, 7/5760, 31/967680, and
+    # at genus 5 (511/512) . (5/66)/10! = 73/3503554560.
+    expected = {1: F(1, 24), 2: F(7, 5760), 3: F(31, 967680), 5: F(73, 3503554560)}
     for g, value in expected.items():
         cls = lambda_expression(g, 1)
         assert pair_with_psi(cls, [2 * g - 2]) == value

@@ -20,6 +20,7 @@ from drtaut.weightings import (
     power_tables,
 )
 
+from oracles import edge_profile_sums as direct_profile_sums
 from oracles import enumerate_weightings
 
 F = Fraction
@@ -211,6 +212,95 @@ class TestLatticeSums:
         graph = StableGraph([0], [(0, 0)], [0, 0])
         with pytest.raises(ValueError, match=message):
             edge_profile_sums(graph, r, DRVector(1, parts), [(None,)])
+
+
+def balanced_parts(g, n, k):
+    """Parts summing to ``k (2g - 2 + n)``; for ``n = 0`` only ``k = 0`` balances."""
+    rest = [1, -1, 2, 0, -2][: max(n - 1, 0)]
+    return tuple([k * (2 * g - 2 + n) - sum(rest)] + rest) if n else ()
+
+
+class TestQuotient:
+    """The quotient sum against the direct per-weighting sum on the unreduced graph."""
+
+    TYPES = [(2, 0), (2, 1), (3, 0), (1, 2), (2, 2), (0, 5)]
+
+    @staticmethod
+    def table_pool(r):
+        # None, shared power tables, tables not symmetric under w <-> r - w,
+        # and Fraction tables.
+        x1, x2 = power_tables(r, [(1, 2)])[0]
+        return [
+            None,
+            x1,
+            x2,
+            [w * w + 1 for w in range(r)],
+            [w**3 + 2 * w + 3 for w in range(r)],
+            [F(w, r) - F(1, 3) for w in range(r)],
+            [F(w * w - 2, 5) for w in range(r)],
+        ]
+
+    @staticmethod
+    def profiles(pool, n_edges):
+        # Uniform profiles and two rotations, so the edges of one parallel
+        # class carry equal tables and also different ones.
+        P = len(pool)
+        out = []
+        for j in range(P):
+            out.append([pool[j]] * n_edges)
+            out.append([pool[(j + t) % P] for t in range(n_edges)])
+            out.append([pool[(j + t * t + 2 * t) % P] for t in range(n_edges)])
+        return out
+
+    def test_matches_direct_sum(self):
+        graphs = [
+            (g, n, graph)
+            for g, n in self.TYPES
+            for graph in enumerate_stable_graphs(g, n, max_edges=4)
+        ]
+        non_loops = [[(u, v) for u, v in graph.edges if u != v] for _, _, graph in graphs]
+        assert any(
+            len(edges) < graph.n_edges and len(set(edges)) < len(edges)
+            for (_, _, graph), edges in zip(graphs, non_loops)
+        ), "no graph with a loop next to a parallel class"
+        for g, n, graph in graphs:
+            for k in (0, 1, 2):
+                dr = DRVector(g, balanced_parts(g, n, k), twist=k)
+                for r in (2, 3, 5, 7):
+                    profiles = self.profiles(self.table_pool(r), graph.n_edges)
+                    assert edge_profile_sums(graph, r, dr, profiles) == direct_profile_sums(
+                        graph, r, dr, profiles
+                    ), (graph, dr, r)
+
+    def test_quotient_structure(self):
+        graph = StableGraph([1, 0, 0], [(0, 1), (0, 1), (1, 1), (1, 2), (1, 2), (1, 2)])
+        quotient = weightings._quotient(graph)
+        assert quotient.classes == ((0, 1), (3, 4, 5))
+        assert quotient.loops == (2,)
+        assert quotient.plan.n_edges == 2 and quotient.plan.free == ()
+
+    def test_plan_built_once_per_graph(self, monkeypatch):
+        built = []
+        real = weightings._solve_plan
+
+        def spy(graph, edges=None):
+            built.append(graph)
+            return real(graph, edges)
+
+        monkeypatch.setattr(weightings, "_solve_plan", spy)
+        weightings._quotient.cache_clear()
+        seen = []
+        real_sums = weightings.edge_profile_sums
+
+        def count_moduli(graph, r, dr, profiles):
+            seen.append(r)
+            return real_sums(graph, r, dr, profiles)
+
+        monkeypatch.setattr(weightings, "edge_profile_sums", count_moduli)
+        fit_edge_profiles(BANANA3_G0G1, DRVector(3, ()), [(1, 1, 1), (2, 0, 1)])
+        fit_edge_profiles(BANANA3_G0G1, DRVector(3, ()), [(1, 2, 0)])
+        assert len(seen) > 10
+        assert built == [BANANA3_G0G1]
 
 
 class TestFitting:
