@@ -15,7 +15,11 @@ over r:
 * an edge with half-edge weights (w, r - w) contributes
   ``(1 - exp(sum_m (-1)^{m-1} B_{m+1}(w/r)/(m(m+1))
   [psi^m - (-psi')^m])) / (psi + psi')``,
-  a power series in the two psi classes;
+  a power series in the two psi classes.  With
+  ``A(x) = sum_m (-1)^{m-1} B_{m+1}(w/r) x^m / (m(m+1))`` the exponent is
+  ``A(psi) - A(-psi')``, so the factor is
+  ``(1 - e^{A(psi)} e^{-A(-psi')}) / (psi + psi')``: two one-variable
+  exponentials and one division by ``psi + psi'``;
 * the graph is weighted by ``r^{2g - 1 - h1(Gamma)} / |Aut(Gamma)|`` and
   the sum runs over all k-weightings mod r.
 
@@ -35,7 +39,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .exact import bernoulli_poly
 from .graphs import (
@@ -48,11 +51,9 @@ from .pixton import _emit, pixton_class
 from .tautclass import (
     DecoratedGraph,
     TautClass,
-    kappa_monomial,
-    psi_leg_monomial,
     series_degree_part,
-    series_exp,
     series_mul,
+    series_vertex_leg_exp,
     trivial_class,
 )
 from .weightings import (
@@ -71,86 +72,54 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def _bern_coeff(m: int, x: Fraction) -> Fraction:
     """(-1)^{m-1} B_{m+1}(x) / (m(m+1)), the recurring exponent weight."""
     return Fraction((-1) ** (m - 1)) * bernoulli_poly(m + 1, x) / (m * (m + 1))
 
 
-def _pair_mul(a: dict, b: dict, cap: int) -> dict:
-    """Product of polynomials in two variables, truncated past total degree cap."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j > cap:
-                continue
-            key = (i, j)
-            c = out.get(key, Fraction(0)) + c1 * c2
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
+def _exp_coefficients(a: list, cap: int) -> list:
+    """Coefficients of ``exp(sum_m a[m] x^m)`` up to ``x^cap``; ``a[0]`` is unused.
+
+    From ``E' = A' E``: ``n e_n = sum_{k=1}^n k a_k e_{n-k}``.
+    """
+    e = [Fraction(1)]
+    for n in range(1, cap + 1):
+        e.append(sum(k * a[k] * e[n - k] for k in range(1, n + 1)) / n)
+    return e
 
 
 @lru_cache(maxsize=None)
 def edge_factor_coefficients(r: int, w: int, cap: int) -> tuple:
     """Edge factor as coefficients of psi^i psi'^j, total degree <= cap.
 
-    With s = psi + psi' and Z = sum_m (-1)^{m-1} B_{m+1}(w/r)/(m(m+1))
-    . sum_{i+j=m-1} psi^i (-psi')^j, the factor (1 - e^{sZ})/s expands
-    as -sum_{p>=1} s^{p-1} Z^p / p!.  Returned as a tuple of
-    ((i, j), coefficient) pairs sorted by exponent.
+    With ``A(x) = sum_m (-1)^{m-1} B_{m+1}(w/r) x^m / (m(m+1))`` the
+    exponent of the factor is ``A(psi) - A(-psi')``, so with
+    ``s = psi + psi'`` the factor is
+    ``(1 - e^{A(psi)} e^{-A(-psi')}) / s``: a product of two one-variable
+    exponentials, divided by s one total degree n at a time through
+    ``q_{n-1-k,k} = p_{n-k,k} - q_{n-k,k-1}``, where p is the numerator.
+    Returned as a tuple of ((i, j), coefficient) pairs sorted by exponent.
     """
-    Z: dict[tuple[int, int], Fraction] = {}
-    for m in range(1, cap + 2):
-        cm = _bern_coeff(m, Fraction(w % r, r))
-        if not cm:
-            continue
-        for i in range(m):
-            j = m - 1 - i
-            if i + j > cap:
-                continue
-            key = (i, j)
-            c = Z.get(key, Fraction(0)) + cm * Fraction((-1) ** j)
-            if c:
-                Z[key] = c
-            elif key in Z:
-                del Z[key]
-    out: dict[tuple[int, int], Fraction] = {}
-    power = {(0, 0): Fraction(1)}
-    s = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-    s_power = {(0, 0): Fraction(1)}
-    for p in range(1, cap + 2):
-        power = _pair_mul(power, Z, cap)
-        if p > 1:
-            s_power = _pair_mul(s_power, s, cap)
-        term = _pair_mul(power, s_power, cap)
-        scale = Fraction(-1, factorial(p))
-        for key, c in term.items():
-            cc = out.get(key, Fraction(0)) + scale * c
-            if cc:
-                out[key] = cc
-            elif key in out:
-                del out[key]
-    return tuple(sorted(out.items()))
+    A = [Fraction(0)] + [_bern_coeff(m, Fraction(w % r, r)) for m in range(1, cap + 2)]
+    left = _exp_coefficients(A, cap + 1)
+    right = _exp_coefficients([(-1) ** (m + 1) * c for m, c in enumerate(A)], cap + 1)
+    out = []
+    for n in range(1, cap + 2):
+        q = 0
+        for k in range(n):
+            q = -left[n - k] * right[k] - q
+            if q:
+                out.append(((n - 1 - k, k), q))
+    return tuple(sorted(out))
 
 
 def _vertex_leg_series(graph: StableGraph, dr: DRVector, r: int, cap: int) -> dict:
     """Product of all vertex and leg exponentials, truncated at degree cap."""
-    x: dict = {}
-    for m in range(1, cap + 1):
-        kappa_coeff = -_bern_coeff(m, Fraction(dr.twist, r))
-        if kappa_coeff:
-            for v in range(graph.n_vertices):
-                mono = kappa_monomial(graph, v, m)
-                x[mono] = x.get(mono, Fraction(0)) + kappa_coeff
-        for i, a in enumerate(dr.parts):
-            leg_coeff = _bern_coeff(m, Fraction(a % r, r))
-            if leg_coeff:
-                mono = psi_leg_monomial(graph, i, m)
-                x[mono] = x.get(mono, Fraction(0)) + leg_coeff
-    return series_exp(x, graph, cap)
+    degrees = range(1, cap + 1)
+    legs = [[_bern_coeff(m, Fraction(a % r, r)) for m in degrees] for a in dr.parts]
+    kappa = [-_bern_coeff(m, Fraction(dr.twist, r)) for m in degrees]
+    return series_vertex_leg_exp(graph, legs, kappa, cap)
 
 
 def _require_roots(dr: DRVector, r: int) -> None:

@@ -35,13 +35,11 @@ from .tautclass import (
     TautClass,
     delta0,
     delta_I,
-    psi_edge_monomial,
-    psi_leg_monomial,
-    kappa_monomial,
     series_degree_part,
-    series_exp,
+    series_edge_power,
     series_mul,
     series_unit,
+    series_vertex_leg_exp,
 )
 from .weightings import (
     DRVector,
@@ -60,53 +58,36 @@ __all__ = [
 ]
 
 
-def _leg_vertex_series(graph: StableGraph, dr: DRVector, cap: int) -> dict:
-    """Truncated product of leg and vertex exponentials."""
-    out = series_unit(graph)
-    for i, a in enumerate(dr.parts):
-        if a != 0:
-            x = {psi_leg_monomial(graph, i): Fraction(a * a)}
-            out = series_mul(out, series_exp(x, graph, cap), cap)
-    if dr.twist != 0:
-        c = Fraction(-dr.twist * dr.twist)
-        for v in range(graph.n_vertices):
-            x = {kappa_monomial(graph, v, 1): c}
-            out = series_mul(out, series_exp(x, graph, cap), cap)
-    return out
+def _vertex_leg_series(graph: StableGraph, dr: DRVector, cap: int) -> dict:
+    """``exp(sum_i a_i^2 psi_i - k^2 sum_v kappa_1(v))``, truncated at ``cap``."""
+    return series_vertex_leg_exp(graph, [(a * a,) for a in dr.parts], (-dr.twist**2,), cap)
 
 
-def _edge_series(graph: StableGraph, profile: tuple[int, ...], cap: int) -> dict:
-    """Decoration part ``prod_e (-1)^{m_e} s_e^{m_e} / (m_e+1)!``."""
+def _edge_series(graph: StableGraph, profile: tuple[int, ...]) -> dict:
+    """Decoration part ``prod_e (-1)^{m_e} s_e^{m_e} / (m_e+1)!``, homogeneous."""
     out = series_unit(graph)
     for t, m in enumerate(profile):
-        coeff = Fraction((-1) ** m, factorial(m + 1))
-        binom = {}
-        for i in range(m + 1):
-            mono = psi_edge_monomial(graph, t, i, m - i)
-            binom[mono] = coeff * Fraction(factorial(m), factorial(i) * factorial(m - i))
-        out = series_mul(out, binom, cap)
+        power = series_edge_power(graph, t, m, Fraction((-1) ** m, factorial(m + 1)))
+        out = series_mul(out, power, sum(profile))
     return out
-
-
-def _profiles(n_edges: int, cap: int) -> list[tuple[int, ...]]:
-    return [
-        prof
-        for prof in itertools.product(range(cap + 1), repeat=n_edges)
-        if sum(prof) <= cap
-    ]
 
 
 def _templates(graph: StableGraph, dr: DRVector, d: int):
-    """Per-profile decorated series of exact degree ``d - n_edges``."""
+    """Per-profile decorated series of exact degree ``d - n_edges``.
+
+    Each profile's edge series is homogeneous of degree ``|m|``, so it is
+    multiplied by only the degree ``d - n_edges - |m|`` part of the vertex
+    and leg exponential.
+    """
     cap = d - graph.n_edges
-    L = _leg_vertex_series(graph, dr, cap)
+    L = _vertex_leg_series(graph, dr, cap)
+    parts = [series_degree_part(L, k) for k in range(cap + 1)]
     out = []
-    for prof in _profiles(graph.n_edges, cap):
-        template = series_degree_part(
-            series_mul(_edge_series(graph, prof, cap), L, cap), cap
-        )
-        if template:
-            out.append((prof, template))
+    for prof in itertools.product(range(cap + 1), repeat=graph.n_edges):
+        if sum(prof) <= cap:
+            template = series_mul(_edge_series(graph, prof), parts[cap - sum(prof)], cap)
+            if template:
+                out.append((prof, template))
     return out
 
 
@@ -127,6 +108,23 @@ def _skip_for_zero_data(graph: StableGraph, dr: DRVector) -> bool:
     return bool(graph.bridges())
 
 
+def _graph_templates(dr: DRVector, d: int):
+    """The per-graph data both graph sums share, for each graph with templates.
+
+    Yields the graph's index in the enumeration, the graph, its Betti
+    number, ``|Aut|``, its templates and their ``m + 1`` power profiles.
+    """
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    for idx, graph in enumerate(enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)):
+        if _skip_for_zero_data(graph, dr):
+            continue
+        templates = _templates(graph, dr, d)
+        if templates:
+            profiles = [tuple(m + 1 for m in prof) for prof, _ in templates]
+            yield idx, graph, first_betti(graph), automorphism_order(graph), templates, profiles
+
+
 def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     """The degree-d graph-sum class at a fixed modulus r.
 
@@ -141,19 +139,10 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     if (dr.twist * (2 * g - 2 + n) - sum(dr.parts)) % r != 0:
         raise ValueError(f"no weightings mod {r}: admissibility fails")
     acc: list = []
-    for graph in enumerate_stable_graphs(g, n, max_edges=d):
-        if _skip_for_zero_data(graph, dr):
-            continue
-        b = first_betti(graph)
-        aut = automorphism_order(graph)
-        templates = _templates(graph, dr, d)
-        if not templates:
-            continue
-        profiles = [tuple(m + 1 for m in prof) for prof, _ in templates]
+    for _, graph, b, aut, templates, profiles in _graph_templates(dr, d):
         sums = edge_profile_sums(graph, r, dr, power_tables(r, profiles))
-        for (prof, template), s in zip(templates, sums):
-            scalar = Fraction(s, aut * r**b)
-            _emit(acc, graph, template, scalar)
+        for (_, template), s in zip(templates, sums):
+            _emit(acc, graph, template, Fraction(s, aut * r**b))
     return TautClass(g, n, acc)
 
 
@@ -168,15 +157,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     dr.require_exact()
     g, n = dr.genus, dr.n
     acc: list = []
-    for idx, graph in enumerate(enumerate_stable_graphs(g, n, max_edges=d)):
-        if _skip_for_zero_data(graph, dr):
-            continue
-        b = first_betti(graph)
-        aut = automorphism_order(graph)
-        templates = _templates(graph, dr, d)
-        if not templates:
-            continue
-        profiles = [tuple(m + 1 for m in prof) for prof, _ in templates]
+    for idx, graph, b, aut, templates, profiles in _graph_templates(dr, d):
         label = f"P(g={g},n={n},k={dr.twist},d={d}) graph#{idx}"
         fits = fit_edge_profiles(graph, dr, profiles, label=label)
         for (prof, template), (poly, divisible) in zip(templates, fits):
@@ -227,23 +208,15 @@ def genus0_closed(A: Sequence[int], d: int) -> TautClass:
     acc: list = []
     for graph in enumerate_stable_graphs(0, n, max_edges=d):
         cap = d - graph.n_edges
-        series = _leg_vertex_series(graph, DRVector(0, A), cap)
+        series = _vertex_leg_series(graph, DRVector(0, A), cap)
         for t in range(graph.n_edges):
-            side = graph.edge_side_markings(t)
-            a_I = sum(A[i - 1] for i in side)
-            factor = {}
+            a2 = sum(A[i - 1] for i in graph.edge_side_markings(t)) ** 2
+            factor: dict = {}
             for m in range(cap + 1):
-                coeff = Fraction(-((a_I * a_I) ** (m + 1)), factorial(m + 1))
-                if coeff == 0:
-                    continue
-                for i in range(m + 1):
-                    mono = psi_edge_monomial(graph, t, i, m - i)
-                    factor[mono] = coeff * Fraction(
-                        factorial(m), factorial(i) * factorial(m - i)
-                    )
+                c = Fraction(-(a2 ** (m + 1)), factorial(m + 1))
+                factor.update(series_edge_power(graph, t, m, c))
             series = series_mul(series, factor, cap)
-        template = series_degree_part(series, cap)
-        _emit(acc, graph, template, Fraction(1))
+        _emit(acc, graph, series_degree_part(series, cap), Fraction(1))
     return TautClass(0, n, acc)
 
 

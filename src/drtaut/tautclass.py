@@ -19,7 +19,7 @@ differ as cohomology classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable
 
 from .graphs import (
@@ -455,6 +455,29 @@ def series_exp(x: dict, graph: StableGraph, cap: int) -> dict:
         for m, c in power.items():
             out[m] = out.get(m, Fraction(0)) + inv * c
     return {m: c for m, c in out.items() if c != 0}
+
+
+def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, cap: int) -> dict:
+    """``exp`` of all leg and vertex weights at once, truncated at ``cap``.
+
+    ``leg_weights[i][m - 1]`` is the coefficient of ``psi_i^m`` on leg ``i``
+    and ``kappa_weights[m - 1]`` that of ``kappa_m`` at every vertex.
+    """
+    x: dict = {}
+    for m, c in enumerate(kappa_weights[:cap], 1):
+        if c:
+            for v in range(graph.n_vertices):
+                x[kappa_monomial(graph, v, m)] = c
+    for i, weights in enumerate(leg_weights):
+        for m, c in enumerate(weights[:cap], 1):
+            if c:
+                x[psi_leg_monomial(graph, i, m)] = c
+    return series_exp(x, graph, cap)
+
+
+def series_edge_power(graph: StableGraph, t: int, m: int, c: Fraction) -> dict:
+    """``c (psi_h + psi_h')^m`` on the halves of edge ``t``, expanded."""
+    return {psi_edge_monomial(graph, t, i, m - i): c * comb(m, i) for i in range(m + 1)}
 
 
 def series_degree_part(x: dict, d: int) -> dict:

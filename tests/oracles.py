@@ -7,19 +7,35 @@ multiplies one table entry per edge and weighting; the library merges
 parallel edges into one convolved edge first.  The per-weighting
 ``chiodo_pushforward`` multiplies whole decoration series once per
 weighting; the library sums per-edge residue tables over the weightings
-first, and the two are compared term by term.
+first, and the two are compared term by term.  ``edge_factor_coefficients``
+expands Chiodo's edge factor as ``-sum_p s^{p-1} Z^p / p!`` with a
+two-variable product; the library divides a product of two one-variable
+exponentials by ``s``.  ``leg_vertex_series`` multiplies one exponential
+per leg and per vertex; the library exponentiates their sum once.  The
+per-weighting pushforward builds its leg and vertex series that way.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 from typing import Sequence
 
-from drtaut.chiodo import _vertex_leg_series, edge_factor_coefficients
+from drtaut.chiodo import _bern_coeff
 from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
 from drtaut.pixton import _emit
-from drtaut.tautclass import TautClass, psi_edge_monomial, series_degree_part, series_mul
+from drtaut.tautclass import (
+    TautClass,
+    kappa_monomial,
+    psi_edge_monomial,
+    psi_leg_monomial,
+    series_degree_part,
+    series_exp,
+    series_mul,
+    series_unit,
+)
 from drtaut.weightings import DRVector, _solutions, _solve_plan
 
 
@@ -83,6 +99,90 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
     return out
 
 
+def _pair_mul(a: dict, b: dict, cap: int) -> dict:
+    """Product of polynomials in two variables, truncated past total degree cap."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j > cap:
+                continue
+            key = (i, j)
+            c = out.get(key, Fraction(0)) + c1 * c2
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+    return out
+
+
+@lru_cache(maxsize=None)
+def edge_factor_coefficients(r: int, w: int, cap: int) -> tuple:
+    """Edge factor as coefficients of psi^i psi'^j, total degree <= cap.
+
+    With s = psi + psi' and Z = sum_m (-1)^{m-1} B_{m+1}(w/r)/(m(m+1))
+    . sum_{i+j=m-1} psi^i (-psi')^j, the factor (1 - e^{sZ})/s expands
+    as -sum_{p>=1} s^{p-1} Z^p / p!.  Returned as a tuple of
+    ((i, j), coefficient) pairs sorted by exponent.
+    """
+    Z: dict[tuple[int, int], Fraction] = {}
+    for m in range(1, cap + 2):
+        cm = _bern_coeff(m, Fraction(w % r, r))
+        if not cm:
+            continue
+        for i in range(m):
+            j = m - 1 - i
+            if i + j > cap:
+                continue
+            key = (i, j)
+            c = Z.get(key, Fraction(0)) + cm * Fraction((-1) ** j)
+            if c:
+                Z[key] = c
+            elif key in Z:
+                del Z[key]
+    out: dict[tuple[int, int], Fraction] = {}
+    power = {(0, 0): Fraction(1)}
+    s = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    s_power = {(0, 0): Fraction(1)}
+    for p in range(1, cap + 2):
+        power = _pair_mul(power, Z, cap)
+        if p > 1:
+            s_power = _pair_mul(s_power, s, cap)
+        term = _pair_mul(power, s_power, cap)
+        scale = Fraction(-1, factorial(p))
+        for key, c in term.items():
+            cc = out.get(key, Fraction(0)) + scale * c
+            if cc:
+                out[key] = cc
+            elif key in out:
+                del out[key]
+    return tuple(sorted(out.items()))
+
+
+def leg_vertex_series(graph, leg_weights, kappa_weights, cap: int) -> dict:
+    """Truncated product of one exponential per leg and one per vertex.
+
+    ``leg_weights[i][m - 1]`` weighs ``psi_i^m`` and ``kappa_weights[m - 1]``
+    weighs ``kappa_m`` at each vertex.
+    """
+    out = series_unit(graph)
+    for i, weights in enumerate(leg_weights):
+        x = {psi_leg_monomial(graph, i, m): c for m, c in enumerate(weights[:cap], 1) if c}
+        out = series_mul(out, series_exp(x, graph, cap), cap)
+    for v in range(graph.n_vertices):
+        x = {kappa_monomial(graph, v, m): c for m, c in enumerate(kappa_weights[:cap], 1) if c}
+        out = series_mul(out, series_exp(x, graph, cap), cap)
+    return out
+
+
+def chiodo_leg_vertex_series(graph, dr: DRVector, r: int, cap: int) -> dict:
+    """Chiodo's Bernoulli exponentials on the legs and vertices, one at a time."""
+    degrees = range(1, cap + 1)
+    legs = [[_bern_coeff(m, Fraction(a % r, r)) for m in degrees] for a in dr.parts]
+    kappa = [-_bern_coeff(m, Fraction(dr.twist, r)) for m in degrees]
+    return leg_vertex_series(graph, legs, kappa, cap)
+
+
 def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:
     """Degree-d part of the pushed-forward total Chern class at modulus r.
 
@@ -110,7 +210,7 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
         b = first_betti(graph)
         aut = automorphism_order(graph)
         scalar = Fraction(r) ** (2 * g - 1 - b) / aut
-        static = _vertex_leg_series(graph, dr, r, budget)
+        static = chiodo_leg_vertex_series(graph, dr, r, budget)
         for values in enumerate_weightings(graph, r, dr):
             series = static
             for t in range(n_edges):

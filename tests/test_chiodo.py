@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drtaut.chiodo import (
+    _vertex_leg_series,
     chern_route_class,
     chiodo_constant,
     chiodo_pushforward,
@@ -16,12 +17,14 @@ from drtaut.chiodo import (
     verify_samefreeterm,
 )
 from drtaut.exact import bernoulli_poly
-from drtaut.graphs import StableGraph
+from drtaut.graphs import StableGraph, enumerate_stable_graphs
 from drtaut.pixton import pixton_class
 from drtaut.tautclass import DecoratedGraph, TautClass, delta0, trivial_class
 from drtaut.weightings import DRVector
 
 from oracles import chiodo_pushforward as per_weighting_pushforward
+from oracles import chiodo_leg_vertex_series
+from oracles import edge_factor_coefficients as pair_product_edge_factor
 
 F = Fraction
 
@@ -54,6 +57,23 @@ def test_edge_factor_half_swap_symmetry(r, data, cap):
     assert set(forward) == {(j, i) for (i, j) in backward}
     for (i, j), c in forward.items():
         assert backward[(j, i)] == c
+
+
+def test_edge_factor_matches_pair_product_oracle():
+    """Two one-variable exponentials divided by s equal the Z^p s^{p-1} sum."""
+    for r in range(1, 10):
+        for w in range(r):
+            for cap in range(7):
+                assert edge_factor_coefficients(r, w, cap) == pair_product_edge_factor(r, w, cap)
+
+
+def test_vertex_leg_series_matches_product_of_exponentials():
+    """Exponentiating all Bernoulli weights at once equals one exponential each."""
+    for dr in (DRVector(1, (1, 3), 2), DRVector(2, (0,)), DRVector(2, (3,), 1)):
+        for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=1):
+            for r in (2, 3, 5):
+                want = chiodo_leg_vertex_series(graph, dr, r, 4)
+                assert _vertex_leg_series(graph, dr, r, 4) == want
 
 
 def test_edge_factor_constant_term():

@@ -240,10 +240,12 @@ class TestErrorPaths:
         assert "non-negative" in err
 
     def test_negative_degree(self, capsys):
-        code, out, err = run(capsys, ["pixton", "--g", "1", "--a", "1,-1", "--d", "-1"])
-        assert code == 2
-        assert out == ""
-        assert "non-negative" in err
+        argv = ["pixton", "--g", "1", "--a", "1,-1", "--d", "-1"]
+        for extra in ([], ["--r", "5"]):
+            code, out, err = run(capsys, argv + extra)
+            assert code == 2
+            assert out == ""
+            assert "degree" in err and "non-negative" in err
 
     def test_polynomiality_unbalanced_vector(self, capsys):
         code, out, err = run(

@@ -4,9 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from drtaut.graphs import StableGraph
-from drtaut.tautclass import DecoratedGraph, TautClass, alpha_class, beta_class, delta0
+from drtaut.graphs import StableGraph, enumerate_stable_graphs
+from drtaut.tautclass import (
+    DecoratedGraph,
+    TautClass,
+    alpha_class,
+    beta_class,
+    delta0,
+    monomial_degree,
+)
 from drtaut.pixton import (
+    _templates,
+    _vertex_leg_series,
     dr_cycle,
     genus0_closed,
     genus1_closed,
@@ -15,6 +24,8 @@ from drtaut.pixton import (
     pixton_fixed_r,
 )
 from drtaut.weightings import DRVector
+
+from oracles import leg_vertex_series
 
 F = Fraction
 
@@ -48,6 +59,41 @@ class TestFixedR:
         for r in (2, 3, 7):
             cls = pixton_fixed_r(DRVector(1, (0,)), 1, r)
             assert cls.coefficient(LOOP_G0) == F(r * r - 1, 12)
+
+
+class TestDecorationSeries:
+    CASES = [
+        DRVector(1, (0,), 0),
+        DRVector(1, (3, -1), 1),
+        DRVector(2, (2, -1, -1), 0),
+        DRVector(2, (3, 1), 1),
+        DRVector(2, (1,), 2),
+    ]
+
+    def graphs(self, dr):
+        graphs = enumerate_stable_graphs(dr.genus, dr.n, max_edges=2)
+        assert any(u == v for g in graphs for u, v in g.edges)
+        return graphs
+
+    def test_vertex_leg_series_matches_product_of_exponentials(self):
+        for dr in self.CASES:
+            for graph in self.graphs(dr):
+                for cap in range(4):
+                    legs = [(a * a,) for a in dr.parts]
+                    want = leg_vertex_series(graph, legs, (-dr.twist**2,), cap)
+                    assert _vertex_leg_series(graph, dr, cap) == want
+
+    def test_templates_have_exact_degree(self):
+        checked = 0
+        for dr in self.CASES:
+            for graph in self.graphs(dr):
+                for d in range(graph.n_edges, 4):
+                    for prof, template in _templates(graph, dr, d):
+                        assert len(prof) == graph.n_edges and sum(prof) <= d - graph.n_edges
+                        for mono in template:
+                            assert monomial_degree(mono) == d - graph.n_edges
+                            checked += 1
+        assert checked > 100
 
 
 class TestConstantTerm:
