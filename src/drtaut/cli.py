@@ -170,6 +170,10 @@ def cmd_verify_vanishing(args) -> int:
     g, n = dr.genus, dr.n
     if args.d <= g:
         raise ValueError(f"vanishing holds for degree > genus; got d={args.d}, g={g}")
+    if args.d > 3 * g - 3 + n:
+        raise ValueError(
+            f"degree d={args.d} exceeds dim Mbar_{{{g},{n}}} = {3 * g - 3 + n}: nothing to pair"
+        )
     sets = complementary_psi_monomials(g, n, args.d)
     values = vanishing_probe(dr, args.d, sets)
     bad = [

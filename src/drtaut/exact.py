@@ -1,4 +1,4 @@
-"""Exact rational arithmetic helpers: Bernoulli data and polynomial interpolation.
+"""Exact rational arithmetic helpers: Bernoulli data and polynomial fits.
 
 Everything in this package is computed over the rationals, with
 :class:`fractions.Fraction` as the single scalar type.  This module collects
@@ -7,15 +7,17 @@ the small amount of numerical machinery the rest of the library relies on:
 * Bernoulli numbers ``B_m`` in the convention with ``B_1 = -1/2`` (the
   generating function ``t e^{xt} / (e^t - 1)``).
 * Bernoulli polynomials ``B_m(x)``.
-* Exact Lagrange interpolation of rational samples, producing an
-  :class:`RPoly`, with one basis per node window shared by all its fits.
+* Exact fits of samples at consecutive integers, producing an
+  :class:`RPoly`: forward differences give the Newton form (and a
+  polynomial certificate, since differences past the degree vanish), and
+  one cached integer table per node window turns it into monomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, factorial, lcm
 from typing import Sequence
 
 __all__ = [
@@ -25,6 +27,8 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "RPoly",
+    "forward_differences",
+    "newton_rpoly",
     "interpolate",
 ]
 
@@ -147,38 +151,77 @@ class RPoly:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=128)
-def _lagrange_basis(nodes: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficient rows of the Lagrange basis on distinct ``nodes``.
+def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """Integers ``n_i`` and the least ``den`` with ``values[i] = n_i / den``."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    Row ``i`` holds, low degree first, the coefficients of
-    ``prod_{j != i} (X - x_j) / (x_i - x_j)``, the polynomial that is 1 at
-    ``x_i`` and 0 at every other node.
+
+def forward_differences(values: Sequence) -> list:
+    """The leading forward differences ``[f(x_0), D f(x_0), D^2 f(x_0), ...]``.
+
+    ``D f(x) = f(x + 1) - f(x)``, and ``values`` are integers or
+    ``Fraction``s, ``f`` at consecutive nodes ``x_0, x_0 + 1, ...``.  They
+    are put over one denominator and only subtracted, so the work is
+    integer arithmetic; integer samples give integers.  ``D^k f(x_0)``
+    vanishes for ``m <= k < len(values)`` exactly when all the values lie
+    on one polynomial of degree below ``m``.
     """
+    row, den = _over_common_denominator(values)
+    out = []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out if den == 1 else [Fraction(d, den) for d in out]
+
+
+@lru_cache(maxsize=128)
+def _falling_table(x0: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """Columns of the integer table that turns Newton into monomial form.
+
+    Row ``k`` holds, low degree first, the coefficients of
+    ``(count-1)!/k! * (r - x0)(r - x0 - 1)...(r - x0 - k + 1)``; the table
+    is returned by columns, so column ``j`` lists the ``r^j`` coefficients.
+    """
+    scale = factorial(count - 1)
     rows = []
-    for i, xi in enumerate(nodes):
-        others = nodes[:i] + nodes[i + 1 :]
-        num = [Fraction(1)]  # prod_{j != i} (X - x_j), built by convolution
-        for xj in others:
-            num = [a - xj * b for a, b in zip([0, *num], [*num, 0])]
-        denom = prod(xi - xj for xj in others)
-        rows.append(tuple(c / denom for c in num))
-    return tuple(rows)
+    falling = [1]  # prod_{i<k} (r - x0 - i), built by convolution
+    for k in range(count):
+        rows.append([c * (scale // factorial(k)) for c in falling] + [0] * (count - 1 - k))
+        falling = [a - (x0 + k) * b for a, b in zip([0, *falling], [*falling, 0])]
+    return tuple(zip(*rows))
+
+
+def newton_rpoly(diffs: Sequence, x0: int) -> RPoly:
+    """The polynomial ``sum_k diffs[k] * C(r - x0, k)`` as an :class:`RPoly`.
+
+    ``diffs`` are leading forward differences at ``x0``, as from
+    :func:`forward_differences`.  Over their common denominator ``den``,
+    each coefficient is one integer dot product with a column of the cached
+    table and one division by ``(len(diffs) - 1)! * den``.
+    """
+    count = len(diffs)
+    numerators, den = _over_common_denominator(diffs)
+    scale = factorial(count - 1) * den
+    return RPoly([
+        Fraction(sum(d * t for d, t in zip(numerators, column) if d), scale)
+        for column in _falling_table(x0, count)
+    ])
 
 
 def interpolate(samples: Sequence[tuple]) -> RPoly:
-    """Exact Lagrange interpolation through rational ``(node, value)`` samples.
+    """Exact interpolation through ``(node, value)`` samples at consecutive integers.
 
-    Nodes must be distinct; a repeated node raises ``ValueError``.  For
-    instance the samples ``(5, 4), (6, 35/6), (7, 8)`` fit the polynomial
-    ``(r^2 - 1)/6``.  With the basis cached per node window, a fit costs
-    ``O(n^2)`` products.
+    The nodes must be distinct consecutive integers (integral ``Fraction``s
+    count) in any order; anything else raises ``ValueError``.  For instance
+    the samples ``(5, 4), (6, 35/6), (7, 8)`` fit the polynomial
+    ``(r^2 - 1)/6``.  The fit is the Newton form on the forward differences
+    of the values, converted by :func:`newton_rpoly`.
     """
-    pts = [(Fraction(x), Fraction(y)) for x, y in samples]
+    pts = sorted((Fraction(x), Fraction(y)) for x, y in samples)
     if not pts:
         raise ValueError("interpolation needs at least one sample")
-    nodes = tuple(x for x, _ in pts)
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("interpolation nodes must be distinct")
-    terms = [(y, row) for (_, y), row in zip(pts, _lagrange_basis(nodes)) if y]
-    return RPoly([sum((y * row[t] for y, row in terms), Fraction(0)) for t in range(len(nodes))])
+    x0 = pts[0][0]
+    if any(x != x0 + i for i, (x, _) in enumerate(pts)) or x0.denominator != 1:
+        raise ValueError("interpolation nodes must be distinct consecutive integers")
+    return newton_rpoly(forward_differences([y for _, y in pts]), int(x0))

@@ -31,6 +31,7 @@ __all__ = [
     "canonical_form_decorated",
     "automorphism_order",
     "first_betti",
+    "require_stable_type",
     "enumerate_stable_graphs",
     "graph_to_json",
     "graph_from_json",
@@ -489,6 +490,12 @@ def _least_labelling(graph: StableGraph) -> StableGraph:
     return StableGraph(genera, edges, legs)
 
 
+def require_stable_type(g: int, n: int) -> None:
+    """Raise ``ValueError`` when ``(g, n)`` is no type of stable curves."""
+    if g < 0 or n < 0 or 3 * g - 3 + n < 0:
+        raise ValueError(f"no stable curves of type (g, n) = ({g}, {n})")
+
+
 @lru_cache(maxsize=None)
 def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tuple[StableGraph, ...]:
     """All isomorphism classes of stable graphs of type ``(g, n)``.
@@ -509,8 +516,7 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
     ``(0, 4)`` has 4 graphs with at most one edge, ``(1, 1)`` has 2,
     ``(2, 0)`` has 7.
     """
-    if g < 0 or n < 0 or 3 * g - 3 + n < 0:
-        raise ValueError(f"no stable curves of type (g, n) = ({g}, {n})")
+    require_stable_type(g, n)
     if max_edges is not None and max_edges < 0:
         raise ValueError(f"edge cap max_edges must be non-negative, got {max_edges}")
     cap = 3 * g - 3 + n

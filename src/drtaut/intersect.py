@@ -36,7 +36,7 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .exact import Rational, bernoulli_number, interpolate
+from .exact import bernoulli_number, interpolate
 from .pixton import pixton_class
 from .tautclass import DecoratedGraph, TautClass
 from .weightings import DRVector

@@ -29,7 +29,13 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .graphs import StableGraph, enumerate_stable_graphs, first_betti, automorphism_order
+from .graphs import (
+    StableGraph,
+    automorphism_order,
+    enumerate_stable_graphs,
+    first_betti,
+    require_stable_type,
+)
 from .tautclass import (
     DecoratedGraph,
     TautClass,
@@ -113,7 +119,10 @@ def _graph_templates(dr: DRVector, d: int):
 
     Yields the graph's index in the enumeration, the graph, its Betti
     number, ``|Aut|``, its templates and their ``m + 1`` power profiles.
+    The type ``(g, n)`` is checked before the degree, since a negative
+    genus makes the degree ``g`` of a DR cycle negative too.
     """
+    require_stable_type(dr.genus, dr.n)
     if d < 0:
         raise ValueError("degree must be non-negative")
     for idx, graph in enumerate(enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)):

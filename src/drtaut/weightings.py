@@ -26,8 +26,9 @@ then costs ``r^b'`` steps, ``b'`` the quotient's Betti number, instead of
 
 Sums of polynomial observables over all weightings are polynomials in ``r``
 for large ``r``, divisible by ``r^b``.  :func:`certified_fit` fits every
-key of a map of rational samples on one window of moduli and checks each
-fit on fresh ones; :func:`fit_edge_profiles` makes one fit per graph.
+key of a map of rational samples on one window of consecutive moduli and
+checks each fit on fresh ones by forward differences;
+:func:`fit_edge_profiles` makes one fit per graph.
 Every fitted key is recorded in a module-level sweep registry so a test run
 can assert that no divisibility or verification failure occurred anywhere.
 """
@@ -41,7 +42,7 @@ from functools import lru_cache
 from math import prod
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact import interpolate
+from .exact import forward_differences, newton_rpoly
 
 __all__ = [
     "DRVector",
@@ -377,9 +378,13 @@ def certified_fit(
     """Fit every key of ``evaluate(r)`` as a polynomial in ``r`` and certify it.
 
     ``evaluate(r)`` maps keys to rationals, a missing key meaning 0; it is
-    called once per modulus.  Every key is fitted on ``degree_bound + 1``
-    moduli from ``r_min`` and checked at the next ``n_verify``, where a key
-    seen only there fails; on any failure the window doubles once.  Returns
+    called once per consecutive modulus from ``r_min``.  Every key is fitted
+    on ``degree_bound + 1`` moduli and checked at the next ``n_verify``: the
+    fit matches there exactly when the forward differences of orders
+    ``degree_bound + 1`` to ``degree_bound + n_verify`` vanish, so the check
+    is subtraction only, and a key seen only there fails.  On any failure
+    the window doubles once.  The fit is the Newton form on the window's
+    differences (:func:`~drtaut.exact.newton_rpoly`).  Returns
     ``({key: RPoly}, divisible)``, ``divisible`` telling whether ``r^betti``
     divides every fit.  Records one sweep entry per key, ``"{label} #{i}"``
     in sorted-key order; raises ``ValueError`` if the doubled window fails.
@@ -389,13 +394,12 @@ def certified_fit(
     for _ in range(2):
         samples += [evaluate(rr) for rr in range(r_min + len(samples), r_min + count + n_verify)]
         keys = sorted(set().union(*samples))
-        window = list(enumerate(samples[:count], r_min))
-        check = list(enumerate(samples[count:], r_min + count))
-        fits = {key: interpolate([(rr, s.get(key, 0)) for rr, s in window]) for key in keys}
-        failed = {key for key in keys if any(fits[key](rr) != s.get(key, 0) for rr, s in check)}
+        diffs = {key: forward_differences([s.get(key, 0) for s in samples]) for key in keys}
+        failed = {key for key in keys if any(diffs[key][count:])}
         if not failed:
             break
         count *= 2
+    fits = {key: newton_rpoly(diffs[key][:count], r_min) for key in keys}
     divisible = {key: key not in failed and fits[key].divisible_by(betti) for key in keys}
     for i, key in enumerate(keys):
         SWEEP.record(f"{label} #{i}", betti, divisible[key], key not in failed)

@@ -13,6 +13,10 @@ two-variable product; the library divides a product of two one-variable
 exponentials by ``s``.  ``leg_vertex_series`` multiplies one exponential
 per leg and per vertex; the library exponentiates their sum once.  The
 per-weighting pushforward builds its leg and vertex series that way.
+``interpolate`` is exact Lagrange interpolation on any distinct nodes, and
+``certified_fit`` fits through it and checks each fit by Horner's rule at
+the check moduli; the library reads both the fit and the check off the
+forward differences of the samples.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Sequence
+from math import factorial, prod
+from typing import Callable, Hashable, Mapping, Sequence
 
 from drtaut.chiodo import _bern_coeff
+from drtaut.exact import RPoly
 from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
 from drtaut.pixton import _emit
 from drtaut.tautclass import (
@@ -36,7 +41,7 @@ from drtaut.tautclass import (
     series_mul,
     series_unit,
 )
-from drtaut.weightings import DRVector, _solutions, _solve_plan
+from drtaut.weightings import SWEEP, DRVector, _solutions, _solve_plan
 
 
 def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], ...]:
@@ -223,3 +228,81 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
             if sliced:
                 _emit(acc, graph, sliced, scalar)
     return TautClass(g, n, acc)
+
+
+@lru_cache(maxsize=128)
+def _lagrange_basis(nodes: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficient rows of the Lagrange basis on distinct ``nodes``.
+
+    Row ``i`` holds, low degree first, the coefficients of
+    ``prod_{j != i} (X - x_j) / (x_i - x_j)``, the polynomial that is 1 at
+    ``x_i`` and 0 at every other node.
+    """
+    rows = []
+    for i, xi in enumerate(nodes):
+        others = nodes[:i] + nodes[i + 1 :]
+        num = [Fraction(1)]  # prod_{j != i} (X - x_j), built by convolution
+        for xj in others:
+            num = [a - xj * b for a, b in zip([0, *num], [*num, 0])]
+        denom = prod(xi - xj for xj in others)
+        rows.append(tuple(c / denom for c in num))
+    return tuple(rows)
+
+
+def interpolate(samples: Sequence[tuple]) -> RPoly:
+    """Exact Lagrange interpolation through rational ``(node, value)`` samples.
+
+    Nodes must be distinct; a repeated node raises ``ValueError``.  For
+    instance the samples ``(5, 4), (6, 35/6), (7, 8)`` fit the polynomial
+    ``(r^2 - 1)/6``.  With the basis cached per node window, a fit costs
+    ``O(n^2)`` products.
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in samples]
+    if not pts:
+        raise ValueError("interpolation needs at least one sample")
+    nodes = tuple(x for x, _ in pts)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("interpolation nodes must be distinct")
+    terms = [(y, row) for (_, y), row in zip(pts, _lagrange_basis(nodes)) if y]
+    return RPoly([sum((y * row[t] for y, row in terms), Fraction(0)) for t in range(len(nodes))])
+
+
+def certified_fit(
+    evaluate: Callable[[int], Mapping[Hashable, Fraction]],
+    degree_bound: int,
+    r_min: int,
+    n_verify: int = 2,
+    label: str = "fit",
+    betti: int = 0,
+):
+    """Fit every key of ``evaluate(r)`` as a polynomial in ``r`` and certify it.
+
+    ``evaluate(r)`` maps keys to rationals, a missing key meaning 0; it is
+    called once per modulus.  Every key is fitted on ``degree_bound + 1``
+    moduli from ``r_min`` and checked at the next ``n_verify``, where a key
+    seen only there fails; on any failure the window doubles once.  Returns
+    ``({key: RPoly}, divisible)``, ``divisible`` telling whether ``r^betti``
+    divides every fit.  Records one sweep entry per key, ``"{label} #{i}"``
+    in sorted-key order; raises ``ValueError`` if the doubled window fails.
+    """
+    samples: list[Mapping[Hashable, Fraction]] = []  # samples[i] is at r_min + i
+    count = degree_bound + 1
+    for _ in range(2):
+        samples += [evaluate(rr) for rr in range(r_min + len(samples), r_min + count + n_verify)]
+        keys = sorted(set().union(*samples))
+        window = list(enumerate(samples[:count], r_min))
+        check = list(enumerate(samples[count:], r_min + count))
+        fits = {key: interpolate([(rr, s.get(key, 0)) for rr, s in window]) for key in keys}
+        failed = {key for key in keys if any(fits[key](rr) != s.get(key, 0) for rr, s in check)}
+        if not failed:
+            break
+        count *= 2
+    divisible = {key: key not in failed and fits[key].divisible_by(betti) for key in keys}
+    for i, key in enumerate(keys):
+        SWEEP.record(f"{label} #{i}", betti, divisible[key], key not in failed)
+    if failed:
+        raise ValueError(
+            f"insufficient degree bound for {label}: fit of degree < {count // 2} "
+            f"fails verification at fresh sample moduli"
+        )
+    return fits, all(divisible.values())

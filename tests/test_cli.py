@@ -219,6 +219,29 @@ class TestErrorPaths:
         assert code == 2
         assert "degree" in err
 
+    def test_vanishing_degree_above_dimension(self, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("a class was built")
+
+        monkeypatch.setattr(intersect, "pixton_class", build)
+        code, _, err = run(
+            capsys, ["verify", "vanishing", "--g", "1", "--a", "1,-1", "--d", "9"]
+        )
+        assert code == 2
+        assert "dim Mbar_{1,2} = 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda", "--g", "-1", "--n", "5"],
+            ["dr", "--g", "-1", "--a", "1,-1,0,0"],
+        ],
+    )
+    def test_negative_genus(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "stable" in err
+
     def test_chiodo_needs_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chiodo", "--g", "1", "--a", "1,-1", "--d", "1"])

@@ -9,10 +9,14 @@ from drtaut.exact import (
     RPoly,
     bernoulli_number,
     bernoulli_poly,
+    forward_differences,
     interpolate,
+    newton_rpoly,
     rat_from_str,
     rat_to_str,
 )
+
+from oracles import interpolate as lagrange_interpolate
 
 F = Fraction
 
@@ -134,6 +138,39 @@ class TestInterpolate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             interpolate([])
+
+    @pytest.mark.parametrize(
+        "nodes", [(1, 3), (2, 3, 5), (F(1, 2), F(3, 2)), (0, 1, 1, 2)]
+    )
+    def test_non_consecutive_nodes_rejected(self, nodes):
+        with pytest.raises(ValueError, match="consecutive"):
+            interpolate([(x, F(x)) for x in nodes])
+
+    def test_integral_fraction_nodes_in_any_order(self):
+        samples = [(F(7), F(8)), (F(5), F(4)), (F(6), F(35, 6))]
+        assert interpolate(samples) == RPoly([F(-1, 6), F(0), F(1, 6)])
+
+    def test_differences_and_newton_form(self):
+        # r^2 at 3, 4, 5, 6: differences 9, 7, 2, 0.
+        diffs = forward_differences([9, 16, 25, 36])
+        assert diffs == [9, 7, 2, 0]
+        assert newton_rpoly(diffs, 3) == RPoly([F(0), F(0), F(1)])
+
+    @given(
+        st.integers(-20, 20),
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=8),
+            min_size=1,
+            max_size=7,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_lagrange(self, x0, values, rng):
+        samples = [(x0 + i, y) for i, y in enumerate(values)]
+        expected = lagrange_interpolate(samples)
+        rng.shuffle(samples)
+        assert interpolate(samples) == expected
 
     @given(
         st.lists(

@@ -108,3 +108,8 @@ def test_literature_counts(g, n, count):
 def test_negative_edge_cap_rejected():
     with pytest.raises(ValueError, match="edge cap"):
         enumerate_stable_graphs(2, 0, -1)
+
+
+def test_enumeration_is_cached():
+    # Repeated graph sums over one type reuse the cached enumeration.
+    assert enumerate_stable_graphs(2, 1, 2) is enumerate_stable_graphs(2, 1, 2)

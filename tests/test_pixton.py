@@ -7,7 +7,6 @@ import pytest
 from drtaut.graphs import StableGraph, enumerate_stable_graphs
 from drtaut.tautclass import (
     DecoratedGraph,
-    TautClass,
     alpha_class,
     beta_class,
     delta0,

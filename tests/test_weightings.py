@@ -20,6 +20,7 @@ from drtaut.weightings import (
     power_tables,
 )
 
+from oracles import certified_fit as oracle_certified_fit
 from oracles import edge_profile_sums as direct_profile_sums
 from oracles import enumerate_weightings
 
@@ -414,3 +415,102 @@ class TestFitting:
         fits, _ = certified_fit(ev, degree_bound=4, r_min=11)
         assert fits == {0: RPoly([F(0), F(-1, 6), F(0), F(1, 6)])}
         assert seen == list(range(11, 18))
+
+
+def run_fit(fit, evaluate, **kwargs):
+    """A fit's result (or its error message), sweep entries and moduli evaluated."""
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return evaluate(r)
+
+    SWEEP.reset()
+    try:
+        outcome = fit(counted, **kwargs)
+    except ValueError as exc:
+        outcome = str(exc)
+    entries = list(SWEEP.entries)
+    SWEEP.reset()
+    return outcome, entries, calls
+
+
+def sample_map(r_min, keys):
+    """``evaluate`` for fits: each key is a polynomial in ``r`` (low degree
+    first) plus spikes at some sample positions, left out at others."""
+
+    def evaluate(r):
+        i = r - r_min
+        out = {}
+        for key, (coeffs, spikes, absent) in keys.items():
+            if i not in absent:
+                out[key] = sum(c * r**j for j, c in enumerate(coeffs)) + spikes.get(i, 0)
+        return out
+
+    return evaluate
+
+
+@st.composite
+def fit_cases(draw):
+    bound = draw(st.integers(0, 4))
+    n_verify = draw(st.integers(1, 3))
+    values = draw(
+        st.sampled_from([st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)])
+    )
+    span = 2 * (bound + 1) + n_verify  # every modulus the doubled window reads
+    positions = st.integers(0, span - 1)
+    # Up to past the bound, and past the doubled window; key 0 may be spiked
+    # at one modulus or left out at some.
+    degree = draw(st.integers(0, 2 * bound + 2))
+    kind = draw(st.sampled_from(["polynomial", "spike", "absent"]))
+    keys = {
+        key: (draw(st.lists(values, max_size=degree + 1)), {}, set())
+        for key in range(draw(st.integers(1, 3)))
+    }
+    if kind == "spike":
+        keys[0][1][draw(positions)] = draw(values.filter(bool))
+    if kind == "absent":
+        keys[0][2].update(draw(st.sets(positions, min_size=1, max_size=3)))
+    kwargs = dict(
+        degree_bound=bound,
+        r_min=draw(st.integers(1, 12)),
+        n_verify=n_verify,
+        betti=draw(st.integers(0, 2)),
+        label="oracle case",
+    )
+    return keys, kwargs
+
+
+class TestFitOracle:
+    """The difference fit against the Lagrange fit with Horner checks."""
+
+    @given(fit_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lagrange_fit(self, case):
+        keys, kwargs = case
+        evaluate = sample_map(kwargs["r_min"], keys)
+        assert run_fit(certified_fit, evaluate, **kwargs) == run_fit(
+            oracle_certified_fit, evaluate, **kwargs
+        )
+
+    @pytest.mark.parametrize("bound", [0, 1, 3])
+    @pytest.mark.parametrize("spike", [1, F(-2, 3)])
+    def test_spike_at_every_modulus(self, bound, spike):
+        # Each window position, each check modulus and each modulus of the
+        # doubled window, on integer and Fraction polynomials of the bound.
+        n_verify = 2
+        for coeffs in (list(range(1, bound + 2)), [F(1, k) for k in range(1, bound + 2)]):
+            for pos in range(2 * (bound + 1) + n_verify):
+                keys = {0: (coeffs, {pos: spike}, set()), 1: (coeffs, {}, set())}
+                kwargs = dict(degree_bound=bound, r_min=4, n_verify=n_verify, label="spike")
+                evaluate = sample_map(4, keys)
+                ours = run_fit(certified_fit, evaluate, **kwargs)
+                assert ours == run_fit(oracle_certified_fit, evaluate, **kwargs)
+
+    def test_no_polynomial_evaluated(self, monkeypatch):
+        def forbidden(self, r):
+            raise AssertionError("an RPoly was evaluated")
+
+        monkeypatch.setattr(RPoly, "__call__", forbidden)
+        fits, _ = certified_fit(lambda r: {0: r**3, 1: F(r, 7)}, degree_bound=1, r_min=3)
+        assert fits == {0: RPoly([0, 0, 0, 1]), 1: RPoly([0, F(1, 7)])}
