@@ -46,6 +46,7 @@ from .graphs import (
     automorphism_order,
     enumerate_stable_graphs,
     first_betti,
+    require_stable_type,
 )
 from .pixton import _emit, pixton_class
 from .tautclass import (
@@ -226,6 +227,7 @@ def chern_route_class(dr: DRVector, d: int, r: int) -> TautClass:
     deliberately does not define.
     """
     g, n = dr.genus, dr.n
+    require_stable_type(g, n)
     if d not in (0, 1):
         raise ValueError("chern route implemented for degrees 0 and 1 only")
     _require_roots(dr, r)

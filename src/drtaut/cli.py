@@ -35,9 +35,15 @@ from .intersect import (
     socle_integral,
     vanishing_probe,
 )
-from .pixton import dr_cycle, lambda_expression, pixton_class, pixton_fixed_r
+from .pixton import (
+    dr_cycle,
+    lambda_expression,
+    pixton_class,
+    pixton_fixed_r,
+    verify_polynomiality,
+)
 from .tautclass import TautClass
-from .weightings import SWEEP, DRVector
+from .weightings import DRVector
 
 __all__ = ["main"]
 
@@ -80,16 +86,10 @@ def emit_verify(args: argparse.Namespace, ok: bool, value: str, detail: str = ""
     return 0 if ok else 1
 
 
-def require_stable(g: int, n: int) -> None:
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise ValueError(f"no stable curves of type ({g}, {n})")
-
-
 # -- verb implementations ---------------------------------------------
 
 
 def cmd_graphs(args) -> int:
-    require_stable(args.g, args.n)
     graphs = enumerate_stable_graphs(args.g, args.n, max_edges=args.max_edges)
     if getattr(args, "json", False):
         emit_json(
@@ -220,28 +220,15 @@ def cmd_verify_socle(args) -> int:
 
 
 def cmd_verify_polynomiality(args) -> int:
-    dr = DRVector(args.g, args.a, args.k)
-    dr.require_exact()
-    require_stable(dr.genus, dr.n)
-    if args.d < 0:
-        raise ValueError(f"degree must be non-negative, got d={args.d}")
-    mark = SWEEP.total
     try:
-        pixton_class(dr, args.d)
-    except ValueError as exc:
+        fits, bad = verify_polynomiality(DRVector(args.g, args.a, args.k), args.d)
+    except ArithmeticError as exc:
         return emit_verify(args, False, "fit rejected", str(exc))
-    entries = SWEEP.entries[mark:]
-    bad = [e for e in entries if not (e["divisible"] and e["verified"])]
-    ok = not bad
-    detail = "" if ok else "\n".join(
-        f"  {e['label']}: divisible={e['divisible']} verified={e['verified']}"
-        for e in bad
-    )
     return emit_verify(
         args,
-        ok,
-        f"{len(entries)} fits divisible and verified" if ok else f"{len(bad)} bad fits",
-        detail,
+        not bad,
+        f"{len(bad)} bad fits" if bad else f"{fits} fits divisible and verified",
+        "\n".join(f"  {line}" for line in bad),
     )
 
 

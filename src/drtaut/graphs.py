@@ -115,86 +115,37 @@ class StableGraph:
     def total_genus(self) -> int:
         return sum(self.genera) + first_betti(self)
 
+    def _reachable(self, u: int, t: int | None = None) -> set[int]:
+        """Vertices reachable from ``u`` along edges other than edge ``t``."""
+        seen = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for s, (a, b) in enumerate(self.edges):
+                if s != t and x in (a, b):
+                    y = b if x == a else a
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        return seen
+
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        parent = list(range(self.n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        return len({find(v) for v in range(self.n_vertices)}) == 1
+        return self.n_vertices > 0 and len(self._reachable(0)) == self.n_vertices
 
     def bridges(self) -> set[int]:
         """Indices of edges whose removal disconnects the graph.
 
         Loops and parallel edges are never bridges.
         """
-        mult: dict[tuple[int, int], int] = {}
-        for u, v in self.edges:
-            mult[(u, v)] = mult.get((u, v), 0) + 1
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.n_vertices)}
-        for t, (u, v) in enumerate(self.edges):
-            if u != v:
-                adj[u].append((v, t))
-                adj[v].append((u, t))
-        disc = [-1] * self.n_vertices
-        low = [0] * self.n_vertices
-        out: set[int] = set()
-        counter = itertools.count()
-
-        def dfs(root: int) -> None:
-            stack = [(root, -1, iter(adj[root]))]
-            disc[root] = low[root] = next(counter)
-            while stack:
-                v, in_edge, it = stack[-1]
-                advanced = False
-                for w, t in it:
-                    if t == in_edge:
-                        continue
-                    if disc[w] == -1:
-                        disc[w] = low[w] = next(counter)
-                        stack.append((w, t, iter(adj[w])))
-                        advanced = True
-                        break
-                    low[v] = min(low[v], disc[w])
-                if not advanced:
-                    stack.pop()
-                    if stack:
-                        p, _, _ = stack[-1]
-                        low[p] = min(low[p], low[v])
-                        if low[v] > disc[p]:
-                            u, w = self.edges[in_edge]
-                            if mult[(u, w)] == 1:
-                                out.add(in_edge)
-
-        for v in range(self.n_vertices):
-            if disc[v] == -1:
-                dfs(v)
-        return out
+        return {t for t, (u, v) in enumerate(self.edges) if v not in self._reachable(u, t)}
 
     def edge_side_markings(self, t: int) -> tuple[int, ...] | None:
         """Markings on the ``edges[t][0]`` side of a bridge, else ``None``."""
-        if t not in self.bridges():
+        u, v = self.edges[t]
+        side = self._reachable(u, t)
+        if v in side:
             return None
-        u0 = self.edges[t][0]
-        seen = {u0}
-        stack = [u0]
-        while stack:
-            v = stack.pop()
-            for s, (a, b) in enumerate(self.edges):
-                if s == t:
-                    continue
-                for x, y in ((a, b), (b, a)):
-                    if x == v and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return tuple(i + 1 for i, w in enumerate(self.legs) if w in seen)
+        return tuple(i + 1 for i, w in enumerate(self.legs) if w in side)
 
     # -- canonical form -----------------------------------------------
 
@@ -492,7 +443,7 @@ def _least_labelling(graph: StableGraph) -> StableGraph:
 
 def require_stable_type(g: int, n: int) -> None:
     """Raise ``ValueError`` when ``(g, n)`` is no type of stable curves."""
-    if g < 0 or n < 0 or 3 * g - 3 + n < 0:
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         raise ValueError(f"no stable curves of type (g, n) = ({g}, {n})")
 
 
@@ -522,7 +473,7 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
     cap = 3 * g - 3 + n
     if max_edges is not None:
         cap = min(cap, max_edges)
-    level = [StableGraph((g,), (), (0,) * n)] if 2 * g - 2 + n > 0 else []
+    level = [StableGraph((g,), (), (0,) * n)]
     found = {canonical_key(graph): graph for graph in level}
     for _ in range(cap):
         children = dict.fromkeys(child for graph in level for child in _degenerations(graph))

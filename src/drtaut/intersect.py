@@ -37,6 +37,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .exact import bernoulli_number, interpolate
+from .graphs import require_stable_type
 from .pixton import pixton_class
 from .tautclass import DecoratedGraph, TautClass
 from .weightings import DRVector
@@ -191,8 +192,7 @@ def integrate_vertex(
         raise ValueError("psi exponents must be non-negative")
     if any(b < 1 for b in ks):
         raise ValueError("kappa indices must be >= 1")
-    if g < 0 or 2 * g - 2 + n <= 0:
-        raise ValueError(f"unstable moduli space ({g}, {n})")
+    require_stable_type(g, n)
     return _vertex_integral(g, tuple(sorted(ps)), ks)
 
 

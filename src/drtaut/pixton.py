@@ -57,6 +57,7 @@ from .weightings import (
 __all__ = [
     "pixton_fixed_r",
     "pixton_class",
+    "verify_polynomiality",
     "dr_cycle",
     "lambda_expression",
     "genus0_closed",
@@ -117,8 +118,9 @@ def _skip_for_zero_data(graph: StableGraph, dr: DRVector) -> bool:
 def _graph_templates(dr: DRVector, d: int):
     """The per-graph data both graph sums share, for each graph with templates.
 
-    Yields the graph's index in the enumeration, the graph, its Betti
-    number, ``|Aut|``, its templates and their ``m + 1`` power profiles.
+    Yields a label naming the data and the graph's index in the
+    enumeration, the graph, its Betti number, ``|Aut|``, its templates and
+    their ``m + 1`` power profiles.
     The type ``(g, n)`` is checked before the degree, since a negative
     genus makes the degree ``g`` of a DR cycle negative too.
     """
@@ -131,7 +133,8 @@ def _graph_templates(dr: DRVector, d: int):
         templates = _templates(graph, dr, d)
         if templates:
             profiles = [tuple(m + 1 for m in prof) for prof, _ in templates]
-            yield idx, graph, first_betti(graph), automorphism_order(graph), templates, profiles
+            label = f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}"
+            yield label, graph, first_betti(graph), automorphism_order(graph), templates, profiles
 
 
 def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
@@ -166,8 +169,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     dr.require_exact()
     g, n = dr.genus, dr.n
     acc: list = []
-    for idx, graph, b, aut, templates, profiles in _graph_templates(dr, d):
-        label = f"P(g={g},n={n},k={dr.twist},d={d}) graph#{idx}"
+    for label, graph, b, aut, templates, profiles in _graph_templates(dr, d):
         fits = fit_edge_profiles(graph, dr, profiles, label=label)
         for (prof, template), (poly, divisible) in zip(templates, fits):
             if not divisible:
@@ -177,6 +179,33 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
             constant = poly.coefficient(b)
             _emit(acc, graph, template, Fraction(constant, aut))
     return TautClass(g, n, acc)
+
+
+def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
+    """Certify every fit behind the r-free degree-d class; list the bad ones.
+
+    Makes the fits of :func:`pixton_class`, one per graph and profile, and
+    returns ``(fits, bad)``: how many were made, and a line naming the
+    graph's label and the profile of each fit not divisible by ``r^b``.
+    A fit that fails verification raises ``ArithmeticError`` with the
+    message of :func:`~drtaut.weightings.certified_fit`; data that is not
+    exactly balanced, an unstable type or a negative degree raise
+    ``ValueError`` before any fit.
+    """
+    dr.require_exact()
+    fits, bad = 0, []
+    for label, graph, b, _, templates, profiles in _graph_templates(dr, d):
+        try:
+            results = fit_edge_profiles(graph, dr, profiles, label=label)
+        except ValueError as exc:
+            raise ArithmeticError(str(exc)) from exc
+        fits += len(results)
+        bad += [
+            f"{label} profile {prof}: not divisible by r^{b}"
+            for (prof, _), (_, divisible) in zip(templates, results)
+            if not divisible
+        ]
+    return fits, bad
 
 
 def dr_cycle(dr: DRVector) -> TautClass:
@@ -192,8 +221,7 @@ def dr_cycle(dr: DRVector) -> TautClass:
 
 def lambda_expression(g: int, n: int = 0) -> TautClass:
     """Hodge class expression ``(-1)^g`` times the cycle for the zero vector."""
-    if 2 * g - 2 + n <= 0:
-        raise ValueError(f"no stable curves of type ({g}, {n})")
+    require_stable_type(g, n)
     return dr_cycle(DRVector(g, (0,) * n)).scale(Fraction((-1) ** g))
 
 

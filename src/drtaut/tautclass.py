@@ -28,6 +28,7 @@ from .graphs import (
     canonical_form_decorated,
     graph_from_json,
     graph_to_json,
+    require_stable_type,
     validate,
 )
 from .exact import rat_from_str, rat_to_str
@@ -311,6 +312,7 @@ class TautClass:
             raise ValueError("class: missing field 'terms'")
         g = _json_value(ambient["g"], int, "ambient.g")
         n = _json_value(ambient["n"], int, "ambient.n")
+        require_stable_type(g, n)
         out = cls(g, n)
         for rec in _json_value(data["terms"], list, "terms"):
             graph_data = _json_value(rec, dict, "terms").get("graph")

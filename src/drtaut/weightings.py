@@ -29,8 +29,6 @@ for large ``r``, divisible by ``r^b``.  :func:`certified_fit` fits every
 key of a map of rational samples on one window of consecutive moduli and
 checks each fit on fresh ones by forward differences;
 :func:`fit_edge_profiles` makes one fit per graph.
-Every fitted key is recorded in a module-level sweep registry so a test run
-can assert that no divisibility or verification failure occurred anywhere.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ __all__ = [
     "edge_profile_sums",
     "certified_fit",
     "fit_edge_profiles",
-    "SweepRecorder",
-    "SWEEP",
 ]
 
 
@@ -331,37 +327,6 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
 # -- certified polynomial fitting -------------------------------------
 
 
-class SweepRecorder:
-    """Collects the outcome of every certified fit in a run."""
-
-    def __init__(self):
-        self.entries: list[dict] = []
-
-    def record(self, label: str, betti: int, divisible: bool, verified: bool) -> None:
-        self.entries.append(
-            {"label": label, "betti": betti, "divisible": divisible, "verified": verified}
-        )
-
-    def reset(self) -> None:
-        self.entries.clear()
-
-    @property
-    def total(self) -> int:
-        return len(self.entries)
-
-    def failures(self) -> list[dict]:
-        return [e for e in self.entries if not (e["divisible"] and e["verified"])]
-
-    def summary(self) -> dict:
-        return {
-            "fits": self.total,
-            "failures": len(self.failures()),
-        }
-
-
-SWEEP = SweepRecorder()
-
-
 def default_r_min(dr: DRVector) -> int:
     spread = sum(abs(a) for a in dr.parts) + abs(dr.twist) * abs(2 * dr.genus - 2 + dr.n)
     return max(2, spread) + 1
@@ -386,8 +351,9 @@ def certified_fit(
     the window doubles once.  The fit is the Newton form on the window's
     differences (:func:`~drtaut.exact.newton_rpoly`).  Returns
     ``({key: RPoly}, divisible)``, ``divisible`` telling whether ``r^betti``
-    divides every fit.  Records one sweep entry per key, ``"{label} #{i}"``
-    in sorted-key order; raises ``ValueError`` if the doubled window fails.
+    divides every fit.  Raises ``ValueError`` if the doubled window fails,
+    naming ``label`` and each failing key by its position ``#i`` in
+    sorted-key order.
     """
     samples: list[Mapping[Hashable, Fraction]] = []  # samples[i] is at r_min + i
     count = degree_bound + 1
@@ -399,16 +365,14 @@ def certified_fit(
         if not failed:
             break
         count *= 2
-    fits = {key: newton_rpoly(diffs[key][:count], r_min) for key in keys}
-    divisible = {key: key not in failed and fits[key].divisible_by(betti) for key in keys}
-    for i, key in enumerate(keys):
-        SWEEP.record(f"{label} #{i}", betti, divisible[key], key not in failed)
     if failed:
+        names = ", ".join(f"#{i}" for i, key in enumerate(keys) if key in failed)
         raise ValueError(
             f"insufficient degree bound for {label}: fit of degree < {count // 2} "
-            f"fails verification at fresh sample moduli"
+            f"fails verification at fresh sample moduli on {names}"
         )
-    return fits, all(divisible.values())
+    fits = {key: newton_rpoly(diffs[key][:count], r_min) for key in keys}
+    return fits, all(fit.divisible_by(betti) for fit in fits.values())
 
 
 def fit_edge_profiles(

@@ -41,7 +41,7 @@ from drtaut.tautclass import (
     series_mul,
     series_unit,
 )
-from drtaut.weightings import SWEEP, DRVector, _solutions, _solve_plan
+from drtaut.weightings import DRVector, _solutions, _solve_plan
 
 
 def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], ...]:
@@ -282,8 +282,9 @@ def certified_fit(
     moduli from ``r_min`` and checked at the next ``n_verify``, where a key
     seen only there fails; on any failure the window doubles once.  Returns
     ``({key: RPoly}, divisible)``, ``divisible`` telling whether ``r^betti``
-    divides every fit.  Records one sweep entry per key, ``"{label} #{i}"``
-    in sorted-key order; raises ``ValueError`` if the doubled window fails.
+    divides every fit.  Raises ``ValueError`` if the doubled window fails,
+    naming ``label`` and each failing key by its position ``#i`` in
+    sorted-key order.
     """
     samples: list[Mapping[Hashable, Fraction]] = []  # samples[i] is at r_min + i
     count = degree_bound + 1
@@ -297,12 +298,10 @@ def certified_fit(
         if not failed:
             break
         count *= 2
-    divisible = {key: key not in failed and fits[key].divisible_by(betti) for key in keys}
-    for i, key in enumerate(keys):
-        SWEEP.record(f"{label} #{i}", betti, divisible[key], key not in failed)
     if failed:
+        names = ", ".join(f"#{i}" for i, key in enumerate(keys) if key in failed)
         raise ValueError(
             f"insufficient degree bound for {label}: fit of degree < {count // 2} "
-            f"fails verification at fresh sample moduli"
+            f"fails verification at fresh sample moduli on {names}"
         )
-    return fits, all(divisible.values())
+    return fits, all(fit.divisible_by(betti) for fit in fits.values())

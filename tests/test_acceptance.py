@@ -14,8 +14,9 @@ every equality is an exact identity of rationals or of formal classes
  6. constant-term agreement of the r-th root pushforward with the
     weighting graph sum;
  7. above-genus pairings vanish;
- 8. every certified polynomial fit in this suite is divisible by the
-    required power of r and passes its verification nodes;
+ 8. ``verify polynomiality`` certifies every fit behind two r-free
+    classes, untwisted and twisted: each passes its verification nodes
+    and is divisible by the required power of r;
  9. triple Hodge integrals by two routes;
 10. two-point cycle pairings by two routes;
 11. weighting enumeration and edge-profile sums, of edge powers and of
@@ -28,10 +29,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
 from drtaut.chiodo import verify_samefreeterm
+from drtaut.cli import main
 from drtaut.exact import interpolate
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.intersect import dr_ab_integral, hodge_triple, vanishing_probe
@@ -48,15 +51,11 @@ from drtaut.tautclass import (
     alpha_class,
     beta_class,
 )
-from drtaut.weightings import SWEEP, DRVector, edge_profile_sums, power_tables
+from drtaut.weightings import DRVector, edge_profile_sums, power_tables
 
 from oracles import enumerate_weightings
 
 F = Fraction
-
-# Sweep entries recorded before this module's tests run are out of scope
-# for criterion 8.
-_SWEEP_MARK = SWEEP.total
 
 
 def report(num: int, text: str) -> None:
@@ -282,15 +281,20 @@ def test_c07_vanishing_probes():
     report(7, f"above-genus classes pair to zero ({total} pairings)")
 
 
-def test_c08_sweep_report():
-    entries = SWEEP.entries[_SWEEP_MARK:]
-    assert entries, "no certified fits were recorded by the earlier criteria"
-    bad = [e for e in entries if not (e["divisible"] and e["verified"])]
-    assert not bad, bad
-    report(
-        8,
-        f"{len(entries)} certified fits, all r^betti-divisible and node-verified",
-    )
+def test_c08_polynomiality(capsys):
+    cases = [
+        ["--g", "2", "--a", "1,-1", "--d", "2"],
+        ["--g", "1", "--k", "1", "--a", "3,-1", "--d", "2"],
+    ]
+    total = 0
+    for argv in cases:
+        code = main(["verify", "polynomiality", *argv])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        fits = int(re.fullmatch(r"OK (\d+) fits divisible and verified\n", out)[1])
+        assert fits > 0
+        total += fits
+    report(8, f"{total} certified fits, all r^betti-divisible and node-verified")
 
 
 def test_c09_hodge_triples():

@@ -153,6 +153,23 @@ def test_chern_route_rejects_zero_modulus():
         chern_route_class(DRVector(1, (0,), 0), 1, 0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pixton_class(DRVector(1, ()), 1),
+        lambda: chiodo_pushforward(DRVector(1, ()), 1, 3),
+        lambda: chiodo_constant(DRVector(1, ()), 1),
+        lambda: chern_route_class(DRVector(1, ()), 1, 3),
+        lambda: chern_route_class(DRVector(-1, (1, -1)), 0, 3),
+    ],
+    ids=["pixton", "pushforward", "constant", "chern-1-0", "chern-negative-genus"],
+)
+def test_unstable_type_rejected(build):
+    # (1, 0) has 2g - 2 + n = 0, so no stable curves, though 3g - 3 + n = 0.
+    with pytest.raises(ValueError, match="stable"):
+        build()
+
+
 def test_congruence_error():
     with pytest.raises(ValueError, match="no r-th roots exist"):
         chiodo_pushforward(DRVector(1, (1,), 0), 1, 2)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from drtaut import intersect
+from drtaut import intersect, weightings
 from drtaut.cli import main
 from drtaut.graphs import StableGraph
 from drtaut.tautclass import DecoratedGraph, TautClass
@@ -157,6 +158,50 @@ class TestVerify:
         assert code == 0
         assert "divisible and verified" in out
 
+    def test_polynomiality_fit_rejected(self, capsys, monkeypatch):
+        # A spike at one modulus on the last profile of graphs with several:
+        # the first is graph#12, whose fit of key #1 fails verification.
+        real = weightings.edge_profile_sums
+
+        def spiked(graph, r, dr, profiles):
+            sums = real(graph, r, dr, profiles)
+            if r == 4 and len(sums) > 1:
+                sums[-1] += 1
+            return sums
+
+        monkeypatch.setattr(weightings, "edge_profile_sums", spiked)
+        code, out, _ = run(
+            capsys, ["verify", "polynomiality", "--g", "2", "--a", "1,-1", "--d", "2"]
+        )
+        assert code == 1
+        first, message = out.splitlines()
+        assert first == "FAIL fit rejected"
+        assert "P(g=2,n=2,k=0,d=2) graph#12:" in message
+        assert message.endswith("fails verification at fresh sample moduli on #1")
+
+    def test_polynomiality_bad_fits(self, capsys, monkeypatch):
+        # A constant added to every sum keeps it a polynomial in r, but not
+        # divisible by r^b on graphs with loops.
+        real = weightings.edge_profile_sums
+
+        def shifted(graph, r, dr, profiles):
+            return [s + 1 for s in real(graph, r, dr, profiles)]
+
+        monkeypatch.setattr(weightings, "edge_profile_sums", shifted)
+        code, out, _ = run(
+            capsys, ["verify", "polynomiality", "--g", "2", "--a", "1,-1", "--d", "2"]
+        )
+        assert code == 1
+        first, *lines = out.splitlines()
+        assert first == f"FAIL {len(lines)} bad fits"
+        assert len(lines) == 11
+        for line in lines:
+            assert re.fullmatch(
+                r"  P\(g=2,n=2,k=0,d=2\) graph#\d+ profile \([\d, ]*\): not divisible by r\^[12]",
+                line,
+            ), line
+        assert "  P(g=2,n=2,k=0,d=2) graph#16 profile (1,): not divisible by r^1" in lines
+
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, ["--json", "verify", "hodge-triple", "--g", "1"])
         assert code == 0
@@ -210,6 +255,12 @@ class TestErrorPaths:
     def test_unstable_type(self, capsys):
         code, _, err = run(capsys, ["lambda", "--g", "1"])
         assert code == 2
+        assert "stable" in err
+
+    def test_graphs_unstable_type(self, capsys):
+        code, out, err = run(capsys, ["graphs", "--g", "1", "--n", "0"])
+        assert code == 2
+        assert out == ""
         assert "stable" in err
 
     def test_vanishing_degree_too_low(self, capsys):
@@ -316,6 +367,14 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "edges: half-edge 5" in err
+
+    @pytest.mark.parametrize("g, n", [(-3, 0), (1, 0)])
+    def test_class_unstable_ambient(self, capsys, tmp_path, g, n):
+        payload = {"version": "tautclass/1", "ambient": {"g": g, "n": n}, "terms": []}
+        code, out, err = self._integrate(capsys, tmp_path, payload)
+        assert code == 2
+        assert out == ""
+        assert "stable" in err
 
     def test_class_without_ambient(self, capsys, tmp_path):
         payload = {"version": "tautclass/1", "terms": []}

@@ -50,7 +50,7 @@ def scan_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tuple[St
     sorted by canonical key.  Examples: ``(0, 4)`` has 4 graphs with at most
     one edge, ``(1, 1)`` has 2, ``(2, 0)`` has 7.
     """
-    if g < 0 or n < 0 or 3 * g - 3 + n < 0:
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         raise ValueError(f"no stable curves of type (g, n) = ({g}, {n})")
     cap = 3 * g - 3 + n
     if max_edges is not None:
@@ -103,6 +103,36 @@ def test_literature_counts(g, n, count):
     graphs = enumerate_stable_graphs(g, n)
     assert len(graphs) == count
     assert all(validate(graph, g, n) is None for graph in graphs)
+
+
+@pytest.mark.parametrize("g, n", [(1, 0), (0, 2), (-1, 5), (2, -1)])
+def test_unstable_type_rejected(g, n):
+    with pytest.raises(ValueError, match="stable"):
+        enumerate_stable_graphs(g, n)
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (3, 0), (0, 6), (1, 4), (2, 1)])
+def test_topology_matches_union_find(g, n):
+    # Edge t = (u, v) is a bridge when the other edges leave the graph
+    # disconnected; then the leg at w is on u's side exactly when an edge
+    # (w, v) would join the two sides.
+    for graph in enumerate_stable_graphs(g, n):
+        V = graph.n_vertices
+        assert graph.is_connected()
+        bridges = set()
+        for t, (u, v) in enumerate(graph.edges):
+            rest = graph.edges[:t] + graph.edges[t + 1 :]
+            cut = StableGraph(graph.genera, rest, graph.legs)
+            assert cut.is_connected() == _connected_shape(V, rest)
+            if _connected_shape(V, rest):
+                assert graph.edge_side_markings(t) is None
+                continue
+            bridges.add(t)
+            side = tuple(
+                i + 1 for i, w in enumerate(graph.legs) if _connected_shape(V, rest + ((w, v),))
+            )
+            assert graph.edge_side_markings(t) == side
+        assert graph.bridges() == bridges
 
 
 def test_negative_edge_cap_rejected():

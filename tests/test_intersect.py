@@ -87,6 +87,12 @@ def test_correlator_dimension_and_stability_gates():
     assert witten_correlator(0, (0, 0)) == 0
 
 
+@pytest.mark.parametrize("g, n", [(1, 0), (0, 2), (-1, 4)])
+def test_integrate_vertex_rejects_unstable_type(g, n):
+    with pytest.raises(ValueError, match="stable"):
+        integrate_vertex(g, n, (0,) * n)
+
+
 def test_correlator_rejects_negative_exponents():
     with pytest.raises(ValueError):
         witten_correlator(0, (2, -1, 0))

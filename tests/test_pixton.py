@@ -21,6 +21,7 @@ from drtaut.pixton import (
     lambda_expression,
     pixton_class,
     pixton_fixed_r,
+    verify_polynomiality,
 )
 from drtaut.weightings import DRVector
 
@@ -117,6 +118,21 @@ class TestConstantTerm:
         with pytest.raises(ValueError, match="defect"):
             pixton_class(DRVector(1, (1,)), 1)
 
+    def test_verify_polynomiality_counts_every_profile(self):
+        # One fit per graph and template profile of the class.
+        dr = DRVector(2, (1, -1))
+        count = sum(len(_templates(G, dr, 2)) for G in enumerate_stable_graphs(2, 2, 2))
+        assert verify_polynomiality(dr, 2) == (count, [])
+        assert count == 22
+
+    def test_verify_polynomiality_rejects_bad_input_before_fitting(self):
+        with pytest.raises(ValueError, match="defect"):
+            verify_polynomiality(DRVector(1, (1,)), 1)
+        with pytest.raises(ValueError, match="stable"):
+            verify_polynomiality(DRVector(1, ()), 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_polynomiality(DRVector(1, (1, -1)), -1)
+
     def test_genus2_intermediate_constants(self):
         # The two-loop coefficient 1/36 and loop-psi coefficient 1/60.
         cls = pixton_class(DRVector(2, ()), 2)
@@ -163,6 +179,8 @@ class TestLambda:
             lambda_expression(0, 2)
         with pytest.raises(ValueError):
             lambda_expression(1)
+        with pytest.raises(ValueError, match="stable"):
+            lambda_expression(2, -1)
 
 
 class TestClosedForms:
