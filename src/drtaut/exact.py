@@ -135,21 +135,6 @@ class RPoly:
     def __repr__(self) -> str:
         return f"RPoly({list(self.coeffs)!r})"
 
-    def pretty(self) -> str:
-        if self.degree < 0:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                parts.append(rat_to_str(c))
-            elif j == 1:
-                parts.append(f"{rat_to_str(c)}*r")
-            else:
-                parts.append(f"{rat_to_str(c)}*r^{j}")
-        return " + ".join(parts)
-
 
 def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
     """Integers ``n_i`` and the least ``den`` with ``values[i] = n_i / den``."""

@@ -5,9 +5,11 @@ into rational numbers by integrating against monomials in the cotangent
 classes at the markings.  The ingredients are classical:
 
 * psi-class intersection numbers (Witten correlators) on the moduli of
-  stable curves, computed by the KdV / Virasoro recursion of
-  Dijkgraaf-Verlinde-Verlinde from the two seed values
-  ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``;
+  stable curves, from the two seed values ``<tau_0^3>_0 = 1`` and
+  ``<tau_1>_1 = 1/24``: the string equation strips a ``tau_0``, then the
+  dilaton equation a ``tau_1``, and only a correlator whose exponents are
+  all at least 2 goes through the KdV / Virasoro recursion of
+  Dijkgraaf-Verlinde-Verlinde;
 * reduction of kappa decorations to psi classes at extra markings via the
   forgetful pushforward relation ``kappa_b = pi_*(psi^{b+1})``;
 * Faber's socle formula for the Hodge pairings
@@ -19,7 +21,11 @@ A pairing such as :func:`pair_with_psi` treats each decorated graph as the
 pushforward of a product of vertex moduli: every half-edge (edge end or
 marking) is a marked point of its vertex space, the integral factors over
 vertices, and no automorphism corrections are applied beyond those already
-stored in the class coefficients.
+stored in the class coefficients.  A term pairs to zero unless, at every
+vertex, the monomial's exponents on the legs there make up exactly the
+psi degree the vertex still lacks; so each class keeps, built on its first
+pairing, its terms grouped by where the legs sit and what each vertex
+lacks, and a monomial visits only the one group it can meet.
 
 The higher-level verification routines (:func:`vanishing_probe`,
 :func:`hodge_triple`, :func:`dr_ab_integral`, :func:`psi_sum_lambda`)
@@ -70,8 +76,17 @@ def double_factorial(j: int) -> int:
 # -- Witten correlators -----------------------------------------------
 #
 # <tau_{d_1} ... tau_{d_n}>_g = int_{Mbar_{g,n}} psi_1^{d_1} ... psi_n^{d_n}
-# is nonzero only when sum d_i = 3g - 3 + n.  The recursion removes one
-# insertion tau_{k+1} of positive index:
+# is nonzero only when sum d_i = 3g - 3 + n.  Past the two seeds, an
+# insertion tau_0 is removed by the string equation
+#
+#   <tau_0 prod_j tau_{d_j}>_g = sum_j <tau_{d_j - 1} prod_{i!=j} tau_{d_i}>_g,
+#
+# an insertion tau_1 by the dilaton equation
+#
+#   <tau_1 prod_{j=1}^{m} tau_{d_j}>_g = (2g - 2 + m) <prod_j tau_{d_j}>_g,
+#
+# and when every index is at least 2 the DVV recursion removes the largest
+# insertion tau_{k+1}:
 #
 #   (2k+3)!! <tau_{k+1} prod_j tau_{d_j}>_g
 #     = sum_j ((2(k+d_j)+1)!! / (2d_j-1)!!) <tau_{k+d_j} prod_{i!=j}>_g
@@ -80,8 +95,8 @@ def double_factorial(j: int) -> int:
 #         + sum over genus splits and ordered marking splits of
 #           <tau_a ...>_{g'} <tau_b ...>_{g''} )
 #
-# together with the string equation, this determines every correlator
-# from the two seeds.
+# The seeds are exactly the stable types whose string or dilaton reduction
+# would be unstable, so the two equations apply to everything else.
 
 
 @lru_cache(maxsize=None)
@@ -95,8 +110,18 @@ def _correlator(g: int, ds: tuple[int, ...]) -> Fraction:
         return Fraction(1)
     if g == 1 and n == 1:
         return Fraction(1, 24)
-    # ds is sorted ascending, so the last entry is the largest; the
-    # dimension constraint forces it to be positive here.
+    # ds is sorted ascending, so ds[0] is the smallest exponent.
+    rest = ds[1:]
+    if ds[0] == 0:
+        # Lowering the first entry of a run of equal values keeps rest
+        # sorted; the run's other entries give the same correlator.
+        total = Fraction(0)
+        for j, dj in enumerate(rest):
+            if dj and (j == 0 or rest[j - 1] != dj):
+                total += rest.count(dj) * _correlator(g, rest[:j] + (dj - 1,) + rest[j + 1 :])
+        return total
+    if ds[0] == 1:
+        return (2 * g - 3 + n) * _correlator(g, rest)
     k = ds[-1] - 1
     rest = ds[:-1]
     total = Fraction(0)
@@ -203,7 +228,7 @@ def _term_integral(dec: DecoratedGraph, exponents: Sequence[int]) -> Fraction | 
     """One term's integral against ``prod psi_i^{b_i}``, a product over vertices.
 
     The exponents at each vertex are gathered in one pass over the edges
-    and legs; the result is 0 as soon as a vertex misses its dimension.
+    and legs; a vertex that misses its dimension integrates to 0.
     """
     graph = dec.graph
     at: list[list[int]] = [[] for _ in graph.genera]
@@ -212,15 +237,38 @@ def _term_integral(dec: DecoratedGraph, exponents: Sequence[int]) -> Fraction | 
         at[v].append(b)
     for v, e, x in zip(graph.legs, dec.leg_psi, exponents):
         at[v].append(e + x)
-    for g, exps, kappa in zip(graph.genera, at, dec.kappa):
-        if sum(exps) + sum(kappa) != 3 * g - 3 + len(exps):
-            return 0
     value: Fraction | int = 1
     for g, exps, kappa in zip(graph.genera, at, dec.kappa):
         value *= _vertex_integral(g, tuple(sorted(exps)), kappa)
         if not value:
             return 0
     return value
+
+
+def _pairing_index(T: TautClass) -> dict:
+    """``T``'s terms grouped as ``{(n_vertices, legs): {needs: [(dec, coeff)]}}``.
+
+    ``legs[i]`` is the vertex of marking ``i + 1`` and ``needs[v]`` the psi
+    degree that the markings at vertex ``v`` must bring for the vertex to
+    meet its dimension.  A term whose needs are negative somewhere never
+    pairs to anything nonzero and is left out.  The index is built on the
+    first pairing and kept on ``T`` until its terms change.
+    """
+    if T._pair_index is None:
+        index: dict = {}
+        for dec, coeff in T.items():
+            graph = dec.graph
+            needs = [3 * g - 3 - sum(kappa) for g, kappa in zip(graph.genera, dec.kappa)]
+            for (u, v), (a, b) in zip(graph.edges, dec.edge_psi):
+                needs[u] += 1 - a
+                needs[v] += 1 - b
+            for v, e in zip(graph.legs, dec.leg_psi):
+                needs[v] += 1 - e
+            if min(needs) >= 0:
+                groups = index.setdefault((graph.n_vertices, graph.legs), {})
+                groups.setdefault(tuple(needs), []).append((dec, coeff))
+        T._pair_index = index
+    return T._pair_index
 
 
 def pair_with_psi(T: TautClass, exponents: Sequence[int] = ()) -> Fraction:
@@ -230,7 +278,8 @@ def pair_with_psi(T: TautClass, exponents: Sequence[int] = ()) -> Fraction:
     moduli: a psi class at marking i restricts to the psi class at the
     corresponding point of its vertex, decorations stay where they are,
     and the coefficients of ``T`` already carry all automorphism and
-    pushforward normalization.  The result is exact.
+    pushforward normalization.  Only the terms whose every vertex the
+    monomial brings to its dimension are integrated.  The result is exact.
     """
     exps = tuple(int(b) for b in exponents)
     if len(exps) != T.n:
@@ -238,10 +287,14 @@ def pair_with_psi(T: TautClass, exponents: Sequence[int] = ()) -> Fraction:
     if any(b < 0 for b in exps):
         raise ValueError("psi exponents must be non-negative")
     total = Fraction(0)
-    for dec, coeff in T.items():
-        value = _term_integral(dec, exps)
-        if value:
-            total += coeff * value
+    for (n_vertices, legs), groups in _pairing_index(T).items():
+        brought = [0] * n_vertices
+        for v, b in zip(legs, exps):
+            brought[v] += b
+        for dec, coeff in groups.get(tuple(brought), ()):
+            value = _term_integral(dec, exps)
+            if value:
+                total += coeff * value
     return total
 
 

@@ -159,18 +159,22 @@ class TautClass:
     relations between distinct graph pushforwards.
     """
 
-    __slots__ = ("g", "n", "terms")
+    __slots__ = ("g", "n", "terms", "_pair_index")
 
     def __init__(self, g: int, n: int, terms: Iterable[tuple[DecoratedGraph, Fraction]] = ()):
         self.g = g
         self.n = n
         self.terms: dict[bytes, tuple[DecoratedGraph, Fraction]] = {}
+        # The terms grouped for pairing, built by drtaut.intersect on the
+        # first pairing; every change to the terms clears it.
+        self._pair_index = None
         for dg, coeff in terms:
             self._accumulate(dg, Fraction(coeff))
 
     def _accumulate(self, dg: DecoratedGraph, coeff: Fraction) -> None:
         if coeff == 0:
             return
+        self._pair_index = None
         prev = self.terms.get(dg.key)
         total = coeff if prev is None else prev[1] + coeff
         if total == 0:

@@ -16,7 +16,11 @@ per-weighting pushforward builds its leg and vertex series that way.
 ``interpolate`` is exact Lagrange interpolation on any distinct nodes, and
 ``certified_fit`` fits through it and checks each fit by Horner's rule at
 the check moduli; the library reads both the fit and the check off the
-forward differences of the samples.
+forward differences of the samples.  ``dvv_correlator`` runs the DVV
+recursion on every correlator past the seeds; the library strips ``tau_0``
+and ``tau_1`` by the string and dilaton equations first.
+``pair_with_psi_unindexed`` integrates every term of a class; the library
+visits only the terms grouped under the vertex degrees a monomial brings.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 from drtaut.chiodo import _bern_coeff
 from drtaut.exact import RPoly
 from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
+from drtaut.intersect import _term_integral, double_factorial
 from drtaut.pixton import _emit
 from drtaut.tautclass import (
     TautClass,
@@ -305,3 +310,53 @@ def certified_fit(
             f"fails verification at fresh sample moduli on {names}"
         )
     return fits, all(fit.divisible_by(betti) for fit in fits.values())
+
+
+@lru_cache(maxsize=None)
+def dvv_correlator(g: int, ds: tuple[int, ...]) -> Fraction:
+    """``<tau_{d_1} ... tau_{d_n}>_g`` for sorted ``ds`` by DVV alone.
+
+    Past the seeds ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``, the largest
+    insertion ``tau_{k+1}`` is always removed by the DVV recursion, even
+    when a ``tau_0`` or ``tau_1`` is present.
+    """
+    n = len(ds)
+    if g < 0 or 2 * g - 2 + n <= 0:
+        return Fraction(0)
+    if sum(ds) != 3 * g - 3 + n:
+        return Fraction(0)
+    if g == 0 and n == 3:
+        return Fraction(1)
+    if g == 1 and n == 1:
+        return Fraction(1, 24)
+    k = ds[-1] - 1
+    rest = ds[:-1]
+    total = Fraction(0)
+    for j, dj in enumerate(rest):
+        shifted = tuple(sorted(rest[:j] + rest[j + 1 :] + (k + dj,)))
+        total += Fraction(
+            double_factorial(2 * (k + dj) + 1), double_factorial(2 * dj - 1)
+        ) * dvv_correlator(g, shifted)
+    for a in range(k):
+        b = k - 1 - a
+        w = Fraction(double_factorial(2 * a + 1) * double_factorial(2 * b + 1), 2)
+        total += w * dvv_correlator(g - 1, tuple(sorted(rest + (a, b))))
+        for g1 in range(g + 1):
+            for m in range(len(rest) + 1):
+                for picked in itertools.combinations(range(len(rest)), m):
+                    chosen = set(picked)
+                    left = tuple(sorted([rest[i] for i in picked] + [a]))
+                    right = tuple(
+                        sorted([rest[i] for i in range(len(rest)) if i not in chosen] + [b])
+                    )
+                    total += w * dvv_correlator(g1, left) * dvv_correlator(g - g1, right)
+    return total / double_factorial(2 * k + 3)
+
+
+def pair_with_psi_unindexed(T: TautClass, exponents: Sequence[int]) -> Fraction:
+    """``T`` paired with ``prod psi_i^{b_i}``, integrating every term."""
+    exps = tuple(exponents)
+    total = Fraction(0)
+    for dec, coeff in T.items():
+        total += coeff * _term_integral(dec, exps)
+    return total

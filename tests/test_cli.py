@@ -7,10 +7,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drtaut import intersect, weightings
 from drtaut.cli import main
 from drtaut.graphs import StableGraph
+from drtaut.pixton import dr_cycle, pixton_class
 from drtaut.tautclass import DecoratedGraph, TautClass
 
 
@@ -435,6 +437,78 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert f"{field}:" in err
+
+
+# Documents for the --class fuzz test: an untwisted cycle (edges, loops and
+# leg psi exponents) and a twisted class (kappa decorations).
+_FUZZ_BASES = [
+    json.dumps(dr_cycle(weightings.DRVector(1, (1, -1))).to_json()),
+    json.dumps(pixton_class(weightings.DRVector(1, (1, 1), 1), 1).to_json()),
+]
+# Small integers keep every mutated class cheap to pair.
+_FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "1", "-3/4", "1/0", "x", "tautclass/1", "stablegraph/1"]),
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "genus", "half_edges", "marking"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _containers(doc, path=()):
+    """The path of every object and array in ``doc``, ``doc`` itself first."""
+    if isinstance(doc, (dict, list)):
+        yield path
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _containers(value, path + (key,))
+
+
+@st.composite
+def _mutated_class(draw):
+    """A class document with one to three values replaced, deleted or inserted."""
+    doc = json.loads(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        for key in draw(st.sampled_from(list(_containers(doc)))):
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if keys and action == "replace":
+            node[draw(st.sampled_from(keys))] = draw(_FUZZ_VALUES)
+        elif keys and action == "delete":
+            del node[draw(st.sampled_from(keys))]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(keys + ["0", "2", "extra"]))] = draw(_FUZZ_VALUES)
+        else:
+            node.insert(draw(st.integers(0, len(node))), draw(_FUZZ_VALUES))
+    return doc
+
+
+class TestIntegrateFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(doc=_mutated_class(), psi=st.none() | st.lists(st.integers(0, 3), max_size=3))
+    def test_mutated_class_exits_cleanly(self, capsys, tmp_path, doc, psi):
+        # Any mutation of a valid document either pairs (exit 0) or is a
+        # usage error (exit 2); an exception escaping main is a traceback.
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["integrate", "--class", str(path)]
+        if psi is not None:
+            argv += ["--psi", ",".join(map(str, psi)) or "0"]
+        code, out, err = run(capsys, argv)
+        assert code in (0, 2), (code, err)
+        assert "Traceback" not in err
+        assert (out != "") == (code == 0)
 
 
 class TestGlobalFlags:

@@ -120,10 +120,6 @@ class TestRPoly:
         with pytest.raises(ValueError):
             p.shift_down(3)
 
-    def test_pretty(self):
-        assert RPoly([F(-1, 6), F(0), F(1, 6)]).pretty() == "-1/6 + 1/6*r^2"
-        assert RPoly([F(0)]).pretty() == "0"
-
 
 class TestInterpolate:
     def test_spec_example(self):

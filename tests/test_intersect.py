@@ -3,8 +3,12 @@
 The correlator recursion and the kappa reduction are validated against
 independent closed forms before they are trusted anywhere else:
 
+* the DVV-only recursion of ``tests/oracles.py``, on every exponent
+  vector with g <= 4, n <= 6 and dimension at most 14;
 * genus 0: <tau_{d_1} ... tau_{d_n}>_0 = (n-3)! / prod d_i!;
-* the string and dilaton equations;
+* the string and dilaton equations, on the oracle's values (the library
+  applies them itself, so checking them on its own values would be
+  circular);
 * the one-point tower <tau_{3g-2}>_g = 1 / (24^g g!);
 * hand-expanded kappa integrals (1/24, 1, 5, 61, 3, 1/24);
 * the set-partition closed form of the kappa reduction.
@@ -14,6 +18,10 @@ lambda expressions produced by the graph-sum pipeline are paired against
 psi powers and compared with the classical one-pointed Hodge integrals
     int lambda_g psi^{2g-2} = (2^{2g-1} - 1)/2^{2g-1} . |B_{2g}|/(2g)!,
 an end-to-end check that is independent of every table in the package.
+Whole DR cycles are paired against ``psi_j^{2g-3+n}`` and compared with
+the closed form of Buryak, Shadrin, Spitz and Zvonkine (arXiv 1211.5273),
+and the indexed pairing is compared with the oracle that integrates
+every term.
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ from drtaut.intersect import (
     witten_correlator,
 )
 from drtaut.pixton import dr_cycle, genus0_closed, lambda_expression, pixton_class
-from drtaut.tautclass import delta0, delta_I
+from drtaut.tautclass import TautClass, delta0, delta_I
 from drtaut.weightings import DRVector
+from oracles import dvv_correlator, pair_with_psi_unindexed
 
 
 def F(a, b=1):
@@ -98,6 +107,21 @@ def test_correlator_rejects_negative_exponents():
         witten_correlator(0, (2, -1, 0))
 
 
+def test_correlator_matches_dvv_oracle():
+    # The library strips tau_0 and tau_1 by the string and dilaton
+    # equations before DVV; the oracle runs DVV on everything.
+    checked = 0
+    for g in range(0, 5):
+        for n in range(1, 7):
+            dim = 3 * g - 3 + n
+            if 2 * g - 2 + n <= 0 or dim > 14:
+                continue
+            for ds in sorted_tuples(dim, n):
+                assert witten_correlator(g, ds) == dvv_correlator(g, ds), (g, ds)
+                checked += 1
+    assert checked == 373
+
+
 def test_correlator_genus0_closed_form():
     # <tau_{d_1} ... tau_{d_n}>_0 = (n-3)! / prod d_i! when sum d_i = n-3.
     for n in range(3, 8):
@@ -118,12 +142,12 @@ def test_string_equation():
             if dim < 0 or dim > 6 or 2 * g - 2 + n <= 0:
                 continue
             for ds in sorted_tuples(dim, n):
-                left = witten_correlator(g, (0,) + ds)
+                left = dvv_correlator(g, (0,) + ds)
                 right = Fraction(0)
                 for j in range(n):
                     if ds[j] >= 1:
-                        right += witten_correlator(
-                            g, ds[:j] + (ds[j] - 1,) + ds[j + 1 :]
+                        right += dvv_correlator(
+                            g, tuple(sorted(ds[:j] + (ds[j] - 1,) + ds[j + 1 :]))
                         )
                 assert left == right, (g, ds)
                 checked += 1
@@ -137,8 +161,8 @@ def test_dilaton_equation():
             if dim < 0 or dim > 6 or 2 * g - 2 + n <= 0:
                 continue
             for ds in sorted_tuples(dim, n):
-                left = witten_correlator(g, (1,) + ds)
-                assert left == (2 * g - 2 + n) * witten_correlator(g, ds), (g, ds)
+                left = dvv_correlator(g, tuple(sorted((1,) + ds)))
+                assert left == (2 * g - 2 + n) * dvv_correlator(g, ds), (g, ds)
 
 
 def test_correlator_one_point_tower():
@@ -264,6 +288,106 @@ def test_pair_validation():
         pair_with_psi(cls, [])
     with pytest.raises(ValueError):
         pair_with_psi(cls, [-1])
+
+
+def _all_complementary(cls):
+    return [m for d in sorted(cls.degrees()) for m in complementary_psi_monomials(cls.g, cls.n, d)]
+
+
+def _mixed_degree_class():
+    return pixton_class(DRVector(2, (2, 1, -3)), 2) + pixton_class(DRVector(2, (2, 1, -3)), 3)
+
+
+def _twisted_class():
+    # Twisted data brings kappa decorations into the class.
+    return pixton_class(DRVector(2, (3, 1), 1), 2)
+
+
+PAIRING_CASES = {
+    "dr_cycle": lambda: dr_cycle(DRVector(2, (2, 1, -3))),
+    "add": lambda: dr_cycle(DRVector(2, (1, -1))) + _twisted_class(),
+    "scale": lambda: F(-5, 3) * dr_cycle(DRVector(2, (2, 1, -3))),
+    "degree_part": lambda: _mixed_degree_class().degree_part(2),
+    "mixed_degrees": _mixed_degree_class,
+    "from_json": lambda: TautClass.from_json(_twisted_class().to_json()),
+    "lambda": lambda: lambda_expression(2, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIRING_CASES))
+def test_pair_matches_unindexed_oracle(name):
+    cls = PAIRING_CASES[name]()
+    monomials = _all_complementary(cls)
+    assert monomials
+    for exps in monomials:
+        assert pair_with_psi(cls, exps) == pair_with_psi_unindexed(cls, exps), exps
+
+
+def test_pair_index_not_stale():
+    # Pairing T builds its index; T + U and a T changed in place must not
+    # read it.
+    T = dr_cycle(DRVector(2, (1, -1)))
+    U = _twisted_class()
+    monomials = _all_complementary(T)
+    first = [pair_with_psi(T, m) for m in monomials]
+    assert first == [pair_with_psi_unindexed(T, m) for m in monomials]
+    total = T + U
+    assert [pair_with_psi(total, m) for m in monomials] == [
+        pair_with_psi_unindexed(total, m) for m in monomials
+    ]
+    for dec, coeff in U.items():
+        T._accumulate(dec, coeff)
+    assert T == total
+    assert [pair_with_psi(T, m) for m in monomials] == [
+        pair_with_psi_unindexed(total, m) for m in monomials
+    ]
+
+
+def _bssz_coefficient(g, A, j):
+    """[z^{2g}] prod_{i != j} S(a_i z) / S(z) with S(z) = sinh(z/2) / (z/2)."""
+
+    def S(a):
+        # Even coefficients only: S(a z) = sum_k (a z / 2)^{2k} / (2k + 1)!.
+        return [F(a ** (2 * k), 4**k * factorial(2 * k + 1)) for k in range(g + 1)]
+
+    def mul(x, y):
+        return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(g + 1)]
+
+    num = [F(1)] + [F(0)] * g
+    for i, a in enumerate(A):
+        if i != j:
+            num = mul(num, S(a))
+    inv = [F(1)] + [F(0)] * g  # 1 / S(z), S having constant term 1
+    s = S(1)
+    for k in range(1, g + 1):
+        inv[k] = -sum(s[i] * inv[k - i] for i in range(1, k + 1))
+    return mul(num, inv)[g]
+
+
+@pytest.mark.parametrize(
+    "g, A, last",
+    [
+        (1, (1, -1), F(0)),
+        (2, (2, -1, -1), F(1, 120)),
+        (3, (2, -1, -1), F(1, 5040)),
+        (2, (1, 1, -1, -1), F(1, 360)),
+        (2, (0, 0), F(7, 5760)),
+        (2, (3, -1, -1, -1), F(7, 120)),
+        (3, (3, -3), F(1, 1080)),
+        (2, (2, 2, -1, -3), F(2, 45)),
+        (3, (2, 1, -1, -2), F(41, 64512)),
+    ],
+)
+def test_dr_cycle_against_bssz(g, A, last):
+    # Buryak-Shadrin-Spitz-Zvonkine: int DR_g(A) psi_j^{2g-3+n}
+    # = [z^{2g}] prod_{i != j} S(a_i z) / S(z), at every marking j.
+    cls = dr_cycle(DRVector(g, A))
+    n = len(A)
+    assert _bssz_coefficient(g, A, n - 1) == last
+    for j in range(n):
+        exps = [0] * n
+        exps[j] = 2 * g - 3 + n
+        assert pair_with_psi(cls, exps) == _bssz_coefficient(g, A, j), j
 
 
 def test_lambda_psi_tower():
