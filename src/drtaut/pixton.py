@@ -13,9 +13,11 @@ every weighting mod r,
 weighted by ``1 / (|Aut| r^b)``.  At fixed r this is evaluated literally.
 The r-free class takes the constant term of the resulting polynomial in r:
 for every edge-power profile the weighting sum is divisible by ``r^b``, and
-the certified fit of :mod:`drtaut.weightings` extracts the coefficient
-exactly.  ``DR_g(A) = 2^{-g}`` times the degree-g class, and the Hodge
-class expression is ``lambda_g = (-1)^g DR_g(0, ..., 0)``.
+:func:`~drtaut.weightings.fit_edge_profiles` gives that polynomial
+exactly: in closed form when the graph's simple quotient is a tree, and
+by a certified fit on sampled moduli otherwise.  ``DR_g(A) = 2^{-g}``
+times the degree-g class, and the Hodge class expression is
+``lambda_g = (-1)^g DR_g(0, ..., 0)``.
 
 Genus 0 and genus 1 admit closed forms with no weighting enumeration at
 all (trees have a unique weighting whose edge products have constant term
@@ -50,8 +52,10 @@ from .tautclass import (
 from .weightings import (
     DRVector,
     edge_profile_sums,
+    exact_edge_profiles,
     fit_edge_profiles,
     power_tables,
+    sampled_edge_profiles,
 )
 
 __all__ = [
@@ -162,9 +166,10 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     """The r-free degree-d class: constant term in r of the graph sum.
 
     For each stable graph and edge-power profile the weighting sum is
-    fitted as a certified polynomial in r, checked divisible by ``r^b``,
-    and its coefficient of ``r^b`` enters the class.  Requires exactly
-    balanced ramification data so that every large modulus is admissible.
+    found as a polynomial in r (:func:`~drtaut.weightings.fit_edge_profiles`),
+    checked divisible by ``r^b``, and its coefficient of ``r^b`` enters
+    the class.  Requires exactly balanced ramification data so that every
+    large modulus is admissible.
     """
     dr.require_exact()
     g, n = dr.genus, dr.n
@@ -184,27 +189,34 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
 def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     """Certify every fit behind the r-free degree-d class; list the bad ones.
 
-    Makes the fits of :func:`pixton_class`, one per graph and profile, and
-    returns ``(fits, bad)``: how many were made, and a line naming the
-    graph's label and the profile of each fit not divisible by ``r^b``.
+    Makes the sampled fits (:func:`~drtaut.weightings.sampled_edge_profiles`)
+    of every graph and profile of :func:`pixton_class`, and returns
+    ``(fits, bad)``: how many were made, and a line naming the graph's
+    label and the profile of each fit not divisible by ``r^b``.  On every
+    graph whose simple quotient is a tree, each fit is also compared with
+    the exact polynomial (:func:`~drtaut.weightings.exact_edge_profiles`).
     A fit that fails verification raises ``ArithmeticError`` with the
-    message of :func:`~drtaut.weightings.certified_fit`; data that is not
-    exactly balanced, an unstable type or a negative degree raise
-    ``ValueError`` before any fit.
+    message of :func:`~drtaut.weightings.certified_fit`; so does, when no
+    fit is bad, a fit that differs from its exact polynomial, naming each
+    such graph and profile.  Data that is not exactly balanced, an unstable
+    type or a negative degree raise ``ValueError`` before any fit.
     """
     dr.require_exact()
-    fits, bad = 0, []
+    fits, bad, differ = 0, [], []
     for label, graph, b, _, templates, profiles in _graph_templates(dr, d):
         try:
-            results = fit_edge_profiles(graph, dr, profiles, label=label)
+            sampled = sampled_edge_profiles(graph, dr, profiles, label=label)
         except ValueError as exc:
             raise ArithmeticError(str(exc)) from exc
-        fits += len(results)
-        bad += [
-            f"{label} profile {prof}: not divisible by r^{b}"
-            for (prof, _), (_, divisible) in zip(templates, results)
-            if not divisible
-        ]
+        exact = exact_edge_profiles(graph, dr, profiles) or sampled
+        fits += len(sampled)
+        for (prof, _), poly, expected in zip(templates, sampled, exact):
+            if not poly.divisible_by(b):
+                bad.append(f"{label} profile {prof}: not divisible by r^{b}")
+            elif poly != expected:
+                differ.append(f"{label} profile {prof}")
+    if differ and not bad:
+        raise ArithmeticError(f"sampled and exact polynomials differ on {', '.join(differ)}")
     return fits, bad
 
 

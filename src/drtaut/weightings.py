@@ -25,10 +25,17 @@ then costs ``r^b'`` steps, ``b'`` the quotient's Betti number, instead of
 ``r^b``; the vertex targets are still those of the original graph.
 
 Sums of polynomial observables over all weightings are polynomials in ``r``
-for large ``r``, divisible by ``r^b``.  :func:`certified_fit` fits every
-key of a map of rational samples on one window of consecutive moduli and
-checks each fit on fresh ones by forward differences;
-:func:`fit_edge_profiles` makes one fit per graph.
+for large ``r``, divisible by ``r^b``.  :func:`fit_edge_profiles` finds
+the edge-power sums' polynomials in one of two ways.  When the quotient
+is a tree, every class residue is forced: an integer tree solve gives it
+as ``D mod r`` with ``|D|`` below :func:`default_r_min`, a loop's sum
+``sum_{w<r} (w(r-w))^p`` is a Faulhaber sum, and a parallel class's
+convolution is a polynomial in its residue and ``r``, so
+:func:`exact_edge_profiles` builds each polynomial with no sampling.
+Otherwise :func:`sampled_edge_profiles` makes one :func:`certified_fit`
+per graph, which fits every key of a map of rational samples on one
+window of consecutive moduli and checks each fit on fresh ones by
+forward differences.
 """
 
 from __future__ import annotations
@@ -37,16 +44,24 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, gcd, lcm, prod
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact import forward_differences, newton_rpoly
+from .exact import (
+    RPoly,
+    _over_common_denominator,
+    bernoulli_number,
+    forward_differences,
+    newton_rpoly,
+)
 
 __all__ = [
     "DRVector",
     "power_tables",
     "edge_profile_sums",
     "certified_fit",
+    "sampled_edge_profiles",
+    "exact_edge_profiles",
     "fit_edge_profiles",
 ]
 
@@ -375,25 +390,222 @@ def certified_fit(
     return fits, all(fit.divisible_by(betti) for fit in fits.values())
 
 
-def fit_edge_profiles(
+def sampled_edge_profiles(
     graph,
     dr: DRVector,
     profiles: Sequence[tuple[int, ...]],
     label: str | None = None,
-):
+) -> list[RPoly]:
     """Certified fits of all edge-power sums ``sum_w prod_e x_e^{p_e}``.
 
     One :func:`certified_fit` per graph enumerates each sample modulus once
     for all profiles.  The degree bound is the largest observable degree
     ``2 sum_e p_e`` plus the Betti number, sampling starts at
     :func:`default_r_min`, and two fresh moduli verify the fits.  Returns
-    ``(RPoly, divisible)`` pairs, one per profile.
+    one polynomial per profile; a fit that fails verification raises
+    ``ValueError``.
     """
     b = graph.n_edges - graph.n_vertices + 1
     bound = max((2 * sum(p) for p in profiles), default=0) + b
     name = label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
     fits, _ = certified_fit(
         lambda rr: dict(enumerate(edge_profile_sums(graph, rr, dr, power_tables(rr, profiles)))),
-        bound, default_r_min(dr), label=name, betti=b,
+        bound, default_r_min(dr), label=name,
     )
-    return [(fits[i], fits[i].divisible_by(b)) for i in range(len(profiles))]
+    return [fits[i] for i in range(len(profiles))]
+
+
+# -- exact polynomials on tree quotients --------------------------------
+#
+# Polynomials are kept as integer numerators over one denominator.  In r
+# alone the numerators are a list, low degree first; in several variables
+# a dict from the exponents (i, j, k) of w^i s^j r^k, w a summed residue
+# and s a class's residue sum.
+
+_ONE, _W, _S, _R = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for (a, b, c), x in f.items():
+        for (d, e, h), y in g.items():
+            key = (a + d, b + e, c + h)
+            out[key] = out.get(key, 0) + x * y
+    return {key: x for key, x in out.items() if x}
+
+
+def _mul_r(f: Sequence, g: Sequence) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def _faulhaber(k: int) -> tuple[list[int], int]:
+    """``sum_{w<n} w^k = (B_{k+1}(n) - B_{k+1}) / (k+1)`` in ``n``, over one denominator."""
+    return _over_common_denominator(
+        [Fraction(0)]
+        + [comb(k + 1, j) * bernoulli_number(j) / (k + 1) for j in reversed(range(k + 1))]
+    )
+
+
+def _x_power(u: dict, p: int) -> dict:
+    """``(u (r - u))^p``, the table ``x^p`` at a residue ``u`` in ``[0, r)``."""
+    r_minus_u = {_R: 1}
+    for key, y in u.items():
+        r_minus_u[key] = r_minus_u.get(key, 0) - y
+    x = _mul(u, r_minus_u)
+    out = {_ONE: 1}
+    for _ in range(p):
+        out = _mul(out, x)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _loop_poly(p: int) -> tuple[list[int], int]:
+    """``sum_{w<r} (w(r-w))^p`` in ``r``, by Faulhaber; ``p = 0`` gives ``r``."""
+    den = lcm(*(_faulhaber(p + j)[1] for j in range(p + 1)))
+    out = [0] * (2 * p + 2)
+    for j in range(p + 1):
+        # (w(r - w))^p = sum_j C(p, j) (-1)^j w^{p+j} r^{p-j}
+        S, d = _faulhaber(p + j)
+        for m, c in enumerate(S):
+            out[m + p - j] += (-1) ** j * comb(p, j) * c * (den // d)
+    return out, den
+
+
+@lru_cache(maxsize=None)
+def _class_poly(exponents: tuple[int, ...]) -> tuple[dict, int]:
+    """``H(s) = sum over w_1 + ... + w_m = s (mod r) of prod_i x(w_i)^{p_i}``.
+
+    A polynomial in ``(s, r)`` that holds for ``0 <= s < r``, as integer
+    coefficients and their denominator, folding in one table at a time.
+    With ``f`` the tables folded so far and ``g`` the next, ``(f*g)(s) =
+    sum_{w=0}^{s} f(w) g(s-w) + sum_{w=s+1}^{r-1} f(w) g(s-w+r)``: both
+    residues lie in ``[0, r)``, so both tables are polynomials there, and
+    each sum over ``w`` is a Faulhaber sum.
+    """
+    *head, p = exponents
+    if not head:
+        return _x_power({_S: 1}, p), 1
+    f, f_den = _class_poly(tuple(head))
+    f = {(j, 0, k): x for (_, j, k), x in f.items()}  # f(w): its s becomes w
+    below = _mul(f, _x_power({_S: 1, _W: -1}, p))
+    above = _mul(f, _x_power({_S: 1, _W: -1, _R: 1}, p))
+    den = lcm(*(_faulhaber(i)[1] for i, _, _ in [*below, *above]))
+    out: dict = {}
+
+    def add(key, x):
+        out[key] = out.get(key, 0) + x
+
+    # sum_{w=0}^{s} w^i = S_i(s) + s^i, and sum_{w=s+1}^{r-1} w^i = S_i(r) - S_i(s) - s^i.
+    for (i, j, k), x in below.items():
+        S, d = _faulhaber(i)
+        add((0, j + i, k), x * den)
+        for m, c in enumerate(S):
+            add((0, j + m, k), x * c * (den // d))
+    for (i, j, k), x in above.items():
+        S, d = _faulhaber(i)
+        add((0, j + i, k), -x * den)
+        for m, c in enumerate(S):
+            y = x * c * (den // d)
+            add((0, j + m, k), -y)
+            add((0, j, k + m), y)
+    common = gcd(f_den * den, *out.values())
+    return {key: x // common for key, x in out.items() if x}, f_den * den // common
+
+
+@lru_cache(maxsize=None)
+def _class_at(exponents: tuple[int, ...], residue: int) -> tuple[list[int], int]:
+    """The class polynomial at ``s = residue mod r``, in ``r`` for ``r > |residue|``.
+
+    That is ``s = residue`` for ``residue >= 0`` and ``s = r + residue``
+    below 0.
+    """
+    shift = residue < 0
+    poly, den = _class_poly(exponents)
+    out = [0] * (1 + max((j + k for _, j, k in poly), default=0))
+    for (_, j, k), x in poly.items():
+        for a in range(j + 1 if shift else 1):
+            out[k + a] += x * comb(j, a) * residue ** (j - a)
+    return out, den
+
+
+def _class_residues(dr: DRVector, plan: _SolvePlan) -> list[int]:
+    """Integers ``D_c``, each class's residue sum being ``D_c mod r``.
+
+    The plan's tree solve run over the integers, with the vertex targets
+    ``k excess[v]`` and the parts ``a_i`` themselves.  For exactly balanced
+    data the root congruence then holds exactly.  ``D_c = A_S - k E_S`` for
+    the parts and excess on one side ``S`` of the class, so ``|D_c|`` is
+    below :func:`default_r_min`.
+    """
+    values = [0] * (2 * plan.n_edges) + list(dr.parts)
+    for child, h_child, others in plan.steps:
+        w = dr.twist * plan.excess[child] - sum(values[h] for h in others)
+        values[h_child] = w
+        values[h_child ^ 1] = -w
+    assert sum(values[h] for h in plan.root) == dr.twist * plan.excess[0], (
+        "root congruence failed after the integer tree solve"
+    )
+    return values[: 2 * plan.n_edges : 2]
+
+
+def exact_edge_profiles(
+    graph, dr: DRVector, profiles: Sequence[tuple[int, ...]]
+) -> list[RPoly] | None:
+    """The edge-power sums ``sum_w prod_e x_e^{p_e}`` as exact polynomials in ``r``.
+
+    Only for a graph whose simple quotient is a tree (no free residue);
+    returns ``None`` otherwise.  Every class residue is then forced, and
+    the polynomial is the one the sum equals for every ``r`` from
+    :func:`default_r_min` on: the product of each loop's Faulhaber sum and
+    each parallel class's convolved polynomial (:func:`_class_poly`) at
+    its residue.  Data that is not exactly balanced has no weightings
+    there, so every polynomial is 0.  No modulus is sampled.
+    """
+    if graph.n_legs != dr.n:
+        raise ValueError("marking count does not match the ramification vector")
+    quotient = _quotient(graph)
+    if quotient.plan.free:
+        return None
+    if not dr.is_exact:
+        return [RPoly([Fraction(0)]) for _ in profiles]
+    residues = _class_residues(dr, quotient.plan)
+    out = []
+    for prof in profiles:
+        factors = [_loop_poly(prof[t]) for t in quotient.loops]
+        factors += [
+            _class_at(tuple(sorted(prof[t] for t in ts)), residue)
+            for ts, residue in zip(quotient.classes, residues)
+        ]
+        poly, den = [1], 1
+        for f, f_den in factors:
+            poly = _mul_r(poly, f)
+            den *= f_den
+        out.append(RPoly([Fraction(x, den) for x in poly]))
+    return out
+
+
+def fit_edge_profiles(
+    graph,
+    dr: DRVector,
+    profiles: Sequence[tuple[int, ...]],
+    label: str | None = None,
+):
+    """The edge-power sums ``sum_w prod_e x_e^{p_e}`` as polynomials in ``r``.
+
+    Exact (:func:`exact_edge_profiles`) when the graph's simple quotient is
+    a tree; otherwise certified fits on sampled moduli
+    (:func:`sampled_edge_profiles`).  Returns ``(RPoly, divisible)`` pairs,
+    one per profile, ``divisible`` telling whether ``r^b`` divides the
+    polynomial, ``b`` the Betti number.
+    """
+    b = graph.n_edges - graph.n_vertices + 1
+    polys = exact_edge_profiles(graph, dr, profiles)
+    if polys is None:
+        polys = sampled_edge_profiles(graph, dr, profiles, label)
+    return [(poly, poly.divisible_by(b)) for poly in polys]

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from drtaut import intersect, weightings
+from drtaut import intersect, pixton, weightings
 from drtaut.cli import main
+from drtaut.exact import RPoly
 from drtaut.graphs import StableGraph
 from drtaut.pixton import dr_cycle, pixton_class
 from drtaut.tautclass import DecoratedGraph, TautClass
@@ -180,6 +181,28 @@ class TestVerify:
         assert first == "FAIL fit rejected"
         assert "P(g=2,n=2,k=0,d=2) graph#12:" in message
         assert message.endswith("fails verification at fresh sample moduli on #1")
+
+    def test_polynomiality_routes_differ(self, capsys, monkeypatch):
+        # A top coefficient appended to every exact polynomial keeps it
+        # divisible by r^b, so only the comparison with the sampled fits
+        # rejects it.  Every graph here has a tree quotient: all 22 profiles
+        # are named.
+        real = pixton.exact_edge_profiles
+
+        def moved(graph, dr, profiles):
+            polys = real(graph, dr, profiles)
+            return polys and [RPoly([*poly.coeffs, Fraction(1)]) for poly in polys]
+
+        monkeypatch.setattr(pixton, "exact_edge_profiles", moved)
+        code, out, _ = run(
+            capsys, ["verify", "polynomiality", "--g", "2", "--a", "1,-1", "--d", "2"]
+        )
+        assert code == 1
+        first, message = out.splitlines()
+        assert first == "FAIL fit rejected"
+        assert message.startswith("sampled and exact polynomials differ on P(g=2,n=2,k=0,d=2) graph#")
+        assert "graph#16 profile (1,)" in message
+        assert message.count(" profile ") == 22
 
     def test_polynomiality_bad_fits(self, capsys, monkeypatch):
         # A constant added to every sum keeps it a polynomial in r, but not

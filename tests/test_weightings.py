@@ -15,9 +15,12 @@ from drtaut.weightings import (
     certified_fit,
     default_r_min,
     edge_profile_sums,
+    exact_edge_profiles,
     fit_edge_profiles,
     power_tables,
+    sampled_edge_profiles,
 )
+from drtaut.pixton import _graph_templates
 
 from oracles import certified_fit as oracle_certified_fit
 from oracles import edge_profile_sums as direct_profile_sums
@@ -29,6 +32,8 @@ LOOP_G1 = StableGraph([1], [(0, 0)])
 TWO_LOOPS = StableGraph([0], [(0, 0), (0, 0)])
 BANANA2_G1G1 = StableGraph([1, 1], [(0, 1), (0, 1)])
 BANANA3_G0G1 = StableGraph([0, 1], [(0, 1), (0, 1), (0, 1)])
+# The simple quotient of a triangle is a cycle: one free residue.
+TRIANGLE = StableGraph([0, 0, 0], [(0, 1), (0, 2), (1, 2)], [0, 1, 2])
 
 
 def brute_weightings(graph, r, dr):
@@ -297,10 +302,10 @@ class TestQuotient:
             return real_sums(graph, r, dr, profiles)
 
         monkeypatch.setattr(weightings, "edge_profile_sums", count_moduli)
-        fit_edge_profiles(BANANA3_G0G1, DRVector(3, ()), [(1, 1, 1), (2, 0, 1)])
-        fit_edge_profiles(BANANA3_G0G1, DRVector(3, ()), [(1, 2, 0)])
+        fit_edge_profiles(TRIANGLE, DRVector(1, (0, 0, 0)), [(1, 1, 1), (2, 0, 1)])
+        fit_edge_profiles(TRIANGLE, DRVector(1, (0, 0, 0)), [(1, 2, 0)])
         assert len(seen) > 10
-        assert built == [BANANA3_G0G1]
+        assert built == [TRIANGLE]
 
 
 class TestFitting:
@@ -330,10 +335,12 @@ class TestFitting:
         assert poly == RPoly([F(-9), F(3)])
 
     def test_default_sampling(self, monkeypatch):
-        # Bound 2 * 2 + b = 5 from the (2,) profile, first modulus
+        # Bound 2 * 2 + b = 5 from the (1, 1, 0) profile, first modulus
         # default_r_min, two verification moduli: eight moduli, each summed
-        # once for both profiles.
-        dr = DRVector(2, ())
+        # once for both profiles.  With zero parts every edge of the
+        # triangle carries x(w) for one free w, so the sums are those of a
+        # loop with exponents 1 and 2.
+        dr = DRVector(1, (0, 0, 0))
         seen = []
         real = weightings.edge_profile_sums
 
@@ -342,10 +349,24 @@ class TestFitting:
             return real(graph, r, dr, profiles)
 
         monkeypatch.setattr(weightings, "edge_profile_sums", spy)
-        fits = fit_edge_profiles(LOOP_G1, dr, [(1,), (2,)])
+        fits = fit_edge_profiles(TRIANGLE, dr, [(1, 0, 0), (1, 1, 0)])
         start = default_r_min(dr)
         assert seen == list(range(start, start + 8))
         assert [poly.shift_down(1).constant_term for poly, _ in fits] == [F(-1, 6), F(-1, 30)]
+
+    def test_tree_quotient_samples_nothing(self, monkeypatch):
+        dr = DRVector(3, ())
+        profiles = [(1, 1, 1), (2, 0, 1), (0, 0, 0)]
+        sampled = sampled_edge_profiles(BANANA3_G0G1, dr, profiles)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a tree quotient was sampled")
+
+        monkeypatch.setattr(weightings, "edge_profile_sums", forbidden)
+        monkeypatch.setattr(weightings, "certified_fit", forbidden)
+        fits = fit_edge_profiles(BANANA3_G0G1, dr, profiles)
+        assert [poly for poly, _ in fits] == sampled
+        assert all(divisible for _, divisible in fits)
 
     def test_insufficient_degree_bound(self):
         with pytest.raises(ValueError, match="insufficient degree bound"):
@@ -400,6 +421,54 @@ class TestFitting:
         fits, _ = certified_fit(ev, degree_bound=4, r_min=11)
         assert fits == {0: RPoly([F(0), F(-1, 6), F(0), F(1, 6)])}
         assert seen == list(range(11, 18))
+
+
+class TestExactProfiles:
+    """Exact polynomials on tree quotients against the sampled fits."""
+
+    TYPES = [(2, 2), (3, 0), (3, 1), (1, 4)]
+
+    def test_matches_sampled_fit(self):
+        # The profiles pixton asks for in degrees up to 3, and every profile
+        # of exponents up to 2 with a 0 among them.  With n = 0 only k = 0
+        # balances; the unbalanced data has no weightings at any sampled r.
+        checked = {"classes": 0, "negative": 0}
+        for g, n in self.TYPES:
+            for k in (-1, 0, 1, 2):
+                dr = DRVector(g, balanced_parts(g, n, k), twist=k)
+                asked: dict = {}
+                for d in range(4):
+                    for _, graph, *_, profiles in _graph_templates(dr, d):
+                        asked.setdefault(graph, set()).update(profiles)
+                for graph in enumerate_stable_graphs(g, n, max_edges=3):
+                    quotient = weightings._quotient(graph)
+                    if quotient.plan.free:
+                        continue
+                    profiles = asked.get(graph, set()) | {
+                        p for p in itertools.product(range(3), repeat=graph.n_edges) if 0 in p
+                    }
+                    profiles = sorted(profiles)
+                    exact = exact_edge_profiles(graph, dr, profiles)
+                    assert exact == sampled_edge_profiles(graph, dr, profiles), (graph, dr)
+                    if dr.is_exact:
+                        residues = weightings._class_residues(dr, quotient.plan)
+                        checked["negative"] += any(D < 0 for D in residues)
+                        checked["classes"] += any(len(ts) > 1 for ts in quotient.classes)
+        assert checked["negative"] and checked["classes"]
+
+    def test_free_residue_gives_none(self):
+        assert exact_edge_profiles(TRIANGLE, DRVector(1, (1, 1, -2)), [(1, 1, 1)]) is None
+
+    def test_single_edge(self):
+        # One bridge with residue sum D = -3 or 3: x = |D| r - D^2 for r > |D|.
+        graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
+        for parts in ((2, 1, -3), (-2, -1, 3)):
+            [poly] = exact_edge_profiles(graph, DRVector(1, parts), [(2,)])
+            assert poly == RPoly([F(81), F(-54), F(9)])
+
+    def test_marking_count(self):
+        with pytest.raises(ValueError, match="marking count"):
+            exact_edge_profiles(LOOP_G1, DRVector(1, (1, -1)), [(1,)])
 
 
 def run_fit(fit, evaluate, **kwargs):
