@@ -48,10 +48,11 @@ from .graphs import (
     first_betti,
     require_stable_type,
 )
-from .pixton import _emit, pixton_class
+from .pixton import pixton_class
 from .tautclass import (
     DecoratedGraph,
     TautClass,
+    emit_series,
     series_degree_part,
     series_mul,
     series_vertex_leg_exp,
@@ -166,7 +167,7 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
         edges = {(legs, prof, kappa): s for prof, s in zip(profiles, sums) if s}
         series = series_mul(_vertex_leg_series(graph, dr, r, budget), edges, budget)
         scalar = Fraction(r) ** (2 * g - 1 - first_betti(graph)) / automorphism_order(graph)
-        _emit(acc, graph, series_degree_part(series, d - n_edges), scalar)
+        emit_series(acc, graph, series_degree_part(series, d - n_edges), scalar)
     return TautClass(g, n, acc)
 
 

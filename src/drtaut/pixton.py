@@ -10,9 +10,13 @@ every weighting mod r,
   halves and ``s = psi_h + psi_{h'}``, the factor
   ``sum_m (-1)^m x^{m+1} s^m / (m+1)!``,
 
-weighted by ``1 / (|Aut| r^b)``.  At fixed r this is evaluated literally.
-The r-free class takes the constant term of the resulting polynomial in r:
-for every edge-power profile the weighting sum is divisible by ``r^b``, and
+weighted by ``1 / (|Aut| r^b)``.  Only the edge factors depend on the
+weighting, so each graph is assembled once: the weighting sum of
+``prod_e x_e^{m_e+1}`` weights the edge monomials of each exponent profile
+``m``, and one series product with the vertex and leg exponential gives
+the graph's terms.  At fixed r the weight is that sum over ``|Aut| r^b``;
+the r-free class takes its constant term in r, the sum being a
+polynomial in r divisible by ``r^b``.
 :func:`~drtaut.weightings.fit_edge_profiles` gives that polynomial
 exactly: in closed form when the graph's simple quotient is a tree, and
 by a certified fit on sampled moduli otherwise.  ``DR_g(A) = 2^{-g}``
@@ -28,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .graphs import (
@@ -43,10 +48,10 @@ from .tautclass import (
     TautClass,
     delta0,
     delta_I,
+    emit_series,
+    monomial_degree,
     series_degree_part,
-    series_edge_power,
     series_mul,
-    series_unit,
     series_vertex_leg_exp,
 )
 from .weightings import (
@@ -74,41 +79,30 @@ def _vertex_leg_series(graph: StableGraph, dr: DRVector, cap: int) -> dict:
     return series_vertex_leg_exp(graph, [(a * a,) for a in dr.parts], (-dr.twist**2,), cap)
 
 
-def _edge_series(graph: StableGraph, profile: tuple[int, ...]) -> dict:
-    """Decoration part ``prod_e (-1)^{m_e} s_e^{m_e} / (m_e+1)!``, homogeneous."""
-    out = series_unit(graph)
-    for t, m in enumerate(profile):
-        power = series_edge_power(graph, t, m, Fraction((-1) ** m, factorial(m + 1)))
-        out = series_mul(out, power, sum(profile))
-    return out
+@lru_cache(maxsize=None)
+def _edge_power(m: int) -> tuple:
+    """``(-1)^m (psi_h + psi_h')^m / (m+1)!`` as ``((i, m - i), coefficient)`` pairs."""
+    sign = (-1) ** m
+    return tuple(((i, m - i), Fraction(sign * comb(m, i), factorial(m + 1))) for i in range(m + 1))
 
 
-def _templates(graph: StableGraph, dr: DRVector, d: int):
-    """Per-profile decorated series of exact degree ``d - n_edges``.
+def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict) -> None:
+    """Emit one graph's degree-d terms, its edge profiles weighted by ``weights``.
 
-    Each profile's edge series is homogeneous of degree ``|m|``, so it is
-    multiplied by only the degree ``d - n_edges - |m|`` part of the vertex
-    and leg exponential.
+    ``weights`` maps edge-exponent profiles ``m`` to rationals ``w_m``; the
+    edge series ``sum_m w_m prod_e (-1)^{m_e} s_e^{m_e} / (m_e+1)!``, with
+    ``s_e = psi_h + psi_h'``, is expanded straight into edge monomials and
+    multiplied once by the vertex and leg exponential ``L``.
     """
     cap = d - graph.n_edges
-    L = _vertex_leg_series(graph, dr, cap)
-    parts = [series_degree_part(L, k) for k in range(cap + 1)]
-    out = []
-    for prof in itertools.product(range(cap + 1), repeat=graph.n_edges):
-        if sum(prof) <= cap:
-            template = series_mul(_edge_series(graph, prof), parts[cap - sum(prof)], cap)
-            if template:
-                out.append((prof, template))
-    return out
-
-
-def _emit(acc: list, graph: StableGraph, template: dict, scalar: Fraction) -> None:
-    if scalar == 0:
-        return
-    for mono, c in template.items():
-        legs, edges, kappa = mono
-        dg = DecoratedGraph(graph, legs, edges, kappa)
-        acc.append((dg, scalar * c))
+    legs, kappa = (0,) * graph.n_legs, ((),) * graph.n_vertices
+    edges = {}
+    for m, w in weights.items():
+        if w:
+            for choice in itertools.product(*map(_edge_power, m)):
+                pairs = tuple(pair for pair, _ in choice)
+                edges[legs, pairs, kappa] = w * prod(c for _, c in choice)
+    emit_series(acc, graph, series_degree_part(series_mul(L, edges, cap), cap), Fraction(1))
 
 
 def _skip_for_zero_data(graph: StableGraph, dr: DRVector) -> bool:
@@ -120,11 +114,12 @@ def _skip_for_zero_data(graph: StableGraph, dr: DRVector) -> bool:
 
 
 def _graph_templates(dr: DRVector, d: int):
-    """The per-graph data both graph sums share, for each graph with templates.
+    """The per-graph data the graph sums share, for each graph with profiles.
 
     Yields a label naming the data and the graph's index in the
-    enumeration, the graph, its Betti number, ``|Aut|``, its templates and
-    their ``m + 1`` power profiles.
+    enumeration, the graph, its Betti number, ``|Aut|``, the vertex and
+    leg exponential ``L`` truncated at ``cap = d - n_edges``, and the edge
+    exponent profiles ``m`` for which ``L`` has degree ``cap - |m|`` terms.
     The type ``(g, n)`` is checked before the degree, since a negative
     genus makes the degree ``g`` of a DR cycle negative too.
     """
@@ -134,11 +129,22 @@ def _graph_templates(dr: DRVector, d: int):
     for idx, graph in enumerate(enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)):
         if _skip_for_zero_data(graph, dr):
             continue
-        templates = _templates(graph, dr, d)
-        if templates:
-            profiles = [tuple(m + 1 for m in prof) for prof, _ in templates]
+        cap = d - graph.n_edges
+        L = _vertex_leg_series(graph, dr, cap)
+        degrees = {monomial_degree(mono) for mono in L}
+        profiles = [
+            m
+            for m in itertools.product(range(cap + 1), repeat=graph.n_edges)
+            if cap - sum(m) in degrees
+        ]
+        if profiles:
             label = f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}"
-            yield label, graph, first_betti(graph), automorphism_order(graph), templates, profiles
+            yield label, graph, first_betti(graph), automorphism_order(graph), L, profiles
+
+
+def _powers(profiles: list) -> list:
+    """The ``x^{m+1}`` power profiles of edge-exponent profiles ``m``."""
+    return [tuple(k + 1 for k in m) for m in profiles]
 
 
 def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
@@ -149,17 +155,16 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     zero, which is rejected as a usage error.  Example: for
     ``g = 1, k = 0, A = (0), d = 1, r = 5`` the loop-graph coefficient is 2.
     """
-    g, n = dr.genus, dr.n
     if r <= 0:
         raise ValueError("modulus must be positive")
-    if (dr.twist * (2 * g - 2 + n) - sum(dr.parts)) % r != 0:
+    if dr.defect % r:
         raise ValueError(f"no weightings mod {r}: admissibility fails")
     acc: list = []
-    for _, graph, b, aut, templates, profiles in _graph_templates(dr, d):
-        sums = edge_profile_sums(graph, r, dr, power_tables(r, profiles))
-        for (_, template), s in zip(templates, sums):
-            _emit(acc, graph, template, Fraction(s, aut * r**b))
-    return TautClass(g, n, acc)
+    for _, graph, b, aut, L, profiles in _graph_templates(dr, d):
+        sums = edge_profile_sums(graph, r, dr, power_tables(r, _powers(profiles)))
+        weights = {m: Fraction(s, aut * r**b) for m, s in zip(profiles, sums)}
+        _emit_graph(acc, graph, L, d, weights)
+    return TautClass(dr.genus, dr.n, acc)
 
 
 def pixton_class(dr: DRVector, d: int) -> TautClass:
@@ -172,18 +177,16 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     large modulus is admissible.
     """
     dr.require_exact()
-    g, n = dr.genus, dr.n
     acc: list = []
-    for label, graph, b, aut, templates, profiles in _graph_templates(dr, d):
-        fits = fit_edge_profiles(graph, dr, profiles, label=label)
-        for (prof, template), (poly, divisible) in zip(templates, fits):
+    for label, graph, b, aut, L, profiles in _graph_templates(dr, d):
+        fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
+        weights = {}
+        for m, (poly, divisible) in zip(profiles, fits):
             if not divisible:
-                raise ValueError(
-                    f"weighting sum not divisible by r^{b} on {label} profile {prof}"
-                )
-            constant = poly.coefficient(b)
-            _emit(acc, graph, template, Fraction(constant, aut))
-    return TautClass(g, n, acc)
+                raise ValueError(f"weighting sum not divisible by r^{b} on {label} profile {m}")
+            weights[m] = Fraction(poly.coefficient(b), aut)
+        _emit_graph(acc, graph, L, d, weights)
+    return TautClass(dr.genus, dr.n, acc)
 
 
 def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
@@ -203,18 +206,19 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     """
     dr.require_exact()
     fits, bad, differ = 0, [], []
-    for label, graph, b, _, templates, profiles in _graph_templates(dr, d):
+    for label, graph, b, _, _, profiles in _graph_templates(dr, d):
+        powers = _powers(profiles)
         try:
-            sampled = sampled_edge_profiles(graph, dr, profiles, label=label)
+            sampled = sampled_edge_profiles(graph, dr, powers, label=label)
         except ValueError as exc:
             raise ArithmeticError(str(exc)) from exc
-        exact = exact_edge_profiles(graph, dr, profiles) or sampled
+        exact = exact_edge_profiles(graph, dr, powers) or sampled
         fits += len(sampled)
-        for (prof, _), poly, expected in zip(templates, sampled, exact):
+        for m, poly, expected in zip(profiles, sampled, exact):
             if not poly.divisible_by(b):
-                bad.append(f"{label} profile {prof}: not divisible by r^{b}")
+                bad.append(f"{label} profile {m}: not divisible by r^{b}")
             elif poly != expected:
-                differ.append(f"{label} profile {prof}")
+                differ.append(f"{label} profile {m}")
     if differ and not bad:
         raise ArithmeticError(f"sampled and exact polynomials differ on {', '.join(differ)}")
     return fits, bad
@@ -257,15 +261,13 @@ def genus0_closed(A: Sequence[int], d: int) -> TautClass:
     acc: list = []
     for graph in enumerate_stable_graphs(0, n, max_edges=d):
         cap = d - graph.n_edges
-        series = _vertex_leg_series(graph, DRVector(0, A), cap)
-        for t in range(graph.n_edges):
-            a2 = sum(A[i - 1] for i in graph.edge_side_markings(t)) ** 2
-            factor: dict = {}
-            for m in range(cap + 1):
-                c = Fraction(-(a2 ** (m + 1)), factorial(m + 1))
-                factor.update(series_edge_power(graph, t, m, c))
-            series = series_mul(series, factor, cap)
-        _emit(acc, graph, series_degree_part(series, cap), Fraction(1))
+        a2 = [sum(A[i - 1] for i in graph.edge_side_markings(t)) ** 2 for t in range(graph.n_edges)]
+        weights = {
+            m: prod((-x) ** (k + 1) for x, k in zip(a2, m))
+            for m in itertools.product(range(cap + 1), repeat=graph.n_edges)
+            if sum(m) <= cap
+        }
+        _emit_graph(acc, graph, _vertex_leg_series(graph, DRVector(0, A), cap), d, weights)
     return TautClass(0, n, acc)
 
 

@@ -19,7 +19,7 @@ differ as cohomology classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterable
 
 from .graphs import (
@@ -407,7 +407,9 @@ def beta_class() -> TautClass:
 # monomial is (leg psi exponents, edge psi exponent pairs, kappa multisets);
 # a series maps monomials to rational coefficients, truncated above a
 # degree cap.  Edges contribute no degree here: series degree is psi plus
-# kappa weight only, the edge count being fixed by the host graph.
+# kappa weight only, the edge count being fixed by the host graph.  A graph
+# sum builds each graph once: one ``series_mul`` of its weighted edge
+# monomials by ``series_vertex_leg_exp``, then ``emit_series``.
 
 Monomial = tuple
 
@@ -481,13 +483,14 @@ def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, cap: i
     return series_exp(x, graph, cap)
 
 
-def series_edge_power(graph: StableGraph, t: int, m: int, c: Fraction) -> dict:
-    """``c (psi_h + psi_h')^m`` on the halves of edge ``t``, expanded."""
-    return {psi_edge_monomial(graph, t, i, m - i): c * comb(m, i) for i in range(m + 1)}
-
-
 def series_degree_part(x: dict, d: int) -> dict:
     return {m: c for m, c in x.items() if monomial_degree(m) == d}
+
+
+def emit_series(acc: list, graph: StableGraph, x: dict, scalar: Fraction) -> None:
+    """Append ``scalar`` times each monomial of ``x`` on ``graph`` to ``acc`` as a term."""
+    for (legs, edges, kappa), c in x.items():
+        acc.append((DecoratedGraph(graph, legs, edges, kappa), scalar * c))
 
 
 def psi_leg_monomial(graph: StableGraph, i: int, e: int = 1) -> Monomial:
@@ -495,15 +498,6 @@ def psi_leg_monomial(graph: StableGraph, i: int, e: int = 1) -> Monomial:
     return (
         legs,
         tuple((0, 0) for _ in graph.edges),
-        tuple(() for _ in graph.genera),
-    )
-
-
-def psi_edge_monomial(graph: StableGraph, t: int, e1: int, e2: int) -> Monomial:
-    edges = tuple((e1, e2) if s == t else (0, 0) for s in range(graph.n_edges))
-    return (
-        tuple(0 for _ in graph.legs),
-        edges,
         tuple(() for _ in graph.genera),
     )
 

@@ -212,22 +212,25 @@ def _quotient(graph) -> _Quotient:
     )
 
 
-def _global_congruence(graph, r: int, dr: DRVector) -> bool:
-    g = graph.total_genus
-    n = graph.n_legs
-    return (dr.twist * (2 * g - 2 + n) - sum(dr.parts)) % r == 0
+def _require_type(graph, dr: DRVector) -> None:
+    if graph.n_legs != dr.n:
+        raise ValueError("marking count does not match the ramification vector")
+    if graph.total_genus != dr.genus:
+        raise ValueError("genus does not match the ramification vector")
 
 
 def _solutions(graph, r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[int]]:
     """Residues per plan half-edge of every solution whose loops carry 0.
 
     Free non-loop residues run in ``itertools.product`` order and the tree
-    values are forced; the vertex targets (``plan.excess``) and the global
-    congruence are those of ``graph``, whatever edges the plan solves
-    over.  A loop adds ``0 mod r`` at its vertex, so these solutions hold
-    for any loop residues.  The yielded list is reused: copy it to keep it.
+    values are forced; the vertex targets (``plan.excess``) are those of
+    ``graph``, whatever edges the plan solves over, and the global
+    congruence is ``dr.defect = 0 mod r``, ``graph``'s own once
+    :func:`_require_type` holds.  A loop adds ``0 mod r`` at its vertex,
+    so these solutions hold for any loop residues.  The yielded list is
+    reused: copy it to keep it.
     """
-    if not _global_congruence(graph, r, dr):
+    if dr.defect % r:
         return
     targets = [dr.twist * e % r for e in plan.excess]
     values = [0] * (2 * plan.n_edges) + [a % r for a in dr.parts]
@@ -305,8 +308,7 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
     """
     if r <= 0:
         raise ValueError("modulus must be positive")
-    if graph.n_legs != dr.n:
-        raise ValueError("marking count does not match the ramification vector")
+    _require_type(graph, dr)
     quotient = _quotient(graph)
     merged: dict[tuple[int, ...], Sequence] = {}  # table ids -> class table
     factors = []
@@ -567,8 +569,7 @@ def exact_edge_profiles(
     its residue.  Data that is not exactly balanced has no weightings
     there, so every polynomial is 0.  No modulus is sampled.
     """
-    if graph.n_legs != dr.n:
-        raise ValueError("marking count does not match the ramification vector")
+    _require_type(graph, dr)
     quotient = _quotient(graph)
     if quotient.plan.free:
         return None

@@ -12,11 +12,15 @@ expands Chiodo's edge factor as ``-sum_p s^{p-1} Z^p / p!`` with a
 two-variable product; the library divides a product of two one-variable
 exponentials by ``s``.  ``leg_vertex_series`` multiplies one exponential
 per leg and per vertex; the library exponentiates their sum once.  The
-per-weighting pushforward builds its leg and vertex series that way.
-``interpolate`` is exact Lagrange interpolation on any distinct nodes, and
-``certified_fit`` fits through it and checks each fit by Horner's rule at
-the check moduli; the library reads both the fit and the check off the
-forward differences of the samples.  ``dvv_correlator`` runs the DVV
+per-weighting pushforward builds its leg and vertex series that way, and
+so do ``pixton_fixed_r`` and ``pixton_class``, which build one decorated
+template series per edge-exponent profile, one ``series_mul`` per edge,
+and emit every template on its own; the library expands all of a graph's
+weighted edge monomials at once and multiplies them by the exponential
+in one product.  ``interpolate`` is exact Lagrange interpolation on any
+distinct nodes, and ``certified_fit`` fits through it and checks each fit
+by Horner's rule at the check moduli; the library reads both the fit and
+the check off the forward differences of the samples.  ``dvv_correlator`` runs the DVV
 recursion on every correlator past the seeds; the library strips ``tau_0``
 and ``tau_1`` by the string and dilaton equations first.
 ``pair_with_psi_unindexed`` integrates every term of a class; the library
@@ -28,25 +32,31 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
 from drtaut.chiodo import _bern_coeff
 from drtaut.exact import RPoly
 from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
 from drtaut.intersect import _term_integral, double_factorial
-from drtaut.pixton import _emit
 from drtaut.tautclass import (
     TautClass,
+    emit_series,
     kappa_monomial,
-    psi_edge_monomial,
     psi_leg_monomial,
     series_degree_part,
     series_exp,
     series_mul,
     series_unit,
 )
-from drtaut.weightings import DRVector, _solutions, _solve_plan
+from drtaut.weightings import (
+    DRVector,
+    _require_type,
+    _solutions,
+    _solve_plan,
+    fit_edge_profiles,
+    power_tables,
+)
 
 
 def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], ...]:
@@ -59,8 +69,7 @@ def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], 
     """
     if r <= 0:
         raise ValueError("modulus must be positive")
-    if graph.n_legs != dr.n:
-        raise ValueError("marking count does not match the ramification vector")
+    _require_type(graph, dr)
     plan = _solve_plan(graph)
     solutions = [tuple(values) for values in _solutions(graph, r, dr, plan)]
     out = []
@@ -185,6 +194,76 @@ def leg_vertex_series(graph, leg_weights, kappa_weights, cap: int) -> dict:
     return out
 
 
+def psi_edge_monomial(graph, t: int, e1: int, e2: int) -> tuple:
+    """The monomial ``psi_h^e1 psi_h'^e2`` on the halves of edge ``t``."""
+    edges = tuple((e1, e2) if s == t else (0, 0) for s in range(graph.n_edges))
+    return (tuple(0 for _ in graph.legs), edges, tuple(() for _ in graph.genera))
+
+
+def series_edge_power(graph, t: int, m: int, c: Fraction) -> dict:
+    """``c (psi_h + psi_h')^m`` on the halves of edge ``t``, expanded."""
+    return {psi_edge_monomial(graph, t, i, m - i): c * comb(m, i) for i in range(m + 1)}
+
+
+def pixton_templates(graph, dr: DRVector, d: int) -> list:
+    """Per-profile decorated series of Pixton's graph sum, of exact degree ``d - n_edges``.
+
+    One series per edge-exponent profile ``m``: the product over the edges
+    of ``(-1)^{m_e} s_e^{m_e} / (m_e+1)!``, built one ``series_mul`` per
+    edge, times the degree ``d - n_edges - |m|`` part of the leg and
+    vertex exponentials.  Profiles whose series is empty are left out.
+    """
+    cap = d - graph.n_edges
+    L = leg_vertex_series(graph, [(a * a,) for a in dr.parts], (-dr.twist**2,), cap)
+    out = []
+    for prof in itertools.product(range(cap + 1), repeat=graph.n_edges):
+        if sum(prof) <= cap:
+            edges = series_unit(graph)
+            for t, m in enumerate(prof):
+                power = series_edge_power(graph, t, m, Fraction((-1) ** m, factorial(m + 1)))
+                edges = series_mul(edges, power, sum(prof))
+            template = series_mul(edges, series_degree_part(L, cap - sum(prof)), cap)
+            if template:
+                out.append((prof, template))
+    return out
+
+
+def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
+    """Pixton's degree-d class at modulus ``r``, one template emitted per profile.
+
+    Every graph is kept, separating edges on zero data included, and each
+    template is weighted by its sum over the weightings (the direct
+    :func:`edge_profile_sums`) over ``|Aut| r^b``.
+    """
+    acc: list = []
+    for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d):
+        templates = pixton_templates(graph, dr, d)
+        powers = [tuple(m + 1 for m in prof) for prof, _ in templates]
+        sums = edge_profile_sums(graph, r, dr, power_tables(r, powers))
+        scale = automorphism_order(graph) * r ** first_betti(graph)
+        for (_, template), s in zip(templates, sums):
+            emit_series(acc, graph, template, Fraction(s, scale))
+    return TautClass(dr.genus, dr.n, acc)
+
+
+def pixton_class(dr: DRVector, d: int) -> TautClass:
+    """Pixton's r-free degree-d class, one template emitted per profile.
+
+    Each template is weighted by the ``r^b`` coefficient of its fitted
+    weighting sum over ``|Aut|``; a sum not divisible by ``r^b`` fails.
+    """
+    acc: list = []
+    for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d):
+        templates = pixton_templates(graph, dr, d)
+        powers = [tuple(m + 1 for m in prof) for prof, _ in templates]
+        b, aut = first_betti(graph), automorphism_order(graph)
+        fits = fit_edge_profiles(graph, dr, powers)
+        for (_, template), (poly, divisible) in zip(templates, fits):
+            assert divisible, (graph, poly)
+            emit_series(acc, graph, template, Fraction(poly.coefficient(b), aut))
+    return TautClass(dr.genus, dr.n, acc)
+
+
 def chiodo_leg_vertex_series(graph, dr: DRVector, r: int, cap: int) -> dict:
     """Chiodo's Bernoulli exponentials on the legs and vertices, one at a time."""
     degrees = range(1, cap + 1)
@@ -231,7 +310,7 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
                 series = series_mul(series, factor, budget)
             sliced = series_degree_part(series, d - n_edges)
             if sliced:
-                _emit(acc, graph, sliced, scalar)
+                emit_series(acc, graph, sliced, scalar)
     return TautClass(g, n, acc)
 
 

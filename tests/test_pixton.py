@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from drtaut.tautclass import (
     beta_class,
     delta0,
     monomial_degree,
+    series_degree_part,
 )
 from drtaut.pixton import (
-    _templates,
+    _emit_graph,
+    _graph_templates,
     _vertex_leg_series,
     dr_cycle,
     genus0_closed,
@@ -25,7 +28,8 @@ from drtaut.pixton import (
 )
 from drtaut.weightings import DRVector
 
-from oracles import leg_vertex_series
+import oracles
+from oracles import leg_vertex_series, psi_edge_monomial, series_edge_power
 
 F = Fraction
 
@@ -84,16 +88,68 @@ class TestDecorationSeries:
                     assert _vertex_leg_series(graph, dr, cap) == want
 
     def test_templates_have_exact_degree(self):
+        # Every profile m is one for which L has a monomial of degree
+        # cap - |m|, and every term the graph emits has degree d.
         checked = 0
         for dr in self.CASES:
-            for graph in self.graphs(dr):
-                for d in range(graph.n_edges, 4):
-                    for prof, template in _templates(graph, dr, d):
-                        assert len(prof) == graph.n_edges and sum(prof) <= d - graph.n_edges
-                        for mono in template:
-                            assert monomial_degree(mono) == d - graph.n_edges
-                            checked += 1
+            for d in range(4):
+                for _, graph, _, _, L, profiles in _graph_templates(dr, d):
+                    cap = d - graph.n_edges
+                    assert profiles == [
+                        m
+                        for m in itertools.product(range(cap + 1), repeat=graph.n_edges)
+                        if series_degree_part(L, cap - sum(m))
+                    ]
+                    acc: list = []
+                    _emit_graph(acc, graph, L, d, {m: F(1) for m in profiles})
+                    assert acc and all(dg.degree == d for dg, _ in acc)
+                    checked += len(acc)
         assert checked > 100
+
+
+def grid(g):
+    """Balanced data of genus g with n <= 3 and k in {-1, 0, 1}, and every d <= g + 1.
+
+    Only k = 0 balances n = 0.
+    """
+    for n in range(4):
+        for k in (-1, 0, 1):
+            if 2 * g - 2 + n > 0 and (n or not k):
+                rest = (2, -1)[: max(n - 1, 0)]
+                parts = (k * (2 * g - 2 + n) - sum(rest),) + rest if n else ()
+                for d in range(g + 2):
+                    yield DRVector(g, parts, k), d
+
+
+class TestTemplateOracle:
+    """The per-graph assembly against one template series per profile."""
+
+    def test_edge_monomial_degrees(self):
+        g = StableGraph([1], [(0, 0)])
+        mono = psi_edge_monomial(g, 0, 2, 1)
+        assert monomial_degree(mono) == 3
+        part = series_degree_part({mono: F(1)}, 3)
+        assert part == {mono: F(1)}
+
+    def test_edge_power_is_binomial(self):
+        g = StableGraph([0, 1], [(0, 0), (0, 1)], [0])
+        power = series_edge_power(g, 1, 3, F(-2, 3))
+        assert power == {psi_edge_monomial(g, 1, i, 3 - i): F(-2, 3) * c
+                         for i, c in enumerate((1, 3, 3, 1))}
+
+    @pytest.mark.parametrize("g", range(4))
+    def test_class_matches_templates(self, g):
+        for dr, d in grid(g):
+            got, want = pixton_class(dr, d), oracles.pixton_class(dr, d)
+            assert got == want, (dr, d, got.diff_report(want))
+
+    @pytest.mark.parametrize("g", range(4))
+    def test_fixed_r_matches_templates(self, g):
+        # Each case at one of the moduli 3, 5 and 7 in turn.
+        for i, (dr, d) in enumerate(grid(g)):
+            r = (3, 5, 7)[i % 3]
+            got, want = pixton_fixed_r(dr, d, r), oracles.pixton_fixed_r(dr, d, r)
+            assert got == want, (dr, d, r, got.diff_report(want))
 
 
 class TestConstantTerm:
@@ -119,9 +175,9 @@ class TestConstantTerm:
             pixton_class(DRVector(1, (1,)), 1)
 
     def test_verify_polynomiality_counts_every_profile(self):
-        # One fit per graph and template profile of the class.
+        # One fit per graph and edge profile of the class.
         dr = DRVector(2, (1, -1))
-        count = sum(len(_templates(G, dr, 2)) for G in enumerate_stable_graphs(2, 2, 2))
+        count = sum(len(profiles) for *_, profiles in _graph_templates(dr, 2))
         assert verify_polynomiality(dr, 2) == (count, [])
         assert count == 22
 

@@ -14,10 +14,8 @@ from drtaut.tautclass import (
     delta_I,
     kappa_monomial,
     monomial_degree,
-    psi_edge_monomial,
     psi_leg_monomial,
     series_degree_part,
-    series_edge_power,
     series_exp,
     series_mul,
     series_unit,
@@ -208,19 +206,6 @@ class TestSeries:
         [(mono, c)] = prod.items()
         assert c == 10
         assert mono[2] == ((1, 2),)
-
-    def test_edge_monomial_degrees(self):
-        g = StableGraph([1], [(0, 0)])
-        mono = psi_edge_monomial(g, 0, 2, 1)
-        assert monomial_degree(mono) == 3
-        part = series_degree_part({mono: F(1)}, 3)
-        assert part == {mono: F(1)}
-
-    def test_edge_power_is_binomial(self):
-        g = StableGraph([0, 1], [(0, 0), (0, 1)], [0])
-        power = series_edge_power(g, 1, 3, F(-2, 3))
-        assert power == {psi_edge_monomial(g, 1, i, 3 - i): F(-2, 3) * c
-                         for i, c in enumerate((1, 3, 3, 1))}
 
     def test_unit(self):
         g = StableGraph([1, 1], [(0, 1)], [0])

@@ -20,7 +20,7 @@ from drtaut.weightings import (
     power_tables,
     sampled_edge_profiles,
 )
-from drtaut.pixton import _graph_templates
+from drtaut.pixton import _graph_templates, _powers
 
 from oracles import certified_fit as oracle_certified_fit
 from oracles import edge_profile_sums as direct_profile_sums
@@ -118,7 +118,7 @@ class TestEnumerate:
         assert len(enumerate_weightings(graph, 2, DRVector(1, (2,)))) == 1
 
     def test_vertex_and_edge_congruences_hold(self):
-        dr = DRVector(2, (3, -1), twist=1)  # k(2g-2+n) = 4 > 2 = sum: mod-2 ok
+        dr = DRVector(3, (3, -1), twist=1)  # k(2g-2+n) = 6 > 2 = sum: mod-2 ok
         graph = StableGraph([1, 1], [(0, 1), (0, 1)], [0, 1])
         for r in (2,):
             for wt in enumerate_weightings(graph, r, dr):
@@ -180,7 +180,7 @@ class TestLatticeSums:
             (BANANA2_G1G1, DRVector(3, ()), (2, 5)),
             (BANANA2_G1G1, DRVector(3, (), twist=1), (2, 4)),
             (BANANA3_G0G1, DRVector(3, ()), (2, 5)),
-            (TWO_LOOPS, DRVector(3, ()), (2, 5)),
+            (TWO_LOOPS, DRVector(2, ()), (2, 5)),
             (StableGraph([0, 1], [(0, 1)], [0, 0]), DRVector(1, (2, -2)), (5,)),
             (StableGraph([0, 1], [(0, 1), (0, 1)], [0]), DRVector(2, (3,), twist=1), (3, 5)),
             (StableGraph([1, 0], [(0, 1), (1, 1)], [1]), DRVector(2, (1,), twist=1), (2, 3)),
@@ -204,19 +204,23 @@ class TestLatticeSums:
         assert edge_profile_sums(graph, 5, dr, power_tables(5, [(1,)])) == [0]
 
     @pytest.mark.parametrize(
-        "r, parts, message",
+        "r, genus, parts, message",
         [
-            (0, (1, -1), "modulus"),
-            (-3, (1, -1), "modulus"),
-            (5, (1, -1, 0), "marking count"),
-            (5, (2, -1, -1, 0), "marking count"),
+            (0, 1, (1, -1), "modulus"),
+            (-3, 1, (1, -1), "modulus"),
+            (5, 1, (1, -1, 0), "marking count"),
+            (5, 1, (2, -1, -1, 0), "marking count"),
+            (5, 2, (1, -1), "genus"),
         ],
-        ids=["r-zero", "r-negative", "three-parts", "four-parts"],
+        ids=["r-zero", "r-negative", "three-parts", "four-parts", "genus-two"],
     )
-    def test_rejects_bad_input(self, r, parts, message):
+    def test_rejects_bad_input(self, r, genus, parts, message):
         graph = StableGraph([0], [(0, 0)], [0, 0])
         with pytest.raises(ValueError, match=message):
-            edge_profile_sums(graph, r, DRVector(1, parts), [(None,)])
+            edge_profile_sums(graph, r, DRVector(genus, parts), [(None,)])
+        if r > 0:
+            with pytest.raises(ValueError, match=message):
+                exact_edge_profiles(graph, DRVector(genus, parts), [(1,)])
 
 
 def balanced_parts(g, n, k):
@@ -439,7 +443,7 @@ class TestExactProfiles:
                 asked: dict = {}
                 for d in range(4):
                     for _, graph, *_, profiles in _graph_templates(dr, d):
-                        asked.setdefault(graph, set()).update(profiles)
+                        asked.setdefault(graph, set()).update(_powers(profiles))
                 for graph in enumerate_stable_graphs(g, n, max_edges=3):
                     quotient = weightings._quotient(graph)
                     if quotient.plan.free:
