@@ -30,8 +30,10 @@ exposed for testing through :func:`edge_factor_coefficients`.
 Scaled by ``r^{2d - 2g + 1}``, the degree-d part is a polynomial in r
 whose constant term agrees with ``2^{-d}`` times the r-free degree-d
 class of the weighting graph sum -- the cross-formula identity checked
-by :func:`verify_samefreeterm`.  Each coefficient's constant term comes
-from the same certified scalar fit as the weighting sums.
+by :func:`verify_samefreeterm`.  The constant terms come from the same
+certified scalar fit as the weighting sums, made on each graph's
+monomials before canonicalisation, keyed by the graph's position in the
+enumeration; only the fitted constant terms become decorated graphs.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ from .tautclass import (
     DecoratedGraph,
     TautClass,
     emit_series,
-    series_degree_part,
-    series_mul,
+    series_degree_mul,
     series_vertex_leg_exp,
     trivial_class,
 )
@@ -131,72 +132,104 @@ def _require_roots(dr: DRVector, r: int) -> None:
         raise ValueError(f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}")
 
 
-def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:
-    """Degree-d part of the pushed-forward total Chern class at modulus r.
+def _graphs(dr: DRVector, d: int, cap: int) -> list:
+    """``(graph, 2g - 1 - b_1, |Aut|)`` for every graph of the degree-d sum.
 
-    Per graph, the edge factors' coefficients of ``psi^i psi'^j`` become
-    residue tables, one per pair ``(i, j)``; one :func:`edge_profile_sums`
-    call sums every choice of one pair per edge over the weightings.
-    Those sums are the edge monomials of one series, multiplied once by
-    the vertex and leg exponentials.  ``cap`` sets the truncation order
-    of the exponentials (default d); any cap >= d yields the same
-    degree-d output, which the test suite uses as a
-    truncation-independence check.
+    The degree is checked before the type, so a negative degree is
+    reported as such on any type.
     """
-    g, n = dr.genus, dr.n
-    _require_roots(dr, r)
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if cap is None:
-        cap = d
     if cap < d:
         raise ValueError("truncation order below requested degree")
-    acc: list = []
-    for graph in enumerate_stable_graphs(g, n, max_edges=min(d, cap)):
+    return [
+        (graph, 2 * dr.genus - 1 - first_betti(graph), automorphism_order(graph))
+        for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)
+    ]
+
+
+def _graph_series(dr: DRVector, d: int, r: int, cap: int, graphs: list):
+    """Each graph's degree ``d - n_edges`` series at modulus r, with its weight.
+
+    Yields ``(graph, series, r^{2g-1-b_1} / |Aut|)`` for each entry of
+    :func:`_graphs`.  The edge factors are tabulated once per modulus at
+    the full cap; a graph keeps the pairs ``(i, j)`` within its budget
+    ``cap - n_edges``, since truncation changes no coefficient.  One
+    :func:`edge_profile_sums` call sums every choice of one pair per edge
+    over the weightings; those sums are the edge monomials of one series,
+    multiplied by the vertex and leg exponentials into degree
+    ``d - n_edges`` only.  The exponentials depend on a graph only through
+    its vertex count, leg placement and edge count, so each is built once.
+    """
+    factors = [dict(edge_factor_coefficients(r, w, cap)) for w in range(r)]
+    tables = {key: [f.get(key, 0) for f in factors] for key in sorted(set().union(*factors))}
+    exponentials: dict = {}
+    for graph, r_exp, aut in graphs:
         n_edges = graph.n_edges
         budget = cap - n_edges
-        factors = [dict(edge_factor_coefficients(r, w, budget)) for w in range(r)]
-        tables = {key: [f.get(key, 0) for f in factors] for key in sorted(set().union(*factors))}
+        keys = [key for key in tables if sum(key) <= budget]
         profiles = [
             prof
-            for prof in itertools.product(tables, repeat=n_edges)
+            for prof in itertools.product(keys, repeat=n_edges)
             if sum(i + j for i, j in prof) <= budget
         ]
         sums = edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
-        legs, kappa = (0,) * n, ((),) * graph.n_vertices
+        legs, kappa = (0,) * dr.n, ((),) * graph.n_vertices
         edges = {(legs, prof, kappa): s for prof, s in zip(profiles, sums) if s}
-        series = series_mul(_vertex_leg_series(graph, dr, r, budget), edges, budget)
-        scalar = Fraction(r) ** (2 * g - 1 - first_betti(graph)) / automorphism_order(graph)
-        emit_series(acc, graph, series_degree_part(series, d - n_edges), scalar)
-    return TautClass(g, n, acc)
+        shape = (graph.n_vertices, graph.legs, n_edges)
+        if shape not in exponentials:
+            exponentials[shape] = _vertex_leg_series(graph, dr, r, budget)
+        series = series_degree_mul(exponentials[shape], edges, d - n_edges)
+        yield graph, series, Fraction(r) ** r_exp / aut
+
+
+def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:
+    """Degree-d part of the pushed-forward total Chern class at modulus r.
+
+    Emits every graph's series from :func:`_graph_series`.  ``cap`` sets
+    the truncation order of the exponentials (default d); any cap >= d
+    yields the same degree-d output, which the test suite uses as a
+    truncation-independence check.
+    """
+    _require_roots(dr, r)
+    cap = d if cap is None else cap
+    acc: list = []
+    for graph, series, scalar in _graph_series(dr, d, r, cap, _graphs(dr, d, cap)):
+        emit_series(acc, graph, series, scalar)
+    return TautClass(dr.genus, dr.n, acc)
 
 
 def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     """Constant term in r of ``r^{2d-2g+1}`` times the degree-d pushforward.
 
     Exactly balanced data is required so that every sampled modulus
-    admits r-th roots.  Each coefficient, keyed by its canonical decorated
-    graph, is a scalar fit through the same certified interpolation
-    protocol as the weighting sums (degree bound 2d + (2g-1), two
-    verification nodes, one doubling retry).
+    admits r-th roots.  Each coefficient, keyed by its graph's position
+    in the enumeration and its monomial before canonicalisation, is a
+    scalar fit through the same certified interpolation protocol as the
+    weighting sums (degree bound 2d + (2g-1), two verification nodes, one
+    doubling retry).  Only the fitted constant terms become decorated
+    graphs; they merge under isomorphism as any class does, and the
+    constant term of a sum is the sum of the constant terms.
     """
     dr.require_exact()
     g = dr.genus
+    graphs = _graphs(dr, d, d)
     bound = max(0, 2 * d + 2 * g - 1)
     scale_exp = 2 * d - 2 * g + 1
-    graphs: dict[bytes, DecoratedGraph] = {}
 
-    def evaluate(r: int) -> dict[bytes, Fraction]:
+    def evaluate(r: int) -> dict[tuple, Fraction]:
         scale = Fraction(r) ** scale_exp
         out = {}
-        for key, (dg, coeff) in chiodo_pushforward(dr, d, r).terms.items():
-            graphs.setdefault(key, dg)
-            out[key] = coeff * scale
+        for idx, (_, series, scalar) in enumerate(_graph_series(dr, d, r, d, graphs)):
+            scalar *= scale
+            for mono, c in series.items():
+                out[idx, mono] = c * scalar
         return out
 
     label = f"chiodo constant (g={g},n={dr.n},k={dr.twist},d={d})"
     fits, _ = certified_fit(evaluate, bound, default_r_min(dr), label=label, betti=0)
-    return TautClass(g, dr.n, ((graphs[key], poly.constant_term) for key, poly in fits.items()))
+    terms = ((graphs[idx][0], mono, poly.constant_term) for (idx, mono), poly in fits.items())
+    return TautClass(g, dr.n, ((DecoratedGraph(graph, *mono), c) for graph, mono, c in terms))
 
 
 def verify_samefreeterm(dr: DRVector, d: int) -> tuple[bool, str]:

@@ -50,8 +50,7 @@ from .tautclass import (
     delta_I,
     emit_series,
     monomial_degree,
-    series_degree_part,
-    series_mul,
+    series_degree_mul,
     series_vertex_leg_exp,
 )
 from .weightings import (
@@ -92,7 +91,8 @@ def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict) -
     ``weights`` maps edge-exponent profiles ``m`` to rationals ``w_m``; the
     edge series ``sum_m w_m prod_e (-1)^{m_e} s_e^{m_e} / (m_e+1)!``, with
     ``s_e = psi_h + psi_h'``, is expanded straight into edge monomials and
-    multiplied once by the vertex and leg exponential ``L``.
+    multiplied once by the vertex and leg exponential ``L``, into degree
+    ``d - n_edges`` only.
     """
     cap = d - graph.n_edges
     legs, kappa = (0,) * graph.n_legs, ((),) * graph.n_vertices
@@ -102,7 +102,7 @@ def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict) -
             for choice in itertools.product(*map(_edge_power, m)):
                 pairs = tuple(pair for pair, _ in choice)
                 edges[legs, pairs, kappa] = w * prod(c for _, c in choice)
-    emit_series(acc, graph, series_degree_part(series_mul(L, edges, cap), cap), Fraction(1))
+    emit_series(acc, graph, series_degree_mul(L, edges, cap), Fraction(1))
 
 
 def _skip_for_zero_data(graph: StableGraph, dr: DRVector) -> bool:

@@ -408,8 +408,9 @@ def beta_class() -> TautClass:
 # a series maps monomials to rational coefficients, truncated above a
 # degree cap.  Edges contribute no degree here: series degree is psi plus
 # kappa weight only, the edge count being fixed by the host graph.  A graph
-# sum builds each graph once: one ``series_mul`` of its weighted edge
-# monomials by ``series_vertex_leg_exp``, then ``emit_series``.
+# sum builds each graph once: one ``series_degree_mul`` of its weighted edge
+# monomials by ``series_vertex_leg_exp`` into the one degree it needs, then
+# ``emit_series``.
 
 Monomial = tuple
 
@@ -449,6 +450,23 @@ def series_mul(a: dict, b: dict, cap: int) -> dict:
     return {m: c for m, c in out.items() if c != 0}
 
 
+def series_degree_mul(a: dict, b: dict, d: int) -> dict:
+    """The degree-``d`` part of ``a * b``.
+
+    ``b`` is grouped by degree once, and each monomial of ``a`` meets only
+    the monomials of ``b`` of the complementary degree.
+    """
+    by_degree: dict = {}
+    for m2, c2 in b.items():
+        by_degree.setdefault(monomial_degree(m2), []).append((m2, c2))
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in by_degree.get(d - monomial_degree(m1), ()):
+            m = _monomial_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
 def series_exp(x: dict, graph: StableGraph, cap: int) -> dict:
     """Exponential of a series with no constant term, truncated at ``cap``."""
     if any(monomial_degree(m) == 0 for m in x):
@@ -481,10 +499,6 @@ def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, cap: i
             if c:
                 x[psi_leg_monomial(graph, i, m)] = c
     return series_exp(x, graph, cap)
-
-
-def series_degree_part(x: dict, d: int) -> dict:
-    return {m: c for m, c in x.items() if monomial_degree(m) == d}
 
 
 def emit_series(acc: list, graph: StableGraph, x: dict, scalar: Fraction) -> None:

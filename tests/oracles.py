@@ -17,10 +17,16 @@ so do ``pixton_fixed_r`` and ``pixton_class``, which build one decorated
 template series per edge-exponent profile, one ``series_mul`` per edge,
 and emit every template on its own; the library expands all of a graph's
 weighted edge monomials at once and multiplies them by the exponential
-in one product.  ``interpolate`` is exact Lagrange interpolation on any
-distinct nodes, and ``certified_fit`` fits through it and checks each fit
-by Horner's rule at the check moduli; the library reads both the fit and
-the check off the forward differences of the samples.  ``dvv_correlator`` runs the DVV
+in one product.  ``chiodo_constant`` builds the whole canonical class at
+every sample modulus and fits each canonical decorated graph; the library
+fits each graph's monomials before canonicalising and canonicalises only
+the constant terms.  ``series_degree_part`` keeps one degree of a series:
+after a full truncated ``series_mul`` it gives what the library's
+``series_degree_mul`` multiplies into that degree alone.  ``interpolate``
+is exact Lagrange interpolation on any distinct nodes, and
+``certified_fit`` fits through it and checks each fit by Horner's rule at
+the check moduli; the library reads both the fit and the check off the
+forward differences of the samples.  ``dvv_correlator`` runs the DVV
 recursion on every correlator past the seeds; the library strips ``tau_0``
 and ``tau_1`` by the string and dilaton equations first.
 ``pair_with_psi_unindexed`` integrates every term of a class; the library
@@ -36,6 +42,7 @@ from math import comb, factorial, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
 from drtaut.chiodo import _bern_coeff
+from drtaut.chiodo import chiodo_pushforward as class_pushforward
 from drtaut.exact import RPoly
 from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
 from drtaut.intersect import _term_integral, double_factorial
@@ -43,8 +50,8 @@ from drtaut.tautclass import (
     TautClass,
     emit_series,
     kappa_monomial,
+    monomial_degree,
     psi_leg_monomial,
-    series_degree_part,
     series_exp,
     series_mul,
     series_unit,
@@ -54,6 +61,7 @@ from drtaut.weightings import (
     _require_type,
     _solutions,
     _solve_plan,
+    default_r_min,
     fit_edge_profiles,
     power_tables,
 )
@@ -194,6 +202,11 @@ def leg_vertex_series(graph, leg_weights, kappa_weights, cap: int) -> dict:
     return out
 
 
+def series_degree_part(x: dict, d: int) -> dict:
+    """The monomials of ``x`` of degree ``d``."""
+    return {m: c for m, c in x.items() if monomial_degree(m) == d}
+
+
 def psi_edge_monomial(graph, t: int, e1: int, e2: int) -> tuple:
     """The monomial ``psi_h^e1 psi_h'^e2`` on the halves of edge ``t``."""
     edges = tuple((e1, e2) if s == t else (0, 0) for s in range(graph.n_edges))
@@ -312,6 +325,32 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
             if sliced:
                 emit_series(acc, graph, sliced, scalar)
     return TautClass(g, n, acc)
+
+
+def chiodo_constant(dr: DRVector, d: int) -> TautClass:
+    """The r-constant term of Chiodo's scaled pushforward, fitted class by class.
+
+    Every sample modulus builds the whole canonical class of the library's
+    :func:`~drtaut.chiodo.chiodo_pushforward`, and each canonical decorated
+    graph's coefficient is fitted by the Lagrange :func:`certified_fit`,
+    with the same degree bound and moduli as the library.
+    """
+    dr.require_exact()
+    g = dr.genus
+    bound = max(0, 2 * d + 2 * g - 1)
+    scale_exp = 2 * d - 2 * g + 1
+    graphs: dict = {}
+
+    def evaluate(r: int) -> dict:
+        scale = Fraction(r) ** scale_exp
+        out = {}
+        for key, (dg, coeff) in class_pushforward(dr, d, r).terms.items():
+            graphs.setdefault(key, dg)
+            out[key] = coeff * scale
+        return out
+
+    fits, _ = certified_fit(evaluate, bound, default_r_min(dr))
+    return TautClass(g, dr.n, ((graphs[key], poly.constant_term) for key, poly in fits.items()))
 
 
 @lru_cache(maxsize=128)

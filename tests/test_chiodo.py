@@ -22,6 +22,7 @@ from drtaut.pixton import pixton_class
 from drtaut.tautclass import DecoratedGraph, TautClass, delta0, trivial_class
 from drtaut.weightings import DRVector
 
+from oracles import chiodo_constant as whole_class_constant
 from oracles import chiodo_pushforward as per_weighting_pushforward
 from oracles import chiodo_leg_vertex_series
 from oracles import edge_factor_coefficients as pair_product_edge_factor
@@ -227,6 +228,38 @@ def test_constant_term_examples():
     got = chiodo_constant(DRVector(1, (0,), 0), 1)
     assert got == want
     assert got == pixton_class(DRVector(1, (0,), 0), 1).scale(F(1, 2))
+
+
+# Keyed by genus and twist k: one exactly balanced vector with parts in
+# -3..3 for each stable n <= 3; with no markings only k = 0 balances.
+CONSTANT_GRID = {
+    (0, 0): [(2, -1, -1)],
+    (0, 1): [(3, -1, -1)],
+    (1, 0): [(0,), (3, -3), (3, -1, -2)],
+    (1, 1): [(1,), (3, -1), (2, 2, -1)],
+    (2, 0): [(), (0,), (1, -1), (2, -1, -1)],
+    (2, 1): [(3,), (3, 1), (3, 3, -1)],
+}
+
+
+@pytest.mark.parametrize(
+    "g, k, parts",
+    [(g, k, a) for (g, k), vectors in CONSTANT_GRID.items() for a in vectors],
+)
+def test_constant_term_matches_whole_class_oracle(g, k, parts):
+    """Fitting each graph's monomials equals fitting the canonical class."""
+    dr = DRVector(g, parts, k)
+    for d in range(4):
+        assert chiodo_constant(dr, d).items() == whole_class_constant(dr, d).items()
+
+
+def test_constant_term_validation_order():
+    # The degree is checked before anything is enumerated or fitted, and
+    # the type before any modulus is sampled.
+    with pytest.raises(ValueError, match="^degree must be non-negative$"):
+        chiodo_constant(DRVector(2, (1, -1)), -1)
+    with pytest.raises(ValueError, match="no stable curves"):
+        chiodo_constant(DRVector(0, (1, -1)), 1)
 
 
 def test_constant_term_requires_exact_balance():

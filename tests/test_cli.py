@@ -346,6 +346,14 @@ class TestErrorPaths:
             assert out == ""
             assert "degree" in err and "non-negative" in err
 
+    def test_chiodo_constant_negative_degree(self, capsys):
+        code, out, err = run(
+            capsys, ["chiodo", "--g", "2", "--a", "1,-1", "--d", "-1", "--constant"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: degree must be non-negative"
+
     def test_polynomiality_unbalanced_vector(self, capsys):
         code, out, err = run(
             capsys, ["verify", "polynomiality", "--g", "1", "--a", "1,1", "--d", "1"]

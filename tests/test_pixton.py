@@ -12,7 +12,6 @@ from drtaut.tautclass import (
     beta_class,
     delta0,
     monomial_degree,
-    series_degree_part,
 )
 from drtaut.pixton import (
     _emit_graph,
@@ -29,7 +28,7 @@ from drtaut.pixton import (
 from drtaut.weightings import DRVector
 
 import oracles
-from oracles import leg_vertex_series, psi_edge_monomial, series_edge_power
+from oracles import leg_vertex_series, psi_edge_monomial, series_degree_part, series_edge_power
 
 F = Fraction
 

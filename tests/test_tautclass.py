@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drtaut.graphs import StableGraph
 from drtaut.tautclass import (
@@ -15,12 +16,14 @@ from drtaut.tautclass import (
     kappa_monomial,
     monomial_degree,
     psi_leg_monomial,
-    series_degree_part,
+    series_degree_mul,
     series_exp,
     series_mul,
     series_unit,
     trivial_class,
 )
+
+from oracles import series_degree_part
 
 F = Fraction
 
@@ -206,6 +209,20 @@ class TestSeries:
         [(mono, c)] = prod.items()
         assert c == 10
         assert mono[2] == ((1, 2),)
+
+    # Monomials on a graph with two legs, two edges and two vertices.
+    _exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    _kappa = st.lists(st.integers(1, 2), max_size=2).map(lambda k: tuple(sorted(k)))
+    _series = st.dictionaries(
+        st.tuples(_exponents, st.tuples(_exponents, _exponents), st.tuples(_kappa, _kappa)),
+        st.integers(-3, 3).map(F),
+        max_size=8,
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_series, _series, st.integers(0, 8))
+    def test_degree_mul_is_degree_part_of_product(self, a, b, d):
+        assert series_degree_mul(a, b, d) == series_degree_part(series_mul(a, b, d), d)
 
     def test_unit(self):
         g = StableGraph([1, 1], [(0, 1)], [0])
