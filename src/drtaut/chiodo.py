@@ -30,10 +30,12 @@ exposed for testing through :func:`edge_factor_coefficients`.
 Scaled by ``r^{2d - 2g + 1}``, the degree-d part is a polynomial in r
 whose constant term agrees with ``2^{-d}`` times the r-free degree-d
 class of the weighting graph sum -- the cross-formula identity checked
-by :func:`verify_samefreeterm`.  The constant terms come from the same
-certified scalar fit as the weighting sums, made on each graph's
-monomials before canonicalisation, keyed by the graph's position in the
-enumeration; only the fitted constant terms become decorated graphs.
+by :func:`verify_samefreeterm`.  The constant term is built exactly,
+with no modulus fixed: every Bernoulli weight is a polynomial in ``w/r``
+or in ``1/r``, so each graph's terms are Laurent polynomials in r whose
+weighting sums are the half-edge monomial sums ``sum_w prod_e w_e^{q_e}``
+of the one weighting engine (exact on tree quotients, a certified fit
+otherwise).  Only the constant terms become decorated graphs.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm, prod
 
-from .exact import bernoulli_poly
+from .exact import RPoly, _over_common_denominator, bernoulli_number, bernoulli_poly
 from .graphs import (
     StableGraph,
     automorphism_order,
@@ -55,15 +58,15 @@ from .tautclass import (
     DecoratedGraph,
     TautClass,
     emit_series,
+    monomial_degree,
     series_degree_mul,
     series_vertex_leg_exp,
     trivial_class,
 )
 from .weightings import (
     DRVector,
-    certified_fit,
-    default_r_min,
     edge_profile_sums,
+    fit_edge_profiles,
 )
 
 __all__ = [
@@ -76,9 +79,10 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _bern_coeff(m: int, x: Fraction) -> Fraction:
-    """(-1)^{m-1} B_{m+1}(x) / (m(m+1)), the recurring exponent weight."""
-    return Fraction((-1) ** (m - 1)) * bernoulli_poly(m + 1, x) / (m * (m + 1))
+def _bernoulli_weight(m: int) -> RPoly:
+    """``(-1)^{m-1} B_{m+1}(x) / (m(m+1))``, the recurring exponent weight, in ``x``."""
+    scale = Fraction((-1) ** (m - 1), m * (m + 1))
+    return RPoly([scale * comb(m + 1, i) * bernoulli_number(m + 1 - i) for i in range(m + 2)])
 
 
 def _exp_coefficients(a: list, cap: int) -> list:
@@ -93,18 +97,20 @@ def _exp_coefficients(a: list, cap: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def edge_factor_coefficients(r: int, w: int, cap: int) -> tuple:
-    """Edge factor as coefficients of psi^i psi'^j, total degree <= cap.
+def _edge_factor_polys(cap: int) -> tuple:
+    """Edge factor coefficients of psi^i psi'^j as polynomials in ``u = w/r``.
 
-    With ``A(x) = sum_m (-1)^{m-1} B_{m+1}(w/r) x^m / (m(m+1))`` the
+    With ``A(x) = sum_m (-1)^{m-1} B_{m+1}(u) x^m / (m(m+1))`` the
     exponent of the factor is ``A(psi) - A(-psi')``, so with
     ``s = psi + psi'`` the factor is
     ``(1 - e^{A(psi)} e^{-A(-psi')}) / s``: a product of two one-variable
     exponentials, divided by s one total degree n at a time through
     ``q_{n-1-k,k} = p_{n-k,k} - q_{n-k,k-1}``, where p is the numerator.
-    Returned as a tuple of ((i, j), coefficient) pairs sorted by exponent.
+    The recurrence runs on polynomials in ``u``, so one table serves every
+    modulus and residue.  Returned as a tuple of ((i, j), polynomial)
+    pairs with ``i + j <= cap``, sorted by exponent.
     """
-    A = [Fraction(0)] + [_bern_coeff(m, Fraction(w % r, r)) for m in range(1, cap + 2)]
+    A = [RPoly([0])] + [_bernoulli_weight(m) for m in range(1, cap + 2)]
     left = _exp_coefficients(A, cap + 1)
     right = _exp_coefficients([(-1) ** (m + 1) * c for m, c in enumerate(A)], cap + 1)
     out = []
@@ -117,12 +123,33 @@ def edge_factor_coefficients(r: int, w: int, cap: int) -> tuple:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
+def edge_factor_coefficients(r: int, w: int, cap: int) -> tuple:
+    """Edge factor as coefficients of psi^i psi'^j, total degree <= cap.
+
+    The polynomials of :func:`_edge_factor_polys` at ``u = (w mod r)/r``,
+    returned as a tuple of ((i, j), coefficient) pairs sorted by exponent,
+    zero coefficients left out.
+    """
+    u = Fraction(w % r, r)
+    return tuple((key, c) for key, poly in _edge_factor_polys(cap) if (c := poly(u)))
+
+
+def _leg_vertex_weights(legs: list, kappa, cap: int) -> tuple[list, list]:
+    """The leg and vertex weights of degrees 1 to cap, as ``series_vertex_leg_exp`` takes them.
+
+    Leg ``i`` weighs ``psi_i^m`` by the Bernoulli weight at ``legs[i]``
+    and each vertex weighs ``kappa_m`` by minus the weight at ``kappa``;
+    the points are rationals or polynomials.
+    """
+    weights = [_bernoulli_weight(m) for m in range(1, cap + 1)]
+    return [[B(x) for B in weights] for x in legs], [-B(kappa) for B in weights]
+
+
 def _vertex_leg_series(graph: StableGraph, dr: DRVector, r: int, cap: int) -> dict:
-    """Product of all vertex and leg exponentials, truncated at degree cap."""
-    degrees = range(1, cap + 1)
-    legs = [[_bern_coeff(m, Fraction(a % r, r)) for m in degrees] for a in dr.parts]
-    kappa = [-_bern_coeff(m, Fraction(dr.twist, r)) for m in degrees]
-    return series_vertex_leg_exp(graph, legs, kappa, cap)
+    """Product of all vertex and leg exponentials at modulus r, truncated at degree cap."""
+    points = [Fraction(a % r, r) for a in dr.parts]
+    return series_vertex_leg_exp(graph, *_leg_vertex_weights(points, Fraction(dr.twist, r), cap), cap)
 
 
 def _require_roots(dr: DRVector, r: int) -> None:
@@ -132,104 +159,145 @@ def _require_roots(dr: DRVector, r: int) -> None:
         raise ValueError(f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}")
 
 
-def _graphs(dr: DRVector, d: int, cap: int) -> list:
-    """``(graph, 2g - 1 - b_1, |Aut|)`` for every graph of the degree-d sum.
+def _graph_series(dr: DRVector, d: int, cap: int, exponential, edge_weights):
+    """Each graph's degree ``d - n_edges`` series, for every graph of the degree-d sum.
 
-    The degree is checked before the type, so a negative degree is
-    reported as such on any type.
+    Yields ``(graph, b_1, |Aut|, series)``.  A graph keeps the edge
+    factor pairs ``(i, j)`` of :func:`_edge_factor_polys` within its budget
+    (truncation changes no coefficient), and the profiles, one pair per
+    edge, that the exponential ``exponential(graph, cap - n_edges)`` can
+    complete to degree ``d - n_edges``.  ``edge_weights(index, graph,
+    profiles)`` gives each profile's weight, the sum of its edge factors
+    over the weightings; those weights are the edge monomials of one
+    series, multiplied by the exponential into degree ``d - n_edges``
+    only.  The exponential depends on a graph only through its vertex
+    count, leg placement and edge count, so each is built once.  The
+    degree is checked before the type, so a negative degree is reported
+    as such on any type.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
     if cap < d:
         raise ValueError("truncation order below requested degree")
-    return [
-        (graph, 2 * dr.genus - 1 - first_betti(graph), automorphism_order(graph))
-        for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)
-    ]
-
-
-def _graph_series(dr: DRVector, d: int, r: int, cap: int, graphs: list):
-    """Each graph's degree ``d - n_edges`` series at modulus r, with its weight.
-
-    Yields ``(graph, series, r^{2g-1-b_1} / |Aut|)`` for each entry of
-    :func:`_graphs`.  The edge factors are tabulated once per modulus at
-    the full cap; a graph keeps the pairs ``(i, j)`` within its budget
-    ``cap - n_edges``, since truncation changes no coefficient.  One
-    :func:`edge_profile_sums` call sums every choice of one pair per edge
-    over the weightings; those sums are the edge monomials of one series,
-    multiplied by the vertex and leg exponentials into degree
-    ``d - n_edges`` only.  The exponentials depend on a graph only through
-    its vertex count, leg placement and edge count, so each is built once.
-    """
-    factors = [dict(edge_factor_coefficients(r, w, cap)) for w in range(r)]
-    tables = {key: [f.get(key, 0) for f in factors] for key in sorted(set().union(*factors))}
+    keys = [key for key, _ in _edge_factor_polys(cap)]
     exponentials: dict = {}
-    for graph, r_exp, aut in graphs:
+    for idx, graph in enumerate(enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)):
         n_edges = graph.n_edges
-        budget = cap - n_edges
-        keys = [key for key in tables if sum(key) <= budget]
-        profiles = [
-            prof
-            for prof in itertools.product(keys, repeat=n_edges)
-            if sum(i + j for i, j in prof) <= budget
-        ]
-        sums = edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
-        legs, kappa = (0,) * dr.n, ((),) * graph.n_vertices
-        edges = {(legs, prof, kappa): s for prof, s in zip(profiles, sums) if s}
         shape = (graph.n_vertices, graph.legs, n_edges)
         if shape not in exponentials:
-            exponentials[shape] = _vertex_leg_series(graph, dr, r, budget)
-        series = series_degree_mul(exponentials[shape], edges, d - n_edges)
-        yield graph, series, Fraction(r) ** r_exp / aut
+            exponentials[shape] = exponential(graph, cap - n_edges)
+        L = exponentials[shape]
+        part = d - n_edges
+        degrees = {part - monomial_degree(mono) for mono in L}
+        profiles = [
+            prof
+            for prof in itertools.product([key for key in keys if sum(key) <= part], repeat=n_edges)
+            if sum(i + j for i, j in prof) in degrees
+        ]
+        legs, kappa = (0,) * dr.n, ((),) * graph.n_vertices
+        weights = edge_weights(idx, graph, profiles)
+        edges = {(legs, prof, kappa): w for prof, w in zip(profiles, weights) if w}
+        series = series_degree_mul(L, edges, part)
+        yield graph, first_betti(graph), automorphism_order(graph), series
 
 
 def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:
     """Degree-d part of the pushed-forward total Chern class at modulus r.
 
-    Emits every graph's series from :func:`_graph_series`.  ``cap`` sets
-    the truncation order of the exponentials (default d); any cap >= d
-    yields the same degree-d output, which the test suite uses as a
-    truncation-independence check.
+    Emits every graph's series from :func:`_graph_series`, weighted by
+    ``r^{2g-1-b_1} / |Aut|``.  The edge factors are tabulated once per
+    modulus at the full cap, and one :func:`edge_profile_sums` call per
+    graph sums every profile's product of tables over the weightings.
+    ``cap`` sets the truncation order of the exponentials (default d); any
+    cap >= d yields the same degree-d output, which the test suite uses as
+    a truncation-independence check.
     """
     _require_roots(dr, r)
     cap = d if cap is None else cap
+    factors = [dict(edge_factor_coefficients(r, w, cap)) for w in range(r)]
+    tables = {key: [f.get(key, 0) for f in factors] for key, _ in _edge_factor_polys(cap)}
+
+    def exponential(graph, budget):
+        return _vertex_leg_series(graph, dr, r, budget)
+
+    def edge_weights(_, graph, profiles):
+        return edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
+
     acc: list = []
-    for graph, series, scalar in _graph_series(dr, d, r, cap, _graphs(dr, d, cap)):
-        emit_series(acc, graph, series, scalar)
+    for graph, b, aut, series in _graph_series(dr, d, cap, exponential, edge_weights):
+        emit_series(acc, graph, series, Fraction(r) ** (2 * dr.genus - 1 - b) / aut)
     return TautClass(dr.genus, dr.n, acc)
 
 
 def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     """Constant term in r of ``r^{2d-2g+1}`` times the degree-d pushforward.
 
-    Exactly balanced data is required so that every sampled modulus
-    admits r-th roots.  Each coefficient, keyed by its graph's position
-    in the enumeration and its monomial before canonicalisation, is a
-    scalar fit through the same certified interpolation protocol as the
-    weighting sums (degree bound 2d + (2g-1), two verification nodes, one
-    doubling retry).  Only the fitted constant terms become decorated
-    graphs; they merge under isomorphism as any class does, and the
-    constant term of a sum is the sum of the constant terms.
+    Exactly balanced data is required, so that every large modulus admits
+    r-th roots.  Each graph's terms are exact Laurent polynomials in r,
+    built with no modulus fixed:
+
+    * an edge factor coefficient is a polynomial in ``u = w/r``
+      (:func:`_edge_factor_polys`), so a profile's weight is a sum of
+      half-edge monomial sums ``sum_w prod_e w_e^{q_e}`` over ``r^{sum q_e}``;
+      :func:`~drtaut.weightings.fit_edge_profiles` gives those sums as
+      polynomials in r, the observable ``(q, 0)`` on each edge;
+    * the leg and vertex weights ``B_{m+1}(abar_i/r)`` and ``B_{m+1}(k/r)``
+      are polynomials in ``v = 1/r``, with ``abar_i/r = 1 + a_i v`` for
+      ``a_i < 0`` once r exceeds every ``|a_i|``.
+
+    With the graph's weight ``r^{2g-1-b_1} / |Aut|`` a term is
+    ``r^{2d-b_1} / |Aut|`` times a polynomial in ``v``; its constant term in
+    r is the ``v^{2d}`` coefficient of that polynomial over ``|Aut|``.  The
+    terms merge under isomorphism as any class does.
     """
     dr.require_exact()
-    g = dr.genus
-    graphs = _graphs(dr, d, d)
-    bound = max(0, 2 * d + 2 * g - 1)
-    scale_exp = 2 * d - 2 * g + 1
+    # Numerators over one denominator, so that the weights sum integers.
+    factors = {key: _over_common_denominator(p.coeffs) for key, p in _edge_factor_polys(d)}
+    support = {key: [q for q, c in enumerate(nums) if c] for key, (nums, _) in factors.items()}
+    top = 2 * d
+    label = f"chiodo constant (g={dr.genus},n={dr.n},k={dr.twist},d={d})"
+    points = [RPoly([int(a < 0), a]) for a in dr.parts]
+    legs, kappa = _leg_vertex_weights(points, RPoly([0, dr.twist]), d)
 
-    def evaluate(r: int) -> dict[tuple, Fraction]:
-        scale = Fraction(r) ** scale_exp
-        out = {}
-        for idx, (_, series, scalar) in enumerate(_graph_series(dr, d, r, d, graphs)):
-            scalar *= scale
-            for mono, c in series.items():
-                out[idx, mono] = c * scalar
-        return out
+    def exponential(graph, budget):
+        return series_vertex_leg_exp(graph, legs, kappa, budget)
 
-    label = f"chiodo constant (g={g},n={dr.n},k={dr.twist},d={d})"
-    fits, _ = certified_fit(evaluate, bound, default_r_min(dr), label=label, betti=0)
-    terms = ((graphs[idx][0], mono, poly.constant_term) for (idx, mono), poly in fits.items())
-    return TautClass(g, dr.n, ((DecoratedGraph(graph, *mono), c) for graph, mono, c in terms))
+    def edge_weights(idx, graph, profiles):
+        b = first_betti(graph)
+        monomials = {
+            qs: None for prof in profiles for qs in itertools.product(*map(support.get, prof))
+        }
+        polys = fit_edge_profiles(
+            graph, dr, [tuple((q, 0) for q in qs) for qs in monomials], label=f"{label} graph#{idx}"
+        )
+        fractions = [_over_common_denominator(poly.coeffs) for poly, _ in polys]
+        den = lcm(*(f_den for _, f_den in fractions))
+        sums = {
+            qs: [x * (den // f_den) for x in nums]
+            for qs, (nums, f_den) in zip(monomials, fractions)
+        }
+        weights = []
+        for prof in profiles:
+            # r^{2d-b} r^{-|q|} r^j is v^{2d - (|q| + b - j)}: keep exponents up to 2d.
+            weight = [0] * (top + 1)
+            for qs in itertools.product(*map(support.get, prof)):
+                c = prod(factors[key][0][q] for key, q in zip(prof, qs))
+                shift, S = sum(qs) + b, sums[qs]
+                if len(S) > shift + 1:
+                    raise ArithmeticError(f"{label} graph#{idx}: sum above its degree bound")
+                for j in range(max(0, shift - top), len(S)):
+                    weight[shift - j] += c * S[j]
+            scale = den * prod(factors[key][1] for key in prof)
+            weights.append(RPoly([Fraction(x, scale) for x in weight]))
+        return weights
+
+    acc = [
+        (DecoratedGraph(graph, *mono), c / aut)
+        for graph, _, aut, series in _graph_series(dr, d, d, exponential, edge_weights)
+        for mono, poly in series.items()
+        if (c := poly.coefficient(top))
+    ]
+    return TautClass(dr.genus, dr.n, acc)
 
 
 def verify_samefreeterm(dr: DRVector, d: int) -> tuple[bool, str]:

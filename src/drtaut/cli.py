@@ -333,9 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_vector_values(argv: list[str]) -> list[str]:
+    """Attach a value that starts with a minus sign to the vector option before it.
+
+    argparse takes ``-1,1`` for an option, since it is not a single
+    negative number, so ``--a -1,1`` becomes ``--a=-1,1``.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--a", "--psi") and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -86,7 +86,12 @@ def bernoulli_poly(m: int, x: Fraction) -> Fraction:
 
 
 class RPoly:
-    """A polynomial in ``r`` with ``Fraction`` coefficients, low degree first."""
+    """A polynomial in ``r`` with ``Fraction`` coefficients, low degree first.
+
+    Polynomials form a ring with the rationals as constants, so they also
+    serve as coefficients of decoration series, and ``p(q)`` composes two
+    polynomials by Horner's rule.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -96,12 +101,54 @@ class RPoly:
             cs.pop()
         self.coeffs = tuple(cs or [Fraction(0)])
 
+    @staticmethod
+    def _coefficients(x) -> tuple | None:
+        if isinstance(x, RPoly):
+            return x.coeffs
+        return (x,) if isinstance(x, (int, Fraction)) else None
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def __neg__(self) -> "RPoly":
+        return RPoly([-c for c in self.coeffs])
+
+    def __add__(self, other):
+        b = RPoly._coefficients(other)
+        if b is None:
+            return NotImplemented
+        a = self.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return RPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        b = RPoly._coefficients(other)
+        if b is None:
+            return NotImplemented
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return RPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c) -> "RPoly":
+        return RPoly([Fraction(x) / c for x in self.coeffs])
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if any(self.coeffs) else -1
 
     def __call__(self, r) -> Fraction:
-        """Evaluate at ``r`` by Horner's rule."""
+        """Evaluate at ``r``, a rational or a polynomial, by Horner's rule."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * r + c
@@ -125,12 +172,14 @@ class RPoly:
         return RPoly(self.coeffs[b:])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, RPoly):
+        b = RPoly._coefficients(other)
+        if b is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == b
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant hashes as the rational it equals.
+        return hash(self.coeffs if len(self.coeffs) > 1 else self.coeffs[0])
 
     def __repr__(self) -> str:
         return f"RPoly({list(self.coeffs)!r})"

@@ -143,8 +143,8 @@ def _graph_templates(dr: DRVector, d: int):
 
 
 def _powers(profiles: list) -> list:
-    """The ``x^{m+1}`` power profiles of edge-exponent profiles ``m``."""
-    return [tuple(k + 1 for k in m) for m in profiles]
+    """The ``x^{m+1}`` observables ``(m+1, m+1)`` of edge-exponent profiles ``m``."""
+    return [tuple((k + 1, k + 1) for k in m) for m in profiles]
 
 
 def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:

@@ -14,7 +14,8 @@ over all values mod ``r``, each tree value is forced by its child
 vertex's congruence, and the root's congruence is asserted as a check.
 One consumer walks the solutions: :func:`edge_profile_sums` sums products
 of per-edge residue tables.  Pixton's graph sum, Chiodo's pushforward and
-the Chern-character route all reach the weightings through it.
+constant term, and the Chern-character route all reach the weightings
+through it.
 
 It walks the simple quotient graph, built with its plan once per graph
 and cached.  Loops leave the quotient and are summed in closed form.  The
@@ -25,17 +26,21 @@ then costs ``r^b'`` steps, ``b'`` the quotient's Betti number, instead of
 ``r^b``; the vertex targets are still those of the original graph.
 
 Sums of polynomial observables over all weightings are polynomials in ``r``
-for large ``r``, divisible by ``r^b``.  :func:`fit_edge_profiles` finds
-the edge-power sums' polynomials in one of two ways.  When the quotient
-is a tree, every class residue is forced: an integer tree solve gives it
-as ``D mod r`` with ``|D|`` below :func:`default_r_min`, a loop's sum
-``sum_{w<r} (w(r-w))^p`` is a Faulhaber sum, and a parallel class's
-convolution is a polynomial in its residue and ``r``, so
-:func:`exact_edge_profiles` builds each polynomial with no sampling.
-Otherwise :func:`sampled_edge_profiles` makes one :func:`certified_fit`
-per graph, which fits every key of a map of rational samples on one
-window of consecutive moduli and checks each fit on fresh ones by
-forward differences.
+for large ``r``.  The observables are half-edge monomials: ``(a, b)`` on
+an edge is ``w^a (r - w)^b``, ``w`` in ``[0, r)`` the residue on its first
+half-edge.  Pixton's edge power ``x^p``, ``x = w((r-w) mod r)``, is
+``(p, p)``, and its sums are divisible by ``r^b``; Chiodo's edge factor,
+a polynomial in ``w/r``, needs ``w^q``, that is ``(q, 0)``.
+:func:`fit_edge_profiles` finds the sums' polynomials in one of two ways.
+When the quotient is a tree, every class residue is forced: an integer
+tree solve gives it as ``D mod r`` with ``|D|`` below
+:func:`default_r_min`, a loop's sum ``sum_{w<r} w^a (r-w)^b`` is a
+Faulhaber sum, and a parallel class's convolution is a polynomial in its
+residue and ``r``, so :func:`exact_edge_profiles` builds each polynomial
+with no sampling.  Otherwise :func:`sampled_edge_profiles` makes one
+:func:`certified_fit` per graph, which fits every key of a map of
+rational samples on one window of consecutive moduli and checks each fit
+on fresh ones by forward differences.
 """
 
 from __future__ import annotations
@@ -248,14 +253,18 @@ def _solutions(graph, r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[i
         yield values
 
 
-def power_tables(r: int, profiles: Sequence[tuple[int, ...]]) -> list[tuple]:
-    """Edge-power profiles as residue tables: ``x^p`` with ``x = w((r-w) mod r)``.
+def power_tables(r: int, profiles: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple]:
+    """Half-edge observable profiles as residue tables.
 
-    An exponent 0 becomes ``None``; tables for the same exponent are shared.
+    A profile holds one observable ``(a, b)`` per edge, the table
+    ``w^a (r - w)^b`` at the residue ``w`` in ``[0, r)`` on the edge's
+    first half-edge (``0^0 = 1``).  ``(p, p)`` is ``x^p`` with
+    ``x = w((r-w) mod r)``, Pixton's edge power, and ``(q, 0)`` is ``w^q``.
+    ``(0, 0)`` becomes ``None``; equal observables share one table.
     """
-    xs = [w * ((r - w) % r) for w in range(r)]
-    tables = {p: [x**p for x in xs] for p in {p for prof in profiles for p in prof} if p}
-    return [tuple(tables[p] if p else None for p in prof) for prof in profiles]
+    wanted = {ab for prof in profiles for ab in prof if ab != (0, 0)}
+    tables = {(a, b): [w**a * (r - w) ** b for w in range(r)] for a, b in wanted}
+    return [tuple(tables.get(ab) for ab in prof) for prof in profiles]
 
 
 class _Convolved(dict):
@@ -288,8 +297,8 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
 
     A profile holds one entry per edge: ``None`` for the factor 1, or a
     table of ``r`` values indexed by the residue ``w_e`` on the edge's
-    first half-edge ``2t``.  :func:`power_tables` builds the ``x_e^p``
-    tables of the graph-sum formula.
+    first half-edge ``2t``.  :func:`power_tables` builds the tables of
+    half-edge observables, such as the ``x_e^p`` of the graph-sum formula.
 
     The sum runs over the graph's simple quotient (:func:`_quotient`,
     built once per graph).  The edges of a parallel class reach the
@@ -395,20 +404,20 @@ def certified_fit(
 def sampled_edge_profiles(
     graph,
     dr: DRVector,
-    profiles: Sequence[tuple[int, ...]],
+    profiles: Sequence[tuple[tuple[int, int], ...]],
     label: str | None = None,
 ) -> list[RPoly]:
-    """Certified fits of all edge-power sums ``sum_w prod_e x_e^{p_e}``.
+    """Certified fits of all observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}``.
 
     One :func:`certified_fit` per graph enumerates each sample modulus once
-    for all profiles.  The degree bound is the largest observable degree
-    ``2 sum_e p_e`` plus the Betti number, sampling starts at
-    :func:`default_r_min`, and two fresh moduli verify the fits.  Returns
-    one polynomial per profile; a fit that fails verification raises
-    ``ValueError``.
+    for all profiles (:func:`power_tables`).  The degree bound is the
+    largest observable degree ``sum_e (a_e + b_e)`` plus the Betti number,
+    sampling starts at :func:`default_r_min`, and two fresh moduli verify
+    the fits.  Returns one polynomial per profile; a fit that fails
+    verification raises ``ValueError``.
     """
     b = graph.n_edges - graph.n_vertices + 1
-    bound = max((2 * sum(p) for p in profiles), default=0) + b
+    bound = max((sum(map(sum, prof)) for prof in profiles), default=0) + b
     name = label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
     fits, _ = certified_fit(
         lambda rr: dict(enumerate(edge_profile_sums(graph, rr, dr, power_tables(rr, profiles)))),
@@ -422,7 +431,8 @@ def sampled_edge_profiles(
 # Polynomials are kept as integer numerators over one denominator.  In r
 # alone the numerators are a list, low degree first; in several variables
 # a dict from the exponents (i, j, k) of w^i s^j r^k, w a summed residue
-# and s a class's residue sum.
+# and s a class's residue sum.  An observable (a, b) is u^a (r - u)^b at a
+# residue u in [0, r).
 
 _ONE, _W, _S, _R = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -454,34 +464,38 @@ def _faulhaber(k: int) -> tuple[list[int], int]:
     )
 
 
-def _x_power(u: dict, p: int) -> dict:
-    """``(u (r - u))^p``, the table ``x^p`` at a residue ``u`` in ``[0, r)``."""
+def _observable(u: dict, a: int, b: int) -> dict:
+    """``u^a (r - u)^b``, the table of observable ``(a, b)`` at a residue ``u`` in ``[0, r)``.
+
+    The common power is taken of ``x = u (r - u)``, so ``(p, p)`` is ``x^p``.
+    """
     r_minus_u = {_R: 1}
     for key, y in u.items():
         r_minus_u[key] = r_minus_u.get(key, 0) - y
     x = _mul(u, r_minus_u)
     out = {_ONE: 1}
-    for _ in range(p):
-        out = _mul(out, x)
+    for factor, times in ((x, min(a, b)), (u, a - b), (r_minus_u, b - a)):
+        for _ in range(times):
+            out = _mul(out, factor)
     return out
 
 
 @lru_cache(maxsize=None)
-def _loop_poly(p: int) -> tuple[list[int], int]:
-    """``sum_{w<r} (w(r-w))^p`` in ``r``, by Faulhaber; ``p = 0`` gives ``r``."""
-    den = lcm(*(_faulhaber(p + j)[1] for j in range(p + 1)))
-    out = [0] * (2 * p + 2)
-    for j in range(p + 1):
-        # (w(r - w))^p = sum_j C(p, j) (-1)^j w^{p+j} r^{p-j}
-        S, d = _faulhaber(p + j)
+def _loop_poly(a: int, b: int) -> tuple[list[int], int]:
+    """``sum_{w<r} w^a (r-w)^b`` in ``r``, by Faulhaber; ``(0, 0)`` gives ``r``."""
+    den = lcm(*(_faulhaber(a + j)[1] for j in range(b + 1)))
+    out = [0] * (a + b + 2)
+    for j in range(b + 1):
+        # w^a (r - w)^b = sum_j C(b, j) (-1)^j w^{a+j} r^{b-j}
+        S, d = _faulhaber(a + j)
         for m, c in enumerate(S):
-            out[m + p - j] += (-1) ** j * comb(p, j) * c * (den // d)
+            out[m + b - j] += (-1) ** j * comb(b, j) * c * (den // d)
     return out, den
 
 
 @lru_cache(maxsize=None)
-def _class_poly(exponents: tuple[int, ...]) -> tuple[dict, int]:
-    """``H(s) = sum over w_1 + ... + w_m = s (mod r) of prod_i x(w_i)^{p_i}``.
+def _class_poly(observables: tuple[tuple[int, int], ...]) -> tuple[dict, int]:
+    """``H(s) = sum over w_1 + ... + w_m = s (mod r) of prod_i w_i^{a_i} (r-w_i)^{b_i}``.
 
     A polynomial in ``(s, r)`` that holds for ``0 <= s < r``, as integer
     coefficients and their denominator, folding in one table at a time.
@@ -490,13 +504,13 @@ def _class_poly(exponents: tuple[int, ...]) -> tuple[dict, int]:
     residues lie in ``[0, r)``, so both tables are polynomials there, and
     each sum over ``w`` is a Faulhaber sum.
     """
-    *head, p = exponents
+    *head, (a, b) = observables
     if not head:
-        return _x_power({_S: 1}, p), 1
+        return _observable({_S: 1}, a, b), 1
     f, f_den = _class_poly(tuple(head))
     f = {(j, 0, k): x for (_, j, k), x in f.items()}  # f(w): its s becomes w
-    below = _mul(f, _x_power({_S: 1, _W: -1}, p))
-    above = _mul(f, _x_power({_S: 1, _W: -1, _R: 1}, p))
+    below = _mul(f, _observable({_S: 1, _W: -1}, a, b))
+    above = _mul(f, _observable({_S: 1, _W: -1, _R: 1}, a, b))
     den = lcm(*(_faulhaber(i)[1] for i, _, _ in [*below, *above]))
     out: dict = {}
 
@@ -521,14 +535,14 @@ def _class_poly(exponents: tuple[int, ...]) -> tuple[dict, int]:
 
 
 @lru_cache(maxsize=None)
-def _class_at(exponents: tuple[int, ...], residue: int) -> tuple[list[int], int]:
+def _class_at(observables: tuple[tuple[int, int], ...], residue: int) -> tuple[list[int], int]:
     """The class polynomial at ``s = residue mod r``, in ``r`` for ``r > |residue|``.
 
     That is ``s = residue`` for ``residue >= 0`` and ``s = r + residue``
     below 0.
     """
     shift = residue < 0
-    poly, den = _class_poly(exponents)
+    poly, den = _class_poly(observables)
     out = [0] * (1 + max((j + k for _, j, k in poly), default=0))
     for (_, j, k), x in poly.items():
         for a in range(j + 1 if shift else 1):
@@ -557,9 +571,9 @@ def _class_residues(dr: DRVector, plan: _SolvePlan) -> list[int]:
 
 
 def exact_edge_profiles(
-    graph, dr: DRVector, profiles: Sequence[tuple[int, ...]]
+    graph, dr: DRVector, profiles: Sequence[tuple[tuple[int, int], ...]]
 ) -> list[RPoly] | None:
-    """The edge-power sums ``sum_w prod_e x_e^{p_e}`` as exact polynomials in ``r``.
+    """The observable sums of :func:`sampled_edge_profiles` as exact polynomials in ``r``.
 
     Only for a graph whose simple quotient is a tree (no free residue);
     returns ``None`` otherwise.  Every class residue is then forced, and
@@ -578,7 +592,7 @@ def exact_edge_profiles(
     residues = _class_residues(dr, quotient.plan)
     out = []
     for prof in profiles:
-        factors = [_loop_poly(prof[t]) for t in quotient.loops]
+        factors = [_loop_poly(*prof[t]) for t in quotient.loops]
         factors += [
             _class_at(tuple(sorted(prof[t] for t in ts)), residue)
             for ts, residue in zip(quotient.classes, residues)
@@ -594,10 +608,10 @@ def exact_edge_profiles(
 def fit_edge_profiles(
     graph,
     dr: DRVector,
-    profiles: Sequence[tuple[int, ...]],
+    profiles: Sequence[tuple[tuple[int, int], ...]],
     label: str | None = None,
 ):
-    """The edge-power sums ``sum_w prod_e x_e^{p_e}`` as polynomials in ``r``.
+    """The observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}`` as polynomials in ``r``.
 
     Exact (:func:`exact_edge_profiles`) when the graph's simple quotient is
     a tree; otherwise certified fits on sampled moduli

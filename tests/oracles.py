@@ -19,8 +19,9 @@ and emit every template on its own; the library expands all of a graph's
 weighted edge monomials at once and multiplies them by the exponential
 in one product.  ``chiodo_constant`` builds the whole canonical class at
 every sample modulus and fits each canonical decorated graph; the library
-fits each graph's monomials before canonicalising and canonicalises only
-the constant terms.  ``series_degree_part`` keeps one degree of a series:
+fixes no modulus, builds each graph's monomials as Laurent polynomials in
+``r`` from the exact observable sums, and canonicalises only their
+constant terms.  ``series_degree_part`` keeps one degree of a series:
 after a full truncated ``series_mul`` it gives what the library's
 ``series_degree_mul`` multiplies into that degree alone.  ``interpolate``
 is exact Lagrange interpolation on any distinct nodes, and
@@ -41,9 +42,8 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
-from drtaut.chiodo import _bern_coeff
 from drtaut.chiodo import chiodo_pushforward as class_pushforward
-from drtaut.exact import RPoly
+from drtaut.exact import RPoly, bernoulli_poly
 from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
 from drtaut.intersect import _term_integral, double_factorial
 from drtaut.tautclass import (
@@ -65,6 +65,12 @@ from drtaut.weightings import (
     fit_edge_profiles,
     power_tables,
 )
+
+
+@lru_cache(maxsize=None)
+def _bern_coeff(m: int, x: Fraction) -> Fraction:
+    """(-1)^{m-1} B_{m+1}(x) / (m(m+1)), Chiodo's exponent weight at a rational point."""
+    return Fraction((-1) ** (m - 1)) * bernoulli_poly(m + 1, x) / (m * (m + 1))
 
 
 def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], ...]:
@@ -251,7 +257,7 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     acc: list = []
     for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d):
         templates = pixton_templates(graph, dr, d)
-        powers = [tuple(m + 1 for m in prof) for prof, _ in templates]
+        powers = [tuple((m + 1, m + 1) for m in prof) for prof, _ in templates]
         sums = edge_profile_sums(graph, r, dr, power_tables(r, powers))
         scale = automorphism_order(graph) * r ** first_betti(graph)
         for (_, template), s in zip(templates, sums):
@@ -268,7 +274,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     acc: list = []
     for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d):
         templates = pixton_templates(graph, dr, d)
-        powers = [tuple(m + 1 for m in prof) for prof, _ in templates]
+        powers = [tuple((m + 1, m + 1) for m in prof) for prof, _ in templates]
         b, aut = first_betti(graph), automorphism_order(graph)
         fits = fit_edge_profiles(graph, dr, powers)
         for (_, template), (poly, divisible) in zip(templates, fits):

@@ -371,7 +371,8 @@ def test_c11_weighting_oracle():
                     )
                     for prof in profiles
                 ]
-                assert edge_profile_sums(graph, r, dr, power_tables(r, profiles)) == brute_sums
+                observables = [tuple((p, p) for p in prof) for prof in profiles]
+                assert edge_profile_sums(graph, r, dr, power_tables(r, observables)) == brute_sums
                 # Tables that are not symmetric under w <-> r - w.
                 tables = [None, [w * w + 1 for w in range(r)], [w**3 + 2 for w in range(r)]]
                 brute_sums = [

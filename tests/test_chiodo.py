@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drtaut import chiodo, weightings
 from drtaut.chiodo import (
+    _edge_factor_polys,
     _vertex_leg_series,
     chern_route_class,
     chiodo_constant,
@@ -66,6 +68,46 @@ def test_edge_factor_matches_pair_product_oracle():
         for w in range(r):
             for cap in range(7):
                 assert edge_factor_coefficients(r, w, cap) == pair_product_edge_factor(r, w, cap)
+
+
+def test_edge_factor_polynomials_match_pair_product_oracle():
+    """The u-polynomials at u = w/r are the oracle's edge factor, for r <= 9.
+
+    Those points are more than any polynomial's degree, 2(i + j + 1), so
+    they determine it.  A smaller cap keeps the pairs within it unchanged.
+    """
+    full = dict(_edge_factor_polys(6))
+    assert all(poly.degree <= 2 * (i + j + 1) < 28 for (i, j), poly in full.items())
+    for cap in range(7):
+        polys = _edge_factor_polys(cap)
+        assert polys == tuple((key, full[key]) for key, _ in polys)
+        assert {key for key, _ in polys} == {key for key in full if sum(key) <= cap}
+        for r in range(1, 10):
+            for w in range(r):
+                values = {key: poly(F(w, r)) for key, poly in polys}
+                want = dict(pair_product_edge_factor(r, w, cap))
+                assert {key: c for key, c in values.items() if c} == want
+
+
+def test_constant_term_builds_no_edge_factor_table(monkeypatch):
+    """The exact route tabulates no edge factor and samples only free residues."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an edge factor table was built")
+
+    sampled = []
+    real = weightings.edge_profile_sums
+
+    def spy(graph, r, dr, profiles):
+        sampled.append(graph)
+        return real(graph, r, dr, profiles)
+
+    monkeypatch.setattr(chiodo, "edge_factor_coefficients", forbidden)
+    monkeypatch.setattr(weightings, "edge_profile_sums", spy)
+    dr = DRVector(2, (1, -1))
+    got = chiodo_constant(dr, 3)
+    assert sampled and all(weightings._quotient(graph).plan.free for graph in sampled)
+    assert got == pixton_class(dr, 3).scale(F(1, 8))
 
 
 def test_vertex_leg_series_matches_product_of_exponentials():

@@ -272,6 +272,33 @@ class TestErrorPaths:
             main(["dr", "--g", "1", "--a", "1,x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dr", "--g", "1", "--a", "-1,1"],
+            ["dr", "--g", "1", "--a", "-1,1", "--json"],
+            ["chiodo", "--g", "2", "--k", "-1", "--a", "-3,-1", "--d", "1", "--constant"],
+        ],
+        ids=["dr", "dr-json", "chiodo-twisted"],
+    )
+    def test_vector_starting_with_minus(self, capsys, argv):
+        # argparse alone reads "-1,1" as an option and rejects "--a -1,1".
+        i = argv.index("--a")
+        joined = argv[:i] + [f"--a={argv[i + 1]}"] + argv[i + 2 :]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == run(capsys, joined)
+        assert code == 0 and out
+
+    def test_psi_starting_with_minus(self, capsys, tmp_path):
+        _, out, _ = run(capsys, ["dr", "--g", "1", "--a", "1,-1", "--json"])
+        path = tmp_path / "cls.json"
+        path.write_text(out, encoding="utf-8")
+        code, out, err = run(capsys, ["integrate", "--class", str(path), "--psi", "-1,2"])
+        assert (code, out, err) == run(
+            capsys, ["integrate", "--class", str(path), "--psi=-1,2"]
+        )
+        assert code == 2 and "non-negative" in err
+
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dr", "--g", "1", "--a", "0", "--bogus"])

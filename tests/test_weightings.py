@@ -36,6 +36,11 @@ BANANA3_G0G1 = StableGraph([0, 1], [(0, 1), (0, 1), (0, 1)])
 TRIANGLE = StableGraph([0, 0, 0], [(0, 1), (0, 2), (1, 2)], [0, 1, 2])
 
 
+def xp(*powers):
+    """Pixton's edge powers ``x^p`` as the half-edge observables ``(p, p)``."""
+    return tuple((p, p) for p in powers)
+
+
 def brute_weightings(graph, r, dr):
     """Filter every per-edge assignment by all vertex congruences."""
     n_e = graph.n_edges
@@ -169,7 +174,7 @@ class TestLatticeSums:
     def test_loop_moment(self):
         dr = DRVector(2, ())
         for r in (2, 3, 7):
-            [val] = edge_profile_sums(LOOP_G1, r, dr, power_tables(r, [(1,)]))
+            [val] = edge_profile_sums(LOOP_G1, r, dr, power_tables(r, [xp(1)]))
             assert val == r * (r * r - 1) // 6
             assert val == brute_profile_sum(LOOP_G1, r, dr, (1,))
 
@@ -191,7 +196,7 @@ class TestLatticeSums:
                 tuple(p) for p in itertools.product((0, 1, 2), repeat=graph.n_edges)
             ]
             for r in rs:
-                sums = edge_profile_sums(graph, r, dr, power_tables(r, profiles))
+                sums = edge_profile_sums(graph, r, dr, power_tables(r, [xp(*p) for p in profiles]))
                 assert sums == [brute_profile_sum(graph, r, dr, p) for p in profiles]
                 tables = [None, [w * w + 1 for w in range(r)], [w**3 + 2 * w + 3 for w in range(r)]]
                 chosen = [[tables[p] for p in prof] for prof in profiles]
@@ -201,7 +206,7 @@ class TestLatticeSums:
     def test_profile_sums_congruence_failure(self):
         graph = StableGraph([1], [(0, 0)], [0])
         dr = DRVector(2, (1,))
-        assert edge_profile_sums(graph, 5, dr, power_tables(5, [(1,)])) == [0]
+        assert edge_profile_sums(graph, 5, dr, power_tables(5, [xp(1)])) == [0]
 
     @pytest.mark.parametrize(
         "r, genus, parts, message",
@@ -220,7 +225,7 @@ class TestLatticeSums:
             edge_profile_sums(graph, r, DRVector(genus, parts), [(None,)])
         if r > 0:
             with pytest.raises(ValueError, match=message):
-                exact_edge_profiles(graph, DRVector(genus, parts), [(1,)])
+                exact_edge_profiles(graph, DRVector(genus, parts), [xp(1)])
 
 
 def balanced_parts(g, n, k):
@@ -238,7 +243,7 @@ class TestQuotient:
     def table_pool(r):
         # None, shared power tables, tables not symmetric under w <-> r - w,
         # and Fraction tables.
-        x1, x2 = power_tables(r, [(1, 2)])[0]
+        x1, x2 = power_tables(r, [xp(1, 2)])[0]
         return [
             None,
             x1,
@@ -306,26 +311,26 @@ class TestQuotient:
             return real_sums(graph, r, dr, profiles)
 
         monkeypatch.setattr(weightings, "edge_profile_sums", count_moduli)
-        fit_edge_profiles(TRIANGLE, DRVector(1, (0, 0, 0)), [(1, 1, 1), (2, 0, 1)])
-        fit_edge_profiles(TRIANGLE, DRVector(1, (0, 0, 0)), [(1, 2, 0)])
+        fit_edge_profiles(TRIANGLE, DRVector(1, (0, 0, 0)), [xp(1, 1, 1), xp(2, 0, 1)])
+        fit_edge_profiles(TRIANGLE, DRVector(1, (0, 0, 0)), [xp(1, 2, 0)])
         assert len(seen) > 10
         assert built == [TRIANGLE]
 
 
 class TestFitting:
     def test_loop_fit(self):
-        [(poly, divisible)] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [(1,)])
+        [(poly, divisible)] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [xp(1)])
         assert poly == RPoly([F(0), F(-1, 6), F(0), F(1, 6)])
         assert divisible
         assert poly.shift_down(1).constant_term == F(-1, 6)
 
     def test_two_loop_fit(self):
-        [(poly, divisible)] = fit_edge_profiles(TWO_LOOPS, DRVector(2, ()), [(1, 1)])
+        [(poly, divisible)] = fit_edge_profiles(TWO_LOOPS, DRVector(2, ()), [xp(1, 1)])
         assert divisible
         assert poly.shift_down(2).constant_term == F(1, 36)
 
     def test_quartic_loop_moment(self):
-        [(poly, divisible)] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [(2,)])
+        [(poly, divisible)] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [xp(2)])
         assert divisible
         # sum_w (w(r-w))^2 = r^5/30 - r^3/6*... : its r-linear part is B_4.
         assert poly.shift_down(1).constant_term == F(-1, 30)
@@ -333,7 +338,7 @@ class TestFitting:
     def test_nonzero_parts_fit(self):
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
         dr = DRVector(1, (2, 1, -3))
-        [(poly, divisible)] = fit_edge_profiles(graph, dr, [(1,)])
+        [(poly, divisible)] = fit_edge_profiles(graph, dr, [xp(1)])
         # Bridge weight is the side sum 3, so x = 3 (r - 3) for large r.
         assert divisible  # betti 0: trivially divisible
         assert poly == RPoly([F(-9), F(3)])
@@ -353,14 +358,14 @@ class TestFitting:
             return real(graph, r, dr, profiles)
 
         monkeypatch.setattr(weightings, "edge_profile_sums", spy)
-        fits = fit_edge_profiles(TRIANGLE, dr, [(1, 0, 0), (1, 1, 0)])
+        fits = fit_edge_profiles(TRIANGLE, dr, [xp(1, 0, 0), xp(1, 1, 0)])
         start = default_r_min(dr)
         assert seen == list(range(start, start + 8))
         assert [poly.shift_down(1).constant_term for poly, _ in fits] == [F(-1, 6), F(-1, 30)]
 
     def test_tree_quotient_samples_nothing(self, monkeypatch):
         dr = DRVector(3, ())
-        profiles = [(1, 1, 1), (2, 0, 1), (0, 0, 0)]
+        profiles = [xp(1, 1, 1), xp(2, 0, 1), xp(0, 0, 0)]
         sampled = sampled_edge_profiles(BANANA3_G0G1, dr, profiles)
 
         def forbidden(*args, **kwargs):
@@ -419,7 +424,7 @@ class TestFitting:
 
         def ev(r):
             seen.append(r)
-            [val] = edge_profile_sums(LOOP_G1, r, dr, power_tables(r, [(1,)]))
+            [val] = edge_profile_sums(LOOP_G1, r, dr, power_tables(r, [xp(1)]))
             return {0: F(val)}
 
         fits, _ = certified_fit(ev, degree_bound=4, r_min=11)
@@ -449,7 +454,7 @@ class TestExactProfiles:
                     if quotient.plan.free:
                         continue
                     profiles = asked.get(graph, set()) | {
-                        p for p in itertools.product(range(3), repeat=graph.n_edges) if 0 in p
+                        xp(*p) for p in itertools.product(range(3), repeat=graph.n_edges) if 0 in p
                     }
                     profiles = sorted(profiles)
                     exact = exact_edge_profiles(graph, dr, profiles)
@@ -460,19 +465,52 @@ class TestExactProfiles:
                         checked["classes"] += any(len(ts) > 1 for ts in quotient.classes)
         assert checked["negative"] and checked["classes"]
 
+    def test_half_edge_monomials_match_sampled_fit(self):
+        # Chiodo's observables w^q, (q, 0), with every q_e in 0..3; unlike
+        # x^p they are not symmetric under w <-> r - w, so a residue read
+        # at the wrong end of an edge or class shows.
+        checked = {"classes": 0, "loops": 0, "negative": 0}
+        for g, n in self.TYPES:
+            for k in (-1, 0, 1, 2):
+                dr = DRVector(g, balanced_parts(g, n, k), twist=k)
+                for graph in enumerate_stable_graphs(g, n, max_edges=3):
+                    quotient = weightings._quotient(graph)
+                    if quotient.plan.free:
+                        continue
+                    profiles = [
+                        tuple((q, 0) for q in qs)
+                        for qs in itertools.product(range(4), repeat=graph.n_edges)
+                    ]
+                    exact = exact_edge_profiles(graph, dr, profiles)
+                    assert exact == sampled_edge_profiles(graph, dr, profiles), (graph, dr)
+                    if dr.is_exact:
+                        residues = weightings._class_residues(dr, quotient.plan)
+                        checked["negative"] += any(D < 0 for D in residues)
+                        checked["classes"] += any(len(ts) > 1 for ts in quotient.classes)
+                        checked["loops"] += bool(quotient.loops)
+        assert all(checked.values()), checked
+
+    def test_half_edge_monomial_single_edge(self):
+        # One bridge: the residue at its first half-edge is D mod r, so
+        # w^2 is D^2 for D >= 0 and (r + D)^2 below 0.
+        graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
+        [poly] = exact_edge_profiles(graph, DRVector(1, (2, 1, -3)), [((2, 0),)])
+        [mirror] = exact_edge_profiles(graph, DRVector(1, (-2, -1, 3)), [((2, 0),)])
+        assert {poly, mirror} == {RPoly([F(9)]), RPoly([F(9), F(-6), F(1)])}
+
     def test_free_residue_gives_none(self):
-        assert exact_edge_profiles(TRIANGLE, DRVector(1, (1, 1, -2)), [(1, 1, 1)]) is None
+        assert exact_edge_profiles(TRIANGLE, DRVector(1, (1, 1, -2)), [xp(1, 1, 1)]) is None
 
     def test_single_edge(self):
         # One bridge with residue sum D = -3 or 3: x = |D| r - D^2 for r > |D|.
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
         for parts in ((2, 1, -3), (-2, -1, 3)):
-            [poly] = exact_edge_profiles(graph, DRVector(1, parts), [(2,)])
+            [poly] = exact_edge_profiles(graph, DRVector(1, parts), [xp(2)])
             assert poly == RPoly([F(81), F(-54), F(9)])
 
     def test_marking_count(self):
         with pytest.raises(ValueError, match="marking count"):
-            exact_edge_profiles(LOOP_G1, DRVector(1, (1, -1)), [(1,)])
+            exact_edge_profiles(LOOP_G1, DRVector(1, (1, -1)), [xp(1)])
 
 
 def run_fit(fit, evaluate, **kwargs):
