@@ -35,17 +35,20 @@ with no modulus fixed: every Bernoulli weight is a polynomial in ``w/r``
 or in ``1/r``, so each graph's terms are Laurent polynomials in r whose
 weighting sums are the half-edge monomial sums ``sum_w prod_e w_e^{q_e}``
 of the one weighting engine (exact on tree quotients, a certified fit
-otherwise).  Only the constant terms become decorated graphs.
+otherwise).  They stay integer numerators over one denominator; only the
+kept coefficient is formed, and only the constant terms become decorated
+graphs.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
 
-from .exact import RPoly, _over_common_denominator, bernoulli_number, bernoulli_poly
+from .exact import RPoly, bernoulli_number, bernoulli_poly
 from .graphs import (
     StableGraph,
     automorphism_order,
@@ -160,20 +163,20 @@ def _require_roots(dr: DRVector, r: int) -> None:
 
 
 def _graph_series(dr: DRVector, d: int, cap: int, exponential, edge_weights):
-    """Each graph's degree ``d - n_edges`` series, for every graph of the degree-d sum.
+    """The per-graph data of the degree-d sum, for every graph with at most d edges.
 
-    Yields ``(graph, b_1, |Aut|, series)``.  A graph keeps the edge
-    factor pairs ``(i, j)`` of :func:`_edge_factor_polys` within its budget
-    (truncation changes no coefficient), and the profiles, one pair per
-    edge, that the exponential ``exponential(graph, cap - n_edges)`` can
-    complete to degree ``d - n_edges``.  ``edge_weights(index, graph,
-    profiles)`` gives each profile's weight, the sum of its edge factors
-    over the weightings; those weights are the edge monomials of one
-    series, multiplied by the exponential into degree ``d - n_edges``
-    only.  The exponential depends on a graph only through its vertex
-    count, leg placement and edge count, so each is built once.  The
-    degree is checked before the type, so a negative degree is reported
-    as such on any type.
+    Yields ``(graph, b_1, |Aut|, L, weights)``.  ``L`` is the exponential
+    ``exponential(graph, cap - n_edges)``; it depends on a graph only
+    through its vertex count, leg placement and edge count, so each is
+    built once.  A graph keeps the edge factor pairs ``(i, j)`` of
+    :func:`_edge_factor_polys` within its budget (truncation changes no
+    coefficient), and the profiles, one pair per edge, that ``L`` can
+    complete to degree ``d - n_edges``; ``weights`` is
+    ``edge_weights(index, graph, profiles)``, the sums of those profiles'
+    edge factors over the weightings.  The caller multiplies them, as the
+    edge monomials of :func:`_edge_monomials`, by ``L`` into degree
+    ``d - n_edges``.  The degree is checked before the type, so a negative
+    degree is reported as such on any type.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
@@ -194,23 +197,27 @@ def _graph_series(dr: DRVector, d: int, cap: int, exponential, edge_weights):
             for prof in itertools.product([key for key in keys if sum(key) <= part], repeat=n_edges)
             if sum(i + j for i, j in prof) in degrees
         ]
-        legs, kappa = (0,) * dr.n, ((),) * graph.n_vertices
         weights = edge_weights(idx, graph, profiles)
-        edges = {(legs, prof, kappa): w for prof, w in zip(profiles, weights) if w}
-        series = series_degree_mul(L, edges, part)
-        yield graph, first_betti(graph), automorphism_order(graph), series
+        yield graph, first_betti(graph), automorphism_order(graph), L, weights
+
+
+def _edge_monomials(graph: StableGraph, weights: dict) -> dict:
+    """Profile weights as edge monomials, a profile's pairs ``(i, j)`` its edges' psi exponents."""
+    legs, kappa = (0,) * graph.n_legs, ((),) * graph.n_vertices
+    return {(legs, prof, kappa): w for prof, w in weights.items()}
 
 
 def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:
     """Degree-d part of the pushed-forward total Chern class at modulus r.
 
-    Emits every graph's series from :func:`_graph_series`, weighted by
-    ``r^{2g-1-b_1} / |Aut|``.  The edge factors are tabulated once per
-    modulus at the full cap, and one :func:`edge_profile_sums` call per
-    graph sums every profile's product of tables over the weightings.
-    ``cap`` sets the truncation order of the exponentials (default d); any
-    cap >= d yields the same degree-d output, which the test suite uses as
-    a truncation-independence check.
+    Emits every graph of :func:`_graph_series`: its edge monomials times
+    the exponential, one :func:`~drtaut.tautclass.series_degree_mul` into
+    degree ``d - n_edges``, weighted by ``r^{2g-1-b_1} / |Aut|``.  The
+    edge factors are tabulated once per modulus at the full cap, and one
+    :func:`edge_profile_sums` call per graph sums every profile's product
+    of tables over the weightings.  ``cap`` sets the truncation order of
+    the exponentials (default d); any cap >= d yields the same degree-d
+    output, which the test suite uses as a truncation-independence check.
     """
     _require_roots(dr, r)
     cap = d if cap is None else cap
@@ -221,12 +228,87 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
         return _vertex_leg_series(graph, dr, r, budget)
 
     def edge_weights(_, graph, profiles):
-        return edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
+        sums = edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
+        return {prof: s for prof, s in zip(profiles, sums) if s}
 
     acc: list = []
-    for graph, b, aut, series in _graph_series(dr, d, cap, exponential, edge_weights):
+    for graph, b, aut, L, weights in _graph_series(dr, d, cap, exponential, edge_weights):
+        series = series_degree_mul(L, _edge_monomials(graph, weights), d - graph.n_edges)
         emit_series(acc, graph, series, Fraction(r) ** (2 * dr.genus - 1 - b) / aut)
     return TautClass(dr.genus, dr.n, acc)
+
+
+class _Numerators(dict):
+    """Integer coefficient lists by key, all over the one denominator ``den``."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, polys: dict):
+        """Put each value of ``polys``, an :class:`RPoly` or a rational, over the least ``den``."""
+        coeffs = {key: p.coeffs if isinstance(p, RPoly) else (p,) for key, p in polys.items()}
+        den = lcm(*(c.denominator for cs in coeffs.values() for c in cs))
+        super().__init__(
+            (key, [c.numerator * (den // c.denominator) for c in cs]) for key, cs in coeffs.items()
+        )
+        self.den = den
+
+
+def _dot(xs, ys) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+def _constant_series(dr: DRVector, d: int):
+    """Each graph's terms of :func:`chiodo_constant`, before canonicalisation.
+
+    Yields ``(graph, {monomial: coefficient})``, in the order of
+    :func:`_graph_series`, with the zero coefficients left out.
+    """
+    dr.require_exact()
+    # Every edge factor over one denominator, so that a profile's is over its power.
+    factors = _Numerators(dict(_edge_factor_polys(d)))
+    support = {key: [q for q, c in enumerate(nums) if c] for key, nums in factors.items()}
+    top = 2 * d
+    label = f"chiodo constant (g={dr.genus},n={dr.n},k={dr.twist},d={d})"
+    points = [RPoly([int(a < 0), a]) for a in dr.parts]
+    legs, kappa = _leg_vertex_weights(points, RPoly([0, dr.twist]), d)
+
+    def exponential(graph, budget):
+        return _Numerators(series_vertex_leg_exp(graph, legs, kappa, budget))
+
+    def edge_weights(idx, graph, profiles):
+        b = first_betti(graph)
+        monomials = {
+            qs: None for prof in profiles for qs in itertools.product(*map(support.get, prof))
+        }
+        fits = fit_edge_profiles(
+            graph, dr, [tuple((q, 0) for q in qs) for qs in monomials], label=f"{label} graph#{idx}"
+        )
+        den = lcm(*(f_den for _, f_den in fits))
+        sums = {
+            qs: [x * (den // f_den) for x in nums] for qs, (nums, f_den) in zip(monomials, fits)
+        }
+        weights = {}
+        for prof in profiles:
+            # r^{2d-b} r^{-|q|} r^j is v^{2d - (|q| + b - j)}: keep exponents up to
+            # 2d, stored from v^{2d} down, so that a dot product with the
+            # exponential's numerators from v^0 up is the v^{2d} coefficient.
+            weight = [0] * (top + 1)
+            for qs in itertools.product(*map(support.get, prof)):
+                c = prod(factors[key][q] for key, q in zip(prof, qs))
+                shift, S = sum(qs) + b, sums[qs]
+                if len(S) > shift + 1:
+                    raise ArithmeticError(f"{label} graph#{idx}: sum above its degree bound")
+                for j in range(max(0, shift - top), len(S)):
+                    weight[top - shift + j] += c * S[j]
+            if any(weight):
+                weights[prof] = weight
+        return weights, den * factors.den**graph.n_edges
+
+    for graph, _, aut, L, (weights, scale) in _graph_series(dr, d, d, exponential, edge_weights):
+        edges = _edge_monomials(graph, weights)
+        totals = series_degree_mul(L, edges, d - graph.n_edges, times=_dot)
+        den = scale * L.den * aut
+        yield graph, {mono: Fraction(total, den) for mono, total in totals.items()}
 
 
 def chiodo_constant(dr: DRVector, d: int) -> TautClass:
@@ -247,55 +329,19 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
 
     With the graph's weight ``r^{2g-1-b_1} / |Aut|`` a term is
     ``r^{2d-b_1} / |Aut|`` times a polynomial in ``v``; its constant term in
-    r is the ``v^{2d}`` coefficient of that polynomial over ``|Aut|``.  The
-    terms merge under isomorphism as any class does.
+    r is the ``v^{2d}`` coefficient of that polynomial over ``|Aut|``.
+    Everything is kept as integer numerators over one denominator, and
+    only the kept coefficient is formed: the edge factors and the sums
+    contract into integer weight vectors over one scale per graph, the
+    exponential is put over one denominator once per graph shape, and
+    each monomial's ``v^{2d}`` coefficient is an integer dot product,
+    divided once by the scale, that denominator and ``|Aut|``.  The terms
+    merge under isomorphism as any class does.
     """
-    dr.require_exact()
-    # Numerators over one denominator, so that the weights sum integers.
-    factors = {key: _over_common_denominator(p.coeffs) for key, p in _edge_factor_polys(d)}
-    support = {key: [q for q, c in enumerate(nums) if c] for key, (nums, _) in factors.items()}
-    top = 2 * d
-    label = f"chiodo constant (g={dr.genus},n={dr.n},k={dr.twist},d={d})"
-    points = [RPoly([int(a < 0), a]) for a in dr.parts]
-    legs, kappa = _leg_vertex_weights(points, RPoly([0, dr.twist]), d)
-
-    def exponential(graph, budget):
-        return series_vertex_leg_exp(graph, legs, kappa, budget)
-
-    def edge_weights(idx, graph, profiles):
-        b = first_betti(graph)
-        monomials = {
-            qs: None for prof in profiles for qs in itertools.product(*map(support.get, prof))
-        }
-        polys = fit_edge_profiles(
-            graph, dr, [tuple((q, 0) for q in qs) for qs in monomials], label=f"{label} graph#{idx}"
-        )
-        fractions = [_over_common_denominator(poly.coeffs) for poly, _ in polys]
-        den = lcm(*(f_den for _, f_den in fractions))
-        sums = {
-            qs: [x * (den // f_den) for x in nums]
-            for qs, (nums, f_den) in zip(monomials, fractions)
-        }
-        weights = []
-        for prof in profiles:
-            # r^{2d-b} r^{-|q|} r^j is v^{2d - (|q| + b - j)}: keep exponents up to 2d.
-            weight = [0] * (top + 1)
-            for qs in itertools.product(*map(support.get, prof)):
-                c = prod(factors[key][0][q] for key, q in zip(prof, qs))
-                shift, S = sum(qs) + b, sums[qs]
-                if len(S) > shift + 1:
-                    raise ArithmeticError(f"{label} graph#{idx}: sum above its degree bound")
-                for j in range(max(0, shift - top), len(S)):
-                    weight[shift - j] += c * S[j]
-            scale = den * prod(factors[key][1] for key in prof)
-            weights.append(RPoly([Fraction(x, scale) for x in weight]))
-        return weights
-
     acc = [
-        (DecoratedGraph(graph, *mono), c / aut)
-        for graph, _, aut, series in _graph_series(dr, d, d, exponential, edge_weights)
-        for mono, poly in series.items()
-        if (c := poly.coefficient(top))
+        (DecoratedGraph(graph, *mono), c)
+        for graph, series in _constant_series(dr, d)
+        for mono, c in series.items()
     ]
     return TautClass(dr.genus, dr.n, acc)
 

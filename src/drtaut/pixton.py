@@ -172,19 +172,21 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
 
     For each stable graph and edge-power profile the weighting sum is
     found as a polynomial in r (:func:`~drtaut.weightings.fit_edge_profiles`),
-    checked divisible by ``r^b``, and its coefficient of ``r^b`` enters
-    the class.  Requires exactly balanced ramification data so that every
-    large modulus is admissible.
+    integer numerators over one denominator.  It is checked divisible by
+    ``r^b``, and its coefficient of ``r^b`` enters the class, read as one
+    numerator over the denominator times ``|Aut|``.  Requires exactly
+    balanced ramification data so that every large modulus is admissible.
     """
     dr.require_exact()
     acc: list = []
     for label, graph, b, aut, L, profiles in _graph_templates(dr, d):
         fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
         weights = {}
-        for m, (poly, divisible) in zip(profiles, fits):
-            if not divisible:
+        for m, (nums, den) in zip(profiles, fits):
+            if any(nums[:b]):
                 raise ValueError(f"weighting sum not divisible by r^{b} on {label} profile {m}")
-            weights[m] = Fraction(poly.coefficient(b), aut)
+            if len(nums) > b:
+                weights[m] = Fraction(nums[b], den * aut)
         _emit_graph(acc, graph, L, d, weights)
     return TautClass(dr.genus, dr.n, acc)
 

@@ -18,9 +18,10 @@ differ as cohomology classes.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graphs import (
     StableGraph,
@@ -450,11 +451,14 @@ def series_mul(a: dict, b: dict, cap: int) -> dict:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def series_degree_mul(a: dict, b: dict, d: int) -> dict:
+def series_degree_mul(a: dict, b: dict, d: int, times: Callable = operator.mul) -> dict:
     """The degree-``d`` part of ``a * b``.
 
     ``b`` is grouped by degree once, and each monomial of ``a`` meets only
-    the monomials of ``b`` of the complementary degree.
+    the monomials of ``b`` of the complementary degree.  ``times`` gives
+    the product of two coefficients; the default multiplies them, and a
+    caller whose coefficients are vectors can keep one number of each
+    product instead.
     """
     by_degree: dict = {}
     for m2, c2 in b.items():
@@ -463,7 +467,7 @@ def series_degree_mul(a: dict, b: dict, d: int) -> dict:
     for m1, c1 in a.items():
         for m2, c2 in by_degree.get(d - monomial_degree(m1), ()):
             m = _monomial_mul(m1, m2)
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
+            out[m] = out.get(m, 0) + times(c1, c2)
     return {m: c for m, c in out.items() if c != 0}
 
 

@@ -36,11 +36,14 @@ When the quotient is a tree, every class residue is forced: an integer
 tree solve gives it as ``D mod r`` with ``|D|`` below
 :func:`default_r_min`, a loop's sum ``sum_{w<r} w^a (r-w)^b`` is a
 Faulhaber sum, and a parallel class's convolution is a polynomial in its
-residue and ``r``, so :func:`exact_edge_profiles` builds each polynomial
-with no sampling.  Otherwise :func:`sampled_edge_profiles` makes one
+residue and ``r``, so each polynomial is a product of those, with no
+sampling.  Otherwise :func:`sampled_edge_profiles` makes one
 :func:`certified_fit` per graph, which fits every key of a map of
 rational samples on one window of consecutive moduli and checks each fit
-on fresh ones by forward differences.
+on fresh ones by forward differences.  Either way the polynomials come
+out as integer numerators over one denominator; only the coefficient a
+caller keeps is formed as a ``Fraction`` (:func:`exact_edge_profiles`
+wraps the exact ones as :class:`~drtaut.exact.RPoly` for comparisons).
 """
 
 from __future__ import annotations
@@ -570,25 +573,33 @@ def _class_residues(dr: DRVector, plan: _SolvePlan) -> list[int]:
     return values[: 2 * plan.n_edges : 2]
 
 
-def exact_edge_profiles(
-    graph, dr: DRVector, profiles: Sequence[tuple[tuple[int, int], ...]]
-) -> list[RPoly] | None:
-    """The observable sums of :func:`sampled_edge_profiles` as exact polynomials in ``r``.
+def fit_edge_profiles(
+    graph,
+    dr: DRVector,
+    profiles: Sequence[tuple[tuple[int, int], ...]],
+    label: str | None = None,
+) -> list[tuple[list[int], int]]:
+    """The observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}`` as polynomials in ``r``.
 
-    Only for a graph whose simple quotient is a tree (no free residue);
-    returns ``None`` otherwise.  Every class residue is then forced, and
-    the polynomial is the one the sum equals for every ``r`` from
-    :func:`default_r_min` on: the product of each loop's Faulhaber sum and
-    each parallel class's convolved polynomial (:func:`_class_poly`) at
-    its residue.  Data that is not exactly balanced has no weightings
-    there, so every polynomial is 0.  No modulus is sampled.
+    Each polynomial is integer numerators over one denominator: a pair
+    ``(nums, den)``, one per profile, the sum being
+    ``sum_j nums[j] r^j / den``; ``r^b`` divides it when no ``nums[j]``
+    with ``j < b`` is nonzero.  When the graph's simple quotient is a tree
+    every class residue is forced, and the polynomial is the one the sum
+    equals for every ``r`` from :func:`default_r_min` on, with no modulus
+    sampled: the product of each loop's Faulhaber sum and each parallel
+    class's convolved polynomial (:func:`_class_poly`) at its residue.
+    Data that is not exactly balanced has no weightings there, so every
+    polynomial is 0.  Otherwise the polynomials are the certified fits of
+    :func:`sampled_edge_profiles`, over their common denominator.
     """
     _require_type(graph, dr)
     quotient = _quotient(graph)
     if quotient.plan.free:
-        return None
+        fits = sampled_edge_profiles(graph, dr, profiles, label)
+        return [_over_common_denominator(poly.coeffs) for poly in fits]
     if not dr.is_exact:
-        return [RPoly([Fraction(0)]) for _ in profiles]
+        return [([0], 1) for _ in profiles]
     residues = _class_residues(dr, quotient.plan)
     out = []
     for prof in profiles:
@@ -601,26 +612,22 @@ def exact_edge_profiles(
         for f, f_den in factors:
             poly = _mul_r(poly, f)
             den *= f_den
-        out.append(RPoly([Fraction(x, den) for x in poly]))
+        out.append((poly, den))
     return out
 
 
-def fit_edge_profiles(
-    graph,
-    dr: DRVector,
-    profiles: Sequence[tuple[tuple[int, int], ...]],
-    label: str | None = None,
-):
-    """The observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}`` as polynomials in ``r``.
+def exact_edge_profiles(
+    graph, dr: DRVector, profiles: Sequence[tuple[tuple[int, int], ...]]
+) -> list[RPoly] | None:
+    """The exact polynomials of :func:`fit_edge_profiles` as :class:`~drtaut.exact.RPoly`.
 
-    Exact (:func:`exact_edge_profiles`) when the graph's simple quotient is
-    a tree; otherwise certified fits on sampled moduli
-    (:func:`sampled_edge_profiles`).  Returns ``(RPoly, divisible)`` pairs,
-    one per profile, ``divisible`` telling whether ``r^b`` divides the
-    polynomial, ``b`` the Betti number.
+    Only for a graph whose simple quotient is a tree (no free residue);
+    returns ``None`` otherwise, sampling nothing.  For
+    :func:`~drtaut.pixton.verify_polynomiality` and the tests, which
+    compare it with :func:`sampled_edge_profiles`.
     """
-    b = graph.n_edges - graph.n_vertices + 1
-    polys = exact_edge_profiles(graph, dr, profiles)
-    if polys is None:
-        polys = sampled_edge_profiles(graph, dr, profiles, label)
-    return [(poly, poly.divisible_by(b)) for poly in polys]
+    _require_type(graph, dr)
+    if _quotient(graph).plan.free:
+        return None
+    polys = fit_edge_profiles(graph, dr, profiles)
+    return [RPoly([Fraction(x, den) for x in nums]) for nums, den in polys]

@@ -21,7 +21,11 @@ in one product.  ``chiodo_constant`` builds the whole canonical class at
 every sample modulus and fits each canonical decorated graph; the library
 fixes no modulus, builds each graph's monomials as Laurent polynomials in
 ``r`` from the exact observable sums, and canonicalises only their
-constant terms.  ``series_degree_part`` keeps one degree of a series:
+constant terms.  ``chiodo_constant_series`` keeps each graph's weights
+as ``RPoly`` objects in ``1/r`` and multiplies whole ``RPoly``
+coefficients before it reads the constant term; the library contracts
+integer numerators over one denominator and forms only that coefficient,
+as a dot product.  ``series_degree_part`` keeps one degree of a series:
 after a full truncated ``series_mul`` it gives what the library's
 ``series_degree_mul`` multiplies into that degree alone.  ``interpolate``
 is exact Lagrange interpolation on any distinct nodes, and
@@ -42,6 +46,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
+from drtaut.chiodo import _edge_factor_polys, _edge_monomials, _graph_series, _leg_vertex_weights
 from drtaut.chiodo import chiodo_pushforward as class_pushforward
 from drtaut.exact import RPoly, bernoulli_poly
 from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
@@ -52,9 +57,11 @@ from drtaut.tautclass import (
     kappa_monomial,
     monomial_degree,
     psi_leg_monomial,
+    series_degree_mul,
     series_exp,
     series_mul,
     series_unit,
+    series_vertex_leg_exp,
 )
 from drtaut.weightings import (
     DRVector,
@@ -62,8 +69,9 @@ from drtaut.weightings import (
     _solutions,
     _solve_plan,
     default_r_min,
-    fit_edge_profiles,
+    exact_edge_profiles,
     power_tables,
+    sampled_edge_profiles,
 )
 
 
@@ -268,17 +276,18 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
 def pixton_class(dr: DRVector, d: int) -> TautClass:
     """Pixton's r-free degree-d class, one template emitted per profile.
 
-    Each template is weighted by the ``r^b`` coefficient of its fitted
-    weighting sum over ``|Aut|``; a sum not divisible by ``r^b`` fails.
+    Each template is weighted by the ``r^b`` coefficient of its weighting
+    sum, an :class:`RPoly`, over ``|Aut|``; a sum not divisible by ``r^b``
+    fails.
     """
     acc: list = []
     for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d):
         templates = pixton_templates(graph, dr, d)
         powers = [tuple((m + 1, m + 1) for m in prof) for prof, _ in templates]
         b, aut = first_betti(graph), automorphism_order(graph)
-        fits = fit_edge_profiles(graph, dr, powers)
-        for (_, template), (poly, divisible) in zip(templates, fits):
-            assert divisible, (graph, poly)
+        fits = exact_edge_profiles(graph, dr, powers) or sampled_edge_profiles(graph, dr, powers)
+        for (_, template), poly in zip(templates, fits):
+            assert poly.divisible_by(b), (graph, poly)
             emit_series(acc, graph, template, Fraction(poly.coefficient(b), aut))
     return TautClass(dr.genus, dr.n, acc)
 
@@ -357,6 +366,56 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
 
     fits, _ = certified_fit(evaluate, bound, default_r_min(dr))
     return TautClass(g, dr.n, ((graphs[key], poly.constant_term) for key, poly in fits.items()))
+
+
+def chiodo_constant_series(dr: DRVector, d: int):
+    """Each graph's terms of Chiodo's constant term, through :class:`RPoly` weights.
+
+    Yields ``(graph, {monomial: coefficient})`` over the library's graphs
+    and profiles (:func:`~drtaut.chiodo._graph_series`).  Each profile's
+    weight is one :class:`RPoly` in ``v = 1/r``, summed from the edge
+    factors' rational coefficients and the observable sums as
+    :class:`RPoly` objects (exact on tree quotients, sampled otherwise); one
+    :func:`series_degree_mul` with :class:`RPoly` coefficients multiplies
+    the weights by the vertex and leg exponential, and each monomial keeps
+    its ``v^{2d}`` coefficient over ``|Aut|``.
+    """
+    dr.require_exact()
+    polys = dict(_edge_factor_polys(d))
+    top = 2 * d
+    points = [RPoly([int(a < 0), a]) for a in dr.parts]
+    legs, kappa = _leg_vertex_weights(points, RPoly([0, dr.twist]), d)
+
+    def exponential(graph, budget):
+        return series_vertex_leg_exp(graph, legs, kappa, budget)
+
+    def monomials(prof):
+        supports = ([q for q, c in enumerate(polys[key].coeffs) if c] for key in prof)
+        return itertools.product(*supports)
+
+    def edge_weights(_, graph, profiles):
+        b = first_betti(graph)
+        wanted = list({qs: None for prof in profiles for qs in monomials(prof)})
+        observables = [tuple((q, 0) for q in qs) for qs in wanted]
+        fits = exact_edge_profiles(graph, dr, observables)
+        sums = dict(zip(wanted, fits or sampled_edge_profiles(graph, dr, observables)))
+        weights = {}
+        for prof in profiles:
+            weight = RPoly([0])
+            for qs in monomials(prof):
+                # r^{2d-b} r^{-|q|} S(r): its r^j term is v^{shift - j}.
+                shift, S = sum(qs) + b, sums[qs]
+                assert S.degree <= shift, (graph, qs)
+                c = prod(polys[key].coeffs[q] for key, q in zip(prof, qs))
+                in_v = [S.coefficient(shift - e) if e <= shift else 0 for e in range(top + 1)]
+                weight += c * RPoly(in_v)
+            if weight:
+                weights[prof] = weight
+        return weights
+
+    for graph, _, aut, L, weights in _graph_series(dr, d, d, exponential, edge_weights):
+        series = series_degree_mul(L, _edge_monomials(graph, weights), d - graph.n_edges)
+        yield graph, {m: c / aut for m, poly in series.items() if (c := poly.coefficient(top))}
 
 
 @lru_cache(maxsize=128)

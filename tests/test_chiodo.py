@@ -25,6 +25,7 @@ from drtaut.tautclass import DecoratedGraph, TautClass, delta0, trivial_class
 from drtaut.weightings import DRVector
 
 from oracles import chiodo_constant as whole_class_constant
+from oracles import chiodo_constant_series as rpoly_constant_series
 from oracles import chiodo_pushforward as per_weighting_pushforward
 from oracles import chiodo_leg_vertex_series
 from oracles import edge_factor_coefficients as pair_product_edge_factor
@@ -273,7 +274,9 @@ def test_constant_term_examples():
 
 
 # Keyed by genus and twist k: one exactly balanced vector with parts in
-# -3..3 for each stable n <= 3; with no markings only k = 0 balances.
+# -3..3 for each stable n <= 3; with no markings only k = 0 balances.  The
+# twist -1 entries, which turn k v and 1 + a v with a < 0 into numerators,
+# cover fewer n and come last, so the other entries keep their test ids.
 CONSTANT_GRID = {
     (0, 0): [(2, -1, -1)],
     (0, 1): [(3, -1, -1)],
@@ -281,6 +284,8 @@ CONSTANT_GRID = {
     (1, 1): [(1,), (3, -1), (2, 2, -1)],
     (2, 0): [(), (0,), (1, -1), (2, -1, -1)],
     (2, 1): [(3,), (3, 1), (3, 3, -1)],
+    (1, -1): [(-1,), (-3, 1)],
+    (2, -1): [(-3, -1)],
 }
 
 
@@ -293,6 +298,33 @@ def test_constant_term_matches_whole_class_oracle(g, k, parts):
     dr = DRVector(g, parts, k)
     for d in range(4):
         assert chiodo_constant(dr, d).items() == whole_class_constant(dr, d).items()
+
+
+@pytest.mark.parametrize(
+    "g, k, parts", [(2, -1, (-3, -1)), (2, 0, (1, -1)), (2, 1, (3, 1)), (2, 2, (6,))]
+)
+def test_constant_series_matches_rpoly_oracle(g, k, parts):
+    """Integer numerators give every graph's terms, Fraction for Fraction.
+
+    One exactly balanced vector per twist k in -1..2, in every degree up
+    to 4; the graphs with terms have loops, parallel classes and free
+    residues.
+    """
+    dr = DRVector(g, parts, k)
+    seen = {"loops": 0, "classes": 0, "free": 0}
+    for d in range(5):
+        ours = list(chiodo._constant_series(dr, d))
+        want = list(rpoly_constant_series(dr, d))
+        assert [graph for graph, _ in ours] == [graph for graph, _ in want]
+        for (graph, got), (_, expected) in zip(ours, want):
+            assert got == expected, (graph, d)
+            assert all(type(c) is Fraction for c in got.values())
+            if got:
+                quotient = weightings._quotient(graph)
+                seen["loops"] += bool(quotient.loops)
+                seen["classes"] += any(len(ts) > 1 for ts in quotient.classes)
+                seen["free"] += bool(quotient.plan.free)
+    assert all(seen.values()), seen
 
 
 def test_constant_term_validation_order():

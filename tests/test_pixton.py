@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from drtaut import pixton
 from drtaut.graphs import StableGraph, enumerate_stable_graphs
 from drtaut.tautclass import (
     DecoratedGraph,
@@ -172,6 +173,24 @@ class TestConstantTerm:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError, match="defect"):
             pixton_class(DRVector(1, (1,)), 1)
+
+    def test_fit_not_divisible_by_r_power_rejected(self, monkeypatch):
+        # A unit r^1 term added to every fit: the r^b coefficient it changes
+        # on graphs with b = 1 is read, and only a graph with b = 2, the
+        # two-loop graph's, fails divisibility.
+        real = pixton.fit_edge_profiles
+
+        def shifted(graph, dr, profiles, label=None):
+            fits = real(graph, dr, profiles, label)
+            return [([nums[0], nums[1] + den, *nums[2:]], den) for nums, den in fits]
+
+        monkeypatch.setattr(pixton, "fit_edge_profiles", shifted)
+        message = (
+            r"^weighting sum not divisible by r\^2 on P\(g=2,n=0,k=0,d=2\) graph#\d+ "
+            r"profile \(0, 0\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            pixton_class(DRVector(2, ()), 2)
 
     def test_verify_polynomiality_counts_every_profile(self):
         # One fit per graph and edge profile of the class.

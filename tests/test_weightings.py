@@ -41,6 +41,17 @@ def xp(*powers):
     return tuple((p, p) for p in powers)
 
 
+def rpoly(fit):
+    """A fit of :func:`fit_edge_profiles`, numerators over a denominator, as an RPoly."""
+    nums, den = fit
+    return RPoly([F(x, den) for x in nums])
+
+
+def divisible_fit(fit, b):
+    """Whether ``r^b`` divides a fit of :func:`fit_edge_profiles`."""
+    return not any(fit[0][:b])
+
+
 def brute_weightings(graph, r, dr):
     """Filter every per-edge assignment by all vertex congruences."""
     n_e = graph.n_edges
@@ -319,29 +330,29 @@ class TestQuotient:
 
 class TestFitting:
     def test_loop_fit(self):
-        [(poly, divisible)] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [xp(1)])
-        assert poly == RPoly([F(0), F(-1, 6), F(0), F(1, 6)])
-        assert divisible
-        assert poly.shift_down(1).constant_term == F(-1, 6)
+        [fit] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [xp(1)])
+        assert rpoly(fit) == RPoly([F(0), F(-1, 6), F(0), F(1, 6)])
+        assert divisible_fit(fit, 1)
+        assert rpoly(fit).shift_down(1).constant_term == F(-1, 6)
 
     def test_two_loop_fit(self):
-        [(poly, divisible)] = fit_edge_profiles(TWO_LOOPS, DRVector(2, ()), [xp(1, 1)])
-        assert divisible
-        assert poly.shift_down(2).constant_term == F(1, 36)
+        [fit] = fit_edge_profiles(TWO_LOOPS, DRVector(2, ()), [xp(1, 1)])
+        assert divisible_fit(fit, 2)
+        assert rpoly(fit).shift_down(2).constant_term == F(1, 36)
 
     def test_quartic_loop_moment(self):
-        [(poly, divisible)] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [xp(2)])
-        assert divisible
+        [fit] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [xp(2)])
+        assert divisible_fit(fit, 1)
         # sum_w (w(r-w))^2 = r^5/30 - r^3/6*... : its r-linear part is B_4.
-        assert poly.shift_down(1).constant_term == F(-1, 30)
+        assert rpoly(fit).shift_down(1).constant_term == F(-1, 30)
 
     def test_nonzero_parts_fit(self):
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
         dr = DRVector(1, (2, 1, -3))
-        [(poly, divisible)] = fit_edge_profiles(graph, dr, [xp(1)])
+        [fit] = fit_edge_profiles(graph, dr, [xp(1)])
         # Bridge weight is the side sum 3, so x = 3 (r - 3) for large r.
-        assert divisible  # betti 0: trivially divisible
-        assert poly == RPoly([F(-9), F(3)])
+        assert divisible_fit(fit, 0)  # betti 0: trivially divisible
+        assert rpoly(fit) == RPoly([F(-9), F(3)])
 
     def test_default_sampling(self, monkeypatch):
         # Bound 2 * 2 + b = 5 from the (1, 1, 0) profile, first modulus
@@ -361,7 +372,7 @@ class TestFitting:
         fits = fit_edge_profiles(TRIANGLE, dr, [xp(1, 0, 0), xp(1, 1, 0)])
         start = default_r_min(dr)
         assert seen == list(range(start, start + 8))
-        assert [poly.shift_down(1).constant_term for poly, _ in fits] == [F(-1, 6), F(-1, 30)]
+        assert [rpoly(fit).shift_down(1).constant_term for fit in fits] == [F(-1, 6), F(-1, 30)]
 
     def test_tree_quotient_samples_nothing(self, monkeypatch):
         dr = DRVector(3, ())
@@ -374,8 +385,8 @@ class TestFitting:
         monkeypatch.setattr(weightings, "edge_profile_sums", forbidden)
         monkeypatch.setattr(weightings, "certified_fit", forbidden)
         fits = fit_edge_profiles(BANANA3_G0G1, dr, profiles)
-        assert [poly for poly, _ in fits] == sampled
-        assert all(divisible for _, divisible in fits)
+        assert [rpoly(fit) for fit in fits] == sampled
+        assert all(divisible_fit(fit, 2) for fit in fits)
 
     def test_insufficient_degree_bound(self):
         with pytest.raises(ValueError, match="insufficient degree bound"):
