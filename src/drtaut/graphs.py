@@ -19,10 +19,12 @@ bookkeeping elsewhere in the package refers to these indices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
+
+_new = object.__new__
+_set = object.__setattr__
 
 __all__ = [
     "StableGraph",
@@ -38,17 +40,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class StableGraph:
-    genera: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    legs: tuple[int, ...]
+    """An immutable stable graph in the normalized presentation above.
+
+    Graphs compare, hash and print by ``(genera, edges, legs)``; fields
+    cannot be assigned.  The hidden ``_aut`` slot holds ``|Aut|`` for the
+    graphs the enumeration returns and is ``None`` otherwise.
+    """
+
+    __slots__ = ("genera", "edges", "legs", "_aut")
 
     def __init__(self, genera: Sequence[int], edges: Sequence[Sequence[int]], legs: Sequence[int] = ()):
-        norm_edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        object.__setattr__(self, "genera", tuple(int(x) for x in genera))
-        object.__setattr__(self, "edges", norm_edges)
-        object.__setattr__(self, "legs", tuple(int(v) for v in legs))
+        _fill(
+            self,
+            tuple(int(x) for x in genera),
+            tuple(sorted((min(u, v), max(u, v)) for u, v in edges)),
+            tuple(int(v) for v in legs),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.genera, self.edges, self.legs) == (other.genera, other.edges, other.legs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.genera, self.edges, self.legs))
+
+    def __repr__(self):
+        return f"StableGraph(genera={self.genera!r}, edges={self.edges!r}, legs={self.legs!r})"
+
+    def __reduce__(self):
+        return StableGraph, (self.genera, self.edges, self.legs)
 
     # -- basic counts -------------------------------------------------
 
@@ -139,11 +167,16 @@ class StableGraph:
         """
         return {t for t, (u, v) in enumerate(self.edges) if v not in self._reachable(u, t)}
 
-    def edge_side_markings(self, t: int) -> tuple[int, ...] | None:
-        """Markings on the ``edges[t][0]`` side of a bridge, else ``None``."""
+    def edge_side(self, t: int) -> set[int] | None:
+        """Vertices on the ``edges[t][0]`` side of a bridge, else ``None``."""
         u, v = self.edges[t]
         side = self._reachable(u, t)
-        if v in side:
+        return None if v in side else side
+
+    def edge_side_markings(self, t: int) -> tuple[int, ...] | None:
+        """Markings on the ``edges[t][0]`` side of a bridge, else ``None``."""
+        side = self.edge_side(t)
+        if side is None:
             return None
         return tuple(i + 1 for i, w in enumerate(self.legs) if w in side)
 
@@ -154,6 +187,20 @@ class StableGraph:
 
     def __lt__(self, other: "StableGraph") -> bool:
         return self.canonical_key() < other.canonical_key()
+
+
+def _fill(graph: StableGraph, genera, edges, legs) -> None:
+    _set(graph, "genera", genera)
+    _set(graph, "edges", edges)
+    _set(graph, "legs", legs)
+    _set(graph, "_aut", None)
+
+
+def _graph(genera: tuple[int, ...], edges: tuple[tuple[int, int], ...], legs: tuple[int, ...]) -> StableGraph:
+    """A graph from parts already normalized: int tuples, edges sorted with ``u <= v``."""
+    graph = _new(StableGraph)
+    _fill(graph, genera, edges, legs)
+    return graph
 
 
 def first_betti(graph: StableGraph) -> int:
@@ -210,62 +257,55 @@ def _canonical_data(
     kappa: tuple[tuple[int, ...], ...],
 ):
     V = len(genera)
-    colors = []
-    for v in range(V):
-        marks = tuple(
-            (i + 1, leg_psi[i]) for i, w in enumerate(legs) if w == v
-        )
-        colors.append((genera[v], marks, kappa[v]))
+    marks: list[list] = [[] for _ in range(V)]
+    for i, v in enumerate(legs):
+        marks[v].append((i + 1, leg_psi[i]))
+    colors = [(genera[v], tuple(marks[v]), kappa[v]) for v in range(V)]
 
-    order = sorted(range(V), key=lambda v: colors[v])
+    order = sorted(range(V), key=colors.__getitem__)
     blocks: list[list[int]] = []
     for v in order:
         if blocks and colors[blocks[-1][0]] == colors[v]:
             blocks[-1].append(v)
         else:
             blocks.append([v])
+    if len(blocks) == V:
+        orders = [order]
+    else:
+        orders = map(itertools.chain.from_iterable, itertools.product(*map(itertools.permutations, blocks)))
 
     best = None
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
+    for seq in orders:
         pos = [0] * V
-        slot = 0
-        for block in perms:
-            for v in block:
-                pos[v] = slot
-                slot += 1
+        for slot, v in enumerate(seq):
+            pos[v] = slot
         records = []
-        for t, (u, v) in enumerate(edges):
-            pu, pv = edge_psi[t]
+        for (u, v), (pu, pv) in zip(edges, edge_psi):
             nu, nv = pos[u], pos[v]
             if nu < nv:
-                rec = (nu, nv, pu, pv)
+                records.append((nu, nv, pu, pv))
             elif nu > nv:
-                rec = (nv, nu, pv, pu)
+                records.append((nv, nu, pv, pu))
+            elif pu <= pv:
+                records.append((nu, nv, pu, pv))
             else:
-                lo, hi = sorted((pu, pv))
-                rec = (nu, nv, lo, hi)
-            records.append(rec)
-        cand = tuple(sorted(records))
-        if best is None or cand < best[0]:
-            best = (cand, tuple(pos))
+                records.append((nu, nv, pv, pu))
+        records.sort()
+        if best is None or records < best[0]:
+            best = (records, pos)
 
     records, pos = best
-    inv = [0] * V
-    for old, new in enumerate(pos):
-        inv[new] = old
-    new_genera = tuple(genera[inv[p]] for p in range(V))
-    new_kappa = tuple(kappa[inv[p]] for p in range(V))
+    new_genera = tuple(colors[v][0] for v in order)
+    new_kappa = tuple(colors[v][2] for v in order)
     new_legs = tuple(pos[v] for v in legs)
-    return new_genera, records, new_legs, leg_psi, new_kappa
+    return new_genera, tuple(records), new_legs, leg_psi, new_kappa
 
 
 def canonical_key(graph: StableGraph) -> bytes:
     """Deterministic byte string identifying the isomorphism class."""
-    zero_pairs = tuple((0, 0) for _ in graph.edges)
-    zero_legs = tuple(0 for _ in graph.legs)
-    kappa = tuple(() for _ in graph.genera)
-    data = _canonical_data(graph.genera, graph.edges, graph.legs, zero_legs, zero_pairs, kappa)
-    g2, records, legs2, _, _ = data
+    genera, edges, legs = graph.genera, graph.edges, graph.legs
+    zeros = (0,) * len(legs), ((0, 0),) * len(edges), ((),) * len(genera)
+    g2, records, legs2, _, _ = _canonical_data(genera, edges, legs, *zeros)
     plain = tuple((a, b) for a, b, _, _ in records)
     return repr((g2, plain, legs2)).encode()
 
@@ -288,12 +328,10 @@ def canonical_form_decorated(
     new_genera, records, new_legs, new_leg_psi, new_kappa = _canonical_data(
         graph.genera, graph.edges, graph.legs, leg_psi, edge_psi, kappa
     )
-    pairs = [(a, b) for a, b, _, _ in records]
-    new_graph = StableGraph(new_genera, pairs, new_legs)
-    # StableGraph sorts its edge list; records are already sorted with the
-    # same comparison on the leading pair, and equal pairs stay grouped, so
-    # psi pairs can be read off in order.  Within a group of parallel edges
-    # the records themselves are sorted, fixing the order of psi pairs.
+    # The records are sorted, so their leading pairs are the normalized
+    # edge list; within a group of parallel edges the records themselves
+    # are sorted, fixing the order of psi pairs.
+    new_graph = _graph(new_genera, tuple((a, b) for a, b, _, _ in records), new_legs)
     new_edge_psi = tuple((pu, pv) for _, _, pu, pv in records)
     key = repr((new_genera, records, new_legs, new_leg_psi, new_kappa)).encode()
     return new_graph, new_leg_psi, new_edge_psi, new_kappa, key
@@ -303,49 +341,40 @@ def automorphism_order(graph: StableGraph) -> int:
     """Order of the automorphism group of the stable graph.
 
     Counts pairs of compatible vertex and half-edge permutations fixing the
-    genera and every leg: each adjacency-preserving vertex symmetry lifts in
-    ``prod_e m_e!`` ways over parallel classes, times ``2`` per loop.
+    genera and every leg: each vertex symmetry lifts in ``prod_e m_e!``
+    ways over parallel classes, times ``2`` per loop.  The graphs of
+    :func:`enumerate_stable_graphs` carry the order found while their
+    least labelling was chosen; any other graph runs the same scan.
     """
-    V = graph.n_vertices
-    mult: dict[tuple[int, int], int] = {}
-    for u, v in graph.edges:
-        mult[(u, v)] = mult.get((u, v), 0) + 1
+    if graph._aut is not None:
+        return graph._aut
+    return _least_labelling(graph)[1] * _lifts(graph.edges)
 
-    colors = [
-        (graph.genera[v], graph.vertex_markings(v)) for v in range(V)
-    ]
-    blocks: dict[tuple, list[int]] = {}
-    for v in range(V):
-        blocks.setdefault(colors[v], []).append(v)
 
-    def adjacency_ok(pos: dict[int, int]) -> bool:
-        for (u, v), m in mult.items():
-            nu, nv = pos[u], pos[v]
-            if nu > nv:
-                nu, nv = nv, nu
-            if mult.get((nu, nv), 0) != m:
-                return False
-        return True
-
-    n_perm = 0
-    items = sorted(blocks.values())
-    for perms in itertools.product(*(itertools.permutations(b) for b in items)):
-        pos: dict[int, int] = {}
-        for block, image in zip(items, perms):
-            for v, w in zip(block, image):
-                pos[v] = w
-        if adjacency_ok(pos):
-            n_perm += 1
-
+def _lifts(edges: tuple[tuple[int, int], ...]) -> int:
+    """Half-edge symmetries over the identity on vertices, for sorted ``edges``."""
     lifts = 1
-    for (u, v), m in mult.items():
-        lifts *= factorial(m)
-        if u == v:
-            lifts *= 2 ** m
-    return n_perm * lifts
+    for (u, v), group in itertools.groupby(edges):
+        m = sum(1 for _ in group)
+        lifts *= factorial(m) << (m if u == v else 0)
+    return lifts
 
 
 # -- enumeration ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _shares(mults: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+    """Ways to move ``k_c <= m_c`` of each class ``c`` of ``mults`` to a new vertex.
+
+    Each way is ``(k, sum(k), mirrored)``, where ``mirrored`` tells whether
+    ``k`` exceeds what stays, ``m - k``, in lexicographic order.
+    """
+    shares = []
+    for k in itertools.product(*(range(m + 1) for m in mults)):
+        stays = tuple(m - x for m, x in zip(mults, k))
+        shares.append((k, sum(k), k > stays))
+    return tuple(shares)
 
 
 def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
@@ -358,87 +387,103 @@ def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
     interchangeable) and its loops, each of which stays at ``v``, opens
     into an edge ``v - w`` or moves to ``w``; both sides must stay stable.
     Of two splits that are mirror images under swapping ``v`` and ``w``
-    only one is produced.
+    only one is produced: the one whose ``w`` side, read as (genus, loops
+    moved, edges moved to each neighbour, legs moved), is not the larger.
     """
-    w = graph.n_vertices
-    for v, gv in enumerate(graph.genera):
+    genera, edges, legs = graph.genera, graph.edges, graph.legs
+    w = len(genera)
+    for v, gv in enumerate(genera):
+        head, tail = genera[:v], genera[v + 1 :]
         if gv > 0:
-            genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1 :]
-            yield StableGraph(genera, graph.edges + ((v, v),), graph.legs)
+            yield _graph(head + (gv - 1,) + tail, tuple(sorted(edges + ((v, v),))), legs)
 
         rest: list[tuple[int, int]] = []
         nbr: dict[int, int] = {}
         loops = 0
-        for a, b in graph.edges:
-            if a == b == v:
-                loops += 1
-            elif v in (a, b):
-                u = b if a == v else a
-                nbr[u] = nbr.get(u, 0) + 1
+        for e in edges:
+            a, b = e
+            if a == v:
+                if b == v:
+                    loops += 1
+                else:
+                    nbr[b] = nbr.get(b, 0) + 1
+            elif b == v:
+                nbr[a] = nbr.get(a, 0) + 1
             else:
-                rest.append((a, b))
-        others = sorted(nbr)
-        marks = [i for i, x in enumerate(graph.legs) if x == v]
-        # (kept at v, opened into v - w, moved to w)
-        loop_splits = [(k, loops - k - m, m) for k in range(loops + 1) for m in range(loops - k + 1)]
+                rest.append(e)
+        # The classes shared between v and w: the edges to each neighbour,
+        # then each leg on its own.
+        others = [(nbr[u], (u, v) if u < v else (v, u), (u, w)) for u in sorted(nbr)]
+        marks = [i for i, x in enumerate(legs) if x == v]
+        shares = _shares(tuple(m for m, _, _ in others) + (1,) * len(marks))
         non_loop = sum(nbr.values()) + len(marks)
+        n_others = len(others)
 
-        # ``split`` holds the edges to each neighbour moved to ``w``, then
-        # a 1 for each leg moved to ``w``.
-        for gw, (kept, opened, moved), *split in itertools.product(
-            range(gv + 1),
-            loop_splits,
-            *(range(nbr[u] + 1) for u in others),
-            *([(0, 1)] * len(marks)),
-        ):
-            side_w = (gw, moved, *split)
-            side_v = (
-                gv - gw,
-                kept,
-                *(nbr[u] - k for u, k in zip(others, split)),
-                *(1 - bit for bit in split[len(others) :]),
-            )
-            if side_w > side_v:
-                continue
-            to_w = sum(split)
-            if 2 * gw - 1 + 2 * moved + opened + to_w <= 0:
-                continue
-            if 2 * (gv - gw) - 1 + 2 * kept + opened + non_loop - to_w <= 0:
-                continue
-            edges = rest + [(v, v)] * kept + [(v, w)] * (opened + 1) + [(w, w)] * moved
-            for u, k in zip(others, split):
-                edges += [(u, v)] * (nbr[u] - k) + [(u, w)] * k
-            legs = list(graph.legs)
-            for i, bit in zip(marks, split[len(others) :]):
-                if bit:
-                    legs[i] = w
-            genera = graph.genera[:v] + (gv - gw,) + graph.genera[v + 1 :] + (gw,)
-            yield StableGraph(genera, edges, legs)
+        for gw in range(gv // 2 + 1):
+            new_genera = head + (gv - gw,) + tail + (gw,)
+            # (kept at v, opened into v - w, moved to w)
+            for kept in range(loops + 1):
+                for moved in range(loops - kept + 1):
+                    opened = loops - kept - moved
+                    # The w side may not be the larger of the two; the
+                    # shares decide only on a tie in genus and loops.
+                    if 2 * gw == gv and moved > kept:
+                        continue
+                    check_mirror = 2 * gw == gv and moved == kept
+                    base = rest + [(v, v)] * kept + [(v, w)] * (opened + 1) + [(w, w)] * moved
+                    # Both sides stable, 2 g - 2 + deg > 0, with ``total``
+                    # of the shared classes moved to w.
+                    lo = 2 - 2 * gw - 2 * moved - opened
+                    hi = 2 * (gv - gw) + 2 * kept + opened + non_loop - 2
+                    for split, total, mirrored in shares:
+                        if total < lo or total > hi or (check_mirror and mirrored):
+                            continue
+                        new_edges = list(base)
+                        for (m, vu, uw), k in zip(others, split):
+                            new_edges += [vu] * (m - k) + [uw] * k
+                        new_legs = legs
+                        if any(split[n_others:]):
+                            new_legs = list(legs)
+                            for i, bit in zip(marks, split[n_others:]):
+                                if bit:
+                                    new_legs[i] = w
+                            new_legs = tuple(new_legs)
+                        new_edges.sort()
+                        yield _graph(new_genera, tuple(new_edges), new_legs)
 
 
-def _least_labelling(graph: StableGraph) -> StableGraph:
-    """The relabeling of ``graph`` with the least ``(edges, genera, legs)``.
+def _least_labelling(graph: StableGraph) -> tuple[StableGraph, int]:
+    """The relabeling of ``graph`` with the least ``(edges, genera, legs)``,
+    and the number of vertex orders that reach it.
 
     Tuples compare lexicographically over all vertex permutations.  This
     fixes the representative of each isomorphism class independently of
     the route that found it, so serialized output stays byte-identical.
+    The orders reaching the least labelling form one coset of the vertex
+    symmetries fixing genera, legs and edge multiplicities, so their count
+    is the order of that group.
     """
-    V = graph.n_vertices
-    best = None
+    genera, edges, legs = graph.genera, graph.edges, graph.legs
+    V = len(genera)
+    best, count = None, 0
     for perm in itertools.permutations(range(V)):
-        edges = tuple(
-            sorted((perm[u], perm[v]) if perm[u] <= perm[v] else (perm[v], perm[u]) for u, v in graph.edges)
-        )
-        if best is not None and edges > best[0]:
+        new_edges = []
+        for u, v in edges:
+            a, b = perm[u], perm[v]
+            new_edges.append((a, b) if a <= b else (b, a))
+        new_edges.sort()
+        if best is not None and new_edges > best[0]:
             continue
-        genera = [0] * V
-        for v, gv in enumerate(graph.genera):
-            genera[perm[v]] = gv
-        cand = (edges, tuple(genera), tuple(perm[v] for v in graph.legs))
+        new_genera = [0] * V
+        for v, gv in enumerate(genera):
+            new_genera[perm[v]] = gv
+        cand = (new_edges, new_genera, [perm[v] for v in legs])
         if best is None or cand < best:
-            best = cand
-    edges, genera, legs = best
-    return StableGraph(genera, edges, legs)
+            best, count = cand, 1
+        elif cand == best:
+            count += 1
+    new_edges, new_genera, new_legs = best
+    return _graph(tuple(new_genera), tuple(new_edges), tuple(new_legs)), count
 
 
 def require_stable_type(g: int, n: int) -> None:
@@ -463,9 +508,10 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
 
     The result is deterministic and sorted by canonical key.  Each class
     is represented by its labelling with the lexicographically least
-    ``(edges, genera, legs)`` (see ``_least_labelling``).  Examples:
-    ``(0, 4)`` has 4 graphs with at most one edge, ``(1, 1)`` has 2,
-    ``(2, 0)`` has 7.
+    ``(edges, genera, legs)`` (see ``_least_labelling``); the scan that
+    finds it also counts the graph's automorphisms, which
+    :func:`automorphism_order` reads.  Examples: ``(0, 4)`` has 4 graphs
+    with at most one edge, ``(1, 1)`` has 2, ``(2, 0)`` has 7.
     """
     require_stable_type(g, n)
     if max_edges is not None and max_edges < 0:
@@ -483,7 +529,12 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
             if key not in found:
                 found[key] = child
                 level.append(child)
-    return tuple(_least_labelling(found[key]) for key in sorted(found))
+    representatives = []
+    for key in sorted(found):
+        graph, orders = _least_labelling(found[key])
+        _set(graph, "_aut", orders * _lifts(graph.edges))
+        representatives.append(graph)
+    return tuple(representatives)
 
 
 # -- serialization ----------------------------------------------------
@@ -493,17 +544,18 @@ SCHEMA_GRAPH = "stablegraph/1"
 
 def graph_to_json(graph: StableGraph) -> dict:
     """Plain-dict form of a graph, stable under round-trip."""
+    half_edges: list[list[int]] = [[] for _ in graph.genera]
+    for t, (u, v) in enumerate(graph.edges):
+        half_edges[u].append(2 * t)
+        half_edges[v].append(2 * t + 1)
+    E2 = 2 * graph.n_edges
+    for i, v in enumerate(graph.legs):
+        half_edges[v].append(E2 + i)
     return {
         "version": SCHEMA_GRAPH,
-        "vertices": [
-            {"genus": graph.genera[v], "half_edges": list(graph.vertex_half_edges(v))}
-            for v in range(graph.n_vertices)
-        ],
-        "edges": [list(graph.edge_half_edges(t)) for t in range(graph.n_edges)],
-        "legs": [
-            {"half_edge": graph.leg_half_edge(i + 1), "marking": i + 1}
-            for i in range(graph.n_legs)
-        ],
+        "vertices": [{"genus": gv, "half_edges": hs} for gv, hs in zip(graph.genera, half_edges)],
+        "edges": [[2 * t, 2 * t + 1] for t in range(graph.n_edges)],
+        "legs": [{"half_edge": E2 + i, "marking": i + 1} for i in range(graph.n_legs)],
     }
 
 

@@ -14,9 +14,11 @@ weighted by ``1 / (|Aut| r^b)``.  Only the edge factors depend on the
 weighting, so each graph is assembled once: the weighting sum of
 ``prod_e x_e^{m_e+1}`` weights the edge monomials of each exponent profile
 ``m``, and one series product with the vertex and leg exponential gives
-the graph's terms.  At fixed r the weight is that sum over ``|Aut| r^b``;
-the r-free class takes its constant term in r, the sum being a
-polynomial in r divisible by ``r^b``.
+the graph's terms.  A graph with a bridge whose residue, forced by the
+data, is 0 has ``x = 0`` on that bridge at every weighting, so it is
+skipped before any sum or fit.  At fixed r the weight is that sum over
+``|Aut| r^b``; the r-free class takes its constant term in r, the sum
+being a polynomial in r divisible by ``r^b``.
 :func:`~drtaut.weightings.fit_edge_profiles` gives that polynomial
 exactly: in closed form when the graph's simple quotient is a tree, and
 by a certified fit on sampled moduli otherwise.  ``DR_g(A) = 2^{-g}``
@@ -105,29 +107,44 @@ def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict) -
     emit_series(acc, graph, series_degree_mul(L, edges, cap), Fraction(1))
 
 
-def _skip_for_zero_data(graph: StableGraph, dr: DRVector) -> bool:
-    # With k = 0 and all parts zero every bridge carries residue 0, so any
-    # graph with a separating edge contributes nothing in any degree.
-    if dr.twist != 0 or any(dr.parts):
-        return False
-    return bool(graph.bridges())
+def _zero_bridge(graph: StableGraph, dr: DRVector, r: int) -> bool:
+    """Whether a bridge of ``graph`` has residue 0 mod ``r`` (exactly 0 for ``r = 0``).
+
+    The residues at a vertex ``v`` add to ``k (2 g_v - 2 + deg v)`` and the
+    two halves of any other edge cancel, so on side ``S`` a bridge's half
+    carries the forced residue ``k E_S - A_S``, with ``E_S`` the sum of
+    ``2 g_v - 2 + deg v`` and ``A_S`` that of the parts on ``S``.  When it
+    is 0 the bridge has ``x = w (r - w) = 0`` on every weighting, and the
+    graph contributes nothing.
+    """
+    for t in range(graph.n_edges):
+        side = graph.edge_side(t)
+        if side is None:
+            continue
+        excess = sum(2 * graph.genera[v] - 2 + graph.vertex_degree(v) for v in side)
+        residue = dr.twist * excess - sum(a for a, v in zip(dr.parts, graph.legs) if v in side)
+        if (residue % r if r else residue) == 0:
+            return True
+    return False
 
 
-def _graph_templates(dr: DRVector, d: int):
+def _graph_templates(dr: DRVector, d: int, modulus: int | None = None):
     """The per-graph data the graph sums share, for each graph with profiles.
 
     Yields a label naming the data and the graph's index in the
     enumeration, the graph, its Betti number, ``|Aut|``, the vertex and
     leg exponential ``L`` truncated at ``cap = d - n_edges``, and the edge
     exponent profiles ``m`` for which ``L`` has degree ``cap - |m|`` terms.
-    The type ``(g, n)`` is checked before the degree, since a negative
-    genus makes the degree ``g`` of a DR cycle negative too.
+    With ``modulus`` given, graphs with a bridge of residue 0 mod
+    ``modulus`` (see :func:`_zero_bridge`) are left out.  The type
+    ``(g, n)`` is checked before the degree, since a negative genus makes
+    the degree ``g`` of a DR cycle negative too.
     """
     require_stable_type(dr.genus, dr.n)
     if d < 0:
         raise ValueError("degree must be non-negative")
     for idx, graph in enumerate(enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)):
-        if _skip_for_zero_data(graph, dr):
+        if modulus is not None and _zero_bridge(graph, dr, modulus):
             continue
         cap = d - graph.n_edges
         L = _vertex_leg_series(graph, dr, cap)
@@ -160,7 +177,7 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     if dr.defect % r:
         raise ValueError(f"no weightings mod {r}: admissibility fails")
     acc: list = []
-    for _, graph, b, aut, L, profiles in _graph_templates(dr, d):
+    for _, graph, b, aut, L, profiles in _graph_templates(dr, d, r):
         sums = edge_profile_sums(graph, r, dr, power_tables(r, _powers(profiles)))
         weights = {m: Fraction(s, aut * r**b) for m, s in zip(profiles, sums)}
         _emit_graph(acc, graph, L, d, weights)
@@ -179,7 +196,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     """
     dr.require_exact()
     acc: list = []
-    for label, graph, b, aut, L, profiles in _graph_templates(dr, d):
+    for label, graph, b, aut, L, profiles in _graph_templates(dr, d, 0):
         fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
         weights = {}
         for m, (nums, den) in zip(profiles, fits):
@@ -207,8 +224,11 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     type or a negative degree raise ``ValueError`` before any fit.
     """
     dr.require_exact()
+    # Only on zero data, where every bridge has residue 0, are graphs
+    # with a bridge left out.
+    zero_data = dr.twist == 0 and not any(dr.parts)
     fits, bad, differ = 0, [], []
-    for label, graph, b, _, _, profiles in _graph_templates(dr, d):
+    for label, graph, b, _, _, profiles in _graph_templates(dr, d, 0 if zero_data else None):
         powers = _powers(profiles)
         try:
             sampled = sampled_edge_profiles(graph, dr, powers, label=label)

@@ -49,7 +49,6 @@ wraps the exact ones as :class:`~drtaut.exact.RPoly` for comparisons).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
@@ -74,23 +73,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DRVector:
     """Ramification data: a genus, integer parts ``a_i``, and a twist ``k``.
 
     The balanced case ``sum a_i = k (2g - 2 + n)`` is the one every
     varying-r computation needs; fixed-r operations only need the equation
     to hold mod r.  ``defect`` measures the failure of exact balance.
+    Immutable: vectors compare, hash and print by ``(genus, parts, twist)``.
     """
 
-    genus: int
-    parts: tuple[int, ...]
-    twist: int = 0
+    __slots__ = ("genus", "parts", "twist")
 
     def __init__(self, genus: int, parts: Sequence[int], twist: int = 0):
         object.__setattr__(self, "genus", int(genus))
         object.__setattr__(self, "parts", tuple(int(a) for a in parts))
         object.__setattr__(self, "twist", int(twist))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.genus, self.parts, self.twist) == (other.genus, other.parts, other.twist)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.genus, self.parts, self.twist))
+
+    def __repr__(self):
+        return f"DRVector(genus={self.genus!r}, parts={self.parts!r}, twist={self.twist!r})"
+
+    def __reduce__(self):
+        return DRVector, (self.genus, self.parts, self.twist)
 
     @property
     def n(self) -> int:

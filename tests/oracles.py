@@ -1,5 +1,17 @@
 """Slow reference implementations kept as test oracles.
 
+``canonical_data`` searches every vertex order compatible with the vertex
+colors for the least edge encoding, building each vertex's color by a
+scan of all legs; the library builds the colors in one pass and takes the
+one order of all-singleton color blocks directly.  ``automorphism_order``
+counts the vertex permutations within color blocks that preserve edge
+multiplicities; the library counts the vertex orders that reach a graph's
+least labelling during the scan that finds it.  ``degenerations`` builds
+every child through the public ``StableGraph`` constructor, which sorts
+and normalizes it again; the library builds each child from parts already
+normalized.  The pixton and Chiodo oracles below divide by this
+``automorphism_order``.
+
 ``enumerate_weightings`` lists every weighting through the library's tree
 solve, so brute-force checks of the solve go through it.  The direct
 ``edge_profile_sums`` runs the same solve on the unreduced graph and
@@ -49,7 +61,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 from drtaut.chiodo import _edge_factor_polys, _edge_monomials, _graph_series, _leg_vertex_weights
 from drtaut.chiodo import chiodo_pushforward as class_pushforward
 from drtaut.exact import RPoly, bernoulli_poly
-from drtaut.graphs import automorphism_order, enumerate_stable_graphs, first_betti
+from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.intersect import _term_integral, double_factorial
 from drtaut.tautclass import (
     TautClass,
@@ -73,6 +85,185 @@ from drtaut.weightings import (
     power_tables,
     sampled_edge_profiles,
 )
+
+
+def canonical_data(genera, edges, legs, leg_psi, edge_psi, kappa):
+    """``(genera, records, legs, leg_psi, kappa)`` of the least relabeling.
+
+    Minimizes the sorted edge records ``(u, v, psi_u, psi_v)`` over every
+    vertex order compatible with the colors (genus, markings with their
+    psi exponents, kappa multiset).
+    """
+    V = len(genera)
+    colors = []
+    for v in range(V):
+        marks = tuple((i + 1, leg_psi[i]) for i, w in enumerate(legs) if w == v)
+        colors.append((genera[v], marks, kappa[v]))
+
+    order = sorted(range(V), key=lambda v: colors[v])
+    blocks: list[list[int]] = []
+    for v in order:
+        if blocks and colors[blocks[-1][0]] == colors[v]:
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+
+    best = None
+    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        pos = [0] * V
+        slot = 0
+        for block in perms:
+            for v in block:
+                pos[v] = slot
+                slot += 1
+        records = []
+        for t, (u, v) in enumerate(edges):
+            pu, pv = edge_psi[t]
+            nu, nv = pos[u], pos[v]
+            if nu < nv:
+                rec = (nu, nv, pu, pv)
+            elif nu > nv:
+                rec = (nv, nu, pv, pu)
+            else:
+                lo, hi = sorted((pu, pv))
+                rec = (nu, nv, lo, hi)
+            records.append(rec)
+        cand = tuple(sorted(records))
+        if best is None or cand < best[0]:
+            best = (cand, tuple(pos))
+
+    records, pos = best
+    inv = [0] * V
+    for old, new in enumerate(pos):
+        inv[new] = old
+    new_genera = tuple(genera[inv[p]] for p in range(V))
+    new_kappa = tuple(kappa[inv[p]] for p in range(V))
+    new_legs = tuple(pos[v] for v in legs)
+    return new_genera, records, new_legs, leg_psi, new_kappa
+
+
+def canonical_key(graph: StableGraph) -> bytes:
+    """The plain canonical key, through :func:`canonical_data` with zero decorations."""
+    zero_pairs = tuple((0, 0) for _ in graph.edges)
+    zero_legs = tuple(0 for _ in graph.legs)
+    kappa = tuple(() for _ in graph.genera)
+    g2, records, legs2, _, _ = canonical_data(graph.genera, graph.edges, graph.legs, zero_legs, zero_pairs, kappa)
+    plain = tuple((a, b) for a, b, _, _ in records)
+    return repr((g2, plain, legs2)).encode()
+
+
+def canonical_form_decorated(graph: StableGraph, leg_psi, edge_psi, kappa):
+    """The decorated canonical form, through :func:`canonical_data`."""
+    kappa = tuple(tuple(sorted(k)) for k in kappa)
+    new_genera, records, new_legs, new_leg_psi, new_kappa = canonical_data(
+        graph.genera, graph.edges, graph.legs, leg_psi, edge_psi, kappa
+    )
+    new_graph = StableGraph(new_genera, [(a, b) for a, b, _, _ in records], new_legs)
+    new_edge_psi = tuple((pu, pv) for _, _, pu, pv in records)
+    key = repr((new_genera, records, new_legs, new_leg_psi, new_kappa)).encode()
+    return new_graph, new_leg_psi, new_edge_psi, new_kappa, key
+
+
+def automorphism_order(graph: StableGraph) -> int:
+    """``|Aut|``: vertex permutations within color blocks that keep every
+    edge multiplicity, times ``prod_e m_e!`` and ``2`` per loop."""
+    V = graph.n_vertices
+    mult: dict[tuple[int, int], int] = {}
+    for u, v in graph.edges:
+        mult[(u, v)] = mult.get((u, v), 0) + 1
+
+    colors = [(graph.genera[v], graph.vertex_markings(v)) for v in range(V)]
+    blocks: dict[tuple, list[int]] = {}
+    for v in range(V):
+        blocks.setdefault(colors[v], []).append(v)
+
+    def adjacency_ok(pos: dict[int, int]) -> bool:
+        for (u, v), m in mult.items():
+            nu, nv = pos[u], pos[v]
+            if nu > nv:
+                nu, nv = nv, nu
+            if mult.get((nu, nv), 0) != m:
+                return False
+        return True
+
+    n_perm = 0
+    items = sorted(blocks.values())
+    for perms in itertools.product(*(itertools.permutations(b) for b in items)):
+        pos: dict[int, int] = {}
+        for block, image in zip(items, perms):
+            for v, w in zip(block, image):
+                pos[v] = w
+        if adjacency_ok(pos):
+            n_perm += 1
+
+    lifts = 1
+    for (u, v), m in mult.items():
+        lifts *= factorial(m)
+        if u == v:
+            lifts *= 2**m
+    return n_perm * lifts
+
+
+def degenerations(graph: StableGraph):
+    """Stable graphs with one edge more that contract back to ``graph``.
+
+    A vertex of positive genus trades one genus for a loop, or a vertex
+    ``v`` splits into ``v`` and a new vertex ``w``, sharing its genus,
+    legs, neighbour edges (by count) and loops (kept, opened into ``v - w``
+    or moved to ``w``) with both sides stable; of two mirror-image splits
+    the one whose ``w`` side is not the larger is kept.
+    """
+    w = graph.n_vertices
+    for v, gv in enumerate(graph.genera):
+        if gv > 0:
+            genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1 :]
+            yield StableGraph(genera, graph.edges + ((v, v),), graph.legs)
+
+        rest: list[tuple[int, int]] = []
+        nbr: dict[int, int] = {}
+        loops = 0
+        for a, b in graph.edges:
+            if a == b == v:
+                loops += 1
+            elif v in (a, b):
+                u = b if a == v else a
+                nbr[u] = nbr.get(u, 0) + 1
+            else:
+                rest.append((a, b))
+        others = sorted(nbr)
+        marks = [i for i, x in enumerate(graph.legs) if x == v]
+        loop_splits = [(k, loops - k - m, m) for k in range(loops + 1) for m in range(loops - k + 1)]
+        non_loop = sum(nbr.values()) + len(marks)
+
+        for gw, (kept, opened, moved), *split in itertools.product(
+            range(gv + 1),
+            loop_splits,
+            *(range(nbr[u] + 1) for u in others),
+            *([(0, 1)] * len(marks)),
+        ):
+            side_w = (gw, moved, *split)
+            side_v = (
+                gv - gw,
+                kept,
+                *(nbr[u] - k for u, k in zip(others, split)),
+                *(1 - bit for bit in split[len(others) :]),
+            )
+            if side_w > side_v:
+                continue
+            to_w = sum(split)
+            if 2 * gw - 1 + 2 * moved + opened + to_w <= 0:
+                continue
+            if 2 * (gv - gw) - 1 + 2 * kept + opened + non_loop - to_w <= 0:
+                continue
+            edges = rest + [(v, v)] * kept + [(v, w)] * (opened + 1) + [(w, w)] * moved
+            for u, k in zip(others, split):
+                edges += [(u, v)] * (nbr[u] - k) + [(u, w)] * k
+            legs = list(graph.legs)
+            for i, bit in zip(marks, split[len(others) :]):
+                if bit:
+                    legs[i] = w
+            genera = graph.genera[:v] + (gv - gw,) + graph.genera[v + 1 :] + (gw,)
+            yield StableGraph(genera, edges, legs)
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import drtaut
 from drtaut import intersect, pixton, weightings
 from drtaut.cli import main
 from drtaut.exact import RPoly
@@ -584,3 +588,13 @@ class TestGlobalFlags:
         with pytest.raises(SystemExit) as exc:
             main(["dr", "--g", "1", "--a", "2,-2", "--json", "--threads", "4"])
         assert exc.value.code == 2
+
+    def test_launch_loads_no_introspection_modules(self):
+        # dataclasses pulls inspect, ast, dis and tokenize into every launch.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drtaut.__file__)))
+        code = (
+            "import sys, drtaut.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

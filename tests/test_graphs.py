@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import json
+import pickle
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from drtaut.graphs import (
     StableGraph,
+    _degenerations,
     automorphism_order,
+    canonical_form_decorated,
     canonical_key,
     enumerate_stable_graphs,
     first_betti,
@@ -229,3 +236,87 @@ class TestJson:
         graph = graph_from_json(data)
         expect = StableGraph([1, 0], [(0, 1), (0, 1), (1, 1)])
         assert graph.canonical_key() == expect.canonical_key()
+
+
+class TestRecord:
+    def test_fields_are_frozen(self):
+        g = StableGraph([1, 0], [(1, 0)], [1])
+        for name in ("genera", "edges", "legs"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, ())
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert g.genera == (1, 0)
+
+    def test_equality_hash_and_repr(self):
+        g = StableGraph([1, 0], [(1, 0)], [1])
+        assert g == StableGraph((1, 0), [(0, 1)], (1,))
+        assert g != StableGraph([0, 1], [(0, 1)], [1])
+        assert g != (g.genera, g.edges, g.legs)
+        assert hash(g) == hash(((1, 0), ((0, 1),), (1,)))
+        assert repr(g) == "StableGraph(genera=(1, 0), edges=((0, 1),), legs=(1,))"
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_enumerated_graphs_equal_rebuilt_ones(self):
+        for graph in enumerate_stable_graphs(1, 2):
+            again = StableGraph(graph.genera, graph.edges, graph.legs)
+            assert again == graph and hash(again) == hash(graph)
+
+
+# Every stable type with 2g - 2 + n <= 5: (0, 7), (1, 5), (2, 3) and (3, 1) at the top.
+ORACLE_TYPES = [(g, n) for g in range(4) for n in range(8) if 0 < 2 * g - 2 + n <= 5]
+
+
+def shuffled(graph: StableGraph, rng: random.Random) -> StableGraph:
+    perm = list(range(graph.n_vertices))
+    rng.shuffle(perm)
+    return relabel(graph, perm)
+
+
+class TestAgainstOracles:
+    """The graph layer against the search and split of ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("g, n", ORACLE_TYPES)
+    def test_automorphism_order(self, g, n):
+        rng = random.Random(f"aut {g} {n}")
+        for graph in enumerate_stable_graphs(g, n):
+            want = oracles.automorphism_order(graph)
+            assert automorphism_order(graph) == want, graph
+            assert automorphism_order(shuffled(graph, rng)) == want, graph
+
+    @pytest.mark.parametrize("g, n", ORACLE_TYPES)
+    def test_canonical_forms(self, g, n):
+        rng = random.Random(f"canonical {g} {n}")
+        for graph in enumerate_stable_graphs(g, n):
+            other = shuffled(graph, rng)
+            assert canonical_key(other) == oracles.canonical_key(other) == canonical_key(graph)
+            leg_psi = tuple(rng.randrange(3) for _ in other.legs)
+            edge_psi = tuple((rng.randrange(3), rng.randrange(3)) for _ in other.edges)
+            kappa = tuple(tuple(rng.randrange(1, 3) for _ in range(rng.randrange(3))) for _ in other.genera)
+            got = canonical_form_decorated(other, leg_psi, edge_psi, kappa)
+            assert got == oracles.canonical_form_decorated(other, leg_psi, edge_psi, kappa), other
+
+    @pytest.mark.parametrize("g, n", ORACLE_TYPES)
+    def test_degenerations(self, g, n):
+        rng = random.Random(f"degenerations {g} {n}")
+        for graph in enumerate_stable_graphs(g, n):
+            for parent in (graph, shuffled(graph, rng)):
+                assert Counter(_degenerations(parent)) == Counter(oracles.degenerations(parent)), parent
+
+    @pytest.mark.parametrize("g, n", [(0, 6), (1, 4), (2, 2), (3, 0)])
+    def test_graph_to_json(self, g, n):
+        for graph in enumerate_stable_graphs(g, n):
+            want = {
+                "version": "stablegraph/1",
+                "vertices": [
+                    {"genus": graph.genera[v], "half_edges": list(graph.vertex_half_edges(v))}
+                    for v in range(graph.n_vertices)
+                ],
+                "edges": [list(graph.edge_half_edges(t)) for t in range(graph.n_edges)],
+                "legs": [
+                    {"half_edge": graph.leg_half_edge(i + 1), "marking": i + 1}
+                    for i in range(graph.n_legs)
+                ],
+            }
+            got = graph_to_json(graph)
+            assert json.dumps(got) == json.dumps(want), graph

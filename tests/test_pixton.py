@@ -17,7 +17,9 @@ from drtaut.tautclass import (
 from drtaut.pixton import (
     _emit_graph,
     _graph_templates,
+    _powers,
     _vertex_leg_series,
+    _zero_bridge,
     dr_cycle,
     genus0_closed,
     genus1_closed,
@@ -26,7 +28,7 @@ from drtaut.pixton import (
     pixton_fixed_r,
     verify_polynomiality,
 )
-from drtaut.weightings import DRVector
+from drtaut.weightings import DRVector, edge_profile_sums, fit_edge_profiles, power_tables
 
 import oracles
 from oracles import leg_vertex_series, psi_edge_monomial, series_degree_part, series_edge_power
@@ -150,6 +152,50 @@ class TestTemplateOracle:
             r = (3, 5, 7)[i % 3]
             got, want = pixton_fixed_r(dr, d, r), oracles.pixton_fixed_r(dr, d, r)
             assert got == want, (dr, d, r, got.diff_report(want))
+
+
+class TestZeroBridge:
+    """Graphs with a bridge of residue 0 carry zero weight on every profile."""
+
+    def test_r_free_weights_vanish(self):
+        skipped = 0
+        for g in range(4):
+            for dr, d in grid(g):
+                for label, graph, *_, profiles in _graph_templates(dr, d):
+                    if _zero_bridge(graph, dr, 0):
+                        fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
+                        assert all(not any(nums) for nums, _ in fits), label
+                        skipped += 1
+        assert skipped > 0
+
+    @pytest.mark.parametrize(
+        "dr, d, r",
+        [
+            (DRVector(2, (2, 3)), 2, 5),
+            (DRVector(2, (6, 1), 1), 2, 3),
+            (DRVector(1, (5, -1)), 2, 4),
+            (DRVector(2, (1, 1)), 2, 2),
+            (DRVector(1, (2, 2, -1), 1), 2, 3),
+            (DRVector(2, (2, -1, -1)), 2, 7),
+        ],
+    )
+    def test_fixed_r_weights_vanish(self, dr, d, r):
+        # Admissible mod r, and for all but the last not exactly balanced.
+        assert dr.defect % r == 0
+        skipped = 0
+        for _, graph, *_, profiles in _graph_templates(dr, d):
+            if _zero_bridge(graph, dr, r):
+                sums = edge_profile_sums(graph, r, dr, power_tables(r, _powers(profiles)))
+                assert not any(sums), graph
+                skipped += 1
+        assert skipped > 0
+        assert pixton_fixed_r(dr, d, r) == oracles.pixton_fixed_r(dr, d, r)
+
+    def test_dr_cycle_skips(self):
+        dr = DRVector(3, (2, -1, -1))
+        graphs = enumerate_stable_graphs(3, 3, max_edges=3)
+        assert sum(_zero_bridge(graph, dr, 0) for graph in graphs) == 237
+        assert len(graphs) == 457
 
 
 class TestConstantTerm:

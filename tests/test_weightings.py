@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,22 @@ class TestDRVector:
         assert off.defect == -1
         with pytest.raises(ValueError):
             off.require_exact()
+
+    def test_fields_are_frozen(self):
+        dr = DRVector(2, (1, -1))
+        for name in ("genus", "parts", "twist"):
+            with pytest.raises(AttributeError):
+                setattr(dr, name, 0)
+        assert dr.genus == 2
+
+    def test_equality_hash_and_repr(self):
+        dr = DRVector(2, [1, -1])
+        assert dr == DRVector(2, (1, -1), 0)
+        assert dr != DRVector(2, (1, -1), 1)
+        assert dr != (2, (1, -1), 0)
+        assert hash(dr) == hash((2, (1, -1), 0))
+        assert repr(dr) == "DRVector(genus=2, parts=(1, -1), twist=0)"
+        assert pickle.loads(pickle.dumps(dr)) == dr
 
 
 class TestEnumerate:
