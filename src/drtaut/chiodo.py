@@ -49,20 +49,14 @@ from functools import lru_cache
 from math import comb, lcm, prod
 
 from .exact import RPoly, bernoulli_number, bernoulli_poly
-from .graphs import (
-    StableGraph,
-    automorphism_order,
-    enumerate_stable_graphs,
-    first_betti,
-    require_stable_type,
-)
+from .graphs import StableGraph, automorphism_order, enumerate_stable_graphs, require_stable_type
 from .pixton import pixton_class
 from .tautclass import (
     DecoratedGraph,
     TautClass,
     emit_series,
-    monomial_degree,
-    series_degree_mul,
+    graph_sum_data,
+    series_edge_mul,
     series_vertex_leg_exp,
     trivial_class,
 )
@@ -162,58 +156,23 @@ def _require_roots(dr: DRVector, r: int) -> None:
         raise ValueError(f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}")
 
 
-def _graph_series(dr: DRVector, d: int, cap: int, exponential, edge_weights):
-    """The per-graph data of the degree-d sum, for every graph with at most d edges.
+def _graph_series(dr: DRVector, d: int, exponential):
+    """:func:`~drtaut.tautclass.graph_sum_data` for the degree-d sum, with ``exponential``.
 
-    Yields ``(graph, b_1, |Aut|, L, weights)``.  ``L`` is the exponential
-    ``exponential(graph, cap - n_edges)``; it depends on a graph only
-    through its vertex count, leg placement and edge count, so each is
-    built once.  A graph keeps the edge factor pairs ``(i, j)`` of
-    :func:`_edge_factor_polys` within its budget (truncation changes no
-    coefficient), and the profiles, one pair per edge, that ``L`` can
-    complete to degree ``d - n_edges``; ``weights`` is
-    ``edge_weights(index, graph, profiles)``, the sums of those profiles'
-    edge factors over the weightings.  The caller multiplies them, as the
-    edge monomials of :func:`_edge_monomials`, by ``L`` into degree
-    ``d - n_edges``.  The degree is checked before the type, so a negative
-    degree is reported as such on any type.
+    A profile has one edge factor pair ``(i, j)`` of :func:`_edge_factor_polys`
+    per edge, of degree ``i + j`` (truncation changes no coefficient).
     """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if cap < d:
-        raise ValueError("truncation order below requested degree")
-    keys = [key for key, _ in _edge_factor_polys(cap)]
-    exponentials: dict = {}
-    for idx, graph in enumerate(enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)):
-        n_edges = graph.n_edges
-        shape = (graph.n_vertices, graph.legs, n_edges)
-        if shape not in exponentials:
-            exponentials[shape] = exponential(graph, cap - n_edges)
-        L = exponentials[shape]
-        part = d - n_edges
-        degrees = {part - monomial_degree(mono) for mono in L}
-        profiles = [
-            prof
-            for prof in itertools.product([key for key in keys if sum(key) <= part], repeat=n_edges)
-            if sum(i + j for i, j in prof) in degrees
-        ]
-        weights = edge_weights(idx, graph, profiles)
-        yield graph, first_betti(graph), automorphism_order(graph), L, weights
-
-
-def _edge_monomials(graph: StableGraph, weights: dict) -> dict:
-    """Profile weights as edge monomials, a profile's pairs ``(i, j)`` its edges' psi exponents."""
-    legs, kappa = (0,) * graph.n_legs, ((),) * graph.n_vertices
-    return {(legs, prof, kappa): w for prof, w in weights.items()}
+    edge_keys = {key: sum(key) for key, _ in _edge_factor_polys(d)}
+    return graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys)
 
 
 def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:
     """Degree-d part of the pushed-forward total Chern class at modulus r.
 
     Emits every graph of :func:`_graph_series`: its edge monomials times
-    the exponential, one :func:`~drtaut.tautclass.series_degree_mul` into
-    degree ``d - n_edges``, weighted by ``r^{2g-1-b_1} / |Aut|``.  The
-    edge factors are tabulated once per modulus at the full cap, and one
+    the exponential, one :func:`~drtaut.tautclass.series_edge_mul` into
+    degree d, weighted by ``r^{2g-1-b_1} / |Aut|``.  The edge factors are
+    tabulated once per modulus at the full cap, and one
     :func:`edge_profile_sums` call per graph sums every profile's product
     of tables over the weightings.  ``cap`` sets the truncation order of
     the exponentials (default d); any cap >= d yields the same degree-d
@@ -221,19 +180,19 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
     """
     _require_roots(dr, r)
     cap = d if cap is None else cap
+    if cap < d:
+        raise ValueError("truncation order below requested degree")
     factors = [dict(edge_factor_coefficients(r, w, cap)) for w in range(r)]
     tables = {key: [f.get(key, 0) for f in factors] for key, _ in _edge_factor_polys(cap)}
 
     def exponential(graph, budget):
-        return _vertex_leg_series(graph, dr, r, budget)
-
-    def edge_weights(_, graph, profiles):
-        sums = edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
-        return {prof: s for prof, s in zip(profiles, sums) if s}
+        return _vertex_leg_series(graph, dr, r, budget + cap - d)
 
     acc: list = []
-    for graph, b, aut, L, weights in _graph_series(dr, d, cap, exponential, edge_weights):
-        series = series_degree_mul(L, _edge_monomials(graph, weights), d - graph.n_edges)
+    for _, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
+        sums = edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
+        weights = {prof: s for prof, s in zip(profiles, sums) if s}
+        series = series_edge_mul(L, graph, weights, d)
         emit_series(acc, graph, series, Fraction(r) ** (2 * dr.genus - 1 - b) / aut)
     return TautClass(dr.genus, dr.n, acc)
 
@@ -275,8 +234,7 @@ def _constant_series(dr: DRVector, d: int):
     def exponential(graph, budget):
         return _Numerators(series_vertex_leg_exp(graph, legs, kappa, budget))
 
-    def edge_weights(idx, graph, profiles):
-        b = first_betti(graph)
+    for idx, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
         monomials = {
             qs: None for prof in profiles for qs in itertools.product(*map(support.get, prof))
         }
@@ -302,13 +260,9 @@ def _constant_series(dr: DRVector, d: int):
                     weight[top - shift + j] += c * S[j]
             if any(weight):
                 weights[prof] = weight
-        return weights, den * factors.den**graph.n_edges
-
-    for graph, _, aut, L, (weights, scale) in _graph_series(dr, d, d, exponential, edge_weights):
-        edges = _edge_monomials(graph, weights)
-        totals = series_degree_mul(L, edges, d - graph.n_edges, times=_dot)
-        den = scale * L.den * aut
-        yield graph, {mono: Fraction(total, den) for mono, total in totals.items()}
+        totals = series_edge_mul(L, graph, weights, d, times=_dot)
+        scale = den * factors.den**graph.n_edges * L.den * aut
+        yield graph, {mono: Fraction(total, scale) for mono, total in totals.items()}
 
 
 def chiodo_constant(dr: DRVector, d: int) -> TautClass:

@@ -8,8 +8,9 @@ Hodge class expressions, ``chiodo`` the r-th root pushforward, and
 values when they disagree and exits 1.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (malformed
-vectors, unstable types, inadmissible congruences).  ``--json`` switches
-every verb to schema-versioned, byte-stable JSON on stdout.
+vectors, unstable types, inadmissible congruences, inputs whose recursion
+runs too deep, such as psi pairings in genus in the hundreds).  ``--json``
+switches every verb to schema-versioned, byte-stable JSON on stdout.
 """
 
 from __future__ import annotations
@@ -358,6 +359,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too large: recursion depth exceeded", file=sys.stderr)
         return 2
 
 

@@ -38,21 +38,15 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .graphs import (
-    StableGraph,
-    automorphism_order,
-    enumerate_stable_graphs,
-    first_betti,
-    require_stable_type,
-)
+from .graphs import StableGraph, enumerate_stable_graphs, require_stable_type
 from .tautclass import (
     DecoratedGraph,
     TautClass,
     delta0,
     delta_I,
     emit_series,
-    monomial_degree,
-    series_degree_mul,
+    graph_sum_data,
+    series_edge_mul,
     series_vertex_leg_exp,
 )
 from .weightings import (
@@ -93,18 +87,15 @@ def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict) -
     ``weights`` maps edge-exponent profiles ``m`` to rationals ``w_m``; the
     edge series ``sum_m w_m prod_e (-1)^{m_e} s_e^{m_e} / (m_e+1)!``, with
     ``s_e = psi_h + psi_h'``, is expanded straight into edge monomials and
-    multiplied once by the vertex and leg exponential ``L``, into degree
-    ``d - n_edges`` only.
+    multiplied once by the vertex and leg exponential ``L``
+    (:func:`~drtaut.tautclass.series_edge_mul`).
     """
-    cap = d - graph.n_edges
-    legs, kappa = (0,) * graph.n_legs, ((),) * graph.n_vertices
     edges = {}
     for m, w in weights.items():
         if w:
             for choice in itertools.product(*map(_edge_power, m)):
-                pairs = tuple(pair for pair, _ in choice)
-                edges[legs, pairs, kappa] = w * prod(c for _, c in choice)
-    emit_series(acc, graph, series_degree_mul(L, edges, cap), Fraction(1))
+                edges[tuple(pair for pair, _ in choice)] = w * prod(c for _, c in choice)
+    emit_series(acc, graph, series_edge_mul(L, graph, edges, d), Fraction(1))
 
 
 def _zero_bridge(graph: StableGraph, dr: DRVector, r: int) -> bool:
@@ -128,35 +119,21 @@ def _zero_bridge(graph: StableGraph, dr: DRVector, r: int) -> bool:
     return False
 
 
-def _graph_templates(dr: DRVector, d: int, modulus: int | None = None):
-    """The per-graph data the graph sums share, for each graph with profiles.
+def _graph_templates(dr: DRVector, d: int):
+    """:func:`~drtaut.tautclass.graph_sum_data` for the degree-d sum, with fit labels.
 
-    Yields a label naming the data and the graph's index in the
-    enumeration, the graph, its Betti number, ``|Aut|``, the vertex and
-    leg exponential ``L`` truncated at ``cap = d - n_edges``, and the edge
-    exponent profiles ``m`` for which ``L`` has degree ``cap - |m|`` terms.
-    With ``modulus`` given, graphs with a bridge of residue 0 mod
-    ``modulus`` (see :func:`_zero_bridge`) are left out.  The type
-    ``(g, n)`` is checked before the degree, since a negative genus makes
-    the degree ``g`` of a DR cycle negative too.
+    Yields ``(label, graph, b_1, |Aut|, L, profiles)``: the label names the
+    data and the graph's index in the enumeration, ``L`` is the vertex and
+    leg exponential (:func:`_vertex_leg_series`) and the profiles are edge
+    exponent tuples ``m``, of degree ``|m|``.
     """
-    require_stable_type(dr.genus, dr.n)
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    for idx, graph in enumerate(enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)):
-        if modulus is not None and _zero_bridge(graph, dr, modulus):
-            continue
-        cap = d - graph.n_edges
-        L = _vertex_leg_series(graph, dr, cap)
-        degrees = {monomial_degree(mono) for mono in L}
-        profiles = [
-            m
-            for m in itertools.product(range(cap + 1), repeat=graph.n_edges)
-            if cap - sum(m) in degrees
-        ]
-        if profiles:
-            label = f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}"
-            yield label, graph, first_betti(graph), automorphism_order(graph), L, profiles
+
+    def exponential(graph, cap):
+        return _vertex_leg_series(graph, dr, cap)
+
+    edge_keys = {m: m for m in range(d + 1)}
+    for idx, *data in graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys):
+        yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", *data
 
 
 def _powers(profiles: list) -> list:
@@ -177,7 +154,9 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     if dr.defect % r:
         raise ValueError(f"no weightings mod {r}: admissibility fails")
     acc: list = []
-    for _, graph, b, aut, L, profiles in _graph_templates(dr, d, r):
+    for _, graph, b, aut, L, profiles in _graph_templates(dr, d):
+        if _zero_bridge(graph, dr, r):
+            continue
         sums = edge_profile_sums(graph, r, dr, power_tables(r, _powers(profiles)))
         weights = {m: Fraction(s, aut * r**b) for m, s in zip(profiles, sums)}
         _emit_graph(acc, graph, L, d, weights)
@@ -196,7 +175,9 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     """
     dr.require_exact()
     acc: list = []
-    for label, graph, b, aut, L, profiles in _graph_templates(dr, d, 0):
+    for label, graph, b, aut, L, profiles in _graph_templates(dr, d):
+        if _zero_bridge(graph, dr, 0):
+            continue
         fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
         weights = {}
         for m, (nums, den) in zip(profiles, fits):
@@ -228,7 +209,9 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     # with a bridge left out.
     zero_data = dr.twist == 0 and not any(dr.parts)
     fits, bad, differ = 0, [], []
-    for label, graph, b, _, _, profiles in _graph_templates(dr, d, 0 if zero_data else None):
+    for label, graph, b, _, _, profiles in _graph_templates(dr, d):
+        if zero_data and _zero_bridge(graph, dr, 0):
+            continue
         powers = _powers(profiles)
         try:
             sampled = sampled_edge_profiles(graph, dr, powers, label=label)

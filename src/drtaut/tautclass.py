@@ -18,6 +18,7 @@ differ as cohomology classes.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from math import factorial
@@ -26,7 +27,10 @@ from typing import Callable, Iterable
 from .graphs import (
     StableGraph,
     _json_value,
+    automorphism_order,
     canonical_form_decorated,
+    enumerate_stable_graphs,
+    first_betti,
     graph_from_json,
     graph_to_json,
     require_stable_type,
@@ -408,10 +412,10 @@ def beta_class() -> TautClass:
 # monomial is (leg psi exponents, edge psi exponent pairs, kappa multisets);
 # a series maps monomials to rational coefficients, truncated above a
 # degree cap.  Edges contribute no degree here: series degree is psi plus
-# kappa weight only, the edge count being fixed by the host graph.  A graph
-# sum builds each graph once: one ``series_degree_mul`` of its weighted edge
-# monomials by ``series_vertex_leg_exp`` into the one degree it needs, then
-# ``emit_series``.
+# kappa weight only, the edge count being fixed by the host graph.  Every
+# graph sum walks ``graph_sum_data`` and builds each graph once: one
+# ``series_edge_mul`` of its weighted edge monomials by the vertex and leg
+# exponential into the one degree it needs, then ``emit_series``.
 
 Monomial = tuple
 
@@ -503,6 +507,56 @@ def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, cap: i
             if c:
                 x[psi_leg_monomial(graph, i, m)] = c
     return series_exp(x, graph, cap)
+
+
+def graph_sum_data(g: int, n: int, d: int, exponential: Callable, edge_keys: dict):
+    """The per-graph data of a degree-``d`` graph sum over the stable graphs of type ``(g, n)``.
+
+    Yields ``(index, graph, b_1, |Aut|, L, profiles)`` in enumeration
+    order for each graph with at most ``d`` edges that has a profile.
+    ``L`` is ``exponential(graph, d - n_edges)``, the vertex and leg
+    exponential truncated at the degree the edges leave.  ``edge_keys``
+    maps each per-edge key to its degree; ``profiles`` are the tuples of
+    one key per edge, in ``itertools.product`` order, whose degrees leave
+    a degree that ``L`` has a monomial of.  Both depend on a graph only
+    through its vertex count, leg placement and edge count, so each is
+    built once per shape.  The type is checked before the degree, since a
+    negative genus makes the degree ``g`` of a DR cycle negative too.
+    """
+    require_stable_type(g, n)
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    shapes: dict = {}
+    for index, graph in enumerate(enumerate_stable_graphs(g, n, max_edges=d)):
+        shape = (graph.n_vertices, graph.legs, graph.n_edges)
+        if shape not in shapes:
+            part = d - graph.n_edges
+            L = exponential(graph, part)
+            wanted = {part - monomial_degree(mono) for mono in L}
+            keys = [key for key, degree in edge_keys.items() if degree <= part]
+            profiles = [
+                prof
+                for prof in itertools.product(keys, repeat=graph.n_edges)
+                if sum(map(edge_keys.get, prof)) in wanted
+            ]
+            shapes[shape] = L, profiles
+        L, profiles = shapes[shape]
+        if profiles:
+            yield index, graph, first_betti(graph), automorphism_order(graph), L, profiles
+
+
+def series_edge_mul(
+    L: dict, graph: StableGraph, edges: dict, d: int, times: Callable = operator.mul
+) -> dict:
+    """The degree-``d`` terms of ``graph`` in ``L`` times its edge monomials.
+
+    ``edges`` maps tuples of psi exponent pairs, one pair per edge, to
+    coefficients; one :func:`series_degree_mul` keeps psi and kappa degree
+    ``d - n_edges``.  ``times`` is passed on.
+    """
+    legs, kappa = (0,) * graph.n_legs, ((),) * graph.n_vertices
+    monomials = {(legs, pairs, kappa): c for pairs, c in edges.items()}
+    return series_degree_mul(L, monomials, d - graph.n_edges, times)
 
 
 def emit_series(acc: list, graph: StableGraph, x: dict, scalar: Fraction) -> None:

@@ -58,7 +58,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
-from drtaut.chiodo import _edge_factor_polys, _edge_monomials, _graph_series, _leg_vertex_weights
+from drtaut.chiodo import _edge_factor_polys, _graph_series, _leg_vertex_weights
 from drtaut.chiodo import chiodo_pushforward as class_pushforward
 from drtaut.exact import RPoly, bernoulli_poly
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
@@ -69,7 +69,7 @@ from drtaut.tautclass import (
     kappa_monomial,
     monomial_degree,
     psi_leg_monomial,
-    series_degree_mul,
+    series_edge_mul,
     series_exp,
     series_mul,
     series_unit,
@@ -567,7 +567,7 @@ def chiodo_constant_series(dr: DRVector, d: int):
     weight is one :class:`RPoly` in ``v = 1/r``, summed from the edge
     factors' rational coefficients and the observable sums as
     :class:`RPoly` objects (exact on tree quotients, sampled otherwise); one
-    :func:`series_degree_mul` with :class:`RPoly` coefficients multiplies
+    :func:`series_edge_mul` with :class:`RPoly` coefficients multiplies
     the weights by the vertex and leg exponential, and each monomial keeps
     its ``v^{2d}`` coefficient over ``|Aut|``.
     """
@@ -584,8 +584,7 @@ def chiodo_constant_series(dr: DRVector, d: int):
         supports = ([q for q, c in enumerate(polys[key].coeffs) if c] for key in prof)
         return itertools.product(*supports)
 
-    def edge_weights(_, graph, profiles):
-        b = first_betti(graph)
+    for _, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
         wanted = list({qs: None for prof in profiles for qs in monomials(prof)})
         observables = [tuple((q, 0) for q in qs) for qs in wanted]
         fits = exact_edge_profiles(graph, dr, observables)
@@ -602,10 +601,7 @@ def chiodo_constant_series(dr: DRVector, d: int):
                 weight += c * RPoly(in_v)
             if weight:
                 weights[prof] = weight
-        return weights
-
-    for graph, _, aut, L, weights in _graph_series(dr, d, d, exponential, edge_weights):
-        series = series_degree_mul(L, _edge_monomials(graph, weights), d - graph.n_edges)
+        series = series_edge_mul(L, graph, weights, d)
         yield graph, {m: c / aut for m, poly in series.items() if (c := poly.coefficient(top))}
 
 

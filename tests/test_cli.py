@@ -415,6 +415,16 @@ class TestErrorPaths:
         path.write_text(json.dumps(payload), encoding="utf-8")
         return run(capsys, ["integrate", "--class", str(path)])
 
+    def test_pairing_too_deep(self, capsys, tmp_path):
+        # The one-vertex class of genus 400 paired with psi^1198 runs the
+        # correlator recursion past Python's depth limit.
+        path = tmp_path / "cls.json"
+        payload = _one_vertex_class(vertex={"genus": 400}, ambient={"g": 400, "n": 1})
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["integrate", "--class", str(path), "--psi", "1198"])
+        assert (code, out) == (2, "")
+        assert err == "error: input too large: recursion depth exceeded\n"
+
     def test_class_edge_names_unlisted_half_edge(self, capsys, tmp_path):
         graph = {
             "version": "stablegraph/1",

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drtaut.graphs import StableGraph
+from drtaut import chiodo, pixton
+from drtaut.exact import RPoly
+from drtaut.graphs import StableGraph, automorphism_order, enumerate_stable_graphs, first_betti
 from drtaut.tautclass import (
     DecoratedGraph,
     TautClass,
@@ -20,8 +24,10 @@ from drtaut.tautclass import (
     series_exp,
     series_mul,
     series_unit,
+    series_vertex_leg_exp,
     trivial_class,
 )
+from drtaut.weightings import DRVector
 
 from oracles import series_degree_part
 
@@ -229,3 +235,107 @@ class TestSeries:
         u = series_unit(g)
         [(mono, c)] = u.items()
         assert c == 1 and monomial_degree(mono) == 0
+
+
+def pixton_profiles(graph, L, d):
+    """Pixton's per-graph selection: exponents m with a degree ``cap - |m|`` monomial in L."""
+    cap = d - graph.n_edges
+    degrees = {monomial_degree(mono) for mono in L}
+    return [
+        m for m in itertools.product(range(cap + 1), repeat=graph.n_edges) if cap - sum(m) in degrees
+    ]
+
+
+def chiodo_profiles(graph, L, d, cap):
+    """Chiodo's per-graph selection: edge factor pairs within the budget that L completes."""
+    part = d - graph.n_edges
+    keys = [key for key, _ in chiodo._edge_factor_polys(cap) if sum(key) <= part]
+    degrees = {part - monomial_degree(mono) for mono in L}
+    return [
+        prof
+        for prof in itertools.product(keys, repeat=graph.n_edges)
+        if sum(i + j for i, j in prof) in degrees
+    ]
+
+
+class TestGraphSumData:
+    """One exponential and one profile list per graph shape serve every graph of it."""
+
+    def check(self, dr, d, data, exponential, select) -> tuple[int, int, int]:
+        """Graphs, shapes and graphs yielded, once every graph with at most d edges is checked.
+
+        A yielded graph carries the L built from itself and the profiles
+        of the old per-graph selection; a graph left out has none.
+        """
+        yielded = {idx: rest for idx, *rest in data}
+        kept = len(yielded)
+        graphs = enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)
+        for idx, graph in enumerate(graphs):
+            L = exponential(graph, d - graph.n_edges)
+            profiles = select(graph, L)
+            if idx in yielded:
+                aut, b = automorphism_order(graph), first_betti(graph)
+                assert yielded.pop(idx) == [graph, b, aut, L, profiles], (dr, d, idx)
+            else:
+                assert profiles == [], (dr, d, idx)
+        assert not yielded
+        shapes = {(graph.n_vertices, graph.legs, graph.n_edges) for graph in graphs}
+        return len(graphs), len(shapes), kept
+
+    def check_pixton(self, dr, d) -> tuple[int, int, int]:
+        def exponential(graph, cap):
+            return pixton._vertex_leg_series(graph, dr, cap)
+
+        data = (
+            (int(label.rsplit("#", 1)[1]), *rest) for label, *rest in pixton._graph_templates(dr, d)
+        )
+        return self.check(dr, d, data, exponential, partial(pixton_profiles, d=d))
+
+    @pytest.mark.parametrize(
+        "dr",
+        [
+            DRVector(3, ()),
+            DRVector(2, (0, 0)),
+            DRVector(2, (2, -1, -1)),
+            DRVector(2, (3, 1), 1),
+            DRVector(2, (-3, -1), -1),
+            DRVector(1, (3, -1, -2), 0),
+        ],
+    )
+    def test_pixton(self, dr):
+        graphs, shapes, _ = map(sum, zip(*(self.check_pixton(dr, d) for d in range(4))))
+        assert graphs > shapes
+
+    def test_pixton_leaves_out_graphs_without_profiles(self):
+        # With zero data L is 1, so a graph with no edges has no profile in
+        # positive degree.
+        graphs, _, kept = self.check_pixton(DRVector(3, ()), 2)
+        assert 0 < kept < graphs
+
+    @pytest.mark.parametrize(
+        "dr", [DRVector(2, (1, -1)), DRVector(2, (3, 1), 1), DRVector(2, (-3, -1), -1)]
+    )
+    def test_chiodo(self, dr):
+        # The fixed-r exponential at two caps, as chiodo_pushforward builds
+        # it, and the RPoly-weighted one of the constant term.
+        points = [RPoly([int(a < 0), a]) for a in dr.parts]
+        legs, kappa = chiodo._leg_vertex_weights(points, RPoly([0, dr.twist]), 3)
+
+        def constant(graph, budget):
+            return series_vertex_leg_exp(graph, legs, kappa, budget)
+
+        counts = []
+        for d in range(4):
+            routes = [(constant, d)]
+            for r, cap in ((4, d), (2, d + 1)):
+
+                def fixed(graph, budget, r=r, cap=cap):
+                    return chiodo._vertex_leg_series(graph, dr, r, budget + cap - d)
+
+                routes.append((fixed, cap))
+            for exponential, cap in routes:
+                data = chiodo._graph_series(dr, d, exponential)
+                select = partial(chiodo_profiles, d=d, cap=cap)
+                counts.append(self.check(dr, d, data, exponential, select))
+        graphs, shapes, _ = map(sum, zip(*counts))
+        assert graphs > shapes
