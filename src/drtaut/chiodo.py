@@ -166,27 +166,23 @@ def _graph_series(dr: DRVector, d: int, exponential):
     return graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys)
 
 
-def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> TautClass:
+def chiodo_pushforward(dr: DRVector, d: int, r: int) -> TautClass:
     """Degree-d part of the pushed-forward total Chern class at modulus r.
 
     Emits every graph of :func:`_graph_series`: its edge monomials times
     the exponential, one :func:`~drtaut.tautclass.series_edge_mul` into
     degree d, weighted by ``r^{2g-1-b_1} / |Aut|``.  The edge factors are
-    tabulated once per modulus at the full cap, and one
+    tabulated once per modulus up to degree d, and one
     :func:`edge_profile_sums` call per graph sums every profile's product
-    of tables over the weightings.  ``cap`` sets the truncation order of
-    the exponentials (default d); any cap >= d yields the same degree-d
-    output, which the test suite uses as a truncation-independence check.
+    of tables over the weightings.  Every series is truncated at the
+    degree it has to reach, which changes no degree-d coefficient.
     """
     _require_roots(dr, r)
-    cap = d if cap is None else cap
-    if cap < d:
-        raise ValueError("truncation order below requested degree")
-    factors = [dict(edge_factor_coefficients(r, w, cap)) for w in range(r)]
-    tables = {key: [f.get(key, 0) for f in factors] for key, _ in _edge_factor_polys(cap)}
+    factors = [dict(edge_factor_coefficients(r, w, d)) for w in range(r)]
+    tables = {key: [f.get(key, 0) for f in factors] for key, _ in _edge_factor_polys(d)}
 
     def exponential(graph, budget):
-        return _vertex_leg_series(graph, dr, r, budget + cap - d)
+        return _vertex_leg_series(graph, dr, r, budget)
 
     acc: list = []
     for _, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
@@ -287,10 +283,10 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     Everything is kept as integer numerators over one denominator, and
     only the kept coefficient is formed: the edge factors and the sums
     contract into integer weight vectors over one scale per graph, the
-    exponential is put over one denominator once per graph shape, and
-    each monomial's ``v^{2d}`` coefficient is an integer dot product,
-    divided once by the scale, that denominator and ``|Aut|``.  The terms
-    merge under isomorphism as any class does.
+    exponential is put over one denominator once per vertex and edge
+    count, and each monomial's ``v^{2d}`` coefficient is an integer dot
+    product, divided once by the scale, that denominator and ``|Aut|``.
+    The terms merge under isomorphism as any class does.
     """
     acc = [
         (DecoratedGraph(graph, *mono), c)

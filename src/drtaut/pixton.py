@@ -193,7 +193,8 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     """Certify every fit behind the r-free degree-d class; list the bad ones.
 
     Makes the sampled fits (:func:`~drtaut.weightings.sampled_edge_profiles`)
-    of every graph and profile of :func:`pixton_class`, and returns
+    of every graph and profile of :func:`pixton_class`, skipping the graphs
+    it skips (a bridge of residue 0, :func:`_zero_bridge`), and returns
     ``(fits, bad)``: how many were made, and a line naming the graph's
     label and the profile of each fit not divisible by ``r^b``.  On every
     graph whose simple quotient is a tree, each fit is also compared with
@@ -205,12 +206,9 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     type or a negative degree raise ``ValueError`` before any fit.
     """
     dr.require_exact()
-    # Only on zero data, where every bridge has residue 0, are graphs
-    # with a bridge left out.
-    zero_data = dr.twist == 0 and not any(dr.parts)
     fits, bad, differ = 0, [], []
     for label, graph, b, _, _, profiles in _graph_templates(dr, d):
-        if zero_data and _zero_bridge(graph, dr, 0):
+        if _zero_bridge(graph, dr, 0):
             continue
         powers = _powers(profiles)
         try:

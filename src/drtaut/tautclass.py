@@ -518,17 +518,19 @@ def graph_sum_data(g: int, n: int, d: int, exponential: Callable, edge_keys: dic
     exponential truncated at the degree the edges leave.  ``edge_keys``
     maps each per-edge key to its degree; ``profiles`` are the tuples of
     one key per edge, in ``itertools.product`` order, whose degrees leave
-    a degree that ``L`` has a monomial of.  Both depend on a graph only
-    through its vertex count, leg placement and edge count, so each is
-    built once per shape.  The type is checked before the degree, since a
-    negative genus makes the degree ``g`` of a DR cycle negative too.
+    a degree that ``L`` has a monomial of.  ``exponential`` must depend on
+    a graph only through its vertex and edge counts, as a series does
+    whose leg monomials record psi exponents by marking, wherever the leg
+    sits; so ``L`` and the profiles are built once per such count.  The
+    type is checked before the degree, since a negative genus makes the
+    degree ``g`` of a DR cycle negative too.
     """
     require_stable_type(g, n)
     if d < 0:
         raise ValueError("degree must be non-negative")
     shapes: dict = {}
     for index, graph in enumerate(enumerate_stable_graphs(g, n, max_edges=d)):
-        shape = (graph.n_vertices, graph.legs, graph.n_edges)
+        shape = (graph.n_vertices, graph.n_edges)
         if shape not in shapes:
             part = d - graph.n_edges
             L = exponential(graph, part)

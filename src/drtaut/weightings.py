@@ -11,7 +11,8 @@ One engine enumerates them.  A solve plan fixes a BFS spanning tree over
 the non-loop edges, the order in which its edges are solved (leaves
 first) and the half-edges at each vertex.  Free non-loop residues range
 over all values mod ``r``, each tree value is forced by its child
-vertex's congruence, and the root's congruence is asserted as a check.
+vertex's congruence, and the root's congruence is checked, raising
+``ArithmeticError`` if it fails.
 One consumer walks the solutions: :func:`edge_profile_sums` sums products
 of per-edge residue tables.  Pixton's graph sum, Chiodo's pushforward and
 constant term, and the Chern-character route all reach the weightings
@@ -34,11 +35,12 @@ a polynomial in ``w/r``, needs ``w^q``, that is ``(q, 0)``.
 :func:`fit_edge_profiles` finds the sums' polynomials in one of two ways.
 When the quotient is a tree, every class residue is forced: an integer
 tree solve gives it as ``D mod r`` with ``|D|`` below
-:func:`default_r_min`, a loop's sum ``sum_{w<r} w^a (r-w)^b`` is a
-Faulhaber sum, and a parallel class's convolution is a polynomial in its
-residue and ``r``, so each polynomial is a product of those, with no
-sampling.  Otherwise :func:`sampled_edge_profiles` makes one
-:func:`certified_fit` per graph, which fits every key of a map of
+:func:`default_r_min`, and a parallel class's convolution is a
+polynomial in its residue and ``r``.  A loop's sum
+``sum_{w<r} w^a (r-w)^b`` is the class of its observable and the unit
+``(0, 0)`` at residue 0, so each polynomial is a product of class
+polynomials, with no sampling.  Otherwise :func:`sampled_edge_profiles`
+makes one :func:`certified_fit` per graph, which fits every key of a map of
 rational samples on one window of consecutive moduli and checks each fit
 on fresh ones by forward differences.  Either way the polynomials come
 out as integer numerators over one denominator; only the coefficient a
@@ -253,7 +255,8 @@ def _solutions(graph, r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[i
     congruence is ``dr.defect = 0 mod r``, ``graph``'s own once
     :func:`_require_type` holds.  A loop adds ``0 mod r`` at its vertex,
     so these solutions hold for any loop residues.  The yielded list is
-    reused: copy it to keep it.
+    reused: copy it to keep it.  A root congruence that fails after the
+    tree solve raises ``ArithmeticError``.
     """
     if dr.defect % r:
         return
@@ -268,8 +271,8 @@ def _solutions(graph, r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[i
             values[h_child] = w
             values[h_child ^ 1] = (r - w) % r
         # Root congruence: forced by the global one; keep as a consistency check.
-        root_sum = sum(values[h] for h in plan.root)
-        assert root_sum % r == targets[0], "root congruence failed after tree solve"
+        if sum(values[h] for h in plan.root) % r != targets[0]:
+            raise ArithmeticError("root congruence failed after tree solve")
         yield values
 
 
@@ -501,19 +504,6 @@ def _observable(u: dict, a: int, b: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _loop_poly(a: int, b: int) -> tuple[list[int], int]:
-    """``sum_{w<r} w^a (r-w)^b`` in ``r``, by Faulhaber; ``(0, 0)`` gives ``r``."""
-    den = lcm(*(_faulhaber(a + j)[1] for j in range(b + 1)))
-    out = [0] * (a + b + 2)
-    for j in range(b + 1):
-        # w^a (r - w)^b = sum_j C(b, j) (-1)^j w^{a+j} r^{b-j}
-        S, d = _faulhaber(a + j)
-        for m, c in enumerate(S):
-            out[m + b - j] += (-1) ** j * comb(b, j) * c * (den // d)
-    return out, den
-
-
-@lru_cache(maxsize=None)
 def _class_poly(observables: tuple[tuple[int, int], ...]) -> tuple[dict, int]:
     """``H(s) = sum over w_1 + ... + w_m = s (mod r) of prod_i w_i^{a_i} (r-w_i)^{b_i}``.
 
@@ -575,18 +565,18 @@ def _class_residues(dr: DRVector, plan: _SolvePlan) -> list[int]:
 
     The plan's tree solve run over the integers, with the vertex targets
     ``k excess[v]`` and the parts ``a_i`` themselves.  For exactly balanced
-    data the root congruence then holds exactly.  ``D_c = A_S - k E_S`` for
-    the parts and excess on one side ``S`` of the class, so ``|D_c|`` is
-    below :func:`default_r_min`.
+    data the root congruence then holds exactly; ``ArithmeticError`` is
+    raised if it does not.  ``D_c = A_S - k E_S`` for the parts and excess
+    on one side ``S`` of the class, so ``|D_c|`` is below
+    :func:`default_r_min`.
     """
     values = [0] * (2 * plan.n_edges) + list(dr.parts)
     for child, h_child, others in plan.steps:
         w = dr.twist * plan.excess[child] - sum(values[h] for h in others)
         values[h_child] = w
         values[h_child ^ 1] = -w
-    assert sum(values[h] for h in plan.root) == dr.twist * plan.excess[0], (
-        "root congruence failed after the integer tree solve"
-    )
+    if sum(values[h] for h in plan.root) != dr.twist * plan.excess[0]:
+        raise ArithmeticError("root congruence failed after the integer tree solve")
     return values[: 2 * plan.n_edges : 2]
 
 
@@ -604,8 +594,9 @@ def fit_edge_profiles(
     with ``j < b`` is nonzero.  When the graph's simple quotient is a tree
     every class residue is forced, and the polynomial is the one the sum
     equals for every ``r`` from :func:`default_r_min` on, with no modulus
-    sampled: the product of each loop's Faulhaber sum and each parallel
-    class's convolved polynomial (:func:`_class_poly`) at its residue.
+    sampled: the product of each parallel class's convolved polynomial
+    (:func:`_class_poly`) at its residue, a loop being the class of its
+    observable and the unit ``(0, 0)`` at residue 0.
     Data that is not exactly balanced has no weightings there, so every
     polynomial is 0.  Otherwise the polynomials are the certified fits of
     :func:`sampled_edge_profiles`, over their common denominator.
@@ -620,7 +611,7 @@ def fit_edge_profiles(
     residues = _class_residues(dr, quotient.plan)
     out = []
     for prof in profiles:
-        factors = [_loop_poly(*prof[t]) for t in quotient.loops]
+        factors = [_class_at(((0, 0), prof[t]), 0) for t in quotient.loops]
         factors += [
             _class_at(tuple(sorted(prof[t] for t in ts)), residue)
             for ts, residue in zip(quotient.classes, residues)

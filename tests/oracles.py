@@ -19,8 +19,10 @@ multiplies one table entry per edge and weighting; the library merges
 parallel edges into one convolved edge first.  The per-weighting
 ``chiodo_pushforward`` multiplies whole decoration series once per
 weighting; the library sums per-edge residue tables over the weightings
-first, and the two are compared term by term.  ``edge_factor_coefficients``
-expands Chiodo's edge factor as ``-sum_p s^{p-1} Z^p / p!`` with a
+first, and the two are compared term by term.  ``loop_poly`` sums a
+loop's observable ``w^a (r-w)^b`` by its own Faulhaber loop; the library
+reads it as the parallel class of the observable and the unit ``(0, 0)``.
+``edge_factor_coefficients`` expands Chiodo's edge factor as ``-sum_p s^{p-1} Z^p / p!`` with a
 two-variable product; the library divides a product of two one-variable
 exponentials by ``s``.  ``leg_vertex_series`` multiplies one exponential
 per leg and per vertex; the library exponentiates their sum once.  The
@@ -55,7 +57,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
 from drtaut.chiodo import _edge_factor_polys, _graph_series, _leg_vertex_weights
@@ -77,6 +79,7 @@ from drtaut.tautclass import (
 )
 from drtaut.weightings import (
     DRVector,
+    _faulhaber,
     _require_type,
     _solutions,
     _solve_plan,
@@ -329,6 +332,19 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
             total *= r if prof[t] is None else sum(prof[t])
         out.append(total)
     return out
+
+
+@lru_cache(maxsize=None)
+def loop_poly(a: int, b: int) -> tuple[list[int], int]:
+    """``sum_{w<r} w^a (r-w)^b`` in ``r``, by Faulhaber; ``(0, 0)`` gives ``r``."""
+    den = lcm(*(_faulhaber(a + j)[1] for j in range(b + 1)))
+    out = [0] * (a + b + 2)
+    for j in range(b + 1):
+        # w^a (r - w)^b = sum_j C(b, j) (-1)^j w^{a+j} r^{b-j}
+        S, d = _faulhaber(a + j)
+        for m, c in enumerate(S):
+            out[m + b - j] += (-1) ** j * comb(b, j) * c * (den // d)
+    return out, den
 
 
 def _pair_mul(a: dict, b: dict, cap: int) -> dict:

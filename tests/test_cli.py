@@ -167,7 +167,7 @@ class TestVerify:
 
     def test_polynomiality_fit_rejected(self, capsys, monkeypatch):
         # A spike at one modulus on the last profile of graphs with several:
-        # the first is graph#12, whose fit of key #1 fails verification.
+        # the first is graph#14, whose fit of key #1 fails verification.
         real = weightings.edge_profile_sums
 
         def spiked(graph, r, dr, profiles):
@@ -183,13 +183,13 @@ class TestVerify:
         assert code == 1
         first, message = out.splitlines()
         assert first == "FAIL fit rejected"
-        assert "P(g=2,n=2,k=0,d=2) graph#12:" in message
+        assert "P(g=2,n=2,k=0,d=2) graph#14:" in message
         assert message.endswith("fails verification at fresh sample moduli on #1")
 
     def test_polynomiality_routes_differ(self, capsys, monkeypatch):
         # A top coefficient appended to every exact polynomial keeps it
         # divisible by r^b, so only the comparison with the sampled fits
-        # rejects it.  Every graph here has a tree quotient: all 22 profiles
+        # rejects it.  Every graph here has a tree quotient: all 11 profiles
         # are named.
         real = pixton.exact_edge_profiles
 
@@ -206,7 +206,7 @@ class TestVerify:
         assert first == "FAIL fit rejected"
         assert message.startswith("sampled and exact polynomials differ on P(g=2,n=2,k=0,d=2) graph#")
         assert "graph#16 profile (1,)" in message
-        assert message.count(" profile ") == 22
+        assert message.count(" profile ") == 11
 
     def test_polynomiality_bad_fits(self, capsys, monkeypatch):
         # A constant added to every sum keeps it a polynomial in r, but not
@@ -223,7 +223,7 @@ class TestVerify:
         assert code == 1
         first, *lines = out.splitlines()
         assert first == f"FAIL {len(lines)} bad fits"
-        assert len(lines) == 11
+        assert len(lines) == 8
         for line in lines:
             assert re.fullmatch(
                 r"  P\(g=2,n=2,k=0,d=2\) graph#\d+ profile \([\d, ]*\): not divisible by r\^[12]",

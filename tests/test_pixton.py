@@ -28,7 +28,13 @@ from drtaut.pixton import (
     pixton_fixed_r,
     verify_polynomiality,
 )
-from drtaut.weightings import DRVector, edge_profile_sums, fit_edge_profiles, power_tables
+from drtaut.weightings import (
+    DRVector,
+    edge_profile_sums,
+    fit_edge_profiles,
+    power_tables,
+    sampled_edge_profiles,
+)
 
 import oracles
 from oracles import leg_vertex_series, psi_edge_monomial, series_degree_part, series_edge_power
@@ -191,6 +197,20 @@ class TestZeroBridge:
         assert skipped > 0
         assert pixton_fixed_r(dr, d, r) == oracles.pixton_fixed_r(dr, d, r)
 
+    @pytest.mark.parametrize(
+        "dr, d, count", [(DRVector(2, (1, -1)), 2, 11), (DRVector(3, (2, -1, -1)), 3, 317)]
+    )
+    def test_sampled_fits_vanish(self, dr, d, count):
+        # verify_polynomiality skips these graphs as pixton_class does; their
+        # sampled fits are certified here instead, each one zero.
+        fits = 0
+        for label, graph, *_, profiles in _graph_templates(dr, d):
+            if _zero_bridge(graph, dr, 0):
+                sampled = sampled_edge_profiles(graph, dr, _powers(profiles), label=label)
+                assert not any(sampled), label
+                fits += len(sampled)
+        assert fits == count
+
     def test_dr_cycle_skips(self):
         dr = DRVector(3, (2, -1, -1))
         graphs = enumerate_stable_graphs(3, 3, max_edges=3)
@@ -239,11 +259,16 @@ class TestConstantTerm:
             pixton_class(DRVector(2, ()), 2)
 
     def test_verify_polynomiality_counts_every_profile(self):
-        # One fit per graph and edge profile of the class.
+        # One fit per graph and edge profile of the class: the graphs with a
+        # bridge of residue 0 are skipped, as pixton_class skips them.
         dr = DRVector(2, (1, -1))
-        count = sum(len(profiles) for *_, profiles in _graph_templates(dr, 2))
+        count = sum(
+            len(profiles)
+            for _, graph, *_, profiles in _graph_templates(dr, 2)
+            if not _zero_bridge(graph, dr, 0)
+        )
         assert verify_polynomiality(dr, 2) == (count, [])
-        assert count == 22
+        assert count == 11
 
     def test_verify_polynomiality_rejects_bad_input_before_fitting(self):
         with pytest.raises(ValueError, match="defect"):

@@ -17,6 +17,7 @@ from drtaut.tautclass import (
     beta_class,
     delta0,
     delta_I,
+    graph_sum_data,
     kappa_monomial,
     monomial_degree,
     psi_leg_monomial,
@@ -246,10 +247,10 @@ def pixton_profiles(graph, L, d):
     ]
 
 
-def chiodo_profiles(graph, L, d, cap):
+def chiodo_profiles(graph, L, d):
     """Chiodo's per-graph selection: edge factor pairs within the budget that L completes."""
     part = d - graph.n_edges
-    keys = [key for key, _ in chiodo._edge_factor_polys(cap) if sum(key) <= part]
+    keys = [key for key, _ in chiodo._edge_factor_polys(d) if sum(key) <= part]
     degrees = {part - monomial_degree(mono) for mono in L}
     return [
         prof
@@ -259,13 +260,14 @@ def chiodo_profiles(graph, L, d, cap):
 
 
 class TestGraphSumData:
-    """One exponential and one profile list per graph shape serve every graph of it."""
+    """One exponential and one profile list per vertex and edge count serve every graph of it."""
 
     def check(self, dr, d, data, exponential, select) -> tuple[int, int, int]:
         """Graphs, shapes and graphs yielded, once every graph with at most d edges is checked.
 
-        A yielded graph carries the L built from itself and the profiles
-        of the old per-graph selection; a graph left out has none.
+        A yielded graph carries the L built from itself, though it was
+        built from the first graph of its vertex and edge count, and the
+        profiles of the old per-graph selection; a graph left out has none.
         """
         yielded = {idx: rest for idx, *rest in data}
         kept = len(yielded)
@@ -279,7 +281,7 @@ class TestGraphSumData:
             else:
                 assert profiles == [], (dr, d, idx)
         assert not yielded
-        shapes = {(graph.n_vertices, graph.legs, graph.n_edges) for graph in graphs}
+        shapes = {(graph.n_vertices, graph.n_edges) for graph in graphs}
         return len(graphs), len(shapes), kept
 
     def check_pixton(self, dr, d) -> tuple[int, int, int]:
@@ -316,26 +318,69 @@ class TestGraphSumData:
         "dr", [DRVector(2, (1, -1)), DRVector(2, (3, 1), 1), DRVector(2, (-3, -1), -1)]
     )
     def test_chiodo(self, dr):
-        # The fixed-r exponential at two caps, as chiodo_pushforward builds
-        # it, and the RPoly-weighted one of the constant term.
+        # The fixed-r exponential at two moduli, as chiodo_pushforward
+        # builds it, and the RPoly-weighted one of the constant term.
         points = [RPoly([int(a < 0), a]) for a in dr.parts]
         legs, kappa = chiodo._leg_vertex_weights(points, RPoly([0, dr.twist]), 3)
 
         def constant(graph, budget):
             return series_vertex_leg_exp(graph, legs, kappa, budget)
 
+        routes = [constant]
+        for r in (4, 2):
+
+            def fixed(graph, budget, r=r):
+                return chiodo._vertex_leg_series(graph, dr, r, budget)
+
+            routes.append(fixed)
         counts = []
         for d in range(4):
-            routes = [(constant, d)]
-            for r, cap in ((4, d), (2, d + 1)):
-
-                def fixed(graph, budget, r=r, cap=cap):
-                    return chiodo._vertex_leg_series(graph, dr, r, budget + cap - d)
-
-                routes.append((fixed, cap))
-            for exponential, cap in routes:
+            for exponential in routes:
                 data = chiodo._graph_series(dr, d, exponential)
-                select = partial(chiodo_profiles, d=d, cap=cap)
+                select = partial(chiodo_profiles, d=d)
                 counts.append(self.check(dr, d, data, exponential, select))
         graphs, shapes, _ = map(sum, zip(*counts))
         assert graphs > shapes
+
+    @pytest.mark.parametrize(
+        "dr, d",
+        [
+            (DRVector(4, (1, -1)), 4),
+            (DRVector(4, ()), 4),
+            (DRVector(3, (2, -1, -1)), 3),
+            (DRVector(2, (3, -1, -1, -1)), 2),
+        ],
+    )
+    def test_one_exponential_per_vertex_and_edge_count(self, dr, d):
+        # Pixton's exponential, and Chiodo's at a fixed modulus and in the
+        # constant term, each built once per (n_vertices, n_edges).
+        graphs = enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)
+        counts = {(graph.n_vertices, graph.n_edges) for graph in graphs}
+        points = [RPoly([int(a < 0), a]) for a in dr.parts]
+        legs, kappa = chiodo._leg_vertex_weights(points, RPoly([0, dr.twist]), d)
+        pixton_keys = {m: m for m in range(d + 1)}
+        routes = [
+            (
+                lambda exp: graph_sum_data(dr.genus, dr.n, d, exp, pixton_keys),
+                lambda graph, budget: pixton._vertex_leg_series(graph, dr, budget),
+            ),
+            (
+                lambda exp: chiodo._graph_series(dr, d, exp),
+                lambda graph, budget: chiodo._vertex_leg_series(graph, dr, 5, budget),
+            ),
+            (
+                lambda exp: chiodo._graph_series(dr, d, exp),
+                lambda graph, budget: series_vertex_leg_exp(graph, legs, kappa, budget),
+            ),
+        ]
+        for data, build in routes:
+            calls = []
+
+            def exponential(graph, budget):
+                calls.append((graph.n_vertices, graph.n_edges))
+                return build(graph, budget)
+
+            for _ in data(exponential):
+                pass
+            assert len(calls) == len(counts) and set(calls) == counts
+        assert len(graphs) > len(counts)

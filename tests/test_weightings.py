@@ -26,6 +26,7 @@ from drtaut.pixton import _graph_templates, _powers
 from oracles import certified_fit as oracle_certified_fit
 from oracles import edge_profile_sums as direct_profile_sums
 from oracles import enumerate_weightings
+from oracles import loop_poly as oracle_loop_poly
 
 F = Fraction
 
@@ -525,6 +526,32 @@ class TestExactProfiles:
         [poly] = exact_edge_profiles(graph, DRVector(1, (2, 1, -3)), [((2, 0),)])
         [mirror] = exact_edge_profiles(graph, DRVector(1, (-2, -1, 3)), [((2, 0),)])
         assert {poly, mirror} == {RPoly([F(9)]), RPoly([F(9), F(-6), F(1)])}
+
+    def test_loop_is_class_with_unit(self):
+        # A loop's sum over w < r of w^a (r-w)^b is the class of (a, b) and
+        # the unit observable at residue 0.
+        for a, b in itertools.product(range(7), repeat=2):
+            nums, den = weightings._class_at(((0, 0), (a, b)), 0)
+            want, want_den = oracle_loop_poly(a, b)
+            assert RPoly([F(x, den) for x in nums]) == RPoly([F(x, want_den) for x in want])
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda graph, dr, plan: next(weightings._solutions(graph, 5, dr, plan)),
+            lambda graph, dr, plan: weightings._class_residues(dr, plan),
+        ],
+        ids=["modular", "integer"],
+    )
+    def test_root_congruence_failure_raises(self, solve):
+        # An excess altered at the root makes the tree solve's values miss
+        # the root's target; the check is no assert, so it holds under -O.
+        graph = StableGraph([0, 1], [(0, 1)], [0, 0])
+        dr = DRVector(1, (1, 1), 1)
+        plan = weightings._quotient(graph).plan
+        solve(graph, dr, plan)
+        with pytest.raises(ArithmeticError, match="root congruence"):
+            solve(graph, dr, plan._replace(excess=(plan.excess[0] + 1, *plan.excess[1:])))
 
     def test_free_residue_gives_none(self):
         assert exact_edge_profiles(TRIANGLE, DRVector(1, (1, 1, -2)), [xp(1, 1, 1)]) is None
