@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
 
-from .exact import RPoly, bernoulli_number, bernoulli_poly
+from .exact import RPoly, _over_common_denominator, bernoulli_number, bernoulli_poly
 from .graphs import StableGraph, automorphism_order, enumerate_stable_graphs, require_stable_type
 from .pixton import pixton_class
 from .tautclass import (
@@ -201,11 +201,9 @@ class _Numerators(dict):
     def __init__(self, polys: dict):
         """Put each value of ``polys``, an :class:`RPoly` or a rational, over the least ``den``."""
         coeffs = {key: p.coeffs if isinstance(p, RPoly) else (p,) for key, p in polys.items()}
-        den = lcm(*(c.denominator for cs in coeffs.values() for c in cs))
-        super().__init__(
-            (key, [c.numerator * (den // c.denominator) for c in cs]) for key, cs in coeffs.items()
-        )
-        self.den = den
+        nums, self.den = _over_common_denominator([c for cs in coeffs.values() for c in cs])
+        it = iter(nums)
+        super().__init__((key, list(itertools.islice(it, len(cs)))) for key, cs in coeffs.items())
 
 
 def _dot(xs, ys) -> int:

@@ -7,17 +7,22 @@ the small amount of numerical machinery the rest of the library relies on:
 * Bernoulli numbers ``B_m`` in the convention with ``B_1 = -1/2`` (the
   generating function ``t e^{xt} / (e^t - 1)``).
 * Bernoulli polynomials ``B_m(x)``.
-* Exact fits of samples at consecutive integers, producing an
-  :class:`RPoly`: forward differences give the Newton form (and a
-  polynomial certificate, since differences past the degree vanish), and
-  one cached integer table per node window turns it into monomials.
+* Exact fits of samples at consecutive integers: forward differences
+  give the Newton form (and a polynomial certificate, since differences
+  past the degree vanish), and one cached integer table per node window
+  turns it into monomials.
+
+Fits and weighting sums give a polynomial in ``r`` in one format: integer
+numerators, low degree first, over one denominator, in lowest terms.
+:class:`RPoly`, with ``Fraction`` coefficients, is what :func:`interpolate`
+returns and the coefficient ring of Chiodo's Bernoulli weights.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 __all__ = [
@@ -28,7 +33,7 @@ __all__ = [
     "bernoulli_poly",
     "RPoly",
     "forward_differences",
-    "newton_rpoly",
+    "newton_numerators",
     "interpolate",
 ]
 
@@ -191,22 +196,33 @@ def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def forward_differences(values: Sequence) -> list:
+def _lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """``(nums, den)`` with ``gcd(den, *nums) == 1``, no trailing zero, and zero as ``([0], 1)``."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return [0], 1
+    common = gcd(den, *nums)
+    return [x // common for x in nums], den // common
+
+
+def forward_differences(values: Sequence) -> tuple[list[int], int]:
     """The leading forward differences ``[f(x_0), D f(x_0), D^2 f(x_0), ...]``.
 
     ``D f(x) = f(x + 1) - f(x)``, and ``values`` are integers or
     ``Fraction``s, ``f`` at consecutive nodes ``x_0, x_0 + 1, ...``.  They
-    are put over one denominator and only subtracted, so the work is
-    integer arithmetic; integer samples give integers.  ``D^k f(x_0)``
-    vanishes for ``m <= k < len(values)`` exactly when all the values lie
-    on one polynomial of degree below ``m``.
+    are put over one denominator ``den`` and only subtracted, so the work
+    is integer arithmetic; returns the integer differences and ``den``.
+    ``D^k f(x_0)`` vanishes for ``m <= k < len(values)`` exactly when all
+    the values lie on one polynomial of degree below ``m``.
     """
     row, den = _over_common_denominator(values)
     out = []
     while row:
         out.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
-    return out if den == 1 else [Fraction(d, den) for d in out]
+    return out, den
 
 
 @lru_cache(maxsize=128)
@@ -226,21 +242,17 @@ def _falling_table(x0: int, count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*rows))
 
 
-def newton_rpoly(diffs: Sequence, x0: int) -> RPoly:
-    """The polynomial ``sum_k diffs[k] * C(r - x0, k)`` as an :class:`RPoly`.
+def newton_numerators(diffs: Sequence[int], den: int, x0: int) -> tuple[list[int], int]:
+    """The polynomial ``sum_k diffs[k] / den * C(r - x0, k)`` as reduced numerators.
 
-    ``diffs`` are leading forward differences at ``x0``, as from
-    :func:`forward_differences`.  Over their common denominator ``den``,
-    each coefficient is one integer dot product with a column of the cached
-    table and one division by ``(len(diffs) - 1)! * den``.
+    ``diffs`` over ``den`` are leading forward differences at ``x0``, as
+    from :func:`forward_differences`.  Each numerator is one integer dot
+    product with a column of the cached table, over
+    ``(len(diffs) - 1)! * den``, and the pair is put in lowest terms.
     """
     count = len(diffs)
-    numerators, den = _over_common_denominator(diffs)
-    scale = factorial(count - 1) * den
-    return RPoly([
-        Fraction(sum(d * t for d, t in zip(numerators, column) if d), scale)
-        for column in _falling_table(x0, count)
-    ])
+    nums = [sum(d * t for d, t in zip(diffs, column) if d) for column in _falling_table(x0, count)]
+    return _lowest_terms(nums, factorial(count - 1) * den)
 
 
 def interpolate(samples: Sequence[tuple]) -> RPoly:
@@ -250,7 +262,7 @@ def interpolate(samples: Sequence[tuple]) -> RPoly:
     count) in any order; anything else raises ``ValueError``.  For instance
     the samples ``(5, 4), (6, 35/6), (7, 8)`` fit the polynomial
     ``(r^2 - 1)/6``.  The fit is the Newton form on the forward differences
-    of the values, converted by :func:`newton_rpoly`.
+    of the values, converted by :func:`newton_numerators`.
     """
     pts = sorted((Fraction(x), Fraction(y)) for x, y in samples)
     if not pts:
@@ -258,4 +270,5 @@ def interpolate(samples: Sequence[tuple]) -> RPoly:
     x0 = pts[0][0]
     if any(x != x0 + i for i, (x, _) in enumerate(pts)) or x0.denominator != 1:
         raise ValueError("interpolation nodes must be distinct consecutive integers")
-    return newton_rpoly(forward_differences([y for _, y in pts]), int(x0))
+    nums, den = newton_numerators(*forward_differences([y for _, y in pts]), int(x0))
+    return RPoly([Fraction(x, den) for x in nums])

@@ -185,9 +185,6 @@ class StableGraph:
     def canonical_key(self) -> bytes:
         return canonical_key(self)
 
-    def __lt__(self, other: "StableGraph") -> bool:
-        return self.canonical_key() < other.canonical_key()
-
 
 def _fill(graph: StableGraph, genera, edges, legs) -> None:
     _set(graph, "genera", genera)

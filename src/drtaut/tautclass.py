@@ -44,8 +44,6 @@ __all__ = [
     "trivial_class",
     "delta0",
     "delta_I",
-    "alpha_class",
-    "beta_class",
     "SCHEMA_TAUTCLASS",
 ]
 
@@ -391,19 +389,6 @@ def delta_I(n: int, I: Iterable[int]) -> TautClass:
     legs = [0 if (i + 1) in I else 1 for i in range(n)]
     graph = StableGraph([0, 1], [(0, 1)], legs)
     return TautClass(1, n, [(DecoratedGraph(graph), Fraction(1))])
-
-
-def alpha_class() -> TautClass:
-    """Genus-2 double-loop stratum class: one-eighth of its pushforward."""
-    graph = StableGraph([0], [(0, 0), (0, 0)])
-    return TautClass(2, 0, [(DecoratedGraph(graph), Fraction(1, 8))])
-
-
-def beta_class() -> TautClass:
-    """Genus-2 loop stratum with one psi: pushforward of psi on a loop half."""
-    graph = StableGraph([1], [(0, 0)])
-    dg = DecoratedGraph(graph, (), [(1, 0)], ())
-    return TautClass(2, 0, [(dg, Fraction(1))])
 
 
 # -- truncated decoration series --------------------------------------

@@ -33,7 +33,8 @@ half-edge.  Pixton's edge power ``x^p``, ``x = w((r-w) mod r)``, is
 ``(p, p)``, and its sums are divisible by ``r^b``; Chiodo's edge factor,
 a polynomial in ``w/r``, needs ``w^q``, that is ``(q, 0)``.
 :func:`fit_edge_profiles` finds the sums' polynomials in one of two ways.
-When the quotient is a tree, every class residue is forced: an integer
+When the quotient is a tree (:func:`exact_edge_profiles`), every class
+residue is forced: an integer
 tree solve gives it as ``D mod r`` with ``|D|`` below
 :func:`default_r_min`, and a parallel class's convolution is a
 polynomial in its residue and ``r``.  A loop's sum
@@ -42,10 +43,11 @@ polynomial in its residue and ``r``.  A loop's sum
 polynomials, with no sampling.  Otherwise :func:`sampled_edge_profiles`
 makes one :func:`certified_fit` per graph, which fits every key of a map of
 rational samples on one window of consecutive moduli and checks each fit
-on fresh ones by forward differences.  Either way the polynomials come
-out as integer numerators over one denominator; only the coefficient a
-caller keeps is formed as a ``Fraction`` (:func:`exact_edge_profiles`
-wraps the exact ones as :class:`~drtaut.exact.RPoly` for comparisons).
+on fresh ones by forward differences.  Both routes give each polynomial
+in the one format of :mod:`drtaut.exact`: integer numerators over one
+denominator, in lowest terms, so the two compare with ``==``.  No
+``Fraction`` is formed from a sample; only the coefficient a caller
+keeps becomes one.
 """
 
 from __future__ import annotations
@@ -57,12 +59,13 @@ from math import comb, gcd, lcm, prod
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import (
-    RPoly,
+    _lowest_terms,
     _over_common_denominator,
     bernoulli_number,
     forward_differences,
-    newton_rpoly,
+    newton_numerators,
 )
+from .graphs import require_stable_type
 
 __all__ = [
     "DRVector",
@@ -139,6 +142,8 @@ class DRVector:
         return sum(self.mu)
 
     def require_exact(self) -> None:
+        """Raise ``ValueError`` unless the type is stable, checked first, and balanced exactly."""
+        require_stable_type(self.genus, self.n)
         if not self.is_exact:
             raise ValueError(
                 f"parts must balance the twist exactly: defect {self.defect}"
@@ -398,11 +403,11 @@ def certified_fit(
     ``degree_bound + 1`` to ``degree_bound + n_verify`` vanish, so the check
     is subtraction only, and a key seen only there fails.  On any failure
     the window doubles once.  The fit is the Newton form on the window's
-    differences (:func:`~drtaut.exact.newton_rpoly`).  Returns
-    ``({key: RPoly}, divisible)``, ``divisible`` telling whether ``r^betti``
-    divides every fit.  Raises ``ValueError`` if the doubled window fails,
-    naming ``label`` and each failing key by its position ``#i`` in
-    sorted-key order.
+    differences (:func:`~drtaut.exact.newton_numerators`).  Returns
+    ``({key: (nums, den)}, divisible)``, each fit in lowest terms, and
+    ``divisible`` telling whether ``r^betti`` divides every fit.  Raises
+    ``ValueError`` if the doubled window fails, naming ``label`` and each
+    failing key by its position ``#i`` in sorted-key order.
     """
     samples: list[Mapping[Hashable, Fraction]] = []  # samples[i] is at r_min + i
     count = degree_bound + 1
@@ -410,7 +415,7 @@ def certified_fit(
         samples += [evaluate(rr) for rr in range(r_min + len(samples), r_min + count + n_verify)]
         keys = sorted(set().union(*samples))
         diffs = {key: forward_differences([s.get(key, 0) for s in samples]) for key in keys}
-        failed = {key for key in keys if any(diffs[key][count:])}
+        failed = {key for key in keys if any(diffs[key][0][count:])}
         if not failed:
             break
         count *= 2
@@ -420,8 +425,8 @@ def certified_fit(
             f"insufficient degree bound for {label}: fit of degree < {count // 2} "
             f"fails verification at fresh sample moduli on {names}"
         )
-    fits = {key: newton_rpoly(diffs[key][:count], r_min) for key in keys}
-    return fits, all(fit.divisible_by(betti) for fit in fits.values())
+    fits = {key: newton_numerators(d[:count], den, r_min) for key, (d, den) in diffs.items()}
+    return fits, not any(any(nums[:betti]) for nums, _ in fits.values())
 
 
 def sampled_edge_profiles(
@@ -429,15 +434,16 @@ def sampled_edge_profiles(
     dr: DRVector,
     profiles: Sequence[tuple[tuple[int, int], ...]],
     label: str | None = None,
-) -> list[RPoly]:
+) -> list[tuple[list[int], int]]:
     """Certified fits of all observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}``.
 
     One :func:`certified_fit` per graph enumerates each sample modulus once
     for all profiles (:func:`power_tables`).  The degree bound is the
     largest observable degree ``sum_e (a_e + b_e)`` plus the Betti number,
     sampling starts at :func:`default_r_min`, and two fresh moduli verify
-    the fits.  Returns one polynomial per profile; a fit that fails
-    verification raises ``ValueError``.
+    the fits.  Returns one ``(nums, den)`` pair per profile, as
+    :func:`certified_fit` makes them; a fit that fails verification raises
+    ``ValueError``.
     """
     b = graph.n_edges - graph.n_vertices + 1
     bound = max((sum(map(sum, prof)) for prof in profiles), default=0) + b
@@ -580,32 +586,25 @@ def _class_residues(dr: DRVector, plan: _SolvePlan) -> list[int]:
     return values[: 2 * plan.n_edges : 2]
 
 
-def fit_edge_profiles(
-    graph,
-    dr: DRVector,
-    profiles: Sequence[tuple[tuple[int, int], ...]],
-    label: str | None = None,
-) -> list[tuple[list[int], int]]:
-    """The observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}`` as polynomials in ``r``.
+def exact_edge_profiles(
+    graph, dr: DRVector, profiles: Sequence[tuple[tuple[int, int], ...]]
+) -> list[tuple[list[int], int]] | None:
+    """The observable sums' polynomials on a graph whose simple quotient is a tree.
 
-    Each polynomial is integer numerators over one denominator: a pair
-    ``(nums, den)``, one per profile, the sum being
-    ``sum_j nums[j] r^j / den``; ``r^b`` divides it when no ``nums[j]``
-    with ``j < b`` is nonzero.  When the graph's simple quotient is a tree
-    every class residue is forced, and the polynomial is the one the sum
-    equals for every ``r`` from :func:`default_r_min` on, with no modulus
-    sampled: the product of each parallel class's convolved polynomial
-    (:func:`_class_poly`) at its residue, a loop being the class of its
-    observable and the unit ``(0, 0)`` at residue 0.
-    Data that is not exactly balanced has no weightings there, so every
-    polynomial is 0.  Otherwise the polynomials are the certified fits of
-    :func:`sampled_edge_profiles`, over their common denominator.
+    Every class residue is then forced, and each polynomial is the one the
+    sum equals for every ``r`` from :func:`default_r_min` on, with no
+    modulus sampled: the product of each parallel class's convolved
+    polynomial (:func:`_class_poly`) at its residue, a loop being the class
+    of its observable and the unit ``(0, 0)`` at residue 0.  Data that is
+    not exactly balanced has no weightings there, so every polynomial is
+    0.  Returns one ``(nums, den)`` pair per profile in lowest terms, the
+    format of :func:`certified_fit`, or ``None`` for a graph whose
+    quotient has a free residue, sampling nothing.
     """
     _require_type(graph, dr)
     quotient = _quotient(graph)
     if quotient.plan.free:
-        fits = sampled_edge_profiles(graph, dr, profiles, label)
-        return [_over_common_denominator(poly.coeffs) for poly in fits]
+        return None
     if not dr.is_exact:
         return [([0], 1) for _ in profiles]
     residues = _class_residues(dr, quotient.plan)
@@ -620,22 +619,24 @@ def fit_edge_profiles(
         for f, f_den in factors:
             poly = _mul_r(poly, f)
             den *= f_den
-        out.append((poly, den))
+        out.append(_lowest_terms(poly, den))
     return out
 
 
-def exact_edge_profiles(
-    graph, dr: DRVector, profiles: Sequence[tuple[tuple[int, int], ...]]
-) -> list[RPoly] | None:
-    """The exact polynomials of :func:`fit_edge_profiles` as :class:`~drtaut.exact.RPoly`.
+def fit_edge_profiles(
+    graph,
+    dr: DRVector,
+    profiles: Sequence[tuple[tuple[int, int], ...]],
+    label: str | None = None,
+) -> list[tuple[list[int], int]]:
+    """The observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}`` as polynomials in ``r``.
 
-    Only for a graph whose simple quotient is a tree (no free residue);
-    returns ``None`` otherwise, sampling nothing.  For
-    :func:`~drtaut.pixton.verify_polynomiality` and the tests, which
-    compare it with :func:`sampled_edge_profiles`.
+    One ``(nums, den)`` pair per profile, the sum being
+    ``sum_j nums[j] r^j / den`` in lowest terms; ``r^b`` divides it when
+    no ``nums[j]`` with ``j < b`` is nonzero.  The exact polynomials of
+    :func:`exact_edge_profiles` when the graph's simple quotient is a
+    tree, and the certified fits of :func:`sampled_edge_profiles`
+    otherwise.
     """
-    _require_type(graph, dr)
-    if _quotient(graph).plan.free:
-        return None
-    polys = fit_edge_profiles(graph, dr, profiles)
-    return [RPoly([Fraction(x, den) for x in nums]) for nums, den in polys]
+    exact = exact_edge_profiles(graph, dr, profiles)
+    return sampled_edge_profiles(graph, dr, profiles, label) if exact is None else exact

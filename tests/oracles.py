@@ -50,6 +50,11 @@ recursion on every correlator past the seeds; the library strips ``tau_0``
 and ``tau_1`` by the string and dilaton equations first.
 ``pair_with_psi_unindexed`` integrates every term of a class; the library
 visits only the terms grouped under the vertex degrees a monomial brings.
+
+The oracles read the library's polynomials, integer numerators over one
+denominator, as ``RPoly`` objects through ``rpoly``.  ``alpha_class`` and
+``beta_class`` are the genus-2 stratum classes the Hodge class checks
+compare with; no library code builds them.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from drtaut.exact import RPoly, bernoulli_poly
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.intersect import _term_integral, double_factorial
 from drtaut.tautclass import (
+    DecoratedGraph,
     TautClass,
     emit_series,
     kappa_monomial,
@@ -88,6 +94,25 @@ from drtaut.weightings import (
     power_tables,
     sampled_edge_profiles,
 )
+
+
+def rpoly(fit: tuple[Sequence[int], int]) -> RPoly:
+    """A polynomial ``(nums, den)`` of the library's fits as an :class:`RPoly`."""
+    nums, den = fit
+    return RPoly([Fraction(x, den) for x in nums])
+
+
+def alpha_class() -> TautClass:
+    """Genus-2 double-loop stratum class: one-eighth of its pushforward."""
+    graph = StableGraph([0], [(0, 0), (0, 0)])
+    return TautClass(2, 0, [(DecoratedGraph(graph), Fraction(1, 8))])
+
+
+def beta_class() -> TautClass:
+    """Genus-2 loop stratum with one psi: pushforward of psi on a loop half."""
+    graph = StableGraph([1], [(0, 0)])
+    dg = DecoratedGraph(graph, (), [(1, 0)], ())
+    return TautClass(2, 0, [(dg, Fraction(1))])
 
 
 def canonical_data(genera, edges, legs, leg_psi, edge_psi, kappa):
@@ -484,8 +509,8 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     """Pixton's r-free degree-d class, one template emitted per profile.
 
     Each template is weighted by the ``r^b`` coefficient of its weighting
-    sum, an :class:`RPoly`, over ``|Aut|``; a sum not divisible by ``r^b``
-    fails.
+    sum, read as an :class:`RPoly`, over ``|Aut|``; a sum not divisible
+    by ``r^b`` fails.
     """
     acc: list = []
     for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d):
@@ -493,7 +518,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
         powers = [tuple((m + 1, m + 1) for m in prof) for prof, _ in templates]
         b, aut = first_betti(graph), automorphism_order(graph)
         fits = exact_edge_profiles(graph, dr, powers) or sampled_edge_profiles(graph, dr, powers)
-        for (_, template), poly in zip(templates, fits):
+        for (_, template), poly in zip(templates, map(rpoly, fits)):
             assert poly.divisible_by(b), (graph, poly)
             emit_series(acc, graph, template, Fraction(poly.coefficient(b), aut))
     return TautClass(dr.genus, dr.n, acc)
@@ -604,7 +629,8 @@ def chiodo_constant_series(dr: DRVector, d: int):
         wanted = list({qs: None for prof in profiles for qs in monomials(prof)})
         observables = [tuple((q, 0) for q in qs) for qs in wanted]
         fits = exact_edge_profiles(graph, dr, observables)
-        sums = dict(zip(wanted, fits or sampled_edge_profiles(graph, dr, observables)))
+        fits = fits or sampled_edge_profiles(graph, dr, observables)
+        sums = dict(zip(wanted, map(rpoly, fits)))
         weights = {}
         for prof in profiles:
             weight = RPoly([0])

@@ -45,15 +45,10 @@ from drtaut.pixton import (
     lambda_expression,
     pixton_class,
 )
-from drtaut.tautclass import (
-    DecoratedGraph,
-    TautClass,
-    alpha_class,
-    beta_class,
-)
+from drtaut.tautclass import DecoratedGraph, TautClass
 from drtaut.weightings import DRVector, edge_profile_sums, power_tables
 
-from oracles import enumerate_weightings
+from oracles import alpha_class, beta_class, enumerate_weightings
 
 F = Fraction
 

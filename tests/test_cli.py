@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import drtaut
 from drtaut import intersect, pixton, weightings
 from drtaut.cli import main
-from drtaut.exact import RPoly
 from drtaut.graphs import StableGraph
 from drtaut.pixton import dr_cycle, pixton_class
 from drtaut.tautclass import DecoratedGraph, TautClass
@@ -195,7 +194,7 @@ class TestVerify:
 
         def moved(graph, dr, profiles):
             polys = real(graph, dr, profiles)
-            return polys and [RPoly([*poly.coeffs, Fraction(1)]) for poly in polys]
+            return polys and [([*nums, den], den) for nums, den in polys]
 
         monkeypatch.setattr(pixton, "exact_edge_profiles", moved)
         code, out, _ = run(
@@ -312,6 +311,26 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["lambda", "--g", "1"])
         assert code == 2
         assert "stable" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dr", "--g", "-1", "--a", "1"],
+            ["dr", "--g", "0", "--a", "1,1"],
+            ["pixton", "--g", "-1", "--a", "1", "--d", "0"],
+            ["chiodo", "--g", "-1", "--a", "1", "--d", "0", "--constant"],
+            ["verify", "polynomiality", "--g", "-1", "--a", "1", "--d", "0"],
+            ["verify", "samefreeterm", "--g", "-1", "--a", "1", "--d", "0"],
+        ],
+        ids=["dr", "dr-genus-0", "pixton", "chiodo-constant", "polynomiality", "samefreeterm"],
+    )
+    def test_r_free_unstable_type(self, capsys, argv):
+        # Unbalanced as well: the type is checked first, as on the fixed-r
+        # routes, so no imbalance of a genus that does not exist is reported.
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "no stable curves" in err
 
     def test_graphs_unstable_type(self, capsys):
         code, out, err = run(capsys, ["graphs", "--g", "1", "--n", "0"])

@@ -11,12 +11,13 @@ from drtaut.exact import (
     bernoulli_poly,
     forward_differences,
     interpolate,
-    newton_rpoly,
+    newton_numerators,
     rat_from_str,
     rat_to_str,
 )
 
 from oracles import interpolate as lagrange_interpolate
+from oracles import rpoly
 
 F = Fraction
 
@@ -148,9 +149,9 @@ class TestInterpolate:
 
     def test_differences_and_newton_form(self):
         # r^2 at 3, 4, 5, 6: differences 9, 7, 2, 0.
-        diffs = forward_differences([9, 16, 25, 36])
-        assert diffs == [9, 7, 2, 0]
-        assert newton_rpoly(diffs, 3) == RPoly([F(0), F(0), F(1)])
+        diffs, den = forward_differences([9, 16, 25, 36])
+        assert (diffs, den) == ([9, 7, 2, 0], 1)
+        assert rpoly(newton_numerators(diffs, den, 3)) == RPoly([F(0), F(0), F(1)])
 
     @given(
         st.integers(-20, 20),

@@ -13,8 +13,6 @@ from drtaut.graphs import StableGraph, automorphism_order, enumerate_stable_grap
 from drtaut.tautclass import (
     DecoratedGraph,
     TautClass,
-    alpha_class,
-    beta_class,
     delta0,
     delta_I,
     graph_sum_data,
@@ -30,7 +28,7 @@ from drtaut.tautclass import (
 )
 from drtaut.weightings import DRVector
 
-from oracles import series_degree_part
+from oracles import alpha_class, beta_class, series_degree_part
 
 F = Fraction
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drtaut import weightings
-from drtaut.exact import RPoly
+from drtaut.exact import RPoly, forward_differences, newton_numerators
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.weightings import (
     DRVector,
@@ -26,7 +26,9 @@ from drtaut.pixton import _graph_templates, _powers
 from oracles import certified_fit as oracle_certified_fit
 from oracles import edge_profile_sums as direct_profile_sums
 from oracles import enumerate_weightings
+from oracles import interpolate as lagrange_interpolate
 from oracles import loop_poly as oracle_loop_poly
+from oracles import rpoly
 
 F = Fraction
 
@@ -43,10 +45,9 @@ def xp(*powers):
     return tuple((p, p) for p in powers)
 
 
-def rpoly(fit):
-    """A fit of :func:`fit_edge_profiles`, numerators over a denominator, as an RPoly."""
-    nums, den = fit
-    return RPoly([F(x, den) for x in nums])
+def rpolys(fits):
+    """The fits of :func:`certified_fit` as RPolys, by key."""
+    return {key: rpoly(fit) for key, fit in fits.items()}
 
 
 def divisible_fit(fit, b):
@@ -403,7 +404,7 @@ class TestFitting:
         monkeypatch.setattr(weightings, "edge_profile_sums", forbidden)
         monkeypatch.setattr(weightings, "certified_fit", forbidden)
         fits = fit_edge_profiles(BANANA3_G0G1, dr, profiles)
-        assert [rpoly(fit) for fit in fits] == sampled
+        assert fits == sampled
         assert all(divisible_fit(fit, 2) for fit in fits)
 
     def test_insufficient_degree_bound(self):
@@ -420,7 +421,7 @@ class TestFitting:
         fits, _ = certified_fit(
             lambda r: {0: F(r) ** 3}, degree_bound=1, r_min=2, label="retry case"
         )
-        assert fits == {0: RPoly([F(0), F(0), F(0), F(1)])}
+        assert rpolys(fits) == {0: RPoly([F(0), F(0), F(0), F(1)])}
 
     def test_absent_key_is_zero(self):
         # (r - 6)(r - 7) is left out where it vanishes, at r = 6 and 7 of
@@ -432,7 +433,7 @@ class TestFitting:
             return out
 
         fits, divisible = certified_fit(ev, degree_bound=2, r_min=5)
-        assert fits == {"q": RPoly([F(42), F(-13), F(1)]), "r": RPoly([F(0), F(1)])}
+        assert rpolys(fits) == {"q": RPoly([F(42), F(-13), F(1)]), "r": RPoly([F(0), F(1)])}
         assert divisible
 
     def test_key_only_at_verification_modulus_raises(self):
@@ -457,7 +458,7 @@ class TestFitting:
             return {0: F(val)}
 
         fits, _ = certified_fit(ev, degree_bound=4, r_min=11)
-        assert fits == {0: RPoly([F(0), F(-1, 6), F(0), F(1, 6)])}
+        assert rpolys(fits) == {0: RPoly([F(0), F(-1, 6), F(0), F(1, 6)])}
         assert seen == list(range(11, 18))
 
 
@@ -525,7 +526,7 @@ class TestExactProfiles:
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
         [poly] = exact_edge_profiles(graph, DRVector(1, (2, 1, -3)), [((2, 0),)])
         [mirror] = exact_edge_profiles(graph, DRVector(1, (-2, -1, 3)), [((2, 0),)])
-        assert {poly, mirror} == {RPoly([F(9)]), RPoly([F(9), F(-6), F(1)])}
+        assert {rpoly(poly), rpoly(mirror)} == {RPoly([F(9)]), RPoly([F(9), F(-6), F(1)])}
 
     def test_loop_is_class_with_unit(self):
         # A loop's sum over w < r of w^a (r-w)^b is the class of (a, b) and
@@ -561,11 +562,91 @@ class TestExactProfiles:
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
         for parts in ((2, 1, -3), (-2, -1, 3)):
             [poly] = exact_edge_profiles(graph, DRVector(1, parts), [xp(2)])
-            assert poly == RPoly([F(81), F(-54), F(9)])
+            assert rpoly(poly) == RPoly([F(81), F(-54), F(9)])
 
     def test_marking_count(self):
         with pytest.raises(ValueError, match="marking count"):
             exact_edge_profiles(LOOP_G1, DRVector(1, (1, -1)), [xp(1)])
+
+
+def lowest_terms(fit):
+    """Whether ``(nums, den)`` is in lowest terms: ``gcd(den, *nums) == 1``,
+    ``den > 0`` and no trailing zero numerator, zero being ``([0], 1)``."""
+    nums, den = fit
+    if not any(nums):
+        return fit == ([0], 1)
+    return den > 0 and nums[-1] != 0 and math.gcd(den, *nums) == 1
+
+
+class TestFormat:
+    """Both routes, the fits and the Newton helper give reduced numerators."""
+
+    def test_routes(self):
+        # Every graph of the degree-2 and degree-3 sums, zero-residue bridges
+        # included, so that zero sums and sums with a denominator both occur.
+        seen = {"zero": 0, "den": 0, "exact": 0}
+        for dr, d in [
+            (DRVector(2, (1, -1)), 2),
+            (DRVector(2, (3, 1), 1), 2),
+            (DRVector(1, (2, -1, -1)), 3),
+        ]:
+            for _, graph, *_, profiles in _graph_templates(dr, d):
+                powers = _powers(profiles)
+                sampled = sampled_edge_profiles(graph, dr, powers)
+                exact = exact_edge_profiles(graph, dr, powers)
+                for fit in sampled + (exact or []):
+                    assert lowest_terms(fit), (graph, dr, fit)
+                    seen["zero"] += fit == ([0], 1)
+                    seen["den"] += fit[1] > 1
+                seen["exact"] += exact is not None
+        assert all(seen.values()), seen
+
+    def test_unbalanced_exact_is_zero(self):
+        graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
+        assert exact_edge_profiles(graph, DRVector(1, (2, 1, -2)), [xp(1), xp(2)]) == [([0], 1)] * 2
+
+    def test_certified_fit(self):
+        # (r^2 + r)/2 has a common factor to cancel, the zero key is
+        # ([0], 1), and the linear key lies well below the bound.
+        def ev(r):
+            return {"half": F(r * r + r, 2), "zero": 0, "linear": 4 * r + 6}
+
+        fits, divisible = certified_fit(ev, degree_bound=4, r_min=3, betti=1)
+        assert fits == {"half": ([0, 1, 1], 2), "zero": ([0], 1), "linear": ([6, 4], 1)}
+        assert not divisible
+
+    def test_newton_numerators(self):
+        # 2 + 4 r + 2 C(r, 2) = r^2 + 3r + 2, over (3 - 1)! = 2 before reducing.
+        assert newton_numerators([2, 4, 2], 1, 0) == ([2, 3, 1], 1)
+        assert newton_numerators([0, 0, 0], 5, 4) == ([0], 1)
+        assert newton_numerators([3, 0, 0, 0], 6, 1) == ([1], 2)
+
+    @given(
+        st.integers(-5, 20),
+        st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_newton_numerators_reduced(self, x0, values):
+        fit = newton_numerators(*forward_differences(values), x0)
+        assert lowest_terms(fit)
+        assert rpoly(fit) == lagrange_interpolate(list(enumerate(values, x0)))
+
+    def test_sampled_fit_below_its_bound(self):
+        # The triangle's bound is 7, from the (2, 2, 2) profile plus b = 1;
+        # the w^1 sum has degree 2, and the (0, 0, 0) sum (r) degree 1.  A
+        # fit padded with zeros to its window would read as a sum above its
+        # degree bound in chiodo._constant_series.
+        dr = DRVector(1, (0, 0, 0))
+        profiles = [((2, 0), (2, 0), (2, 0)), ((1, 0), (0, 0), (0, 0)), ((0, 0),) * 3]
+        big, w, unit = sampled_edge_profiles(TRIANGLE, dr, profiles)
+        assert (w, unit) == (([0, -1, 1], 2), ([0, 1], 1))
+        assert len(big[0]) == 8 and lowest_terms(big)
+
+
+def rpoly_fit(evaluate, **kwargs):
+    """:func:`certified_fit` with its fits as RPolys, as the Lagrange oracle returns them."""
+    fits, divisible = certified_fit(evaluate, **kwargs)
+    return rpolys(fits), divisible
 
 
 def run_fit(fit, evaluate, **kwargs):
@@ -638,7 +719,7 @@ class TestFitOracle:
     def test_matches_lagrange_fit(self, case):
         keys, kwargs = case
         evaluate = sample_map(kwargs["r_min"], keys)
-        assert run_fit(certified_fit, evaluate, **kwargs) == run_fit(
+        assert run_fit(rpoly_fit, evaluate, **kwargs) == run_fit(
             oracle_certified_fit, evaluate, **kwargs
         )
 
@@ -653,7 +734,7 @@ class TestFitOracle:
                 keys = {0: (coeffs, {pos: spike}, set()), 1: (coeffs, {}, set())}
                 kwargs = dict(degree_bound=bound, r_min=4, n_verify=n_verify, label="spike")
                 evaluate = sample_map(4, keys)
-                ours = run_fit(certified_fit, evaluate, **kwargs)
+                ours = run_fit(rpoly_fit, evaluate, **kwargs)
                 assert ours == run_fit(oracle_certified_fit, evaluate, **kwargs)
 
     def test_no_polynomial_evaluated(self, monkeypatch):
@@ -662,4 +743,4 @@ class TestFitOracle:
 
         monkeypatch.setattr(RPoly, "__call__", forbidden)
         fits, _ = certified_fit(lambda r: {0: r**3, 1: F(r, 7)}, degree_bound=1, r_min=3)
-        assert fits == {0: RPoly([0, 0, 0, 1]), 1: RPoly([0, F(1, 7)])}
+        assert rpolys(fits) == {0: RPoly([0, 0, 0, 1]), 1: RPoly([0, F(1, 7)])}
