@@ -26,6 +26,7 @@ from .graphs import (
     enumerate_stable_graphs,
     first_betti,
     graph_to_json,
+    require_stable_type,
 )
 from .intersect import (
     complementary_psi_monomials,
@@ -169,6 +170,7 @@ def cmd_verify_samefreeterm(args) -> int:
 def cmd_verify_vanishing(args) -> int:
     dr = DRVector(args.g, args.a)
     g, n = dr.genus, dr.n
+    require_stable_type(g, n)
     if args.d <= g:
         raise ValueError(f"vanishing holds for degree > genus; got d={args.d}, g={g}")
     if args.d > 3 * g - 3 + n:

@@ -16,9 +16,10 @@ weighting, so each graph is assembled once: the weighting sum of
 ``m``, and one series product with the vertex and leg exponential gives
 the graph's terms.  A graph with a bridge whose residue, forced by the
 data, is 0 has ``x = 0`` on that bridge at every weighting, so it is
-skipped before any sum or fit.  At fixed r the weight is that sum over
-``|Aut| r^b``; the r-free class takes its constant term in r, the sum
-being a polynomial in r divisible by ``r^b``.
+skipped before any sum or fit (:func:`~drtaut.weightings.zero_bridge`).
+At fixed r the weight is that sum over ``|Aut| r^b``; the r-free class
+takes its constant term in r, the sum being a polynomial in r divisible
+by ``r^b``.
 :func:`~drtaut.weightings.fit_edge_profiles` gives that polynomial
 exactly: in closed form when the graph's simple quotient is a tree, and
 by a certified fit on sampled moduli otherwise.  ``DR_g(A) = 2^{-g}``
@@ -56,6 +57,7 @@ from .weightings import (
     fit_edge_profiles,
     power_tables,
     sampled_edge_profiles,
+    zero_bridge,
 )
 
 __all__ = [
@@ -98,42 +100,25 @@ def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict) -
     emit_series(acc, graph, series_edge_mul(L, graph, edges, d), Fraction(1))
 
 
-def _zero_bridge(graph: StableGraph, dr: DRVector, r: int) -> bool:
-    """Whether a bridge of ``graph`` has residue 0 mod ``r`` (exactly 0 for ``r = 0``).
-
-    The residues at a vertex ``v`` add to ``k (2 g_v - 2 + deg v)`` and the
-    two halves of any other edge cancel, so on side ``S`` a bridge's half
-    carries the forced residue ``k E_S - A_S``, with ``E_S`` the sum of
-    ``2 g_v - 2 + deg v`` and ``A_S`` that of the parts on ``S``.  When it
-    is 0 the bridge has ``x = w (r - w) = 0`` on every weighting, and the
-    graph contributes nothing.
-    """
-    for t in range(graph.n_edges):
-        side = graph.edge_side(t)
-        if side is None:
-            continue
-        excess = sum(2 * graph.genera[v] - 2 + graph.vertex_degree(v) for v in side)
-        residue = dr.twist * excess - sum(a for a, v in zip(dr.parts, graph.legs) if v in side)
-        if (residue % r if r else residue) == 0:
-            return True
-    return False
-
-
-def _graph_templates(dr: DRVector, d: int):
+def _graph_templates(dr: DRVector, d: int, r: int | None = None):
     """:func:`~drtaut.tautclass.graph_sum_data` for the degree-d sum, with fit labels.
 
     Yields ``(label, graph, b_1, |Aut|, L, profiles)``: the label names the
     data and the graph's index in the enumeration, ``L`` is the vertex and
     leg exponential (:func:`_vertex_leg_series`) and the profiles are edge
-    exponent tuples ``m``, of degree ``|m|``.
+    exponent tuples ``m``, of degree ``|m|``.  Given a modulus ``r`` (0 for
+    the r-free sum), a graph with a bridge of residue 0 there
+    (:func:`~drtaut.weightings.zero_bridge`) is skipped; ``None`` keeps
+    every graph.
     """
 
     def exponential(graph, cap):
         return _vertex_leg_series(graph, dr, cap)
 
     edge_keys = {m: m for m in range(d + 1)}
-    for idx, *data in graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys):
-        yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", *data
+    for idx, graph, *data in graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys):
+        if r is None or not zero_bridge(graph, dr, r):
+            yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", graph, *data
 
 
 def _powers(profiles: list) -> list:
@@ -154,9 +139,7 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     if dr.defect % r:
         raise ValueError(f"no weightings mod {r}: admissibility fails")
     acc: list = []
-    for _, graph, b, aut, L, profiles in _graph_templates(dr, d):
-        if _zero_bridge(graph, dr, r):
-            continue
+    for _, graph, b, aut, L, profiles in _graph_templates(dr, d, r):
         sums = edge_profile_sums(graph, r, dr, power_tables(r, _powers(profiles)))
         weights = {m: Fraction(s, aut * r**b) for m, s in zip(profiles, sums)}
         _emit_graph(acc, graph, L, d, weights)
@@ -176,9 +159,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     """
     dr.require_exact()
     acc: list = []
-    for label, graph, b, aut, L, profiles in _graph_templates(dr, d):
-        if _zero_bridge(graph, dr, 0):
-            continue
+    for label, graph, b, aut, L, profiles in _graph_templates(dr, d, 0):
         fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
         weights = {}
         for m, (nums, den) in zip(profiles, fits):
@@ -195,7 +176,7 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
 
     Makes the sampled fits (:func:`~drtaut.weightings.sampled_edge_profiles`)
     of every graph and profile of :func:`pixton_class`, skipping the graphs
-    it skips (a bridge of residue 0, :func:`_zero_bridge`), and returns
+    it skips (a bridge of residue 0, :func:`_graph_templates`), and returns
     ``(fits, bad)``: how many were made, and a line naming the graph's
     label and the profile of each fit not divisible by ``r^b``.  On every
     graph whose simple quotient is a tree, each fit is also compared with
@@ -210,9 +191,7 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     """
     dr.require_exact()
     fits, bad, differ = 0, [], []
-    for label, graph, b, _, _, profiles in _graph_templates(dr, d):
-        if _zero_bridge(graph, dr, 0):
-            continue
+    for label, graph, b, _, _, profiles in _graph_templates(dr, d, 0):
         powers = _powers(profiles)
         try:
             sampled = sampled_edge_profiles(graph, dr, powers, label=label)

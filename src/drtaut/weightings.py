@@ -7,12 +7,13 @@ to ``0 mod r``, and the residues at each vertex ``v`` add to
 ``sum a_i = k (2g - 2 + n) mod r`` holds there are exactly ``r^b`` of them,
 ``b`` the first Betti number, and none otherwise.
 
-One engine enumerates them.  A solve plan fixes a BFS spanning tree over
-the non-loop edges, the order in which its edges are solved (leaves
-first) and the half-edges at each vertex.  Free non-loop residues range
-over all values mod ``r``, each tree value is forced by its child
-vertex's congruence, and the root's congruence is checked, raising
-``ArithmeticError`` if it fails.
+One residue solve serves every route.  A solve plan fixes a BFS spanning
+tree over the non-loop edges, solved leaves first; each non-loop edge off
+it has a free residue ``x_f``, and edge ``t``'s residue is
+``D_t + sum_f slopes[t][f] x_f``, each slope in ``{-1, 0, 1}``.  The
+plan holds the slopes; :func:`_class_residues`, the one integer tree
+solve, gives ``D`` and checks the root's congruence.  The mod-r walk,
+the exact route and :func:`zero_bridge` all read this map.
 One consumer walks the solutions: :func:`edge_profile_sums` sums products
 of per-edge residue tables.  Pixton's graph sum, Chiodo's pushforward and
 constant term, and the Chern-character route all reach the weightings
@@ -33,10 +34,9 @@ half-edge.  Pixton's edge power ``x^p``, ``x = w((r-w) mod r)``, is
 ``(p, p)``, and its sums are divisible by ``r^b``; Chiodo's edge factor,
 a polynomial in ``w/r``, needs ``w^q``, that is ``(q, 0)``.
 :func:`fit_edge_profiles` finds the sums' polynomials in one of two ways.
-When the quotient is a tree (:func:`exact_edge_profiles`), every class
-residue is forced: an integer
-tree solve gives it as ``D mod r`` with ``|D|`` below
-:func:`default_r_min`, and a parallel class's convolution is a
+When the quotient is a tree (:func:`exact_edge_profiles`), no residue
+is free and every class residue is ``D mod r``, with ``|D|`` below
+:func:`default_r_min`; a parallel class's convolution is a
 polynomial in its residue and ``r``.  A loop's sum
 ``sum_{w<r} w^a (r-w)^b`` is the class of its observable and the unit
 ``(0, 0)`` at residue 0, so each polynomial is a product of class
@@ -56,6 +56,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import (
@@ -75,6 +76,7 @@ __all__ = [
     "sampled_edge_profiles",
     "exact_edge_profiles",
     "fit_edge_profiles",
+    "zero_bridge",
 ]
 
 
@@ -157,38 +159,34 @@ class _SolvePlan(NamedTuple):
     ``2t + 1`` come first, followed by one half-edge per leg.  ``steps``
     holds ``(child, child half-edge, other half-edges at child)`` for each
     tree edge, leaves first; ``free`` the non-loop edges off the tree;
-    ``loops`` the loop edges; ``root`` the half-edges at vertex 0.
+    ``root`` the half-edges at vertex 0.
     ``excess[v]`` is ``2 g_v - 2 + deg v`` in the graph itself, whatever
     edges the plan solves over: vertex ``v``'s residues add to
-    ``k excess[v] mod r``.
+    ``k excess[v] mod r``.  ``slopes[t][f]`` is the coefficient of the
+    free residue of edge ``free[f]`` in edge ``t``'s residue at ``2t``.
     """
 
     steps: tuple[tuple[int, int, tuple[int, ...]], ...]
     free: tuple[int, ...]
-    loops: tuple[int, ...]
     root: tuple[int, ...]
     n_edges: int
     excess: tuple[int, ...]
+    slopes: tuple[tuple[int, ...], ...]
 
 
-def _solve_plan(graph, edges: Sequence[tuple[int, int]] | None = None) -> _SolvePlan:
+def _solve_plan(graph, edges: Sequence[tuple[int, int]]) -> _SolvePlan:
     """The plan for a BFS spanning tree over non-loop edges, rooted at vertex 0.
 
-    ``edges`` defaults to the graph's own; :func:`_quotient` passes one
-    edge ``(u, v)`` per parallel class, on the same vertices and legs.
+    ``edges`` are on the graph's vertices and legs: :func:`_quotient`
+    passes one edge ``(u, v)`` per parallel class.
     """
-    if edges is None:
-        edges = graph.edges
     V = graph.n_vertices
     at: list[list[int]] = [[] for _ in range(V)]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
-    loops = []
     for t, (u, v) in enumerate(edges):
         at[u].append(2 * t)
         at[v].append(2 * t + 1)
-        if u == v:
-            loops.append(t)
-        else:
+        if u != v:
             adj[u].append((v, t))
             adj[v].append((u, t))
     for i, v in enumerate(graph.legs):
@@ -207,12 +205,25 @@ def _solve_plan(graph, edges: Sequence[tuple[int, int]] | None = None) -> _Solve
         raise ValueError("graph is not connected")
     tree_edges = {t for t, _ in tree}
     free = tuple(t for t, (u, v) in enumerate(edges) if u != v and t not in tree_edges)
+    # slope[h]: the coefficients of the free residues in half-edge h's residue.
+    slope = [(0,) * len(free)] * (2 * len(edges) + len(graph.legs))
+    for f, t in enumerate(free):
+        slope[2 * t] = tuple(int(i == f) for i in range(len(free)))
+        slope[2 * t + 1] = tuple(-x for x in slope[2 * t])
     steps = []
     for t, child in reversed(tree):
         h_child = 2 * t if edges[t][0] == child else 2 * t + 1
-        steps.append((child, h_child, tuple(h for h in at[child] if h != h_child)))
-    excess = tuple(2 * g - 2 + graph.vertex_degree(v) for v, g in enumerate(graph.genera))
-    return _SolvePlan(tuple(steps), free, tuple(loops), tuple(at[0]), len(edges), excess)
+        others = tuple(h for h in at[child] if h != h_child)
+        steps.append((child, h_child, others))
+        if free:  # on a tree every slope is ()
+            slope[h_child] = tuple(-sum(slope[h][f] for h in others) for f in range(len(free)))
+            slope[h_child ^ 1] = tuple(-x for x in slope[h_child])
+    degree = [0] * V  # in the graph itself, a loop counted twice
+    for v in itertools.chain(*graph.edges, graph.legs):
+        degree[v] += 1
+    excess = tuple(2 * g - 2 + deg for g, deg in zip(graph.genera, degree))
+    slopes = tuple(slope[: 2 * len(edges) : 2])
+    return _SolvePlan(tuple(steps), free, tuple(at[0]), len(edges), excess, slopes)
 
 
 class _Quotient(NamedTuple):
@@ -251,34 +262,53 @@ def _require_type(graph, dr: DRVector) -> None:
         raise ValueError("genus does not match the ramification vector")
 
 
-def _solutions(graph, r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[int]]:
-    """Residues per plan half-edge of every solution whose loops carry 0.
+def _class_residues(dr: DRVector, plan: _SolvePlan) -> list[int]:
+    """Integers ``D_t``: edge ``t``'s residue at half-edge ``2t`` when every free residue is 0.
 
-    Free non-loop residues run in ``itertools.product`` order and the tree
-    values are forced; the vertex targets (``plan.excess``) are those of
-    ``graph``, whatever edges the plan solves over, and the global
-    congruence is ``dr.defect = 0 mod r``, ``graph``'s own once
-    :func:`_require_type` holds.  A loop adds ``0 mod r`` at its vertex,
-    so these solutions hold for any loop residues.  The yielded list is
-    reused: copy it to keep it.  A root congruence that fails after the
-    tree solve raises ``ArithmeticError``.
+    The one tree solve of the vertex congruences, over the integers with
+    targets ``k excess[v]`` and the parts ``a_i`` themselves.  The root's
+    residues then exceed its target by ``-dr.defect``; ``ArithmeticError``
+    is raised if they do not.  A tree edge has ``D_t = +-(k E_S - A_S)``
+    for the excess and parts on its side ``S`` away from the root, so
+    ``|D_t|`` is below :func:`default_r_min`; a free edge has 0.
+    """
+    values = [0] * (2 * plan.n_edges) + list(dr.parts)
+    for child, h_child, others in plan.steps:
+        w = dr.twist * plan.excess[child] - sum(values[h] for h in others)
+        values[h_child] = w
+        values[h_child ^ 1] = -w
+    if sum(values[h] for h in plan.root) - dr.twist * plan.excess[0] != -dr.defect:
+        raise ArithmeticError("root congruence failed after the integer tree solve")
+    return values[: 2 * plan.n_edges : 2]
+
+
+def _solutions(r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[int]]:
+    """Every solution whose loops carry 0: ``(D_t + sum_f slopes[t][f] x_f) mod r`` per plan edge.
+
+    ``D`` comes from :func:`_class_residues`, the free residues ``x_f`` run
+    in ``itertools.product`` order, and there is no solution unless
+    ``dr.defect = 0 mod r``.  A loop adds ``0 mod r`` at its vertex, so
+    these solutions hold for any loop residues.
     """
     if dr.defect % r:
         return
-    targets = [dr.twist * e % r for e in plan.excess]
-    values = [0] * (2 * plan.n_edges) + [a % r for a in dr.parts]
+    residues = _class_residues(dr, plan)
     for assign in itertools.product(range(r), repeat=len(plan.free)):
-        for t, w in zip(plan.free, assign):
-            values[2 * t] = w
-            values[2 * t + 1] = (r - w) % r
-        for child, h_child, others in plan.steps:
-            w = (targets[child] - sum(values[h] for h in others)) % r
-            values[h_child] = w
-            values[h_child ^ 1] = (r - w) % r
-        # Root congruence: forced by the global one; keep as a consistency check.
-        if sum(values[h] for h in plan.root) % r != targets[0]:
-            raise ArithmeticError("root congruence failed after tree solve")
-        yield values
+        yield [(D + sum(map(mul, slope, assign))) % r for D, slope in zip(residues, plan.slopes)]
+
+
+def zero_bridge(graph, dr: DRVector, r: int) -> bool:
+    """Whether a bridge of ``graph`` has residue 0 mod ``r`` (exactly 0 for ``r = 0``).
+
+    A bridge is a quotient edge of one graph edge with no slope, so its
+    residue is its ``D`` (:func:`_class_residues`) on every weighting.  If
+    that is 0, Pixton's ``x = w (r - w)`` is 0 there on every weighting.
+    """
+    classes, _, plan = _quotient(graph)
+    return any(
+        len(ts) == 1 and not any(slope) and (D % r if r else D) == 0
+        for ts, slope, D in zip(classes, plan.slopes, _class_residues(dr, plan))
+    )
 
 
 def power_tables(r: int, profiles: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple]:
@@ -365,15 +395,15 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
                 key += (id(table),)
                 if key not in merged:
                     merged[key] = _Convolved(merged[key[:-1]], table) if len(key) > 1 else table
-            pairs.append((2 * c, merged[key]))
+            pairs.append((c, merged[key]))
         factors.append(pairs)
         scales.append(scale)
     partial = [0] * len(profiles)
-    for values in _solutions(graph, r, dr, quotient.plan):
+    for residues in _solutions(r, dr, quotient.plan):
         for i, pairs in enumerate(factors):
             term = 1
-            for h, table in pairs:
-                term *= table[values[h]]
+            for c, table in pairs:
+                term *= table[residues[c]]
             partial[i] += term
     return [total * scale for total, scale in zip(partial, scales)]
 
@@ -564,26 +594,6 @@ def _class_at(observables: tuple[tuple[int, int], ...], residue: int) -> tuple[l
         for a in range(j + 1 if shift else 1):
             out[k + a] += x * comb(j, a) * residue ** (j - a)
     return out, den
-
-
-def _class_residues(dr: DRVector, plan: _SolvePlan) -> list[int]:
-    """Integers ``D_c``, each class's residue sum being ``D_c mod r``.
-
-    The plan's tree solve run over the integers, with the vertex targets
-    ``k excess[v]`` and the parts ``a_i`` themselves.  For exactly balanced
-    data the root congruence then holds exactly; ``ArithmeticError`` is
-    raised if it does not.  ``D_c = A_S - k E_S`` for the parts and excess
-    on one side ``S`` of the class, so ``|D_c|`` is below
-    :func:`default_r_min`.
-    """
-    values = [0] * (2 * plan.n_edges) + list(dr.parts)
-    for child, h_child, others in plan.steps:
-        w = dr.twist * plan.excess[child] - sum(values[h] for h in others)
-        values[h_child] = w
-        values[h_child ^ 1] = -w
-    if sum(values[h] for h in plan.root) != dr.twist * plan.excess[0]:
-        raise ArithmeticError("root congruence failed after the integer tree solve")
-    return values[: 2 * plan.n_edges : 2]
 
 
 def exact_edge_profiles(

@@ -12,14 +12,18 @@ and normalizes it again; the library builds each child from parts already
 normalized.  The pixton and Chiodo oracles below divide by this
 ``automorphism_order``.
 
-``enumerate_weightings`` lists every weighting through the library's tree
-solve, so brute-force checks of the solve go through it.  The direct
-``edge_profile_sums`` runs the same solve on the unreduced graph and
-multiplies one table entry per edge and weighting; the library merges
-parallel edges into one convolved edge first.  The per-weighting
-``chiodo_pushforward`` multiplies whole decoration series once per
-weighting; the library sums per-edge residue tables over the weightings
-first, and the two are compared term by term.  ``loop_poly`` sums a
+``enumerate_weightings`` lists every weighting through the library's
+residue solve on the unreduced graph, rebuilding each half-edge tuple
+from the one residue per edge the solve gives, so brute-force checks of
+the solve go through it.  The direct ``edge_profile_sums`` runs the same
+solve and multiplies one table entry per edge and weighting; the library
+merges parallel edges into one convolved edge first.  ``zero_bridge``
+finds each bridge's side by a reachability walk and its forced residue
+``k E_S - A_S`` from the side's excess and parts; the library reads the
+bridges and their residues off the solve's affine residue map.  The
+per-weighting ``chiodo_pushforward`` multiplies whole decoration series
+once per weighting; the library sums per-edge residue tables over the
+weightings first, and the two are compared term by term.  ``loop_poly`` sums a
 loop's observable ``w^a (r-w)^b`` by its own Faulhaber loop; the library
 reads it as the parallel class of the observable and the unit ``(0, 0)``.
 ``edge_factor_coefficients`` expands Chiodo's edge factor as ``-sum_p s^{p-1} Z^p / p!`` with a
@@ -311,17 +315,26 @@ def enumerate_weightings(graph, r: int, dr: DRVector) -> tuple[tuple[int, ...], 
     if r <= 0:
         raise ValueError("modulus must be positive")
     _require_type(graph, dr)
-    plan = _solve_plan(graph)
-    solutions = [tuple(values) for values in _solutions(graph, r, dr, plan)]
+    plan = _solve_plan(graph, graph.edges)
+    solutions = [half_edge_values(residues, r, dr) for residues in _solutions(r, dr, plan)]
+    loops = [t for t, (u, v) in enumerate(graph.edges) if u == v]
     out = []
-    for assign in itertools.product(range(r), repeat=len(plan.loops)):
+    for assign in itertools.product(range(r), repeat=len(loops)):
         for solution in solutions:
             values = list(solution)
-            for t, w in zip(plan.loops, assign):
+            for t, w in zip(loops, assign):
                 values[2 * t] = w
                 values[2 * t + 1] = (r - w) % r
             out.append(tuple(values))
     return tuple(out)
+
+
+def half_edge_values(residues: Sequence[int], r: int, dr: DRVector) -> tuple[int, ...]:
+    """One residue per half-edge in layout order, from one per edge at its half-edge ``2t``."""
+    values = []
+    for w in residues:
+        values += [w, (r - w) % r]
+    return tuple(values) + tuple(a % r for a in dr.parts)
 
 
 def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence]) -> list:
@@ -338,14 +351,15 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
         raise ValueError("modulus must be positive")
     if graph.n_legs != dr.n:
         raise ValueError("marking count does not match the ramification vector")
-    plan = _solve_plan(graph)
-    loops = plan.loops
+    plan = _solve_plan(graph, graph.edges)
+    loops = [t for t, (u, v) in enumerate(graph.edges) if u == v]
     factors = [
         [(2 * t, table) for t, table in enumerate(prof) if table is not None and t not in loops]
         for prof in profiles
     ]
     partial = [0] * len(profiles)
-    for values in _solutions(graph, r, dr, plan):
+    for residues in _solutions(r, dr, plan):
+        values = half_edge_values(residues, r, dr)
         for i, pairs in enumerate(factors):
             term = 1
             for h, table in pairs:
@@ -485,6 +499,27 @@ def pixton_templates(graph, dr: DRVector, d: int) -> list:
             if template:
                 out.append((prof, template))
     return out
+
+
+def zero_bridge(graph: StableGraph, dr: DRVector, r: int) -> bool:
+    """Whether a bridge of ``graph`` has residue 0 mod ``r`` (exactly 0 for ``r = 0``).
+
+    The residues at a vertex ``v`` add to ``k (2 g_v - 2 + deg v)`` and the
+    two halves of any other edge cancel, so on side ``S`` a bridge's half
+    carries the forced residue ``k E_S - A_S``, with ``E_S`` the sum of
+    ``2 g_v - 2 + deg v`` and ``A_S`` that of the parts on ``S``.  When it
+    is 0 the bridge has ``x = w (r - w) = 0`` on every weighting, and the
+    graph contributes nothing.
+    """
+    for t in range(graph.n_edges):
+        side = graph.edge_side(t)
+        if side is None:
+            continue
+        excess = sum(2 * graph.genera[v] - 2 + graph.vertex_degree(v) for v in side)
+        residue = dr.twist * excess - sum(a for a, v in zip(dr.parts, graph.legs) if v in side)
+        if (residue % r if r else residue) == 0:
+            return True
+    return False
 
 
 def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:

@@ -357,6 +357,22 @@ class TestErrorPaths:
         assert "dim Mbar_{1,2} = 2" in err
 
     @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["verify", "vanishing", "--g", "0", "--a", "1,-1", "--d", "1"], "(0, 2)"),
+            (["verify", "vanishing", "--g", "-1", "--a", "1", "--d", "1"], "(-1, 1)"),
+        ],
+        ids=["genus-0", "negative-genus"],
+    )
+    def test_vanishing_unstable_type(self, capsys, argv, kind):
+        # The type is checked before the degree, whose bound 3g - 3 + n is
+        # negative on these types.
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"no stable curves of type (g, n) = {kind}" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["lambda", "--g", "-1", "--n", "5"],

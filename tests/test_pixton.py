@@ -17,7 +17,6 @@ from drtaut.pixton import (
     _graph_templates,
     _powers,
     _vertex_leg_series,
-    _zero_bridge,
     dr_cycle,
     genus0_closed,
     genus1_closed,
@@ -32,6 +31,7 @@ from drtaut.weightings import (
     fit_edge_profiles,
     power_tables,
     sampled_edge_profiles,
+    zero_bridge,
 )
 
 import oracles
@@ -173,7 +173,7 @@ class TestZeroBridge:
         for g in range(4):
             for dr, d in grid(g):
                 for label, graph, *_, profiles in _graph_templates(dr, d):
-                    if _zero_bridge(graph, dr, 0):
+                    if zero_bridge(graph, dr, 0):
                         fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
                         assert all(not any(nums) for nums, _ in fits), label
                         skipped += 1
@@ -195,7 +195,7 @@ class TestZeroBridge:
         assert dr.defect % r == 0
         skipped = 0
         for _, graph, *_, profiles in _graph_templates(dr, d):
-            if _zero_bridge(graph, dr, r):
+            if zero_bridge(graph, dr, r):
                 sums = edge_profile_sums(graph, r, dr, power_tables(r, _powers(profiles)))
                 assert not any(sums), graph
                 skipped += 1
@@ -210,7 +210,7 @@ class TestZeroBridge:
         # sampled fits are certified here instead, each one zero.
         fits = 0
         for label, graph, *_, profiles in _graph_templates(dr, d):
-            if _zero_bridge(graph, dr, 0):
+            if zero_bridge(graph, dr, 0):
                 sampled = sampled_edge_profiles(graph, dr, _powers(profiles), label=label)
                 assert all(fit == ([0], 1) for fit in sampled), label
                 fits += len(sampled)
@@ -219,7 +219,7 @@ class TestZeroBridge:
     def test_dr_cycle_skips(self):
         dr = DRVector(3, (2, -1, -1))
         graphs = enumerate_stable_graphs(3, 3, max_edges=3)
-        assert sum(_zero_bridge(graph, dr, 0) for graph in graphs) == 237
+        assert sum(zero_bridge(graph, dr, 0) for graph in graphs) == 237
         assert len(graphs) == 457
 
 
@@ -270,7 +270,7 @@ class TestConstantTerm:
         count = sum(
             len(profiles)
             for _, graph, *_, profiles in _graph_templates(dr, 2)
-            if not _zero_bridge(graph, dr, 0)
+            if not zero_bridge(graph, dr, 0)
         )
         assert verify_polynomiality(dr, 2) == (count, [])
         assert count == 11

@@ -29,6 +29,7 @@ from oracles import enumerate_weightings
 from oracles import interpolate as lagrange_interpolate
 from oracles import loop_poly as oracle_loop_poly
 from oracles import rpoly
+from oracles import zero_bridge as oracle_zero_bridge
 
 F = Fraction
 
@@ -323,6 +324,36 @@ class TestQuotient:
         assert quotient.loops == (2,)
         assert quotient.plan.n_edges == 2 and quotient.plan.free == ()
 
+    def test_zero_bridge_matches_side_rule(self):
+        # The bridges are the quotient edges of one graph edge with no slope,
+        # every stored slope is +-1, and the rule that reads their residues
+        # off the plan agrees with the side-by-side oracle on all data with
+        # |a_i| <= 3 (|a_i| <= 1 at n = 5, where |a_i| <= 3 makes 1.4
+        # million cases and takes half a minute) at every admissible modulus.
+        seen = {"zero": 0, "nonzero": 0, "parallel": 0}
+        for g, n in [(2, 0), (3, 0), (2, 2), (1, 3), (0, 5), (3, 1)]:
+            bound = 1 if n == 5 else 3
+            for graph in enumerate_stable_graphs(g, n):
+                quotient = weightings._quotient(graph)
+                slopes = quotient.plan.slopes
+                assert {
+                    ts[0] for ts, slope in zip(quotient.classes, slopes)
+                    if len(ts) == 1 and not any(slope)
+                } == graph.bridges(), graph
+                assert {abs(x) for slope in slopes for x in slope} <= {0, 1}, graph
+                assert all(1 in map(abs, slopes[t]) for t in quotient.plan.free), graph
+                seen["parallel"] += any(len(ts) > 1 for ts in quotient.classes)
+                for parts in itertools.product(range(-bound, bound + 1), repeat=n):
+                    for k in (0, 1, 2):
+                        dr = DRVector(g, parts, k)
+                        for r in (0, 2, 3, 5):
+                            if dr.defect % r if r else dr.defect:
+                                continue
+                            got = weightings.zero_bridge(graph, dr, r)
+                            assert got == oracle_zero_bridge(graph, dr, r), (graph, dr, r)
+                            seen["zero" if got else "nonzero"] += 1
+        assert all(seen.values()), seen
+
     def test_plan_built_once_per_graph(self, monkeypatch):
         built = []
         real = weightings._solve_plan
@@ -539,7 +570,7 @@ class TestExactProfiles:
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda graph, dr, plan: next(weightings._solutions(graph, 5, dr, plan)),
+            lambda graph, dr, plan: next(weightings._solutions(5, dr, plan)),
             lambda graph, dr, plan: weightings._class_residues(dr, plan),
         ],
         ids=["modular", "integer"],
