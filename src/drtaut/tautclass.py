@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Iterable
 
 from .graphs import (
@@ -333,7 +332,7 @@ class TautClass:
                 for h in vrec["half_edges"]:
                     owner[h] = v
             psi_orig = {
-                int(h): _json_value(e, int, "psi")
+                _json_id(h, "psi"): _json_value(e, int, "psi")
                 for h, e in _json_value(rec.get("psi", {}), dict, "psi").items()
             }
             # Edge list in the rebuilt graph is sorted; recover which edge
@@ -354,14 +353,22 @@ class TautClass:
             if psi_orig:
                 raise ValueError(f"psi exponents on unknown half-edges: {sorted(psi_orig)}")
             kappa = [() for _ in range(graph.n_vertices)]
-            for v, k in _json_value(rec.get("kappa", {}), dict, "kappa").items():
-                if not 0 <= int(v) < graph.n_vertices:
+            for key, k in _json_value(rec.get("kappa", {}), dict, "kappa").items():
+                v = _json_id(key, "kappa")
+                if v >= graph.n_vertices:
                     raise ValueError(f"kappa: vertex {v} is not in the graph")
-                exponents = _json_value(k, list, "kappa")
-                kappa[int(v)] = tuple(_json_value(e, int, "kappa") for e in exponents)
+                indices = _json_value(k, list, "kappa")
+                kappa[v] = tuple(_json_value(m, int, "kappa") for m in indices)
             dg = DecoratedGraph(graph, leg_psi, edge_psi, kappa)
             out._accumulate(dg, rat_from_str(_json_value(rec.get("coeff"), str, "coeff")))
         return out
+
+
+def _json_id(key: str, field: str) -> int:
+    """A JSON key's half-edge or vertex id, in plain decimal only: ``"00"`` would alias ``"0"``."""
+    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise ValueError(f"{field}: key {key!r} is not a non-negative integer in plain decimal form")
+    return int(key)
 
 
 # -- named constructors -----------------------------------------------
@@ -428,18 +435,6 @@ def _monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return legs, edges, kappa
 
 
-def series_mul(a: dict, b: dict, cap: int) -> dict:
-    out: dict = {}
-    for m1, c1 in a.items():
-        d1 = monomial_degree(m1)
-        for m2, c2 in b.items():
-            if d1 + monomial_degree(m2) > cap:
-                continue
-            m = _monomial_mul(m1, m2)
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c != 0}
-
-
 def series_degree_mul(a: dict, b: dict, d: int, times: Callable = operator.mul) -> dict:
     """The degree-``d`` part of ``a * b``.
 
@@ -461,19 +456,22 @@ def series_degree_mul(a: dict, b: dict, d: int, times: Callable = operator.mul) 
 
 
 def series_exp(x: dict, graph: StableGraph, cap: int) -> dict:
-    """Exponential of a series with no constant term, truncated at ``cap``."""
+    """Exponential of a series with no constant term, truncated at ``cap``.
+
+    Built one degree at a time from ``E' = X' E``: with ``a_k`` the degree-``k``
+    part of ``x`` and ``e_n`` that of the exponential, ``e_0 = 1`` and
+    ``n e_n = sum_{k=1}^n k a_k e_{n-k}``, one :func:`series_degree_mul` of
+    the ``k a_k`` by the degrees below ``n`` per degree.
+    """
     if any(monomial_degree(m) == 0 for m in x):
         raise ValueError("exponent series must have no degree-0 part")
+    scaled = {m: monomial_degree(m) * c for m, c in x.items()}
     out = series_unit(graph)
-    power = series_unit(graph)
-    for p in range(1, cap + 1):
-        power = series_mul(power, x, cap)
-        if not power:
-            break
-        inv = Fraction(1, factorial(p))
-        for m, c in power.items():
-            out[m] = out.get(m, Fraction(0)) + inv * c
-    return {m: c for m, c in out.items() if c != 0}
+    for n in range(1, cap + 1):
+        inv = Fraction(1, n)
+        for m, c in series_degree_mul(scaled, out, n).items():
+            out[m] = inv * c
+    return out
 
 
 def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, cap: int) -> dict:

@@ -28,7 +28,13 @@ loop's observable ``w^a (r-w)^b`` by its own Faulhaber loop; the library
 reads it as the parallel class of the observable and the unit ``(0, 0)``.
 ``edge_factor_coefficients`` expands Chiodo's edge factor as ``-sum_p s^{p-1} Z^p / p!`` with a
 two-variable product; the library divides a product of two one-variable
-exponentials by ``s``.  ``leg_vertex_series`` multiplies one exponential
+exponentials by ``s``.  ``series_exp_by_powers`` sums ``x^p / p!``,
+raising ``x`` to each power by ``series_mul``, a product capped at a
+degree that checks the degree of every pair; the library's
+``series_exp`` builds one degree at a time by
+``n e_n = sum_k k a_k e_{n-k}``, one ``series_degree_mul`` per degree,
+as ``chiodo._exp_coefficients`` does in one variable.
+``leg_vertex_series`` multiplies one exponential
 per leg and per vertex; the library exponentiates their sum once.  The
 per-weighting pushforward builds its leg and vertex series that way, and
 so do ``pixton_fixed_r`` and ``pixton_class``, which build one decorated
@@ -77,13 +83,12 @@ from drtaut.intersect import _term_integral, double_factorial
 from drtaut.tautclass import (
     DecoratedGraph,
     TautClass,
+    _monomial_mul,
     emit_series,
     kappa_monomial,
     monomial_degree,
     psi_leg_monomial,
     series_edge_mul,
-    series_exp,
-    series_mul,
     series_unit,
     series_vertex_leg_exp,
 )
@@ -446,6 +451,34 @@ def edge_factor_coefficients(r: int, w: int, cap: int) -> tuple:
     return tuple(sorted(out.items()))
 
 
+def series_mul(a: dict, b: dict, cap: int) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        d1 = monomial_degree(m1)
+        for m2, c2 in b.items():
+            if d1 + monomial_degree(m2) > cap:
+                continue
+            m = _monomial_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def series_exp_by_powers(x: dict, graph: StableGraph, cap: int) -> dict:
+    """Exponential of a series with no constant term, truncated at ``cap``: ``sum_p x^p / p!``."""
+    if any(monomial_degree(m) == 0 for m in x):
+        raise ValueError("exponent series must have no degree-0 part")
+    out = series_unit(graph)
+    power = series_unit(graph)
+    for p in range(1, cap + 1):
+        power = series_mul(power, x, cap)
+        if not power:
+            break
+        inv = Fraction(1, factorial(p))
+        for m, c in power.items():
+            out[m] = out.get(m, Fraction(0)) + inv * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
 def leg_vertex_series(graph, leg_weights, kappa_weights, cap: int) -> dict:
     """Truncated product of one exponential per leg and one per vertex.
 
@@ -455,10 +488,10 @@ def leg_vertex_series(graph, leg_weights, kappa_weights, cap: int) -> dict:
     out = series_unit(graph)
     for i, weights in enumerate(leg_weights):
         x = {psi_leg_monomial(graph, i, m): c for m, c in enumerate(weights[:cap], 1) if c}
-        out = series_mul(out, series_exp(x, graph, cap), cap)
+        out = series_mul(out, series_exp_by_powers(x, graph, cap), cap)
     for v in range(graph.n_vertices):
         x = {kappa_monomial(graph, v, m): c for m, c in enumerate(kappa_weights[:cap], 1) if c}
-        out = series_mul(out, series_exp(x, graph, cap), cap)
+        out = series_mul(out, series_exp_by_powers(x, graph, cap), cap)
     return out
 
 

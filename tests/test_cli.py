@@ -101,6 +101,22 @@ class TestIntegrate:
         assert code == 0
         assert json.loads(out) == {"version": "integral/1", "value": "0"}
 
+    @pytest.mark.parametrize("kappa, value", [([1, 1], "5"), ([2], "1")], ids=["kappa1-squared", "kappa2"])
+    def test_kappa_list_holds_indices(self, capsys, tmp_path, kappa, value):
+        # On Mbar_{0,5}, kappa_1^2 = 5 and kappa_2 = 1: a vertex's kappa list
+        # holds one index m per factor kappa_m, not exponents.
+        graph = {
+            "version": "stablegraph/1",
+            "vertices": [{"genus": 0, "half_edges": [0, 1, 2, 3, 4]}],
+            "edges": [],
+            "legs": [{"half_edge": h, "marking": h + 1} for h in range(5)],
+        }
+        term = {"coeff": "1", "graph": graph, "psi": {}, "kappa": {"0": kappa}}
+        payload = {"version": "tautclass/1", "ambient": {"g": 0, "n": 5}, "terms": [term]}
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, ["integrate", "--class", str(path)]) == (0, value + "\n", "")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["integrate", "--class", "/nonexistent.json"])
         assert code == 2
@@ -536,8 +552,22 @@ class TestErrorPaths:
             (_one_vertex_class(term={"kappa": {"3": [1]}}), "kappa"),
             (_one_vertex_class(vertex={"genus": 1.5}), "genus"),
             (_one_vertex_class(ambient={"g": "x", "n": 1}, terms=[]), "ambient.g"),
+            # int() reads each of these ids as 0, or fails with its own message:
+            # two keys naming one id would silently lose one entry.
+            (_one_vertex_class(term={"psi": {"0": 1, "00": 0}}), "psi"),
+            (_one_vertex_class(term={"psi": {"-0": 1}}), "psi"),
+            (_one_vertex_class(term={"psi": {" 0": 1}}), "psi"),
+            (_one_vertex_class(term={"psi": {"0_0": 1}}), "psi"),
+            (_one_vertex_class(term={"psi": {"x": 1}}), "psi"),
+            (_one_vertex_class(term={"kappa": {"0": [1], "00": []}}), "kappa"),
+            (_one_vertex_class(term={"kappa": {"-0": [1]}}), "kappa"),
+            (_one_vertex_class(term={"kappa": {"x": [1]}}), "kappa"),
         ],
-        ids=["terms-int", "half-edges-int", "kappa-vertex", "genus-float", "ambient-g-str"],
+        ids=[
+            "terms-int", "half-edges-int", "kappa-vertex", "genus-float", "ambient-g-str",
+            "psi-00", "psi-minus-0", "psi-space-0", "psi-0_0", "psi-x",
+            "kappa-00", "kappa-minus-0", "kappa-x",
+        ],
     )
     def test_class_wrong_value_type(self, capsys, tmp_path, payload, field):
         code, out, err = self._integrate(capsys, tmp_path, payload)

@@ -21,14 +21,13 @@ from drtaut.tautclass import (
     psi_leg_monomial,
     series_degree_mul,
     series_exp,
-    series_mul,
     series_unit,
     series_vertex_leg_exp,
     trivial_class,
 )
 from drtaut.weightings import DRVector
 
-from oracles import alpha_class, beta_class, series_degree_part
+from oracles import alpha_class, beta_class, series_degree_part, series_exp_by_powers, series_mul
 
 F = Fraction
 
@@ -218,22 +217,58 @@ class TestSeries:
     # Monomials on a graph with two legs, two edges and two vertices.
     _exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
     _kappa = st.lists(st.integers(1, 2), max_size=2).map(lambda k: tuple(sorted(k)))
-    _series = st.dictionaries(
-        st.tuples(_exponents, st.tuples(_exponents, _exponents), st.tuples(_kappa, _kappa)),
-        st.integers(-3, 3).map(F),
-        max_size=8,
-    )
+    _monomial = st.tuples(_exponents, st.tuples(_exponents, _exponents), st.tuples(_kappa, _kappa))
+    _series = st.dictionaries(_monomial, st.integers(-3, 3).map(F), max_size=8)
 
     @settings(max_examples=100, deadline=None)
     @given(_series, _series, st.integers(0, 8))
     def test_degree_mul_is_degree_part_of_product(self, a, b, d):
         assert series_degree_mul(a, b, d) == series_degree_part(series_mul(a, b, d), d)
 
+    # The same monomials without degree 0, whose coefficients are all of one type.
+    _exponent = _monomial.filter(lambda m: monomial_degree(m) > 0)
+    _small = st.integers(-3, 3)
+    _exp_series = st.one_of(
+        st.dictionaries(_exponent, _small, max_size=5),
+        st.dictionaries(_exponent, st.tuples(_small, st.integers(1, 4)).map(lambda t: F(*t)), max_size=5),
+        st.dictionaries(_exponent, st.lists(_small, min_size=1, max_size=3).map(RPoly), max_size=5),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exp_series, st.integers(0, 6))
+    def test_exp_matches_powers(self, x, cap):
+        graph = StableGraph([0, 0], [(0, 1), (0, 1)], [0, 1])
+        got = series_exp(x, graph, cap)
+        assert _nonzero(got) == _nonzero(series_exp_by_powers(x, graph, cap))
+        for c in got.values():
+            assert isinstance(c, (Fraction, RPoly))
+            assert not any(isinstance(v, float) for v in getattr(c, "coeffs", ()))
+
+    def test_exp_rejects_constant_term(self):
+        g = StableGraph([1], [], [0])
+        with pytest.raises(ValueError, match="degree-0"):
+            series_exp({series_unit(g).popitem()[0]: F(1)}, g, 2)
+
+    def test_exp_matches_one_variable_recurrence(self):
+        # chiodo._exp_coefficients runs the same recurrence on RPoly
+        # coefficients in one variable; a one-leg series in psi is that case.
+        g, cap = StableGraph([1], [], [0]), 6
+        weights = [chiodo._bernoulli_weight(m) for m in range(1, cap + 1)]
+        x = {psi_leg_monomial(g, 0, m): B for m, B in enumerate(weights, 1)}
+        coefficients = chiodo._exp_coefficients([RPoly([0])] + weights, cap)
+        want = {psi_leg_monomial(g, 0, n): c for n, c in enumerate(coefficients)}
+        assert _nonzero(series_exp(x, g, cap)) == _nonzero(want)
+
     def test_unit(self):
         g = StableGraph([1, 1], [(0, 1)], [0])
         u = series_unit(g)
         [(mono, c)] = u.items()
         assert c == 1 and monomial_degree(mono) == 0
+
+
+def _nonzero(series: dict) -> dict:
+    """``series`` without zero coefficients, each ``RPoly`` read as its coefficient tuple."""
+    return {m: getattr(c, "coeffs", c) for m, c in series.items() if c}
 
 
 def pixton_profiles(graph, L, d):
