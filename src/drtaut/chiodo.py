@@ -286,11 +286,9 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     product, divided once by the scale, that denominator and ``|Aut|``.
     The terms merge under isomorphism as any class does.
     """
-    acc = [
-        (DecoratedGraph(graph, *mono), c)
-        for graph, series in _constant_series(dr, d)
-        for mono, c in series.items()
-    ]
+    acc: list = []
+    for graph, series in _constant_series(dr, d):
+        emit_series(acc, graph, series, Fraction(1))
     return TautClass(dr.genus, dr.n, acc)
 
 

@@ -171,8 +171,6 @@ def cmd_verify_vanishing(args) -> int:
     dr = DRVector(args.g, args.a)
     g, n = dr.genus, dr.n
     require_stable_type(g, n)
-    if args.d <= g:
-        raise ValueError(f"vanishing holds for degree > genus; got d={args.d}, g={g}")
     if args.d > 3 * g - 3 + n:
         raise ValueError(
             f"degree d={args.d} exceeds dim Mbar_{{{g},{n}}} = {3 * g - 3 + n}: nothing to pair"

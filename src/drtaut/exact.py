@@ -41,11 +41,18 @@ Rational = Fraction
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"n"`` into an exact rational; ``ValueError`` if malformed."""
-    try:
-        return Fraction(s.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+    """Parse ``"p/q"`` or ``"n"`` into an exact rational; ``ValueError`` if malformed.
+
+    ``p`` and ``n`` are ASCII digits after an optional ``-``, and ``q`` ASCII
+    digits naming a nonzero number: no space, ``+``, point, exponent or ``_``.
+    """
+    num, slash, den = s.partition("/")
+    den = den if slash else "1"
+    if not all(x.isascii() and x.isdigit() for x in (num.removeprefix("-"), den)):
+        raise ValueError(f"expected a rational 'p/q' or 'n', got {s!r}")
+    if not int(den):
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den))
 
 
 def rat_to_str(x: Fraction) -> str:

@@ -565,6 +565,15 @@ def _json_value(value, kind: type, field: str):
 
 def graph_from_json(data: dict) -> StableGraph:
     """Rebuild a graph from its dict form (any consistent half-edge ids)."""
+    return _read_graph_json(data)[0]
+
+
+def _read_graph_json(data: dict) -> tuple[StableGraph, list[tuple[int, int]], list[int]]:
+    """``(graph, edge_ids, leg_ids)``: the graph of ``data`` and its JSON half-edge ids.
+
+    ``edge_ids[t]`` are the ids of the graph's half-edges ``2t, 2t + 1`` and
+    ``leg_ids[i]`` the id of the leg of marking ``i + 1``.
+    """
     if not isinstance(data, dict):
         raise ValueError("graph: expected a JSON object")
     if data.get("version") != SCHEMA_GRAPH:
@@ -595,18 +604,24 @@ def graph_from_json(data: dict) -> StableGraph:
     pairs = [_json_value(pair, list, "edges") for pair in _json_value(data["edges"], list, "edges")]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("edges: expected pairs of half-edges")
-    edges = [(vertex_of(h1, "edges"), vertex_of(h2, "edges")) for h1, h2 in pairs]
-    legs_by_marking: dict[int, int] = {}
+    halves = []
+    for h1, h2 in pairs:
+        u, v = vertex_of(h1, "edges"), vertex_of(h2, "edges")
+        halves.append(((u, v), (h1, h2)) if u <= v else ((v, u), (h2, h1)))
+    halves.sort(key=lambda half: half[0])
+    leg_of: dict[int, tuple[int, int]] = {}
     for rec in _json_value(data["legs"], list, "legs"):
         _json_value(rec, dict, "legs")
         marking = _json_value(rec.get("marking"), int, "marking")
-        if marking in legs_by_marking:
+        if marking in leg_of:
             raise ValueError(f"marking: {marking} appears twice")
-        legs_by_marking[marking] = vertex_of(rec.get("half_edge"), "legs")
+        h = rec.get("half_edge")
+        leg_of[marking] = (vertex_of(h, "legs"), h)
     if len(used) != len(owner):
         raise ValueError(f"half_edges: half-edge {min(set(owner) - used)} is not used")
-    n = len(legs_by_marking)
-    if sorted(legs_by_marking) != list(range(1, n + 1)):
+    n = len(leg_of)
+    if sorted(leg_of) != list(range(1, n + 1)):
         raise ValueError("markings must be 1..n")
-    legs = [legs_by_marking[i + 1] for i in range(n)]
-    return StableGraph(genera, edges, legs)
+    legs = [leg_of[i + 1] for i in range(n)]
+    graph = _graph(tuple(genera), tuple(e for e, _ in halves), tuple(v for v, _ in legs))
+    return graph, [ids for _, ids in halves], [h for _, h in legs]

@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 from .exact import bernoulli_number, interpolate
 from .graphs import require_stable_type
 from .pixton import pixton_class
-from .tautclass import DecoratedGraph, TautClass
+from .tautclass import TautClass
 from .weightings import DRVector
 
 __all__ = [
@@ -224,49 +224,34 @@ def integrate_vertex(
 # -- pairing decorated-graph classes against psi monomials ------------
 
 
-def _term_integral(dec: DecoratedGraph, exponents: Sequence[int]) -> Fraction | int:
-    """One term's integral against ``prod psi_i^{b_i}``, a product over vertices.
-
-    The exponents at each vertex are gathered in one pass over the edges
-    and legs; a vertex that misses its dimension integrates to 0.
-    """
-    graph = dec.graph
-    at: list[list[int]] = [[] for _ in graph.genera]
-    for (u, v), (a, b) in zip(graph.edges, dec.edge_psi):
-        at[u].append(a)
-        at[v].append(b)
-    for v, e, x in zip(graph.legs, dec.leg_psi, exponents):
-        at[v].append(e + x)
-    value: Fraction | int = 1
-    for g, exps, kappa in zip(graph.genera, at, dec.kappa):
-        value *= _vertex_integral(g, tuple(sorted(exps)), kappa)
-        if not value:
-            return 0
-    return value
-
-
 def _pairing_index(T: TautClass) -> dict:
-    """``T``'s terms grouped as ``{(n_vertices, legs): {needs: [(dec, coeff)]}}``.
+    """``T``'s terms grouped as ``{(n_vertices, legs): {needs: [term]}}``.
 
     ``legs[i]`` is the vertex of marking ``i + 1`` and ``needs[v]`` the psi
     degree that the markings at vertex ``v`` must bring for the vertex to
-    meet its dimension.  A term whose needs are negative somewhere never
-    pairs to anything nonzero and is left out.  The index is built on the
-    first pairing and kept on ``T`` until its terms change.
+    meet its dimension.  A ``term`` is ``(coeff, genera, kappa, leg_psi,
+    at)``, with ``at[v]`` the psi exponents on the edge halves at ``v``.
+    A term whose needs are negative somewhere never pairs to anything
+    nonzero and is left out.  The index is built on the first pairing and
+    kept on ``T`` until its terms change.
     """
     if T._pair_index is None:
         index: dict = {}
         for dec, coeff in T.items():
             graph = dec.graph
             needs = [3 * g - 3 - sum(kappa) for g, kappa in zip(graph.genera, dec.kappa)]
+            at: list[list[int]] = [[] for _ in graph.genera]
             for (u, v), (a, b) in zip(graph.edges, dec.edge_psi):
                 needs[u] += 1 - a
                 needs[v] += 1 - b
+                at[u].append(a)
+                at[v].append(b)
             for v, e in zip(graph.legs, dec.leg_psi):
                 needs[v] += 1 - e
             if min(needs) >= 0:
                 groups = index.setdefault((graph.n_vertices, graph.legs), {})
-                groups.setdefault(tuple(needs), []).append((dec, coeff))
+                term = (coeff, graph.genera, dec.kappa, dec.leg_psi, tuple(map(tuple, at)))
+                groups.setdefault(tuple(needs), []).append(term)
         T._pair_index = index
     return T._pair_index
 
@@ -279,7 +264,9 @@ def pair_with_psi(T: TautClass, exponents: Sequence[int] = ()) -> Fraction:
     corresponding point of its vertex, decorations stay where they are,
     and the coefficients of ``T`` already carry all automorphism and
     pushforward normalization.  Only the terms whose every vertex the
-    monomial brings to its dimension are integrated.  The result is exact.
+    monomial brings to its dimension are integrated, each vertex on its
+    edge-half exponents and ``leg_psi[i] + b_i`` at its markings ``i``,
+    until one vertex gives 0.  The result is exact.
     """
     exps = tuple(int(b) for b in exponents)
     if len(exps) != T.n:
@@ -291,10 +278,17 @@ def pair_with_psi(T: TautClass, exponents: Sequence[int] = ()) -> Fraction:
         brought = [0] * n_vertices
         for v, b in zip(legs, exps):
             brought[v] += b
-        for dec, coeff in groups.get(tuple(brought), ()):
-            value = _term_integral(dec, exps)
-            if value:
-                total += coeff * value
+        for coeff, genera, kappa, leg_psi, at in groups.get(tuple(brought), ()):
+            shifted = [list(halves) for halves in at]
+            for v, e, b in zip(legs, leg_psi, exps):
+                shifted[v].append(e + b)
+            value = coeff
+            for g, psis, k in zip(genera, shifted, kappa):
+                value *= _vertex_integral(g, tuple(sorted(psis)), k)
+                if not value:
+                    break
+            else:
+                total += value
     return total
 
 
@@ -329,7 +323,7 @@ def vanishing_probe(
     job, keeping failures visible.
     """
     if d <= dr.genus:
-        raise ValueError(f"probe needs degree above the genus, got d={d} <= g={dr.genus}")
+        raise ValueError(f"vanishing holds for degree > genus; got d={d}, g={dr.genus}")
     cls = pixton_class(dr, d)
     if exponent_sets is None:
         sets = complementary_psi_monomials(dr.genus, dr.n, d)

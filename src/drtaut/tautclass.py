@@ -26,11 +26,11 @@ from typing import Callable, Iterable
 from .graphs import (
     StableGraph,
     _json_value,
+    _read_graph_json,
     automorphism_order,
     canonical_form_decorated,
     enumerate_stable_graphs,
     first_betti,
-    graph_from_json,
     graph_to_json,
     require_stable_type,
     validate,
@@ -307,6 +307,12 @@ class TautClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "TautClass":
+        """Read a class from its dict form; ``ValueError`` names what is wrong.
+
+        Each term's graph is read once by the graph reader, which also gives
+        the JSON id of every edge half and leg in the rebuilt layout, so the
+        term's ``psi`` keys map straight onto them.
+        """
         if not isinstance(data, dict):
             raise ValueError("class: expected a JSON object")
         if data.get("version") != SCHEMA_TAUTCLASS:
@@ -321,37 +327,18 @@ class TautClass:
         require_stable_type(g, n)
         out = cls(g, n)
         for rec in _json_value(data["terms"], list, "terms"):
-            graph_data = _json_value(rec, dict, "terms").get("graph")
-            graph = graph_from_json(graph_data)
+            graph, edge_ids, leg_ids = _read_graph_json(_json_value(rec, dict, "terms").get("graph"))
             err = validate(graph, g, n)
             if err is not None:
                 raise ValueError(f"invalid term graph: {err}")
-            # Map original half-edge ids to the rebuilt layout.
-            owner = {}
-            for v, vrec in enumerate(graph_data["vertices"]):
-                for h in vrec["half_edges"]:
-                    owner[h] = v
-            psi_orig = {
+            psi = {
                 _json_id(h, "psi"): _json_value(e, int, "psi")
                 for h, e in _json_value(rec.get("psi", {}), dict, "psi").items()
             }
-            # Edge list in the rebuilt graph is sorted; recover which edge
-            # each original pair became by matching sorted vertex pairs with
-            # psi decorations carried along.
-            decorated_pairs = []
-            for h1, h2 in graph_data["edges"]:
-                u, v = owner[h1], owner[h2]
-                p1, p2 = psi_orig.pop(h1, 0), psi_orig.pop(h2, 0)
-                if (u, v) > (v, u):
-                    u, v, p1, p2 = v, u, p2, p1
-                decorated_pairs.append(((u, v), (p1, p2)))
-            decorated_pairs.sort(key=lambda x: (x[0], x[1]))
-            edge_psi = [p for _, p in decorated_pairs]
-            leg_psi = [0] * n
-            for rec_leg in graph_data["legs"]:
-                leg_psi[rec_leg["marking"] - 1] = psi_orig.pop(rec_leg["half_edge"], 0)
-            if psi_orig:
-                raise ValueError(f"psi exponents on unknown half-edges: {sorted(psi_orig)}")
+            edge_psi = [(psi.pop(h1, 0), psi.pop(h2, 0)) for h1, h2 in edge_ids]
+            leg_psi = [psi.pop(h, 0) for h in leg_ids]
+            if psi:
+                raise ValueError(f"psi exponents on unknown half-edges: {sorted(psi)}")
             kappa = [() for _ in range(graph.n_vertices)]
             for key, k in _json_value(rec.get("kappa", {}), dict, "kappa").items():
                 v = _json_id(key, "kappa")

@@ -58,8 +58,11 @@ the check moduli; the library reads both the fit and the check off the
 forward differences of the samples.  ``dvv_correlator`` runs the DVV
 recursion on every correlator past the seeds; the library strips ``tau_0``
 and ``tau_1`` by the string and dilaton equations first.
-``pair_with_psi_unindexed`` integrates every term of a class; the library
-visits only the terms grouped under the vertex degrees a monomial brings.
+``pair_with_psi_unindexed`` integrates every term of a class, each by
+``term_integral``, which walks the term's edges and legs for every
+monomial; the library visits only the terms grouped under the vertex
+degrees a monomial brings, and reads each term's edge-half exponents per
+vertex off the index that grouped it.
 
 The oracles read the library's polynomials, integer numerators over one
 denominator, as ``RPoly`` objects through ``rpoly``.  ``alpha_class`` and
@@ -79,7 +82,7 @@ from drtaut.chiodo import _edge_factor_polys, _graph_series, _leg_vertex_weights
 from drtaut.chiodo import chiodo_pushforward as class_pushforward
 from drtaut.exact import RPoly, bernoulli_poly
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
-from drtaut.intersect import _term_integral, double_factorial
+from drtaut.intersect import double_factorial, integrate_vertex
 from drtaut.tautclass import (
     DecoratedGraph,
     TautClass,
@@ -833,10 +836,29 @@ def dvv_correlator(g: int, ds: tuple[int, ...]) -> Fraction:
     return total / double_factorial(2 * k + 3)
 
 
+def term_integral(dec: DecoratedGraph, exponents: Sequence[int]) -> Fraction:
+    """One term's integral against ``prod psi_i^{b_i}``, a product over vertices.
+
+    Every vertex gathers the exponents on its edge halves and on its legs,
+    the legs' shifted by the monomial, and is integrated on its own.
+    """
+    graph = dec.graph
+    at: list[list[int]] = [[] for _ in graph.genera]
+    for (u, v), (a, b) in zip(graph.edges, dec.edge_psi):
+        at[u].append(a)
+        at[v].append(b)
+    for v, e, x in zip(graph.legs, dec.leg_psi, exponents):
+        at[v].append(e + x)
+    value = Fraction(1)
+    for g, psis, kappa in zip(graph.genera, at, dec.kappa):
+        value *= integrate_vertex(g, len(psis), psis, kappa)
+    return value
+
+
 def pair_with_psi_unindexed(T: TautClass, exponents: Sequence[int]) -> Fraction:
     """``T`` paired with ``prod psi_i^{b_i}``, integrating every term."""
     exps = tuple(exponents)
     total = Fraction(0)
     for dec, coeff in T.items():
-        total += coeff * _term_integral(dec, exps)
+        total += coeff * term_integral(dec, exps)
     return total

@@ -168,6 +168,16 @@ class TestVerify:
         assert out.startswith("OK 1/3780")
         assert "socle(3,1,2) = 1/24192" in out
 
+    def test_socle_json_carries_detail_on_success(self, capsys):
+        code, out, _ = run(capsys, ["verify", "socle", "--g", "2", "--json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "version": "verify/1",
+            "ok": True,
+            "value": "1/360",
+            "detail": "  socle(2,0,2) = 1/2880\n  socle(2,1,1) = 1/960\n  socle(2,2,0) = 1/2880",
+        }
+
     def test_dr_ab(self, capsys):
         code, out, _ = run(capsys, ["verify", "dr-ab", "--g", "1", "--a", "2"])
         assert code == 0
@@ -359,7 +369,7 @@ class TestErrorPaths:
             capsys, ["verify", "vanishing", "--g", "1", "--a", "1,-1", "--d", "1"]
         )
         assert code == 2
-        assert "degree" in err
+        assert err == "error: vanishing holds for degree > genus; got d=1, g=1\n"
 
     def test_vanishing_degree_above_dimension(self, capsys, monkeypatch):
         def build(*args, **kwargs):
@@ -519,6 +529,23 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "zero denominator" in err
+
+    # Fraction() reads each of these, as 3/2, 10**400, 3/2, 1, 1000 and 3.
+    @pytest.mark.parametrize("coeff", ["1.5", "1e400", " 3/2 ", "+1", "1_000", "\u0663"])
+    def test_class_coefficient_not_rational(self, capsys, tmp_path, coeff):
+        code, out, err = self._integrate(capsys, tmp_path, _loop_class(coeff=coeff))
+        assert code == 2
+        assert out == ""
+        assert "expected a rational 'p/q' or 'n'" in err
+
+    @pytest.mark.parametrize(
+        "coeff, value", [("-7/3", "-7/3"), ("2", "2"), ("0", "0"), ("2/4", "1/2")]
+    )
+    def test_class_coefficient_forms(self, capsys, tmp_path, coeff, value):
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps(_loop_class(coeff=coeff)), encoding="utf-8")
+        argv = ["integrate", "--class", str(path), "--psi", "1,0"]
+        assert run(capsys, argv) == (0, value + "\n", "")
 
     @pytest.mark.parametrize(
         "payload, message",

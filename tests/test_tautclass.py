@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -186,6 +187,52 @@ class TestJson:
         data["terms"][0]["graph"]["vertices"][0]["genus"] = 5
         with pytest.raises(ValueError, match="genus"):
             TautClass.from_json(data)
+
+    @staticmethod
+    def relabelled(term: dict, rng: random.Random) -> dict:
+        """``term`` under new half-edge ids, flipped edges and shuffled records."""
+        graph = term["graph"]
+        ids = [h for rec in graph["vertices"] for h in rec["half_edges"]]
+        new_id = dict(zip(ids, rng.sample(range(10 * len(ids) + 10), len(ids))))
+        order = rng.sample(range(len(graph["vertices"])), len(graph["vertices"]))
+        vertices = []
+        for v in order:
+            half_edges = [new_id[h] for h in graph["vertices"][v]["half_edges"]]
+            rng.shuffle(half_edges)
+            vertices.append({"genus": graph["vertices"][v]["genus"], "half_edges": half_edges})
+        edges = [[new_id[h] for h in rng.sample(pair, 2)] for pair in graph["edges"]]
+        legs = [
+            {"half_edge": new_id[rec["half_edge"]], "marking": rec["marking"]} for rec in graph["legs"]
+        ]
+        rng.shuffle(edges)
+        rng.shuffle(legs)
+        return {
+            "coeff": term["coeff"],
+            "graph": {
+                "version": graph["version"], "vertices": vertices, "edges": edges, "legs": legs
+            },
+            "psi": {str(new_id[int(h)]): e for h, e in term["psi"].items()},
+            "kappa": {str(order.index(int(v))): k for v, k in term["kappa"].items()},
+        }
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            partial(pixton.pixton_class, DRVector(2, (3, 1, 1), 1), 3),
+            partial(pixton.dr_cycle, DRVector(2, (2, -1, -1))),
+            partial(pixton.pixton_class, DRVector(1, (3, -1), 1), 2),
+        ],
+        ids=["pixton-2-311-d3", "dr-2-2-1-1", "pixton-1-3-1-d2"],
+    )
+    def test_relabelled_terms_read_back(self, build):
+        # Loops, parallel edges, psi on edge halves and legs, and kappa all
+        # occur in these classes; any consistent ids must give the same class.
+        cls = build()
+        data = cls.to_json()
+        for seed in range(3):
+            rng = random.Random(seed)
+            data["terms"] = [self.relabelled(term, rng) for term in cls.to_json()["terms"]]
+            assert TautClass.from_json(data) == cls
 
 
 class TestSeries:
