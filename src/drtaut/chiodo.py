@@ -34,10 +34,10 @@ by :func:`verify_samefreeterm`.  The constant term is built exactly,
 with no modulus fixed: every Bernoulli weight is a polynomial in ``w/r``
 or in ``1/r``, so each graph's terms are Laurent polynomials in r whose
 weighting sums are the half-edge monomial sums ``sum_w prod_e w_e^{q_e}``
-of the one weighting engine (exact on tree quotients, a certified fit
-otherwise).  They stay integer numerators over one denominator; only the
-kept coefficient is formed, and only the constant terms become decorated
-graphs.
+of the one weighting engine: contracted once per parallel class on tree
+quotients, a certified fit per monomial otherwise.  They stay integer
+numerators over one denominator; only the kept coefficient is formed, and
+only the constant terms become decorated graphs.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ from .tautclass import (
 from .weightings import (
     DRVector,
     edge_profile_sums,
-    fit_edge_profiles,
+    sampled_edge_profiles,
+    tree_profile_weights,
 )
 
 __all__ = [
@@ -219,7 +220,7 @@ def _constant_series(dr: DRVector, d: int):
     dr.require_exact()
     # Every edge factor over one denominator, so that a profile's is over its power.
     factors = _Numerators(dict(_edge_factor_polys(d)))
-    support = {key: [q for q, c in enumerate(nums) if c] for key, nums in factors.items()}
+    terms = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()}
     top = 2 * d
     label = f"chiodo constant (g={dr.genus},n={dr.n},k={dr.twist},d={d})"
     points = [RPoly([int(a < 0), a]) for a in dr.parts]
@@ -229,34 +230,52 @@ def _constant_series(dr: DRVector, d: int):
         return _Numerators(series_vertex_leg_exp(graph, legs, kappa, budget))
 
     for idx, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
-        monomials = {
-            qs: None for prof in profiles for qs in itertools.product(*map(support.get, prof))
-        }
-        fits = fit_edge_profiles(
-            graph, dr, [tuple((q, 0) for q in qs) for qs in monomials], label=f"{label} graph#{idx}"
-        )
-        den = lcm(*(f_den for _, f_den in fits))
-        sums = {
-            qs: [x * (den // f_den) for x in nums] for qs, (nums, f_den) in zip(monomials, fits)
-        }
-        weights = {}
-        for prof in profiles:
-            # r^{2d-b} r^{-|q|} r^j is v^{2d - (|q| + b - j)}: keep exponents up to
-            # 2d, stored from v^{2d} down, so that a dot product with the
-            # exponential's numerators from v^0 up is the v^{2d} coefficient.
-            weight = [0] * (top + 1)
-            for qs in itertools.product(*map(support.get, prof)):
-                c = prod(factors[key][q] for key, q in zip(prof, qs))
-                shift, S = sum(qs) + b, sums[qs]
-                if len(S) > shift + 1:
-                    raise ArithmeticError(f"{label} graph#{idx}: sum above its degree bound")
-                for j in range(max(0, shift - top), len(S)):
-                    weight[top - shift + j] += c * S[j]
-            if any(weight):
-                weights[prof] = weight
+        name = f"{label} graph#{idx}"
+        # r^{2d-b} times a profile's sum, kept from r^0 to r^{2d}: a dot
+        # product with the exponential's numerators from v^0 up is the
+        # v^{2d} coefficient.
+        contracted = tree_profile_weights(graph, dr, profiles, terms, top, name)
+        if contracted is None:
+            contracted = _sampled_weights(graph, dr, profiles, terms, b, top, name)
+        polys, den = contracted
+        weights = {prof: w for prof, w in zip(profiles, polys) if any(w)}
         totals = series_edge_mul(L, graph, weights, d, times=_dot)
         scale = den * factors.den**graph.n_edges * L.den * aut
         yield graph, {mono: Fraction(total, scale) for mono, total in totals.items()}
+
+
+def _sampled_weights(graph, dr: DRVector, profiles, terms, b: int, top: int, label: str):
+    """:func:`~drtaut.weightings.tree_profile_weights` on a graph with a free residue.
+
+    Every half-edge monomial ``qs`` that a profile's edge factors reach
+    gets one certified fit (:func:`~drtaut.weightings.sampled_edge_profiles`)
+    of ``S(r) = sum_w prod_e w_e^{q_e}``, and each profile sums
+    ``c r^{-|qs|-b} S(r)`` over its monomials, the numerators over one
+    ``lcm`` of the fits' denominators.  A sum above degree ``|qs| + b``
+    raises ``ArithmeticError`` naming ``label``.
+    """
+
+    def monomials(prof):
+        return itertools.product(*map(terms.get, prof))
+
+    wanted = {tuple(q for (q, _), _ in choice): None for prof in profiles for choice in monomials(prof)}
+    fits = sampled_edge_profiles(graph, dr, [tuple((q, 0) for q in qs) for qs in wanted], label)
+    den = lcm(*(f_den for _, f_den in fits))
+    sums = {qs: [x * (den // f_den) for x in nums] for qs, (nums, f_den) in zip(wanted, fits)}
+    weights = []
+    for prof in profiles:
+        weight = [0] * (top + 1)
+        for choice in monomials(prof):
+            qs = tuple(q for (q, _), _ in choice)
+            c = prod(c for _, c in choice)
+            # r^{-|qs|-b} r^j is stored at top - shift + j, r^0 at top.
+            shift, S = sum(qs) + b, sums[qs]
+            if len(S) > shift + 1:
+                raise ArithmeticError(f"{label}: sum above its degree bound")
+            for j in range(max(0, shift - top), len(S)):
+                weight[top - shift + j] += c * S[j]
+        weights.append(weight)
+    return weights, den
 
 
 def chiodo_constant(dr: DRVector, d: int) -> TautClass:
@@ -267,10 +286,14 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     built with no modulus fixed:
 
     * an edge factor coefficient is a polynomial in ``u = w/r``
-      (:func:`_edge_factor_polys`), so a profile's weight is a sum of
-      half-edge monomial sums ``sum_w prod_e w_e^{q_e}`` over ``r^{sum q_e}``;
-      :func:`~drtaut.weightings.fit_edge_profiles` gives those sums as
-      polynomials in r, the observable ``(q, 0)`` on each edge;
+      (:func:`_edge_factor_polys`), each power ``u^q`` the observable
+      ``(q, 0)`` over ``r^q``.  On a graph whose simple quotient is a tree,
+      :func:`~drtaut.weightings.tree_profile_weights` contracts the edge
+      factors once per parallel class or loop and distinct entry of its
+      keys, and a profile's weight is the product of its classes'
+      polynomials in ``1/r``.  On a graph with a free residue, each
+      half-edge monomial ``sum_w prod_e w_e^{q_e}`` that a profile reaches
+      is one certified fit (:func:`_sampled_weights`);
     * the leg and vertex weights ``B_{m+1}(abar_i/r)`` and ``B_{m+1}(k/r)``
       are polynomials in ``v = 1/r``, with ``abar_i/r = 1 + a_i v`` for
       ``a_i < 0`` once r exceeds every ``|a_i|``.
@@ -280,10 +303,11 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     r is the ``v^{2d}`` coefficient of that polynomial over ``|Aut|``.
     Everything is kept as integer numerators over one denominator, and
     only the kept coefficient is formed: the edge factors and the sums
-    contract into integer weight vectors over one scale per graph, the
-    exponential is put over one denominator once per vertex and edge
-    count, and each monomial's ``v^{2d}`` coefficient is an integer dot
-    product, divided once by the scale, that denominator and ``|Aut|``.
+    contract into integer weight vectors, from ``r^0`` to ``r^{2d}``, over
+    one scale per graph, the exponential is put over one denominator once
+    per vertex and edge count, and each monomial's ``v^{2d}`` coefficient
+    is an integer dot product, divided once by the scale, that
+    denominator and ``|Aut|``.
     The terms merge under isomorphism as any class does.
     """
     acc: list = []

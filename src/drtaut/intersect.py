@@ -39,7 +39,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
+from operator import add
 from typing import Iterable, Sequence
 
 from .exact import bernoulli_number, interpolate
@@ -225,20 +226,32 @@ def integrate_vertex(
 
 
 def _pairing_index(T: TautClass) -> dict:
-    """``T``'s terms grouped as ``{(n_vertices, legs): {needs: [term]}}``.
+    """``T``'s terms grouped as ``{legs_at: {needs: [term]}}``.
 
-    ``legs[i]`` is the vertex of marking ``i + 1`` and ``needs[v]`` the psi
-    degree that the markings at vertex ``v`` must bring for the vertex to
-    meet its dimension.  A ``term`` is ``(coeff, genera, kappa, leg_psi,
-    at)``, with ``at[v]`` the psi exponents on the edge halves at ``v``.
+    A vertex with no legs integrates to the same number on every
+    monomial, so that integral is folded into the term's coefficient, and
+    a term it makes 0 is left out.  The vertices with legs are numbered
+    by their first leg: ``legs_at[k]`` lists the markings at vertex ``k``
+    (marking ``i + 1`` as ``i``), and ``needs[k]`` is the psi degree they
+    must bring for the vertex to meet its dimension.  A
+    ``term`` is ``(numerator, denominator, vertices)``, the coefficient
+    in lowest terms and ``vertices[k]`` the genus, sorted edge-half
+    exponents, kappa and leg psi exponents (those of ``legs_at[k]``) of
+    vertex ``k``; terms that agree on all but the coefficient are merged.
     A term whose needs are negative somewhere never pairs to anything
     nonzero and is left out.  The index is built on the first pairing and
     kept on ``T`` until its terms change.
     """
     if T._pair_index is None:
-        index: dict = {}
+        numbering: dict = {}  # legs -> (vertices with legs, legs_at)
+        merged: dict = {}
         for dec, coeff in T.items():
             graph = dec.graph
+            legs = graph.legs
+            if legs not in numbering:
+                hosts = tuple(dict.fromkeys(legs))
+                numbering[legs] = hosts, tuple(tuple(i for i, u in enumerate(legs) if u == v) for v in hosts)
+            hosts, legs_at = numbering[legs]
             needs = [3 * g - 3 - sum(kappa) for g, kappa in zip(graph.genera, dec.kappa)]
             at: list[list[int]] = [[] for _ in graph.genera]
             for (u, v), (a, b) in zip(graph.edges, dec.edge_psi):
@@ -246,12 +259,30 @@ def _pairing_index(T: TautClass) -> dict:
                 needs[v] += 1 - b
                 at[u].append(a)
                 at[v].append(b)
-            for v, e in zip(graph.legs, dec.leg_psi):
+            for v, e in zip(legs, dec.leg_psi):
                 needs[v] += 1 - e
-            if min(needs) >= 0:
-                groups = index.setdefault((graph.n_vertices, graph.legs), {})
-                term = (coeff, graph.genera, dec.kappa, dec.leg_psi, tuple(map(tuple, at)))
-                groups.setdefault(tuple(needs), []).append(term)
+            if min(needs) < 0:
+                continue
+            for v, (g, halves, kappa) in enumerate(zip(graph.genera, at, dec.kappa)):
+                if v not in hosts:
+                    coeff *= _vertex_integral(g, tuple(sorted(halves)), kappa)
+            if coeff:
+                vertices = tuple(
+                    (
+                        graph.genera[v],
+                        tuple(sorted(at[v])),
+                        dec.kappa[v],
+                        tuple([dec.leg_psi[i] for i in ls]),
+                    )
+                    for v, ls in zip(hosts, legs_at)
+                )
+                key = (legs_at, tuple([needs[v] for v in hosts]), vertices)
+                merged[key] = merged.get(key, 0) + coeff
+        index: dict = {}
+        for (legs_at, needs, vertices), coeff in merged.items():
+            if coeff:
+                term = (coeff.numerator, coeff.denominator, vertices)
+                index.setdefault(legs_at, {}).setdefault(needs, []).append(term)
         T._pair_index = index
     return T._pair_index
 
@@ -263,33 +294,36 @@ def pair_with_psi(T: TautClass, exponents: Sequence[int] = ()) -> Fraction:
     moduli: a psi class at marking i restricts to the psi class at the
     corresponding point of its vertex, decorations stay where they are,
     and the coefficients of ``T`` already carry all automorphism and
-    pushforward normalization.  Only the terms whose every vertex the
-    monomial brings to its dimension are integrated, each vertex on its
-    edge-half exponents and ``leg_psi[i] + b_i`` at its markings ``i``,
-    until one vertex gives 0.  The result is exact.
+    pushforward normalization.  The vertices with no legs are integrated
+    once, in the pairing index.  Only the terms whose every vertex the
+    monomial brings to its dimension are integrated, each vertex with
+    legs on its edge-half exponents and ``leg_psi[i] + b_i`` at its
+    markings ``i``, until one vertex gives 0.  Each term's value is an
+    integer numerator and denominator, and the sum is kept over the least
+    common denominator, so the result is exact.
     """
     exps = tuple(int(b) for b in exponents)
     if len(exps) != T.n:
         raise ValueError(f"expected {T.n} psi exponents, got {len(exps)}")
     if any(b < 0 for b in exps):
         raise ValueError("psi exponents must be non-negative")
-    total = Fraction(0)
-    for (n_vertices, legs), groups in _pairing_index(T).items():
-        brought = [0] * n_vertices
-        for v, b in zip(legs, exps):
-            brought[v] += b
-        for coeff, genera, kappa, leg_psi, at in groups.get(tuple(brought), ()):
-            shifted = [list(halves) for halves in at]
-            for v, e, b in zip(legs, leg_psi, exps):
-                shifted[v].append(e + b)
-            value = coeff
-            for g, psis, k in zip(genera, shifted, kappa):
-                value *= _vertex_integral(g, tuple(sorted(psis)), k)
+    total, scale = 0, 1  # the sum is total / scale
+    for legs_at, groups in _pairing_index(T).items():
+        at = [[exps[i] for i in legs] for legs in legs_at]
+        for num, den, vertices in groups.get(tuple(map(sum, at)), ()):
+            for (g, halves, kappa, leg_psi), brought in zip(vertices, at):
+                psis = [*halves, *map(add, leg_psi, brought)]
+                psis.sort()
+                value = _vertex_integral(g, tuple(psis), kappa)
                 if not value:
                     break
+                num *= value.numerator
+                den *= value.denominator
             else:
-                total += value
-    return total
+                common = gcd(scale, den)
+                total = total * (den // common) + num * (scale // common)
+                scale *= den // common
+    return Fraction(total, scale)
 
 
 def complementary_psi_monomials(g: int, n: int, d: int) -> list[tuple[int, ...]]:

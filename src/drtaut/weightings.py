@@ -34,13 +34,15 @@ half-edge.  Pixton's edge power ``x^p``, ``x = w((r-w) mod r)``, is
 ``(p, p)``, and its sums are divisible by ``r^b``; Chiodo's edge factor,
 a polynomial in ``w/r``, needs ``w^q``, that is ``(q, 0)``.
 :func:`fit_edge_profiles` finds the sums' polynomials in one of two ways.
-When the quotient is a tree (:func:`exact_edge_profiles`), no residue
+When the quotient is a tree (:func:`tree_profile_weights`), no residue
 is free and every class residue is ``D mod r``, with ``|D|`` below
 :func:`default_r_min`; a parallel class's convolution is a
 polynomial in its residue and ``r``.  A loop's sum
 ``sum_{w<r} w^a (r-w)^b`` is the class of its observable and the unit
-``(0, 0)`` at residue 0, so each polynomial is a product of class
-polynomials, with no sampling.  Otherwise :func:`sampled_edge_profiles`
+``(0, 0)`` at residue 0, so each sum is a product of class polynomials,
+with no sampling, and a weight that sums observables on each edge is
+contracted once per class and distinct entry; :func:`exact_edge_profiles`
+is its case of one observable per edge.  Otherwise :func:`sampled_edge_profiles`
 makes one :func:`certified_fit` per graph, which fits every key of a map of
 rational samples on one window of consecutive moduli and checks each fit
 on fresh ones by forward differences.  Both routes give each polynomial
@@ -74,6 +76,7 @@ __all__ = [
     "edge_profile_sums",
     "certified_fit",
     "sampled_edge_profiles",
+    "tree_profile_weights",
     "exact_edge_profiles",
     "fit_edge_profiles",
     "zero_bridge",
@@ -505,12 +508,15 @@ def _mul(f: dict, g: dict) -> dict:
     return {key: x for key, x in out.items() if x}
 
 
-def _mul_r(f: Sequence, g: Sequence) -> list:
-    out = [0] * (len(f) + len(g) - 1)
+def _mul_top(f: Sequence[int], g: Sequence[int], cap: int) -> list:
+    """The product of two integer polynomials, low degree first: its top ``cap + 1`` coefficients."""
+    n = len(f) + len(g) - 1
+    low = max(0, n - cap - 1)
+    out = [0] * (n - low)
     for i, x in enumerate(f):
         if x:
-            for j, y in enumerate(g):
-                out[i + j] += x * y
+            for j in range(max(0, low - i), len(g)):
+                out[i + j - low] += x * g[j]
     return out
 
 
@@ -596,41 +602,122 @@ def _class_at(observables: tuple[tuple[int, int], ...], residue: int) -> tuple[l
     return out, den
 
 
-def exact_edge_profiles(
-    graph, dr: DRVector, profiles: Sequence[tuple[tuple[int, int], ...]]
-) -> list[tuple[list[int], int]] | None:
-    """The observable sums' polynomials on a graph whose simple quotient is a tree.
+def _class_weight(
+    entry: tuple, unit: tuple, residue: int, terms: Mapping, cap: int, label: str
+) -> tuple[list[int], int]:
+    """One class's weight for the edge keys ``entry``: its top ``cap + 1`` coefficients in ``r``.
 
-    Every class residue is then forced, and each polynomial is the one the
-    sum equals for every ``r`` from :func:`default_r_min` on, with no
-    modulus sampled: the product of each parallel class's convolved
-    polynomial (:func:`_class_poly`) at its residue, a loop being the class
-    of its observable and the unit ``(0, 0)`` at residue 0.  Data that is
-    not exactly balanced has no weightings there, so every polynomial is
-    0.  Returns one ``(nums, den)`` pair per profile in lowest terms, the
-    format of :func:`certified_fit`, or ``None`` for a graph whose
-    quotient has a free residue, sampling nothing.
+    ``unit`` is ``((0, 0),)`` for a loop and ``()`` for a parallel class,
+    and ``t`` is one less than the observables the class sums.  Each
+    choice of one term ``(observable, c)`` per key, from ``terms``, adds
+    ``c r^{-deg - t}`` times the class polynomial (:func:`_class_at`) of
+    its observables at ``residue``, ``deg`` their total degree.  That
+    polynomial has degree at most ``deg + t``, so the weight is a
+    polynomial in ``1/r``; ``ArithmeticError`` naming ``label`` is raised
+    if it is not.  Returns ``cap + 1`` integer numerators over one
+    denominator, low degree first, the last one that of ``r^0``.
+    """
+    out, den = [0] * (cap + 1), 1
+    for choice in itertools.product(*[terms[key] for key in entry]):
+        observables, cs = zip(*choice)
+        observables = tuple(sorted(unit + observables))
+        poly, d = _class_at(observables, residue)
+        shift = sum(map(sum, observables)) + len(observables) - 1
+        if any(poly[shift + 1 :]):
+            raise ArithmeticError(f"{label}: class polynomial above its degree bound")
+        if den % d:
+            scale = d // gcd(den, d)
+            out = [x * scale for x in out]
+            den *= scale
+        c = prod(cs) * (den // d)
+        # r^{-shift} r^j is stored at cap - shift + j, r^0 at cap.
+        for j in range(max(0, shift - cap), min(len(poly), shift + 1)):
+            out[cap - shift + j] += c * poly[j]
+    return out, den
+
+
+def tree_profile_weights(
+    graph,
+    dr: DRVector,
+    profiles: Sequence[tuple],
+    terms: Mapping[Hashable, Sequence[tuple[tuple[int, int], int]]],
+    cap: int,
+    label: str | None = None,
+) -> tuple[list[list[int]], int] | None:
+    """Sums over all weightings of products of edge weights, contracted one class at a time.
+
+    A profile holds one key per edge, and ``terms[key]`` lists pairs
+    ``(observable, c)``: the edge weight ``sum c u^a (1 - u)^b`` in
+    ``u = w/r``, that is ``c r^{-a-b}`` times the observable ``(a, b)``.
+    On a graph whose simple quotient is a tree every class residue is
+    forced, and the sum of a product of observables is the product of the
+    classes' polynomials (:func:`_class_poly`) at their residues, a loop
+    being the class of its observable and the unit ``(0, 0)`` at residue
+    0.  So a profile's sum is ``r^b``, ``b`` the Betti number, times the
+    product of its classes' weights (:func:`_class_weight`), each built
+    once per class and distinct entry of its keys.  Each weight is a
+    polynomial in ``1/r``, so no later factor raises a power of ``r``,
+    and every product keeps only the powers ``r^{-cap}`` to ``r^0``.
+
+    Returns ``(weights, den)`` or, for a graph whose quotient has a free
+    residue, ``None``.  ``weights`` holds for each profile ``cap + 1``
+    integers: the numerators over ``den`` of ``r^{-cap}`` up to ``r^0`` in
+    ``r^{-b}`` times its sum, for every ``r`` from :func:`default_r_min`
+    on.  Data that is not exactly balanced has no weightings there, so
+    every weight is 0.  A class polynomial above its degree bound raises
+    ``ArithmeticError`` naming ``label``.
     """
     _require_type(graph, dr)
     quotient = _quotient(graph)
     if quotient.plan.free:
         return None
     if not dr.is_exact:
-        return [([0], 1) for _ in profiles]
-    residues = _class_residues(dr, quotient.plan)
-    out = []
+        return [[0] * (cap + 1) for _ in profiles], 1
+    name = label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
+    classes = [((t,), ((0, 0),), 0) for t in quotient.loops]
+    classes += zip(quotient.classes, itertools.repeat(()), _class_residues(dr, quotient.plan))
+    tables: list[dict] = [{} for _ in classes]  # per class: entry -> weight
+    weights, dens = [], []
     for prof in profiles:
-        factors = [_class_at(((0, 0), prof[t]), 0) for t in quotient.loops]
-        factors += [
-            _class_at(tuple(sorted(prof[t] for t in ts)), residue)
-            for ts, residue in zip(quotient.classes, residues)
-        ]
-        poly, den = [1], 1
-        for f, f_den in factors:
-            poly = _mul_r(poly, f)
-            den *= f_den
-        out.append(_lowest_terms(poly, den))
-    return out
+        weight, den = [0] * cap + [1], 1
+        for (ts, unit, residue), table in zip(classes, tables):
+            entry = tuple([prof[t] for t in ts])
+            if entry not in table:
+                table[entry] = _class_weight(entry, unit, residue, terms, cap, name)
+            nums, d = table[entry]
+            weight = _mul_top(weight, nums, cap)
+            den *= d
+        weights.append(weight)
+        dens.append(den)
+    den = lcm(*dens)
+    return [w if d == den else [x * (den // d) for x in w] for w, d in zip(weights, dens)], den
+
+
+def exact_edge_profiles(
+    graph,
+    dr: DRVector,
+    profiles: Sequence[tuple[tuple[int, int], ...]],
+    label: str | None = None,
+) -> list[tuple[list[int], int]] | None:
+    """The observable sums' polynomials on a graph whose simple quotient is a tree.
+
+    The single-observable case of :func:`tree_profile_weights`: each
+    profile's sum is the polynomial in ``r`` it equals for every ``r``
+    from :func:`default_r_min` on, with no modulus sampled.  A profile of
+    total degree ``m`` sums to ``r^{m + b}`` times its weight, a
+    polynomial in ``1/r``.  Returns one ``(nums, den)`` pair per profile
+    in lowest terms, the format of :func:`certified_fit`, or ``None`` for
+    a graph whose quotient has a free residue, sampling nothing.
+    """
+    b = graph.n_edges - graph.n_vertices + 1
+    degrees = [sum(map(sum, prof)) + b for prof in profiles]
+    cap = max(degrees, default=0)
+    terms = {ab: ((ab, 1),) for prof in profiles for ab in prof}
+    contracted = tree_profile_weights(graph, dr, profiles, terms, cap, label)
+    if contracted is None:
+        return None
+    weights, den = contracted
+    return [_lowest_terms(w[cap - top :], den) for w, top in zip(weights, degrees)]
 
 
 def fit_edge_profiles(
@@ -648,5 +735,5 @@ def fit_edge_profiles(
     tree, and the certified fits of :func:`sampled_edge_profiles`
     otherwise.
     """
-    exact = exact_edge_profiles(graph, dr, profiles)
+    exact = exact_edge_profiles(graph, dr, profiles, label)
     return sampled_edge_profiles(graph, dr, profiles, label) if exact is None else exact

@@ -302,17 +302,28 @@ def test_constant_term_matches_whole_class_oracle(g, k, parts):
 
 
 @pytest.mark.parametrize(
-    "g, k, parts", [(2, -1, (-3, -1)), (2, 0, (1, -1)), (2, 1, (3, 1)), (2, 2, (6,))]
+    "g, k, parts",
+    [
+        (2, -1, (-3, -1)),
+        (2, 0, (1, -1)),
+        (2, 1, (3, 1)),
+        (2, 2, (6,)),
+        (1, -1, (-3, -1, 1)),
+        (1, 0, (2, -1, -1)),
+        (1, 1, (3, 1, -1)),
+        (1, 2, (3, 2, 1)),
+    ],
 )
 def test_constant_series_matches_rpoly_oracle(g, k, parts):
     """Integer numerators give every graph's terms, Fraction for Fraction.
 
-    One exactly balanced vector per twist k in -1..2, in every degree up
-    to 4; the graphs with terms have loops, parallel classes and free
-    residues.
+    Exactly balanced vectors with up to two and with three markings, for
+    each twist k in -1..2, in every degree up to 4.  Each vector's graphs
+    with terms have loops, parallel classes and free residues, and in
+    genus 2 a tree quotient with both a loop and a parallel class.
     """
     dr = DRVector(g, parts, k)
-    seen = {"loops": 0, "classes": 0, "free": 0}
+    seen = {"loops": 0, "classes": 0, "both": 0 if g > 1 else 1, "free": 0}
     for d in range(5):
         ours = list(chiodo._constant_series(dr, d))
         want = list(rpoly_constant_series(dr, d))
@@ -322,10 +333,35 @@ def test_constant_series_matches_rpoly_oracle(g, k, parts):
             assert all(type(c) is Fraction for c in got.values())
             if got:
                 quotient = weightings._quotient(graph)
-                seen["loops"] += bool(quotient.loops)
-                seen["classes"] += any(len(ts) > 1 for ts in quotient.classes)
+                loops = bool(quotient.loops)
+                classes = any(len(ts) > 1 for ts in quotient.classes)
+                seen["loops"] += loops
+                seen["classes"] += classes
+                seen["both"] += loops and classes and not quotient.plan.free
                 seen["free"] += bool(quotient.plan.free)
     assert all(seen.values()), seen
+
+
+def test_class_polynomial_above_its_bound_raises(monkeypatch):
+    # One degree above the class's own bound, |q| + (observables - 1), is
+    # caught in that class and named by the graph, on Chiodo's weights and
+    # on the single-observable sums alike.
+    real = weightings._class_at
+
+    def raised(observables, residue):
+        nums, den = real(observables, residue)
+        bound = sum(map(sum, observables)) + len(observables) - 1
+        return nums + [0] * (bound + 1 - len(nums)) + [1], den
+
+    monkeypatch.setattr(weightings, "_class_at", raised)
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^chiodo constant \(g=2,n=2,k=0,d=2\) graph#\d+: class polynomial above its degree bound$",
+    ):
+        chiodo_constant(DRVector(2, (1, -1)), 2)
+    bridge = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
+    with pytest.raises(ArithmeticError, match="^edge profiles on 2v/1e graph: class polynomial"):
+        weightings.exact_edge_profiles(bridge, DRVector(1, (2, 1, -3)), [((2, 0),)])
 
 
 def test_constant_term_validation_order():

@@ -311,6 +311,8 @@ PAIRING_CASES = {
     "mixed_degrees": _mixed_degree_class,
     "from_json": lambda: TautClass.from_json(_twisted_class().to_json()),
     "lambda": lambda: lambda_expression(2, 1),
+    "legless_dr": lambda: dr_cycle(DRVector(3, (2, -1, -1))),
+    "legless_lambda": lambda: lambda_expression(3, 1),
 }
 
 
@@ -321,6 +323,13 @@ def test_pair_matches_unindexed_oracle(name):
     assert monomials
     for exps in monomials:
         assert pair_with_psi(cls, exps) == pair_with_psi_unindexed(cls, exps), exps
+
+
+@pytest.mark.parametrize("name", ["legless_dr", "legless_lambda"])
+def test_legless_cases_have_legless_vertices(name):
+    # The pairing index folds these vertices into the coefficients.
+    cls = PAIRING_CASES[name]()
+    assert any(len(set(dec.graph.legs)) < dec.graph.n_vertices for dec, _ in cls.items())
 
 
 def test_pair_index_not_stale():
