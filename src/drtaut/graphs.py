@@ -489,8 +489,56 @@ def require_stable_type(g: int, n: int) -> None:
         raise ValueError(f"no stable curves of type (g, n) = ({g}, {n})")
 
 
+def _zero_bridge(graph: StableGraph, zero_sides: frozenset) -> bool:
+    """Whether a bridge of ``graph`` has its ``edges[t][0]`` side in ``zero_sides``.
+
+    A side is ``(h, S)``: the arithmetic genus ``h`` of the part reached
+    from ``edges[t][0]`` without crossing bridge ``t`` (vertex genera plus
+    first Betti number) and its sorted markings ``S``.
+    """
+    for t in range(graph.n_edges):
+        side = graph.edge_side(t)
+        if side is not None:
+            inner = sum(u in side for u, _ in graph.edges) - 1  # edges within the side, less t
+            h = sum(graph.genera[v] for v in side) + inner - len(side) + 1
+            if (h, tuple(i + 1 for i, v in enumerate(graph.legs) if v in side)) in zero_sides:
+                return True
+    return False
+
+
+def _walk(g: int, n: int, cap: int, zero_sides: frozenset) -> tuple[StableGraph, ...]:
+    """The degeneration walk to ``cap`` edges, dropping new classes with a bridge side in ``zero_sides``."""
+    level = [StableGraph((g,), (), (0,) * n)]
+    found = {canonical_key(graph): graph for graph in level}
+    for _ in range(cap):
+        children = dict.fromkeys(child for graph in level for child in _degenerations(graph))
+        level = []
+        for child in children:
+            key = canonical_key(child)
+            if key not in found:
+                # A dropped class is remembered as None, so it is tested once.
+                kept = not (zero_sides and _zero_bridge(child, zero_sides))
+                found[key] = child if kept else None
+                if kept:
+                    level.append(child)
+    representatives = []
+    for key in sorted(found):
+        if found[key] is not None:
+            graph, orders = _least_labelling(found[key])
+            _set(graph, "_aut", orders * _lifts(graph.edges))
+            representatives.append(graph)
+    return tuple(representatives)
+
+
+# Full walks by ``(g, n, cap)``, however they were asked for: a pruned
+# call filters one found here instead of walking a second time.
+_full_walks: dict[tuple[int, int, int], tuple[StableGraph, ...]] = {}
+
+
 @lru_cache(maxsize=None)
-def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tuple[StableGraph, ...]:
+def enumerate_stable_graphs(
+    g: int, n: int, max_edges: int | None = None, zero_sides: frozenset = frozenset()
+) -> tuple[StableGraph, ...]:
     """All isomorphism classes of stable graphs of type ``(g, n)``.
 
     ``max_edges`` caps the edge count and must be non-negative; by default
@@ -502,6 +550,15 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
     by splitting a vertex in two, because contracting any edge of a stable
     graph leaves a stable graph.  Each level is deduplicated by canonical
     key.
+
+    ``zero_sides`` prunes the walk: a graph is left out, and not
+    degenerated, when a bridge's ``edges[t][0]`` side ``(h, S)`` (see
+    ``_zero_bridge``) is in the key, which so lists both sides of each
+    bridge it prunes.  No other graph is lost, since a degeneration keeps
+    every bridge with the arithmetic genus and markings of both its
+    sides: a graph without such a bridge is reached only through graphs
+    without one.  A cached full walk of the same type and cap is filtered
+    instead of walked again.
 
     The result is deterministic and sorted by canonical key.  Each class
     is represented by its labelling with the lexicographically least
@@ -516,22 +573,14 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
     cap = 3 * g - 3 + n
     if max_edges is not None:
         cap = min(cap, max_edges)
-    level = [StableGraph((g,), (), (0,) * n)]
-    found = {canonical_key(graph): graph for graph in level}
-    for _ in range(cap):
-        children = dict.fromkeys(child for graph in level for child in _degenerations(graph))
-        level = []
-        for child in children:
-            key = canonical_key(child)
-            if key not in found:
-                found[key] = child
-                level.append(child)
-    representatives = []
-    for key in sorted(found):
-        graph, orders = _least_labelling(found[key])
-        _set(graph, "_aut", orders * _lifts(graph.edges))
-        representatives.append(graph)
-    return tuple(representatives)
+    graphs = _full_walks.get((g, n, cap))
+    if graphs is None:
+        graphs = _walk(g, n, cap, zero_sides)
+        if not zero_sides:
+            _full_walks[g, n, cap] = graphs
+    elif zero_sides:
+        graphs = tuple(graph for graph in graphs if not _zero_bridge(graph, zero_sides))
+    return graphs
 
 
 # -- serialization ----------------------------------------------------

@@ -15,8 +15,11 @@ weighting, so each graph is assembled once: the weighting sum of
 ``prod_e x_e^{m_e+1}`` weights the edge monomials of each exponent profile
 ``m``, and one series product with the vertex and leg exponential gives
 the graph's terms.  A graph with a bridge whose residue, forced by the
-data, is 0 has ``x = 0`` on that bridge at every weighting, so it is
-skipped before any sum or fit (:func:`~drtaut.weightings.zero_bridge`).
+data, is 0 has ``x = 0`` on that bridge at every weighting, so it adds
+nothing.  That residue depends only on the bridge's sides, and a
+degeneration keeps every bridge with its sides, so the enumeration is
+pruned at the first such graph (:func:`_zero_sides`); the sum never
+sees one.
 At fixed r the weight is that sum over ``|Aut| r^b``; the r-free class
 takes its constant term in r, the sum being a polynomial in r divisible
 by ``r^b``.
@@ -57,7 +60,6 @@ from .weightings import (
     fit_edge_profiles,
     power_tables,
     sampled_edge_profiles,
-    zero_bridge,
 )
 
 __all__ = [
@@ -100,25 +102,46 @@ def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict) -
     emit_series(acc, graph, series_edge_mul(L, graph, edges, d), Fraction(1))
 
 
+def _zero_sides(dr: DRVector, r: int) -> frozenset:
+    """The bridge sides ``(h, S)`` of residue 0 mod ``r`` (exactly 0 for ``r = 0``).
+
+    On every weighting, a bridge's half on the side of arithmetic genus
+    ``h`` and markings ``S`` carries the residue ``k (2h - 1 + |S|) - A_S``
+    forced by the vertex congruences, ``A_S`` the sum of the parts on
+    ``S``.  For admissible data the other side's residue is its negative,
+    so the key holds both sides of each zero bridge.  Every ``(a, -a)``
+    with ``a != 0`` gives one key, so their sums share one enumeration.
+    """
+    sides = []
+    for size in range(dr.n + 1):
+        for S in itertools.combinations(range(1, dr.n + 1), size):
+            A_S = sum(dr.parts[i - 1] for i in S)
+            for h in range(dr.genus + 1):
+                residue = dr.twist * (2 * h - 1 + size) - A_S
+                if (residue % r if r else residue) == 0:
+                    sides.append((h, S))
+    return frozenset(sides)
+
+
 def _graph_templates(dr: DRVector, d: int, r: int | None = None):
     """:func:`~drtaut.tautclass.graph_sum_data` for the degree-d sum, with fit labels.
 
     Yields ``(label, graph, b_1, |Aut|, L, profiles)``: the label names the
-    data and the graph's index in the enumeration, ``L`` is the vertex and
-    leg exponential (:func:`_vertex_leg_series`) and the profiles are edge
-    exponent tuples ``m``, of degree ``|m|``.  Given a modulus ``r`` (0 for
-    the r-free sum), a graph with a bridge of residue 0 there
-    (:func:`~drtaut.weightings.zero_bridge`) is skipped; ``None`` keeps
-    every graph.
+    data and the graph's index among the graphs yielded, ``L`` is the
+    vertex and leg exponential (:func:`_vertex_leg_series`) and the
+    profiles are edge exponent tuples ``m``, of degree ``|m|``.  Given a
+    modulus ``r`` (0 for the r-free sum), the graphs with a bridge of
+    residue 0 there are left out of the enumeration (:func:`_zero_sides`);
+    ``None`` keeps every graph.
     """
 
     def exponential(graph, cap):
         return _vertex_leg_series(graph, dr, cap)
 
     edge_keys = {m: m for m in range(d + 1)}
-    for idx, graph, *data in graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys):
-        if r is None or not zero_bridge(graph, dr, r):
-            yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", graph, *data
+    zero_sides = frozenset() if r is None else _zero_sides(dr, r)
+    for idx, graph, *data in graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys, zero_sides):
+        yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", graph, *data
 
 
 def _powers(profiles: list) -> list:
@@ -175,9 +198,9 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     """Certify every fit behind the r-free degree-d class; list the bad ones.
 
     Makes the sampled fits (:func:`~drtaut.weightings.sampled_edge_profiles`)
-    of every graph and profile of :func:`pixton_class`, skipping the graphs
-    it skips (a bridge of residue 0, :func:`_graph_templates`), and returns
-    ``(fits, bad)``: how many were made, and a line naming the graph's
+    of every graph and profile of :func:`pixton_class`, on the graphs it
+    enumerates (none with a bridge of residue 0, :func:`_graph_templates`),
+    and returns ``(fits, bad)``: how many were made, and a line naming the graph's
     label and the profile of each fit not divisible by ``r^b``.  On every
     graph whose simple quotient is a tree, each fit is also compared with
     the exact polynomial (:func:`~drtaut.weightings.exact_edge_profiles`):

@@ -479,7 +479,9 @@ def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, cap: i
     return series_exp(x, graph, cap)
 
 
-def graph_sum_data(g: int, n: int, d: int, exponential: Callable, edge_keys: dict):
+def graph_sum_data(
+    g: int, n: int, d: int, exponential: Callable, edge_keys: dict, zero_sides: frozenset = frozenset()
+):
     """The per-graph data of a degree-``d`` graph sum over the stable graphs of type ``(g, n)``.
 
     Yields ``(index, graph, b_1, |Aut|, L, profiles)`` in enumeration
@@ -491,7 +493,14 @@ def graph_sum_data(g: int, n: int, d: int, exponential: Callable, edge_keys: dic
     a degree that ``L`` has a monomial of.  ``exponential`` must depend on
     a graph only through its vertex and edge counts, as a series does
     whose leg monomials record psi exponents by marking, wherever the leg
-    sits; so ``L`` and the profiles are built once per such count.  The
+    sits; so ``L`` and the profiles are built once per such count.
+
+    ``zero_sides`` is the pruning key of
+    :func:`~drtaut.graphs.enumerate_stable_graphs`, for a sum that
+    vanishes on a graph with a bridge side ``(h, S)`` in it (Pixton's:
+    such a bridge's forced residue is 0).  A degeneration keeps every
+    bridge with its sides, so the walk stops at the first such graph and
+    loses none the sum keeps; ``index`` counts the graphs it yields.  The
     type is checked before the degree, since a negative genus makes the
     degree ``g`` of a DR cycle negative too.
     """
@@ -499,7 +508,7 @@ def graph_sum_data(g: int, n: int, d: int, exponential: Callable, edge_keys: dic
     if d < 0:
         raise ValueError("degree must be non-negative")
     shapes: dict = {}
-    for index, graph in enumerate(enumerate_stable_graphs(g, n, max_edges=d)):
+    for index, graph in enumerate(enumerate_stable_graphs(g, n, max_edges=d, zero_sides=zero_sides)):
         shape = (graph.n_vertices, graph.n_edges)
         if shape not in shapes:
             part = d - graph.n_edges

@@ -12,8 +12,8 @@ tree over the non-loop edges, solved leaves first; each non-loop edge off
 it has a free residue ``x_f``, and edge ``t``'s residue is
 ``D_t + sum_f slopes[t][f] x_f``, each slope in ``{-1, 0, 1}``.  The
 plan holds the slopes; :func:`_class_residues`, the one integer tree
-solve, gives ``D`` and checks the root's congruence.  The mod-r walk,
-the exact route and :func:`zero_bridge` all read this map.
+solve, gives ``D`` and checks the root's congruence.  The mod-r walk
+and the exact route both read this map.
 One consumer walks the solutions: :func:`edge_profile_sums` sums products
 of per-edge residue tables.  Pixton's graph sum, Chiodo's pushforward and
 constant term, and the Chern-character route all reach the weightings
@@ -79,7 +79,6 @@ __all__ = [
     "tree_profile_weights",
     "exact_edge_profiles",
     "fit_edge_profiles",
-    "zero_bridge",
 ]
 
 
@@ -298,20 +297,6 @@ def _solutions(r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[int]]:
     residues = _class_residues(dr, plan)
     for assign in itertools.product(range(r), repeat=len(plan.free)):
         yield [(D + sum(map(mul, slope, assign))) % r for D, slope in zip(residues, plan.slopes)]
-
-
-def zero_bridge(graph, dr: DRVector, r: int) -> bool:
-    """Whether a bridge of ``graph`` has residue 0 mod ``r`` (exactly 0 for ``r = 0``).
-
-    A bridge is a quotient edge of one graph edge with no slope, so its
-    residue is its ``D`` (:func:`_class_residues`) on every weighting.  If
-    that is 0, Pixton's ``x = w (r - w)`` is 0 there on every weighting.
-    """
-    classes, _, plan = _quotient(graph)
-    return any(
-        len(ts) == 1 and not any(slope) and (D % r if r else D) == 0
-        for ts, slope, D in zip(classes, plan.slopes, _class_residues(dr, plan))
-    )
 
 
 def power_tables(r: int, profiles: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple]:

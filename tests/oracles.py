@@ -19,8 +19,10 @@ the solve go through it.  The direct ``edge_profile_sums`` runs the same
 solve and multiplies one table entry per edge and weighting; the library
 merges parallel edges into one convolved edge first.  ``zero_bridge``
 finds each bridge's side by a reachability walk and its forced residue
-``k E_S - A_S`` from the side's excess and parts; the library reads the
-bridges and their residues off the solve's affine residue map.  The
+``k E_S - A_S`` from the side's excess and parts; ``residue_zero_bridge``
+reads the bridges and their residues off the solve's affine residue map.
+The library decides neither per graph: it prunes its enumeration at the
+first graph with a bridge side in a key of the sides of residue 0.  The
 per-weighting ``chiodo_pushforward`` multiplies whole decoration series
 once per weighting; the library sums per-edge residue tables over the
 weightings first, and the two are compared term by term.  ``loop_poly`` sums a
@@ -97,7 +99,9 @@ from drtaut.tautclass import (
 )
 from drtaut.weightings import (
     DRVector,
+    _class_residues,
     _faulhaber,
+    _quotient,
     _require_type,
     _solutions,
     _solve_plan,
@@ -556,6 +560,19 @@ def zero_bridge(graph: StableGraph, dr: DRVector, r: int) -> bool:
         if (residue % r if r else residue) == 0:
             return True
     return False
+
+
+def residue_zero_bridge(graph: StableGraph, dr: DRVector, r: int) -> bool:
+    """:func:`zero_bridge` read off the residue map of the solve.
+
+    A bridge is a quotient edge of one graph edge with no slope, so its
+    residue is its ``D`` (``_class_residues``) on every weighting.
+    """
+    classes, _, plan = _quotient(graph)
+    return any(
+        len(ts) == 1 and not any(slope) and (D % r if r else D) == 0
+        for ts, slope, D in zip(classes, plan.slopes, _class_residues(dr, plan))
+    )
 
 
 def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:

@@ -192,7 +192,7 @@ class TestVerify:
 
     def test_polynomiality_fit_rejected(self, capsys, monkeypatch):
         # A spike at one modulus on the last profile of graphs with several:
-        # the first is graph#14, whose fit of key #1 fails verification.
+        # the first is graph#6, whose fit of key #1 fails verification.
         real = weightings.edge_profile_sums
 
         def spiked(graph, r, dr, profiles):
@@ -208,7 +208,7 @@ class TestVerify:
         assert code == 1
         first, message = out.splitlines()
         assert first == "FAIL fit rejected"
-        assert "P(g=2,n=2,k=0,d=2) graph#14:" in message
+        assert "P(g=2,n=2,k=0,d=2) graph#6:" in message
         assert message.endswith("fails verification at fresh sample moduli on #1")
 
     def test_polynomiality_routes_differ(self, capsys, monkeypatch):
@@ -230,7 +230,7 @@ class TestVerify:
         first, message = out.splitlines()
         assert first == "FAIL fit rejected"
         assert message.startswith("sampled and exact polynomials differ on P(g=2,n=2,k=0,d=2) graph#")
-        assert "graph#16 profile (1,)" in message
+        assert "graph#7 profile (1,)" in message
         assert message.count(" profile ") == 11
 
     def test_polynomiality_bad_fits(self, capsys, monkeypatch):
@@ -254,7 +254,7 @@ class TestVerify:
                 r"  P\(g=2,n=2,k=0,d=2\) graph#\d+ profile \([\d, ]*\): not divisible by r\^[12]",
                 line,
             ), line
-        assert "  P(g=2,n=2,k=0,d=2) graph#16 profile (1,): not divisible by r^1" in lines
+        assert "  P(g=2,n=2,k=0,d=2) graph#7 profile (1,): not divisible by r^1" in lines
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, ["--json", "verify", "hodge-triple", "--g", "1"])

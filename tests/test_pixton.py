@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from drtaut import pixton
+from drtaut import graphs, pixton, weightings
+from drtaut.chiodo import chiodo_constant
 from drtaut.graphs import StableGraph, enumerate_stable_graphs
 from drtaut.tautclass import (
     DecoratedGraph,
@@ -31,7 +33,6 @@ from drtaut.weightings import (
     fit_edge_profiles,
     power_tables,
     sampled_edge_profiles,
-    zero_bridge,
 )
 
 import oracles
@@ -40,8 +41,10 @@ from oracles import (
     beta_class,
     leg_vertex_series,
     psi_edge_monomial,
+    residue_zero_bridge,
     series_degree_part,
     series_edge_power,
+    zero_bridge,
 )
 
 F = Fraction
@@ -221,6 +224,99 @@ class TestZeroBridge:
         graphs = enumerate_stable_graphs(3, 3, max_edges=3)
         assert sum(zero_bridge(graph, dr, 0) for graph in graphs) == 237
         assert len(graphs) == 457
+
+    def test_pruned_walk_matches_oracles(self):
+        # On all data with |a_i| <= 3 (<= 1 at n = 5) and k in {0, 1, 2}, at
+        # every admissible modulus in {0, 2, 3, 5}, the walk pruned on the
+        # key of (dr, r) keeps exactly the graphs on which both oracles find
+        # no bridge of residue 0, with the same representatives and |Aut|,
+        # and so does a pruned call that filters the cached full walk.
+        walks = {}
+        seen = {"pruned": 0, "full": 0}
+        for g, n in [(2, 0), (3, 0), (2, 2), (1, 3), (0, 5), (3, 1)]:
+            full = enumerate_stable_graphs(g, n)
+            bound = 1 if n == 5 else 3
+            for parts in itertools.product(range(-bound, bound + 1), repeat=n):
+                for k in (0, 1, 2):
+                    dr = DRVector(g, parts, k)
+                    for r in (0, 2, 3, 5):
+                        if dr.defect % r if r else dr.defect:
+                            continue
+                        key = pixton._zero_sides(dr, r)
+                        if (g, n, key) not in walks:
+                            walk = graphs._walk(g, n, 3 * g - 3 + n, key)
+                            assert enumerate_stable_graphs(g, n, None, key) == walk
+                            walks[g, n, key] = walk
+                        kept = tuple(G for G in full if not zero_bridge(G, dr, r))
+                        assert kept == tuple(G for G in full if not residue_zero_bridge(G, dr, r))
+                        walk = walks[g, n, key]
+                        assert walk == kept, (dr, r)
+                        assert [G._aut for G in walk] == [G._aut for G in kept], (dr, r)
+                        seen["pruned" if len(kept) < len(full) else "full"] += 1
+        assert all(seen.values()), seen
+
+    def test_a_minus_a_share_one_key(self):
+        keys = {pixton._zero_sides(DRVector(2, (a, -a)), 0) for a in range(1, 9)}
+        assert len(keys) == 1
+
+    @pytest.mark.parametrize(
+        "dr, d, r",
+        [
+            (DRVector(2, (3, 1, 1), 1), 3, None),
+            (DRVector(2, (3, 1, 1), 1), 4, None),
+            # A bridge with the markings on one side has D = 4: not 0, but 0 mod 4.
+            (DRVector(2, (4, -4)), 2, 4),
+        ],
+    )
+    def test_pruned_class_bytes(self, monkeypatch, dr, d, r):
+        def class_json():
+            cls = pixton_class(dr, d) if r is None else pixton_fixed_r(dr, d, r)
+            return json.dumps(cls.to_json(), indent=2, sort_keys=True)
+
+        pruned = class_json()
+        monkeypatch.setattr(pixton, "_zero_sides", lambda dr, r: frozenset())
+        assert class_json() == pruned
+
+    def test_fixed_r_prunes_bridges_zero_mod_r(self):
+        dr = DRVector(2, (4, -4))
+        exact, mod_4 = pixton._zero_sides(dr, 0), pixton._zero_sides(dr, 4)
+        assert exact < mod_4
+        assert len(enumerate_stable_graphs(2, 2, 2, mod_4)) < len(enumerate_stable_graphs(2, 2, 2, exact))
+
+    def test_dr_cycle_caches_plans_of_kept_graphs_only(self):
+        # No quotient plan is built for a graph the sum does not keep.
+        dr = DRVector(3, (2, -1, -1))
+        weightings._quotient.cache_clear()
+        dr_cycle(dr)
+        plans = weightings._quotient.cache_info().currsize
+        assert plans == sum(1 for _ in _graph_templates(dr, 3, 0)) == 220
+
+    def test_pixton_class_filters_a_cached_full_walk(self, monkeypatch):
+        # After chiodo_constant has walked every graph of the type and cap,
+        # pixton_class filters that walk and degenerates no graph again.
+        dr, d = DRVector(2, (1, -1)), 3
+        calls = []
+        real = graphs._degenerations
+
+        def counted(graph):
+            calls.append(graph)
+            return real(graph)
+
+        def fresh():
+            enumerate_stable_graphs.cache_clear()
+            graphs._full_walks.clear()
+            calls.clear()
+
+        monkeypatch.setattr(graphs, "_degenerations", counted)
+        fresh()
+        pixton_class(dr, d)
+        pruned = len(calls)
+        fresh()
+        chiodo_constant(dr, d)
+        assert len(calls) > pruned > 0
+        calls.clear()
+        pixton_class(dr, d)
+        assert calls == []
 
 
 class TestConstantTerm:

