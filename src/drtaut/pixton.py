@@ -132,14 +132,15 @@ def _graph_templates(dr: DRVector, d: int, r: int | None = None):
     profiles are edge exponent tuples ``m``, of degree ``|m|``.  Given a
     modulus ``r`` (0 for the r-free sum), the graphs with a bridge of
     residue 0 there are left out of the enumeration (:func:`_zero_sides`);
-    ``None`` keeps every graph.
+    ``None`` keeps every graph.  At ``d = 0`` the one graph has no bridge,
+    so no key is built: it would go through all ``2^n`` marking sets.
     """
 
     def exponential(graph, cap):
         return _vertex_leg_series(graph, dr, cap)
 
     edge_keys = {m: m for m in range(d + 1)}
-    zero_sides = frozenset() if r is None else _zero_sides(dr, r)
+    zero_sides = frozenset() if r is None or d == 0 else _zero_sides(dr, r)
     for idx, graph, *data in graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys, zero_sides):
         yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", graph, *data
 

@@ -403,6 +403,19 @@ class TestDRCycle:
 
         assert cls == trivial_class(0, 3)
 
+    def test_genus0_many_markings_builds_no_key(self, monkeypatch):
+        # At degree 0 the one graph has no bridge: no key over the 2^20
+        # marking sets is built.
+        from drtaut.tautclass import trivial_class
+
+        def no_key(dr, r):
+            raise AssertionError("zero-sides key built at degree 0")
+
+        dr = DRVector(0, (1,) * 10 + (-1,) * 10)
+        monkeypatch.setattr(pixton, "_zero_sides", no_key)
+        assert dr_cycle(dr) == trivial_class(0, 20)
+        assert pixton_class(DRVector(1, (1,) * 10 + (-1,) * 10), 0) == trivial_class(1, 20)
+
 
 class TestLambda:
     def test_lambda1(self):
