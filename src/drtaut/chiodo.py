@@ -34,8 +34,9 @@ by :func:`verify_samefreeterm`.  The constant term is built exactly,
 with no modulus fixed: every Bernoulli weight is a polynomial in ``w/r``
 or in ``1/r``, so each graph's terms are Laurent polynomials in r whose
 weighting sums are the half-edge monomial sums ``sum_w prod_e w_e^{q_e}``
-of the one weighting engine: contracted once per parallel class on tree
-quotients, a certified fit per monomial otherwise.  They stay integer
+of the one r-free weighting route, ``profile_weights``: contracted once
+per parallel class on tree quotients, one certified fit per graph
+otherwise.  They stay integer
 numerators over one denominator; only the kept coefficient is formed, and
 only the constant terms become decorated graphs.
 """
@@ -46,7 +47,7 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb
 
 from .exact import RPoly, _over_common_denominator, bernoulli_number, bernoulli_poly
 from .graphs import StableGraph, automorphism_order, enumerate_stable_graphs, require_stable_type
@@ -60,12 +61,7 @@ from .tautclass import (
     series_vertex_leg_exp,
     trivial_class,
 )
-from .weightings import (
-    DRVector,
-    edge_profile_sums,
-    sampled_edge_profiles,
-    tree_profile_weights,
-)
+from .weightings import DRVector, edge_profile_sums, profile_weights
 
 __all__ = [
     "edge_factor_coefficients",
@@ -229,53 +225,16 @@ def _constant_series(dr: DRVector, d: int):
     def exponential(graph, budget):
         return _Numerators(series_vertex_leg_exp(graph, legs, kappa, budget))
 
-    for idx, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
+    for idx, graph, _, aut, L, profiles in _graph_series(dr, d, exponential):
         name = f"{label} graph#{idx}"
         # r^{2d-b} times a profile's sum, kept from r^0 to r^{2d}: a dot
         # product with the exponential's numerators from v^0 up is the
         # v^{2d} coefficient.
-        contracted = tree_profile_weights(graph, dr, profiles, terms, top, name)
-        if contracted is None:
-            contracted = _sampled_weights(graph, dr, profiles, terms, b, top, name)
-        polys, den = contracted
+        polys, den = profile_weights(graph, dr, profiles, terms, top, name)
         weights = {prof: w for prof, w in zip(profiles, polys) if any(w)}
         totals = series_edge_mul(L, graph, weights, d, times=_dot)
         scale = den * factors.den**graph.n_edges * L.den * aut
         yield graph, {mono: Fraction(total, scale) for mono, total in totals.items()}
-
-
-def _sampled_weights(graph, dr: DRVector, profiles, terms, b: int, top: int, label: str):
-    """:func:`~drtaut.weightings.tree_profile_weights` on a graph with a free residue.
-
-    Every half-edge monomial ``qs`` that a profile's edge factors reach
-    gets one certified fit (:func:`~drtaut.weightings.sampled_edge_profiles`)
-    of ``S(r) = sum_w prod_e w_e^{q_e}``, and each profile sums
-    ``c r^{-|qs|-b} S(r)`` over its monomials, the numerators over one
-    ``lcm`` of the fits' denominators.  A sum above degree ``|qs| + b``
-    raises ``ArithmeticError`` naming ``label``.
-    """
-
-    def monomials(prof):
-        return itertools.product(*map(terms.get, prof))
-
-    wanted = {tuple(q for (q, _), _ in choice): None for prof in profiles for choice in monomials(prof)}
-    fits = sampled_edge_profiles(graph, dr, [tuple((q, 0) for q in qs) for qs in wanted], label)
-    den = lcm(*(f_den for _, f_den in fits))
-    sums = {qs: [x * (den // f_den) for x in nums] for qs, (nums, f_den) in zip(wanted, fits)}
-    weights = []
-    for prof in profiles:
-        weight = [0] * (top + 1)
-        for choice in monomials(prof):
-            qs = tuple(q for (q, _), _ in choice)
-            c = prod(c for _, c in choice)
-            # r^{-|qs|-b} r^j is stored at top - shift + j, r^0 at top.
-            shift, S = sum(qs) + b, sums[qs]
-            if len(S) > shift + 1:
-                raise ArithmeticError(f"{label}: sum above its degree bound")
-            for j in range(max(0, shift - top), len(S)):
-                weight[top - shift + j] += c * S[j]
-        weights.append(weight)
-    return weights, den
 
 
 def chiodo_constant(dr: DRVector, d: int) -> TautClass:
@@ -287,13 +246,14 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
 
     * an edge factor coefficient is a polynomial in ``u = w/r``
       (:func:`_edge_factor_polys`), each power ``u^q`` the observable
-      ``(q, 0)`` over ``r^q``.  On a graph whose simple quotient is a tree,
-      :func:`~drtaut.weightings.tree_profile_weights` contracts the edge
-      factors once per parallel class or loop and distinct entry of its
-      keys, and a profile's weight is the product of its classes'
-      polynomials in ``1/r``.  On a graph with a free residue, each
-      half-edge monomial ``sum_w prod_e w_e^{q_e}`` that a profile reaches
-      is one certified fit (:func:`_sampled_weights`);
+      ``(q, 0)`` over ``r^q``.  One
+      :func:`~drtaut.weightings.profile_weights` call per graph gives
+      every profile's weight as a polynomial in ``1/r``: on a graph whose
+      simple quotient is a tree it contracts the edge factors once per
+      parallel class or loop and distinct entry of its keys, and on a
+      graph with a free residue each half-edge monomial
+      ``sum_w prod_e w_e^{q_e}`` that a profile reaches is fitted, all in
+      one certified fit;
     * the leg and vertex weights ``B_{m+1}(abar_i/r)`` and ``B_{m+1}(k/r)``
       are polynomials in ``v = 1/r``, with ``abar_i/r = 1 + a_i v`` for
       ``a_i < 0`` once r exceeds every ``|a_i|``.

@@ -7,7 +7,8 @@ Hodge class expressions, ``chiodo`` the r-th root pushforward, and
 ``verify`` verb groups the consistency checks; each prints both routes'
 values when they disagree and exits 1.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (malformed
+Exit codes: 0 success, 1 verification failure (also a self-check that
+fails inside any verb, printed as ``error:``), 2 usage error (malformed
 vectors, unstable types, inadmissible congruences, inputs whose recursion
 runs too deep, such as psi pairings in genus in the hundreds).  ``--json``
 switches every verb to schema-versioned, byte-stable JSON on stdout.
@@ -354,12 +355,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except RecursionError:
         print("error: input too large: recursion depth exceeded", file=sys.stderr)
         return 2

@@ -22,10 +22,10 @@ pruned at the first such graph (:func:`_zero_sides`); the sum never
 sees one.
 At fixed r the weight is that sum over ``|Aut| r^b``; the r-free class
 takes its constant term in r, the sum being a polynomial in r divisible
-by ``r^b``.
-:func:`~drtaut.weightings.fit_edge_profiles` gives that polynomial
-exactly: in closed form when the graph's simple quotient is a tree, and
-by a certified fit on sampled moduli otherwise.  ``DR_g(A) = 2^{-g}``
+by ``r^b``.  :func:`~drtaut.weightings.profile_weights` gives that
+polynomial exactly, times a power of ``1/r``: in closed form when the
+graph's simple quotient is a tree, and by a certified fit on sampled
+moduli otherwise.  ``DR_g(A) = 2^{-g}``
 times the degree-g class, and the Hodge class expression is
 ``lambda_g = (-1)^g DR_g(0, ..., 0)``.
 
@@ -56,10 +56,10 @@ from .tautclass import (
 from .weightings import (
     DRVector,
     edge_profile_sums,
-    exact_edge_profiles,
-    fit_edge_profiles,
     power_tables,
-    sampled_edge_profiles,
+    profile_weights,
+    sampled_profile_weights,
+    tree_profile_weights,
 )
 
 __all__ = [
@@ -145,11 +145,6 @@ def _graph_templates(dr: DRVector, d: int, r: int | None = None):
         yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", graph, *data
 
 
-def _powers(profiles: list) -> list:
-    """The ``x^{m+1}`` observables ``(m+1, m+1)`` of edge-exponent profiles ``m``."""
-    return [tuple((k + 1, k + 1) for k in m) for m in profiles]
-
-
 def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     """The degree-d graph-sum class at a fixed modulus r.
 
@@ -164,17 +159,23 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
         raise ValueError(f"no weightings mod {r}: admissibility fails")
     acc: list = []
     for _, graph, b, aut, L, profiles in _graph_templates(dr, d, r):
-        sums = edge_profile_sums(graph, r, dr, power_tables(r, _powers(profiles)))
+        powers = [tuple((k + 1, k + 1) for k in m) for m in profiles]
+        sums = edge_profile_sums(graph, r, dr, power_tables(r, powers))
         weights = {m: Fraction(s, aut * r**b) for m, s in zip(profiles, sums)}
         _emit_graph(acc, graph, L, d, weights)
     return TautClass(dr.genus, dr.n, acc)
+
+
+def _x_powers(d: int) -> dict:
+    """Edge weights ``x^{m+1} / r^{2m+2}``, the observable ``(m+1, m+1)``, by exponent ``m``."""
+    return {m: (((m + 1, m + 1), 1),) for m in range(d + 1)}
 
 
 def pixton_class(dr: DRVector, d: int) -> TautClass:
     """The r-free degree-d class: constant term in r of the graph sum.
 
     For each stable graph and edge-power profile the weighting sum is
-    found as a polynomial in r (:func:`~drtaut.weightings.fit_edge_profiles`),
+    found as a polynomial in r (:func:`~drtaut.weightings.profile_weights`),
     integer numerators over one denominator.  It is checked divisible by
     ``r^b``, and its coefficient of ``r^b`` enters the class, read as one
     numerator over the denominator times ``|Aut|``.  Requires a stable type
@@ -182,15 +183,16 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     admissible.
     """
     dr.require_exact()
+    terms = _x_powers(d)
     acc: list = []
     for label, graph, b, aut, L, profiles in _graph_templates(dr, d, 0):
-        fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
+        polys, den = profile_weights(graph, dr, profiles, terms, 2 * d + b, label)
         weights = {}
-        for m, (nums, den) in zip(profiles, fits):
-            if any(nums[:b]):
+        for m, poly in zip(profiles, polys):
+            low = 2 * (d - sum(m) - len(m))  # the sum's r^j is at low + j
+            if any(poly[low : low + b]):
                 raise ValueError(f"weighting sum not divisible by r^{b} on {label} profile {m}")
-            if len(nums) > b:
-                weights[m] = Fraction(nums[b], den * aut)
+            weights[m] = Fraction(poly[low + b], den * aut)
         _emit_graph(acc, graph, L, d, weights)
     return TautClass(dr.genus, dr.n, acc)
 
@@ -198,35 +200,38 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
 def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     """Certify every fit behind the r-free degree-d class; list the bad ones.
 
-    Makes the sampled fits (:func:`~drtaut.weightings.sampled_edge_profiles`)
-    of every graph and profile of :func:`pixton_class`, on the graphs it
+    Runs the sampled route (:func:`~drtaut.weightings.sampled_profile_weights`)
+    on every graph and profile of :func:`pixton_class`, on the graphs it
     enumerates (none with a bridge of residue 0, :func:`_graph_templates`),
-    and returns ``(fits, bad)``: how many were made, and a line naming the graph's
-    label and the profile of each fit not divisible by ``r^b``.  On every
-    graph whose simple quotient is a tree, each fit is also compared with
-    the exact polynomial (:func:`~drtaut.weightings.exact_edge_profiles`):
-    both are reduced ``(nums, den)`` pairs, so they compare with ``==``.
-    A fit that fails verification raises ``ArithmeticError`` with the
-    message of :func:`~drtaut.weightings.certified_fit`; so does, when no
-    fit is bad, a fit that differs from its exact polynomial, naming each
-    such graph and profile.  An unstable type, then data that is not
-    exactly balanced, then a negative degree raise ``ValueError`` before
-    any fit.
+    and returns ``(fits, bad)``: how many profiles were fitted, and a line
+    naming the graph's label and the profile of each sum not divisible by
+    ``r^b``.  On every graph whose simple quotient is a tree, each weight
+    is also compared with the tree route's
+    (:func:`~drtaut.weightings.tree_profile_weights`), cross-multiplied by
+    the two denominators.  A fit that fails verification raises
+    ``ArithmeticError`` with the message of
+    :func:`~drtaut.weightings.certified_fit`; so does, when no sum is bad,
+    a weight that differs between the routes, naming each such graph and
+    profile.  An unstable type, then data that is not exactly balanced,
+    then a negative degree raise ``ValueError`` before any fit.
     """
     dr.require_exact()
+    terms = _x_powers(d)
     fits, bad, differ = 0, [], []
     for label, graph, b, _, _, profiles in _graph_templates(dr, d, 0):
-        powers = _powers(profiles)
+        cap = 2 * d + b
         try:
-            sampled = sampled_edge_profiles(graph, dr, powers, label=label)
+            sampled, den = sampled_profile_weights(graph, dr, profiles, terms, cap, label)
         except ValueError as exc:
             raise ArithmeticError(str(exc)) from exc
-        exact = exact_edge_profiles(graph, dr, powers) or sampled
-        fits += len(sampled)
-        for m, fit, expected in zip(profiles, sampled, exact):
-            if any(fit[0][:b]):
+        tree = tree_profile_weights(graph, dr, profiles, terms, cap, label)
+        tree_weights, tree_den = tree or (sampled, den)
+        fits += len(profiles)
+        for m, poly, tree in zip(profiles, sampled, tree_weights):
+            low = 2 * (d - sum(m) - len(m))
+            if any(poly[low : low + b]):
                 bad.append(f"{label} profile {m}: not divisible by r^{b}")
-            elif fit != expected:
+            elif [x * tree_den for x in poly] != [x * den for x in tree]:
                 differ.append(f"{label} profile {m}")
     if differ and not bad:
         raise ArithmeticError(f"sampled and exact polynomials differ on {', '.join(differ)}")

@@ -32,22 +32,22 @@ for large ``r``.  The observables are half-edge monomials: ``(a, b)`` on
 an edge is ``w^a (r - w)^b``, ``w`` in ``[0, r)`` the residue on its first
 half-edge.  Pixton's edge power ``x^p``, ``x = w((r-w) mod r)``, is
 ``(p, p)``, and its sums are divisible by ``r^b``; Chiodo's edge factor,
-a polynomial in ``w/r``, needs ``w^q``, that is ``(q, 0)``.
-:func:`fit_edge_profiles` finds the sums' polynomials in one of two ways.
-When the quotient is a tree (:func:`tree_profile_weights`), no residue
-is free and every class residue is ``D mod r``, with ``|D|`` below
-:func:`default_r_min`; a parallel class's convolution is a
-polynomial in its residue and ``r``.  A loop's sum
-``sum_{w<r} w^a (r-w)^b`` is the class of its observable and the unit
-``(0, 0)`` at residue 0, so each sum is a product of class polynomials,
-with no sampling, and a weight that sums observables on each edge is
-contracted once per class and distinct entry; :func:`exact_edge_profiles`
-is its case of one observable per edge.  Otherwise :func:`sampled_edge_profiles`
-makes one :func:`certified_fit` per graph, which fits every key of a map of
-rational samples on one window of consecutive moduli and checks each fit
-on fresh ones by forward differences.  Both routes give each polynomial
-in the one format of :mod:`drtaut.exact`: integer numerators over one
-denominator, in lowest terms, so the two compare with ``==``.  No
+a polynomial in ``w/r``, needs ``w^q``, that is ``(q, 0)``.  One r-free
+route, :func:`profile_weights`, takes edge weights that are sums of
+observables ``c r^{-a-b} (a, b)`` and gives each profile's sum, times
+``r^{-b}``, as the integer numerators of its coefficients of ``r^{-cap}``
+to ``r^0`` over one denominator.  When the quotient is a tree
+(:func:`tree_profile_weights`), no residue is free and every class
+residue is ``D mod r``, with ``|D|`` below :func:`default_r_min`; a
+parallel class's convolution is a polynomial in its residue and ``r``.
+A loop's sum ``sum_{w<r} w^a (r-w)^b`` is the class of its observable
+and the unit ``(0, 0)`` at residue 0, so each sum is a product of class
+polynomials, with no sampling, and each edge weight is contracted once
+per class and distinct entry.  Otherwise :func:`sampled_profile_weights`
+makes one :func:`certified_fit` per graph, which fits every observable
+product a profile reaches on one window of consecutive moduli and checks
+each fit on fresh ones by forward differences.  Both routes give the one
+format, so they compare cross-multiplied by their denominators.  No
 ``Fraction`` is formed from a sample; only the coefficient a caller
 keeps becomes one.
 """
@@ -62,23 +62,21 @@ from operator import mul
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import (
-    _lowest_terms,
     _over_common_denominator,
     bernoulli_number,
     forward_differences,
     newton_numerators,
 )
-from .graphs import require_stable_type
+from .graphs import first_betti, require_stable_type
 
 __all__ = [
     "DRVector",
     "power_tables",
     "edge_profile_sums",
     "certified_fit",
-    "sampled_edge_profiles",
+    "sampled_profile_weights",
     "tree_profile_weights",
-    "exact_edge_profiles",
-    "fit_edge_profiles",
+    "profile_weights",
 ]
 
 
@@ -447,30 +445,61 @@ def certified_fit(
     return fits, not any(any(nums[:betti]) for nums, _ in fits.values())
 
 
-def sampled_edge_profiles(
+def _label(graph, label: str | None) -> str:
+    return label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
+
+
+def sampled_profile_weights(
     graph,
     dr: DRVector,
-    profiles: Sequence[tuple[tuple[int, int], ...]],
+    profiles: Sequence[tuple],
+    terms: Mapping[Hashable, Sequence[tuple[tuple[int, int], int]]],
+    cap: int,
     label: str | None = None,
-) -> list[tuple[list[int], int]]:
-    """Certified fits of all observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}``.
+) -> tuple[list[list[int]], int]:
+    """:func:`tree_profile_weights` on any graph, from one certified fit.
 
-    One :func:`certified_fit` per graph enumerates each sample modulus once
-    for all profiles (:func:`power_tables`).  The degree bound is the
-    largest observable degree ``sum_e (a_e + b_e)`` plus the Betti number,
-    sampling starts at :func:`default_r_min`, and two fresh moduli verify
-    the fits.  Returns one ``(nums, den)`` pair per profile, as
-    :func:`certified_fit` makes them; a fit that fails verification raises
-    ``ValueError``.
+    Each product of observables ``obs``, one per edge, that a profile's
+    terms reach gets a fit of its sum ``S(r) = sum_w prod_e w_e^{a_e}
+    (r-w_e)^{b_e}``, all in one :func:`certified_fit` that enumerates each
+    sample modulus once (:func:`power_tables`).  The degree bound is the
+    largest observable degree plus the Betti number ``b``, sampling starts
+    at :func:`default_r_min`, and two fresh moduli verify the fits.  A
+    profile's weight sums ``c r^{-deg-b} S(r)`` over its choices of one
+    term per edge, ``deg`` the degree of ``obs``, the numerators over one
+    ``lcm`` of the fits' denominators.  Returns ``(weights, den)`` as
+    :func:`tree_profile_weights` does; no profile gives no weights.  A fit
+    that fails verification raises ``ValueError``, and a sum above degree
+    ``deg + b`` raises ``ArithmeticError``, both naming ``label``.
     """
-    b = graph.n_edges - graph.n_vertices + 1
-    bound = max((sum(map(sum, prof)) for prof in profiles), default=0) + b
-    name = label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
+    b = first_betti(graph)
+    name = _label(graph, label)
+
+    def choices(prof):
+        return itertools.product(*[terms[key] for key in prof])
+
+    wanted = list({tuple(ab for ab, _ in ch): None for prof in profiles for ch in choices(prof)})
+    bound = max((sum(map(sum, obs)) for obs in wanted), default=0) + b
     fits, _ = certified_fit(
-        lambda rr: dict(enumerate(edge_profile_sums(graph, rr, dr, power_tables(rr, profiles)))),
+        lambda rr: dict(enumerate(edge_profile_sums(graph, rr, dr, power_tables(rr, wanted)))),
         bound, default_r_min(dr), label=name,
     )
-    return [fits[i] for i in range(len(profiles))]
+    den = lcm(*(d for _, d in fits.values()))
+    sums = {obs: [x * (den // fits[i][1]) for x in fits[i][0]] for i, obs in enumerate(wanted)}
+    weights = []
+    for prof in profiles:
+        weight = [0] * (cap + 1)
+        for choice in choices(prof):
+            obs = tuple(ab for ab, _ in choice)
+            c = prod(c for _, c in choice)
+            shift, S = sum(map(sum, obs)) + b, sums[obs]
+            if len(S) > shift + 1:
+                raise ArithmeticError(f"{name}: sum above its degree bound")
+            # r^{-shift} r^j is stored at cap - shift + j, r^0 at cap.
+            for j in range(max(0, shift - cap), len(S)):
+                weight[cap - shift + j] += c * S[j]
+        weights.append(weight)
+    return weights, den
 
 
 # -- exact polynomials on tree quotients --------------------------------
@@ -658,7 +687,7 @@ def tree_profile_weights(
         return None
     if not dr.is_exact:
         return [[0] * (cap + 1) for _ in profiles], 1
-    name = label or f"edge profiles on {graph.n_vertices}v/{graph.n_edges}e graph"
+    name = _label(graph, label)
     classes = [((t,), ((0, 0),), 0) for t in quotient.loops]
     classes += zip(quotient.classes, itertools.repeat(()), _class_residues(dr, quotient.plan))
     tables: list[dict] = [{} for _ in classes]  # per class: entry -> weight
@@ -678,47 +707,19 @@ def tree_profile_weights(
     return [w if d == den else [x * (den // d) for x in w] for w, d in zip(weights, dens)], den
 
 
-def exact_edge_profiles(
+def profile_weights(
     graph,
     dr: DRVector,
-    profiles: Sequence[tuple[tuple[int, int], ...]],
+    profiles: Sequence[tuple],
+    terms: Mapping[Hashable, Sequence[tuple[tuple[int, int], int]]],
+    cap: int,
     label: str | None = None,
-) -> list[tuple[list[int], int]] | None:
-    """The observable sums' polynomials on a graph whose simple quotient is a tree.
+) -> tuple[list[list[int]], int]:
+    """The weighting sums of edge weights as polynomials in ``1/r``, on any graph.
 
-    The single-observable case of :func:`tree_profile_weights`: each
-    profile's sum is the polynomial in ``r`` it equals for every ``r``
-    from :func:`default_r_min` on, with no modulus sampled.  A profile of
-    total degree ``m`` sums to ``r^{m + b}`` times its weight, a
-    polynomial in ``1/r``.  Returns one ``(nums, den)`` pair per profile
-    in lowest terms, the format of :func:`certified_fit`, or ``None`` for
-    a graph whose quotient has a free residue, sampling nothing.
+    :func:`tree_profile_weights` when the graph's simple quotient is a
+    tree, with no modulus sampled, and :func:`sampled_profile_weights`
+    otherwise; both return ``(weights, den)`` in the format described there.
     """
-    b = graph.n_edges - graph.n_vertices + 1
-    degrees = [sum(map(sum, prof)) + b for prof in profiles]
-    cap = max(degrees, default=0)
-    terms = {ab: ((ab, 1),) for prof in profiles for ab in prof}
-    contracted = tree_profile_weights(graph, dr, profiles, terms, cap, label)
-    if contracted is None:
-        return None
-    weights, den = contracted
-    return [_lowest_terms(w[cap - top :], den) for w, top in zip(weights, degrees)]
-
-
-def fit_edge_profiles(
-    graph,
-    dr: DRVector,
-    profiles: Sequence[tuple[tuple[int, int], ...]],
-    label: str | None = None,
-) -> list[tuple[list[int], int]]:
-    """The observable sums ``sum_w prod_e w_e^{a_e} (r-w_e)^{b_e}`` as polynomials in ``r``.
-
-    One ``(nums, den)`` pair per profile, the sum being
-    ``sum_j nums[j] r^j / den`` in lowest terms; ``r^b`` divides it when
-    no ``nums[j]`` with ``j < b`` is nonzero.  The exact polynomials of
-    :func:`exact_edge_profiles` when the graph's simple quotient is a
-    tree, and the certified fits of :func:`sampled_edge_profiles`
-    otherwise.
-    """
-    exact = exact_edge_profiles(graph, dr, profiles, label)
-    return sampled_edge_profiles(graph, dr, profiles, label) if exact is None else exact
+    tree = tree_profile_weights(graph, dr, profiles, terms, cap, label)
+    return sampled_profile_weights(graph, dr, profiles, terms, cap, label) if tree is None else tree

@@ -67,7 +67,10 @@ degrees a monomial brings, and reads each term's edge-half exponents per
 vertex off the index that grouped it.
 
 The oracles read the library's polynomials, integer numerators over one
-denominator, as ``RPoly`` objects through ``rpoly``.  ``alpha_class`` and
+denominator, as ``RPoly`` objects through ``rpoly``.  ``sampled_sums``
+fits the observable sums on sampled moduli on every graph, so
+``pixton_class`` and ``chiodo_constant_series`` never read the library's
+tree route, which contracts them in closed form.  ``alpha_class`` and
 ``beta_class`` are the genus-2 stratum classes the Hodge class checks
 compare with; no library code builds them.
 """
@@ -105,10 +108,10 @@ from drtaut.weightings import (
     _require_type,
     _solutions,
     _solve_plan,
+    certified_fit as library_certified_fit,
     default_r_min,
-    exact_edge_profiles,
+    edge_profile_sums as quotient_profile_sums,
     power_tables,
-    sampled_edge_profiles,
 )
 
 
@@ -116,6 +119,23 @@ def rpoly(fit: tuple[Sequence[int], int]) -> RPoly:
     """A polynomial ``(nums, den)`` of the library's fits as an :class:`RPoly`."""
     nums, den = fit
     return RPoly([Fraction(x, den) for x in nums])
+
+
+def sampled_sums(graph, dr: DRVector, observables: Sequence[tuple]) -> list[RPoly]:
+    """Each observable profile's weighting sum as an :class:`RPoly` in ``r``, from sampled moduli.
+
+    One :func:`~drtaut.weightings.certified_fit` of the library's
+    quotient sums, with the degree bound and first modulus of its sampled
+    route; neither the tree route nor the route's assembly into weights
+    is read.
+    """
+    bound = max((sum(map(sum, obs)) for obs in observables), default=0) + first_betti(graph)
+    fits, _ = library_certified_fit(
+        lambda r: dict(enumerate(quotient_profile_sums(graph, r, dr, power_tables(r, observables)))),
+        bound,
+        default_r_min(dr),
+    )
+    return [rpoly(fits[i]) for i in range(len(observables))]
 
 
 def alpha_class() -> TautClass:
@@ -597,16 +617,15 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     """Pixton's r-free degree-d class, one template emitted per profile.
 
     Each template is weighted by the ``r^b`` coefficient of its weighting
-    sum, read as an :class:`RPoly`, over ``|Aut|``; a sum not divisible
-    by ``r^b`` fails.
+    sum, fitted on sampled moduli (:func:`sampled_sums`) on every graph,
+    over ``|Aut|``; a sum not divisible by ``r^b`` fails.
     """
     acc: list = []
     for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=d):
         templates = pixton_templates(graph, dr, d)
         powers = [tuple((m + 1, m + 1) for m in prof) for prof, _ in templates]
         b, aut = first_betti(graph), automorphism_order(graph)
-        fits = exact_edge_profiles(graph, dr, powers) or sampled_edge_profiles(graph, dr, powers)
-        for (_, template), poly in zip(templates, map(rpoly, fits)):
+        for (_, template), poly in zip(templates, sampled_sums(graph, dr, powers)):
             assert poly.divisible_by(b), (graph, poly)
             emit_series(acc, graph, template, Fraction(poly.coefficient(b), aut))
     return TautClass(dr.genus, dr.n, acc)
@@ -695,7 +714,7 @@ def chiodo_constant_series(dr: DRVector, d: int):
     and profiles (:func:`~drtaut.chiodo._graph_series`).  Each profile's
     weight is one :class:`RPoly` in ``v = 1/r``, summed from the edge
     factors' rational coefficients and the observable sums as
-    :class:`RPoly` objects (exact on tree quotients, sampled otherwise); one
+    :class:`RPoly` objects, fitted on sampled moduli on every graph; one
     :func:`series_edge_mul` with :class:`RPoly` coefficients multiplies
     the weights by the vertex and leg exponential, and each monomial keeps
     its ``v^{2d}`` coefficient over ``|Aut|``.
@@ -716,9 +735,7 @@ def chiodo_constant_series(dr: DRVector, d: int):
     for _, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
         wanted = list({qs: None for prof in profiles for qs in monomials(prof)})
         observables = [tuple((q, 0) for q in qs) for qs in wanted]
-        fits = exact_edge_profiles(graph, dr, observables)
-        fits = fits or sampled_edge_profiles(graph, dr, observables)
-        sums = dict(zip(wanted, map(rpoly, fits)))
+        sums = dict(zip(wanted, sampled_sums(graph, dr, observables)))
         weights = {}
         for prof in profiles:
             weight = RPoly([0])

@@ -345,7 +345,7 @@ def test_constant_series_matches_rpoly_oracle(g, k, parts):
 def test_class_polynomial_above_its_bound_raises(monkeypatch):
     # One degree above the class's own bound, |q| + (observables - 1), is
     # caught in that class and named by the graph, on Chiodo's weights and
-    # on the single-observable sums alike.
+    # on one-observable keys alike.
     real = weightings._class_at
 
     def raised(observables, residue):
@@ -361,7 +361,7 @@ def test_class_polynomial_above_its_bound_raises(monkeypatch):
         chiodo_constant(DRVector(2, (1, -1)), 2)
     bridge = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
     with pytest.raises(ArithmeticError, match="^edge profiles on 2v/1e graph: class polynomial"):
-        weightings.exact_edge_profiles(bridge, DRVector(1, (2, 1, -3)), [((2, 0),)])
+        weightings.profile_weights(bridge, DRVector(1, (2, 1, -3)), [(2,)], {2: (((2, 0), 1),)}, 2)
 
 
 def test_constant_term_validation_order():

@@ -212,17 +212,20 @@ class TestVerify:
         assert message.endswith("fails verification at fresh sample moduli on #1")
 
     def test_polynomiality_routes_differ(self, capsys, monkeypatch):
-        # A top coefficient appended to every exact polynomial keeps it
-        # divisible by r^b, so only the comparison with the sampled fits
-        # rejects it.  Every graph here has a tree quotient: all 11 profiles
-        # are named.
-        real = pixton.exact_edge_profiles
+        # A unit added to the top entry of every tree-route weight, the
+        # coefficient of r^0 there, keeps each sum divisible by r^b, so only
+        # the comparison with the sampled route rejects it.  Every graph
+        # here has a tree quotient: all 11 profiles are named.
+        real = pixton.tree_profile_weights
 
-        def moved(graph, dr, profiles):
-            polys = real(graph, dr, profiles)
-            return polys and [([*nums, den], den) for nums, den in polys]
+        def moved(graph, dr, profiles, terms, cap, label=None):
+            contracted = real(graph, dr, profiles, terms, cap, label)
+            if contracted is None:
+                return None
+            weights, den = contracted
+            return [[*w[:-1], w[-1] + den] for w in weights], den
 
-        monkeypatch.setattr(pixton, "exact_edge_profiles", moved)
+        monkeypatch.setattr(pixton, "tree_profile_weights", moved)
         code, out, _ = run(
             capsys, ["verify", "polynomiality", "--g", "2", "--a", "1,-1", "--d", "2"]
         )
@@ -291,6 +294,33 @@ def _loop_class(edges=([0, 1],), legs=((2, 1), (3, 2)), half_edges=(0, 1, 2, 3),
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chiodo", "--g", "2", "--a", "1,-1", "--d", "2", "--constant"],
+            ["dr", "--g", "2", "--a", "1,-1"],
+        ],
+        ids=["chiodo-constant", "dr"],
+    )
+    def test_failed_self_check_exits_one(self, capsys, monkeypatch, argv):
+        # A class polynomial one degree above its bound fails a self-check
+        # inside the class computation: a verification failure that names
+        # the graph, with no traceback and nothing on stdout.
+        real = weightings._class_at
+
+        def raised(observables, residue):
+            nums, den = real(observables, residue)
+            bound = sum(map(sum, observables)) + len(observables) - 1
+            return nums + [0] * (bound + 1 - len(nums)) + [1], den
+
+        monkeypatch.setattr(weightings, "_class_at", raised)
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("class polynomial above its degree bound\n")
+        assert " graph#" in err
+        assert "Traceback" not in err
+
     def test_unbalanced_vector(self, capsys):
         code, _, err = run(capsys, ["dr", "--g", "1", "--a", "1,2"])
         assert code == 2

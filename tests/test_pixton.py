@@ -17,8 +17,8 @@ from drtaut.tautclass import (
 from drtaut.pixton import (
     _emit_graph,
     _graph_templates,
-    _powers,
     _vertex_leg_series,
+    _x_powers,
     dr_cycle,
     genus0_closed,
     genus1_closed,
@@ -30,9 +30,9 @@ from drtaut.pixton import (
 from drtaut.weightings import (
     DRVector,
     edge_profile_sums,
-    fit_edge_profiles,
     power_tables,
-    sampled_edge_profiles,
+    profile_weights,
+    sampled_profile_weights,
 )
 
 import oracles
@@ -175,10 +175,10 @@ class TestZeroBridge:
         skipped = 0
         for g in range(4):
             for dr, d in grid(g):
-                for label, graph, *_, profiles in _graph_templates(dr, d):
+                for label, graph, b, *_, profiles in _graph_templates(dr, d):
                     if zero_bridge(graph, dr, 0):
-                        fits = fit_edge_profiles(graph, dr, _powers(profiles), label=label)
-                        assert all(not any(nums) for nums, _ in fits), label
+                        polys, _ = profile_weights(graph, dr, profiles, _x_powers(d), 2 * d + b, label)
+                        assert not any(map(any, polys)), label
                         skipped += 1
         assert skipped > 0
 
@@ -199,7 +199,8 @@ class TestZeroBridge:
         skipped = 0
         for _, graph, *_, profiles in _graph_templates(dr, d):
             if zero_bridge(graph, dr, r):
-                sums = edge_profile_sums(graph, r, dr, power_tables(r, _powers(profiles)))
+                powers = [tuple((k + 1, k + 1) for k in m) for m in profiles]
+                sums = edge_profile_sums(graph, r, dr, power_tables(r, powers))
                 assert not any(sums), graph
                 skipped += 1
         assert skipped > 0
@@ -212,11 +213,12 @@ class TestZeroBridge:
         # verify_polynomiality skips these graphs as pixton_class does; their
         # sampled fits are certified here instead, each one zero.
         fits = 0
-        for label, graph, *_, profiles in _graph_templates(dr, d):
+        for label, graph, b, *_, profiles in _graph_templates(dr, d):
             if zero_bridge(graph, dr, 0):
-                sampled = sampled_edge_profiles(graph, dr, _powers(profiles), label=label)
-                assert all(fit == ([0], 1) for fit in sampled), label
-                fits += len(sampled)
+                cap = 2 * d + b
+                sampled = sampled_profile_weights(graph, dr, profiles, _x_powers(d), cap, label)
+                assert sampled == ([[0] * (cap + 1)] * len(profiles), 1), label
+                fits += len(profiles)
         assert fits == count
 
     def test_dr_cycle_skips(self):
@@ -342,16 +344,21 @@ class TestConstantTerm:
             pixton_class(DRVector(1, (1,)), 1)
 
     def test_fit_not_divisible_by_r_power_rejected(self, monkeypatch):
-        # A unit r^1 term added to every fit: the r^b coefficient it changes
-        # on graphs with b = 1 is read, and only a graph with b = 2, the
-        # two-loop graph's, fails divisibility.
-        real = pixton.fit_edge_profiles
+        # A unit r^1 term added to every weighting sum: the r^b coefficient
+        # it changes on graphs with b = 1 is read, and only a graph with
+        # b = 2, the two-loop graph's, fails divisibility.  A profile m's
+        # sum has degree 2 (|m| + E) + b, and its r^j coefficient is stored
+        # at cap - 2 (|m| + E) - b + j.
+        real = pixton.profile_weights
 
-        def shifted(graph, dr, profiles, label=None):
-            fits = real(graph, dr, profiles, label)
-            return [([nums[0], nums[1] + den, *nums[2:]], den) for nums, den in fits]
+        def shifted(graph, dr, profiles, terms, cap, label=None):
+            weights, den = real(graph, dr, profiles, terms, cap, label)
+            b = graph.n_edges - graph.n_vertices + 1
+            for m, w in zip(profiles, weights):
+                w[cap - 2 * (sum(m) + len(m)) - b + 1] += den
+            return weights, den
 
-        monkeypatch.setattr(pixton, "fit_edge_profiles", shifted)
+        monkeypatch.setattr(pixton, "profile_weights", shifted)
         message = (
             r"^weighting sum not divisible by r\^2 on P\(g=2,n=0,k=0,d=2\) graph#\d+ "
             r"profile \(0, 0\)$"

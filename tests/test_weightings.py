@@ -11,17 +11,18 @@ from hypothesis import given, settings, strategies as st
 from drtaut import weightings
 from drtaut.exact import RPoly, forward_differences, newton_numerators
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
+from drtaut.chiodo import _Numerators, _edge_factor_polys
 from drtaut.weightings import (
     DRVector,
     certified_fit,
     default_r_min,
     edge_profile_sums,
-    exact_edge_profiles,
-    fit_edge_profiles,
     power_tables,
-    sampled_edge_profiles,
+    profile_weights,
+    sampled_profile_weights,
+    tree_profile_weights,
 )
-from drtaut.pixton import _graph_templates, _powers
+from drtaut.pixton import _graph_templates, _x_powers
 
 from oracles import certified_fit as oracle_certified_fit
 from oracles import edge_profile_sums as direct_profile_sums
@@ -39,6 +40,8 @@ BANANA2_G1G1 = StableGraph([1, 1], [(0, 1), (0, 1)])
 BANANA3_G0G1 = StableGraph([0, 1], [(0, 1), (0, 1), (0, 1)])
 # The simple quotient of a triangle is a cycle: one free residue.
 TRIANGLE = StableGraph([0, 0, 0], [(0, 1), (0, 2), (1, 2)], [0, 1, 2])
+# Two triangles sharing the edge (1, 2): two free residues.
+THETA = StableGraph([0, 0, 0, 0], [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], [0, 3])
 
 
 def xp(*powers):
@@ -51,9 +54,40 @@ def rpolys(fits):
     return {key: rpoly(fit) for key, fit in fits.items()}
 
 
-def divisible_fit(fit, b):
-    """Whether ``r^b`` divides a fit of :func:`fit_edge_profiles`."""
-    return not any(fit[0][:b])
+def identity_terms(profiles):
+    """Each observable of the profiles as its own edge key, with coefficient 1."""
+    return {ab: ((ab, 1),) for prof in profiles for ab in prof}
+
+
+def route_polys(route, graph, dr, profiles, label=None):
+    """A weights route's observable sums as RPolys in ``r``, or ``None`` where the route gives none.
+
+    A profile of degree ``deg`` sums to ``r^{deg + b}`` times its weight,
+    so its ``r^j`` coefficient is stored at ``j + cap - deg - b``; every
+    entry below ``r^0`` of the sum must be zero.
+    """
+    b = first_betti(graph)
+    degrees = [sum(map(sum, prof)) + b for prof in profiles]
+    cap = max(degrees, default=0)
+    result = route(graph, dr, profiles, identity_terms(profiles), cap, label)
+    if result is None:
+        return None
+    weights, den = result
+    assert all(len(w) == cap + 1 and not any(w[: cap - top]) for w, top in zip(weights, degrees))
+    return [RPoly([F(x, den) for x in w[cap - top :]]) for w, top in zip(weights, degrees)]
+
+
+def fitted(graph, dr, profiles, label=None):
+    """The observable sums of :func:`profile_weights` as RPolys in ``r``."""
+    return route_polys(profile_weights, graph, dr, profiles, label)
+
+
+def same_weights(left, right):
+    """Whether two ``(weights, den)`` results agree entry for entry, cross-multiplied."""
+    (lw, ld), (rw, rd) = left, right
+    return len(lw) == len(rw) and all(
+        [x * rd for x in a] == [y * ld for y in b] for a, b in zip(lw, rw)
+    )
 
 
 def brute_weightings(graph, r, dr):
@@ -256,7 +290,7 @@ class TestLatticeSums:
             edge_profile_sums(graph, r, DRVector(genus, parts), [(None,)])
         if r > 0:
             with pytest.raises(ValueError, match=message):
-                exact_edge_profiles(graph, DRVector(genus, parts), [xp(1)])
+                fitted(graph, DRVector(genus, parts), [xp(1)])
 
 
 def balanced_parts(g, n, k):
@@ -372,37 +406,37 @@ class TestQuotient:
             return real_sums(graph, r, dr, profiles)
 
         monkeypatch.setattr(weightings, "edge_profile_sums", count_moduli)
-        fit_edge_profiles(TRIANGLE, DRVector(1, (0, 0, 0)), [xp(1, 1, 1), xp(2, 0, 1)])
-        fit_edge_profiles(TRIANGLE, DRVector(1, (0, 0, 0)), [xp(1, 2, 0)])
+        fitted(TRIANGLE, DRVector(1, (0, 0, 0)), [xp(1, 1, 1), xp(2, 0, 1)])
+        fitted(TRIANGLE, DRVector(1, (0, 0, 0)), [xp(1, 2, 0)])
         assert len(seen) > 10
         assert built == [TRIANGLE]
 
 
 class TestFitting:
     def test_loop_fit(self):
-        [fit] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [xp(1)])
-        assert rpoly(fit) == RPoly([F(0), F(-1, 6), F(0), F(1, 6)])
-        assert divisible_fit(fit, 1)
-        assert rpoly(fit).shift_down(1).constant_term == F(-1, 6)
+        [fit] = fitted(LOOP_G1, DRVector(2, ()), [xp(1)])
+        assert fit == RPoly([F(0), F(-1, 6), F(0), F(1, 6)])
+        assert fit.divisible_by(1)
+        assert fit.shift_down(1).constant_term == F(-1, 6)
 
     def test_two_loop_fit(self):
-        [fit] = fit_edge_profiles(TWO_LOOPS, DRVector(2, ()), [xp(1, 1)])
-        assert divisible_fit(fit, 2)
-        assert rpoly(fit).shift_down(2).constant_term == F(1, 36)
+        [fit] = fitted(TWO_LOOPS, DRVector(2, ()), [xp(1, 1)])
+        assert fit.divisible_by(2)
+        assert fit.shift_down(2).constant_term == F(1, 36)
 
     def test_quartic_loop_moment(self):
-        [fit] = fit_edge_profiles(LOOP_G1, DRVector(2, ()), [xp(2)])
-        assert divisible_fit(fit, 1)
+        [fit] = fitted(LOOP_G1, DRVector(2, ()), [xp(2)])
+        assert fit.divisible_by(1)
         # sum_w (w(r-w))^2 = r^5/30 - r^3/6*... : its r-linear part is B_4.
-        assert rpoly(fit).shift_down(1).constant_term == F(-1, 30)
+        assert fit.shift_down(1).constant_term == F(-1, 30)
 
     def test_nonzero_parts_fit(self):
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
         dr = DRVector(1, (2, 1, -3))
-        [fit] = fit_edge_profiles(graph, dr, [xp(1)])
+        [fit] = fitted(graph, dr, [xp(1)])
         # Bridge weight is the side sum 3, so x = 3 (r - 3) for large r.
-        assert divisible_fit(fit, 0)  # betti 0: trivially divisible
-        assert rpoly(fit) == RPoly([F(-9), F(3)])
+        assert fit.divisible_by(0)  # betti 0: trivially divisible
+        assert fit == RPoly([F(-9), F(3)])
 
     def test_default_sampling(self, monkeypatch):
         # Bound 2 * 2 + b = 5 from the (1, 1, 0) profile, first modulus
@@ -419,24 +453,24 @@ class TestFitting:
             return real(graph, r, dr, profiles)
 
         monkeypatch.setattr(weightings, "edge_profile_sums", spy)
-        fits = fit_edge_profiles(TRIANGLE, dr, [xp(1, 0, 0), xp(1, 1, 0)])
+        fits = fitted(TRIANGLE, dr, [xp(1, 0, 0), xp(1, 1, 0)])
         start = default_r_min(dr)
         assert seen == list(range(start, start + 8))
-        assert [rpoly(fit).shift_down(1).constant_term for fit in fits] == [F(-1, 6), F(-1, 30)]
+        assert [fit.shift_down(1).constant_term for fit in fits] == [F(-1, 6), F(-1, 30)]
 
     def test_tree_quotient_samples_nothing(self, monkeypatch):
         dr = DRVector(3, ())
         profiles = [xp(1, 1, 1), xp(2, 0, 1), xp(0, 0, 0)]
-        sampled = sampled_edge_profiles(BANANA3_G0G1, dr, profiles)
+        sampled = route_polys(sampled_profile_weights, BANANA3_G0G1, dr, profiles)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a tree quotient was sampled")
 
         monkeypatch.setattr(weightings, "edge_profile_sums", forbidden)
         monkeypatch.setattr(weightings, "certified_fit", forbidden)
-        fits = fit_edge_profiles(BANANA3_G0G1, dr, profiles)
+        fits = fitted(BANANA3_G0G1, dr, profiles)
         assert fits == sampled
-        assert all(divisible_fit(fit, 2) for fit in fits)
+        assert all(fit.divisible_by(2) for fit in fits)
 
     def test_insufficient_degree_bound(self):
         with pytest.raises(ValueError, match="insufficient degree bound"):
@@ -494,70 +528,116 @@ class TestFitting:
 
 
 class TestExactProfiles:
-    """Exact polynomials on tree quotients against the sampled fits."""
+    """The tree route against the sampled route, and the exact polynomials it gives."""
 
-    TYPES = [(2, 2), (3, 0), (3, 1), (1, 4)]
+    TYPES = [(2, 0), (3, 0), (2, 2), (1, 3)]
+
+    @staticmethod
+    def tree_graphs(g, n):
+        return [
+            graph
+            for graph in enumerate_stable_graphs(g, n)
+            if not weightings._quotient(graph).plan.free
+        ]
+
+    @staticmethod
+    def check_routes(graph, dr, profiles, terms, cap, checked):
+        """Both routes' weights agree entry for entry; count what the data exercised."""
+        tree = tree_profile_weights(graph, dr, profiles, terms, cap)
+        assert same_weights(tree, sampled_profile_weights(graph, dr, profiles, terms, cap)), (
+            graph,
+            dr,
+        )
+        if dr.is_exact:
+            quotient = weightings._quotient(graph)
+            checked["negative"] += any(D < 0 for D in weightings._class_residues(dr, quotient.plan))
+            checked["classes"] += any(len(ts) > 1 for ts in quotient.classes)
+            checked["loops"] += bool(quotient.loops)
+            checked["nonzero"] += any(map(any, tree[0]))
 
     def test_matches_sampled_fit(self):
-        # The profiles pixton asks for in degrees up to 3, and every profile
-        # of exponents up to 2 with a 0 among them.  With n = 0 only k = 0
-        # balances; the unbalanced data has no weightings at any sampled r.
-        checked = {"classes": 0, "negative": 0}
+        # Pixton's one-term keys (m+1, m+1) on every tree-quotient graph, at
+        # cap 2d + b for d = E + 2: every profile with |m| <= 2.  With n = 0
+        # only k = 0 balances; the unbalanced data has no weightings at any
+        # sampled r, and both routes give 0.
+        checked = dict.fromkeys(["classes", "loops", "negative", "nonzero"], 0)
         for g, n in self.TYPES:
-            for k in (-1, 0, 1, 2):
-                dr = DRVector(g, balanced_parts(g, n, k), twist=k)
-                asked: dict = {}
-                for d in range(4):
-                    for _, graph, *_, profiles in _graph_templates(dr, d):
-                        asked.setdefault(graph, set()).update(_powers(profiles))
-                for graph in enumerate_stable_graphs(g, n, max_edges=3):
-                    quotient = weightings._quotient(graph)
-                    if quotient.plan.free:
-                        continue
-                    profiles = asked.get(graph, set()) | {
-                        xp(*p) for p in itertools.product(range(3), repeat=graph.n_edges) if 0 in p
-                    }
-                    profiles = sorted(profiles)
-                    exact = exact_edge_profiles(graph, dr, profiles)
-                    assert exact == sampled_edge_profiles(graph, dr, profiles), (graph, dr)
-                    if dr.is_exact:
-                        residues = weightings._class_residues(dr, quotient.plan)
-                        checked["negative"] += any(D < 0 for D in residues)
-                        checked["classes"] += any(len(ts) > 1 for ts in quotient.classes)
-        assert checked["negative"] and checked["classes"]
+            for graph in self.tree_graphs(g, n):
+                E = graph.n_edges
+                d = E + 2
+                profiles = [m for m in itertools.product(range(3), repeat=E) if sum(m) <= 2]
+                for k in (-1, 0, 1, 2):
+                    dr = DRVector(g, balanced_parts(g, n, k), twist=k)
+                    cap = 2 * d + first_betti(graph)
+                    self.check_routes(graph, dr, profiles, _x_powers(d), cap, checked)
+        assert all(checked.values()), checked
 
     def test_half_edge_monomials_match_sampled_fit(self):
-        # Chiodo's observables w^q, (q, 0), with every q_e in 0..3; unlike
-        # x^p they are not symmetric under w <-> r - w, so a residue read
-        # at the wrong end of an edge or class shows.
-        checked = {"classes": 0, "loops": 0, "negative": 0}
+        # Chiodo's multi-term keys: the edge factor coefficients of degree
+        # at most 1, polynomials in u = w/r over one denominator, summed
+        # from the observables w^q, (q, 0), at Chiodo's cap 2d for
+        # d = E + 1.  Unlike x^p they are not symmetric under w <-> r - w,
+        # so a residue read at the wrong end of an edge or class shows, and
+        # the cap cuts off the lowest powers of 1/r of the larger sums.  A
+        # graph of four or more edges reaches thousands of monomials, so it
+        # takes one twist that balances and one that does not (at n = 0).
+        factors = _Numerators(dict(_edge_factor_polys(1)))
+        terms = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()}
+        assert max(len(t) for t in terms.values()) > 1
+        checked = dict.fromkeys(["classes", "loops", "negative", "nonzero"], 0)
         for g, n in self.TYPES:
-            for k in (-1, 0, 1, 2):
-                dr = DRVector(g, balanced_parts(g, n, k), twist=k)
-                for graph in enumerate_stable_graphs(g, n, max_edges=3):
-                    quotient = weightings._quotient(graph)
-                    if quotient.plan.free:
-                        continue
-                    profiles = [
-                        tuple((q, 0) for q in qs)
-                        for qs in itertools.product(range(4), repeat=graph.n_edges)
-                    ]
-                    exact = exact_edge_profiles(graph, dr, profiles)
-                    assert exact == sampled_edge_profiles(graph, dr, profiles), (graph, dr)
-                    if dr.is_exact:
-                        residues = weightings._class_residues(dr, quotient.plan)
-                        checked["negative"] += any(D < 0 for D in residues)
-                        checked["classes"] += any(len(ts) > 1 for ts in quotient.classes)
-                        checked["loops"] += bool(quotient.loops)
+            for graph in self.tree_graphs(g, n):
+                E = graph.n_edges
+                profiles = [
+                    prof
+                    for prof in itertools.product(sorted(terms), repeat=E)
+                    if sum(map(sum, prof)) <= 1
+                ]
+                for k in (-1, 0, 1, 2) if E <= 3 else (0, 1):
+                    dr = DRVector(g, balanced_parts(g, n, k), twist=k)
+                    self.check_routes(graph, dr, profiles, terms, 2 * (E + 1), checked)
         assert all(checked.values()), checked
+
+    @pytest.mark.parametrize(
+        "graph, dr, free",
+        [
+            (TRIANGLE, DRVector(1, (2, 1, -3)), 1),
+            (TRIANGLE, DRVector(1, (2, 1, 0), 1), 1),
+            (THETA, DRVector(2, (1, -1)), 2),
+            (THETA, DRVector(2, (3, 1), 1), 2),
+        ],
+        ids=["one-free", "one-free-twisted", "two-free", "two-free-twisted"],
+    )
+    def test_sampled_route_matches_brute_force(self, graph, dr, free):
+        # Where only the sampled route runs: its polynomials against the
+        # sums over every listed weighting, at moduli past its window.
+        assert len(weightings._quotient(graph).plan.free) == free
+        observables = [(1, 0), (0, 2), (2, 1), (1, 1), (0, 0)]
+        profiles = [
+            tuple(observables[(j + t * t) % len(observables)] for t in range(graph.n_edges))
+            for j in range(len(observables))
+        ]
+        polys = route_polys(sampled_profile_weights, graph, dr, profiles)
+        for r in (default_r_min(dr) + 20, default_r_min(dr) + 23):
+            for prof, poly in zip(profiles, polys):
+                want = sum(
+                    math.prod(w[2 * t] ** a * (r - w[2 * t]) ** b for t, (a, b) in enumerate(prof))
+                    for w in enumerate_weightings(graph, r, dr)
+                )
+                assert poly(r) == want, (graph, dr, prof, r)
+
+    def test_no_profiles_give_no_weights(self):
+        for graph, dr in [(TRIANGLE, DRVector(1, (1, 1, -2))), (BANANA3_G0G1, DRVector(3, ()))]:
+            assert profile_weights(graph, dr, [], {}, 4) == ([], 1)
+            assert sampled_profile_weights(graph, dr, [], {}, 4) == ([], 1)
 
     def test_half_edge_monomial_single_edge(self):
         # One bridge: the residue at its first half-edge is D mod r, so
         # w^2 is D^2 for D >= 0 and (r + D)^2 below 0.
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
-        [poly] = exact_edge_profiles(graph, DRVector(1, (2, 1, -3)), [((2, 0),)])
-        [mirror] = exact_edge_profiles(graph, DRVector(1, (-2, -1, 3)), [((2, 0),)])
-        assert {rpoly(poly), rpoly(mirror)} == {RPoly([F(9)]), RPoly([F(9), F(-6), F(1)])}
+        [poly] = route_polys(tree_profile_weights, graph, DRVector(1, (2, 1, -3)), [((2, 0),)])
+        [mirror] = route_polys(tree_profile_weights, graph, DRVector(1, (-2, -1, 3)), [((2, 0),)])
+        assert {poly, mirror} == {RPoly([F(9)]), RPoly([F(9), F(-6), F(1)])}
 
     def test_loop_is_class_with_unit(self):
         # A loop's sum over w < r of w^a (r-w)^b is the class of (a, b) and
@@ -586,18 +666,20 @@ class TestExactProfiles:
             solve(graph, dr, plan._replace(excess=(plan.excess[0] + 1, *plan.excess[1:])))
 
     def test_free_residue_gives_none(self):
-        assert exact_edge_profiles(TRIANGLE, DRVector(1, (1, 1, -2)), [xp(1, 1, 1)]) is None
+        profiles = [xp(1, 1, 1)]
+        dr = DRVector(1, (1, 1, -2))
+        assert tree_profile_weights(TRIANGLE, dr, profiles, identity_terms(profiles), 7) is None
 
     def test_single_edge(self):
         # One bridge with residue sum D = -3 or 3: x = |D| r - D^2 for r > |D|.
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
         for parts in ((2, 1, -3), (-2, -1, 3)):
-            [poly] = exact_edge_profiles(graph, DRVector(1, parts), [xp(2)])
-            assert rpoly(poly) == RPoly([F(81), F(-54), F(9)])
+            [poly] = route_polys(tree_profile_weights, graph, DRVector(1, parts), [xp(2)])
+            assert poly == RPoly([F(81), F(-54), F(9)])
 
     def test_marking_count(self):
         with pytest.raises(ValueError, match="marking count"):
-            exact_edge_profiles(LOOP_G1, DRVector(1, (1, -1)), [xp(1)])
+            route_polys(tree_profile_weights, LOOP_G1, DRVector(1, (1, -1)), [xp(1)])
 
 
 def lowest_terms(fit):
@@ -610,31 +692,51 @@ def lowest_terms(fit):
 
 
 class TestFormat:
-    """Both routes, the fits and the Newton helper give reduced numerators."""
+    """The fits and the Newton helper give reduced numerators, and both routes one weights format."""
 
-    def test_routes(self):
+    def test_routes(self, monkeypatch):
         # Every graph of the degree-2 and degree-3 sums, zero-residue bridges
-        # included, so that zero sums and sums with a denominator both occur.
+        # included, so that zero sums and sums with a denominator both occur:
+        # every fit the sampled route makes is reduced, both routes give
+        # cap + 1 numerators per profile over a positive denominator, and
+        # they agree cross-multiplied.
+        made = []
+        real = weightings.certified_fit
+
+        def spy(*args, **kwargs):
+            fits, divisible = real(*args, **kwargs)
+            made.extend(fits.values())
+            return fits, divisible
+
+        monkeypatch.setattr(weightings, "certified_fit", spy)
         seen = {"zero": 0, "den": 0, "exact": 0}
         for dr, d in [
             (DRVector(2, (1, -1)), 2),
             (DRVector(2, (3, 1), 1), 2),
             (DRVector(1, (2, -1, -1)), 3),
         ]:
-            for _, graph, *_, profiles in _graph_templates(dr, d):
-                powers = _powers(profiles)
-                sampled = sampled_edge_profiles(graph, dr, powers)
-                exact = exact_edge_profiles(graph, dr, powers)
-                for fit in sampled + (exact or []):
-                    assert lowest_terms(fit), (graph, dr, fit)
-                    seen["zero"] += fit == ([0], 1)
-                    seen["den"] += fit[1] > 1
-                seen["exact"] += exact is not None
+            for _, graph, b, *_, profiles in _graph_templates(dr, d):
+                cap = 2 * d + b
+                sampled = sampled_profile_weights(graph, dr, profiles, _x_powers(d), cap)
+                tree = tree_profile_weights(graph, dr, profiles, _x_powers(d), cap)
+                for weights, den in filter(None, [sampled, tree]):
+                    assert den > 0 and all(len(w) == cap + 1 for w in weights), (graph, dr)
+                if tree is not None:
+                    assert same_weights(sampled, tree), (graph, dr)
+                    seen["exact"] += 1
+        for fit in made:
+            assert lowest_terms(fit), fit
+            seen["zero"] += fit == ([0], 1)
+            seen["den"] += fit[1] > 1
         assert all(seen.values()), seen
 
     def test_unbalanced_exact_is_zero(self):
         graph = StableGraph([0, 1], [(0, 1)], [0, 0, 1])
-        assert exact_edge_profiles(graph, DRVector(1, (2, 1, -2)), [xp(1), xp(2)]) == [([0], 1)] * 2
+        dr = DRVector(1, (2, 1, -2))
+        profiles = [xp(1), xp(2)]
+        zero = ([[0] * 5] * 2, 1)
+        assert profile_weights(graph, dr, profiles, identity_terms(profiles), 4) == zero
+        assert sampled_profile_weights(graph, dr, profiles, identity_terms(profiles), 4) == zero
 
     def test_certified_fit(self):
         # (r^2 + r)/2 has a common factor to cancel, the zero key is
@@ -666,12 +768,12 @@ class TestFormat:
         # The triangle's bound is 7, from the (2, 2, 2) profile plus b = 1;
         # the w^1 sum has degree 2, and the (0, 0, 0) sum (r) degree 1.  A
         # fit padded with zeros to its window would read as a sum above its
-        # degree bound in chiodo._constant_series.
+        # degree bound in the sampled route.
         dr = DRVector(1, (0, 0, 0))
         profiles = [((2, 0), (2, 0), (2, 0)), ((1, 0), (0, 0), (0, 0)), ((0, 0),) * 3]
-        big, w, unit = sampled_edge_profiles(TRIANGLE, dr, profiles)
-        assert (w, unit) == (([0, -1, 1], 2), ([0, 1], 1))
-        assert len(big[0]) == 8 and lowest_terms(big)
+        big, w, unit = route_polys(sampled_profile_weights, TRIANGLE, dr, profiles)
+        assert (w, unit) == (RPoly([0, F(-1, 2), F(1, 2)]), RPoly([0, 1]))
+        assert big.degree == 7
 
 
 def rpoly_fit(evaluate, **kwargs):
