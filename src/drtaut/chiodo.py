@@ -33,12 +33,12 @@ class of the weighting graph sum -- the cross-formula identity checked
 by :func:`verify_samefreeterm`.  The constant term is built exactly,
 with no modulus fixed: every Bernoulli weight is a polynomial in ``w/r``
 or in ``1/r``, so each graph's terms are Laurent polynomials in r whose
-weighting sums are the half-edge monomial sums ``sum_w prod_e w_e^{q_e}``
-of the one r-free weighting route, ``profile_weights``: contracted once
-per parallel class on tree quotients, one certified fit per graph
-otherwise.  They stay integer
-numerators over one denominator; only the kept coefficient is formed, and
-only the constant terms become decorated graphs.
+weighting sums, of edge factors that are sums of observables ``w^q``,
+come from the one r-free weighting route, ``profile_weights``:
+contracted once per parallel class on tree quotients, and otherwise one
+certified fit per graph of one sum per profile.  They stay integer
+numerators over one denominator; only the kept coefficient is formed,
+and only the constant terms become decorated graphs.
 """
 
 from __future__ import annotations
@@ -248,12 +248,9 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
       (:func:`_edge_factor_polys`), each power ``u^q`` the observable
       ``(q, 0)`` over ``r^q``.  One
       :func:`~drtaut.weightings.profile_weights` call per graph gives
-      every profile's weight as a polynomial in ``1/r``: on a graph whose
-      simple quotient is a tree it contracts the edge factors once per
-      parallel class or loop and distinct entry of its keys, and on a
-      graph with a free residue each half-edge monomial
-      ``sum_w prod_e w_e^{q_e}`` that a profile reaches is fitted, all in
-      one certified fit;
+      every profile's weight as a polynomial in ``1/r``: contracted once
+      per parallel class or loop and distinct entry of its keys on a tree
+      quotient, and otherwise fitted per profile in one certified fit;
     * the leg and vertex weights ``B_{m+1}(abar_i/r)`` and ``B_{m+1}(k/r)``
       are polynomials in ``v = 1/r``, with ``abar_i/r = 1 + a_i v`` for
       ``a_i < 0`` once r exceeds every ``|a_i|``.

@@ -56,7 +56,7 @@ from .tautclass import (
 from .weightings import (
     DRVector,
     edge_profile_sums,
-    power_tables,
+    key_tables,
     profile_weights,
     sampled_profile_weights,
     tree_profile_weights,
@@ -145,6 +145,11 @@ def _graph_templates(dr: DRVector, d: int, r: int | None = None):
         yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", graph, *data
 
 
+def _x_powers(d: int) -> dict:
+    """Edge weights ``x^{m+1} / r^{2m+2}``, the observable ``(m+1, m+1)``, by exponent ``m``."""
+    return {m: (((m + 1, m + 1), 1),) for m in range(d + 1)}
+
+
 def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     """The degree-d graph-sum class at a fixed modulus r.
 
@@ -157,18 +162,13 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
         raise ValueError("modulus must be positive")
     if dr.defect % r:
         raise ValueError(f"no weightings mod {r}: admissibility fails")
+    tables = key_tables(r, _x_powers(d), range(d + 1))
     acc: list = []
     for _, graph, b, aut, L, profiles in _graph_templates(dr, d, r):
-        powers = [tuple((k + 1, k + 1) for k in m) for m in profiles]
-        sums = edge_profile_sums(graph, r, dr, power_tables(r, powers))
+        sums = edge_profile_sums(graph, r, dr, [[tables[k] for k in m] for m in profiles])
         weights = {m: Fraction(s, aut * r**b) for m, s in zip(profiles, sums)}
         _emit_graph(acc, graph, L, d, weights)
     return TautClass(dr.genus, dr.n, acc)
-
-
-def _x_powers(d: int) -> dict:
-    """Edge weights ``x^{m+1} / r^{2m+2}``, the observable ``(m+1, m+1)``, by exponent ``m``."""
-    return {m: (((m + 1, m + 1), 1),) for m in range(d + 1)}
 
 
 def pixton_class(dr: DRVector, d: int) -> TautClass:

@@ -44,12 +44,12 @@ A loop's sum ``sum_{w<r} w^a (r-w)^b`` is the class of its observable
 and the unit ``(0, 0)`` at residue 0, so each sum is a product of class
 polynomials, with no sampling, and each edge weight is contracted once
 per class and distinct entry.  Otherwise :func:`sampled_profile_weights`
-makes one :func:`certified_fit` per graph, which fits every observable
-product a profile reaches on one window of consecutive moduli and checks
-each fit on fresh ones by forward differences.  Both routes give the one
-format, so they compare cross-multiplied by their denominators.  No
-``Fraction`` is formed from a sample; only the coefficient a caller
-keeps becomes one.
+makes one :func:`certified_fit` per graph: each edge weight times a
+power of ``r`` is one integer table per modulus (:func:`key_tables`),
+and each profile's sum is fitted on consecutive moduli and checked on
+fresh ones.  Both routes give the one format, so they compare
+cross-multiplied by their denominators.  No ``Fraction`` is formed from
+a sample; only the coefficient a caller keeps becomes one.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from operator import mul
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import (
     _over_common_denominator,
@@ -71,7 +71,7 @@ from .graphs import first_betti, require_stable_type
 
 __all__ = [
     "DRVector",
-    "power_tables",
+    "key_tables",
     "edge_profile_sums",
     "certified_fit",
     "sampled_profile_weights",
@@ -297,18 +297,27 @@ def _solutions(r: int, dr: DRVector, plan: _SolvePlan) -> Iterator[list[int]]:
         yield [(D + sum(map(mul, slope, assign))) % r for D, slope in zip(residues, plan.slopes)]
 
 
-def power_tables(r: int, profiles: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple]:
-    """Half-edge observable profiles as residue tables.
+def _top(pairs: Sequence[tuple[tuple[int, int], int]]) -> int:
+    """The largest observable degree ``a + b`` among an edge key's terms, 0 for none."""
+    return max((a + b for (a, b), _ in pairs), default=0)
 
-    A profile holds one observable ``(a, b)`` per edge, the table
-    ``w^a (r - w)^b`` at the residue ``w`` in ``[0, r)`` on the edge's
-    first half-edge (``0^0 = 1``).  ``(p, p)`` is ``x^p`` with
-    ``x = w((r-w) mod r)``, Pixton's edge power, and ``(q, 0)`` is ``w^q``.
-    ``(0, 0)`` becomes ``None``; equal observables share one table.
+
+def key_tables(r: int, terms: Mapping, keys: Iterable) -> dict:
+    """``{key: table}``: each edge key's weight at modulus ``r`` times ``r^top``, in integers.
+
+    ``terms[key]`` lists pairs ``(observable, c)``, the edge weight
+    ``sum c r^{-a-b} w^a (r - w)^b`` at the residue ``w`` in ``[0, r)`` on
+    the edge's first half-edge (``0^0 = 1``), and ``top`` is its largest
+    ``a + b`` (:func:`_top`).  Pixton's ``x^p`` is ``((p, p), 1)``.
     """
-    wanted = {ab for prof in profiles for ab in prof if ab != (0, 0)}
-    tables = {(a, b): [w**a * (r - w) ** b for w in range(r)] for a, b in wanted}
-    return [tuple(tables.get(ab) for ab in prof) for prof in profiles]
+    out = {}
+    for key in keys:
+        top, table = _top(terms[key]), [0] * r
+        for (a, b), c in terms[key]:
+            c *= r ** (top - a - b)
+            table = [x + c * w**a * (r - w) ** b for w, x in enumerate(table)]
+        out[key] = table
+    return out
 
 
 class _Convolved(dict):
@@ -341,8 +350,8 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
 
     A profile holds one entry per edge: ``None`` for the factor 1, or a
     table of ``r`` values indexed by the residue ``w_e`` on the edge's
-    first half-edge ``2t``.  :func:`power_tables` builds the tables of
-    half-edge observables, such as the ``x_e^p`` of the graph-sum formula.
+    first half-edge ``2t``.  :func:`key_tables` builds the tables of
+    edge weights, such as the ``x_e^p`` of the graph-sum formula.
 
     The sum runs over the graph's simple quotient (:func:`_quotient`,
     built once per graph).  The edges of a parallel class reach the
@@ -351,7 +360,7 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
     ``H(s) = sum over w_1 + ... + w_m = s (mod r) of prod_i T_i(w_i)``.
     ``H`` folds the tables in one at a time.  Each partial convolution is
     keyed on the identities of its tables, so profiles that share table
-    objects (as :func:`power_tables` and Chiodo's pushforward do) share
+    objects (as :func:`key_tables` and Chiodo's pushforward do) share
     it, and each entry is computed when first read: the walk reads ``H``
     only at the residues it visits.  A ``None`` entry absorbs the class
     congruence, making ``H`` the constant ``r^(#None - 1)`` times the sums
@@ -459,46 +468,38 @@ def sampled_profile_weights(
 ) -> tuple[list[list[int]], int]:
     """:func:`tree_profile_weights` on any graph, from one certified fit.
 
-    Each product of observables ``obs``, one per edge, that a profile's
-    terms reach gets a fit of its sum ``S(r) = sum_w prod_e w_e^{a_e}
-    (r-w_e)^{b_e}``, all in one :func:`certified_fit` that enumerates each
-    sample modulus once (:func:`power_tables`).  The degree bound is the
-    largest observable degree plus the Betti number ``b``, sampling starts
-    at :func:`default_r_min`, and two fresh moduli verify the fits.  A
-    profile's weight sums ``c r^{-deg-b} S(r)`` over its choices of one
-    term per edge, ``deg`` the degree of ``obs``, the numerators over one
-    ``lcm`` of the fits' denominators.  Returns ``(weights, den)`` as
-    :func:`tree_profile_weights` does; no profile gives no weights.  A fit
-    that fails verification raises ``ValueError``, and a sum above degree
-    ``deg + b`` raises ``ArithmeticError``, both naming ``label``.
+    Each edge key is one integer table per sample modulus, ``r^top`` times
+    its weight (:func:`key_tables`), so a profile's weighting sum ``S(r)``
+    of products of tables is a polynomial in ``r`` of degree at most
+    ``shift = sum top + b``, ``b`` the Betti number, and its weight is
+    ``r^{-shift} S(r)``.  One :func:`certified_fit` fits every profile's
+    ``S`` up to the largest ``shift``, sampling from :func:`default_r_min`
+    and verifying at two fresh moduli.  Returns ``(weights, den)`` as
+    :func:`tree_profile_weights` does, ``den`` the ``lcm`` of the fits'
+    denominators; no profile gives no weights.  A fit that fails
+    verification raises ``ValueError``, and a sum above degree ``shift``
+    ``ArithmeticError``, both naming ``label``.
     """
     b = first_betti(graph)
     name = _label(graph, label)
+    keys = {key for prof in profiles for key in prof}
+    shifts = [sum(_top(terms[key]) for key in prof) + b for prof in profiles]
 
-    def choices(prof):
-        return itertools.product(*[terms[key] for key in prof])
+    def evaluate(rr):
+        tables = key_tables(rr, terms, keys)
+        sums = edge_profile_sums(graph, rr, dr, [[tables[k] for k in prof] for prof in profiles])
+        return dict(enumerate(sums))
 
-    wanted = list({tuple(ab for ab, _ in ch): None for prof in profiles for ch in choices(prof)})
-    bound = max((sum(map(sum, obs)) for obs in wanted), default=0) + b
-    fits, _ = certified_fit(
-        lambda rr: dict(enumerate(edge_profile_sums(graph, rr, dr, power_tables(rr, wanted)))),
-        bound, default_r_min(dr), label=name,
-    )
+    fits, _ = certified_fit(evaluate, max(shifts, default=b), default_r_min(dr), label=name)
     den = lcm(*(d for _, d in fits.values()))
-    sums = {obs: [x * (den // fits[i][1]) for x in fits[i][0]] for i, obs in enumerate(wanted)}
     weights = []
-    for prof in profiles:
-        weight = [0] * (cap + 1)
-        for choice in choices(prof):
-            obs = tuple(ab for ab, _ in choice)
-            c = prod(c for _, c in choice)
-            shift, S = sum(map(sum, obs)) + b, sums[obs]
-            if len(S) > shift + 1:
-                raise ArithmeticError(f"{name}: sum above its degree bound")
-            # r^{-shift} r^j is stored at cap - shift + j, r^0 at cap.
-            for j in range(max(0, shift - cap), len(S)):
-                weight[cap - shift + j] += c * S[j]
-        weights.append(weight)
+    for i, shift in enumerate(shifts):
+        S, d = fits[i]
+        if len(S) > shift + 1:
+            raise ArithmeticError(f"{name}: sum above its degree bound")
+        # r^{-shift} r^j is stored at cap - shift + j, r^0 at cap.
+        padded = [0] * cap + [x * (den // d) for x in S] + [0] * (shift + 1 - len(S))
+        weights.append(padded[shift:])
     return weights, den
 
 

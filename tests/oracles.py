@@ -111,7 +111,6 @@ from drtaut.weightings import (
     certified_fit as library_certified_fit,
     default_r_min,
     edge_profile_sums as quotient_profile_sums,
-    power_tables,
 )
 
 
@@ -119,6 +118,20 @@ def rpoly(fit: tuple[Sequence[int], int]) -> RPoly:
     """A polynomial ``(nums, den)`` of the library's fits as an :class:`RPoly`."""
     nums, den = fit
     return RPoly([Fraction(x, den) for x in nums])
+
+
+def power_tables(r: int, profiles: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple]:
+    """Half-edge observable profiles as residue tables.
+
+    A profile holds one observable ``(a, b)`` per edge, the table
+    ``w^a (r - w)^b`` at the residue ``w`` in ``[0, r)`` on the edge's
+    first half-edge (``0^0 = 1``).  ``(p, p)`` is ``x^p`` with
+    ``x = w((r-w) mod r)``, Pixton's edge power, and ``(q, 0)`` is ``w^q``.
+    ``(0, 0)`` becomes ``None``; equal observables share one table.
+    """
+    wanted = {ab for prof in profiles for ab in prof if ab != (0, 0)}
+    tables = {(a, b): [w**a * (r - w) ** b for w in range(r)] for a, b in wanted}
+    return [tuple(tables.get(ab) for ab in prof) for prof in profiles]
 
 
 def sampled_sums(graph, dr: DRVector, observables: Sequence[tuple]) -> list[RPoly]:

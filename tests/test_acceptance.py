@@ -46,9 +46,9 @@ from drtaut.pixton import (
     pixton_class,
 )
 from drtaut.tautclass import DecoratedGraph, TautClass
-from drtaut.weightings import DRVector, edge_profile_sums, power_tables
+from drtaut.weightings import DRVector, edge_profile_sums
 
-from oracles import alpha_class, beta_class, enumerate_weightings
+from oracles import alpha_class, beta_class, enumerate_weightings, power_tables
 
 F = Fraction
 

@@ -30,7 +30,6 @@ from drtaut.pixton import (
 from drtaut.weightings import (
     DRVector,
     edge_profile_sums,
-    power_tables,
     profile_weights,
     sampled_profile_weights,
 )
@@ -40,6 +39,7 @@ from oracles import (
     alpha_class,
     beta_class,
     leg_vertex_series,
+    power_tables,
     psi_edge_monomial,
     residue_zero_bridge,
     series_degree_part,

@@ -17,7 +17,6 @@ from drtaut.weightings import (
     certified_fit,
     default_r_min,
     edge_profile_sums,
-    power_tables,
     profile_weights,
     sampled_profile_weights,
     tree_profile_weights,
@@ -29,6 +28,7 @@ from oracles import edge_profile_sums as direct_profile_sums
 from oracles import enumerate_weightings
 from oracles import interpolate as lagrange_interpolate
 from oracles import loop_poly as oracle_loop_poly
+from oracles import power_tables
 from oracles import residue_zero_bridge, rpoly
 from oracles import zero_bridge as oracle_zero_bridge
 
@@ -42,6 +42,14 @@ BANANA3_G0G1 = StableGraph([0, 1], [(0, 1), (0, 1), (0, 1)])
 TRIANGLE = StableGraph([0, 0, 0], [(0, 1), (0, 2), (1, 2)], [0, 1, 2])
 # Two triangles sharing the edge (1, 2): two free residues.
 THETA = StableGraph([0, 0, 0, 0], [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], [0, 3])
+# Chiodo-style edge keys: weights sum c (w/r)^q, the observables (q, 0),
+# with several q per key; the largest q of a key is its top.
+MULTI_TERMS = {
+    "B2": (((0, 0), 1), ((1, 0), -6), ((2, 0), 6)),
+    "cubic": (((1, 0), 1), ((3, 0), -4)),
+    "square": (((2, 0), 3),),
+    "u": (((0, 0), 1), ((1, 0), -2)),
+}
 
 
 def xp(*powers):
@@ -80,6 +88,16 @@ def route_polys(route, graph, dr, profiles, label=None):
 def fitted(graph, dr, profiles, label=None):
     """The observable sums of :func:`profile_weights` as RPolys in ``r``."""
     return route_polys(profile_weights, graph, dr, profiles, label)
+
+
+def multi_term_profiles(graph):
+    """Profiles of :data:`MULTI_TERMS` keys that mix them across the edges,
+    and the all-``cubic`` profile, of the largest top."""
+    keys = sorted(MULTI_TERMS)
+    mixed = [
+        tuple(keys[(j + t * t) % len(keys)] for t in range(graph.n_edges)) for j in range(len(keys))
+    ]
+    return mixed + [("cubic",) * graph.n_edges]
 
 
 def same_weights(left, right):
@@ -578,9 +596,7 @@ class TestExactProfiles:
         # from the observables w^q, (q, 0), at Chiodo's cap 2d for
         # d = E + 1.  Unlike x^p they are not symmetric under w <-> r - w,
         # so a residue read at the wrong end of an edge or class shows, and
-        # the cap cuts off the lowest powers of 1/r of the larger sums.  A
-        # graph of four or more edges reaches thousands of monomials, so it
-        # takes one twist that balances and one that does not (at n = 0).
+        # the cap cuts off the lowest powers of 1/r of the larger sums.
         factors = _Numerators(dict(_edge_factor_polys(1)))
         terms = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()}
         assert max(len(t) for t in terms.values()) > 1
@@ -593,7 +609,7 @@ class TestExactProfiles:
                     for prof in itertools.product(sorted(terms), repeat=E)
                     if sum(map(sum, prof)) <= 1
                 ]
-                for k in (-1, 0, 1, 2) if E <= 3 else (0, 1):
+                for k in (-1, 0, 1, 2):
                     dr = DRVector(g, balanced_parts(g, n, k), twist=k)
                     self.check_routes(graph, dr, profiles, terms, 2 * (E + 1), checked)
         assert all(checked.values()), checked
@@ -625,6 +641,49 @@ class TestExactProfiles:
                     for w in enumerate_weightings(graph, r, dr)
                 )
                 assert poly(r) == want, (graph, dr, prof, r)
+        # Chiodo-style multi-term keys: each weight, read at r, against
+        # r^{-b} times the sum of the products of the edge weights themselves.
+        b = first_betti(graph)
+        cap = 3 * graph.n_edges + b
+        profiles = multi_term_profiles(graph)
+        weights, den = sampled_profile_weights(graph, dr, profiles, MULTI_TERMS, cap)
+        for r in (default_r_min(dr) + 20, default_r_min(dr) + 23):
+            for prof, weight in zip(profiles, weights):
+                got = sum(F(x, den * r ** (cap - i)) for i, x in enumerate(weight))
+                want = sum(
+                    math.prod(
+                        sum(c * F(w[2 * t], r) ** q for (q, _), c in MULTI_TERMS[key])
+                        for t, key in enumerate(prof)
+                    )
+                    for w in enumerate_weightings(graph, r, dr)
+                )
+                assert got == want / r**b, (graph, dr, prof, r)
+
+    def test_one_fit_key_per_profile(self, monkeypatch):
+        # One certified fit per graph, of one key per profile, however many
+        # products of observables its multi-term keys reach, at the degree
+        # bound sum(top) + b of the all-cubic profile.
+        made = []
+        real = weightings.certified_fit
+
+        def spy(evaluate, degree_bound, *args, **kwargs):
+            samples = []
+            made.append((degree_bound, samples))
+
+            def recorded(r):
+                samples.append(evaluate(r))
+                return samples[-1]
+
+            return real(recorded, degree_bound, *args, **kwargs)
+
+        monkeypatch.setattr(weightings, "certified_fit", spy)
+        for graph, dr in [(TRIANGLE, DRVector(1, (2, 1, 0), 1)), (THETA, DRVector(2, (1, -1)))]:
+            made.clear()
+            profiles = multi_term_profiles(graph)
+            sampled_profile_weights(graph, dr, profiles, MULTI_TERMS, 20)
+            [(bound, samples)] = made
+            assert bound == 3 * graph.n_edges + first_betti(graph)
+            assert samples and all(set(sample) == set(range(len(profiles))) for sample in samples)
 
     def test_no_profiles_give_no_weights(self):
         for graph, dr in [(TRIANGLE, DRVector(1, (1, 1, -2))), (BANANA3_G0G1, DRVector(3, ()))]:
