@@ -34,11 +34,11 @@ by :func:`verify_samefreeterm`.  The constant term is built exactly,
 with no modulus fixed: every Bernoulli weight is a polynomial in ``w/r``
 or in ``1/r``, so each graph's terms are Laurent polynomials in r whose
 weighting sums, of edge factors that are sums of observables ``w^q``,
-come from the one r-free weighting route, ``profile_weights``:
-contracted once per parallel class on tree quotients, and otherwise one
-certified fit per graph of one sum per profile.  They stay integer
-numerators over one denominator; only the kept coefficient is formed,
-and only the constant terms become decorated graphs.
+come from the one r-free weighting route, ``profile_weights``: each
+class weight contracted once per graph sum on tree quotients, and
+otherwise one certified fit per graph of one sum per profile.  They
+stay integer numerators over one denominator; only the kept coefficient
+is formed, and only the constant terms become decorated graphs.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .tautclass import (
     series_vertex_leg_exp,
     trivial_class,
 )
-from .weightings import DRVector, edge_profile_sums, profile_weights
+from .weightings import DRVector, EdgeTerms, edge_profile_sums, profile_weights
 
 __all__ = [
     "edge_factor_coefficients",
@@ -216,7 +216,7 @@ def _constant_series(dr: DRVector, d: int):
     dr.require_exact()
     # Every edge factor over one denominator, so that a profile's is over its power.
     factors = _Numerators(dict(_edge_factor_polys(d)))
-    terms = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()}
+    terms = EdgeTerms({key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()})
     top = 2 * d
     label = f"chiodo constant (g={dr.genus},n={dr.n},k={dr.twist},d={d})"
     points = [RPoly([int(a < 0), a]) for a in dr.parts]
@@ -248,9 +248,9 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
       (:func:`_edge_factor_polys`), each power ``u^q`` the observable
       ``(q, 0)`` over ``r^q``.  One
       :func:`~drtaut.weightings.profile_weights` call per graph gives
-      every profile's weight as a polynomial in ``1/r``: contracted once
-      per parallel class or loop and distinct entry of its keys on a tree
-      quotient, and otherwise fitted per profile in one certified fit;
+      every profile's weight as a polynomial in ``1/r``: on a tree
+      quotient each class weight is contracted once per graph sum, and
+      otherwise each profile is fitted in one certified fit;
     * the leg and vertex weights ``B_{m+1}(abar_i/r)`` and ``B_{m+1}(k/r)``
       are polynomials in ``v = 1/r``, with ``abar_i/r = 1 + a_i v`` for
       ``a_i < 0`` once r exceeds every ``|a_i|``.

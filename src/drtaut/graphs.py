@@ -385,15 +385,16 @@ def _shares(mults: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, bool], 
     return tuple(shares)
 
 
-def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
-    """Stable graphs with one edge more that contract back to ``graph``.
+def _degenerations(graph: StableGraph) -> Iterator[tuple[StableGraph, tuple[int, int]]]:
+    """Stable graphs with one edge more that contract back to ``graph``, with that new edge.
 
-    Either a vertex of positive genus trades one genus for a new loop, or
-    a vertex ``v`` splits into ``v`` and a new last vertex ``w`` joined by
-    a new edge.  A split distributes the genus of ``v``, its legs, its
-    edges to each neighbour (by count, as parallel edges are
-    interchangeable) and its loops, each of which stays at ``v``, opens
-    into an edge ``v - w`` or moves to ``w``; both sides must stay stable.
+    Either a vertex of positive genus trades one genus for a new loop
+    ``(v, v)``, or a vertex ``v`` splits into ``v`` and a new last vertex
+    ``w`` joined by a new edge ``(v, w)``.  A split distributes the genus
+    of ``v``, its legs, its edges to each neighbour (by count, as parallel
+    edges are interchangeable) and its loops, each of which stays at
+    ``v``, opens into an edge ``v - w`` or moves to ``w``; both sides must
+    stay stable.
     Of two splits that are mirror images under swapping ``v`` and ``w``
     only one is produced: the one whose ``w`` side, read as (genus, loops
     moved, edges moved to each neighbour, legs moved), is not the larger.
@@ -403,7 +404,7 @@ def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
     for v, gv in enumerate(genera):
         head, tail = genera[:v], genera[v + 1 :]
         if gv > 0:
-            yield _graph(head + (gv - 1,) + tail, tuple(sorted(edges + ((v, v),))), legs)
+            yield _graph(head + (gv - 1,) + tail, tuple(sorted(edges + ((v, v),))), legs), (v, v)
 
         rest: list[tuple[int, int]] = []
         nbr: dict[int, int] = {}
@@ -457,7 +458,7 @@ def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
                                     new_legs[i] = w
                             new_legs = tuple(new_legs)
                         new_edges.sort()
-                        yield _graph(new_genera, tuple(new_edges), new_legs)
+                        yield _graph(new_genera, tuple(new_edges), new_legs), (v, w)
 
 
 def _least_labelling(graph: StableGraph) -> tuple[StableGraph, int]:
@@ -506,26 +507,25 @@ def _zero_bridge(graph: StableGraph, zero_sides: frozenset) -> bool:
 
 
 def _walk(g: int, n: int, cap: int, zero_sides: frozenset) -> tuple[StableGraph, ...]:
-    """The degeneration walk to ``cap`` edges, dropping new classes with a bridge side in ``zero_sides``."""
+    """The degeneration walk to ``cap`` edges, dropping children with a bridge side in ``zero_sides``."""
     level = [StableGraph((g,), (), (0,) * n)]
     found = {canonical_key(graph): graph for graph in level}
     for _ in range(cap):
-        children = dict.fromkeys(child for graph in level for child in _degenerations(graph))
+        children = {child: edge for graph in level for child, edge in _degenerations(graph)}
         level = []
-        for child in children:
+        for child, edge in children.items():
+            # Only the new edge can be such a bridge: a kept parent's bridges keep their sides.
+            if zero_sides and child.bridge_side(child.edges.index(edge)) in zero_sides:
+                continue
             key = canonical_key(child)
             if key not in found:
-                # A dropped class is remembered as None, so it is tested once.
-                kept = not (zero_sides and _zero_bridge(child, zero_sides))
-                found[key] = child if kept else None
-                if kept:
-                    level.append(child)
+                found[key] = child
+                level.append(child)
     representatives = []
     for key in sorted(found):
-        if found[key] is not None:
-            graph, orders = _least_labelling(found[key])
-            _set(graph, "_aut", orders * _lifts(graph.edges))
-            representatives.append(graph)
+        graph, orders = _least_labelling(found[key])
+        _set(graph, "_aut", orders * _lifts(graph.edges))
+        representatives.append(graph)
     return tuple(representatives)
 
 

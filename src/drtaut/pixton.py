@@ -55,6 +55,7 @@ from .tautclass import (
 )
 from .weightings import (
     DRVector,
+    EdgeTerms,
     edge_profile_sums,
     key_tables,
     profile_weights,
@@ -183,7 +184,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     admissible.
     """
     dr.require_exact()
-    terms = _x_powers(d)
+    terms = EdgeTerms(_x_powers(d))
     acc: list = []
     for label, graph, b, aut, L, profiles in _graph_templates(dr, d, 0):
         polys, den = profile_weights(graph, dr, profiles, terms, 2 * d + b, label)
@@ -216,7 +217,7 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     then a negative degree raise ``ValueError`` before any fit.
     """
     dr.require_exact()
-    terms = _x_powers(d)
+    terms = EdgeTerms(_x_powers(d))
     fits, bad, differ = 0, [], []
     for label, graph, b, _, _, profiles in _graph_templates(dr, d, 0):
         cap = 2 * d + b

@@ -42,14 +42,14 @@ residue is ``D mod r``, with ``|D|`` below :func:`default_r_min`; a
 parallel class's convolution is a polynomial in its residue and ``r``.
 A loop's sum ``sum_{w<r} w^a (r-w)^b`` is the class of its observable
 and the unit ``(0, 0)`` at residue 0, so each sum is a product of class
-polynomials, with no sampling, and each edge weight is contracted once
-per class and distinct entry.  Otherwise :func:`sampled_profile_weights`
-makes one :func:`certified_fit` per graph: each edge weight times a
-power of ``r`` is one integer table per modulus (:func:`key_tables`),
-and each profile's sum is fitted on consecutive moduli and checked on
-fresh ones.  Both routes give the one format, so they compare
-cross-multiplied by their denominators.  No ``Fraction`` is formed from
-a sample; only the coefficient a caller keeps becomes one.
+polynomials, with no sampling, and each class weight is contracted once
+per graph sum.  Otherwise :func:`sampled_profile_weights` makes one
+:func:`certified_fit` per graph: each edge weight times a power of ``r``
+is one integer table per modulus (:func:`key_tables`), and each
+profile's sum is fitted on consecutive moduli and checked on fresh
+ones.  Both routes give the one format, so they compare cross-multiplied
+by their denominators.  No ``Fraction`` is formed from a sample; only
+the coefficient a caller keeps becomes one.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .graphs import first_betti, require_stable_type
 
 __all__ = [
     "DRVector",
+    "EdgeTerms",
     "key_tables",
     "edge_profile_sums",
     "certified_fit",
@@ -348,10 +349,10 @@ class _Convolved(dict):
 def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence]) -> list:
     """Sums of ``prod_e T_e[w_e]`` over all weightings, for many profiles.
 
-    A profile holds one entry per edge: ``None`` for the factor 1, or a
-    table of ``r`` values indexed by the residue ``w_e`` on the edge's
-    first half-edge ``2t``.  :func:`key_tables` builds the tables of
-    edge weights, such as the ``x_e^p`` of the graph-sum formula.
+    A profile holds one entry per edge: a table of ``r`` values indexed
+    by the residue ``w_e`` on the edge's first half-edge ``2t``.
+    :func:`key_tables` builds the tables of edge weights, such as the
+    ``x_e^p`` of the graph-sum formula.
 
     The sum runs over the graph's simple quotient (:func:`_quotient`,
     built once per graph).  The edges of a parallel class reach the
@@ -362,37 +363,27 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
     keyed on the identities of its tables, so profiles that share table
     objects (as :func:`key_tables` and Chiodo's pushforward do) share
     it, and each entry is computed when first read: the walk reads ``H``
-    only at the residues it visits.  A ``None`` entry absorbs the class
-    congruence, making ``H`` the constant ``r^(#None - 1)`` times the sums
-    of the other tables.  A loop's residue is unconstrained, so it
-    contributes the sum of its table, or ``r`` for ``None``.  All profiles
-    share one walk of the quotient's solutions.
+    only at the residues it visits.  A loop's residue is unconstrained,
+    so it contributes the sum of its table.  All profiles share one walk
+    of the quotient's solutions.
     """
     if r <= 0:
         raise ValueError("modulus must be positive")
     _require_type(graph, dr)
     quotient = _quotient(graph)
     merged: dict[tuple[int, ...], Sequence] = {}  # table ids -> class table
-    factors = []
-    scales = []
+    factors, scales = [], []
     for prof in profiles:
-        scale = 1
-        for t in quotient.loops:
-            scale *= r if prof[t] is None else sum(prof[t])
         pairs = []
         for c, ts in enumerate(quotient.classes):
-            tables = sorted((prof[t] for t in ts if prof[t] is not None), key=id)
-            if len(tables) < len(ts):
-                scale *= r ** (len(ts) - len(tables) - 1) * prod(sum(T) for T in tables)
-                continue
             key: tuple[int, ...] = ()
-            for table in tables:
+            for table in sorted((prof[t] for t in ts), key=id):
                 key += (id(table),)
                 if key not in merged:
                     merged[key] = _Convolved(merged[key[:-1]], table) if len(key) > 1 else table
             pairs.append((c, merged[key]))
         factors.append(pairs)
-        scales.append(scale)
+        scales.append(prod(sum(prof[t]) for t in quotient.loops))
     partial = [0] * len(profiles)
     for residues in _solutions(r, dr, quotient.plan):
         for i, pairs in enumerate(factors):
@@ -617,6 +608,22 @@ def _class_at(observables: tuple[tuple[int, int], ...], residue: int) -> tuple[l
     return out, den
 
 
+class EdgeTerms(dict):
+    """One graph sum's edge weights, ``{key: ((observable, c), ...)}``, and its class weights.
+
+    ``weights`` memoises :func:`_class_weight` by ``(entry, unit, residue,
+    cap)``, all that a class weight depends on besides the terms, over
+    every graph the sum passes to :func:`tree_profile_weights`.  The
+    terms must not change while it lives.
+    """
+
+    __slots__ = ("weights",)
+
+    def __init__(self, terms: Mapping):
+        super().__init__(terms)
+        self.weights: dict = {}
+
+
 def _class_weight(
     entry: tuple, unit: tuple, residue: int, terms: Mapping, cap: int, label: str
 ) -> tuple[list[int], int]:
@@ -670,9 +677,10 @@ def tree_profile_weights(
     being the class of its observable and the unit ``(0, 0)`` at residue
     0.  So a profile's sum is ``r^b``, ``b`` the Betti number, times the
     product of its classes' weights (:func:`_class_weight`), each built
-    once per class and distinct entry of its keys.  Each weight is a
-    polynomial in ``1/r``, so no later factor raises a power of ``r``,
-    and every product keeps only the powers ``r^{-cap}`` to ``r^0``.
+    once per graph sum if ``terms`` is an :class:`EdgeTerms`, else once
+    per call.  Each weight is a polynomial in ``1/r``, so no later factor
+    raises a power of ``r``, and every product keeps only the powers
+    ``r^{-cap}`` to ``r^0``.
 
     Returns ``(weights, den)`` or, for a graph whose quotient has a free
     residue, ``None``.  ``weights`` holds for each profile ``cap + 1``
@@ -689,17 +697,17 @@ def tree_profile_weights(
     if not dr.is_exact:
         return [[0] * (cap + 1) for _ in profiles], 1
     name = _label(graph, label)
+    memo = terms.weights if isinstance(terms, EdgeTerms) else {}
     classes = [((t,), ((0, 0),), 0) for t in quotient.loops]
     classes += zip(quotient.classes, itertools.repeat(()), _class_residues(dr, quotient.plan))
-    tables: list[dict] = [{} for _ in classes]  # per class: entry -> weight
     weights, dens = [], []
     for prof in profiles:
         weight, den = [0] * cap + [1], 1
-        for (ts, unit, residue), table in zip(classes, tables):
-            entry = tuple([prof[t] for t in ts])
-            if entry not in table:
-                table[entry] = _class_weight(entry, unit, residue, terms, cap, name)
-            nums, d = table[entry]
+        for ts, unit, residue in classes:
+            key = (tuple([prof[t] for t in ts]), unit, residue, cap)
+            if key not in memo:
+                memo[key] = _class_weight(key[0], unit, residue, terms, cap, name)
+            nums, d = memo[key]
             weight = _mul_top(weight, nums, cap)
             den *= d
         weights.append(weight)

@@ -127,11 +127,11 @@ def power_tables(r: int, profiles: Sequence[tuple[tuple[int, int], ...]]) -> lis
     ``w^a (r - w)^b`` at the residue ``w`` in ``[0, r)`` on the edge's
     first half-edge (``0^0 = 1``).  ``(p, p)`` is ``x^p`` with
     ``x = w((r-w) mod r)``, Pixton's edge power, and ``(q, 0)`` is ``w^q``.
-    ``(0, 0)`` becomes ``None``; equal observables share one table.
+    ``(0, 0)`` is the all-ones table; equal observables share one table.
     """
-    wanted = {ab for prof in profiles for ab in prof if ab != (0, 0)}
+    wanted = {ab for prof in profiles for ab in prof}
     tables = {(a, b): [w**a * (r - w) ** b for w in range(r)] for a, b in wanted}
-    return [tuple(tables.get(ab) for ab in prof) for prof in profiles]
+    return [tuple(tables[ab] for ab in prof) for prof in profiles]
 
 
 def sampled_sums(graph, dr: DRVector, observables: Sequence[tuple]) -> list[RPoly]:
@@ -385,12 +385,11 @@ def half_edge_values(residues: Sequence[int], r: int, dr: DRVector) -> tuple[int
 def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence]) -> list:
     """Sums of ``prod_e T_e[w_e]`` over all weightings, for many profiles.
 
-    A profile holds one entry per edge: ``None`` for the factor 1, or a
-    table of ``r`` values indexed by the residue ``w_e`` on the edge's
-    first half-edge ``2t``.  All profiles share one enumeration; a loop's
-    residue is unconstrained, so it contributes the sum of its table, or
-    ``r`` for ``None``.  :func:`power_tables` builds the ``x_e^p`` tables
-    of the graph-sum formula.
+    A profile holds one entry per edge: a table of ``r`` values indexed
+    by the residue ``w_e`` on the edge's first half-edge ``2t``.  All
+    profiles share one enumeration; a loop's residue is unconstrained, so
+    it contributes the sum of its table.  :func:`power_tables` builds the
+    ``x_e^p`` tables of the graph-sum formula.
     """
     if r <= 0:
         raise ValueError("modulus must be positive")
@@ -399,7 +398,7 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
     plan = _solve_plan(graph, graph.edges)
     loops = [t for t, (u, v) in enumerate(graph.edges) if u == v]
     factors = [
-        [(2 * t, table) for t, table in enumerate(prof) if table is not None and t not in loops]
+        [(2 * t, table) for t, table in enumerate(prof) if t not in loops]
         for prof in profiles
     ]
     partial = [0] * len(profiles)
@@ -413,7 +412,7 @@ def edge_profile_sums(graph, r: int, dr: DRVector, profiles: Sequence[Sequence])
     out = []
     for total, prof in zip(partial, profiles):
         for t in loops:
-            total *= r if prof[t] is None else sum(prof[t])
+            total *= sum(prof[t])
         out.append(total)
     return out
 

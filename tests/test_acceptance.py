@@ -369,9 +369,9 @@ def test_c11_weighting_oracle():
                 observables = [tuple((p, p) for p in prof) for prof in profiles]
                 assert edge_profile_sums(graph, r, dr, power_tables(r, observables)) == brute_sums
                 # Tables that are not symmetric under w <-> r - w.
-                tables = [None, [w * w + 1 for w in range(r)], [w**3 + 2 for w in range(r)]]
+                tables = [[1] * r, [w * w + 1 for w in range(r)], [w**3 + 2 for w in range(r)]]
                 brute_sums = [
-                    sum(math.prod(tables[p][w[2 * t]] for t, p in enumerate(prof) if p) for w in brute)
+                    sum(math.prod(tables[p][w[2 * t]] for t, p in enumerate(prof)) for w in brute)
                     for prof in profiles
                 ]
                 chosen = [[tables[p] for p in prof] for prof in profiles]

@@ -267,6 +267,20 @@ class TestRecord:
 ORACLE_TYPES = [(g, n) for g in range(4) for n in range(8) if 0 < 2 * g - 2 + n <= 5]
 
 
+def contract(graph: StableGraph, edge: tuple[int, int]) -> StableGraph:
+    """``graph`` with one copy of ``edge`` contracted: a loop adds a genus, else ``v`` merges into ``u``."""
+    u, v = edge
+    edges = list(graph.edges)
+    edges.remove(edge)
+    genera = list(graph.genera)
+    if u == v:
+        genera[u] += 1
+        return StableGraph(genera, edges, graph.legs)
+    genera[u] += genera.pop(v)
+    new = [u if x == v else x - (x > v) for x in range(graph.n_vertices)]
+    return StableGraph(genera, [(new[a], new[b]) for a, b in edges], [new[x] for x in graph.legs])
+
+
 def shuffled(graph: StableGraph, rng: random.Random) -> StableGraph:
     perm = list(range(graph.n_vertices))
     rng.shuffle(perm)
@@ -301,7 +315,12 @@ class TestAgainstOracles:
         rng = random.Random(f"degenerations {g} {n}")
         for graph in enumerate_stable_graphs(g, n):
             for parent in (graph, shuffled(graph, rng)):
-                assert Counter(_degenerations(parent)) == Counter(oracles.degenerations(parent)), parent
+                children = list(_degenerations(parent))
+                got = Counter(child for child, _ in children)
+                assert got == Counter(oracles.degenerations(parent)), parent
+                # Each child comes with its new edge, which contracts it back to the parent.
+                for child, edge in children:
+                    assert canonical_key(contract(child, edge)) == canonical_key(parent), (parent, child)
 
     @pytest.mark.parametrize("g, n", [(0, 6), (1, 4), (2, 2), (3, 0)])
     def test_graph_to_json(self, g, n):

@@ -293,6 +293,27 @@ class TestZeroBridge:
         plans = weightings._quotient.cache_info().currsize
         assert plans == sum(1 for _ in _graph_templates(dr, 3, 0)) == 220
 
+    def test_pruned_walk_keys_no_dropped_child(self, monkeypatch):
+        # The walk tests a child's new edge before its canonical key, so it
+        # keys no graph with a bridge of residue 0: 365 keys for
+        # dr_cycle(3, (2,-1,-1))'s pruned walk to 3 edges, where keying
+        # every child of a kept graph took 541; the full walk takes 825.
+        dr = DRVector(3, (2, -1, -1))
+        keyed = []
+        real = graphs.canonical_key
+
+        def spy(graph):
+            keyed.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(graphs, "canonical_key", spy)
+        assert len(graphs._walk(3, 3, 3, pixton._zero_sides(dr, 0))) == 220
+        assert not any(zero_bridge(graph, dr, 0) for graph in keyed)
+        pruned = len(keyed)
+        keyed.clear()
+        assert len(graphs._walk(3, 3, 3, frozenset())) == 457
+        assert (pruned, len(keyed)) == (365, 825)
+
     def test_pixton_class_filters_a_cached_full_walk(self, monkeypatch):
         # After chiodo_constant has walked every graph of the type and cap,
         # pixton_class filters that walk and degenerates no graph again.

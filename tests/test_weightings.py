@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from drtaut import weightings
 from drtaut.exact import RPoly, forward_differences, newton_numerators
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
-from drtaut.chiodo import _Numerators, _edge_factor_polys
+from drtaut.chiodo import _Numerators, _edge_factor_polys, chiodo_constant
 from drtaut.weightings import (
     DRVector,
+    EdgeTerms,
     certified_fit,
     default_r_min,
     edge_profile_sums,
@@ -21,7 +22,7 @@ from drtaut.weightings import (
     sampled_profile_weights,
     tree_profile_weights,
 )
-from drtaut.pixton import _graph_templates, _x_powers
+from drtaut.pixton import _graph_templates, _x_powers, dr_cycle
 
 from oracles import certified_fit as oracle_certified_fit
 from oracles import edge_profile_sums as direct_profile_sums
@@ -148,9 +149,9 @@ def brute_profile_sum(graph, r, dr, profile):
 
 
 def brute_table_sum(graph, r, dr, tables):
-    """``sum_w prod_e T_e[w(2t)]`` over the brute-force weightings, ``None`` being 1."""
+    """``sum_w prod_e T_e[w(2t)]`` over the brute-force weightings."""
     return sum(
-        math.prod(table[values[2 * t]] for t, table in enumerate(tables) if table is not None)
+        math.prod(table[values[2 * t]] for t, table in enumerate(tables))
         for values in brute_weightings(graph, r, dr)
     )
 
@@ -281,7 +282,7 @@ class TestLatticeSums:
             for r in rs:
                 sums = edge_profile_sums(graph, r, dr, power_tables(r, [xp(*p) for p in profiles]))
                 assert sums == [brute_profile_sum(graph, r, dr, p) for p in profiles]
-                tables = [None, [w * w + 1 for w in range(r)], [w**3 + 2 * w + 3 for w in range(r)]]
+                tables = [[1] * r, [w * w + 1 for w in range(r)], [w**3 + 2 * w + 3 for w in range(r)]]
                 chosen = [[tables[p] for p in prof] for prof in profiles]
                 sums = edge_profile_sums(graph, r, dr, chosen)
                 assert sums == [brute_table_sum(graph, r, dr, t) for t in chosen]
@@ -305,7 +306,7 @@ class TestLatticeSums:
     def test_rejects_bad_input(self, r, genus, parts, message):
         graph = StableGraph([0], [(0, 0)], [0, 0])
         with pytest.raises(ValueError, match=message):
-            edge_profile_sums(graph, r, DRVector(genus, parts), [(None,)])
+            edge_profile_sums(graph, r, DRVector(genus, parts), [([1] * r,)])
         if r > 0:
             with pytest.raises(ValueError, match=message):
                 fitted(graph, DRVector(genus, parts), [xp(1)])
@@ -324,11 +325,11 @@ class TestQuotient:
 
     @staticmethod
     def table_pool(r):
-        # None, shared power tables, tables not symmetric under w <-> r - w,
-        # and Fraction tables.
+        # The unit table, shared power tables, tables not symmetric under
+        # w <-> r - w, and Fraction tables.
         x1, x2 = power_tables(r, [xp(1, 2)])[0]
         return [
-            None,
+            [1] * r,
             x1,
             x2,
             [w * w + 1 for w in range(r)],
@@ -689,6 +690,53 @@ class TestExactProfiles:
         for graph, dr in [(TRIANGLE, DRVector(1, (1, 1, -2))), (BANANA3_G0G1, DRVector(3, ()))]:
             assert profile_weights(graph, dr, [], {}, 4) == ([], 1)
             assert sampled_profile_weights(graph, dr, [], {}, 4) == ([], 1)
+
+    def test_shared_memo_matches_per_call(self):
+        # One memo of class weights shared by every tree graph, twist and
+        # cap, as a graph sum shares it, gives the weights a plain mapping
+        # contracts afresh on each call: Pixton's x^{m+1} at cap 2d + b for
+        # d = E + 2, and Chiodo's multi-term (q, 0) keys of degree at most
+        # 1 at cap 2(E + 1), and both at cap 1, which cuts off the lower
+        # powers of 1/r.  The residues differ by twist and the caps by graph
+        # and call, so a memo key missing either shows.
+        factors = _Numerators(dict(_edge_factor_polys(1)))
+        chiodo = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()}
+        shared = {"pixton": EdgeTerms(_x_powers(8)), "chiodo": EdgeTerms(chiodo)}
+        for g, n in [(3, 0), (2, 2), (1, 3)]:
+            for graph in self.tree_graphs(g, n):
+                E, b = graph.n_edges, first_betti(graph)
+                powers = [m for m in itertools.product(range(3), repeat=E) if sum(m) <= 2]
+                pairs = itertools.product(sorted(chiodo), repeat=E)
+                cases = [
+                    ("pixton", powers, 2 * E + 4 + b),
+                    ("chiodo", [p for p in pairs if sum(map(sum, p)) <= 1], 2 * E + 2),
+                ]
+                for k in (-1, 0, 1, 2):
+                    dr = DRVector(g, balanced_parts(g, n, k), twist=k)
+                    for name, profiles, top in cases:
+                        for cap in (1, top):
+                            got = tree_profile_weights(graph, dr, profiles, shared[name], cap)
+                            terms = dict(shared[name])
+                            fresh = tree_profile_weights(graph, dr, profiles, terms, cap)
+                            assert got == fresh, (graph, dr, name, cap)
+        assert all(memo.weights for memo in shared.values())
+
+    def test_class_weights_contracted_once_per_sum(self, monkeypatch):
+        # Each distinct (entry, unit, residue, cap) is contracted once per
+        # graph sum, however many of its graphs share it.
+        calls = []
+        real = weightings._class_weight
+
+        def spy(entry, unit, residue, terms, cap, label):
+            calls.append((entry, unit, residue, cap))
+            return real(entry, unit, residue, terms, cap, label)
+
+        monkeypatch.setattr(weightings, "_class_weight", spy)
+        dr_cycle(DRVector(3, (2, -1, -1)))
+        assert len(calls) == len(set(calls)) == 55
+        calls.clear()
+        chiodo_constant(DRVector(2, (1, -1)), 3)
+        assert len(calls) == len(set(calls)) == 38
 
     def test_half_edge_monomial_single_edge(self):
         # One bridge: the residue at its first half-edge is D mod r, so
