@@ -43,18 +43,18 @@ is formed, and only the constant terms become decorated graphs.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exact import RPoly, _over_common_denominator, bernoulli_number, bernoulli_poly
+from .exact import RPoly, bernoulli_number, bernoulli_poly
 from .graphs import StableGraph, automorphism_order, enumerate_stable_graphs, require_stable_type
 from .pixton import pixton_class
 from .tautclass import (
     DecoratedGraph,
     TautClass,
+    _Numerators,
     emit_series,
     graph_sum_data,
     series_edge_mul,
@@ -185,22 +185,9 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int) -> TautClass:
     for _, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
         sums = edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
         weights = {prof: s for prof, s in zip(profiles, sums) if s}
-        series = series_edge_mul(L, graph, weights, d)
-        emit_series(acc, graph, series, Fraction(r) ** (2 * dr.genus - 1 - b) / aut)
+        scale = aut / Fraction(r) ** (2 * dr.genus - 1 - b)
+        emit_series(acc, graph, series_edge_mul(L, graph, weights, d), scale)
     return TautClass(dr.genus, dr.n, acc)
-
-
-class _Numerators(dict):
-    """Integer coefficient lists by key, all over the one denominator ``den``."""
-
-    __slots__ = ("den",)
-
-    def __init__(self, polys: dict):
-        """Put each value of ``polys``, an :class:`RPoly` or a rational, over the least ``den``."""
-        coeffs = {key: p.coeffs if isinstance(p, RPoly) else (p,) for key, p in polys.items()}
-        nums, self.den = _over_common_denominator([c for cs in coeffs.values() for c in cs])
-        it = iter(nums)
-        super().__init__((key, list(itertools.islice(it, len(cs)))) for key, cs in coeffs.items())
 
 
 def _dot(xs, ys) -> int:
@@ -210,8 +197,9 @@ def _dot(xs, ys) -> int:
 def _constant_series(dr: DRVector, d: int):
     """Each graph's terms of :func:`chiodo_constant`, before canonicalisation.
 
-    Yields ``(graph, {monomial: coefficient})``, in the order of
-    :func:`_graph_series`, with the zero coefficients left out.
+    Yields ``(graph, {monomial: total}, scale)``, in the order of
+    :func:`_graph_series`: each coefficient is an integer total over the
+    graph's integer scale, the zero ones left out.
     """
     dr.require_exact()
     # Every edge factor over one denominator, so that a profile's is over its power.
@@ -232,9 +220,8 @@ def _constant_series(dr: DRVector, d: int):
         # v^{2d} coefficient.
         polys, den = profile_weights(graph, dr, profiles, terms, top, name)
         weights = {prof: w for prof, w in zip(profiles, polys) if any(w)}
-        totals = series_edge_mul(L, graph, weights, d, times=_dot)
         scale = den * factors.den**graph.n_edges * L.den * aut
-        yield graph, {mono: Fraction(total, scale) for mono, total in totals.items()}
+        yield graph, series_edge_mul(L, graph, weights, d, _dot), scale
 
 
 def chiodo_constant(dr: DRVector, d: int) -> TautClass:
@@ -263,13 +250,15 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     contract into integer weight vectors, from ``r^0`` to ``r^{2d}``, over
     one scale per graph, the exponential is put over one denominator once
     per vertex and edge count, and each monomial's ``v^{2d}`` coefficient
-    is an integer dot product, divided once by the scale, that
-    denominator and ``|Aut|``.
-    The terms merge under isomorphism as any class does.
+    is an integer dot product.  The one integer emit that Pixton's sums
+    share (:func:`~drtaut.tautclass.emit_series`) divides it once by the
+    scale, that denominator and ``|Aut|``, and relabels the graph's terms
+    through one vertex order.  The terms merge under isomorphism as any
+    class does.
     """
     acc: list = []
-    for graph, series in _constant_series(dr, d):
-        emit_series(acc, graph, series, Fraction(1))
+    for graph, totals, scale in _constant_series(dr, d):
+        emit_series(acc, graph, totals, scale)
     return TautClass(dr.genus, dr.n, acc)
 
 
@@ -282,7 +271,7 @@ def verify_samefreeterm(dr: DRVector, d: int) -> tuple[bool, str]:
     the check fails (and is empty otherwise).
     """
     left = chiodo_constant(dr, d)
-    right = pixton_class(dr, d).scale(Fraction(1, 2**d))
+    right = pixton_class(dr, d)._scale_in_place(Fraction(1, 2**d))
     ok = left.formal_equal(right)
     return ok, ("" if ok else left.diff_report(right))
 

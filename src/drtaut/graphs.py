@@ -318,6 +318,41 @@ def canonical_key(graph: StableGraph) -> bytes:
     return repr((g2, plain, legs2)).encode()
 
 
+def _vertex_order(graph: StableGraph):
+    """The relabelling every decoration of ``graph`` shares, or ``None`` if two plain colours tie.
+
+    A vertex's decorated colour extends its plain colour ``(genus,
+    markings)``, and markings sit on one vertex each, so sorting by it only
+    breaks ties of the plain order: without one, that order is canonical
+    for every decoration.  Returns ``(order, genera, legs, plan, graph)``
+    relabelled, ``plan`` holding each edge's new ends and whether its psi
+    pair swaps (1) or, on a loop, is sorted (2).
+    """
+    genera, legs = graph.genera, graph.legs
+    marks: list[list[int]] = [[] for _ in genera]
+    for i, v in enumerate(legs):
+        marks[v].append(i)
+    colors = [(gv, tuple(m)) for gv, m in zip(genera, marks)]
+    order = sorted(range(len(genera)), key=colors.__getitem__)
+    if any(colors[u] == colors[v] for u, v in zip(order, order[1:])):
+        return None
+    pos = [0] * len(order)
+    for slot, v in enumerate(order):
+        pos[v] = slot
+    plan = [
+        (pos[v], pos[u], 1) if pos[u] > pos[v] else (pos[u], pos[v], 2 * (u == v)) for u, v in graph.edges
+    ]
+    new_genera, new_legs = tuple(genera[v] for v in order), tuple(pos[v] for v in legs)
+    new_graph = _graph(new_genera, tuple(sorted(p[:2] for p in plan)), new_legs)
+    return order, new_genera, new_legs, plan, new_graph
+
+
+# The graph last relabelled and its _vertex_order.  A graph sum passes the
+# terms of one graph in a row, so one entry serves them all; the entry holds
+# the graph itself, so the identity test never meets a reused id.
+_last_order: list = [None, None]
+
+
 def canonical_form_decorated(
     graph: StableGraph,
     leg_psi: tuple[int, ...],
@@ -330,19 +365,31 @@ def canonical_form_decorated(
     the exponents on the two halves of edge ``t`` in layout order; ``kappa[v]``
     a sorted tuple of kappa indices at vertex ``v``.  Returns the relabeled
     ``(graph, leg_psi, edge_psi, kappa, key)`` with decorations re-expressed
-    in the new graph's layout.
+    in the new graph's layout.  The terms of one graph passed in a row share
+    one vertex order (:func:`_vertex_order`); where it has a tie, the
+    decorations choose among the orders.
     """
     kappa = tuple(tuple(sorted(k)) for k in kappa)
-    new_genera, records, new_legs, new_leg_psi, new_kappa = _canonical_data(
-        graph.genera, graph.edges, graph.legs, leg_psi, edge_psi, kappa
-    )
-    # The records are sorted, so their leading pairs are the normalized
-    # edge list; within a group of parallel edges the records themselves
-    # are sorted, fixing the order of psi pairs.
-    new_graph = _graph(new_genera, tuple((a, b) for a, b, _, _ in records), new_legs)
+    if graph is not _last_order[0]:
+        _last_order[:] = graph, _vertex_order(graph)
+    if _last_order[1] is None:
+        new_genera, records, new_legs, _, new_kappa = _canonical_data(
+            graph.genera, graph.edges, graph.legs, leg_psi, edge_psi, kappa
+        )
+        # The records are sorted, so their leading pairs are the normalized
+        # edge list; within a group of parallel edges the records themselves
+        # are sorted, fixing the order of psi pairs.
+        new_graph = _graph(new_genera, tuple((a, b) for a, b, _, _ in records), new_legs)
+    else:
+        order, new_genera, new_legs, plan, new_graph = _last_order[1]
+        records = tuple(sorted([
+            (a, b, pv, pu) if how == 1 or (how and pu > pv) else (a, b, pu, pv)
+            for (a, b, how), (pu, pv) in zip(plan, edge_psi)
+        ]))
+        new_kappa = tuple(kappa[v] for v in order)
     new_edge_psi = tuple((pu, pv) for _, _, pu, pv in records)
-    key = repr((new_genera, records, new_legs, new_leg_psi, new_kappa)).encode()
-    return new_graph, new_leg_psi, new_edge_psi, new_kappa, key
+    key = repr((new_genera, records, new_legs, leg_psi, new_kappa)).encode()
+    return new_graph, leg_psi, new_edge_psi, new_kappa, key
 
 
 def automorphism_order(graph: StableGraph) -> int:

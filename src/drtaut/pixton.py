@@ -14,7 +14,11 @@ weighted by ``1 / (|Aut| r^b)``.  Only the edge factors depend on the
 weighting, so each graph is assembled once: the weighting sum of
 ``prod_e x_e^{m_e+1}`` weights the edge monomials of each exponent profile
 ``m``, and one series product with the vertex and leg exponential gives
-the graph's terms.  A graph with a bridge whose residue, forced by the
+the graph's terms.  The product runs on integers, the edge powers over
+``(d+1)!``, the weights over one denominator and the exponential over its
+own, so each term's coefficient is one ``Fraction``, formed in the emit
+Chiodo's constant term shares (:func:`~drtaut.tautclass.emit_series`).
+A graph with a bridge whose residue, forced by the
 data, is 0 has ``x = 0`` on that bridge at every weighting, so it adds
 nothing.  That residue depends only on the bridge's sides, and a
 degeneration keeps every bridge with its sides, so the enumeration is
@@ -27,7 +31,8 @@ polynomial exactly, times a power of ``1/r``: in closed form when the
 graph's simple quotient is a tree, and by a certified fit on sampled
 moduli otherwise.  ``DR_g(A) = 2^{-g}``
 times the degree-g class, and the Hodge class expression is
-``lambda_g = (-1)^g DR_g(0, ..., 0)``.
+``lambda_g = (-1)^g DR_g(0, ..., 0)``; both scale the class just built
+in place.
 
 Genus 0 and genus 1 admit closed forms with no weighting enumeration at
 all (trees have a unique weighting whose edge products have constant term
@@ -46,6 +51,7 @@ from .graphs import StableGraph, enumerate_stable_graphs, require_stable_type
 from .tautclass import (
     DecoratedGraph,
     TautClass,
+    _Numerators,
     delta0,
     delta_I,
     emit_series,
@@ -80,27 +86,29 @@ def _vertex_leg_series(graph: StableGraph, dr: DRVector, cap: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _edge_power(m: int) -> tuple:
-    """``(-1)^m (psi_h + psi_h')^m / (m+1)!`` as ``((i, m - i), coefficient)`` pairs."""
-    sign = (-1) ** m
-    return tuple(((i, m - i), Fraction(sign * comb(m, i), factorial(m + 1))) for i in range(m + 1))
+def _edge_power(m: int, d: int) -> tuple:
+    """``(-1)^m (psi_h + psi_h')^m / (m+1)!`` as ``((i, m - i), numerator)`` pairs over ``(d+1)!``."""
+    top = factorial(d + 1) // factorial(m + 1)
+    return tuple(((i, m - i), (-1) ** m * comb(m, i) * top) for i in range(m + 1))
 
 
-def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict) -> None:
-    """Emit one graph's degree-d terms, its edge profiles weighted by ``weights``.
+def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict, den: int) -> None:
+    """Emit one graph's degree-d terms, its edge profiles weighted by ``weights`` over ``den``.
 
-    ``weights`` maps edge-exponent profiles ``m`` to rationals ``w_m``; the
+    ``weights`` maps edge-exponent profiles ``m`` to integers ``w_m``; the
     edge series ``sum_m w_m prod_e (-1)^{m_e} s_e^{m_e} / (m_e+1)!``, with
-    ``s_e = psi_h + psi_h'``, is expanded straight into edge monomials and
-    multiplied once by the vertex and leg exponential ``L``
+    ``s_e = psi_h + psi_h'``, is expanded straight into edge monomials with
+    integer weights over ``den (d+1)!^E`` and multiplied once by the vertex
+    and leg exponential ``L``, over its one denominator
     (:func:`~drtaut.tautclass.series_edge_mul`).
     """
     edges = {}
     for m, w in weights.items():
         if w:
-            for choice in itertools.product(*map(_edge_power, m)):
+            for choice in itertools.product(*(_edge_power(k, d) for k in m)):
                 edges[tuple(pair for pair, _ in choice)] = w * prod(c for _, c in choice)
-    emit_series(acc, graph, series_edge_mul(L, graph, edges, d), Fraction(1))
+    scale = den * factorial(d + 1) ** graph.n_edges * L.den
+    emit_series(acc, graph, series_edge_mul(L, graph, edges, d), scale)
 
 
 def _zero_sides(dr: DRVector, r: int) -> frozenset:
@@ -129,7 +137,8 @@ def _graph_templates(dr: DRVector, d: int, r: int | None = None):
 
     Yields ``(label, graph, b_1, |Aut|, L, profiles)``: the label names the
     data and the graph's index among the graphs yielded, ``L`` is the
-    vertex and leg exponential (:func:`_vertex_leg_series`) and the
+    vertex and leg exponential (:func:`_vertex_leg_series`), over one
+    denominator, and the
     profiles are edge exponent tuples ``m``, of degree ``|m|``.  Given a
     modulus ``r`` (0 for the r-free sum), the graphs with a bridge of
     residue 0 there are left out of the enumeration (:func:`_zero_sides`);
@@ -138,7 +147,7 @@ def _graph_templates(dr: DRVector, d: int, r: int | None = None):
     """
 
     def exponential(graph, cap):
-        return _vertex_leg_series(graph, dr, cap)
+        return _Numerators(_vertex_leg_series(graph, dr, cap), polys=False)
 
     edge_keys = {m: m for m in range(d + 1)}
     zero_sides = frozenset() if r is None or d == 0 else _zero_sides(dr, r)
@@ -167,8 +176,7 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     acc: list = []
     for _, graph, b, aut, L, profiles in _graph_templates(dr, d, r):
         sums = edge_profile_sums(graph, r, dr, [[tables[k] for k in m] for m in profiles])
-        weights = {m: Fraction(s, aut * r**b) for m, s in zip(profiles, sums)}
-        _emit_graph(acc, graph, L, d, weights)
+        _emit_graph(acc, graph, L, d, dict(zip(profiles, sums)), aut * r**b)
     return TautClass(dr.genus, dr.n, acc)
 
 
@@ -193,8 +201,8 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
             low = 2 * (d - sum(m) - len(m))  # the sum's r^j is at low + j
             if any(poly[low : low + b]):
                 raise ValueError(f"weighting sum not divisible by r^{b} on {label} profile {m}")
-            weights[m] = Fraction(poly[low + b], den * aut)
-        _emit_graph(acc, graph, L, d, weights)
+            weights[m] = poly[low + b]
+        _emit_graph(acc, graph, L, d, weights, den * aut)
     return TautClass(dr.genus, dr.n, acc)
 
 
@@ -246,13 +254,13 @@ def dr_cycle(dr: DRVector) -> TautClass:
     """
     if dr.twist != 0:
         raise ValueError("the cycle is defined for untwisted data (k = 0)")
-    return pixton_class(dr, dr.genus).scale(Fraction(1, 2**dr.genus))
+    return pixton_class(dr, dr.genus)._scale_in_place(Fraction(1, 2**dr.genus))
 
 
 def lambda_expression(g: int, n: int = 0) -> TautClass:
     """Hodge class expression ``(-1)^g`` times the cycle for the zero vector."""
     require_stable_type(g, n)
-    return dr_cycle(DRVector(g, (0,) * n)).scale(Fraction((-1) ** g))
+    return pixton_class(DRVector(g, (0,) * n), g)._scale_in_place(Fraction((-1) ** g, 2**g))
 
 
 # -- closed-form oracles ----------------------------------------------
@@ -281,7 +289,8 @@ def genus0_closed(A: Sequence[int], d: int) -> TautClass:
             for m in itertools.product(range(cap + 1), repeat=graph.n_edges)
             if sum(m) <= cap
         }
-        _emit_graph(acc, graph, _vertex_leg_series(graph, DRVector(0, A), cap), d, weights)
+        L = _Numerators(_vertex_leg_series(graph, DRVector(0, A), cap), polys=False)
+        _emit_graph(acc, graph, L, d, weights, 1)
     return TautClass(0, n, acc)
 
 

@@ -35,7 +35,9 @@ from .graphs import (
     require_stable_type,
     validate,
 )
-from .exact import rat_from_str, rat_to_str
+from .exact import RPoly, _over_common_denominator, rat_from_str, rat_to_str
+
+_new = object.__new__
 
 __all__ = [
     "DecoratedGraph",
@@ -80,12 +82,18 @@ class DecoratedGraph:
             raise ValueError("psi exponents must be non-negative")
         if any(m < 1 for k in kappa for m in k):
             raise ValueError("kappa indices must be >= 1")
-        cg, clp, cep, ck, key = canonical_form_decorated(graph, leg_psi, edge_psi, kappa)
-        self.graph = cg
-        self.leg_psi = clp
-        self.edge_psi = cep
-        self.kappa = ck
-        self.key = key
+        self.graph, self.leg_psi, self.edge_psi, self.kappa, self.key = canonical_form_decorated(
+            graph, leg_psi, edge_psi, kappa
+        )
+
+    @classmethod
+    def _from_series(cls, graph: StableGraph, leg_psi, edge_psi, kappa) -> "DecoratedGraph":
+        """A series monomial's term: its tuples are valid decorations of ``graph`` already."""
+        dg = _new(cls)
+        dg.graph, dg.leg_psi, dg.edge_psi, dg.kappa, dg.key = canonical_form_decorated(
+            graph, leg_psi, edge_psi, kappa
+        )
+        return dg
 
     @property
     def degree(self) -> int:
@@ -171,7 +179,7 @@ class TautClass:
         # first pairing; every change to the terms clears it.
         self._pair_index = None
         for dg, coeff in terms:
-            self._accumulate(dg, Fraction(coeff))
+            self._accumulate(dg, coeff if coeff.__class__ is Fraction else Fraction(coeff))
 
     def _accumulate(self, dg: DecoratedGraph, coeff: Fraction) -> None:
         if coeff == 0:
@@ -225,7 +233,21 @@ class TautClass:
 
     def scale(self, c: Fraction) -> "TautClass":
         c = Fraction(c)
-        return TautClass(self.g, self.n, ((dg, c * v) for dg, v in self.terms.values()))
+        out = TautClass(self.g, self.n)
+        if c:
+            out.terms = {key: (dg, c * v) for key, (dg, v) in self.terms.items()}
+        return out
+
+    def _scale_in_place(self, c: Fraction) -> "TautClass":
+        """Multiply every coefficient by the nonzero ``c`` and return the class itself.
+
+        For a class no caller holds yet, so that normalising it builds no copy.
+        """
+        self._pair_index = None
+        terms = self.terms
+        for key, (dg, v) in terms.items():
+            terms[key] = dg, c * v
+        return self
 
     def __add__(self, other):
         if not isinstance(other, TautClass):
@@ -389,12 +411,16 @@ def delta_I(n: int, I: Iterable[int]) -> TautClass:
 #
 # Working space for building class contributions graph by graph.  A
 # monomial is (leg psi exponents, edge psi exponent pairs, kappa multisets);
-# a series maps monomials to rational coefficients, truncated above a
-# degree cap.  Edges contribute no degree here: series degree is psi plus
-# kappa weight only, the edge count being fixed by the host graph.  Every
-# graph sum walks ``graph_sum_data`` and builds each graph once: one
-# ``series_edge_mul`` of its weighted edge monomials by the vertex and leg
-# exponential into the one degree it needs, then ``emit_series``.
+# a series maps monomials to coefficients, truncated above a degree cap.
+# Edges contribute no degree here: series degree is psi plus kappa weight
+# only, the edge count being fixed by the host graph.  Every graph sum walks
+# ``graph_sum_data`` and builds each graph once, in integers: its edge
+# monomials carry integer weights over one scale per graph, the vertex and
+# leg exponential is put over one denominator once per vertex and edge
+# count (``_Numerators``), and one ``series_edge_mul`` multiplies them into
+# the one degree it needs.  ``emit_series`` then divides each monomial once
+# and relabels it through the graph's one vertex order
+# (``canonical_form_decorated``).
 
 Monomial = tuple
 
@@ -422,14 +448,11 @@ def _monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return legs, edges, kappa
 
 
-def series_degree_mul(a: dict, b: dict, d: int, times: Callable = operator.mul) -> dict:
+def series_degree_mul(a: dict, b: dict, d: int) -> dict:
     """The degree-``d`` part of ``a * b``.
 
     ``b`` is grouped by degree once, and each monomial of ``a`` meets only
-    the monomials of ``b`` of the complementary degree.  ``times`` gives
-    the product of two coefficients; the default multiplies them, and a
-    caller whose coefficients are vectors can keep one number of each
-    product instead.
+    the monomials of ``b`` of the complementary degree.
     """
     by_degree: dict = {}
     for m2, c2 in b.items():
@@ -438,7 +461,7 @@ def series_degree_mul(a: dict, b: dict, d: int, times: Callable = operator.mul) 
     for m1, c1 in a.items():
         for m2, c2 in by_degree.get(d - monomial_degree(m1), ()):
             m = _monomial_mul(m1, m2)
-            out[m] = out.get(m, 0) + times(c1, c2)
+            out[m] = out.get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -532,18 +555,52 @@ def series_edge_mul(
     """The degree-``d`` terms of ``graph`` in ``L`` times its edge monomials.
 
     ``edges`` maps tuples of psi exponent pairs, one pair per edge, to
-    coefficients; one :func:`series_degree_mul` keeps psi and kappa degree
-    ``d - n_edges``.  ``times`` is passed on.
+    coefficients.  ``L`` is a vertex and leg series, with no edge psi, so
+    the product of one of its monomials by an edge monomial of the
+    complementary degree only sets the edge pairs, and no two products
+    share a monomial.  ``times`` gives the product of two coefficients (the
+    default multiplies them; a caller whose coefficients are vectors can
+    keep one number of each product), and zero products are left out.
     """
-    legs, kappa = (0,) * graph.n_legs, ((),) * graph.n_vertices
-    monomials = {(legs, pairs, kappa): c for pairs, c in edges.items()}
-    return series_degree_mul(L, monomials, d - graph.n_edges, times)
+    by_degree: dict = {}
+    for pairs, c in edges.items():
+        by_degree.setdefault(sum(a + b for a, b in pairs), []).append((pairs, c))
+    part, out = d - graph.n_edges, {}
+    for mono, c1 in L.items():
+        legs, _, kappa = mono
+        for pairs, c2 in by_degree.get(part - monomial_degree(mono), ()):
+            if c := times(c1, c2):
+                out[legs, pairs, kappa] = c
+    return out
 
 
-def emit_series(acc: list, graph: StableGraph, x: dict, scalar: Fraction) -> None:
-    """Append ``scalar`` times each monomial of ``x`` on ``graph`` to ``acc`` as a term."""
-    for (legs, edges, kappa), c in x.items():
-        acc.append((DecoratedGraph(graph, legs, edges, kappa), scalar * c))
+class _Numerators(dict):
+    """Integer numerators by key, all over the one denominator ``den``.
+
+    Each :class:`~drtaut.exact.RPoly` value becomes the list of its
+    coefficients' numerators, and each rational a one-item list, or one
+    integer when ``polys`` is false.
+    """
+
+    __slots__ = ("den",)
+
+    def __init__(self, values: dict, polys: bool = True):
+        coeffs = {key: v.coeffs if isinstance(v, RPoly) else (v,) for key, v in values.items()}
+        nums, self.den = _over_common_denominator([c for cs in coeffs.values() for c in cs])
+        it = iter(nums)
+        super().__init__(
+            (key, list(itertools.islice(it, len(cs))) if polys else next(it)) for key, cs in coeffs.items()
+        )
+
+
+def emit_series(acc: list, graph: StableGraph, totals: dict, scale) -> None:
+    """Append each monomial of ``totals`` on ``graph`` to ``acc`` as a term, its total over ``scale``.
+
+    A graph sum in integers passes integer totals over one integer scale
+    per graph, so each coefficient is one ``Fraction`` division.
+    """
+    new = DecoratedGraph._from_series
+    acc.extend((new(graph, *mono), Fraction(total, scale)) for mono, total in totals.items())
 
 
 def psi_leg_monomial(graph: StableGraph, i: int, e: int = 1) -> Monomial:

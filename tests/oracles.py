@@ -3,7 +3,9 @@
 ``canonical_data`` searches every vertex order compatible with the vertex
 colors for the least edge encoding, building each vertex's color by a
 scan of all legs; the library builds the colors in one pass and takes the
-one order of all-singleton color blocks directly.  ``automorphism_order``
+one order of all-singleton color blocks directly, and for a decorated
+graph whose plain ``(genus, markings)`` colors do not tie it finds that
+order once for all the terms of the graph passed in a row.  ``automorphism_order``
 counts the vertex permutations within color blocks that preserve edge
 multiplicities; the library counts the vertex orders that reach a graph's
 least labelling during the scan that finds it.  ``degenerations`` builds
@@ -41,9 +43,10 @@ per leg and per vertex; the library exponentiates their sum once.  The
 per-weighting pushforward builds its leg and vertex series that way, and
 so do ``pixton_fixed_r`` and ``pixton_class``, which build one decorated
 template series per edge-exponent profile, one ``series_mul`` per edge,
-and emit every template on its own; the library expands all of a graph's
-weighted edge monomials at once and multiplies them by the exponential
-in one product.  ``chiodo_constant`` builds the whole canonical class at
+and emit every template on its own, each term through the public
+``DecoratedGraph`` constructor (``emit_scaled``); the library expands all
+of a graph's weighted edge monomials at once, in integers, multiplies
+them by the exponential in one product and divides each total once.  ``chiodo_constant`` builds the whole canonical class at
 every sample modulus and fits each canonical decorated graph; the library
 fixes no modulus, builds each graph's monomials as Laurent polynomials in
 ``r`` from the exact observable sums, and canonicalises only their
@@ -92,7 +95,6 @@ from drtaut.tautclass import (
     DecoratedGraph,
     TautClass,
     _monomial_mul,
-    emit_series,
     kappa_monomial,
     monomial_degree,
     psi_leg_monomial,
@@ -539,6 +541,12 @@ def series_degree_part(x: dict, d: int) -> dict:
     return {m: c for m, c in x.items() if monomial_degree(m) == d}
 
 
+def emit_scaled(acc: list, graph, x: dict, scalar: Fraction) -> None:
+    """Append ``scalar`` times each monomial of ``x`` on ``graph`` to ``acc``, through the public constructor."""
+    for (legs, edges, kappa), c in x.items():
+        acc.append((DecoratedGraph(graph, legs, edges, kappa), scalar * c))
+
+
 def psi_edge_monomial(graph, t: int, e1: int, e2: int) -> tuple:
     """The monomial ``psi_h^e1 psi_h'^e2`` on the halves of edge ``t``."""
     edges = tuple((e1, e2) if s == t else (0, 0) for s in range(graph.n_edges))
@@ -621,7 +629,7 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
         sums = edge_profile_sums(graph, r, dr, power_tables(r, powers))
         scale = automorphism_order(graph) * r ** first_betti(graph)
         for (_, template), s in zip(templates, sums):
-            emit_series(acc, graph, template, Fraction(s, scale))
+            emit_scaled(acc, graph, template, Fraction(s, scale))
     return TautClass(dr.genus, dr.n, acc)
 
 
@@ -639,7 +647,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
         b, aut = first_betti(graph), automorphism_order(graph)
         for (_, template), poly in zip(templates, sampled_sums(graph, dr, powers)):
             assert poly.divisible_by(b), (graph, poly)
-            emit_series(acc, graph, template, Fraction(poly.coefficient(b), aut))
+            emit_scaled(acc, graph, template, Fraction(poly.coefficient(b), aut))
     return TautClass(dr.genus, dr.n, acc)
 
 
@@ -689,7 +697,7 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int, cap: int | None = None) -> 
                 series = series_mul(series, factor, budget)
             sliced = series_degree_part(series, d - n_edges)
             if sliced:
-                emit_series(acc, graph, sliced, scalar)
+                emit_scaled(acc, graph, sliced, scalar)
     return TautClass(g, n, acc)
 
 

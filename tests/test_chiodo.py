@@ -315,7 +315,7 @@ def test_constant_term_matches_whole_class_oracle(g, k, parts):
     ],
 )
 def test_constant_series_matches_rpoly_oracle(g, k, parts):
-    """Integer numerators give every graph's terms, Fraction for Fraction.
+    """Integer totals over one scale give every graph's terms, Fraction for Fraction.
 
     Exactly balanced vectors with up to two and with three markings, for
     each twist k in -1..2, in every degree up to 4.  Each vector's graphs
@@ -327,11 +327,11 @@ def test_constant_series_matches_rpoly_oracle(g, k, parts):
     for d in range(5):
         ours = list(chiodo._constant_series(dr, d))
         want = list(rpoly_constant_series(dr, d))
-        assert [graph for graph, _ in ours] == [graph for graph, _ in want]
-        for (graph, got), (_, expected) in zip(ours, want):
-            assert got == expected, (graph, d)
-            assert all(type(c) is Fraction for c in got.values())
-            if got:
+        assert [graph for graph, _, _ in ours] == [graph for graph, _ in want]
+        for (graph, totals, scale), (_, expected) in zip(ours, want):
+            assert {mono: Fraction(t, scale) for mono, t in totals.items()} == expected, (graph, d)
+            assert all(type(t) is int for t in [scale, *totals.values()])
+            if totals:
                 quotient = weightings._quotient(graph)
                 loops = bool(quotient.loops)
                 classes = any(len(ts) > 1 for ts in quotient.classes)

@@ -287,6 +287,86 @@ def shuffled(graph: StableGraph, rng: random.Random) -> StableGraph:
     return relabel(graph, perm)
 
 
+# Directed decorated canonical forms: (graph, leg_psi, edge_psi, kappa).
+DECORATED_CASES = {
+    # Two unmarked genus-0 vertices tie in plain colour; kappa splits them.
+    "kappa_splits_tie": (BANANA3_G0G0, (), ((0, 0),) * 3, ((1,), ())),
+    "kappa_splits_tie_other_way": (BANANA3_G0G0, (), ((1, 0), (0, 0), (0, 2)), ((), (1, 1))),
+    # A tie beside a leg with psi: kappa or the edge psi split the unmarked pair.
+    "leg_psi_beside_tie": (
+        StableGraph([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [2]),
+        (2,),
+        ((0, 0), (0, 0), (1, 0), (0, 0)),
+        ((), (2,), ()),
+    ),
+    "edge_psi_splits_tie": (
+        StableGraph([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [2]),
+        (1,),
+        ((0, 1), (0, 0), (0, 0), (0, 3)),
+        ((), (), (1,)),
+    ),
+    # Loops with unequal psi halves, with and without a tie.
+    "loop_halves": (StableGraph([0, 1], [(0, 0), (0, 1)], [0]), (1,), ((3, 1), (0, 2)), ((), (1,))),
+    "loop_halves_swapped": (StableGraph([0, 1], [(0, 0), (0, 1)], [0]), (1,), ((1, 3), (0, 2)), ((), (1,))),
+    "two_loops": (TWO_LOOPS, (), ((2, 0), (1, 3)), ((1,),)),
+    "dumbbell_loops": (DUMBBELL, (), ((2, 0), (0, 1), (0, 1)), ((), ())),
+    # Parallel edges whose ends the relabelling swaps, psi pairs both ways round.
+    "parallel_both_orientations": (
+        StableGraph([1, 0], [(0, 1), (0, 1)], [1, 1]),
+        (0, 1),
+        ((1, 0), (0, 1)),
+        ((1,), ()),
+    ),
+    "parallel_both_orientations_swapped": (
+        StableGraph([1, 0], [(0, 1), (0, 1)], [1, 1]),
+        (0, 1),
+        ((0, 1), (1, 0)),
+        ((1,), ()),
+    ),
+    "parallel_unequal": (BANANA2_G1G1, (), ((2, 0), (0, 1)), ((), (1,))),
+}
+
+
+class TestDecoratedCanonicalForm:
+    """Directed decorated canonical forms against the oracle's search."""
+
+    @pytest.mark.parametrize("name", list(DECORATED_CASES))
+    def test_matches_oracle(self, name):
+        # Each case twice in a row on one graph, then on every relabelling:
+        # a graph's terms share its vertex order, and a relabelled graph
+        # finds its own.
+        graph, leg_psi, edge_psi, kappa = DECORATED_CASES[name]
+        want = oracles.canonical_form_decorated(graph, leg_psi, edge_psi, kappa)
+        for _ in range(2):
+            assert canonical_form_decorated(graph, leg_psi, edge_psi, kappa) == want
+        for perm in itertools.permutations(range(graph.n_vertices)):
+            other = relabel(graph, list(perm))
+            # relabel sorts the edges, so their psi pairs follow them.
+            pairs = sorted(
+                (tuple(sorted((perm[u], perm[v]))), p if perm[u] <= perm[v] else p[::-1], t)
+                for t, ((u, v), p) in enumerate(zip(graph.edges, edge_psi))
+            )
+            psi = tuple(p for _, p, _ in pairs)
+            moved = [()] * graph.n_vertices
+            for v, k in enumerate(kappa):
+                moved[perm[v]] = k
+            got = canonical_form_decorated(other, leg_psi, psi, tuple(moved))
+            assert got == oracles.canonical_form_decorated(other, leg_psi, psi, tuple(moved)), perm
+            assert got[4] == want[4], perm
+
+    def test_swapped_halves_share_a_key(self):
+        for name in ["loop_halves", "parallel_both_orientations"]:
+            a = canonical_form_decorated(*DECORATED_CASES[name])
+            b = canonical_form_decorated(*DECORATED_CASES[f"{name}_swapped"])
+            assert a == b, name
+
+    def test_no_edges_key_holds_a_tuple(self):
+        graph = StableGraph([2], [], [0, 0])
+        got = canonical_form_decorated(graph, (1, 0), (), ((1,),))
+        assert got == oracles.canonical_form_decorated(graph, (1, 0), (), ((1,),))
+        assert got[4] == repr(((2,), (), (0, 0), (1, 0), ((1,),))).encode()
+
+
 class TestAgainstOracles:
     """The graph layer against the search and split of ``tests/oracles.py``."""
 

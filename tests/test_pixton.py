@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from drtaut import graphs, pixton, weightings
+from drtaut import graphs, pixton, tautclass, weightings
 from drtaut.chiodo import chiodo_constant
 from drtaut.graphs import StableGraph, enumerate_stable_graphs
+from drtaut.intersect import complementary_psi_monomials, pair_with_psi
 from drtaut.tautclass import (
     DecoratedGraph,
+    TautClass,
     delta0,
     monomial_degree,
 )
@@ -117,7 +119,7 @@ class TestDecorationSeries:
                         if series_degree_part(L, cap - sum(m))
                     ]
                     acc: list = []
-                    _emit_graph(acc, graph, L, d, {m: F(1) for m in profiles})
+                    _emit_graph(acc, graph, L, d, dict.fromkeys(profiles, 1), 1)
                     assert acc and all(dg.degree == d for dg, _ in acc)
                     checked += len(acc)
         assert checked > 100
@@ -443,6 +445,66 @@ class TestDRCycle:
         monkeypatch.setattr(pixton, "_zero_sides", no_key)
         assert dr_cycle(dr) == trivial_class(0, 20)
         assert pixton_class(DRVector(1, (1,) * 10 + (-1,) * 10), 0) == trivial_class(1, 20)
+
+
+class TestEmit:
+    def test_one_vertex_order_per_emitted_graph(self, monkeypatch):
+        # A graph's terms are relabelled in a row, so its vertex order is
+        # found once, while every term still goes through the canonical form.
+        counts = {"orders": 0, "forms": 0, "graphs": 0}
+        order, form, emit = graphs._vertex_order, tautclass.canonical_form_decorated, pixton.emit_series
+
+        def count_order(graph):
+            counts["orders"] += 1
+            return order(graph)
+
+        def count_form(*args):
+            counts["forms"] += 1
+            return form(*args)
+
+        def count_emit(acc, graph, totals, scale):
+            counts["graphs"] += bool(totals)
+            emit(acc, graph, totals, scale)
+
+        monkeypatch.setattr(graphs, "_last_order", [None, None])
+        monkeypatch.setattr(graphs, "_vertex_order", count_order)
+        monkeypatch.setattr(tautclass, "canonical_form_decorated", count_form)
+        monkeypatch.setattr(pixton, "emit_series", count_emit)
+        dr_cycle(DRVector(3, (2, -1, -1)))
+        assert counts == {"orders": 220, "forms": 639, "graphs": 220}
+
+
+class TestNormalisation:
+    """The cycle and the Hodge class are normalised in place, and equal the scaled class."""
+
+    @pytest.mark.parametrize(
+        "dr",
+        [DRVector(1, (1, -1)), DRVector(2, (2, -1, -1)), DRVector(3, (1, -1)), DRVector(4, ()), DRVector(4, (1, -1))],
+    )
+    def test_dr_cycle_is_the_scaled_class(self, dr):
+        assert dr_cycle(dr) == pixton_class(dr, dr.genus).scale(F(1, 2**dr.genus))
+
+    @pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 0), (2, 1), (3, 0), (3, 2), (4, 0), (4, 1)])
+    def test_lambda_is_the_signed_cycle(self, g, n):
+        dr = DRVector(g, (0,) * n)
+        cycle = pixton_class(dr, g).scale(F(1, 2**g))
+        assert lambda_expression(g, n) == cycle.scale(F((-1) ** g))
+
+    def test_scale_leaves_its_source(self):
+        cls = pixton_class(DRVector(2, (2, -1, -1)), 2)
+        before = dict(cls.terms)
+        assert cls.scale(F(2)) == cls + cls
+        assert cls.scale(0) == TautClass(2, 3) and cls.scale(0).is_zero()
+        assert cls.terms == before
+
+    def test_in_place_clears_the_pair_index(self):
+        cls = pixton_class(DRVector(2, (2, -1, -1)), 2)
+        m = next(m for m in complementary_psi_monomials(2, 3, 2) if pair_with_psi(cls, m))
+        value = pair_with_psi(cls, m)
+        assert cls._pair_index is not None
+        assert cls._scale_in_place(F(-3, 4)) is cls
+        assert cls._pair_index is None
+        assert pair_with_psi(cls, m) == F(-3, 4) * value
 
 
 class TestLambda:

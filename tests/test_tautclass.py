@@ -14,6 +14,7 @@ from drtaut.graphs import StableGraph, automorphism_order, enumerate_stable_grap
 from drtaut.tautclass import (
     DecoratedGraph,
     TautClass,
+    _Numerators,
     delta0,
     delta_I,
     graph_sum_data,
@@ -21,6 +22,7 @@ from drtaut.tautclass import (
     monomial_degree,
     psi_leg_monomial,
     series_degree_mul,
+    series_edge_mul,
     series_exp,
     series_unit,
     series_vertex_leg_exp,
@@ -306,6 +308,18 @@ class TestSeries:
         want = {psi_leg_monomial(g, 0, n): c for n, c in enumerate(coefficients)}
         assert _nonzero(series_exp(x, g, cap)) == _nonzero(want)
 
+    @pytest.mark.parametrize("dr", [DRVector(2, (3, 1), 1), DRVector(1, (2, -1, -1))])
+    def test_edge_mul_is_the_degree_product(self, dr):
+        # The edge monomials, lifted to whole ones, times the vertex and leg
+        # exponential by series_degree_mul; some edge weights are 0.
+        for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=3):
+            cap = 3 - graph.n_edges
+            L = pixton._vertex_leg_series(graph, dr, cap)
+            pairs = itertools.product(itertools.product(range(3), repeat=2), repeat=graph.n_edges)
+            edges = {p: F(i % 4, 3) for i, p in enumerate(pairs)}
+            lifted = {((0,) * graph.n_legs, p, ((),) * graph.n_vertices): c for p, c in edges.items()}
+            assert series_edge_mul(L, graph, edges, 3) == series_degree_mul(L, lifted, cap), graph
+
     def test_unit(self):
         g = StableGraph([1, 1], [(0, 1)], [0])
         u = series_unit(g)
@@ -357,7 +371,9 @@ class TestGraphSumData:
             profiles = select(graph, L)
             if idx in yielded:
                 aut, b = automorphism_order(graph), first_betti(graph)
-                assert yielded.pop(idx) == [graph, b, aut, L, profiles], (dr, d, idx)
+                got = yielded.pop(idx)
+                assert got == [graph, b, aut, L, profiles], (dr, d, idx)
+                assert getattr(got[3], "den", None) == getattr(L, "den", None), (dr, d, idx)
             else:
                 assert profiles == [], (dr, d, idx)
         assert not yielded
@@ -366,7 +382,7 @@ class TestGraphSumData:
 
     def check_pixton(self, dr, d) -> tuple[int, int, int]:
         def exponential(graph, cap):
-            return pixton._vertex_leg_series(graph, dr, cap)
+            return _Numerators(pixton._vertex_leg_series(graph, dr, cap), polys=False)
 
         data = (
             (int(label.rsplit("#", 1)[1]), *rest) for label, *rest in pixton._graph_templates(dr, d)
