@@ -30,15 +30,15 @@ exposed for testing through :func:`edge_factor_coefficients`.
 Scaled by ``r^{2d - 2g + 1}``, the degree-d part is a polynomial in r
 whose constant term agrees with ``2^{-d}`` times the r-free degree-d
 class of the weighting graph sum -- the cross-formula identity checked
-by :func:`verify_samefreeterm`.  The constant term is built exactly,
-with no modulus fixed: every Bernoulli weight is a polynomial in ``w/r``
-or in ``1/r``, so each graph's terms are Laurent polynomials in r whose
-weighting sums, of edge factors that are sums of observables ``w^q``,
-come from the one r-free weighting route, ``profile_weights``: each
-class weight contracted once per graph sum on tree quotients, and
-otherwise one certified fit per graph of one sum per profile.  They
-stay integer numerators over one denominator; only the kept coefficient
-is formed, and only the constant terms become decorated graphs.
+by :func:`verify_samefreeterm`.  Every Bernoulli weight is in integers,
+``(-1)^{m-1} B_{m+1}(x)/(m(m+1))`` one integer list in x over one
+denominator, read at ``x = w/r`` on edges, ``abar_i/r`` on legs (in the
+constant term ``[a_i < 0] + a_i/r``) and ``k/r`` on vertices, and every
+exponential runs the one integer recurrence of
+:func:`~drtaut.tautclass.series_exp`.  The constant term fixes no
+modulus: each graph's terms are Laurent polynomials in r whose weighting
+sums come from ``profile_weights``, and only the kept coefficient is
+formed as a rational.
 """
 
 from __future__ import annotations
@@ -46,17 +46,18 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
-from .exact import RPoly, bernoulli_number, bernoulli_poly
+from .exact import bernoulli_number, bernoulli_poly
 from .graphs import StableGraph, automorphism_order, enumerate_stable_graphs, require_stable_type
 from .pixton import pixton_class
 from .tautclass import (
     DecoratedGraph,
     TautClass,
-    _Numerators,
+    _poly_fma,
     emit_series,
     graph_sum_data,
+    psi_leg_monomial,
     series_edge_mul,
     series_vertex_leg_exp,
     trivial_class,
@@ -73,48 +74,60 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_weight(m: int) -> RPoly:
-    """``(-1)^{m-1} B_{m+1}(x) / (m(m+1))``, the recurring exponent weight, in ``x``."""
-    scale = Fraction((-1) ** (m - 1), m * (m + 1))
-    return RPoly([scale * comb(m + 1, i) * bernoulli_number(m + 1 - i) for i in range(m + 2)])
+def _bernoulli_weights(cap: int) -> tuple[tuple, int]:
+    """``(-1)^{m-1} B_{m+1}(x) / (m(m+1))`` for ``m <= cap``: integer lists in x over one denominator."""
+    rows = []
+    for m in range(1, cap + 1):
+        scale = Fraction((-1) ** (m - 1), m * (m + 1))
+        rows.append([scale * comb(m + 1, i) * bernoulli_number(m + 1 - i) for i in range(m + 2)])
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return tuple([int(c * den) for c in row] for row in rows), den
 
 
-def _exp_coefficients(a: list, cap: int) -> list:
-    """Coefficients of ``exp(sum_m a[m] x^m)`` up to ``x^cap``; ``a[0]`` is unused.
+def _weights_at(s: int, t: int, cap: int) -> list:
+    """The numerators of :func:`_bernoulli_weights` at ``x = s + t v``, as integer lists in ``v``.
 
-    From ``E' = A' E``: ``n e_n = sum_{k=1}^n k a_k e_{n-k}``.
+    The ``v^j`` coefficient of ``sum_i c_i x^i`` is ``t^j sum_{i >= j} c_i C(i, j) s^{i-j}``.
     """
-    e = [Fraction(1)]
-    for n in range(1, cap + 1):
-        e.append(sum(k * a[k] * e[n - k] for k in range(1, n + 1)) / n)
-    return e
+    rows, _ = _bernoulli_weights(cap)
+    return [
+        [t**j * sum(c * comb(i, j) * s ** (i - j) for i, c in enumerate(row[j:], j)) for j in range(len(row))]
+        for row in rows
+    ]
+
+
+def _at(nums: list, p: int, r: int) -> int:
+    """``r^e`` times the polynomial ``nums`` at ``p / r``, ``e`` its length less one: an integer."""
+    return sum(c * p**i * r ** (len(nums) - 1 - i) for i, c in enumerate(nums))
 
 
 @lru_cache(maxsize=None)
-def _edge_factor_polys(cap: int) -> tuple:
-    """Edge factor coefficients of psi^i psi'^j as polynomials in ``u = w/r``.
+def _edge_factor_polys(cap: int) -> tuple[tuple, int]:
+    """Edge factor coefficients of psi^i psi'^j as integer lists in ``u = w/r`` over one denominator.
 
-    With ``A(x) = sum_m (-1)^{m-1} B_{m+1}(u) x^m / (m(m+1))`` the
-    exponent of the factor is ``A(psi) - A(-psi')``, so with
-    ``s = psi + psi'`` the factor is
-    ``(1 - e^{A(psi)} e^{-A(-psi')}) / s``: a product of two one-variable
-    exponentials, divided by s one total degree n at a time through
-    ``q_{n-1-k,k} = p_{n-k,k} - q_{n-k,k-1}``, where p is the numerator.
-    The recurrence runs on polynomials in ``u``, so one table serves every
-    modulus and residue.  Returned as a tuple of ((i, j), polynomial)
-    pairs with ``i + j <= cap``, sorted by exponent.
+    With ``A(x) = sum_m (-1)^{m-1} B_{m+1}(u) x^m / (m(m+1))`` and
+    ``s = psi + psi'`` the factor is ``(1 - e^{A(psi)} e^{-A(-psi')}) / s``:
+    two one-variable exponentials, each one leg's
+    :func:`~drtaut.tautclass.series_exp`, multiplied and divided by s one
+    total degree n at a time through ``q_{n-1-k,k} = p_{n-k,k} - q_{n-k,k-1}``,
+    p the numerator.  One table serves every modulus and residue: the
+    ((i, j), numerators) pairs with ``i + j <= cap``, sorted, and the
+    denominator, in lowest terms.
     """
-    A = [RPoly([0])] + [_bernoulli_weight(m) for m in range(1, cap + 2)]
-    left = _exp_coefficients(A, cap + 1)
-    right = _exp_coefficients([(-1) ** (m + 1) * c for m, c in enumerate(A)], cap + 1)
-    out = []
+    rows, den = _bernoulli_weights(cap + 1)
+    graph, sides = StableGraph([1], [], [0]), []
+    for weights in (rows, [row if m % 2 else [-c for c in row] for m, row in enumerate(rows, 1)]):
+        series, den_side = series_vertex_leg_exp(graph, [weights], [], den, cap + 1, [1])
+        sides.append([series.get(psi_leg_monomial(graph, 0, n), []) for n in range(cap + 2)])
+    (left, right), out = sides, []
     for n in range(1, cap + 2):
-        q = 0
+        q: list = []
         for k in range(n):
-            q = -left[n - k] * right[k] - q
-            if q:
+            q = [-c for c in _poly_fma(q[:], left[n - k], right[k])]
+            if any(q):
                 out.append(((n - 1 - k, k), q))
-    return tuple(sorted(out))
+    common = gcd(den_side**2, *(c for _, q in out for c in q))
+    return tuple(sorted((key, [c // common for c in q]) for key, q in out)), den_side**2 // common
 
 
 @lru_cache(maxsize=None)
@@ -125,25 +138,30 @@ def edge_factor_coefficients(r: int, w: int, cap: int) -> tuple:
     returned as a tuple of ((i, j), coefficient) pairs sorted by exponent,
     zero coefficients left out.
     """
-    u = Fraction(w % r, r)
-    return tuple((key, c) for key, poly in _edge_factor_polys(cap) if (c := poly(u)))
+    polys, den = _edge_factor_polys(cap)
+    values = ((key, _at(nums, w % r, r), r ** (len(nums) - 1)) for key, nums in polys)
+    return tuple((key, Fraction(c, den * scale)) for key, c, scale in values if c)
 
 
-def _leg_vertex_weights(legs: list, kappa, cap: int) -> tuple[list, list]:
-    """The leg and vertex weights of degrees 1 to cap, as ``series_vertex_leg_exp`` takes them.
+def _exponential(dr: DRVector, d: int, r: int = 0):
+    """The vertex and leg exponential of a degree-d sum, as :func:`_graph_series` takes it.
 
-    Leg ``i`` weighs ``psi_i^m`` by the Bernoulli weight at ``legs[i]``
-    and each vertex weighs ``kappa_m`` by minus the weight at ``kappa``;
-    the points are rationals or polynomials.
+    Leg ``i`` weighs ``psi_i^m`` by the Bernoulli weight at its point and
+    each vertex weighs ``kappa_m`` by minus the weight at ``k / r``.  With
+    no modulus (``r = 0``) a leg's point is ``[a_i < 0] + a_i / r``, which
+    is ``abar_i / r`` once r exceeds every ``|a_i|``, and the weights are
+    integer lists in ``v = 1/r``; at a modulus r it is ``abar_i / r``, and
+    the weights are integers over ``r^{d+1}`` more.
     """
-    weights = [_bernoulli_weight(m) for m in range(1, cap + 1)]
-    return [[B(x) for B in weights] for x in legs], [-B(kappa) for B in weights]
-
-
-def _vertex_leg_series(graph: StableGraph, dr: DRVector, r: int, cap: int) -> dict:
-    """Product of all vertex and leg exponentials at modulus r, truncated at degree cap."""
-    points = [Fraction(a % r, r) for a in dr.parts]
-    return series_vertex_leg_exp(graph, *_leg_vertex_weights(points, Fraction(dr.twist, r), cap), cap)
+    rows, den = _bernoulli_weights(d)
+    if r:
+        points = [a % r for a in dr.parts] + [dr.twist]
+        *legs, kappa = [[_at(row, x, r) * r ** (d - m) for m, row in enumerate(rows, 1)] for x in points]
+        kappa, den, one = [-c for c in kappa], den * r ** (d + 1), 1
+    else:
+        *legs, kappa = [_weights_at(int(a < 0), a, d) for a in dr.parts] + [_weights_at(0, dr.twist, d)]
+        kappa, one = [[-c for c in row] for row in kappa], [1]
+    return lambda graph, budget: series_vertex_leg_exp(graph, legs, kappa, den, budget, one)
 
 
 def _require_roots(dr: DRVector, r: int) -> None:
@@ -159,7 +177,7 @@ def _graph_series(dr: DRVector, d: int, exponential):
     A profile has one edge factor pair ``(i, j)`` of :func:`_edge_factor_polys`
     per edge, of degree ``i + j`` (truncation changes no coefficient).
     """
-    edge_keys = {key: sum(key) for key, _ in _edge_factor_polys(d)}
+    edge_keys = {key: sum(key) for key, _ in _edge_factor_polys(d)[0]}
     return graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys)
 
 
@@ -176,16 +194,12 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int) -> TautClass:
     """
     _require_roots(dr, r)
     factors = [dict(edge_factor_coefficients(r, w, d)) for w in range(r)]
-    tables = {key: [f.get(key, 0) for f in factors] for key, _ in _edge_factor_polys(d)}
-
-    def exponential(graph, budget):
-        return _vertex_leg_series(graph, dr, r, budget)
-
+    tables = {key: [f.get(key, 0) for f in factors] for key, _ in _edge_factor_polys(d)[0]}
     acc: list = []
-    for _, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
+    for _, graph, b, aut, (L, den), profiles in _graph_series(dr, d, _exponential(dr, d, r)):
         sums = edge_profile_sums(graph, r, dr, [[tables[p] for p in prof] for prof in profiles])
         weights = {prof: s for prof, s in zip(profiles, sums) if s}
-        scale = aut / Fraction(r) ** (2 * dr.genus - 1 - b)
+        scale = aut * den / Fraction(r) ** (2 * dr.genus - 1 - b)
         emit_series(acc, graph, series_edge_mul(L, graph, weights, d), scale)
     return TautClass(dr.genus, dr.n, acc)
 
@@ -203,24 +217,18 @@ def _constant_series(dr: DRVector, d: int):
     """
     dr.require_exact()
     # Every edge factor over one denominator, so that a profile's is over its power.
-    factors = _Numerators(dict(_edge_factor_polys(d)))
-    terms = EdgeTerms({key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()})
+    factors, factor_den = _edge_factor_polys(d)
+    terms = EdgeTerms({key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors})
     top = 2 * d
     label = f"chiodo constant (g={dr.genus},n={dr.n},k={dr.twist},d={d})"
-    points = [RPoly([int(a < 0), a]) for a in dr.parts]
-    legs, kappa = _leg_vertex_weights(points, RPoly([0, dr.twist]), d)
-
-    def exponential(graph, budget):
-        return _Numerators(series_vertex_leg_exp(graph, legs, kappa, budget))
-
-    for idx, graph, _, aut, L, profiles in _graph_series(dr, d, exponential):
+    for idx, graph, _, aut, (L, L_den), profiles in _graph_series(dr, d, _exponential(dr, d)):
         name = f"{label} graph#{idx}"
         # r^{2d-b} times a profile's sum, kept from r^0 to r^{2d}: a dot
         # product with the exponential's numerators from v^0 up is the
         # v^{2d} coefficient.
         polys, den = profile_weights(graph, dr, profiles, terms, top, name)
         weights = {prof: w for prof, w in zip(profiles, polys) if any(w)}
-        scale = den * factors.den**graph.n_edges * L.den * aut
+        scale = den * factor_den**graph.n_edges * L_den * aut
         yield graph, series_edge_mul(L, graph, weights, d, _dot), scale
 
 
@@ -231,26 +239,26 @@ def chiodo_constant(dr: DRVector, d: int) -> TautClass:
     r-th roots.  Each graph's terms are exact Laurent polynomials in r,
     built with no modulus fixed:
 
-    * an edge factor coefficient is a polynomial in ``u = w/r``
-      (:func:`_edge_factor_polys`), each power ``u^q`` the observable
-      ``(q, 0)`` over ``r^q``.  One
+    * an edge factor coefficient is a polynomial in ``u = w/r``, integer
+      numerators over one denominator (:func:`_edge_factor_polys`), each
+      power ``u^q`` the observable ``(q, 0)`` over ``r^q``.  One
       :func:`~drtaut.weightings.profile_weights` call per graph gives
       every profile's weight as a polynomial in ``1/r``: on a tree
       quotient each class weight is contracted once per graph sum, and
       otherwise each profile is fitted in one certified fit;
     * the leg and vertex weights ``B_{m+1}(abar_i/r)`` and ``B_{m+1}(k/r)``
-      are polynomials in ``v = 1/r``, with ``abar_i/r = 1 + a_i v`` for
-      ``a_i < 0`` once r exceeds every ``|a_i|``.
+      are integer lists in ``v = 1/r`` over one denominator, with
+      ``abar_i/r = 1 + a_i v`` for ``a_i < 0`` once r exceeds every
+      ``|a_i|`` (:func:`_exponential`).
 
     With the graph's weight ``r^{2g-1-b_1} / |Aut|`` a term is
     ``r^{2d-b_1} / |Aut|`` times a polynomial in ``v``; its constant term in
     r is the ``v^{2d}`` coefficient of that polynomial over ``|Aut|``.
-    Everything is kept as integer numerators over one denominator, and
-    only the kept coefficient is formed: the edge factors and the sums
+    Only that coefficient is formed: the edge factors and the sums
     contract into integer weight vectors, from ``r^0`` to ``r^{2d}``, over
-    one scale per graph, the exponential is put over one denominator once
-    per vertex and edge count, and each monomial's ``v^{2d}`` coefficient
-    is an integer dot product.  The one integer emit that Pixton's sums
+    one scale per graph, the exponential is one integer
+    :func:`~drtaut.tautclass.series_exp` per vertex and edge count, and
+    each monomial's ``v^{2d}`` coefficient is an integer dot product.  The one integer emit that Pixton's sums
     share (:func:`~drtaut.tautclass.emit_series`) divides it once by the
     scale, that denominator and ``|Aut|``, and relabels the graph's terms
     through one vertex order.  The terms merge under isomorphism as any

@@ -14,8 +14,8 @@ the small amount of numerical machinery the rest of the library relies on:
 
 Fits and weighting sums give a polynomial in ``r`` in one format: integer
 numerators, low degree first, over one denominator, in lowest terms.
-:class:`RPoly`, with ``Fraction`` coefficients, is what :func:`interpolate`
-returns and the coefficient ring of Chiodo's Bernoulli weights.
+:class:`RPoly`, with ``Fraction`` coefficients, serves the library only
+as what :func:`interpolate` returns.
 """
 
 from __future__ import annotations
@@ -100,9 +100,10 @@ def bernoulli_poly(m: int, x: Fraction) -> Fraction:
 class RPoly:
     """A polynomial in ``r`` with ``Fraction`` coefficients, low degree first.
 
-    Polynomials form a ring with the rationals as constants, so they also
-    serve as coefficients of decoration series, and ``p(q)`` composes two
-    polynomials by Horner's rule.
+    The library uses it only as what :func:`interpolate` returns.  It is
+    also a ring with the rationals as constants, and ``p(q)`` composes two
+    polynomials by Horner's rule: the slow routes under ``tests/`` compute
+    with it.
     """
 
     __slots__ = ("coeffs",)

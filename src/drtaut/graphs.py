@@ -369,7 +369,6 @@ def canonical_form_decorated(
     one vertex order (:func:`_vertex_order`); where it has a tie, the
     decorations choose among the orders.
     """
-    kappa = tuple(tuple(sorted(k)) for k in kappa)
     if graph is not _last_order[0]:
         _last_order[:] = graph, _vertex_order(graph)
     if _last_order[1] is None:

@@ -51,7 +51,6 @@ from .graphs import StableGraph, enumerate_stable_graphs, require_stable_type
 from .tautclass import (
     DecoratedGraph,
     TautClass,
-    _Numerators,
     delta0,
     delta_I,
     emit_series,
@@ -80,9 +79,9 @@ __all__ = [
 ]
 
 
-def _vertex_leg_series(graph: StableGraph, dr: DRVector, cap: int) -> dict:
-    """``exp(sum_i a_i^2 psi_i - k^2 sum_v kappa_1(v))``, truncated at ``cap``."""
-    return series_vertex_leg_exp(graph, [(a * a,) for a in dr.parts], (-dr.twist**2,), cap)
+def _vertex_leg_series(graph: StableGraph, dr: DRVector, cap: int) -> tuple[dict, int]:
+    """``exp(sum_i a_i^2 psi_i - k^2 sum_v kappa_1(v))``, truncated at ``cap``, over one denominator."""
+    return series_vertex_leg_exp(graph, [(a * a,) for a in dr.parts], (-dr.twist**2,), 1, cap)
 
 
 @lru_cache(maxsize=None)
@@ -92,23 +91,24 @@ def _edge_power(m: int, d: int) -> tuple:
     return tuple(((i, m - i), (-1) ** m * comb(m, i) * top) for i in range(m + 1))
 
 
-def _emit_graph(acc: list, graph: StableGraph, L: dict, d: int, weights: dict, den: int) -> None:
+def _emit_graph(acc: list, graph: StableGraph, L: tuple, d: int, weights: dict, den: int) -> None:
     """Emit one graph's degree-d terms, its edge profiles weighted by ``weights`` over ``den``.
 
     ``weights`` maps edge-exponent profiles ``m`` to integers ``w_m``; the
     edge series ``sum_m w_m prod_e (-1)^{m_e} s_e^{m_e} / (m_e+1)!``, with
     ``s_e = psi_h + psi_h'``, is expanded straight into edge monomials with
     integer weights over ``den (d+1)!^E`` and multiplied once by the vertex
-    and leg exponential ``L``, over its one denominator
+    and leg exponential ``L``, numerators over one denominator
     (:func:`~drtaut.tautclass.series_edge_mul`).
     """
+    series, L_den = L
     edges = {}
     for m, w in weights.items():
         if w:
             for choice in itertools.product(*(_edge_power(k, d) for k in m)):
                 edges[tuple(pair for pair, _ in choice)] = w * prod(c for _, c in choice)
-    scale = den * factorial(d + 1) ** graph.n_edges * L.den
-    emit_series(acc, graph, series_edge_mul(L, graph, edges, d), scale)
+    scale = den * factorial(d + 1) ** graph.n_edges * L_den
+    emit_series(acc, graph, series_edge_mul(series, graph, edges, d), scale)
 
 
 def _zero_sides(dr: DRVector, r: int) -> frozenset:
@@ -137,20 +137,20 @@ def _graph_templates(dr: DRVector, d: int, r: int | None = None):
 
     Yields ``(label, graph, b_1, |Aut|, L, profiles)``: the label names the
     data and the graph's index among the graphs yielded, ``L`` is the
-    vertex and leg exponential (:func:`_vertex_leg_series`), over one
-    denominator, and the
+    vertex and leg exponential (:func:`_vertex_leg_series`), numerators
+    over one denominator, and the
     profiles are edge exponent tuples ``m``, of degree ``|m|``.  Given a
     modulus ``r`` (0 for the r-free sum), the graphs with a bridge of
     residue 0 there are left out of the enumeration (:func:`_zero_sides`);
     ``None`` keeps every graph.  At ``d = 0`` the one graph has no bridge,
     so no key is built: it would go through all ``2^n`` marking sets.
     """
-
-    def exponential(graph, cap):
-        return _Numerators(_vertex_leg_series(graph, dr, cap), polys=False)
-
     edge_keys = {m: m for m in range(d + 1)}
     zero_sides = frozenset() if r is None or d == 0 else _zero_sides(dr, r)
+
+    def exponential(graph, cap):
+        return _vertex_leg_series(graph, dr, cap)
+
     for idx, graph, *data in graph_sum_data(dr.genus, dr.n, d, exponential, edge_keys, zero_sides):
         yield f"P(g={dr.genus},n={dr.n},k={dr.twist},d={d}) graph#{idx}", graph, *data
 
@@ -289,7 +289,7 @@ def genus0_closed(A: Sequence[int], d: int) -> TautClass:
             for m in itertools.product(range(cap + 1), repeat=graph.n_edges)
             if sum(m) <= cap
         }
-        L = _Numerators(_vertex_leg_series(graph, DRVector(0, A), cap), polys=False)
+        L = _vertex_leg_series(graph, DRVector(0, A), cap)
         _emit_graph(acc, graph, L, d, weights, 1)
     return TautClass(0, n, acc)
 

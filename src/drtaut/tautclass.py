@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterable
 
 from .graphs import (
@@ -35,7 +36,7 @@ from .graphs import (
     require_stable_type,
     validate,
 )
-from .exact import RPoly, _over_common_denominator, rat_from_str, rat_to_str
+from .exact import rat_from_str, rat_to_str
 
 _new = object.__new__
 
@@ -416,11 +417,12 @@ def delta_I(n: int, I: Iterable[int]) -> TautClass:
 # only, the edge count being fixed by the host graph.  Every graph sum walks
 # ``graph_sum_data`` and builds each graph once, in integers: its edge
 # monomials carry integer weights over one scale per graph, the vertex and
-# leg exponential is put over one denominator once per vertex and edge
-# count (``_Numerators``), and one ``series_edge_mul`` multiplies them into
-# the one degree it needs.  ``emit_series`` then divides each monomial once
-# and relabels it through the graph's one vertex order
-# (``canonical_form_decorated``).
+# leg exponential is built once per vertex and edge count by the one
+# integer recurrence of ``series_exp``, as numerators over one denominator
+# (integers, or integer lists for Chiodo's polynomials in ``1/r``), and one
+# ``series_edge_mul`` multiplies them into the one degree it needs.
+# ``emit_series`` then divides each monomial once and relabels it through
+# the graph's one vertex order (``canonical_form_decorated``).
 
 Monomial = tuple
 
@@ -448,58 +450,64 @@ def _monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return legs, edges, kappa
 
 
-def series_degree_mul(a: dict, b: dict, d: int) -> dict:
-    """The degree-``d`` part of ``a * b``.
+def _poly_fma(acc: list, a: list, b: list) -> list:
+    """``acc + a b`` for integer lists, polynomials low degree first, added into ``acc``."""
+    acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[i + j] += x * y
+    return acc
 
-    ``b`` is grouped by degree once, and each monomial of ``a`` meets only
-    the monomials of ``b`` of the complementary degree.
+
+def series_exp(x: dict, den: int, graph: StableGraph, cap: int, one=1) -> tuple[dict, int]:
+    """Exponential of ``x / den``, a series with no constant term, truncated at ``cap``.
+
+    The coefficients of ``x`` are integers, or integer lists, low degree
+    first, for polynomials in one variable; ``one`` is ``1`` or ``[1]``
+    accordingly.  Returns numerators of the same kind over one denominator,
+    ``cap! den^cap``.  Built one degree at a time from ``E' = X' E`` in
+    integers: with ``X_k`` the degree-``k`` part of ``x`` and
+    ``E_n = n! den^n e_n`` that of the exponential, ``E_0 = 1`` and
+    ``E_n = sum_{k=1}^n k X_k ((n-1)!/(n-k)!) den^{k-1} E_{n-k}``.
     """
-    by_degree: dict = {}
-    for m2, c2 in b.items():
-        by_degree.setdefault(monomial_degree(m2), []).append((m2, c2))
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in by_degree.get(d - monomial_degree(m1), ()):
-            m = _monomial_mul(m1, m2)
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c != 0}
-
-
-def series_exp(x: dict, graph: StableGraph, cap: int) -> dict:
-    """Exponential of a series with no constant term, truncated at ``cap``.
-
-    Built one degree at a time from ``E' = X' E``: with ``a_k`` the degree-``k``
-    part of ``x`` and ``e_n`` that of the exponential, ``e_0 = 1`` and
-    ``n e_n = sum_{k=1}^n k a_k e_{n-k}``, one :func:`series_degree_mul` of
-    the ``k a_k`` by the degrees below ``n`` per degree.
-    """
-    if any(monomial_degree(m) == 0 for m in x):
+    polys = one.__class__ is list
+    if polys:
+        fma, zero, nonzero, scale = _poly_fma, list, any, lambda s, c: [s * e for e in c]
+    else:
+        fma, zero, nonzero, scale = lambda acc, a, b: acc + a * b, int, bool, operator.mul
+    terms = [(monomial_degree(m), m, c) for m, c in x.items()]
+    if any(k == 0 for k, _, _ in terms):
         raise ValueError("exponent series must have no degree-0 part")
-    scaled = {m: monomial_degree(m) * c for m, c in x.items()}
-    out = series_unit(graph)
+    levels = [{series_unit(graph).popitem()[0]: one}]
     for n in range(1, cap + 1):
-        inv = Fraction(1, n)
-        for m, c in series_degree_mul(scaled, out, n).items():
-            out[m] = inv * c
-    return out
+        level: dict = {}
+        for k, m1, c1 in terms:
+            if k <= n and nonzero(c1):
+                c1 = scale(k * factorial(n - 1) // factorial(n - k) * den ** (k - 1), c1)
+                for m2, c2 in levels[n - k].items():
+                    m = _monomial_mul(m1, m2)
+                    level[m] = fma(level.get(m) or zero(), c1, c2)
+        levels.append({m: c for m, c in level.items() if nonzero(c)})
+    lifts = [factorial(cap) // factorial(n) * den ** (cap - n) for n in range(cap + 1)]
+    out = {m: scale(lift, c) for lift, level in zip(lifts, levels) for m, c in level.items()}
+    return out, lifts[0]
 
 
-def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, cap: int) -> dict:
-    """``exp`` of all leg and vertex weights at once, truncated at ``cap``.
+def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, den: int, cap: int, one=1):
+    """``exp`` of all leg and vertex weights over ``den`` at once, truncated at ``cap``.
 
-    ``leg_weights[i][m - 1]`` is the coefficient of ``psi_i^m`` on leg ``i``
-    and ``kappa_weights[m - 1]`` that of ``kappa_m`` at every vertex.
+    ``leg_weights[i][m - 1]`` is the numerator of the coefficient of
+    ``psi_i^m`` on leg ``i`` and ``kappa_weights[m - 1]`` that of
+    ``kappa_m`` at every vertex; numerators and ``one`` are as
+    :func:`series_exp` takes them, and so is the pair returned.
     """
     x: dict = {}
     for m, c in enumerate(kappa_weights[:cap], 1):
-        if c:
-            for v in range(graph.n_vertices):
-                x[kappa_monomial(graph, v, m)] = c
+        x.update((kappa_monomial(graph, v, m), c) for v in range(graph.n_vertices))
     for i, weights in enumerate(leg_weights):
-        for m, c in enumerate(weights[:cap], 1):
-            if c:
-                x[psi_leg_monomial(graph, i, m)] = c
-    return series_exp(x, graph, cap)
+        x.update((psi_leg_monomial(graph, i, m), c) for m, c in enumerate(weights[:cap], 1))
+    return series_exp(x, den, graph, cap, one)
 
 
 def graph_sum_data(
@@ -510,7 +518,8 @@ def graph_sum_data(
     Yields ``(index, graph, b_1, |Aut|, L, profiles)`` in enumeration
     order for each graph with at most ``d`` edges that has a profile.
     ``L`` is ``exponential(graph, d - n_edges)``, the vertex and leg
-    exponential truncated at the degree the edges leave.  ``edge_keys``
+    exponential truncated at the degree the edges leave, as a series of
+    numerators and their denominator (:func:`series_exp`).  ``edge_keys``
     maps each per-edge key to its degree; ``profiles`` are the tuples of
     one key per edge, in ``itertools.product`` order, whose degrees leave
     a degree that ``L`` has a monomial of.  ``exponential`` must depend on
@@ -536,7 +545,7 @@ def graph_sum_data(
         if shape not in shapes:
             part = d - graph.n_edges
             L = exponential(graph, part)
-            wanted = {part - monomial_degree(mono) for mono in L}
+            wanted = {part - monomial_degree(mono) for mono in L[0]}
             keys = [key for key, degree in edge_keys.items() if degree <= part]
             profiles = [
                 prof
@@ -572,25 +581,6 @@ def series_edge_mul(
             if c := times(c1, c2):
                 out[legs, pairs, kappa] = c
     return out
-
-
-class _Numerators(dict):
-    """Integer numerators by key, all over the one denominator ``den``.
-
-    Each :class:`~drtaut.exact.RPoly` value becomes the list of its
-    coefficients' numerators, and each rational a one-item list, or one
-    integer when ``polys`` is false.
-    """
-
-    __slots__ = ("den",)
-
-    def __init__(self, values: dict, polys: bool = True):
-        coeffs = {key: v.coeffs if isinstance(v, RPoly) else (v,) for key, v in values.items()}
-        nums, self.den = _over_common_denominator([c for cs in coeffs.values() for c in cs])
-        it = iter(nums)
-        super().__init__(
-            (key, list(itertools.islice(it, len(cs))) if polys else next(it)) for key, cs in coeffs.items()
-        )
 
 
 def emit_series(acc: list, graph: StableGraph, totals: dict, scale) -> None:

@@ -35,9 +35,14 @@ two-variable product; the library divides a product of two one-variable
 exponentials by ``s``.  ``series_exp_by_powers`` sums ``x^p / p!``,
 raising ``x`` to each power by ``series_mul``, a product capped at a
 degree that checks the degree of every pair; the library's
-``series_exp`` builds one degree at a time by
-``n e_n = sum_k k a_k e_{n-k}``, one ``series_degree_mul`` per degree,
-as ``chiodo._exp_coefficients`` does in one variable.
+``series_exp`` builds one degree at a time in integers, by
+``E_n = sum_k k X_k ((n-1)!/(n-k)!) D^{k-1} E_{n-k}`` for
+``E_n = n! D^n e_n`` and ``x = X/D``.  ``_exp_coefficients`` runs the
+``Fraction`` recurrence ``n e_n = sum_k k a_k e_{n-k}`` in one variable
+on ``RPoly`` coefficients; with ``_bernoulli_weight``,
+``_edge_factor_polys`` and ``_leg_vertex_weights`` it is the ``RPoly``
+route of Chiodo's Bernoulli weights and edge factor, which the library
+builds as integer numerators over one denominator.
 ``leg_vertex_series`` multiplies one exponential
 per leg and per vertex; the library exponentiates their sum once.  The
 per-weighting pushforward builds its leg and vertex series that way, and
@@ -51,12 +56,15 @@ every sample modulus and fits each canonical decorated graph; the library
 fixes no modulus, builds each graph's monomials as Laurent polynomials in
 ``r`` from the exact observable sums, and canonicalises only their
 constant terms.  ``chiodo_constant_series`` keeps each graph's weights
-as ``RPoly`` objects in ``1/r`` and multiplies whole ``RPoly``
-coefficients before it reads the constant term; the library contracts
+as ``RPoly`` objects in ``1/r``, builds its exponential by
+``leg_vertex_series`` of the ``RPoly`` weights, so it runs no library
+exponential, and multiplies whole ``RPoly`` coefficients before it reads
+the constant term; the library contracts
 integer numerators over one denominator and forms only that coefficient,
 as a dot product.  ``series_degree_part`` keeps one degree of a series:
-after a full truncated ``series_mul`` it gives what the library's
-``series_degree_mul`` multiplies into that degree alone.  ``interpolate``
+after a full truncated ``series_mul`` it gives what ``series_degree_mul``
+multiplies into that degree alone, the product the library's
+``series_edge_mul`` is checked against.  ``interpolate``
 is exact Lagrange interpolation on any distinct nodes, and
 ``certified_fit`` fits through it and checks each fit by Horner's rule at
 the check moduli; the library reads both the fit and the check off the
@@ -86,9 +94,9 @@ from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from typing import Callable, Hashable, Mapping, Sequence
 
-from drtaut.chiodo import _edge_factor_polys, _graph_series, _leg_vertex_weights
+from drtaut.chiodo import _graph_series
 from drtaut.chiodo import chiodo_pushforward as class_pushforward
-from drtaut.exact import RPoly, bernoulli_poly
+from drtaut.exact import RPoly, bernoulli_number, bernoulli_poly
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.intersect import double_factorial, integrate_vertex
 from drtaut.tautclass import (
@@ -100,7 +108,6 @@ from drtaut.tautclass import (
     psi_leg_monomial,
     series_edge_mul,
     series_unit,
-    series_vertex_leg_exp,
 )
 from drtaut.weightings import (
     DRVector,
@@ -492,6 +499,79 @@ def edge_factor_coefficients(r: int, w: int, cap: int) -> tuple:
     return tuple(sorted(out.items()))
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_weight(m: int) -> RPoly:
+    """``(-1)^{m-1} B_{m+1}(x) / (m(m+1))``, the recurring exponent weight, in ``x``."""
+    scale = Fraction((-1) ** (m - 1), m * (m + 1))
+    return RPoly([scale * comb(m + 1, i) * bernoulli_number(m + 1 - i) for i in range(m + 2)])
+
+
+def _exp_coefficients(a: list, cap: int) -> list:
+    """Coefficients of ``exp(sum_m a[m] x^m)`` up to ``x^cap``; ``a[0]`` is unused.
+
+    From ``E' = A' E``: ``n e_n = sum_{k=1}^n k a_k e_{n-k}``.
+    """
+    e = [Fraction(1)]
+    for n in range(1, cap + 1):
+        e.append(sum(k * a[k] * e[n - k] for k in range(1, n + 1)) / n)
+    return e
+
+
+@lru_cache(maxsize=None)
+def _edge_factor_polys(cap: int) -> tuple:
+    """Edge factor coefficients of psi^i psi'^j as polynomials in ``u = w/r``.
+
+    With ``A(x) = sum_m (-1)^{m-1} B_{m+1}(u) x^m / (m(m+1))`` the
+    exponent of the factor is ``A(psi) - A(-psi')``, so with
+    ``s = psi + psi'`` the factor is
+    ``(1 - e^{A(psi)} e^{-A(-psi')}) / s``: a product of two one-variable
+    exponentials, divided by s one total degree n at a time through
+    ``q_{n-1-k,k} = p_{n-k,k} - q_{n-k,k-1}``, where p is the numerator.
+    The recurrence runs on polynomials in ``u``, so one table serves every
+    modulus and residue.  Returned as a tuple of ((i, j), polynomial)
+    pairs with ``i + j <= cap``, sorted by exponent.
+    """
+    A = [RPoly([0])] + [_bernoulli_weight(m) for m in range(1, cap + 2)]
+    left = _exp_coefficients(A, cap + 1)
+    right = _exp_coefficients([(-1) ** (m + 1) * c for m, c in enumerate(A)], cap + 1)
+    out = []
+    for n in range(1, cap + 2):
+        q = 0
+        for k in range(n):
+            q = -left[n - k] * right[k] - q
+            if q:
+                out.append(((n - 1 - k, k), q))
+    return tuple(sorted(out))
+
+
+def _leg_vertex_weights(legs: list, kappa, cap: int) -> tuple[list, list]:
+    """The leg and vertex weights of degrees 1 to cap, as ``series_vertex_leg_exp`` takes them.
+
+    Leg ``i`` weighs ``psi_i^m`` by the Bernoulli weight at ``legs[i]``
+    and each vertex weighs ``kappa_m`` by minus the weight at ``kappa``;
+    the points are rationals or polynomials.
+    """
+    weights = [_bernoulli_weight(m) for m in range(1, cap + 1)]
+    return [[B(x) for B in weights] for x in legs], [-B(kappa) for B in weights]
+
+
+def series_degree_mul(a: dict, b: dict, d: int) -> dict:
+    """The degree-``d`` part of ``a * b``.
+
+    ``b`` is grouped by degree once, and each monomial of ``a`` meets only
+    the monomials of ``b`` of the complementary degree.
+    """
+    by_degree: dict = {}
+    for m2, c2 in b.items():
+        by_degree.setdefault(monomial_degree(m2), []).append((m2, c2))
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in by_degree.get(d - monomial_degree(m1), ()):
+            m = _monomial_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
 def series_mul(a: dict, b: dict, cap: int) -> dict:
     out: dict = {}
     for m1, c1 in a.items():
@@ -734,10 +814,14 @@ def chiodo_constant_series(dr: DRVector, d: int):
     and profiles (:func:`~drtaut.chiodo._graph_series`).  Each profile's
     weight is one :class:`RPoly` in ``v = 1/r``, summed from the edge
     factors' rational coefficients and the observable sums as
-    :class:`RPoly` objects, fitted on sampled moduli on every graph; one
+    :class:`RPoly` objects, fitted on sampled moduli on every graph.  The
+    edge factors are this module's :func:`_edge_factor_polys` and the
+    vertex and leg exponential is :func:`leg_vertex_series` of the
+    :class:`RPoly` weights of :func:`_leg_vertex_weights`, one exponential
+    per leg and per vertex, so no library exponential is run.  One
     :func:`series_edge_mul` with :class:`RPoly` coefficients multiplies
-    the weights by the vertex and leg exponential, and each monomial keeps
-    its ``v^{2d}`` coefficient over ``|Aut|``.
+    the weights by that exponential, and each monomial keeps its
+    ``v^{2d}`` coefficient over ``|Aut|``.
     """
     dr.require_exact()
     polys = dict(_edge_factor_polys(d))
@@ -746,13 +830,13 @@ def chiodo_constant_series(dr: DRVector, d: int):
     legs, kappa = _leg_vertex_weights(points, RPoly([0, dr.twist]), d)
 
     def exponential(graph, budget):
-        return series_vertex_leg_exp(graph, legs, kappa, budget)
+        return leg_vertex_series(graph, legs, kappa, budget), 1
 
     def monomials(prof):
         supports = ([q for q, c in enumerate(polys[key].coeffs) if c] for key in prof)
         return itertools.product(*supports)
 
-    for _, graph, b, aut, L, profiles in _graph_series(dr, d, exponential):
+    for _, graph, b, aut, (L, _), profiles in _graph_series(dr, d, exponential):
         wanted = list({qs: None for prof in profiles for qs in monomials(prof)})
         observables = [tuple((q, 0) for q in qs) for qs in wanted]
         sums = dict(zip(wanted, sampled_sums(graph, dr, observables)))

@@ -2,23 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drtaut import chiodo, weightings
+import oracles
+from drtaut import chiodo, tautclass, weightings
 from drtaut.chiodo import (
     _edge_factor_polys,
-    _vertex_leg_series,
     chern_route_class,
     chiodo_constant,
     chiodo_pushforward,
     edge_factor_coefficients,
     verify_samefreeterm,
 )
-from drtaut.exact import bernoulli_poly
+from drtaut.exact import RPoly, bernoulli_poly
 from drtaut.graphs import StableGraph, enumerate_stable_graphs
 from drtaut.pixton import pixton_class
 from drtaut.tautclass import DecoratedGraph, TautClass, delta0, trivial_class
@@ -71,23 +72,38 @@ def test_edge_factor_matches_pair_product_oracle():
                 assert edge_factor_coefficients(r, w, cap) == pair_product_edge_factor(r, w, cap)
 
 
+def edge_factor_rpolys(cap: int) -> dict:
+    """The integer edge factor numerators of ``cap``, each over the denominator, as an ``RPoly`` in ``u``."""
+    polys, den = _edge_factor_polys(cap)
+    return {key: RPoly([F(c, den) for c in nums]) for key, nums in polys}
+
+
 def test_edge_factor_polynomials_match_pair_product_oracle():
     """The u-polynomials at u = w/r are the oracle's edge factor, for r <= 9.
 
     Those points are more than any polynomial's degree, 2(i + j + 1), so
     they determine it.  A smaller cap keeps the pairs within it unchanged.
     """
-    full = dict(_edge_factor_polys(6))
+    full = edge_factor_rpolys(6)
     assert all(poly.degree <= 2 * (i + j + 1) < 28 for (i, j), poly in full.items())
     for cap in range(7):
-        polys = _edge_factor_polys(cap)
-        assert polys == tuple((key, full[key]) for key, _ in polys)
-        assert {key for key, _ in polys} == {key for key in full if sum(key) <= cap}
+        polys = edge_factor_rpolys(cap)
+        assert [key for key, _ in _edge_factor_polys(cap)[0]] == sorted(polys)
+        assert polys == {key: full[key] for key in full if sum(key) <= cap}
         for r in range(1, 10):
             for w in range(r):
-                values = {key: poly(F(w, r)) for key, poly in polys}
+                values = {key: poly(F(w, r)) for key, poly in polys.items()}
                 want = dict(pair_product_edge_factor(r, w, cap))
                 assert {key: c for key, c in values.items() if c} == want
+
+
+@pytest.mark.parametrize("cap", range(7))
+def test_integer_edge_factor_matches_rpoly_oracle(cap):
+    """Integer numerators over one denominator in lowest terms, equal to the RPoly route's polynomials."""
+    polys, den = _edge_factor_polys(cap)
+    assert all(type(c) is int for _, nums in polys for c in nums) and type(den) is int
+    assert math.gcd(den, *(c for _, nums in polys for c in nums)) == 1
+    assert tuple(edge_factor_rpolys(cap).items()) == oracles._edge_factor_polys(cap)
 
 
 def test_constant_term_builds_no_edge_factor_table(monkeypatch):
@@ -111,13 +127,47 @@ def test_constant_term_builds_no_edge_factor_table(monkeypatch):
     assert got == pixton_class(dr, 3).scale(F(1, 8))
 
 
+@pytest.mark.parametrize("route", ["constant", "pushforward", "pixton"])
+def test_class_routes_run_the_one_exponential(monkeypatch, route):
+    """Each class route reaches ``tautclass.series_exp``, and the constant term does no RPoly arithmetic.
+
+    The benchmark's ``tautclass.series`` span binds that name, so a route
+    that went round it would read 0 there.  The caches of the edge factor
+    and the Bernoulli weights are cleared, so their cold build runs too.
+    """
+    calls = []
+    real = tautclass.series_exp
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def forbidden(*args):
+        raise AssertionError("RPoly arithmetic on a class route")
+
+    monkeypatch.setattr(tautclass, "series_exp", spy)
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__call__"):
+        monkeypatch.setattr(RPoly, name, forbidden)
+    chiodo._edge_factor_polys.cache_clear()
+    chiodo._bernoulli_weights.cache_clear()
+    dr = DRVector(2, (1, -1))
+    build = {
+        "constant": lambda: chiodo_constant(dr, 3),
+        "pushforward": lambda: chiodo_pushforward(dr, 2, 3),
+        "pixton": lambda: pixton_class(dr, 2),
+    }[route]
+    assert not build().is_zero()
+    assert calls
+
+
 def test_vertex_leg_series_matches_product_of_exponentials():
     """Exponentiating all Bernoulli weights at once equals one exponential each."""
     for dr in (DRVector(1, (1, 3), 2), DRVector(2, (0,)), DRVector(2, (3,), 1)):
         for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=1):
             for r in (2, 3, 5):
                 want = chiodo_leg_vertex_series(graph, dr, r, 4)
-                assert _vertex_leg_series(graph, dr, r, 4) == want
+                series, den = chiodo._exponential(dr, 4, r)(graph, 4)
+                assert {m: F(c, den) for m, c in series.items()} == want
 
 
 def test_edge_factor_constant_term():

@@ -8,29 +8,35 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from drtaut import chiodo, pixton
 from drtaut.exact import RPoly
 from drtaut.graphs import StableGraph, automorphism_order, enumerate_stable_graphs, first_betti
 from drtaut.tautclass import (
     DecoratedGraph,
     TautClass,
-    _Numerators,
     delta0,
     delta_I,
     graph_sum_data,
     kappa_monomial,
     monomial_degree,
     psi_leg_monomial,
-    series_degree_mul,
     series_edge_mul,
     series_exp,
     series_unit,
-    series_vertex_leg_exp,
     trivial_class,
 )
 from drtaut.weightings import DRVector
 
-from oracles import alpha_class, beta_class, series_degree_part, series_exp_by_powers, series_mul
+from oracles import (
+    alpha_class,
+    beta_class,
+    leg_vertex_series,
+    series_degree_mul,
+    series_degree_part,
+    series_exp_by_powers,
+    series_mul,
+)
 
 F = Fraction
 
@@ -237,14 +243,21 @@ class TestJson:
             assert TautClass.from_json(data) == cls
 
 
+def over(series: dict, den: int) -> dict:
+    """Numerators over ``den`` as rationals, or as ``RPoly`` objects for integer lists."""
+    return {
+        m: RPoly([F(x, den) for x in c]) if isinstance(c, list) else F(c, den) for m, c in series.items()
+    }
+
+
 class TestSeries:
     def test_exp_of_leg_psi(self):
         g = StableGraph([1], [], [0])
-        x = {psi_leg_monomial(g, 0): F(3)}
-        e = series_exp(x, g, 4)
+        x = {psi_leg_monomial(g, 0): 3}
+        e, den = series_exp(x, 1, g, 4)
         for mono, c in e.items():
             d = monomial_degree(mono)
-            assert c == F(3) ** d / F(
+            assert F(c, den) == F(3) ** d / F(
                 [1, 1, 2, 6, 24][d]
             )
 
@@ -272,41 +285,72 @@ class TestSeries:
     @settings(max_examples=100, deadline=None)
     @given(_series, _series, st.integers(0, 8))
     def test_degree_mul_is_degree_part_of_product(self, a, b, d):
+        # The oracle product that the edge product is checked against.
         assert series_degree_mul(a, b, d) == series_degree_part(series_mul(a, b, d), d)
 
-    # The same monomials without degree 0, whose coefficients are all of one type.
+    # The same monomials without degree 0, with integer or integer-list
+    # numerators, zeros among them.
     _exponent = _monomial.filter(lambda m: monomial_degree(m) > 0)
     _small = st.integers(-3, 3)
     _exp_series = st.one_of(
-        st.dictionaries(_exponent, _small, max_size=5),
-        st.dictionaries(_exponent, st.tuples(_small, st.integers(1, 4)).map(lambda t: F(*t)), max_size=5),
-        st.dictionaries(_exponent, st.lists(_small, min_size=1, max_size=3).map(RPoly), max_size=5),
+        st.tuples(st.dictionaries(_exponent, _small, max_size=5), st.just(1)),
+        st.tuples(st.dictionaries(_exponent, st.lists(_small, min_size=1, max_size=3), max_size=5), st.just([1])),
     )
 
     @settings(max_examples=150, deadline=None)
-    @given(_exp_series, st.integers(0, 6))
-    def test_exp_matches_powers(self, x, cap):
+    @given(_exp_series, st.integers(1, 4), st.integers(0, 6))
+    def test_exp_matches_powers(self, x_one, den, cap):
+        x, one = x_one
         graph = StableGraph([0, 0], [(0, 1), (0, 1)], [0, 1])
-        got = series_exp(x, graph, cap)
-        assert _nonzero(got) == _nonzero(series_exp_by_powers(x, graph, cap))
+        got, got_den = series_exp(x, den, graph, cap, one)
+        want = series_exp_by_powers(over(x, den), graph, cap)
+        assert _nonzero(over(got, got_den)) == _nonzero(want)
         for c in got.values():
-            assert isinstance(c, (Fraction, RPoly))
-            assert not any(isinstance(v, float) for v in getattr(c, "coeffs", ()))
+            assert all(type(e) is int for e in (c if isinstance(c, list) else [c]))
 
     def test_exp_rejects_constant_term(self):
         g = StableGraph([1], [], [0])
         with pytest.raises(ValueError, match="degree-0"):
-            series_exp({series_unit(g).popitem()[0]: F(1)}, g, 2)
+            series_exp({series_unit(g).popitem()[0]: 1}, 1, g, 2)
 
     def test_exp_matches_one_variable_recurrence(self):
-        # chiodo._exp_coefficients runs the same recurrence on RPoly
-        # coefficients in one variable; a one-leg series in psi is that case.
+        # The oracle's _exp_coefficients runs the RPoly recurrence in one
+        # variable; a one-leg series in psi with integer lists is that case.
         g, cap = StableGraph([1], [], [0]), 6
-        weights = [chiodo._bernoulli_weight(m) for m in range(1, cap + 1)]
-        x = {psi_leg_monomial(g, 0, m): B for m, B in enumerate(weights, 1)}
-        coefficients = chiodo._exp_coefficients([RPoly([0])] + weights, cap)
+        rows, den = chiodo._bernoulli_weights(cap)
+        x = {psi_leg_monomial(g, 0, m): row for m, row in enumerate(rows, 1)}
+        weights = [oracles._bernoulli_weight(m) for m in range(1, cap + 1)]
+        coefficients = oracles._exp_coefficients([RPoly([0])] + weights, cap)
         want = {psi_leg_monomial(g, 0, n): c for n, c in enumerate(coefficients)}
-        assert _nonzero(series_exp(x, g, cap)) == _nonzero(want)
+        assert _nonzero(over(*series_exp(x, den, g, cap, [1]))) == _nonzero(want)
+
+    @pytest.mark.parametrize("cap", range(5))
+    def test_exp_of_chiodo_weights_matches_oracle(self, cap):
+        # Parts of both signs, twists -2..2, in the constant term and at
+        # moduli below and above the parts: the integer exponential against
+        # one RPoly exponential per leg and vertex of the oracle's weights,
+        # on one and on two vertices.
+        graphs = [StableGraph([1], [], [0, 0, 0]), StableGraph([0, 1], [(0, 1)], [0, 0, 1])]
+        for k in range(-2, 3):
+            dr = DRVector(1, (3 * k + 3, -2, -1), k)
+            points = [RPoly([int(a < 0), a]) for a in dr.parts]
+            legs, kappa = oracles._leg_vertex_weights(points, RPoly([0, k]), cap)
+            for graph in graphs:
+                got = over(*chiodo._exponential(dr, cap)(graph, cap))
+                assert _nonzero(got) == _nonzero(leg_vertex_series(graph, legs, kappa, cap)), (dr, graph)
+                for r in (2, 3, 5, 7):
+                    fixed = over(*chiodo._exponential(dr, cap, r)(graph, cap))
+                    points = [F(a % r, r) for a in dr.parts]
+                    legs_r, kappa_r = oracles._leg_vertex_weights(points, F(k, r), cap)
+                    assert fixed == leg_vertex_series(graph, legs_r, kappa_r, cap), (dr, graph, r)
+
+    @pytest.mark.parametrize("cap", range(6))
+    def test_exp_of_pixton_weights_matches_oracle(self, cap):
+        # Pixton's a_i^2 psi_i and -k^2 kappa_1, with zero and nonzero parts.
+        for dr in (DRVector(2, (0, 0)), DRVector(2, (3, -1, -2)), DRVector(1, (3, 1), 1), DRVector(1, (2, 0), -1)):
+            for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=2):
+                want = leg_vertex_series(graph, [(F(a * a),) for a in dr.parts], (F(-dr.twist**2),), cap)
+                assert over(*pixton._vertex_leg_series(graph, dr, cap)) == want, (dr, graph)
 
     @pytest.mark.parametrize("dr", [DRVector(2, (3, 1), 1), DRVector(1, (2, -1, -1))])
     def test_edge_mul_is_the_degree_product(self, dr):
@@ -314,7 +358,7 @@ class TestSeries:
         # exponential by series_degree_mul; some edge weights are 0.
         for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=3):
             cap = 3 - graph.n_edges
-            L = pixton._vertex_leg_series(graph, dr, cap)
+            L, _ = pixton._vertex_leg_series(graph, dr, cap)
             pairs = itertools.product(itertools.product(range(3), repeat=2), repeat=graph.n_edges)
             edges = {p: F(i % 4, 3) for i, p in enumerate(pairs)}
             lifted = {((0,) * graph.n_legs, p, ((),) * graph.n_vertices): c for p, c in edges.items()}
@@ -328,8 +372,8 @@ class TestSeries:
 
 
 def _nonzero(series: dict) -> dict:
-    """``series`` without zero coefficients, each ``RPoly`` read as its coefficient tuple."""
-    return {m: getattr(c, "coeffs", c) for m, c in series.items() if c}
+    """``series`` without zero coefficients, each read as a coefficient tuple: a number as a constant."""
+    return {m: getattr(c, "coeffs", (c,)) for m, c in series.items() if c}
 
 
 def pixton_profiles(graph, L, d):
@@ -344,7 +388,7 @@ def pixton_profiles(graph, L, d):
 def chiodo_profiles(graph, L, d):
     """Chiodo's per-graph selection: edge factor pairs within the budget that L completes."""
     part = d - graph.n_edges
-    keys = [key for key, _ in chiodo._edge_factor_polys(d) if sum(key) <= part]
+    keys = [key for key, _ in chiodo._edge_factor_polys(d)[0] if sum(key) <= part]
     degrees = {part - monomial_degree(mono) for mono in L}
     return [
         prof
@@ -368,12 +412,11 @@ class TestGraphSumData:
         graphs = enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)
         for idx, graph in enumerate(graphs):
             L = exponential(graph, d - graph.n_edges)
-            profiles = select(graph, L)
+            profiles = select(graph, L[0])
             if idx in yielded:
                 aut, b = automorphism_order(graph), first_betti(graph)
                 got = yielded.pop(idx)
                 assert got == [graph, b, aut, L, profiles], (dr, d, idx)
-                assert getattr(got[3], "den", None) == getattr(L, "den", None), (dr, d, idx)
             else:
                 assert profiles == [], (dr, d, idx)
         assert not yielded
@@ -382,7 +425,7 @@ class TestGraphSumData:
 
     def check_pixton(self, dr, d) -> tuple[int, int, int]:
         def exponential(graph, cap):
-            return _Numerators(pixton._vertex_leg_series(graph, dr, cap), polys=False)
+            return pixton._vertex_leg_series(graph, dr, cap)
 
         data = (
             (int(label.rsplit("#", 1)[1]), *rest) for label, *rest in pixton._graph_templates(dr, d)
@@ -415,20 +458,8 @@ class TestGraphSumData:
     )
     def test_chiodo(self, dr):
         # The fixed-r exponential at two moduli, as chiodo_pushforward
-        # builds it, and the RPoly-weighted one of the constant term.
-        points = [RPoly([int(a < 0), a]) for a in dr.parts]
-        legs, kappa = chiodo._leg_vertex_weights(points, RPoly([0, dr.twist]), 3)
-
-        def constant(graph, budget):
-            return series_vertex_leg_exp(graph, legs, kappa, budget)
-
-        routes = [constant]
-        for r in (4, 2):
-
-            def fixed(graph, budget, r=r):
-                return chiodo._vertex_leg_series(graph, dr, r, budget)
-
-            routes.append(fixed)
+        # builds it, and the one of the constant term, in integer lists.
+        routes = [chiodo._exponential(dr, 3), chiodo._exponential(dr, 3, 4), chiodo._exponential(dr, 3, 2)]
         counts = []
         for d in range(4):
             for exponential in routes:
@@ -452,8 +483,6 @@ class TestGraphSumData:
         # constant term, each built once per (n_vertices, n_edges).
         graphs = enumerate_stable_graphs(dr.genus, dr.n, max_edges=d)
         counts = {(graph.n_vertices, graph.n_edges) for graph in graphs}
-        points = [RPoly([int(a < 0), a]) for a in dr.parts]
-        legs, kappa = chiodo._leg_vertex_weights(points, RPoly([0, dr.twist]), d)
         pixton_keys = {m: m for m in range(d + 1)}
         routes = [
             (
@@ -462,11 +491,11 @@ class TestGraphSumData:
             ),
             (
                 lambda exp: chiodo._graph_series(dr, d, exp),
-                lambda graph, budget: chiodo._vertex_leg_series(graph, dr, 5, budget),
+                chiodo._exponential(dr, d, 5),
             ),
             (
                 lambda exp: chiodo._graph_series(dr, d, exp),
-                lambda graph, budget: series_vertex_leg_exp(graph, legs, kappa, budget),
+                chiodo._exponential(dr, d),
             ),
         ]
         for data, build in routes:

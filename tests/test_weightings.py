@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from drtaut import weightings
 from drtaut.exact import RPoly, forward_differences, newton_numerators
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
-from drtaut.chiodo import _Numerators, _edge_factor_polys, chiodo_constant
+from drtaut.chiodo import _edge_factor_polys, chiodo_constant
 from drtaut.weightings import (
     DRVector,
     EdgeTerms,
@@ -598,8 +598,8 @@ class TestExactProfiles:
         # d = E + 1.  Unlike x^p they are not symmetric under w <-> r - w,
         # so a residue read at the wrong end of an edge or class shows, and
         # the cap cuts off the lowest powers of 1/r of the larger sums.
-        factors = _Numerators(dict(_edge_factor_polys(1)))
-        terms = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()}
+        factors, _ = _edge_factor_polys(1)
+        terms = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors}
         assert max(len(t) for t in terms.values()) > 1
         checked = dict.fromkeys(["classes", "loops", "negative", "nonzero"], 0)
         for g, n in self.TYPES:
@@ -699,8 +699,8 @@ class TestExactProfiles:
         # 1 at cap 2(E + 1), and both at cap 1, which cuts off the lower
         # powers of 1/r.  The residues differ by twist and the caps by graph
         # and call, so a memo key missing either shows.
-        factors = _Numerators(dict(_edge_factor_polys(1)))
-        chiodo = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors.items()}
+        factors, _ = _edge_factor_polys(1)
+        chiodo = {key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors}
         shared = {"pixton": EdgeTerms(_x_powers(8)), "chiodo": EdgeTerms(chiodo)}
         for g, n in [(3, 0), (2, 2), (1, 3)]:
             for graph in self.tree_graphs(g, n):
