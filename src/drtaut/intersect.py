@@ -25,7 +25,13 @@ stored in the class coefficients.  A term pairs to zero unless, at every
 vertex, the monomial's exponents on the legs there make up exactly the
 psi degree the vertex still lacks; so each class keeps, built on its first
 pairing, its terms grouped by where the legs sit and what each vertex
-lacks, and a monomial visits only the one group it can meet.
+lacks, and a monomial visits only the one group it can meet.  The index
+holds each coefficient as an integer numerator and denominator, with the
+integrals of the vertices that carry no leg folded in, and numbers each
+distinct vertex with legs once; one value table per class maps such a
+vertex and the exponents a monomial brings it to its integral, so a
+pairing is integer products of table lookups, and one ``Fraction`` at the
+end.
 
 The higher-level verification routines (:func:`vanishing_probe`,
 :func:`hodge_triple`, :func:`dr_ab_integral`, :func:`psi_sum_lambda`)
@@ -96,6 +102,11 @@ def double_factorial(j: int) -> int:
 #         + sum over genus splits and ordered marking splits of
 #           <tau_a ...>_{g'} <tau_b ...>_{g''} )
 #
+# In a split, the dimension fixes the genus: the left factor <tau_a S>_{g'}
+# is 0 unless sum(left) = 3g' - 3 + |left|, so only
+# g' = (sum(left) + 3 - |left|) / 3 is visited, and only when it is an
+# integer in [0, g]; the right factor is then in its dimension at g - g'.
+#
 # The seeds are exactly the stable types whose string or dilaton reduction
 # would be unstable, so the two equations apply to everything else.
 
@@ -135,18 +146,18 @@ def _correlator(g: int, ds: tuple[int, ...]) -> Fraction:
         b = k - 1 - a
         w = Fraction(double_factorial(2 * a + 1) * double_factorial(2 * b + 1), 2)
         total += w * _correlator(g - 1, tuple(sorted(rest + (a, b))))
-        for g1 in range(g + 1):
-            for m in range(len(rest) + 1):
-                for picked in combinations(range(len(rest)), m):
-                    chosen = set(picked)
-                    left = tuple(sorted([rest[i] for i in picked] + [a]))
-                    right = tuple(
-                        sorted(
-                            [rest[i] for i in range(len(rest)) if i not in chosen]
-                            + [b]
-                        )
-                    )
-                    total += w * _correlator(g1, left) * _correlator(g - g1, right)
+        for m in range(len(rest) + 1):
+            for picked in combinations(range(len(rest)), m):
+                left = [rest[i] for i in picked] + [a]
+                g1, off = divmod(sum(left) + 3 - len(left), 3)
+                if off or not 0 <= g1 <= g:
+                    continue
+                left.sort()
+                chosen = set(picked)
+                right = [rest[i] for i in range(len(rest)) if i not in chosen]
+                right.append(b)
+                right.sort()
+                total += w * _correlator(g1, tuple(left)) * _correlator(g - g1, tuple(right))
     return total / double_factorial(2 * k + 3)
 
 
@@ -180,24 +191,25 @@ def witten_correlator(g: int, exponents: Iterable[int]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _vertex_integral(g: int, psis: tuple[int, ...], kappas: tuple[int, ...]) -> Fraction:
+def _vertex_integral(g: int, psis: tuple[int, ...], kappas: tuple[int, ...]) -> tuple[int, int]:
+    """The integral of sorted ``psis`` and ``kappas`` over ``Mbar_{g,n}``, as ``(numerator, denominator)``."""
     n = len(psis)
     if sum(psis) + sum(kappas) != 3 * g - 3 + n:
-        return Fraction(0)
+        return 0, 1
     if not kappas:
-        return _correlator(g, psis)
-    peeled = kappas[-1]
-    rest = kappas[:-1]
-    total = Fraction(0)
-    for m in range(len(rest) + 1):
-        for picked in combinations(range(len(rest)), m):
-            chosen = set(picked)
-            exponent = peeled + 1 + sum(rest[i] for i in picked)
-            kept = tuple(rest[i] for i in range(len(rest)) if i not in chosen)
-            total += Fraction((-1) ** m) * _vertex_integral(
-                g, tuple(sorted(psis + (exponent,))), kept
-            )
-    return total
+        value = _correlator(g, psis)
+    else:
+        peeled = kappas[-1]
+        rest = kappas[:-1]
+        value = Fraction(0)
+        for m in range(len(rest) + 1):
+            for picked in combinations(range(len(rest)), m):
+                chosen = set(picked)
+                exponent = peeled + 1 + sum(rest[i] for i in picked)
+                kept = tuple(rest[i] for i in range(len(rest)) if i not in chosen)
+                num, den = _vertex_integral(g, tuple(sorted(psis + (exponent,))), kept)
+                value += Fraction((-1) ** m * num, den)
+    return value.numerator, value.denominator
 
 
 def integrate_vertex(
@@ -219,33 +231,42 @@ def integrate_vertex(
     if any(b < 1 for b in ks):
         raise ValueError("kappa indices must be >= 1")
     require_stable_type(g, n)
-    return _vertex_integral(g, tuple(sorted(ps)), ks)
+    return Fraction(*_vertex_integral(g, tuple(sorted(ps)), ks))
 
 
 # -- pairing decorated-graph classes against psi monomials ------------
 
 
-def _pairing_index(T: TautClass) -> dict:
-    """``T``'s terms grouped as ``{legs_at: {needs: [term]}}``.
+def _pairing_index(T: TautClass) -> tuple:
+    """``T``'s terms grouped for pairing, with a value table for its vertices with legs.
+
+    Returns ``(groups, vertices, table)``.  ``groups`` is
+    ``{legs_at: {needs: [term]}}``: the vertices with legs are numbered by
+    their first leg, ``legs_at[k]`` lists the markings at vertex ``k``
+    (marking ``i + 1`` as ``i``), and ``needs[k]`` is the psi degree they
+    must bring for vertex ``k`` to meet its dimension.  A ``term`` is
+    ``(numerator, denominator, ids)``, its coefficient in lowest terms and
+    ``ids[k]`` the number of vertex ``k`` in ``vertices``, which lists
+    each distinct genus, sorted edge-half exponents, kappa and leg psi
+    exponents (those of ``legs_at[k]``) once.  ``table`` is the class's
+    one value table, ``{brought: {id: (numerator, denominator)}}``: the
+    integral of vertex ``id`` when a monomial brings it the exponents
+    ``brought`` at its legs.  It starts empty, and :func:`pair_with_psi`
+    fills each entry on first use.
 
     A vertex with no legs integrates to the same number on every
-    monomial, so that integral is folded into the term's coefficient, and
-    a term it makes 0 is left out.  The vertices with legs are numbered
-    by their first leg: ``legs_at[k]`` lists the markings at vertex ``k``
-    (marking ``i + 1`` as ``i``), and ``needs[k]`` is the psi degree they
-    must bring for the vertex to meet its dimension.  A
-    ``term`` is ``(numerator, denominator, vertices)``, the coefficient
-    in lowest terms and ``vertices[k]`` the genus, sorted edge-half
-    exponents, kappa and leg psi exponents (those of ``legs_at[k]``) of
-    vertex ``k``; terms that agree on all but the coefficient are merged.
-    A term whose needs are negative somewhere never pairs to anything
-    nonzero and is left out.  The index is built on the first pairing and
-    kept on ``T`` until its terms change.
+    monomial, so that integral is folded into the term's coefficient in
+    integers, and a term it makes 0 is left out, as is a term whose needs
+    are negative somewhere: it never pairs to anything nonzero.  Terms
+    that agree on all but the coefficient are merged by cross-multiplying,
+    with one ``gcd`` per merged entry at the end.  The index is built on
+    the first pairing and kept on ``T`` until its terms change.
     """
     if T._pair_index is None:
         numbering: dict = {}  # legs -> (vertices with legs, legs_at)
+        vertex_ids: dict = {}
         merged: dict = {}
-        for dec, coeff in T.items():
+        for dec, coeff in T.terms.values():
             graph = dec.graph
             legs = graph.legs
             if legs not in numbering:
@@ -263,27 +284,31 @@ def _pairing_index(T: TautClass) -> dict:
                 needs[v] += 1 - e
             if min(needs) < 0:
                 continue
+            num, den = coeff.numerator, coeff.denominator
             for v, (g, halves, kappa) in enumerate(zip(graph.genera, at, dec.kappa)):
                 if v not in hosts:
-                    coeff *= _vertex_integral(g, tuple(sorted(halves)), kappa)
-            if coeff:
-                vertices = tuple(
-                    (
-                        graph.genera[v],
-                        tuple(sorted(at[v])),
-                        dec.kappa[v],
-                        tuple([dec.leg_psi[i] for i in ls]),
-                    )
-                    for v, ls in zip(hosts, legs_at)
-                )
-                key = (legs_at, tuple([needs[v] for v in hosts]), vertices)
-                merged[key] = merged.get(key, 0) + coeff
-        index: dict = {}
-        for (legs_at, needs, vertices), coeff in merged.items():
-            if coeff:
-                term = (coeff.numerator, coeff.denominator, vertices)
-                index.setdefault(legs_at, {}).setdefault(needs, []).append(term)
-        T._pair_index = index
+                    a, b = _vertex_integral(g, tuple(sorted(halves)), kappa)
+                    num *= a
+                    den *= b
+            if num:
+                ids = []
+                for v, ls in zip(hosts, legs_at):
+                    vertex = graph.genera[v], tuple(sorted(at[v])), dec.kappa[v], tuple([dec.leg_psi[i] for i in ls])
+                    ids.append(vertex_ids.setdefault(vertex, len(vertex_ids)))
+                key = (legs_at, tuple([needs[v] for v in hosts]), tuple(ids))
+                prev = merged.get(key)
+                if prev is None:
+                    merged[key] = num, den
+                elif prev[1] == den:
+                    merged[key] = prev[0] + num, den
+                else:
+                    merged[key] = prev[0] * den + num * prev[1], prev[1] * den
+        groups: dict = {}
+        for (legs_at, needs, ids), (num, den) in merged.items():
+            if num:
+                common = gcd(num, den)
+                groups.setdefault(legs_at, {}).setdefault(needs, []).append((num // common, den // common, ids))
+        T._pair_index = groups, list(vertex_ids), {}
     return T._pair_index
 
 
@@ -295,34 +320,49 @@ def pair_with_psi(T: TautClass, exponents: Sequence[int] = ()) -> Fraction:
     corresponding point of its vertex, decorations stay where they are,
     and the coefficients of ``T`` already carry all automorphism and
     pushforward normalization.  The vertices with no legs are integrated
-    once, in the pairing index.  Only the terms whose every vertex the
-    monomial brings to its dimension are integrated, each vertex with
-    legs on its edge-half exponents and ``leg_psi[i] + b_i`` at its
-    markings ``i``, until one vertex gives 0.  Each term's value is an
-    integer numerator and denominator, and the sum is kept over the least
-    common denominator, so the result is exact.
+    once, in the pairing index (:func:`_pairing_index`).  Only the terms
+    whose every vertex the monomial brings to its dimension are
+    integrated, each vertex with legs on its edge-half exponents and
+    ``leg_psi[i] + b_i`` at its markings ``i``.  A vertex's integral is
+    read from the class's value table, keyed by the exponents the monomial
+    brings and the vertex, and computed on the first read, so every term
+    and monomial that meets the vertex with the same exponents shares it.
+    A term's value is its integer numerator and denominator times those of
+    its vertices.  The sum is kept as an integer numerator over one
+    running denominator, which a term over the same denominator adds to
+    directly, and is one ``Fraction`` at the end, so the result is exact.
     """
     exps = tuple(int(b) for b in exponents)
     if len(exps) != T.n:
         raise ValueError(f"expected {T.n} psi exponents, got {len(exps)}")
     if any(b < 0 for b in exps):
         raise ValueError("psi exponents must be non-negative")
+    groups, vertices, table = _pairing_index(T)
     total, scale = 0, 1  # the sum is total / scale
-    for legs_at, groups in _pairing_index(T).items():
-        at = [[exps[i] for i in legs] for legs in legs_at]
-        for num, den, vertices in groups.get(tuple(map(sum, at)), ()):
-            for (g, halves, kappa, leg_psi), brought in zip(vertices, at):
-                psis = [*halves, *map(add, leg_psi, brought)]
-                psis.sort()
-                value = _vertex_integral(g, tuple(psis), kappa)
-                if not value:
-                    break
-                num *= value.numerator
-                den *= value.denominator
-            else:
-                common = gcd(scale, den)
-                total = total * (den // common) + num * (scale // common)
-                scale *= den // common
+    for legs_at, by_needs in groups.items():
+        at = [tuple([exps[i] for i in legs]) for legs in legs_at]
+        terms = by_needs.get(tuple(map(sum, at)))
+        if not terms:
+            continue
+        columns = [table.setdefault(brought, {}) for brought in at]
+        for num, den, ids in terms:
+            for vid, column, brought in zip(ids, columns, at):
+                value = column.get(vid)
+                if value is None:
+                    g, halves, kappa, leg_psi = vertices[vid]
+                    psis = [*halves, *map(add, leg_psi, brought)]
+                    psis.sort()
+                    value = column[vid] = _vertex_integral(g, tuple(psis), kappa)
+                a, b = value
+                num *= a
+                den *= b
+            if num:
+                if den == scale:
+                    total += num
+                else:
+                    common = gcd(scale, den)
+                    total = total * (den // common) + num * (scale // common)
+                    scale *= den // common
     return Fraction(total, scale)
 
 

@@ -441,6 +441,28 @@ def monomial_degree(mono: Monomial) -> int:
     return sum(legs) + sum(a + b for a, b in edges) + sum(m for k in kappa for m in k)
 
 
+class GradedSeries(dict):
+    """A series that also lists its monomials by degree.
+
+    Built from ``(degree, {monomial: coefficient})`` levels;
+    ``by_degree[k]`` holds ``(legs, kappa, coefficient)`` for each
+    monomial of the nonempty level ``k``, in its order, which is all
+    :func:`series_edge_mul` reads of a vertex and leg series (it has no
+    edge psi).  :func:`series_exp` returns one, so that no product reads a
+    monomial's degree.
+    """
+
+    __slots__ = ("by_degree",)
+
+    def __init__(self, levels):
+        super().__init__()
+        self.by_degree: dict = {}
+        for degree, level in levels:
+            if level:
+                self.update(level)
+                self.by_degree[degree] = [(legs, kappa, c) for (legs, _, kappa), c in level.items()]
+
+
 def _monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     l1, e1, k1 = m1
     l2, e2, k2 = m2
@@ -465,10 +487,11 @@ def series_exp(x: dict, den: int, graph: StableGraph, cap: int, one=1) -> tuple[
 
     The coefficients of ``x`` are integers, or integer lists, low degree
     first, for polynomials in one variable; ``one`` is ``1`` or ``[1]``
-    accordingly.  Returns numerators of the same kind over one denominator,
-    ``cap! den^cap``.  Built one degree at a time from ``E' = X' E`` in
-    integers: with ``X_k`` the degree-``k`` part of ``x`` and
-    ``E_n = n! den^n e_n`` that of the exponential, ``E_0 = 1`` and
+    accordingly.  Returns numerators of the same kind, as a
+    :class:`GradedSeries`, over one denominator, ``cap! den^cap``.  Built
+    one degree at a time from ``E' = X' E`` in integers: with ``X_k`` the
+    degree-``k`` part of ``x`` and ``E_n = n! den^n e_n`` that of the
+    exponential, ``E_0 = 1`` and
     ``E_n = sum_{k=1}^n k X_k ((n-1)!/(n-k)!) den^{k-1} E_{n-k}``.
     """
     polys = one.__class__ is list
@@ -490,8 +513,10 @@ def series_exp(x: dict, den: int, graph: StableGraph, cap: int, one=1) -> tuple[
                     level[m] = fma(level.get(m) or zero(), c1, c2)
         levels.append({m: c for m, c in level.items() if nonzero(c)})
     lifts = [factorial(cap) // factorial(n) * den ** (cap - n) for n in range(cap + 1)]
-    out = {m: scale(lift, c) for lift, level in zip(lifts, levels) for m, c in level.items()}
-    return out, lifts[0]
+    graded = GradedSeries(
+        (n, {m: scale(lift, c) for m, c in level.items()}) for n, (lift, level) in enumerate(zip(lifts, levels))
+    )
+    return graded, lifts[0]
 
 
 def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, den: int, cap: int, one=1):
@@ -519,7 +544,8 @@ def graph_sum_data(
     order for each graph with at most ``d`` edges that has a profile.
     ``L`` is ``exponential(graph, d - n_edges)``, the vertex and leg
     exponential truncated at the degree the edges leave, as a series of
-    numerators and their denominator (:func:`series_exp`).  ``edge_keys``
+    numerators grouped by degree (a :class:`GradedSeries`) and their
+    denominator, as :func:`series_exp` returns them.  ``edge_keys``
     maps each per-edge key to its degree; ``profiles`` are the tuples of
     one key per edge, in ``itertools.product`` order, whose degrees leave
     a degree that ``L`` has a monomial of.  ``exponential`` must depend on
@@ -545,7 +571,7 @@ def graph_sum_data(
         if shape not in shapes:
             part = d - graph.n_edges
             L = exponential(graph, part)
-            wanted = {part - monomial_degree(mono) for mono in L[0]}
+            wanted = {part - degree for degree in L[0].by_degree}
             keys = [key for key, degree in edge_keys.items() if degree <= part]
             profiles = [
                 prof
@@ -559,7 +585,7 @@ def graph_sum_data(
 
 
 def series_edge_mul(
-    L: dict, graph: StableGraph, edges: dict, d: int, times: Callable = operator.mul
+    L: GradedSeries, graph: StableGraph, edges: dict, d: int, times: Callable = operator.mul
 ) -> dict:
     """The degree-``d`` terms of ``graph`` in ``L`` times its edge monomials.
 
@@ -575,11 +601,12 @@ def series_edge_mul(
     for pairs, c in edges.items():
         by_degree.setdefault(sum(a + b for a, b in pairs), []).append((pairs, c))
     part, out = d - graph.n_edges, {}
-    for mono, c1 in L.items():
-        legs, _, kappa = mono
-        for pairs, c2 in by_degree.get(part - monomial_degree(mono), ()):
-            if c := times(c1, c2):
-                out[legs, pairs, kappa] = c
+    for degree, monos in L.by_degree.items():
+        if fits := by_degree.get(part - degree):
+            for legs, kappa, c1 in monos:
+                for pairs, c2 in fits:
+                    if c := times(c1, c2):
+                        out[legs, pairs, kappa] = c
     return out
 
 

@@ -69,13 +69,14 @@ is exact Lagrange interpolation on any distinct nodes, and
 ``certified_fit`` fits through it and checks each fit by Horner's rule at
 the check moduli; the library reads both the fit and the check off the
 forward differences of the samples.  ``dvv_correlator`` runs the DVV
-recursion on every correlator past the seeds; the library strips ``tau_0``
-and ``tau_1`` by the string and dilaton equations first.
-``pair_with_psi_unindexed`` integrates every term of a class, each by
-``term_integral``, which walks the term's edges and legs for every
-monomial; the library visits only the terms grouped under the vertex
-degrees a monomial brings, and reads each term's edge-half exponents per
-vertex off the index that grouped it.
+recursion on every correlator past the seeds and sums each split over
+every genus; the library strips ``tau_0`` and ``tau_1`` by the string and
+dilaton equations first and visits only the split genus the dimension
+fixes.  ``pair_with_psi_unindexed`` integrates every term of a class, each
+by ``term_integral``, which walks the term's edges and legs for every
+monomial, in ``Fraction`` arithmetic; the library visits only the terms
+grouped under the vertex degrees a monomial brings, in integers, and
+reads each vertex's integral from the class's value table.
 
 The oracles read the library's polynomials, integer numerators over one
 denominator, as ``RPoly`` objects through ``rpoly``.  ``sampled_sums``
@@ -101,6 +102,7 @@ from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.intersect import double_factorial, integrate_vertex
 from drtaut.tautclass import (
     DecoratedGraph,
+    GradedSeries,
     TautClass,
     _monomial_mul,
     kappa_monomial,
@@ -818,7 +820,8 @@ def chiodo_constant_series(dr: DRVector, d: int):
     edge factors are this module's :func:`_edge_factor_polys` and the
     vertex and leg exponential is :func:`leg_vertex_series` of the
     :class:`RPoly` weights of :func:`_leg_vertex_weights`, one exponential
-    per leg and per vertex, so no library exponential is run.  One
+    per leg and per vertex, so no library exponential is run; it is
+    grouped by degree as :func:`series_edge_mul` takes it.  One
     :func:`series_edge_mul` with :class:`RPoly` coefficients multiplies
     the weights by that exponential, and each monomial keeps its
     ``v^{2d}`` coefficient over ``|Aut|``.
@@ -830,7 +833,8 @@ def chiodo_constant_series(dr: DRVector, d: int):
     legs, kappa = _leg_vertex_weights(points, RPoly([0, dr.twist]), d)
 
     def exponential(graph, budget):
-        return leg_vertex_series(graph, legs, kappa, budget), 1
+        series = leg_vertex_series(graph, legs, kappa, budget)
+        return GradedSeries((k, series_degree_part(series, k)) for k in range(budget + 1)), 1
 
     def monomials(prof):
         supports = ([q for q, c in enumerate(polys[key].coeffs) if c] for key in prof)

@@ -31,6 +31,7 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from drtaut import intersect
 from drtaut.exact import interpolate
 from drtaut.intersect import (
     complementary_psi_monomials,
@@ -107,11 +108,23 @@ def test_correlator_rejects_negative_exponents():
         witten_correlator(0, (2, -1, 0))
 
 
-def test_correlator_matches_dvv_oracle():
+def test_correlator_matches_dvv_oracle(monkeypatch):
     # The library strips tau_0 and tau_1 by the string and dilaton
-    # equations before DVV; the oracle runs DVV on everything.
+    # equations before DVV; the oracle runs DVV on everything.  The
+    # library's split sum visits only the left genus the dimension fixes,
+    # so, from a cold cache, every correlator the recursion asks for is
+    # stable and in its dimension; the oracle sums over every split genus.
+    calls = []
+    cached = intersect._correlator
+    cached.cache_clear()
+
+    def recorded(g, ds):
+        calls.append((g, ds))
+        return cached(g, ds)
+
+    monkeypatch.setattr(intersect, "_correlator", recorded)
     checked = 0
-    for g in range(0, 5):
+    for g in range(0, 6):
         for n in range(1, 7):
             dim = 3 * g - 3 + n
             if 2 * g - 2 + n <= 0 or dim > 14:
@@ -119,7 +132,10 @@ def test_correlator_matches_dvv_oracle():
             for ds in sorted_tuples(dim, n):
                 assert witten_correlator(g, ds) == dvv_correlator(g, ds), (g, ds)
                 checked += 1
-    assert checked == 373
+    assert checked == 382
+    assert calls
+    for g, ds in calls:
+        assert g >= 0 and 2 * g - 2 + len(ds) > 0 and sum(ds) == 3 * g - 3 + len(ds), (g, ds)
 
 
 def test_correlator_genus0_closed_form():
@@ -313,6 +329,9 @@ PAIRING_CASES = {
     "lambda": lambda: lambda_expression(2, 1),
     "legless_dr": lambda: dr_cycle(DRVector(3, (2, -1, -1))),
     "legless_lambda": lambda: lambda_expression(3, 1),
+    # Kappa on vertices that carry legs, three markings.
+    "twisted_three_point": lambda: pixton_class(DRVector(2, (3, 1, 1), 1), 2),
+    "genus0_six_point": lambda: genus0_closed((3, 2, 1, -1, -2, -3), 2),
 }
 
 
@@ -330,6 +349,27 @@ def test_legless_cases_have_legless_vertices(name):
     # The pairing index folds these vertices into the coefficients.
     cls = PAIRING_CASES[name]()
     assert any(len(set(dec.graph.legs)) < dec.graph.n_vertices for dec, _ in cls.items())
+
+
+def test_twisted_case_has_kappa_at_vertices_with_legs():
+    cls = PAIRING_CASES["twisted_three_point"]()
+    assert any(dec.kappa[v] for dec, _ in cls.items() for v in set(dec.graph.legs))
+
+
+def test_pair_reads_the_vertex_tables(monkeypatch):
+    # A second pairing with the same monomials reads every vertex integral
+    # from the class's tables, so it needs no integral at all.
+    cls = dr_cycle(DRVector(3, (2, -1, -1)))
+    monomials = complementary_psi_monomials(3, 3, 3)
+    assert len(monomials) == 28
+    first = [pair_with_psi(cls, m) for m in monomials]
+    assert first == [pair_with_psi_unindexed(cls, m) for m in monomials]
+
+    def fail(*args):
+        raise AssertionError(f"vertex integral {args} not read from the table")
+
+    monkeypatch.setattr(intersect, "_vertex_integral", fail)
+    assert [pair_with_psi(cls, m) for m in monomials] == first
 
 
 def test_pair_index_not_stale():
