@@ -159,6 +159,10 @@ def _exponential(dr: DRVector, d: int, r: int = 0):
         *legs, kappa = [[_at(row, x, r) * r ** (d - m) for m, row in enumerate(rows, 1)] for x in points]
         kappa, den, one = [-c for c in kappa], den * r ** (d + 1), 1
     else:
+        # The shift [a_i < 0] changes no constant term in r, but with it the
+        # weights read at v = 1/r are the fixed-r weights for every
+        # r > |a_i|, so the whole polynomial in r is right, not only its
+        # constant term.
         *legs, kappa = [_weights_at(int(a < 0), a, d) for a in dr.parts] + [_weights_at(0, dr.twist, d)]
         kappa, one = [[-c for c in row] for row in kappa], [1]
     return lambda graph, budget: series_vertex_leg_exp(graph, legs, kappa, den, budget, one)

@@ -12,10 +12,11 @@ the small amount of numerical machinery the rest of the library relies on:
   past the degree vanish), and one cached integer table per node window
   turns it into monomials.
 
-Fits and weighting sums give a polynomial in ``r`` in one format: integer
-numerators, low degree first, over one denominator, in lowest terms.
-:class:`RPoly`, with ``Fraction`` coefficients, serves the library only
-as what :func:`interpolate` returns.
+Every polynomial in ``r`` the library computes, from a fit, a weighting
+sum or a table of Bernoulli weights, is in one format: the pair
+``(nums, den)`` of integer numerators, low degree first, over one
+denominator, in lowest terms (``gcd(den, *nums) == 1``, no trailing zero,
+and zero as ``([0], 1)``).  :func:`interpolate` returns that pair too.
 """
 
 from __future__ import annotations
@@ -26,18 +27,14 @@ from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 __all__ = [
-    "Rational",
     "rat_from_str",
     "rat_to_str",
     "bernoulli_number",
     "bernoulli_poly",
-    "RPoly",
     "forward_differences",
     "newton_numerators",
     "interpolate",
 ]
-
-Rational = Fraction
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -95,107 +92,6 @@ def bernoulli_poly(m: int, x: Fraction) -> Fraction:
     for j in range(m + 1):
         total += comb(m, j) * bernoulli_number(j) * x ** (m - j)
     return total
-
-
-class RPoly:
-    """A polynomial in ``r`` with ``Fraction`` coefficients, low degree first.
-
-    The library uses it only as what :func:`interpolate` returns.  It is
-    also a ring with the rationals as constants, and ``p(q)`` composes two
-    polynomials by Horner's rule: the slow routes under ``tests/`` compute
-    with it.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        cs = list(coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs or [Fraction(0)])
-
-    @staticmethod
-    def _coefficients(x) -> tuple | None:
-        if isinstance(x, RPoly):
-            return x.coeffs
-        return (x,) if isinstance(x, (int, Fraction)) else None
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __neg__(self) -> "RPoly":
-        return RPoly([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        b = RPoly._coefficients(other)
-        if b is None:
-            return NotImplemented
-        a = self.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return RPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        b = RPoly._coefficients(other)
-        if b is None:
-            return NotImplemented
-        out = [0] * (len(self.coeffs) + len(b) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c) -> "RPoly":
-        return RPoly([Fraction(x) / c for x in self.coeffs])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if any(self.coeffs) else -1
-
-    def __call__(self, r) -> Fraction:
-        """Evaluate at ``r``, a rational or a polynomial, by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-        return acc
-
-    def coefficient(self, j: int) -> Fraction:
-        return self.coeffs[j] if j < len(self.coeffs) else Fraction(0)
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0]
-
-    def divisible_by(self, b: int) -> bool:
-        """True when ``r^b`` divides this polynomial."""
-        return not any(self.coeffs[:b])
-
-    def shift_down(self, b: int) -> "RPoly":
-        """Divide by ``r^b``; requires the first ``b`` coefficients to vanish."""
-        if not self.divisible_by(b):
-            raise ValueError(f"polynomial is not divisible by r^{b}")
-        return RPoly(self.coeffs[b:])
-
-    def __eq__(self, other) -> bool:
-        b = RPoly._coefficients(other)
-        if b is None:
-            return NotImplemented
-        return self.coeffs == b
-
-    def __hash__(self):
-        # A constant hashes as the rational it equals.
-        return hash(self.coeffs if len(self.coeffs) > 1 else self.coeffs[0])
-
-    def __repr__(self) -> str:
-        return f"RPoly({list(self.coeffs)!r})"
 
 
 def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
@@ -263,14 +159,14 @@ def newton_numerators(diffs: Sequence[int], den: int, x0: int) -> tuple[list[int
     return _lowest_terms(nums, factorial(count - 1) * den)
 
 
-def interpolate(samples: Sequence[tuple]) -> RPoly:
+def interpolate(samples: Sequence[tuple]) -> tuple[list[int], int]:
     """Exact interpolation through ``(node, value)`` samples at consecutive integers.
 
     The nodes must be distinct consecutive integers (integral ``Fraction``s
-    count) in any order; anything else raises ``ValueError``.  For instance
-    the samples ``(5, 4), (6, 35/6), (7, 8)`` fit the polynomial
-    ``(r^2 - 1)/6``.  The fit is the Newton form on the forward differences
-    of the values, converted by :func:`newton_numerators`.
+    count) in any order; anything else raises ``ValueError``.  Returns the
+    fit as the reduced pair ``(nums, den)`` of :func:`newton_numerators`:
+    for instance the samples ``(5, 4), (6, 35/6), (7, 8)`` fit
+    ``(r^2 - 1)/6``, returned as ``([-1, 0, 1], 6)``.
     """
     pts = sorted((Fraction(x), Fraction(y)) for x, y in samples)
     if not pts:
@@ -278,5 +174,4 @@ def interpolate(samples: Sequence[tuple]) -> RPoly:
     x0 = pts[0][0]
     if any(x != x0 + i for i, (x, _) in enumerate(pts)) or x0.denominator != 1:
         raise ValueError("interpolation nodes must be distinct consecutive integers")
-    nums, den = newton_numerators(*forward_differences([y for _, y in pts]), int(x0))
-    return RPoly([Fraction(x, den) for x in nums])
+    return newton_numerators(*forward_differences([y for _, y in pts]), int(x0))

@@ -14,6 +14,14 @@ Half-edges are indexed deterministically from this data: edge ``t`` owns
 half-edges ``2t`` (at ``edges[t][0]``) and ``2t + 1`` (at ``edges[t][1]``),
 and marking ``i + 1`` is half-edge ``2 * n_edges + i``.  All decorated
 bookkeeping elsewhere in the package refers to these indices.
+
+One canonical search, within blocks of vertex colours, is behind both the
+plain key and the decorated canonical form; the terms of one graph passed
+in a row share its plain vertex order when that order has no tie.  Each
+enumerated class keeps its least ``(edges, genera, legs)`` labelling,
+which fixes the output bytes, and its ``|Aut|``, counted in the same scan.
+An optional key of bridge sides prunes the enumeration at each child
+whose new edge is a bridge with such a side.
 """
 
 from __future__ import annotations

@@ -474,15 +474,22 @@ def _power_sum_linear_coefficient(m: int) -> Fraction:
     """Coefficient of r in the polynomial r -> sum_{a=0}^{r-1} a^m.
 
     Extracted by exact interpolation of the power sum, the same fitting
-    machinery used for the weighting sums; it equals B_m.
+    machinery used for the weighting sums; it equals B_m.  The fit is the
+    pair ``(nums, den)`` of :func:`~drtaut.exact.interpolate`, and the
+    power sum vanishes at ``r = 0``, so a fit with a nonzero constant term
+    raises ``ArithmeticError``.
     """
     samples = []
     total = 0
     for r in range(1, m + 3):
         total += (r - 1) ** m
         samples.append((Fraction(r), Fraction(total)))
-    poly = interpolate(samples)
-    return poly.shift_down(1).constant_term
+    nums, den = interpolate(samples)
+    if nums[0]:
+        raise ArithmeticError(
+            f"power sum of exponent {m} fits a nonzero constant term {Fraction(nums[0], den)}"
+        )
+    return Fraction(nums[1], den)
 
 
 def hodge_triple(g: int) -> Fraction:

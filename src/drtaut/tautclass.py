@@ -14,6 +14,14 @@ relation than equality in the tautological ring, where pushforwards of
 distinct decorated graphs can satisfy additional linear relations.  A
 formal mismatch therefore does not by itself certify that two classes
 differ as cohomology classes.
+
+Every graph sum walks :func:`graph_sum_data`, which yields each graph a
+degree-``d`` sum visits with its edge profiles and its vertex-and-leg
+exponential, built once per vertex and edge count.  A graph's terms are
+one :func:`series_edge_mul` of its weighted edge monomials by that
+exponential, in integers, emitted by :func:`emit_series`; the one
+exponential of the library, :func:`series_exp`, runs one integer
+recurrence on integers or on integer lists in ``1/r``.
 """
 
 from __future__ import annotations

@@ -78,8 +78,11 @@ monomial, in ``Fraction`` arithmetic; the library visits only the terms
 grouped under the vertex degrees a monomial brings, in integers, and
 reads each vertex's integral from the class's value table.
 
-The oracles read the library's polynomials, integer numerators over one
-denominator, as ``RPoly`` objects through ``rpoly``.  ``sampled_sums``
+``RPoly`` is a polynomial with ``Fraction`` coefficients that also adds,
+multiplies and composes; the library has no such class, and every
+polynomial it computes, ``exact.interpolate``'s fits among them, is
+integer numerators over one denominator.  The oracles read those pairs
+as ``RPoly`` objects through ``rpoly``.  ``sampled_sums``
 fits the observable sums on sampled moduli on every graph, so
 ``pixton_class`` and ``chiodo_constant_series`` never read the library's
 tree route, which contracts them in closed form.  ``alpha_class`` and
@@ -97,7 +100,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 from drtaut.chiodo import _graph_series
 from drtaut.chiodo import chiodo_pushforward as class_pushforward
-from drtaut.exact import RPoly, bernoulli_number, bernoulli_poly
+from drtaut.exact import bernoulli_number, bernoulli_poly
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.intersect import double_factorial, integrate_vertex
 from drtaut.tautclass import (
@@ -123,6 +126,105 @@ from drtaut.weightings import (
     default_r_min,
     edge_profile_sums as quotient_profile_sums,
 )
+
+
+class RPoly:
+    """A polynomial in ``r`` with ``Fraction`` coefficients, low degree first.
+
+    A ring with the rationals as constants, and ``p(q)`` composes two
+    polynomials by Horner's rule: the slow routes here compute with it.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[Fraction]):
+        cs = list(coeffs)
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs or [Fraction(0)])
+
+    @staticmethod
+    def _coefficients(x) -> tuple | None:
+        if isinstance(x, RPoly):
+            return x.coeffs
+        return (x,) if isinstance(x, (int, Fraction)) else None
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def __neg__(self) -> "RPoly":
+        return RPoly([-c for c in self.coeffs])
+
+    def __add__(self, other):
+        b = RPoly._coefficients(other)
+        if b is None:
+            return NotImplemented
+        a = self.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return RPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        b = RPoly._coefficients(other)
+        if b is None:
+            return NotImplemented
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return RPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c) -> "RPoly":
+        return RPoly([Fraction(x) / c for x in self.coeffs])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1 if any(self.coeffs) else -1
+
+    def __call__(self, r) -> Fraction:
+        """Evaluate at ``r``, a rational or a polynomial, by Horner's rule."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * r + c
+        return acc
+
+    def coefficient(self, j: int) -> Fraction:
+        return self.coeffs[j] if j < len(self.coeffs) else Fraction(0)
+
+    @property
+    def constant_term(self) -> Fraction:
+        return self.coeffs[0]
+
+    def divisible_by(self, b: int) -> bool:
+        """True when ``r^b`` divides this polynomial."""
+        return not any(self.coeffs[:b])
+
+    def shift_down(self, b: int) -> "RPoly":
+        """Divide by ``r^b``; requires the first ``b`` coefficients to vanish."""
+        if not self.divisible_by(b):
+            raise ValueError(f"polynomial is not divisible by r^{b}")
+        return RPoly(self.coeffs[b:])
+
+    def __eq__(self, other) -> bool:
+        b = RPoly._coefficients(other)
+        if b is None:
+            return NotImplemented
+        return self.coeffs == b
+
+    def __hash__(self):
+        # A constant hashes as the rational it equals.
+        return hash(self.coeffs if len(self.coeffs) > 1 else self.coeffs[0])
+
+    def __repr__(self) -> str:
+        return f"RPoly({list(self.coeffs)!r})"
 
 
 def rpoly(fit: tuple[Sequence[int], int]) -> RPoly:

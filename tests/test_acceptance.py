@@ -48,7 +48,7 @@ from drtaut.pixton import (
 from drtaut.tautclass import DecoratedGraph, TautClass
 from drtaut.weightings import DRVector, edge_profile_sums
 
-from oracles import alpha_class, beta_class, enumerate_weightings, power_tables
+from oracles import alpha_class, beta_class, enumerate_weightings, power_tables, rpoly
 
 F = Fraction
 
@@ -392,7 +392,7 @@ def test_c12_even_polynomial_coefficients():
     assert len(keys) > 10
     for key, dg in keys.items():
         nodes = [(a, classes[a].coefficient(dg)) for a in range(7)]
-        poly = interpolate(nodes)
+        poly = rpoly(interpolate(nodes))
         # Degree at most 4 and even: odd coefficients vanish, as does
         # everything above degree 4 that seven nodes could support.
         for j in (1, 3, 5, 6):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,12 +20,13 @@ from drtaut.chiodo import (
     edge_factor_coefficients,
     verify_samefreeterm,
 )
-from drtaut.exact import RPoly, bernoulli_poly
+from drtaut.exact import bernoulli_poly
 from drtaut.graphs import StableGraph, enumerate_stable_graphs
 from drtaut.pixton import pixton_class
 from drtaut.tautclass import DecoratedGraph, TautClass, delta0, trivial_class
 from drtaut.weightings import DRVector
 
+from oracles import RPoly
 from oracles import chiodo_constant as whole_class_constant
 from oracles import chiodo_constant_series as rpoly_constant_series
 from oracles import chiodo_pushforward as per_weighting_pushforward
@@ -168,6 +170,34 @@ def test_vertex_leg_series_matches_product_of_exponentials():
                 want = chiodo_leg_vertex_series(graph, dr, r, 4)
                 series, den = chiodo._exponential(dr, 4, r)(graph, 4)
                 assert {m: F(c, den) for m, c in series.items()} == want
+
+
+@pytest.mark.parametrize("a", [a for a in range(-5, 6) if a])
+def test_shifted_leg_weights_are_the_fixed_modulus_weights(a):
+    """A leg's weights in ``v = 1/r``, read at each ``r > |a|``, are its weights at modulus r.
+
+    With no modulus the leg's point is ``[a < 0] + a v``; row m, of degree
+    ``m + 1`` in v, read at ``1/r`` and times ``r^{m+1}``, is the integer
+    :func:`chiodo._at` gives at the residue ``a mod r``.  Without the shift
+    a negative part would read ``a / r``, not ``1 + a / r``.  So the
+    constant term's whole exponential, read at ``1/r``, is the one at
+    modulus r, on parts ``(a, -a)`` and twists 0 and 1.
+    """
+    graphs = [StableGraph([1], [], [0, 0]), StableGraph([0, 1], [(0, 1)], [0, 0])]
+    for d in range(5):
+        rows, _ = chiodo._bernoulli_weights(d)
+        shifted = chiodo._weights_at(int(a < 0), a, d)
+        assert len(shifted) == len(rows) == d
+        for r in range(abs(a) + 1, abs(a) + 5):
+            for m, (row_v, row) in enumerate(zip(shifted, rows), 1):
+                at_r = sum(c * r ** (m + 1 - j) for j, c in enumerate(row_v))
+                assert at_r == chiodo._at(row, a % r, r), (d, r, m)
+        for dr, graph in itertools.product([DRVector(1, (a, -a)), DRVector(1, (a, -a), 1)], graphs):
+            series, den = chiodo._exponential(dr, d)(graph, d)
+            for r in range(abs(a) + 1, abs(a) + 5):
+                fixed, fixed_den = chiodo._exponential(dr, d, r)(graph, d)
+                read = {m: sum(F(c, r**j) for j, c in enumerate(cs)) / den for m, cs in series.items()}
+                assert {m: c for m, c in read.items() if c} == {m: F(c, fixed_den) for m, c in fixed.items() if c}
 
 
 def test_edge_factor_constant_term():

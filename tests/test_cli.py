@@ -321,6 +321,16 @@ class TestErrorPaths:
         assert " graph#" in err
         assert "Traceback" not in err
 
+    def test_power_sum_fit_off_zero_exits_one(self, capsys, monkeypatch):
+        # A power sum vanishes at r = 0, so a fit with a nonzero constant
+        # term is a disagreement of the Hodge routes, not a usage error.
+        monkeypatch.setattr(intersect, "interpolate", lambda samples: ([1, 0, 1], 1))
+        code, out, err = run(capsys, ["verify", "hodge-triple", "--g", "2"])
+        assert code == 1
+        assert out.startswith("FAIL route disagreement\n")
+        assert "nonzero constant term" in out
+        assert "Traceback" not in out + err
+
     def test_unbalanced_vector(self, capsys):
         code, _, err = run(capsys, ["dr", "--g", "1", "--a", "1,2"])
         assert code == 2

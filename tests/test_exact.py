@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drtaut.exact import (
-    RPoly,
     bernoulli_number,
     bernoulli_poly,
     forward_differences,
@@ -17,7 +16,7 @@ from drtaut.exact import (
 )
 
 from oracles import interpolate as lagrange_interpolate
-from oracles import rpoly
+from oracles import RPoly, rpoly
 
 F = Fraction
 
@@ -93,7 +92,7 @@ class TestBernoulliPolynomials:
             samples = []
             for r in range(1, m + 4):
                 samples.append((r, F(sum(a**m for a in range(r)))))
-            poly = interpolate(samples)
+            poly = rpoly(interpolate(samples))
             assert poly.coefficient(0) == 0
             assert poly.coefficient(1) == bernoulli_number(m)
 
@@ -124,9 +123,9 @@ class TestRPoly:
 
 class TestInterpolate:
     def test_spec_example(self):
-        poly = interpolate([(5, F(4)), (6, F(35, 6)), (7, F(8))])
-        assert poly == RPoly([F(-1, 6), F(0), F(1, 6)])
-        assert poly.constant_term == F(-1, 6)
+        fit = interpolate([(5, F(4)), (6, F(35, 6)), (7, F(8))])
+        assert fit == ([-1, 0, 1], 6)
+        assert rpoly(fit) == RPoly([F(-1, 6), F(0), F(1, 6)])
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +144,7 @@ class TestInterpolate:
 
     def test_integral_fraction_nodes_in_any_order(self):
         samples = [(F(7), F(8)), (F(5), F(4)), (F(6), F(35, 6))]
-        assert interpolate(samples) == RPoly([F(-1, 6), F(0), F(1, 6)])
+        assert interpolate(samples) == ([-1, 0, 1], 6)
 
     def test_differences_and_newton_form(self):
         # r^2 at 3, 4, 5, 6: differences 9, 7, 2, 0.
@@ -167,7 +166,7 @@ class TestInterpolate:
         samples = [(x0 + i, y) for i, y in enumerate(values)]
         expected = lagrange_interpolate(samples)
         rng.shuffle(samples)
-        assert interpolate(samples) == expected
+        assert rpoly(interpolate(samples)) == expected
 
     @given(
         st.lists(
@@ -180,7 +179,7 @@ class TestInterpolate:
     def test_round_trip(self, coeffs):
         p = RPoly(coeffs)
         nodes = range(2, 2 + len(coeffs))
-        q = interpolate([(r, p(r)) for r in nodes])
+        q = rpoly(interpolate([(r, p(r)) for r in nodes]))
         assert q == p
 
 

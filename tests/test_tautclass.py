@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from drtaut import chiodo, pixton
-from drtaut.exact import RPoly
 from drtaut.graphs import StableGraph, automorphism_order, enumerate_stable_graphs, first_betti
 from drtaut.tautclass import (
     DecoratedGraph,
@@ -29,6 +28,7 @@ from drtaut.tautclass import (
 from drtaut.weightings import DRVector
 
 from oracles import (
+    RPoly,
     alpha_class,
     beta_class,
     leg_vertex_series,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drtaut import weightings
-from drtaut.exact import RPoly, forward_differences, newton_numerators
+from drtaut.exact import forward_differences, interpolate, newton_numerators
 from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
 from drtaut.chiodo import _edge_factor_polys, chiodo_constant
 from drtaut.weightings import (
@@ -24,6 +24,7 @@ from drtaut.weightings import (
 )
 from drtaut.pixton import _graph_templates, _x_powers, dr_cycle
 
+from oracles import RPoly
 from oracles import certified_fit as oracle_certified_fit
 from oracles import edge_profile_sums as direct_profile_sums
 from oracles import enumerate_weightings
@@ -854,6 +855,28 @@ class TestFormat:
         fits, divisible = certified_fit(ev, degree_bound=4, r_min=3, betti=1)
         assert fits == {"half": ([0, 1, 1], 2), "zero": ([0], 1), "linear": ([6, 4], 1)}
         assert not divisible
+
+    @given(
+        st.integers(0, 4),
+        st.integers(1, 6),
+        st.sampled_from([st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)]).flatmap(
+            lambda values: st.lists(values, max_size=5)
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_interpolate_is_the_fit_pair(self, bound, r_min, coeffs):
+        # interpolate and certified_fit give one pair, in lowest terms, on
+        # the same samples: a polynomial up to the bound, zero among them.
+        coeffs = coeffs[: bound + 1]
+
+        def ev(r):
+            return {0: sum(c * r**j for j, c in enumerate(coeffs))}
+
+        fits, _ = certified_fit(ev, degree_bound=bound, r_min=r_min)
+        fit = interpolate([(r, ev(r)[0]) for r in range(r_min, r_min + bound + 1)])
+        assert fit == fits[0]
+        assert lowest_terms(fit)
+        assert rpoly(fit) == RPoly(coeffs)
 
     def test_newton_numerators(self):
         # 2 + 4 r + 2 C(r, 2) = r^2 + 3r + 2, over (3 - 1)! = 2 before reducing.
