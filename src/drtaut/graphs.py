@@ -20,7 +20,9 @@ plain key and the decorated canonical form; the terms of one graph passed
 in a row share its plain vertex order when that order has no tie.  Each
 enumerated class keeps its least ``(edges, genera, legs)`` labelling,
 which fixes the output bytes, and its ``|Aut|``, counted in the same scan.
-An optional key of bridge sides prunes the enumeration at each child
+The enumeration keeps a child only through a top edge, one of largest
+invariant (canonical augmentation, McKay 1998), so it keys each class
+about once.  An optional key of bridge sides prunes it at each child
 whose new edge is a bridge with such a side.
 """
 
@@ -439,27 +441,60 @@ def _shares(mults: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, bool], 
     return tuple(shares)
 
 
+def _tops(genera, edges: tuple[tuple[int, int], ...], legs, new: tuple[int, int]) -> bool:
+    """Whether edge ``new`` has the largest invariant among the edges of the graph.
+
+    An edge's invariant is, in order: loop or not, its multiplicity, the
+    sorted pair of its end colours ``(genus, degree, markings)``.  Markings
+    are labelled, so every isomorphism keeps it.
+    """
+    colours = [[gv, 0, []] for gv in genera]
+    for a, b in edges:
+        colours[a][1] += 1
+        colours[b][1] += 1
+    for i, v in enumerate(legs):
+        colours[v][1] += 1
+        colours[v][2].append(i)
+    top = mine = None
+    for (a, b), group in itertools.groupby(edges):
+        ca, cb = colours[a], colours[b]
+        inv = (a == b, sum(1 for _ in group), (ca, cb) if ca <= cb else (cb, ca))
+        if (a, b) == new:
+            mine = inv
+        if top is None or inv > top:
+            top = inv
+    return mine == top
+
+
 def _degenerations(graph: StableGraph) -> Iterator[tuple[StableGraph, tuple[int, int]]]:
     """Stable graphs with one edge more that contract back to ``graph``, with that new edge.
 
     Either a vertex of positive genus trades one genus for a new loop
     ``(v, v)``, or a vertex ``v`` splits into ``v`` and a new last vertex
     ``w`` joined by a new edge ``(v, w)``.  A split distributes the genus
-    of ``v``, its legs, its edges to each neighbour (by count, as parallel
-    edges are interchangeable) and its loops, each of which stays at
-    ``v``, opens into an edge ``v - w`` or moves to ``w``; both sides must
-    stay stable.
+    of ``v``, its legs and its edges to each neighbour (by count, as
+    parallel edges are interchangeable) and opens its loops into edges
+    ``v - w``; both sides must stay stable.
+    Only children whose new edge tops the invariant of :func:`_tops` are
+    produced.  Loops rank first there, so a split is skipped outright when
+    another vertex has a loop, and no split keeps a loop at ``v`` or moves
+    one to ``w``.
     Of two splits that are mirror images under swapping ``v`` and ``w``
-    only one is produced: the one whose ``w`` side, read as (genus, loops
-    moved, edges moved to each neighbour, legs moved), is not the larger.
+    only one is produced: the one whose ``w`` side, read as (genus, edges
+    moved to each neighbour, legs moved), is not the larger.
     """
     genera, edges, legs = graph.genera, graph.edges, graph.legs
     w = len(genera)
+    loop_at = {a for a, b in edges if a == b}
     for v, gv in enumerate(genera):
         head, tail = genera[:v], genera[v + 1 :]
         if gv > 0:
-            yield _graph(head + (gv - 1,) + tail, tuple(sorted(edges + ((v, v),))), legs), (v, v)
+            new_genera, new_edges = head + (gv - 1,) + tail, tuple(sorted(edges + ((v, v),)))
+            if _tops(new_genera, new_edges, legs, (v, v)):
+                yield _graph(new_genera, new_edges, legs), (v, v)
 
+        if loop_at - {v}:
+            continue  # every split would keep that loop
         rest: list[tuple[int, int]] = []
         nbr: dict[int, int] = {}
         loops = 0
@@ -481,38 +516,34 @@ def _degenerations(graph: StableGraph) -> Iterator[tuple[StableGraph, tuple[int,
         shares = _shares(tuple(m for m, _, _ in others) + (1,) * len(marks))
         non_loop = sum(nbr.values()) + len(marks)
         n_others = len(others)
+        base = rest + [(v, w)] * (loops + 1)
 
         for gw in range(gv // 2 + 1):
             new_genera = head + (gv - gw,) + tail + (gw,)
-            # (kept at v, opened into v - w, moved to w)
-            for kept in range(loops + 1):
-                for moved in range(loops - kept + 1):
-                    opened = loops - kept - moved
-                    # The w side may not be the larger of the two; the
-                    # shares decide only on a tie in genus and loops.
-                    if 2 * gw == gv and moved > kept:
-                        continue
-                    check_mirror = 2 * gw == gv and moved == kept
-                    base = rest + [(v, v)] * kept + [(v, w)] * (opened + 1) + [(w, w)] * moved
-                    # Both sides stable, 2 g - 2 + deg > 0, with ``total``
-                    # of the shared classes moved to w.
-                    lo = 2 - 2 * gw - 2 * moved - opened
-                    hi = 2 * (gv - gw) + 2 * kept + opened + non_loop - 2
-                    for split, total, mirrored in shares:
-                        if total < lo or total > hi or (check_mirror and mirrored):
-                            continue
-                        new_edges = list(base)
-                        for (m, vu, uw), k in zip(others, split):
-                            new_edges += [vu] * (m - k) + [uw] * k
-                        new_legs = legs
-                        if any(split[n_others:]):
-                            new_legs = list(legs)
-                            for i, bit in zip(marks, split[n_others:]):
-                                if bit:
-                                    new_legs[i] = w
-                            new_legs = tuple(new_legs)
-                        new_edges.sort()
-                        yield _graph(new_genera, tuple(new_edges), new_legs), (v, w)
+            # The w side may not be the larger of the two; the shares
+            # decide only on a tie in genus.
+            check_mirror = 2 * gw == gv
+            # Both sides stable, 2 g - 2 + deg > 0, with ``total`` of the
+            # shared classes moved to w.
+            lo = 2 - 2 * gw - loops
+            hi = 2 * (gv - gw) + loops + non_loop - 2
+            for split, total, mirrored in shares:
+                if total < lo or total > hi or (check_mirror and mirrored):
+                    continue
+                new_edges = list(base)
+                for (m, vu, uw), k in zip(others, split):
+                    new_edges += [vu] * (m - k) + [uw] * k
+                new_legs = legs
+                if any(split[n_others:]):
+                    new_legs = list(legs)
+                    for i, bit in zip(marks, split[n_others:]):
+                        if bit:
+                            new_legs[i] = w
+                    new_legs = tuple(new_legs)
+                new_edges.sort()
+                new_edges = tuple(new_edges)
+                if _tops(new_genera, new_edges, new_legs, (v, w)):
+                    yield _graph(new_genera, new_edges, new_legs), (v, w)
 
 
 def _least_labelling(graph: StableGraph) -> tuple[StableGraph, int]:
@@ -565,6 +596,9 @@ def _walk(g: int, n: int, cap: int, zero_sides: frozenset) -> tuple[StableGraph,
     level = [StableGraph((g,), (), (0,) * n)]
     found = {canonical_key(graph): graph for graph in level}
     for _ in range(cap):
+        # The top-edge test runs in _degenerations: this dict keeps one new
+        # edge per labelled child, and a test here would drop a child whose
+        # last edge is not a top one though another edge reaching it is.
         children = {child: edge for graph in level for child, edge in _degenerations(graph)}
         level = []
         for child, edge in children.items():
@@ -603,8 +637,12 @@ def enumerate_stable_graphs(
     the one-vertex graph: every graph with ``E`` edges arises from one
     with ``E - 1`` edges by adding a loop at a vertex of positive genus or
     by splitting a vertex in two, because contracting any edge of a stable
-    graph leaves a stable graph.  Each level is deduplicated by canonical
-    key.
+    graph leaves a stable graph.  A child is kept only when its new edge
+    has the largest invariant among its edges (see ``_tops``), before
+    its canonical key dedupes the level.  No class is lost: contracting
+    a top edge of a class gives a class found at the level before, and
+    degenerating its representative at the merged vertex rebuilds the
+    class with the new edge on that top edge.
 
     ``zero_sides`` prunes the walk: a graph is left out, and not
     degenerated, when a bridge's ``edges[t][0]`` side ``(h, S)``
@@ -612,7 +650,8 @@ def enumerate_stable_graphs(
     sides of each bridge it prunes.  No other graph is lost, since a
     degeneration keeps every bridge with the arithmetic genus and
     markings of both its sides: a graph without such a bridge is reached
-    only through graphs without one.  A cached full walk of the same type
+    only through graphs without one, such as its contraction at a top
+    edge.  A cached full walk of the same type
     and cap is filtered instead of walked again.
 
     The result is deterministic and sorted by canonical key.  Each class

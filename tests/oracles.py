@@ -11,7 +11,13 @@ multiplicities; the library counts the vertex orders that reach a graph's
 least labelling during the scan that finds it.  ``degenerations`` builds
 every child through the public ``StableGraph`` constructor, which sorts
 and normalizes it again; the library builds each child from parts already
-normalized.  The pixton and Chiodo oracles below divide by this
+normalized, and only those whose new edge tops an edge invariant.  ``walk``
+is the exhaustive degeneration walk: it keys every child of every graph
+it finds and drops each child with any bridge side in the key, where the
+library keys only the children its canonical augmentation keeps and
+tests only the new edge's side; it takes each representative from the
+library's least-labelling scan, a plain search of every vertex order,
+and its ``|Aut|`` from ``automorphism_order``.  The pixton and Chiodo oracles below divide by this
 ``automorphism_order``.
 
 ``enumerate_weightings`` lists every weighting through the library's
@@ -101,7 +107,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 from drtaut.chiodo import _graph_series
 from drtaut.chiodo import chiodo_pushforward as class_pushforward
 from drtaut.exact import bernoulli_number, bernoulli_poly
-from drtaut.graphs import StableGraph, enumerate_stable_graphs, first_betti
+from drtaut.graphs import StableGraph, _least_labelling, enumerate_stable_graphs, first_betti
 from drtaut.intersect import double_factorial, integrate_vertex
 from drtaut.tautclass import (
     DecoratedGraph,
@@ -395,7 +401,7 @@ def automorphism_order(graph: StableGraph) -> int:
 
 
 def degenerations(graph: StableGraph):
-    """Stable graphs with one edge more that contract back to ``graph``.
+    """Stable graphs with one edge more that contract back to ``graph``, with that new edge.
 
     A vertex of positive genus trades one genus for a loop, or a vertex
     ``v`` splits into ``v`` and a new vertex ``w``, sharing its genus,
@@ -407,7 +413,7 @@ def degenerations(graph: StableGraph):
     for v, gv in enumerate(graph.genera):
         if gv > 0:
             genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1 :]
-            yield StableGraph(genera, graph.edges + ((v, v),), graph.legs)
+            yield StableGraph(genera, graph.edges + ((v, v),), graph.legs), (v, v)
 
         rest: list[tuple[int, int]] = []
         nbr: dict[int, int] = {}
@@ -453,7 +459,35 @@ def degenerations(graph: StableGraph):
                 if bit:
                     legs[i] = w
             genera = graph.genera[:v] + (gv - gw,) + graph.genera[v + 1 :] + (gw,)
-            yield StableGraph(genera, edges, legs)
+            yield StableGraph(genera, edges, legs), (v, w)
+
+
+def walk(g: int, n: int, cap: int, zero_sides: frozenset = frozenset()) -> tuple[StableGraph, ...]:
+    """The classes of type ``(g, n)`` to ``cap`` edges, with no bridge side in ``zero_sides``.
+
+    Each level keys every child of every graph found at the level before
+    and keeps one per new key.  The classes come sorted by key, each as
+    its least ``(edges, genera, legs)`` labelling, with ``_aut`` set to
+    :func:`automorphism_order`.
+    """
+    level = [StableGraph((g,), (), (0,) * n)]
+    found = {canonical_key(graph): graph for graph in level}
+    for _ in range(cap):
+        children = [child for graph in level for child, _ in degenerations(graph)]
+        level = []
+        for child in children:
+            if any(child.bridge_side(t) in zero_sides for t in range(child.n_edges)):
+                continue
+            key = canonical_key(child)
+            if key not in found:
+                found[key] = child
+                level.append(child)
+    representatives = []
+    for key in sorted(found):
+        graph = _least_labelling(found[key])[0]
+        object.__setattr__(graph, "_aut", automorphism_order(graph))
+        representatives.append(graph)
+    return tuple(representatives)
 
 
 @lru_cache(maxsize=None)

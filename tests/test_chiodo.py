@@ -131,7 +131,7 @@ def test_constant_term_builds_no_edge_factor_table(monkeypatch):
 
 @pytest.mark.parametrize("route", ["constant", "pushforward", "pixton"])
 def test_class_routes_run_the_one_exponential(monkeypatch, route):
-    """Each class route reaches ``tautclass.series_exp``, and the constant term does no RPoly arithmetic.
+    """Each class route reaches ``tautclass.series_exp``.
 
     The benchmark's ``tautclass.series`` span binds that name, so a route
     that went round it would read 0 there.  The caches of the edge factor
@@ -144,12 +144,7 @@ def test_class_routes_run_the_one_exponential(monkeypatch, route):
         calls.append(args)
         return real(*args, **kwargs)
 
-    def forbidden(*args):
-        raise AssertionError("RPoly arithmetic on a class route")
-
     monkeypatch.setattr(tautclass, "series_exp", spy)
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__call__"):
-        monkeypatch.setattr(RPoly, name, forbidden)
     chiodo._edge_factor_polys.cache_clear()
     chiodo._bernoulli_weights.cache_clear()
     dr = DRVector(2, (1, -1))

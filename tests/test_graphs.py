@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from drtaut import graphs, pixton
 from drtaut.graphs import (
     StableGraph,
     _degenerations,
@@ -22,6 +23,7 @@ from drtaut.graphs import (
     graph_to_json,
     validate,
 )
+from drtaut.weightings import DRVector
 
 
 def relabel(graph: StableGraph, perm: list[int]) -> StableGraph:
@@ -281,6 +283,20 @@ def contract(graph: StableGraph, edge: tuple[int, int]) -> StableGraph:
     return StableGraph(genera, [(new[a], new[b]) for a, b in edges], [new[x] for x in graph.legs])
 
 
+def top_edges(graph: StableGraph) -> set[tuple[int, int]]:
+    """The edges of the largest invariant: loop, multiplicity, sorted end colours (genus, degree, markings)."""
+
+    def colour(v):
+        return graph.genera[v], graph.vertex_degree(v), graph.vertex_markings(v)
+
+    invariant = {
+        (u, v): (u == v, graph.edges.count((u, v)), tuple(sorted((colour(u), colour(v)))))
+        for u, v in graph.edges
+    }
+    top = max(invariant.values())
+    return {edge for edge, value in invariant.items() if value == top}
+
+
 def shuffled(graph: StableGraph, rng: random.Random) -> StableGraph:
     perm = list(range(graph.n_vertices))
     rng.shuffle(perm)
@@ -392,14 +408,18 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize("g, n", ORACLE_TYPES)
     def test_degenerations(self, g, n):
+        # The library builds exactly the oracle's children whose new edge
+        # tops the invariant, each with that edge, which contracts it back
+        # to the parent.
         rng = random.Random(f"degenerations {g} {n}")
         for graph in enumerate_stable_graphs(g, n):
             for parent in (graph, shuffled(graph, rng)):
                 children = list(_degenerations(parent))
                 got = Counter(child for child, _ in children)
-                assert got == Counter(oracles.degenerations(parent)), parent
-                # Each child comes with its new edge, which contracts it back to the parent.
+                want = Counter(child for child, edge in oracles.degenerations(parent) if edge in top_edges(child))
+                assert got == want, parent
                 for child, edge in children:
+                    assert edge in top_edges(child), (parent, child)
                     assert canonical_key(contract(child, edge)) == canonical_key(parent), (parent, child)
 
     @pytest.mark.parametrize("g, n", [(0, 6), (1, 4), (2, 2), (3, 0)])
@@ -419,3 +439,38 @@ class TestAgainstOracles:
             }
             got = graph_to_json(graph)
             assert json.dumps(got) == json.dumps(want), graph
+
+
+class TestWalk:
+    """The walk by canonical augmentation against the exhaustive walk of ``oracles.walk``."""
+
+    @pytest.mark.parametrize("g, n", [(4, 0), (0, 7), (2, 3), (3, 2), (1, 5)])
+    def test_full_walk(self, g, n):
+        got = enumerate_stable_graphs(g, n)
+        want = oracles.walk(g, n, 3 * g - 3 + n)
+        assert got == want
+        assert [graph._aut for graph in got] == [graph._aut for graph in want]
+
+    @pytest.mark.parametrize("g, parts", [(3, (2, -1, -1)), (2, (3, -1, -1, -1)), (4, (1, -1))])
+    def test_pruned_walk(self, g, parts):
+        # Pruned as the DR cycle's sum is, to its cap of g edges.
+        key = pixton._zero_sides(DRVector(g, parts), 0)
+        got = enumerate_stable_graphs(g, len(parts), g, key)
+        want = oracles.walk(g, len(parts), g, key)
+        assert got == want
+        assert [graph._aut for graph in got] == [graph._aut for graph in want]
+
+    @pytest.mark.parametrize("g, n, classes", [(4, 0, 379), (3, 2, 1355), (2, 3, 555), (0, 7, 2752)])
+    def test_keys_about_once_per_class(self, monkeypatch, g, n, classes):
+        # oracles.walk, which keys every child, makes 1239, 4802, 1523 and
+        # 8597 keys here.
+        keyed = []
+        real = graphs.canonical_key
+
+        def spy(graph):
+            keyed.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(graphs, "canonical_key", spy)
+        assert len(graphs._walk(g, n, 3 * g - 3 + n, frozenset())) == classes
+        assert len(keyed) <= 1.2 * classes

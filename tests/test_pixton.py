@@ -298,9 +298,10 @@ class TestZeroBridge:
 
     def test_pruned_walk_keys_no_dropped_child(self, monkeypatch):
         # The walk tests a child's new edge before its canonical key, so it
-        # keys no graph with a bridge of residue 0: 365 keys for
-        # dr_cycle(3, (2,-1,-1))'s pruned walk to 3 edges, where keying
-        # every child of a kept graph took 541; the full walk takes 825.
+        # keys no graph with a bridge of residue 0, and keeps a child only
+        # through a top edge: 220 keys for the 220 graphs of
+        # dr_cycle(3, (2,-1,-1))'s pruned walk to 3 edges, and 458 for the
+        # 457 of the full walk.
         dr = DRVector(3, (2, -1, -1))
         keyed = []
         real = graphs.canonical_key
@@ -315,7 +316,7 @@ class TestZeroBridge:
         pruned = len(keyed)
         keyed.clear()
         assert len(graphs._walk(3, 3, 3, frozenset())) == 457
-        assert (pruned, len(keyed)) == (365, 825)
+        assert (pruned, len(keyed)) == (220, 458)
 
     def test_pixton_class_filters_a_cached_full_walk(self, monkeypatch):
         # After chiodo_constant has walked every graph of the type and cap,
