@@ -175,6 +175,13 @@ def _require_roots(dr: DRVector, r: int) -> None:
         raise ValueError(f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}")
 
 
+def _require_degree(dr: DRVector, d: int) -> None:
+    """Reject an unstable type, then a negative degree, as ``graph_sum_data`` does, before any table."""
+    require_stable_type(dr.genus, dr.n)
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+
+
 def _graph_series(dr: DRVector, d: int, exponential):
     """:func:`~drtaut.tautclass.graph_sum_data` for the degree-d sum, with ``exponential``.
 
@@ -197,6 +204,7 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int) -> TautClass:
     degree it has to reach, which changes no degree-d coefficient.
     """
     _require_roots(dr, r)
+    _require_degree(dr, d)
     factors = [dict(edge_factor_coefficients(r, w, d)) for w in range(r)]
     tables = {key: [f.get(key, 0) for f in factors] for key, _ in _edge_factor_polys(d)[0]}
     acc: list = []
@@ -220,6 +228,7 @@ def _constant_series(dr: DRVector, d: int):
     graph's integer scale, the zero ones left out.
     """
     dr.require_exact()
+    _require_degree(dr, d)
     # Every edge factor over one denominator, so that a profile's is over its power.
     factors, factor_den = _edge_factor_polys(d)
     terms = EdgeTerms({key: [((q, 0), c) for q, c in enumerate(nums) if c] for key, nums in factors})

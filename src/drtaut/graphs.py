@@ -15,11 +15,12 @@ half-edges ``2t`` (at ``edges[t][0]``) and ``2t + 1`` (at ``edges[t][1]``),
 and marking ``i + 1`` is half-edge ``2 * n_edges + i``.  All decorated
 bookkeeping elsewhere in the package refers to these indices.
 
-One canonical search, within blocks of vertex colours, is behind both the
-plain key and the decorated canonical form; the terms of one graph passed
-in a row share its plain vertex order when that order has no tie.  Each
-enumerated class keeps its least ``(edges, genera, legs)`` labelling,
-which fixes the output bytes, and its ``|Aut|``, counted in the same scan.
+One search, within blocks of tied vertex colours, is behind both the
+plain key and the decorated canonical form (see the comment above
+``_records``); the terms of one graph passed in a row share what its
+vertex order fixes.  Each enumerated class keeps its least ``(edges,
+genera, legs)`` labelling, which fixes the output bytes, and its
+``|Aut|``, counted in the same scan.
 The enumeration keeps a child only through a top edge, one of largest
 invariant (canonical augmentation, McKay 1998), so it keys each class
 about once.  An optional key of bridge sides prunes it at each child
@@ -260,101 +261,92 @@ def validate(graph: StableGraph, g: int, n: int) -> str | None:
 
 # -- canonical relabeling ---------------------------------------------
 #
-# The canonical form minimizes the edge encoding over all vertex orders
-# compatible with the vertex invariants.  Decorations ride along: a vertex
-# color bundles genus, markings with their psi exponents, and the kappa
-# multiset; every edge record carries the psi exponents of its two halves.
+# A vertex's colour is its plain colour ``(genus, markings)``, then its
+# kappa multiset.  Each marking sits on one vertex, so a vertex with a
+# marking has a colour no other vertex has: only unmarked vertices of one
+# genus can tie.  So leg psi never moves a vertex, and kappa decides only
+# among tied vertices.  One search relabels every graph, plain or
+# decorated: ``_plain_order`` sorts the vertices by plain colour once per
+# graph, and ``_canonical_data`` sorts each tied run by kappa and keeps,
+# over the orders within blocks of equal kappa, the least sorted edge
+# records ``(a, b, psi_a, psi_b)``, which ``_records`` alone normalises.
+# Without a tie the plain order is the only one.
 
 
-def _canonical_data(
-    genera: tuple[int, ...],
-    edges: tuple[tuple[int, int], ...],
-    legs: tuple[int, ...],
-    leg_psi: tuple[int, ...],
-    edge_psi: tuple[tuple[int, int], ...],
-    kappa: tuple[tuple[int, ...], ...],
-):
-    V = len(genera)
-    marks: list[list] = [[] for _ in range(V)]
-    for i, v in enumerate(legs):
-        marks[v].append((i + 1, leg_psi[i]))
-    colors = [(genera[v], tuple(marks[v]), kappa[v]) for v in range(V)]
-
-    order = sorted(range(V), key=colors.__getitem__)
-    blocks: list[list[int]] = []
-    for v in order:
-        if blocks and colors[blocks[-1][0]] == colors[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    if len(blocks) == V:
-        orders = [order]
-    else:
-        orders = map(itertools.chain.from_iterable, itertools.product(*map(itertools.permutations, blocks)))
-
-    best = None
-    for seq in orders:
-        pos = [0] * V
-        for slot, v in enumerate(seq):
-            pos[v] = slot
-        records = []
-        for (u, v), (pu, pv) in zip(edges, edge_psi):
-            nu, nv = pos[u], pos[v]
-            if nu < nv:
-                records.append((nu, nv, pu, pv))
-            elif nu > nv:
-                records.append((nv, nu, pv, pu))
-            elif pu <= pv:
-                records.append((nu, nv, pu, pv))
-            else:
-                records.append((nu, nv, pv, pu))
-        records.sort()
-        if best is None or records < best[0]:
-            best = (records, pos)
-
-    records, pos = best
-    new_genera = tuple(colors[v][0] for v in order)
-    new_kappa = tuple(colors[v][2] for v in order)
-    new_legs = tuple(pos[v] for v in legs)
-    return new_genera, tuple(records), new_legs, leg_psi, new_kappa
+def _records(ends: list[tuple[int, int]], edge_psi: tuple[tuple[int, int], ...]) -> tuple:
+    """The sorted records of edges with these new ``ends``: ``a <= b``, a loop's halves sorted."""
+    records = [
+        (a, b, pa, pb) if a < b or (a == b and pa <= pb) else (b, a, pb, pa)
+        for (a, b), (pa, pb) in zip(ends, edge_psi)
+    ]
+    records.sort()
+    return tuple(records)
 
 
-def canonical_key(graph: StableGraph) -> bytes:
-    """Deterministic byte string identifying the isomorphism class."""
-    genera, edges, legs = graph.genera, graph.edges, graph.legs
-    zeros = (0,) * len(legs), ((0, 0),) * len(edges), ((),) * len(genera)
-    g2, records, legs2, _, _ = _canonical_data(genera, edges, legs, *zeros)
-    plain = tuple((a, b) for a, b, _, _ in records)
-    return repr((g2, plain, legs2)).encode()
+def _plain_order(graph: StableGraph):
+    """The vertices of ``graph`` sorted by plain colour, and what that fixes.
 
-
-def _vertex_order(graph: StableGraph):
-    """The relabelling every decoration of ``graph`` shares, or ``None`` if two plain colours tie.
-
-    A vertex's decorated colour extends its plain colour ``(genus,
-    markings)``, and markings sit on one vertex each, so sorting by it only
-    breaks ties of the plain order: without one, that order is canonical
-    for every decoration.  Returns ``(order, genera, legs, plan, graph)``
-    relabelled, ``plan`` holding each edge's new ends and whether its psi
-    pair swaps (1) or, on a loop, is sorted (2).
+    Returns ``(order, genera, legs, ends, colors)``: the order, the genera
+    and legs relabelled by it, which no tie changes, the slots of each
+    edge's ends, and, when two slots tie, the plain colour of each slot,
+    else ``None``.
     """
     genera, legs = graph.genera, graph.legs
     marks: list[list[int]] = [[] for _ in genera]
     for i, v in enumerate(legs):
         marks[v].append(i)
-    colors = [(gv, tuple(m)) for gv, m in zip(genera, marks)]
+    colors = list(zip(genera, map(tuple, marks)))
     order = sorted(range(len(genera)), key=colors.__getitem__)
-    if any(colors[u] == colors[v] for u, v in zip(order, order[1:])):
-        return None
     pos = [0] * len(order)
     for slot, v in enumerate(order):
         pos[v] = slot
-    plan = [
-        (pos[v], pos[u], 1) if pos[u] > pos[v] else (pos[u], pos[v], 2 * (u == v)) for u, v in graph.edges
-    ]
-    new_genera, new_legs = tuple(genera[v] for v in order), tuple(pos[v] for v in legs)
-    new_graph = _graph(new_genera, tuple(sorted(p[:2] for p in plan)), new_legs)
-    return order, new_genera, new_legs, plan, new_graph
+    colors.sort()
+    new_genera, new_legs = tuple(map(genera.__getitem__, order)), tuple(map(pos.__getitem__, legs))
+    ends = [(pos[u], pos[v]) for u, v in graph.edges]
+    return order, new_genera, new_legs, ends, colors if len(set(colors)) < len(colors) else None
+
+
+def _canonical_data(plan, edge_psi: tuple[tuple[int, int], ...], kappa: tuple[tuple[int, ...], ...]):
+    """The sorted edge records and the kappa of the least relabelling under ``plan`` (``_plain_order``)."""
+    order, _, _, ends, colors = plan
+    kappa = tuple([kappa[v] for v in order])
+    if colors is None:
+        return _records(ends, edge_psi), kappa
+    full = list(zip(colors, kappa))
+    seq = sorted(range(len(order)), key=full.__getitem__)
+    blocks = [list(block) for _, block in itertools.groupby(seq, full.__getitem__)]
+    best = None
+    pos = [0] * len(order)
+    for perm in itertools.product(*map(itertools.permutations, blocks)):
+        for slot, s in enumerate(itertools.chain.from_iterable(perm)):
+            pos[s] = slot
+        records = _records([(pos[a], pos[b]) for a, b in ends], edge_psi)
+        if best is None or records < best:
+            best = records
+    return best, tuple([kappa[s] for s in seq])
+
+
+def canonical_key(graph: StableGraph) -> bytes:
+    """Deterministic byte string identifying the isomorphism class."""
+    plan = _plain_order(graph)
+    records, _ = _canonical_data(plan, ((0, 0),) * len(graph.edges), ((),) * len(graph.genera))
+    return repr((plan[1], tuple([(a, b) for a, b, _, _ in records]), plan[2])).encode()
+
+
+def _vertex_order(graph: StableGraph):
+    """What every relabelling of ``graph`` shares: ``(plan, new_graph)``.
+
+    ``plan`` is its :func:`_plain_order`; without a tie, ``new_graph`` is
+    the graph relabelled by that order (``graph`` itself when the order
+    moves no vertex), else ``None``.
+    """
+    plan = _plain_order(graph)
+    if plan[4] is not None:
+        return plan, None
+    if plan[0] == list(range(graph.n_vertices)):
+        return plan, graph
+    plain = tuple([(a, b) for a, b, _, _ in _records(plan[3], ((0, 0),) * graph.n_edges)])
+    return plan, _graph(plan[1], plain, plan[2])
 
 
 # The graph last relabelled and its _vertex_order.  A graph sum passes the
@@ -375,30 +367,17 @@ def canonical_form_decorated(
     the exponents on the two halves of edge ``t`` in layout order; ``kappa[v]``
     a sorted tuple of kappa indices at vertex ``v``.  Returns the relabeled
     ``(graph, leg_psi, edge_psi, kappa, key)`` with decorations re-expressed
-    in the new graph's layout.  The terms of one graph passed in a row share
-    one vertex order (:func:`_vertex_order`); where it has a tie, the
-    decorations choose among the orders.
+    in the new graph's layout; markings keep their numbers, so ``leg_psi``
+    is returned as it is.
     """
     if graph is not _last_order[0]:
         _last_order[:] = graph, _vertex_order(graph)
-    if _last_order[1] is None:
-        new_genera, records, new_legs, _, new_kappa = _canonical_data(
-            graph.genera, graph.edges, graph.legs, leg_psi, edge_psi, kappa
-        )
-        # The records are sorted, so their leading pairs are the normalized
-        # edge list; within a group of parallel edges the records themselves
-        # are sorted, fixing the order of psi pairs.
-        new_graph = _graph(new_genera, tuple((a, b) for a, b, _, _ in records), new_legs)
-    else:
-        order, new_genera, new_legs, plan, new_graph = _last_order[1]
-        records = tuple(sorted([
-            (a, b, pv, pu) if how == 1 or (how and pu > pv) else (a, b, pu, pv)
-            for (a, b, how), (pu, pv) in zip(plan, edge_psi)
-        ]))
-        new_kappa = tuple(kappa[v] for v in order)
-    new_edge_psi = tuple((pu, pv) for _, _, pu, pv in records)
-    key = repr((new_genera, records, new_legs, leg_psi, new_kappa)).encode()
-    return new_graph, leg_psi, new_edge_psi, new_kappa, key
+    plan, new_graph = _last_order[1]
+    records, new_kappa = _canonical_data(plan, edge_psi, kappa)
+    if new_graph is None:
+        new_graph = _graph(plan[1], tuple([(a, b) for a, b, _, _ in records]), plan[2])
+    key = repr((plan[1], records, plan[2], leg_psi, new_kappa)).encode()
+    return new_graph, leg_psi, tuple([(pa, pb) for _, _, pa, pb in records]), new_kappa, key
 
 
 def automorphism_order(graph: StableGraph) -> int:

@@ -186,10 +186,11 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
     For each stable graph and edge-power profile the weighting sum is
     found as a polynomial in r (:func:`~drtaut.weightings.profile_weights`),
     integer numerators over one denominator.  It is checked divisible by
-    ``r^b``, and its coefficient of ``r^b`` enters the class, read as one
-    numerator over the denominator times ``|Aut|``.  Requires a stable type
-    and exactly balanced ramification data, so that every large modulus is
-    admissible.
+    ``r^b``, a self-check that raises ``ArithmeticError`` naming the
+    graph's label and the profile, and its coefficient of ``r^b`` enters
+    the class, read as one numerator over the denominator times ``|Aut|``.
+    Requires a stable type and exactly balanced ramification data, so that
+    every large modulus is admissible.
     """
     dr.require_exact()
     terms = EdgeTerms(_x_powers(d))
@@ -200,7 +201,7 @@ def pixton_class(dr: DRVector, d: int) -> TautClass:
         for m, poly in zip(profiles, polys):
             low = 2 * (d - sum(m) - len(m))  # the sum's r^j is at low + j
             if any(poly[low : low + b]):
-                raise ValueError(f"weighting sum not divisible by r^{b} on {label} profile {m}")
+                raise ArithmeticError(f"weighting sum not divisible by r^{b} on {label} profile {m}")
             weights[m] = poly[low + b]
         _emit_graph(acc, graph, L, d, weights, den * aut)
     return TautClass(dr.genus, dr.n, acc)
@@ -229,10 +230,7 @@ def verify_polynomiality(dr: DRVector, d: int) -> tuple[int, list[str]]:
     fits, bad, differ = 0, [], []
     for label, graph, b, _, _, profiles in _graph_templates(dr, d, 0):
         cap = 2 * d + b
-        try:
-            sampled, den = sampled_profile_weights(graph, dr, profiles, terms, cap, label)
-        except ValueError as exc:
-            raise ArithmeticError(str(exc)) from exc
+        sampled, den = sampled_profile_weights(graph, dr, profiles, terms, cap, label)
         tree = tree_profile_weights(graph, dr, profiles, terms, cap, label)
         tree_weights, tree_den = tree or (sampled, den)
         fits += len(profiles)

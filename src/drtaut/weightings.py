@@ -467,10 +467,12 @@ def sampled_profile_weights(
     ``S`` up to the largest ``shift``, sampling from :func:`default_r_min`
     and verifying at two fresh moduli.  Returns ``(weights, den)`` as
     :func:`tree_profile_weights` does, ``den`` the ``lcm`` of the fits'
-    denominators; no profile gives no weights.  A fit that fails
-    verification raises ``ValueError``, and a sum above degree ``shift``
-    ``ArithmeticError``, both naming ``label``.
+    denominators; no profile gives no weights.  A graph of another type
+    than ``dr`` raises ``ValueError`` before any fit; a fit that fails
+    verification and a sum above degree ``shift`` are failed self-checks
+    and raise ``ArithmeticError``, both naming ``label``.
     """
+    _require_type(graph, dr)
     b = first_betti(graph)
     name = _label(graph, label)
     keys = {key for prof in profiles for key in prof}
@@ -481,7 +483,10 @@ def sampled_profile_weights(
         sums = edge_profile_sums(graph, rr, dr, [[tables[k] for k in prof] for prof in profiles])
         return dict(enumerate(sums))
 
-    fits, _ = certified_fit(evaluate, max(shifts, default=b), default_r_min(dr), label=name)
+    try:
+        fits, _ = certified_fit(evaluate, max(shifts, default=b), default_r_min(dr), label=name)
+    except ValueError as exc:
+        raise ArithmeticError(str(exc)) from exc
     den = lcm(*(d for _, d in fits.values()))
     weights = []
     for i, shift in enumerate(shifts):

@@ -294,18 +294,9 @@ def _loop_class(edges=([0, 1],), legs=((2, 1), (3, 2)), half_edges=(0, 1, 2, 3),
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["chiodo", "--g", "2", "--a", "1,-1", "--d", "2", "--constant"],
-            ["dr", "--g", "2", "--a", "1,-1"],
-        ],
-        ids=["chiodo-constant", "dr"],
-    )
-    def test_failed_self_check_exits_one(self, capsys, monkeypatch, argv):
-        # A class polynomial one degree above its bound fails a self-check
-        # inside the class computation: a verification failure that names
-        # the graph, with no traceback and nothing on stdout.
+    @staticmethod
+    def _raised_class(monkeypatch):
+        # A class polynomial one degree above its bound.
         real = weightings._class_at
 
         def raised(observables, residue):
@@ -314,10 +305,56 @@ class TestErrorPaths:
             return nums + [0] * (bound + 1 - len(nums)) + [1], den
 
         monkeypatch.setattr(weightings, "_class_at", raised)
+        return "class polynomial above its degree bound"
+
+    @staticmethod
+    def _underfit(monkeypatch):
+        # Every sampled fit certified with degree bound 0, which the sums
+        # of dr --g 3 exceed, so the doubled window fails too.
+        real = weightings.certified_fit
+
+        def underfit(evaluate, degree_bound, r_min, **options):
+            return real(evaluate, 0, r_min, **options)
+
+        monkeypatch.setattr(weightings, "certified_fit", underfit)
+        return "fails verification at fresh sample moduli on #0"
+
+    @staticmethod
+    def _not_divisible(monkeypatch):
+        # A unit r^1 term added to every weighting sum, which the two-loop
+        # graph's sum, divisible by r^2, no longer is.
+        real = pixton.profile_weights
+
+        def shifted(graph, dr, profiles, terms, cap, label=None):
+            weights, den = real(graph, dr, profiles, terms, cap, label)
+            b = graph.n_edges - graph.n_vertices + 1
+            for m, w in zip(profiles, weights):
+                w[cap - 2 * (sum(m) + len(m)) - b + 1] += den
+            return weights, den
+
+        monkeypatch.setattr(pixton, "profile_weights", shifted)
+        return "profile (0, 0)"
+
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            (["chiodo", "--g", "2", "--a", "1,-1", "--d", "2", "--constant"], "_raised_class"),
+            (["dr", "--g", "2", "--a", "1,-1"], "_raised_class"),
+            (["dr", "--g", "3", "--a", "1,-1"], "_underfit"),
+            (["dr", "--g", "2", "--a", "1,-1"], "_not_divisible"),
+        ],
+        ids=["chiodo-constant", "dr", "dr-fit-rejected", "dr-not-divisible"],
+    )
+    def test_failed_self_check_exits_one(self, capsys, monkeypatch, argv, fault):
+        # A self-check that fails inside the class computation is a
+        # verification failure that names the graph, with no traceback and
+        # nothing on stdout: a sum above its degree bound, a sampled fit
+        # that fails verification, a sum not divisible by r^b.
+        ending = getattr(self, fault)(monkeypatch)
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.endswith("class polynomial above its degree bound\n")
+        assert err.startswith("error: ") and err.endswith(ending + "\n")
         assert " graph#" in err
         assert "Traceback" not in err
 
@@ -471,20 +508,26 @@ class TestErrorPaths:
         assert "non-negative" in err
 
     def test_negative_degree(self, capsys):
-        argv = ["pixton", "--g", "1", "--a", "1,-1", "--d", "-1"]
-        for extra in ([], ["--r", "5"]):
-            code, out, err = run(capsys, argv + extra)
-            assert code == 2
-            assert out == ""
-            assert "degree" in err and "non-negative" in err
+        for d in ("-1", "-2"):
+            argv = ["pixton", "--g", "1", "--a", "1,-1", "--d", d]
+            for extra in ([], ["--r", "5"]):
+                code, out, err = run(capsys, argv + extra)
+                assert code == 2
+                assert out == ""
+                assert "degree" in err and "non-negative" in err
 
     def test_chiodo_constant_negative_degree(self, capsys):
-        code, out, err = run(
-            capsys, ["chiodo", "--g", "2", "--a", "1,-1", "--d", "-1", "--constant"]
-        )
-        assert code == 2
-        assert out == ""
-        assert err.strip() == "error: degree must be non-negative"
+        # Chiodo's routes reject the degree before they build a table: at
+        # d = -2 the tables would be cut at a negative degree.
+        for d in ("-1", "-2"):
+            for argv in (
+                ["chiodo", "--g", "2", "--a", "1,-1", "--d", d, "--constant"],
+                ["chiodo", "--g", "1", "--a", "1,-1", "--d", d, "--r", "3"],
+                ["verify", "samefreeterm", "--g", "1", "--a", "1,-1", "--d", d],
+            ):
+                code, out, err = run(capsys, argv)
+                assert (code, out) == (2, ""), argv
+                assert err.strip() == "error: degree must be non-negative", argv
 
     def test_polynomiality_unbalanced_vector(self, capsys):
         code, out, err = run(

@@ -406,6 +406,23 @@ class TestAgainstOracles:
             got = canonical_form_decorated(other, leg_psi, edge_psi, kappa)
             assert got == oracles.canonical_form_decorated(other, leg_psi, edge_psi, kappa), other
 
+    @pytest.mark.parametrize("g, n", [(2, 2), (3, 1), (4, 0)])
+    def test_decorations_that_order_vertices(self, g, n):
+        # Only unmarked vertices of one genus tie, so leg psi never moves a
+        # vertex: it changes neither the relabelled graph nor the edge psi
+        # and kappa.  Distinct kappa on every vertex splits every tie, the
+        # way the oracle's search over all orders does.
+        rng = random.Random(f"ordering decorations {g} {n}")
+        for graph in enumerate_stable_graphs(g, n):
+            other = shuffled(graph, rng)
+            edge_psi = tuple((rng.randrange(3), rng.randrange(3)) for _ in other.edges)
+            kappa = tuple((m,) for m in rng.sample(range(1, other.n_vertices + 1), other.n_vertices))
+            got = canonical_form_decorated(other, (0,) * n, edge_psi, kappa)
+            assert got == oracles.canonical_form_decorated(other, (0,) * n, edge_psi, kappa), other
+            leg_psi = tuple(rng.randrange(1, 4) for _ in other.legs)
+            moved = canonical_form_decorated(other, leg_psi, edge_psi, kappa)
+            assert (moved[0], moved[2], moved[3]) == (got[0], got[2], got[3]), other
+
     @pytest.mark.parametrize("g, n", ORACLE_TYPES)
     def test_degenerations(self, g, n):
         # The library builds exactly the oracle's children whose new edge

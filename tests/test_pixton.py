@@ -388,7 +388,7 @@ class TestConstantTerm:
             r"^weighting sum not divisible by r\^2 on P\(g=2,n=0,k=0,d=2\) graph#\d+ "
             r"profile \(0, 0\)$"
         )
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ArithmeticError, match=message):
             pixton_class(DRVector(2, ()), 2)
 
     def test_verify_polynomiality_counts_every_profile(self):
