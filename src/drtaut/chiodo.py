@@ -168,13 +168,6 @@ def _exponential(dr: DRVector, d: int, r: int = 0):
     return lambda graph, budget: series_vertex_leg_exp(graph, legs, kappa, den, budget, one)
 
 
-def _require_roots(dr: DRVector, r: int) -> None:
-    if r <= 0:
-        raise ValueError("modulus must be positive")
-    if dr.defect % r:
-        raise ValueError(f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}")
-
-
 def _require_degree(dr: DRVector, d: int) -> None:
     """Reject an unstable type, then a negative degree, as ``graph_sum_data`` does, before any table."""
     require_stable_type(dr.genus, dr.n)
@@ -203,7 +196,7 @@ def chiodo_pushforward(dr: DRVector, d: int, r: int) -> TautClass:
     of tables over the weightings.  Every series is truncated at the
     degree it has to reach, which changes no degree-d coefficient.
     """
-    _require_roots(dr, r)
+    dr.require_modulus(r)
     _require_degree(dr, d)
     factors = [dict(edge_factor_coefficients(r, w, d)) for w in range(r)]
     tables = {key: [f.get(key, 0) for f in factors] for key, _ in _edge_factor_polys(d)[0]}
@@ -315,7 +308,7 @@ def chern_route_class(dr: DRVector, d: int, r: int) -> TautClass:
     require_stable_type(g, n)
     if d not in (0, 1):
         raise ValueError("chern route implemented for degrees 0 and 1 only")
-    _require_roots(dr, r)
+    dr.require_modulus(r)
     smooth = trivial_class(g, n).scale(Fraction(r) ** (2 * g - 1))
     if d == 0:
         return smooth

@@ -4,14 +4,19 @@ One verb per library entry point: ``graphs`` enumerates stable graphs,
 ``pixton`` and ``dr`` compute the weighting graph sums, ``lambda`` the
 Hodge class expressions, ``chiodo`` the r-th root pushforward, and
 ``integrate`` pairs a serialized class against a psi monomial.  The
-``verify`` verb groups the consistency checks; each prints both routes'
-values when they disagree and exits 1.
+``verify`` verb groups the consistency checks.  The shared options
+(``--json``, ``--g``, the vector ``--a``, ``--d``, ``--k``) come from a
+chain of parent parsers, each adding one to the one before, and a verb
+declares only its own options.
 
-Exit codes: 0 success, 1 verification failure (also a self-check that
-fails inside any verb, printed as ``error:``), 2 usage error (malformed
+Exit codes: 0 success, 1 verification failure, 2 usage error (malformed
 vectors, unstable types, inadmissible congruences, inputs whose recursion
-runs too deep, such as psi pairings in genus in the hundreds).  ``--json``
-switches every verb to schema-versioned, byte-stable JSON on stdout.
+runs too deep, such as psi pairings in genus in the hundreds).  Only
+:func:`main` maps exceptions to exit codes.  An ``ArithmeticError`` is a
+failed self-check or a disagreement of two routes: a check that declares
+a ``failure`` label prints ``FAIL <label>`` and the route's message, and
+every other verb prints ``error:`` on stderr.  ``--json`` switches every
+verb to schema-versioned, byte-stable JSON on stdout.
 """
 
 from __future__ import annotations
@@ -22,13 +27,7 @@ import sys
 
 from .chiodo import chiodo_constant, chiodo_pushforward, verify_samefreeterm
 from .exact import rat_to_str
-from .graphs import (
-    automorphism_order,
-    enumerate_stable_graphs,
-    first_betti,
-    graph_to_json,
-    require_stable_type,
-)
+from .graphs import automorphism_order, enumerate_stable_graphs, first_betti, graph_to_json
 from .intersect import (
     complementary_psi_monomials,
     dr_ab_integral,
@@ -92,6 +91,11 @@ def emit_verify(args: argparse.Namespace, ok: bool, value: str, detail: str = ""
 # -- verb implementations ---------------------------------------------
 
 
+def ramification(args: argparse.Namespace) -> DRVector:
+    """The verb's ramification data; a verb without ``--k`` is untwisted."""
+    return DRVector(args.g, args.a, getattr(args, "k", 0))
+
+
 def cmd_graphs(args) -> int:
     graphs = enumerate_stable_graphs(args.g, args.n, max_edges=args.max_edges)
     if getattr(args, "json", False):
@@ -121,7 +125,7 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_pixton(args) -> int:
-    dr = DRVector(args.g, args.a, args.k)
+    dr = ramification(args)
     if args.r is not None:
         cls = pixton_fixed_r(dr, args.d, args.r)
     else:
@@ -131,7 +135,7 @@ def cmd_pixton(args) -> int:
 
 
 def cmd_dr(args) -> int:
-    emit_class(args, dr_cycle(DRVector(args.g, args.a)))
+    emit_class(args, dr_cycle(ramification(args)))
     return 0
 
 
@@ -141,7 +145,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_chiodo(args) -> int:
-    dr = DRVector(args.g, args.a, args.k)
+    dr = ramification(args)
     if args.constant:
         cls = chiodo_constant(dr, args.d)
     else:
@@ -163,20 +167,13 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_verify_samefreeterm(args) -> int:
-    dr = DRVector(args.g, args.a, args.k)
-    ok, report = verify_samefreeterm(dr, args.d)
+    ok, report = verify_samefreeterm(ramification(args), args.d)
     return emit_verify(args, ok, "constant terms agree" if ok else "", report)
 
 
 def cmd_verify_vanishing(args) -> int:
-    dr = DRVector(args.g, args.a)
-    g, n = dr.genus, dr.n
-    require_stable_type(g, n)
-    if args.d > 3 * g - 3 + n:
-        raise ValueError(
-            f"degree d={args.d} exceeds dim Mbar_{{{g},{n}}} = {3 * g - 3 + n}: nothing to pair"
-        )
-    sets = complementary_psi_monomials(g, n, args.d)
+    dr = ramification(args)
+    sets = complementary_psi_monomials(dr.genus, dr.n, args.d)
     values = vanishing_probe(dr, args.d, sets)
     bad = [
         f"  psi^{list(e)} -> {rat_to_str(v)}"
@@ -193,19 +190,11 @@ def cmd_verify_vanishing(args) -> int:
 
 
 def cmd_verify_hodge_triple(args) -> int:
-    try:
-        value = hodge_triple(args.g)
-    except ArithmeticError as exc:
-        return emit_verify(args, False, "route disagreement", str(exc))
-    return emit_verify(args, True, rat_to_str(value))
+    return emit_verify(args, True, rat_to_str(hodge_triple(args.g)))
 
 
 def cmd_verify_dr_ab(args) -> int:
-    try:
-        value = dr_ab_integral(args.g, args.a)
-    except ArithmeticError as exc:
-        return emit_verify(args, False, "route disagreement", str(exc))
-    return emit_verify(args, True, rat_to_str(value))
+    return emit_verify(args, True, rat_to_str(dr_ab_integral(args.g, args.a)))
 
 
 def cmd_verify_socle(args) -> int:
@@ -214,18 +203,11 @@ def cmd_verify_socle(args) -> int:
         f"  socle({g},{p},{g - p}) = {rat_to_str(socle_integral(g, p, g - p))}"
         for p in range(g + 1)
     ]
-    try:
-        value = psi_sum_lambda(g)
-    except ArithmeticError as exc:
-        return emit_verify(args, False, "route disagreement", str(exc))
-    return emit_verify(args, True, rat_to_str(value), "\n".join(lines))
+    return emit_verify(args, True, rat_to_str(psi_sum_lambda(g)), "\n".join(lines))
 
 
 def cmd_verify_polynomiality(args) -> int:
-    try:
-        fits, bad = verify_polynomiality(DRVector(args.g, args.a, args.k), args.d)
-    except ArithmeticError as exc:
-        return emit_verify(args, False, "fit rejected", str(exc))
+    fits, bad = verify_polynomiality(ramification(args), args.d)
     return emit_verify(
         args,
         not bad,
@@ -238,6 +220,9 @@ def cmd_verify_polynomiality(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each parent adds one shared option to the one before it: a verb takes
+    # the shortest chain that carries its shared options and declares only
+    # its own.  --d comes before --k because vanishing takes no twist.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json",
@@ -245,6 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="emit schema-versioned JSON on stdout",
     )
+    genus = argparse.ArgumentParser(add_help=False, parents=[common])
+    genus.add_argument("--g", type=int, required=True)
+    vector = argparse.ArgumentParser(add_help=False, parents=[genus])
+    vector.add_argument("--a", type=parse_vector, required=True)
+    degree = argparse.ArgumentParser(add_help=False, parents=[vector])
+    degree.add_argument("--d", type=int, required=True)
+    twisted = argparse.ArgumentParser(add_help=False, parents=[degree])
+    twisted.add_argument("--k", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="drtaut",
@@ -253,35 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("graphs", parents=[common], help="enumerate stable graphs")
-    p.add_argument("--g", type=int, required=True)
+    p = sub.add_parser("graphs", parents=[genus], help="enumerate stable graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-edges", type=int, default=None)
     p.set_defaults(func=cmd_graphs)
 
-    p = sub.add_parser("pixton", parents=[common], help="weighting graph-sum class")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--a", type=parse_vector, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("pixton", parents=[twisted], help="weighting graph-sum class")
     p.add_argument("--r", type=int, default=None, help="fixed modulus (default: r-free constant term)")
     p.set_defaults(func=cmd_pixton)
 
-    p = sub.add_parser("dr", parents=[common], help="double ramification cycle")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--a", type=parse_vector, required=True)
-    p.set_defaults(func=cmd_dr)
+    sub.add_parser("dr", parents=[vector], help="double ramification cycle").set_defaults(func=cmd_dr)
 
-    p = sub.add_parser("lambda", parents=[common], help="Hodge class expression")
-    p.add_argument("--g", type=int, required=True)
+    p = sub.add_parser("lambda", parents=[genus], help="Hodge class expression")
     p.add_argument("--n", type=int, default=0)
     p.set_defaults(func=cmd_lambda)
 
-    p = sub.add_parser("chiodo", parents=[common], help="r-th root pushforward class")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--a", type=parse_vector, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("chiodo", parents=[twisted], help="r-th root pushforward class")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--r", type=int, default=None, help="evaluate at this modulus")
     mode.add_argument(
@@ -297,40 +277,26 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[common], help="consistency checks")
     vsub = v.add_subparsers(dest="check", required=True)
 
-    p = vsub.add_parser("samefreeterm", parents=[common], help="two constant-term routes agree")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--a", type=parse_vector, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_verify_samefreeterm)
-
-    p = vsub.add_parser("vanishing", parents=[common], help="above-genus pairings vanish")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--a", type=parse_vector, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_verify_vanishing)
-
-    p = vsub.add_parser("hodge-triple", parents=[common], help="two-route triple Hodge integral")
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=cmd_verify_hodge_triple)
-
-    p = vsub.add_parser("dr-ab", parents=[common], help="two-route two-point cycle pairing")
-    p.add_argument("--g", type=int, required=True)
+    # A check with a ``failure`` label reports an ArithmeticError from its
+    # routes as ``FAIL <label>``; in any other check it is an ``error:``.
+    vsub.add_parser(
+        "samefreeterm", parents=[twisted], help="two constant-term routes agree"
+    ).set_defaults(func=cmd_verify_samefreeterm)
+    vsub.add_parser(
+        "vanishing", parents=[degree], help="above-genus pairings vanish"
+    ).set_defaults(func=cmd_verify_vanishing)
+    vsub.add_parser(
+        "hodge-triple", parents=[genus], help="two-route triple Hodge integral"
+    ).set_defaults(func=cmd_verify_hodge_triple, failure="route disagreement")
+    p = vsub.add_parser("dr-ab", parents=[genus], help="two-route two-point cycle pairing")
     p.add_argument("--a", type=int, required=True, help="ramification order")
-    p.set_defaults(func=cmd_verify_dr_ab)
-
-    p = vsub.add_parser("socle", parents=[common], help="socle values against the psi-sum identity")
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=cmd_verify_socle)
-
-    p = vsub.add_parser(
-        "polynomiality", parents=[common], help="certified fits divisible by r^betti"
-    )
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--a", type=parse_vector, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_verify_polynomiality)
+    p.set_defaults(func=cmd_verify_dr_ab, failure="route disagreement")
+    vsub.add_parser(
+        "socle", parents=[genus], help="socle values against the psi-sum identity"
+    ).set_defaults(func=cmd_verify_socle, failure="route disagreement")
+    vsub.add_parser(
+        "polynomiality", parents=[twisted], help="certified fits divisible by r^betti"
+    ).set_defaults(func=cmd_verify_polynomiality, failure="fit rejected")
 
     return parser
 
@@ -359,6 +325,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
+        if getattr(args, "failure", None):
+            return emit_verify(args, False, args.failure, str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -116,29 +116,11 @@ class StableGraph:
             return self.edges[h // 2][h % 2]
         return self.legs[h - 2 * self.n_edges]
 
-    def involution(self, h: int) -> int:
-        """The partner half-edge at the same node; legs are fixed points."""
-        if h < 2 * self.n_edges:
-            return h ^ 1
-        return h
-
-    def is_leg(self, h: int) -> bool:
-        return h >= 2 * self.n_edges
-
-    def marking_of(self, h: int) -> int:
-        """Marking number (1-based) of a leg half-edge."""
-        if not self.is_leg(h):
-            raise ValueError(f"half-edge {h} is not a leg")
-        return h - 2 * self.n_edges + 1
-
     def leg_half_edge(self, marking: int) -> int:
         return 2 * self.n_edges + marking - 1
 
     def edge_half_edges(self, t: int) -> tuple[int, int]:
         return 2 * t, 2 * t + 1
-
-    def vertex_half_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(h for h in range(self.n_half_edges) if self.half_edge_vertex(h) == v)
 
     def vertex_markings(self, v: int) -> tuple[int, ...]:
         return tuple(i + 1 for i, w in enumerate(self.legs) if w == v)
@@ -201,11 +183,6 @@ class StableGraph:
         """Markings on the ``edges[t][0]`` side of a bridge, else ``None``."""
         side = self.bridge_side(t)
         return None if side is None else side[1]
-
-    # -- canonical form -----------------------------------------------
-
-    def canonical_key(self) -> bytes:
-        return canonical_key(self)
 
 
 def _fill(graph: StableGraph, genera, edges, legs) -> None:

@@ -36,7 +36,8 @@ end.
 The higher-level verification routines (:func:`vanishing_probe`,
 :func:`hodge_triple`, :func:`dr_ab_integral`, :func:`psi_sum_lambda`)
 each compute a quantity by two independent routes and raise
-``ArithmeticError`` if the routes disagree, so a passing call is itself a
+``ArithmeticError`` if the routes disagree, the Hodge routines through
+the one comparison :func:`_agree`, so a passing call is itself a
 consistency proof.
 """
 
@@ -394,19 +395,39 @@ def vanishing_probe(
     For degree d above the genus the class vanishes, so every returned
     pairing must be the exact rational zero.  The probe computes the
     pairings; asserting them zero is the caller's (or the test suite's)
-    job, keeping failures visible.
+    job, keeping failures visible.  The type is checked first, then that
+    ``genus < d <= dim Mbar_{g,n}``, before any class is built: above the
+    dimension no monomial exists, and the vanishing would be vacuous.
     """
-    if d <= dr.genus:
-        raise ValueError(f"vanishing holds for degree > genus; got d={d}, g={dr.genus}")
+    g, n = dr.genus, dr.n
+    require_stable_type(g, n)
+    if d > 3 * g - 3 + n:
+        raise ValueError(f"degree d={d} exceeds dim Mbar_{{{g},{n}}} = {3 * g - 3 + n}: nothing to pair")
+    if d <= g:
+        raise ValueError(f"vanishing holds for degree > genus; got d={d}, g={g}")
     cls = pixton_class(dr, d)
     if exponent_sets is None:
-        sets = complementary_psi_monomials(dr.genus, dr.n, d)
+        sets = complementary_psi_monomials(g, n, d)
     else:
         sets = [tuple(int(b) for b in s) for s in exponent_sets]
     return [pair_with_psi(cls, s) for s in sets]
 
 
 # -- Hodge pairings via the socle formula -----------------------------
+
+
+def _bernoulli_ratio(g: int) -> Fraction:
+    """``B_{2g} / 2g``, the factor of every closed form below; defined for g >= 1."""
+    if g < 1:
+        raise ValueError("genus must be at least 1")
+    return bernoulli_number(2 * g) / (2 * g)
+
+
+def _agree(what: str, where: str, route: Fraction, closed: Fraction) -> Fraction:
+    """``closed``, once ``route`` equals it; ``ArithmeticError`` naming both otherwise."""
+    if route != closed:
+        raise ArithmeticError(f"{what} routes disagree at {where}: {route} vs {closed}")
+    return closed
 
 
 def socle_integral(g: int, p: int, q: int) -> Fraction:
@@ -416,15 +437,11 @@ def socle_integral(g: int, p: int, q: int) -> Fraction:
         (-1)^{g+1} B_{2g} / (2^{2g} g (2p-1)!! (2q-1)!!).
     Valid for g >= 1 including p or q equal to zero.
     """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
+    ratio = _bernoulli_ratio(g)
     if p < 0 or q < 0 or p + q != g:
         raise ValueError(f"need p + q = {g} with p, q >= 0, got ({p}, {q})")
-    sign = Fraction((-1) ** (g + 1))
-    return (
-        sign
-        * bernoulli_number(2 * g)
-        / (2 ** (2 * g) * g * double_factorial(2 * p - 1) * double_factorial(2 * q - 1))
+    return (-1) ** (g + 1) * ratio / (
+        2 ** (2 * g - 1) * double_factorial(2 * p - 1) * double_factorial(2 * q - 1)
     )
 
 
@@ -437,8 +454,7 @@ def psi_sum_lambda(g: int) -> Fraction:
         sum_{p+q=g} 1 / (p! (2p-1)!! q! (2q-1)!!) = 2^{3g-1} / (2g)!
     which is asserted along the way.  ArithmeticError on any mismatch.
     """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
+    closed_route = (-1) ** (g + 1) * _bernoulli_ratio(g) / double_factorial(2 * g - 1)
     binomial_route = Fraction(0)
     pascal_sum = Fraction(0)
     for p in range(g + 1):
@@ -457,17 +473,7 @@ def psi_sum_lambda(g: int) -> Fraction:
         raise ArithmeticError(
             f"even binomial identity failed at g={g}: {pascal_sum}"
         )
-    closed_route = (
-        Fraction((-1) ** (g + 1))
-        * bernoulli_number(2 * g)
-        / (2 * g)
-        / double_factorial(2 * g - 1)
-    )
-    if binomial_route != closed_route:
-        raise ArithmeticError(
-            f"psi-sum routes disagree at g={g}: {binomial_route} vs {closed_route}"
-        )
-    return closed_route
+    return _agree("psi-sum", f"g={g}", binomial_route, closed_route)
 
 
 def _power_sum_linear_coefficient(m: int) -> Fraction:
@@ -502,16 +508,7 @@ def hodge_triple(g: int) -> Fraction:
     pairing, with the Bernoulli number B_{2g+2} extracted from the power
     sum by interpolation.  ArithmeticError on mismatch.
     """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
-    closed = (
-        Fraction(-1, 2)
-        / factorial(2 * g)
-        * bernoulli_number(2 * g)
-        / (2 * g)
-        * bernoulli_number(2 * g + 2)
-        / (2 * g + 2)
-    )
+    closed = -_bernoulli_ratio(g) / (2 * factorial(2 * g)) * bernoulli_number(2 * g + 2) / (2 * g + 2)
     extracted = _power_sum_linear_coefficient(2 * g + 2)
     graph_route = (
         Fraction((-1) ** g)
@@ -519,11 +516,7 @@ def hodge_triple(g: int) -> Fraction:
         / (2 ** (g + 1) * factorial(g + 1))
         * psi_sum_lambda(g)
     )
-    if graph_route != closed:
-        raise ArithmeticError(
-            f"triple-product routes disagree at g={g}: {graph_route} vs {closed}"
-        )
-    return closed
+    return _agree("triple-product", f"g={g}", graph_route, closed)
 
 
 def dr_ab_integral(g: int, a: int) -> Fraction:
@@ -535,18 +528,6 @@ def dr_ab_integral(g: int, a: int) -> Fraction:
     a^{2g} / (2^g g!) times the psi-sum pairing.  ArithmeticError on
     mismatch.
     """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
-    closed = (
-        Fraction((-1) ** (g + 1))
-        * Fraction(a ** (2 * g), factorial(2 * g))
-        * bernoulli_number(2 * g)
-        / (2 * g)
-    )
+    closed = (-1) ** (g + 1) * _bernoulli_ratio(g) * Fraction(a ** (2 * g), factorial(2 * g))
     vertex_route = Fraction(a ** (2 * g), 2**g * factorial(g)) * psi_sum_lambda(g)
-    if vertex_route != closed:
-        raise ArithmeticError(
-            f"cycle-pairing routes disagree at (g={g}, a={a}): "
-            f"{vertex_route} vs {closed}"
-        )
-    return closed
+    return _agree("cycle-pairing", f"(g={g}, a={a})", vertex_route, closed)

@@ -168,10 +168,7 @@ def pixton_fixed_r(dr: DRVector, d: int, r: int) -> TautClass:
     zero, which is rejected as a usage error.  Example: for
     ``g = 1, k = 0, A = (0), d = 1, r = 5`` the loop-graph coefficient is 2.
     """
-    if r <= 0:
-        raise ValueError("modulus must be positive")
-    if dr.defect % r:
-        raise ValueError(f"no weightings mod {r}: admissibility fails")
+    dr.require_modulus(r)
     tables = key_tables(r, _x_powers(d), range(d + 1))
     acc: list = []
     for _, graph, b, aut, L, profiles in _graph_templates(dr, d, r):

@@ -152,6 +152,16 @@ class DRVector:
                 f"parts must balance the twist exactly: defect {self.defect}"
             )
 
+    def require_modulus(self, r: int) -> None:
+        """Raise ``ValueError`` unless ``r > 0`` and the parts balance the twist mod ``r``.
+
+        Otherwise no weighting mod ``r``, and no ``r``-th root, exists.
+        """
+        if r <= 0:
+            raise ValueError("modulus must be positive")
+        if self.defect % r:
+            raise ValueError(f"no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by {r}")
+
 
 class _SolvePlan(NamedTuple):
     """How to solve one graph's vertex congruences, fixed before any residue.

@@ -216,16 +216,7 @@ class TestVerify:
         # coefficient of r^0 there, keeps each sum divisible by r^b, so only
         # the comparison with the sampled route rejects it.  Every graph
         # here has a tree quotient: all 11 profiles are named.
-        real = pixton.tree_profile_weights
-
-        def moved(graph, dr, profiles, terms, cap, label=None):
-            contracted = real(graph, dr, profiles, terms, cap, label)
-            if contracted is None:
-                return None
-            weights, den = contracted
-            return [[*w[:-1], w[-1] + den] for w in weights], den
-
-        monkeypatch.setattr(pixton, "tree_profile_weights", moved)
+        _tree_route_moved(monkeypatch)
         code, out, _ = run(
             capsys, ["verify", "polynomiality", "--g", "2", "--a", "1,-1", "--d", "2"]
         )
@@ -267,6 +258,78 @@ class TestVerify:
             "ok": True,
             "value": "1/5760",
         }
+
+
+def _off_by_one(monkeypatch, module, name):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) + 1)
+
+
+def _tree_route_moved(monkeypatch):
+    # A unit on the r^0 entry of every tree-route weight, which only the
+    # comparison with the sampled route sees.
+    real = pixton.tree_profile_weights
+
+    def moved(graph, dr, profiles, terms, cap, label=None):
+        contracted = real(graph, dr, profiles, terms, cap, label)
+        if contracted is None:
+            return None
+        weights, den = contracted
+        return [[*w[:-1], w[-1] + den] for w in weights], den
+
+    monkeypatch.setattr(pixton, "tree_profile_weights", moved)
+
+
+class TestFailurePath:
+    # Each case moves one route of a labelled check; the route's own
+    # message, raised by the library under the same fault, is the detail.
+    CASES = {
+        "hodge-triple": (
+            ["verify", "hodge-triple", "--g", "2"],
+            "route disagreement",
+            lambda mp: _off_by_one(mp, intersect, "_power_sum_linear_coefficient"),
+            lambda: intersect.hodge_triple(2),
+            "triple-product routes disagree at g=2: ",
+        ),
+        "dr-ab": (
+            ["verify", "dr-ab", "--g", "2", "--a", "3"],
+            "route disagreement",
+            lambda mp: _off_by_one(mp, intersect, "psi_sum_lambda"),
+            lambda: intersect.dr_ab_integral(2, 3),
+            "cycle-pairing routes disagree at (g=2, a=3): ",
+        ),
+        "socle": (
+            ["verify", "socle", "--g", "3"],
+            "route disagreement",
+            lambda mp: _off_by_one(mp, intersect, "socle_integral"),
+            lambda: intersect.psi_sum_lambda(3),
+            "psi-sum routes disagree at g=3: ",
+        ),
+        "polynomiality": (
+            ["verify", "polynomiality", "--g", "2", "--a", "1,-1", "--d", "2"],
+            "fit rejected",
+            _tree_route_moved,
+            lambda: pixton.verify_polynomiality(weightings.DRVector(2, (1, -1)), 2),
+            "sampled and exact polynomials differ on P(g=2,n=2,k=0,d=2) graph#",
+        ),
+    }
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("check", list(CASES))
+    def test_failed_route_prints_fail(self, capsys, monkeypatch, check, as_json):
+        argv, label, fault, route, start = self.CASES[check]
+        fault(monkeypatch)
+        with pytest.raises(ArithmeticError) as raised:
+            route()
+        message = str(raised.value)
+        assert message.startswith(start)
+        code, out, err = run(capsys, argv + ["--json"] * as_json)
+        assert code == 1
+        assert err == ""
+        if as_json:
+            assert json.loads(out) == {"version": "verify/1", "ok": False, "value": label, "detail": message}
+        else:
+            assert out == f"FAIL {label}\n{message}\n"
 
 
 def _one_vertex_class(vertex=None, term=None, **fields):
@@ -342,14 +405,18 @@ class TestErrorPaths:
             (["dr", "--g", "2", "--a", "1,-1"], "_raised_class"),
             (["dr", "--g", "3", "--a", "1,-1"], "_underfit"),
             (["dr", "--g", "2", "--a", "1,-1"], "_not_divisible"),
+            (["verify", "samefreeterm", "--g", "2", "--a", "1,-1", "--d", "2"], "_raised_class"),
+            (["verify", "samefreeterm", "--g", "2", "--a", "1,-1", "--d", "2", "--json"], "_raised_class"),
         ],
-        ids=["chiodo-constant", "dr", "dr-fit-rejected", "dr-not-divisible"],
+        ids=["chiodo-constant", "dr", "dr-fit-rejected", "dr-not-divisible", "samefreeterm", "samefreeterm-json"],
     )
     def test_failed_self_check_exits_one(self, capsys, monkeypatch, argv, fault):
         # A self-check that fails inside the class computation is a
         # verification failure that names the graph, with no traceback and
         # nothing on stdout: a sum above its degree bound, a sampled fit
-        # that fails verification, a sum not divisible by r^b.
+        # that fails verification, a sum not divisible by r^b.  A check
+        # with no failure label, such as samefreeterm, reports it the same
+        # way, with --json too.
         ending = getattr(self, fault)(monkeypatch)
         code, out, err = run(capsys, argv)
         assert code == 1
@@ -493,11 +560,12 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
     def test_inadmissible_modulus(self, capsys):
-        code, _, err = run(
-            capsys, ["chiodo", "--g", "1", "--a", "1", "--d", "1", "--r", "2"]
-        )
-        assert code == 2
-        assert "no r-th roots exist" in err
+        # Pixton's fixed-r class and Chiodo's pushforward share one rule.
+        for verb in ("chiodo", "pixton"):
+            argv = [verb, "--g", "1", "--a", "1", "--d", "1", "--r", "2"]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err == "error: no r-th roots exist: k(2g-2+n) - sum(a) is not divisible by 2\n", argv
 
     def test_negative_edge_cap(self, capsys):
         code, out, err = run(
@@ -758,21 +826,52 @@ class TestIntegrateFuzz:
         assert (out != "") == (code == 0)
 
 
+# One cheap invocation of every verb and every check, with the schema
+# version its --json output carries; integrate reads the class file.
+EVERY_VERB = [
+    (["graphs", "--g", "1", "--n", "1"], "graphlist/1"),
+    (["pixton", "--g", "1", "--a", "0", "--d", "1", "--r", "5"], "tautclass/1"),
+    (["dr", "--g", "1", "--a", "2,-2"], "tautclass/1"),
+    (["lambda", "--g", "2"], "tautclass/1"),
+    (["chiodo", "--g", "1", "--a", "1,-1", "--d", "1", "--constant"], "tautclass/1"),
+    (["integrate", "--class", "{class}", "--psi", "1,0"], "integral/1"),
+    (["verify", "samefreeterm", "--g", "1", "--a", "0", "--d", "1"], "verify/1"),
+    (["verify", "vanishing", "--g", "1", "--a", "1,-1", "--d", "2"], "verify/1"),
+    (["verify", "hodge-triple", "--g", "1"], "verify/1"),
+    (["verify", "dr-ab", "--g", "1", "--a", "2"], "verify/1"),
+    (["verify", "socle", "--g", "2"], "verify/1"),
+    (["verify", "polynomiality", "--g", "1", "--a", "2,-2", "--d", "1"], "verify/1"),
+]
+
+
 class TestGlobalFlags:
     def test_help_everywhere(self, capsys):
-        for verb in ["graphs", "pixton", "dr", "lambda", "chiodo", "integrate", "verify"]:
+        for argv, _ in EVERY_VERB:
             with pytest.raises(SystemExit) as exc:
-                main([verb, "--help"])
+                main(argv[: 2 if argv[0] == "verify" else 1] + ["--help"])
             assert exc.value.code == 0
             assert capsys.readouterr().out
 
-    def test_json_byte_stable(self, capsys):
-        _, first, _ = run(capsys, ["dr", "--g", "1", "--a", "2,-2", "--json"])
-        _, second, _ = run(capsys, ["--json", "dr", "--g", "1", "--a", "2,-2"])
-        assert first == second
-        with pytest.raises(SystemExit) as exc:
-            main(["dr", "--g", "1", "--a", "2,-2", "--json", "--threads", "4"])
-        assert exc.value.code == 2
+    def test_json_byte_stable(self, capsys, tmp_path):
+        # --json gives the same bytes wherever it stands: after the verb,
+        # before it, and between verify and its check.
+        path = tmp_path / "cls.json"
+        path.write_text(run(capsys, ["dr", "--g", "1", "--a", "1,-1", "--json"])[1], encoding="utf-8")
+        for argv, version in EVERY_VERB:
+            argv = [str(path) if a == "{class}" else a for a in argv]
+            first = run(capsys, argv + ["--json"])
+            assert first == run(capsys, ["--json"] + argv), argv
+            if argv[0] == "verify":
+                assert first == run(capsys, argv[:1] + ["--json"] + argv[1:]), argv
+            code, out, err = first
+            assert (code, err) == (0, ""), argv
+            data = json.loads(out)
+            assert data["version"] == version, argv
+            assert data.get("ok", True) is True, argv
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--json", "--threads", "4"])
+            assert exc.value.code == 2
+            capsys.readouterr()
 
     def test_launch_loads_no_introspection_modules(self):
         # dataclasses pulls inspect, ast, dis and tokenize into every launch.

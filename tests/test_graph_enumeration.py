@@ -14,7 +14,7 @@ from typing import Iterator
 
 import pytest
 
-from drtaut.graphs import StableGraph, enumerate_stable_graphs, validate
+from drtaut.graphs import StableGraph, canonical_key, enumerate_stable_graphs, validate
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -81,7 +81,7 @@ def scan_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tuple[St
                         if not stable:
                             continue
                         graph = StableGraph(genera, shape, legs)
-                        key = graph.canonical_key()
+                        key = canonical_key(graph)
                         if key not in found:
                             found[key] = graph
     return tuple(found[k] for k in sorted(found))

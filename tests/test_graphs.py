@@ -72,8 +72,6 @@ class TestLayout:
         assert g.n_half_edges == 7
         assert g.half_edge_vertex(0) == 0 and g.half_edge_vertex(1) == 1
         assert g.half_edge_vertex(2) == 1 and g.half_edge_vertex(3) == 1
-        assert g.involution(0) == 1 and g.involution(5) == 5
-        assert g.marking_of(4) == 1
         assert g.leg_half_edge(3) == 6
         assert g.vertex_markings(1) == (1, 2)
         assert g.vertex_degree(1) == 5
@@ -123,20 +121,20 @@ class TestEnumerate:
     def test_max_edges_filters(self):
         all_graphs = enumerate_stable_graphs(2, 0)
         one_edge = enumerate_stable_graphs(2, 0, max_edges=1)
-        assert {g.canonical_key() for g in one_edge} == {
-            g.canonical_key() for g in all_graphs if g.n_edges <= 1
+        assert {canonical_key(g) for g in one_edge} == {
+            canonical_key(g) for g in all_graphs if g.n_edges <= 1
         }
 
     def test_deterministic_and_sorted(self):
         a = enumerate_stable_graphs(2, 1)
         b = enumerate_stable_graphs(2, 1)
         assert a == b
-        keys = [g.canonical_key() for g in a]
+        keys = [canonical_key(g) for g in a]
         assert keys == sorted(keys)
 
     def test_no_duplicates(self):
         graphs = enumerate_stable_graphs(2, 1)
-        keys = {g.canonical_key() for g in graphs}
+        keys = {canonical_key(g) for g in graphs}
         assert len(keys) == len(graphs)
 
 
@@ -144,12 +142,12 @@ class TestCanonicalKey:
     def test_relabel_invariance_examples(self):
         g = StableGraph([1, 0, 2], [(0, 1), (1, 2), (1, 2)], [1])
         for perm in itertools.permutations(range(3)):
-            assert relabel(g, list(perm)).canonical_key() == g.canonical_key()
+            assert canonical_key(relabel(g, list(perm))) == canonical_key(g)
 
     def test_distinguishes_leg_placement(self):
         a = StableGraph([1, 1], [(0, 1)], [0, 0])
         b = StableGraph([1, 1], [(0, 1)], [0, 1])
-        assert a.canonical_key() != b.canonical_key()
+        assert canonical_key(a) != canonical_key(b)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -159,7 +157,7 @@ class TestCanonicalKey:
             pool.extend(enumerate_stable_graphs(g, n))
         graph = data.draw(st.sampled_from(pool))
         perm = data.draw(st.permutations(list(range(graph.n_vertices))))
-        assert relabel(graph, list(perm)).canonical_key() == graph.canonical_key()
+        assert canonical_key(relabel(graph, list(perm))) == canonical_key(graph)
 
 
 class TestAutomorphisms:
@@ -237,7 +235,7 @@ class TestJson:
         }
         graph = graph_from_json(data)
         expect = StableGraph([1, 0], [(0, 1), (0, 1), (1, 1)])
-        assert graph.canonical_key() == expect.canonical_key()
+        assert canonical_key(graph) == canonical_key(expect)
 
 
 class TestRecord:
@@ -445,7 +443,10 @@ class TestAgainstOracles:
             want = {
                 "version": "stablegraph/1",
                 "vertices": [
-                    {"genus": graph.genera[v], "half_edges": list(graph.vertex_half_edges(v))}
+                    {
+                        "genus": graph.genera[v],
+                        "half_edges": [h for h in range(graph.n_half_edges) if graph.half_edge_vertex(h) == v],
+                    }
                     for v in range(graph.n_vertices)
                 ],
                 "edges": [list(graph.edge_half_edges(t)) for t in range(graph.n_edges)],

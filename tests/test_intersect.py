@@ -26,6 +26,7 @@ every term.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -482,6 +483,27 @@ def test_vanishing_probe_explicit_sets():
 def test_vanishing_probe_requires_degree_above_genus():
     with pytest.raises(ValueError):
         vanishing_probe(DRVector(1, (1, -1)), 1)
+
+
+@pytest.mark.parametrize(
+    "dr, d, message",
+    [
+        (DRVector(1, (1, -1)), 9, "exceeds dim Mbar_{1,2} = 2"),
+        (DRVector(0, (1, -1)), 1, "no stable curves of type (g, n) = (0, 2)"),
+        (DRVector(-1, (1,)), 1, "no stable curves of type (g, n) = (-1, 1)"),
+    ],
+    ids=["above-dimension", "genus-0", "negative-genus"],
+)
+def test_vanishing_probe_checks_its_window_before_any_class(monkeypatch, dr, d, message):
+    # Above dim Mbar_{g,n} no monomial exists, so the probe would return []
+    # and report a vacuous vanishing; the type is checked before the
+    # degree, whose bound is negative on these unstable types.
+    def build(*args, **kwargs):
+        raise AssertionError("a class was built")
+
+    monkeypatch.setattr(intersect, "pixton_class", build)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        vanishing_probe(dr, d)
 
 
 # -- Hodge pairings ---------------------------------------------------

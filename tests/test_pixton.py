@@ -73,7 +73,7 @@ class TestFixedR:
         assert not cls.is_zero()
 
     def test_inadmissible_modulus_rejected(self):
-        with pytest.raises(ValueError, match="admissibility"):
+        with pytest.raises(ValueError, match="no r-th roots exist"):
             pixton_fixed_r(DRVector(1, (1,)), 1, 3)
 
     def test_matches_constant_term_route_pointwise(self):
