@@ -416,11 +416,10 @@ def vanishing_probe(
 # -- Hodge pairings via the socle formula -----------------------------
 
 
-def _bernoulli_ratio(g: int) -> Fraction:
-    """``B_{2g} / 2g``, the factor of every closed form below; defined for g >= 1."""
+def _require_genus(g: int) -> None:
+    """The closed forms below hold for genus at least 1."""
     if g < 1:
         raise ValueError("genus must be at least 1")
-    return bernoulli_number(2 * g) / (2 * g)
 
 
 def _agree(what: str, where: str, route: Fraction, closed: Fraction) -> Fraction:
@@ -437,11 +436,14 @@ def socle_integral(g: int, p: int, q: int) -> Fraction:
         (-1)^{g+1} B_{2g} / (2^{2g} g (2p-1)!! (2q-1)!!).
     Valid for g >= 1 including p or q equal to zero.
     """
-    ratio = _bernoulli_ratio(g)
+    _require_genus(g)
     if p < 0 or q < 0 or p + q != g:
         raise ValueError(f"need p + q = {g} with p, q >= 0, got ({p}, {q})")
-    return (-1) ** (g + 1) * ratio / (
-        2 ** (2 * g - 1) * double_factorial(2 * p - 1) * double_factorial(2 * q - 1)
+    sign = Fraction((-1) ** (g + 1))
+    return (
+        sign
+        * bernoulli_number(2 * g)
+        / (2 ** (2 * g) * g * double_factorial(2 * p - 1) * double_factorial(2 * q - 1))
     )
 
 
@@ -454,7 +456,7 @@ def psi_sum_lambda(g: int) -> Fraction:
         sum_{p+q=g} 1 / (p! (2p-1)!! q! (2q-1)!!) = 2^{3g-1} / (2g)!
     which is asserted along the way.  ArithmeticError on any mismatch.
     """
-    closed_route = (-1) ** (g + 1) * _bernoulli_ratio(g) / double_factorial(2 * g - 1)
+    _require_genus(g)
     binomial_route = Fraction(0)
     pascal_sum = Fraction(0)
     for p in range(g + 1):
@@ -473,6 +475,12 @@ def psi_sum_lambda(g: int) -> Fraction:
         raise ArithmeticError(
             f"even binomial identity failed at g={g}: {pascal_sum}"
         )
+    closed_route = (
+        Fraction((-1) ** (g + 1))
+        * bernoulli_number(2 * g)
+        / (2 * g)
+        / double_factorial(2 * g - 1)
+    )
     return _agree("psi-sum", f"g={g}", binomial_route, closed_route)
 
 
@@ -508,7 +516,15 @@ def hodge_triple(g: int) -> Fraction:
     pairing, with the Bernoulli number B_{2g+2} extracted from the power
     sum by interpolation.  ArithmeticError on mismatch.
     """
-    closed = -_bernoulli_ratio(g) / (2 * factorial(2 * g)) * bernoulli_number(2 * g + 2) / (2 * g + 2)
+    _require_genus(g)
+    closed = (
+        Fraction(-1, 2)
+        / factorial(2 * g)
+        * bernoulli_number(2 * g)
+        / (2 * g)
+        * bernoulli_number(2 * g + 2)
+        / (2 * g + 2)
+    )
     extracted = _power_sum_linear_coefficient(2 * g + 2)
     graph_route = (
         Fraction((-1) ** g)
@@ -528,6 +544,12 @@ def dr_ab_integral(g: int, a: int) -> Fraction:
     a^{2g} / (2^g g!) times the psi-sum pairing.  ArithmeticError on
     mismatch.
     """
-    closed = (-1) ** (g + 1) * _bernoulli_ratio(g) * Fraction(a ** (2 * g), factorial(2 * g))
+    _require_genus(g)
+    closed = (
+        Fraction((-1) ** (g + 1))
+        * Fraction(a ** (2 * g), factorial(2 * g))
+        * bernoulli_number(2 * g)
+        / (2 * g)
+    )
     vertex_route = Fraction(a ** (2 * g), 2**g * factorial(g)) * psi_sum_lambda(g)
     return _agree("cycle-pairing", f"(g={g}, a={a})", vertex_route, closed)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import drtaut
-from drtaut import intersect, pixton, weightings
+from drtaut import cli, intersect, pixton, weightings
 from drtaut.cli import main
 from drtaut.graphs import StableGraph
 from drtaut.pixton import dr_cycle, pixton_class
@@ -542,6 +542,19 @@ class TestErrorPaths:
         assert out == ""
         assert f"no stable curves of type (g, n) = {kind}" in err
 
+    def test_vanishing_unstable_type_lists_no_monomials(self, capsys, monkeypatch):
+        # On (-1, 40) the complementary degree is 33 over 40 parts, far too
+        # many monomials to list: the type must be rejected first.
+        def listing(*args, **kwargs):
+            raise AssertionError("monomials were listed")
+
+        monkeypatch.setattr(cli, "complementary_psi_monomials", listing)
+        monkeypatch.setattr(intersect, "complementary_psi_monomials", listing)
+        argv = ["verify", "vanishing", "--g", "-1", "--a", ",".join(["0"] * 40), "--d", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no stable curves of type (g, n) = (-1, 40)")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -846,7 +859,8 @@ EVERY_VERB = [
 
 class TestGlobalFlags:
     def test_help_everywhere(self, capsys):
-        for argv, _ in EVERY_VERB:
+        # The verify group's own page lists every check with its help text.
+        for argv in [["verify"]] + [argv for argv, _ in EVERY_VERB]:
             with pytest.raises(SystemExit) as exc:
                 main(argv[: 2 if argv[0] == "verify" else 1] + ["--help"])
             assert exc.value.code == 0
