@@ -49,7 +49,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .exact import bernoulli_number, bernoulli_poly
-from .graphs import StableGraph, automorphism_order, enumerate_stable_graphs, require_stable_type
+from .graphs import automorphism_order, enumerate_stable_graphs, require_stable_type
 from .pixton import pixton_class
 from .tautclass import (
     DecoratedGraph,
@@ -57,9 +57,8 @@ from .tautclass import (
     _poly_fma,
     emit_series,
     graph_sum_data,
-    psi_leg_monomial,
     series_edge_mul,
-    series_vertex_leg_exp,
+    series_exp,
     trivial_class,
 )
 from .weightings import DRVector, EdgeTerms, edge_profile_sums, profile_weights
@@ -107,18 +106,20 @@ def _edge_factor_polys(cap: int) -> tuple[tuple, int]:
 
     With ``A(x) = sum_m (-1)^{m-1} B_{m+1}(u) x^m / (m(m+1))`` and
     ``s = psi + psi'`` the factor is ``(1 - e^{A(psi)} e^{-A(-psi')}) / s``:
-    two one-variable exponentials, each one leg's
-    :func:`~drtaut.tautclass.series_exp`, multiplied and divided by s one
+    two one-variable exponentials, each the
+    :func:`~drtaut.tautclass.series_exp` of one leg and no vertex, whose
+    one monomial of degree n is ``psi^n``, multiplied and divided by s one
     total degree n at a time through ``q_{n-1-k,k} = p_{n-k,k} - q_{n-k,k-1}``,
     p the numerator.  One table serves every modulus and residue: the
     ((i, j), numerators) pairs with ``i + j <= cap``, sorted, and the
     denominator, in lowest terms.
     """
     rows, den = _bernoulli_weights(cap + 1)
-    graph, sides = StableGraph([1], [], [0]), []
+    sides = []
     for weights in (rows, [row if m % 2 else [-c for c in row] for m, row in enumerate(rows, 1)]):
-        series, den_side = series_vertex_leg_exp(graph, [weights], [], den, cap + 1, [1])
-        sides.append([series.get(psi_leg_monomial(graph, 0, n), []) for n in range(cap + 2)])
+        series, den_side = series_exp([weights], [], 0, den, cap + 1, [1])
+        by_degree = {n: c for n, [(_, _, c)] in series.items()}
+        sides.append([by_degree.get(n, []) for n in range(cap + 2)])
     (left, right), out = sides, []
     for n in range(1, cap + 2):
         q: list = []
@@ -165,7 +166,7 @@ def _exponential(dr: DRVector, d: int, r: int = 0):
         # constant term.
         *legs, kappa = [_weights_at(int(a < 0), a, d) for a in dr.parts] + [_weights_at(0, dr.twist, d)]
         kappa, one = [[-c for c in row] for row in kappa], [1]
-    return lambda graph, budget: series_vertex_leg_exp(graph, legs, kappa, den, budget, one)
+    return lambda graph, budget: series_exp(legs, kappa, graph.n_vertices, den, budget, one)
 
 
 def _require_degree(dr: DRVector, d: int) -> None:

@@ -56,10 +56,12 @@ class StableGraph:
 
     Graphs compare, hash and print by ``(genera, edges, legs)``; fields
     cannot be assigned.  The hidden ``_aut`` slot holds ``|Aut|`` for the
-    graphs the enumeration returns and is ``None`` otherwise.
+    graphs the enumeration returns and is ``None`` otherwise; the hidden
+    ``_order`` slot holds the graph's vertex order once a decorated form
+    of it is first relabelled, and is ``None`` before.
     """
 
-    __slots__ = ("genera", "edges", "legs", "_aut")
+    __slots__ = ("genera", "edges", "legs", "_aut", "_order")
 
     def __init__(self, genera: Sequence[int], edges: Sequence[Sequence[int]], legs: Sequence[int] = ()):
         _fill(
@@ -190,6 +192,7 @@ def _fill(graph: StableGraph, genera, edges, legs) -> None:
     _set(graph, "edges", edges)
     _set(graph, "legs", legs)
     _set(graph, "_aut", None)
+    _set(graph, "_order", None)
 
 
 def _graph(genera: tuple[int, ...], edges: tuple[tuple[int, int], ...], legs: tuple[int, ...]) -> StableGraph:
@@ -326,12 +329,6 @@ def _vertex_order(graph: StableGraph):
     return plan, _graph(plan[1], plain, plan[2])
 
 
-# The graph last relabelled and its _vertex_order.  A graph sum passes the
-# terms of one graph in a row, so one entry serves them all; the entry holds
-# the graph itself, so the identity test never meets a reused id.
-_last_order: list = [None, None]
-
-
 def canonical_form_decorated(
     graph: StableGraph,
     leg_psi: tuple[int, ...],
@@ -347,9 +344,9 @@ def canonical_form_decorated(
     in the new graph's layout; markings keep their numbers, so ``leg_psi``
     is returned as it is.
     """
-    if graph is not _last_order[0]:
-        _last_order[:] = graph, _vertex_order(graph)
-    plan, new_graph = _last_order[1]
+    if graph._order is None:
+        _set(graph, "_order", _vertex_order(graph))
+    plan, new_graph = graph._order
     records, new_kappa = _canonical_data(plan, edge_psi, kappa)
     if new_graph is None:
         new_graph = _graph(plan[1], tuple([(a, b) for a, b, _, _ in records]), plan[2])

@@ -56,7 +56,7 @@ from .tautclass import (
     emit_series,
     graph_sum_data,
     series_edge_mul,
-    series_vertex_leg_exp,
+    series_exp,
 )
 from .weightings import (
     DRVector,
@@ -81,7 +81,7 @@ __all__ = [
 
 def _vertex_leg_series(graph: StableGraph, dr: DRVector, cap: int) -> tuple[dict, int]:
     """``exp(sum_i a_i^2 psi_i - k^2 sum_v kappa_1(v))``, truncated at ``cap``, over one denominator."""
-    return series_vertex_leg_exp(graph, [(a * a,) for a in dr.parts], (-dr.twist**2,), 1, cap)
+    return series_exp([(a * a,) for a in dr.parts], (-dr.twist**2,), graph.n_vertices, 1, cap)
 
 
 @lru_cache(maxsize=None)

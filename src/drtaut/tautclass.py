@@ -21,7 +21,9 @@ exponential, built once per vertex and edge count.  A graph's terms are
 one :func:`series_edge_mul` of its weighted edge monomials by that
 exponential, in integers, emitted by :func:`emit_series`; the one
 exponential of the library, :func:`series_exp`, runs one integer
-recurrence on integers or on integer lists in ``1/r``.
+recurrence on integers or on integer lists in ``1/r``, over the atoms
+``psi_i^m`` of each leg and ``kappa_m`` of each vertex, on monomials of
+leg psi exponents and kappa multisets only.
 """
 
 from __future__ import annotations
@@ -418,66 +420,18 @@ def delta_I(n: int, I: Iterable[int]) -> TautClass:
 
 # -- truncated decoration series --------------------------------------
 #
-# Working space for building class contributions graph by graph.  A
-# monomial is (leg psi exponents, edge psi exponent pairs, kappa multisets);
-# a series maps monomials to coefficients, truncated above a degree cap.
-# Edges contribute no degree here: series degree is psi plus kappa weight
-# only, the edge count being fixed by the host graph.  Every graph sum walks
-# ``graph_sum_data`` and builds each graph once, in integers: its edge
-# monomials carry integer weights over one scale per graph, the vertex and
-# leg exponential is built once per vertex and edge count by the one
-# integer recurrence of ``series_exp``, as numerators over one denominator
-# (integers, or integer lists for Chiodo's polynomials in ``1/r``), and one
-# ``series_edge_mul`` multiplies them into the one degree it needs.
-# ``emit_series`` then divides each monomial once and relabels it through
-# the graph's one vertex order (``canonical_form_decorated``).
-
-Monomial = tuple
-
-
-def series_unit(graph: StableGraph) -> dict:
-    mono = (
-        tuple(0 for _ in graph.legs),
-        tuple((0, 0) for _ in graph.edges),
-        tuple(() for _ in graph.genera),
-    )
-    return {mono: Fraction(1)}
-
-
-def monomial_degree(mono: Monomial) -> int:
-    legs, edges, kappa = mono
-    return sum(legs) + sum(a + b for a, b in edges) + sum(m for k in kappa for m in k)
-
-
-class GradedSeries(dict):
-    """A series that also lists its monomials by degree.
-
-    Built from ``(degree, {monomial: coefficient})`` levels;
-    ``by_degree[k]`` holds ``(legs, kappa, coefficient)`` for each
-    monomial of the nonempty level ``k``, in its order, which is all
-    :func:`series_edge_mul` reads of a vertex and leg series (it has no
-    edge psi).  :func:`series_exp` returns one, so that no product reads a
-    monomial's degree.
-    """
-
-    __slots__ = ("by_degree",)
-
-    def __init__(self, levels):
-        super().__init__()
-        self.by_degree: dict = {}
-        for degree, level in levels:
-            if level:
-                self.update(level)
-                self.by_degree[degree] = [(legs, kappa, c) for (legs, _, kappa), c in level.items()]
-
-
-def _monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    l1, e1, k1 = m1
-    l2, e2, k2 = m2
-    legs = tuple(a + b for a, b in zip(l1, l2))
-    edges = tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(e1, e2))
-    kappa = tuple(tuple(sorted(x + y)) for x, y in zip(k1, k2))
-    return legs, edges, kappa
+# Working space for building class contributions graph by graph.  Every
+# graph sum walks ``graph_sum_data`` and builds each graph once, in
+# integers.  Its vertex and leg exponential is built once per vertex and
+# edge count by the one integer recurrence of ``series_exp``, on monomials
+# ``(leg psi exponents, kappa multisets)``, as numerators over one
+# denominator (integers, or integer lists for Chiodo's polynomials in
+# ``1/r``), grouped by degree, psi plus kappa weight.  The edges carry no
+# factor of it: the graph's edge monomials, psi exponent pairs with
+# integer weights over one scale per graph, meet it in one
+# ``series_edge_mul`` into the one degree it needs.  ``emit_series`` then
+# divides each monomial once and relabels it through the graph's one
+# vertex order (``canonical_form_decorated``).
 
 
 def _poly_fma(acc: list, a: list, b: list) -> list:
@@ -490,57 +444,53 @@ def _poly_fma(acc: list, a: list, b: list) -> list:
     return acc
 
 
-def series_exp(x: dict, den: int, graph: StableGraph, cap: int, one=1) -> tuple[dict, int]:
-    """Exponential of ``x / den``, a series with no constant term, truncated at ``cap``.
+def series_exp(leg_weights, kappa_weights, n_vertices: int, den: int, cap: int, one=1) -> tuple[dict, int]:
+    """``exp`` of all leg and vertex weights over ``den`` at once, truncated at ``cap``.
 
-    The coefficients of ``x`` are integers, or integer lists, low degree
-    first, for polynomials in one variable; ``one`` is ``1`` or ``[1]``
-    accordingly.  Returns numerators of the same kind, as a
-    :class:`GradedSeries`, over one denominator, ``cap! den^cap``.  Built
-    one degree at a time from ``E' = X' E`` in integers: with ``X_k`` the
-    degree-``k`` part of ``x`` and ``E_n = n! den^n e_n`` that of the
-    exponential, ``E_0 = 1`` and
-    ``E_n = sum_{k=1}^n k X_k ((n-1)!/(n-k)!) den^{k-1} E_{n-k}``.
+    ``leg_weights[i][m - 1]`` is the numerator of the coefficient of the
+    atom ``psi_i^m`` on leg ``i`` and ``kappa_weights[m - 1]`` that of the
+    atom ``kappa_m`` at each of the ``n_vertices`` vertices.  Numerators
+    are integers, or integer lists, low degree first, for polynomials in
+    one variable; ``one`` is ``1`` or ``[1]`` accordingly.  Returns
+    ``({degree: [(legs, kappa, numerator)]}, cap! den^cap)``: each
+    nonzero monomial, its leg psi exponents and its sorted kappa index
+    tuple per vertex, with its numerator over that denominator.  Built one
+    degree at a time from ``E' = X' E`` in integers: with ``X_k`` the
+    atoms of degree ``k`` and ``E_n = n! den^n e_n`` the degree-``n``
+    part of the exponential, ``E_0 = 1`` and
+    ``E_n = sum_{k=1}^n k X_k ((n-1)!/(n-k)!) den^{k-1} E_{n-k}``, where
+    an atom times a monomial raises one leg or inserts one kappa index.
     """
     polys = one.__class__ is list
     if polys:
         fma, zero, nonzero, scale = _poly_fma, list, any, lambda s, c: [s * e for e in c]
     else:
         fma, zero, nonzero, scale = lambda acc, a, b: acc + a * b, int, bool, operator.mul
-    terms = [(monomial_degree(m), m, c) for m, c in x.items()]
-    if any(k == 0 for k, _, _ in terms):
-        raise ValueError("exponent series must have no degree-0 part")
-    levels = [{series_unit(graph).popitem()[0]: one}]
+    n_legs = len(leg_weights)
+    # (degree, leg i or vertex n_legs + v, numerator) for each nonzero atom.
+    atoms = [(m, n_legs + v, c) for m, c in enumerate(kappa_weights[:cap], 1) if nonzero(c) for v in range(n_vertices)]
+    atoms += [(m, i, c) for i, weights in enumerate(leg_weights) for m, c in enumerate(weights[:cap], 1) if nonzero(c)]
+    levels = [{((0,) * n_legs, ((),) * n_vertices): one}]
     for n in range(1, cap + 1):
         level: dict = {}
-        for k, m1, c1 in terms:
-            if k <= n and nonzero(c1):
+        for k, at, c1 in atoms:
+            if k <= n:
                 c1 = scale(k * factorial(n - 1) // factorial(n - k) * den ** (k - 1), c1)
-                for m2, c2 in levels[n - k].items():
-                    m = _monomial_mul(m1, m2)
-                    level[m] = fma(level.get(m) or zero(), c1, c2)
+                for (legs, kappa), c2 in levels[n - k].items():
+                    if at < n_legs:
+                        legs = (*legs[:at], legs[at] + k, *legs[at + 1 :])
+                    else:
+                        v = at - n_legs
+                        kappa = (*kappa[:v], tuple(sorted((*kappa[v], k))), *kappa[v + 1 :])
+                    level[legs, kappa] = fma(level.get((legs, kappa)) or zero(), c1, c2)
         levels.append({m: c for m, c in level.items() if nonzero(c)})
     lifts = [factorial(cap) // factorial(n) * den ** (cap - n) for n in range(cap + 1)]
-    graded = GradedSeries(
-        (n, {m: scale(lift, c) for m, c in level.items()}) for n, (lift, level) in enumerate(zip(lifts, levels))
-    )
-    return graded, lifts[0]
-
-
-def series_vertex_leg_exp(graph: StableGraph, leg_weights, kappa_weights, den: int, cap: int, one=1):
-    """``exp`` of all leg and vertex weights over ``den`` at once, truncated at ``cap``.
-
-    ``leg_weights[i][m - 1]`` is the numerator of the coefficient of
-    ``psi_i^m`` on leg ``i`` and ``kappa_weights[m - 1]`` that of
-    ``kappa_m`` at every vertex; numerators and ``one`` are as
-    :func:`series_exp` takes them, and so is the pair returned.
-    """
-    x: dict = {}
-    for m, c in enumerate(kappa_weights[:cap], 1):
-        x.update((kappa_monomial(graph, v, m), c) for v in range(graph.n_vertices))
-    for i, weights in enumerate(leg_weights):
-        x.update((psi_leg_monomial(graph, i, m), c) for m, c in enumerate(weights[:cap], 1))
-    return series_exp(x, den, graph, cap, one)
+    by_degree = {
+        n: [(legs, kappa, scale(lift, c)) for (legs, kappa), c in level.items()]
+        for n, (lift, level) in enumerate(zip(lifts, levels))
+        if level
+    }
+    return by_degree, lifts[0]
 
 
 def graph_sum_data(
@@ -551,15 +501,15 @@ def graph_sum_data(
     Yields ``(index, graph, b_1, |Aut|, L, profiles)`` in enumeration
     order for each graph with at most ``d`` edges that has a profile.
     ``L`` is ``exponential(graph, d - n_edges)``, the vertex and leg
-    exponential truncated at the degree the edges leave, as a series of
-    numerators grouped by degree (a :class:`GradedSeries`) and their
-    denominator, as :func:`series_exp` returns them.  ``edge_keys``
-    maps each per-edge key to its degree; ``profiles`` are the tuples of
-    one key per edge, in ``itertools.product`` order, whose degrees leave
-    a degree that ``L`` has a monomial of.  ``exponential`` must depend on
-    a graph only through its vertex and edge counts, as a series does
-    whose leg monomials record psi exponents by marking, wherever the leg
-    sits; so ``L`` and the profiles are built once per such count.
+    exponential truncated at the degree the edges leave, as its
+    monomials by degree and their denominator, as :func:`series_exp`
+    returns them.  ``edge_keys`` maps each per-edge key to its degree;
+    ``profiles`` are the tuples of one key per edge, in
+    ``itertools.product`` order, whose degrees leave a degree that ``L``
+    has a monomial of.  ``exponential`` must depend on a graph only
+    through its vertex and edge counts, as a series does whose leg
+    monomials record psi exponents by marking, wherever the leg sits; so
+    ``L`` and the profiles are built once per such count.
 
     ``zero_sides`` is the pruning key of
     :func:`~drtaut.graphs.enumerate_stable_graphs`, for a sum that
@@ -579,7 +529,7 @@ def graph_sum_data(
         if shape not in shapes:
             part = d - graph.n_edges
             L = exponential(graph, part)
-            wanted = {part - degree for degree in L[0].by_degree}
+            wanted = {part - degree for degree in L[0]}
             keys = [key for key, degree in edge_keys.items() if degree <= part]
             profiles = [
                 prof
@@ -592,24 +542,23 @@ def graph_sum_data(
             yield index, graph, first_betti(graph), automorphism_order(graph), L, profiles
 
 
-def series_edge_mul(
-    L: GradedSeries, graph: StableGraph, edges: dict, d: int, times: Callable = operator.mul
-) -> dict:
+def series_edge_mul(L: dict, graph: StableGraph, edges: dict, d: int, times: Callable = operator.mul) -> dict:
     """The degree-``d`` terms of ``graph`` in ``L`` times its edge monomials.
 
     ``edges`` maps tuples of psi exponent pairs, one pair per edge, to
-    coefficients.  ``L`` is a vertex and leg series, with no edge psi, so
-    the product of one of its monomials by an edge monomial of the
-    complementary degree only sets the edge pairs, and no two products
-    share a monomial.  ``times`` gives the product of two coefficients (the
-    default multiplies them; a caller whose coefficients are vectors can
-    keep one number of each product), and zero products are left out.
+    coefficients.  ``L`` is a vertex and leg series by degree, as
+    :func:`series_exp` returns it, with no edge psi, so the product of one
+    of its monomials by an edge monomial of the complementary degree only
+    sets the edge pairs, and no two products share a monomial.  ``times``
+    gives the product of two coefficients (the default multiplies them; a
+    caller whose coefficients are vectors can keep one number of each
+    product), and zero products are left out.
     """
     by_degree: dict = {}
     for pairs, c in edges.items():
         by_degree.setdefault(sum(a + b for a, b in pairs), []).append((pairs, c))
     part, out = d - graph.n_edges, {}
-    for degree, monos in L.by_degree.items():
+    for degree, monos in L.items():
         if fits := by_degree.get(part - degree):
             for legs, kappa, c1 in monos:
                 for pairs, c2 in fits:
@@ -626,21 +575,3 @@ def emit_series(acc: list, graph: StableGraph, totals: dict, scale) -> None:
     """
     new = DecoratedGraph._from_series
     acc.extend((new(graph, *mono), Fraction(total, scale)) for mono, total in totals.items())
-
-
-def psi_leg_monomial(graph: StableGraph, i: int, e: int = 1) -> Monomial:
-    legs = tuple(e if j == i else 0 for j in range(graph.n_legs))
-    return (
-        legs,
-        tuple((0, 0) for _ in graph.edges),
-        tuple(() for _ in graph.genera),
-    )
-
-
-def kappa_monomial(graph: StableGraph, v: int, m: int) -> Monomial:
-    kappa = tuple((m,) if w == v else () for w in range(graph.n_vertices))
-    return (
-        tuple(0 for _ in graph.legs),
-        tuple((0, 0) for _ in graph.edges),
-        kappa,
-    )

@@ -50,7 +50,10 @@ on ``RPoly`` coefficients; with ``_bernoulli_weight``,
 route of Chiodo's Bernoulli weights and edge factor, which the library
 builds as integer numerators over one denominator.
 ``leg_vertex_series`` multiplies one exponential
-per leg and per vertex; the library exponentiates their sum once.  The
+per leg and per vertex of whole monomials, ``(legs, edges, kappa)``; the
+library exponentiates their sum once, atom by atom, on monomials
+``(legs, kappa)`` grouped by degree, which ``lift`` reads as whole
+monomials and ``graded`` groups back.  The
 per-weighting pushforward builds its leg and vertex series that way, and
 so do ``pixton_fixed_r`` and ``pixton_class``, which build one decorated
 template series per edge-exponent profile, one ``series_mul`` per edge,
@@ -109,17 +112,7 @@ from drtaut.chiodo import chiodo_pushforward as class_pushforward
 from drtaut.exact import bernoulli_number, bernoulli_poly
 from drtaut.graphs import StableGraph, _least_labelling, enumerate_stable_graphs, first_betti
 from drtaut.intersect import double_factorial, integrate_vertex
-from drtaut.tautclass import (
-    DecoratedGraph,
-    GradedSeries,
-    TautClass,
-    _monomial_mul,
-    kappa_monomial,
-    monomial_degree,
-    psi_leg_monomial,
-    series_edge_mul,
-    series_unit,
-)
+from drtaut.tautclass import DecoratedGraph, TautClass, series_edge_mul
 from drtaut.weightings import (
     DRVector,
     _class_residues,
@@ -683,7 +676,7 @@ def _edge_factor_polys(cap: int) -> tuple:
 
 
 def _leg_vertex_weights(legs: list, kappa, cap: int) -> tuple[list, list]:
-    """The leg and vertex weights of degrees 1 to cap, as ``series_vertex_leg_exp`` takes them.
+    """The leg and vertex weights of degrees 1 to cap, as ``series_exp`` takes them.
 
     Leg ``i`` weighs ``psi_i^m`` by the Bernoulli weight at ``legs[i]``
     and each vertex weighs ``kappa_m`` by minus the weight at ``kappa``;
@@ -691,6 +684,58 @@ def _leg_vertex_weights(legs: list, kappa, cap: int) -> tuple[list, list]:
     """
     weights = [_bernoulli_weight(m) for m in range(1, cap + 1)]
     return [[B(x) for B in weights] for x in legs], [-B(kappa) for B in weights]
+
+
+# A whole monomial is (leg psi exponents, edge psi exponent pairs, kappa
+# multisets); a series maps whole monomials to coefficients.
+
+
+def series_unit(graph: StableGraph) -> dict:
+    mono = (
+        tuple(0 for _ in graph.legs),
+        tuple((0, 0) for _ in graph.edges),
+        tuple(() for _ in graph.genera),
+    )
+    return {mono: Fraction(1)}
+
+
+def monomial_degree(mono: tuple) -> int:
+    legs, edges, kappa = mono
+    return sum(legs) + sum(a + b for a, b in edges) + sum(m for k in kappa for m in k)
+
+
+def _monomial_mul(m1: tuple, m2: tuple) -> tuple:
+    l1, e1, k1 = m1
+    l2, e2, k2 = m2
+    legs = tuple(a + b for a, b in zip(l1, l2))
+    edges = tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(e1, e2))
+    kappa = tuple(tuple(sorted(x + y)) for x, y in zip(k1, k2))
+    return legs, edges, kappa
+
+
+def psi_leg_monomial(graph: StableGraph, i: int, e: int = 1) -> tuple:
+    legs = tuple(e if j == i else 0 for j in range(graph.n_legs))
+    return legs, tuple((0, 0) for _ in graph.edges), tuple(() for _ in graph.genera)
+
+
+def kappa_monomial(graph: StableGraph, v: int, m: int) -> tuple:
+    kappa = tuple((m,) if w == v else () for w in range(graph.n_vertices))
+    return tuple(0 for _ in graph.legs), tuple((0, 0) for _ in graph.edges), kappa
+
+
+def lift(L: dict, graph: StableGraph) -> dict:
+    """A vertex and leg series by degree, as ``series_exp`` returns it, as whole monomials of ``graph``."""
+    edges = tuple((0, 0) for _ in graph.edges)
+    return {(legs, edges, kappa): c for monos in L.values() for legs, kappa, c in monos}
+
+
+def graded(series: dict) -> dict:
+    """A series with no edge psi grouped by degree as ``series_exp`` returns it: the inverse of :func:`lift`."""
+    out: dict = {}
+    for mono, c in series.items():
+        legs, _, kappa = mono
+        out.setdefault(monomial_degree(mono), []).append((legs, kappa, c))
+    return out
 
 
 def series_degree_mul(a: dict, b: dict, d: int) -> dict:
@@ -969,8 +1014,7 @@ def chiodo_constant_series(dr: DRVector, d: int):
     legs, kappa = _leg_vertex_weights(points, RPoly([0, dr.twist]), d)
 
     def exponential(graph, budget):
-        series = leg_vertex_series(graph, legs, kappa, budget)
-        return GradedSeries((k, series_degree_part(series, k)) for k in range(budget + 1)), 1
+        return graded(leg_vertex_series(graph, legs, kappa, budget)), 1
 
     def monomials(prof):
         supports = ([q for q, c in enumerate(polys[key].coeffs) if c] for key in prof)

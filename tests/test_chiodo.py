@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from drtaut import chiodo, tautclass, weightings
+from drtaut import chiodo, graphs, tautclass, weightings
 from drtaut.chiodo import (
     _edge_factor_polys,
     chern_route_class,
@@ -30,7 +31,7 @@ from oracles import RPoly
 from oracles import chiodo_constant as whole_class_constant
 from oracles import chiodo_constant_series as rpoly_constant_series
 from oracles import chiodo_pushforward as per_weighting_pushforward
-from oracles import chiodo_leg_vertex_series
+from oracles import chiodo_leg_vertex_series, lift
 from oracles import edge_factor_coefficients as pair_product_edge_factor
 
 F = Fraction
@@ -134,8 +135,10 @@ def test_class_routes_run_the_one_exponential(monkeypatch, route):
     """Each class route reaches ``tautclass.series_exp``.
 
     The benchmark's ``tautclass.series`` span binds that name, so a route
-    that went round it would read 0 there.  The caches of the edge factor
-    and the Bernoulli weights are cleared, so their cold build runs too.
+    that went round it would read 0 there.  The spy replaces the function
+    wherever a module of the package binds it, as the span's wrapper does.
+    The caches of the edge factor and the Bernoulli weights are cleared, so
+    their cold build runs too.
     """
     calls = []
     real = tautclass.series_exp
@@ -144,7 +147,9 @@ def test_class_routes_run_the_one_exponential(monkeypatch, route):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tautclass, "series_exp", spy)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "drtaut" and vars(module).get("series_exp") is real:
+            monkeypatch.setattr(module, "series_exp", spy)
     chiodo._edge_factor_polys.cache_clear()
     chiodo._bernoulli_weights.cache_clear()
     dr = DRVector(2, (1, -1))
@@ -157,6 +162,31 @@ def test_class_routes_run_the_one_exponential(monkeypatch, route):
     assert calls
 
 
+def test_samefreeterm_orders_each_graph_once(monkeypatch):
+    """Both constant terms relabel the same enumerated graphs, each through one vertex order.
+
+    The graph keeps its order, so the Pixton sum that follows Chiodo's
+    reuses the order the Chiodo sum found on each graph object.
+    """
+    ordered, relabelled = [], []
+    order, form = graphs._vertex_order, tautclass.canonical_form_decorated
+
+    def spy_order(graph):
+        ordered.append(graph)
+        return order(graph)
+
+    def spy_form(graph, *decorations):
+        relabelled.append(graph)
+        return form(graph, *decorations)
+
+    monkeypatch.setattr(graphs, "_vertex_order", spy_order)
+    monkeypatch.setattr(tautclass, "canonical_form_decorated", spy_form)
+    ok, _ = verify_samefreeterm(DRVector(2, (1, -1)), 3)
+    assert ok and relabelled
+    assert len({id(graph) for graph in ordered}) == len(ordered)
+    assert all(graph._order is not None for graph in relabelled)
+
+
 def test_vertex_leg_series_matches_product_of_exponentials():
     """Exponentiating all Bernoulli weights at once equals one exponential each."""
     for dr in (DRVector(1, (1, 3), 2), DRVector(2, (0,)), DRVector(2, (3,), 1)):
@@ -164,7 +194,7 @@ def test_vertex_leg_series_matches_product_of_exponentials():
             for r in (2, 3, 5):
                 want = chiodo_leg_vertex_series(graph, dr, r, 4)
                 series, den = chiodo._exponential(dr, 4, r)(graph, 4)
-                assert {m: F(c, den) for m, c in series.items()} == want
+                assert {m: F(c, den) for m, c in lift(series, graph).items()} == want
 
 
 @pytest.mark.parametrize("a", [a for a in range(-5, 6) if a])
@@ -191,8 +221,9 @@ def test_shifted_leg_weights_are_the_fixed_modulus_weights(a):
             series, den = chiodo._exponential(dr, d)(graph, d)
             for r in range(abs(a) + 1, abs(a) + 5):
                 fixed, fixed_den = chiodo._exponential(dr, d, r)(graph, d)
-                read = {m: sum(F(c, r**j) for j, c in enumerate(cs)) / den for m, cs in series.items()}
-                assert {m: c for m, c in read.items() if c} == {m: F(c, fixed_den) for m, c in fixed.items() if c}
+                read = {m: sum(F(c, r**j) for j, c in enumerate(cs)) / den for m, cs in lift(series, graph).items()}
+                want = {m: F(c, fixed_den) for m, c in lift(fixed, graph).items() if c}
+                assert {m: c for m, c in read.items() if c} == want
 
 
 def test_edge_factor_constant_term():

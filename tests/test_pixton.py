@@ -10,12 +10,7 @@ from drtaut import graphs, pixton, tautclass, weightings
 from drtaut.chiodo import chiodo_constant
 from drtaut.graphs import StableGraph, enumerate_stable_graphs
 from drtaut.intersect import complementary_psi_monomials, pair_with_psi
-from drtaut.tautclass import (
-    DecoratedGraph,
-    TautClass,
-    delta0,
-    monomial_degree,
-)
+from drtaut.tautclass import DecoratedGraph, TautClass, delta0
 from drtaut.pixton import (
     _emit_graph,
     _graph_templates,
@@ -41,6 +36,8 @@ from oracles import (
     alpha_class,
     beta_class,
     leg_vertex_series,
+    lift,
+    monomial_degree,
     power_tables,
     psi_edge_monomial,
     residue_zero_bridge,
@@ -104,7 +101,7 @@ class TestDecorationSeries:
                     legs = [(a * a,) for a in dr.parts]
                     want = leg_vertex_series(graph, legs, (-dr.twist**2,), cap)
                     series, den = _vertex_leg_series(graph, dr, cap)
-                    assert {m: Fraction(c, den) for m, c in series.items()} == want
+                    assert {m: Fraction(c, den) for m, c in lift(series, graph).items()} == want
 
     def test_templates_have_exact_degree(self):
         # Every profile m is one for which L has a monomial of degree
@@ -117,7 +114,7 @@ class TestDecorationSeries:
                     assert profiles == [
                         m
                         for m in itertools.product(range(cap + 1), repeat=graph.n_edges)
-                        if series_degree_part(L[0], cap - sum(m))
+                        if series_degree_part(lift(L[0], graph), cap - sum(m))
                     ]
                     acc: list = []
                     _emit_graph(acc, graph, L, d, dict.fromkeys(profiles, 1), 1)
@@ -451,13 +448,15 @@ class TestDRCycle:
 
 class TestEmit:
     def test_one_vertex_order_per_emitted_graph(self, monkeypatch):
-        # A graph's terms are relabelled in a row, so its vertex order is
-        # found once, while every term still goes through the canonical form.
-        counts = {"orders": 0, "forms": 0, "graphs": 0}
+        # A graph keeps its vertex order, so the order is found at most once
+        # per graph object (the enumeration's graphs may carry it from an
+        # earlier sum), while every term still goes through the canonical form.
+        counts = {"forms": 0, "graphs": 0}
+        ordered, emitted = [], []
         order, form, emit = graphs._vertex_order, tautclass.canonical_form_decorated, pixton.emit_series
 
         def count_order(graph):
-            counts["orders"] += 1
+            ordered.append(graph)
             return order(graph)
 
         def count_form(*args):
@@ -466,14 +465,16 @@ class TestEmit:
 
         def count_emit(acc, graph, totals, scale):
             counts["graphs"] += bool(totals)
+            emitted.append(graph)
             emit(acc, graph, totals, scale)
 
-        monkeypatch.setattr(graphs, "_last_order", [None, None])
         monkeypatch.setattr(graphs, "_vertex_order", count_order)
         monkeypatch.setattr(tautclass, "canonical_form_decorated", count_form)
         monkeypatch.setattr(pixton, "emit_series", count_emit)
         dr_cycle(DRVector(3, (2, -1, -1)))
-        assert counts == {"orders": 220, "forms": 639, "graphs": 220}
+        assert counts == {"forms": 639, "graphs": 220}
+        assert len({id(graph) for graph in ordered}) == len(ordered) <= 220
+        assert all(graph._order is not None for graph in emitted)
 
 
 class TestNormalisation:

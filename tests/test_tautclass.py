@@ -17,12 +17,8 @@ from drtaut.tautclass import (
     delta0,
     delta_I,
     graph_sum_data,
-    kappa_monomial,
-    monomial_degree,
-    psi_leg_monomial,
     series_edge_mul,
     series_exp,
-    series_unit,
     trivial_class,
 )
 from drtaut.weightings import DRVector
@@ -31,11 +27,16 @@ from oracles import (
     RPoly,
     alpha_class,
     beta_class,
+    kappa_monomial,
     leg_vertex_series,
+    lift,
+    monomial_degree,
+    psi_leg_monomial,
     series_degree_mul,
     series_degree_part,
     series_exp_by_powers,
     series_mul,
+    series_unit,
 )
 
 F = Fraction
@@ -243,21 +244,41 @@ class TestJson:
             assert TautClass.from_json(data) == cls
 
 
+def _rational(c, den: int):
+    """A numerator over ``den`` as a rational, or as an ``RPoly`` for an integer list."""
+    return RPoly([F(x, den) for x in c]) if isinstance(c, list) else F(c, den)
+
+
 def over(series: dict, den: int) -> dict:
     """Numerators over ``den`` as rationals, or as ``RPoly`` objects for integer lists."""
-    return {
-        m: RPoly([F(x, den) for x in c]) if isinstance(c, list) else F(c, den) for m, c in series.items()
-    }
+    return {m: _rational(c, den) for m, c in series.items()}
+
+
+def _atom_weights(n_legs: int):
+    """Leg and kappa atom weights and ``one``: all integers or all integer lists, zeros among them."""
+    small = st.integers(-3, 3)
+
+    def of(number, one):
+        row = st.lists(number, max_size=3)
+        return st.tuples(st.lists(row, min_size=n_legs, max_size=n_legs), row, st.just(one))
+
+    return st.one_of(of(small, 1), of(st.lists(small, min_size=1, max_size=3), [1]))
+
+
+def exp_over(graph, exponential: tuple) -> dict:
+    """An exponential ``(L, den)`` of ``graph``, as whole monomials over ``den``."""
+    L, den = exponential
+    return over(lift(L, graph), den)
 
 
 class TestSeries:
     def test_exp_of_leg_psi(self):
         g = StableGraph([1], [], [0])
-        x = {psi_leg_monomial(g, 0): 3}
-        e, den = series_exp(x, 1, g, 4)
+        e = exp_over(g, series_exp([(3,)], [], g.n_vertices, 1, 4))
+        assert len(e) == 5
         for mono, c in e.items():
             d = monomial_degree(mono)
-            assert F(c, den) == F(3) ** d / F(
+            assert c == F(3) ** d / F(
                 [1, 1, 2, 6, 24][d]
             )
 
@@ -288,41 +309,44 @@ class TestSeries:
         # The oracle product that the edge product is checked against.
         assert series_degree_mul(a, b, d) == series_degree_part(series_mul(a, b, d), d)
 
-    # The same monomials without degree 0, with integer or integer-list
-    # numerators, zeros among them.
-    _exponent = _monomial.filter(lambda m: monomial_degree(m) > 0)
-    _small = st.integers(-3, 3)
-    _exp_series = st.one_of(
-        st.tuples(st.dictionaries(_exponent, _small, max_size=5), st.just(1)),
-        st.tuples(st.dictionaries(_exponent, st.lists(_small, min_size=1, max_size=3), max_size=5), st.just([1])),
-    )
+    @settings(max_examples=150, deadline=None)
+    @given(_atom_weights(2), st.integers(1, 4), st.integers(0, 6))
+    def test_exp_matches_powers(self, weights, den, cap):
+        # The atoms summed into one series, exponentiated by powers.
+        legs, kappa, one = weights
+        graph = StableGraph([0, 0], [(0, 1), (0, 1)], [0, 1])
+        got, got_den = series_exp(legs, kappa, graph.n_vertices, den, cap, one)
+        x = {kappa_monomial(graph, v, m): c for m, c in enumerate(kappa, 1) for v in range(graph.n_vertices)}
+        x.update((psi_leg_monomial(graph, i, m), c) for i, row in enumerate(legs) for m, c in enumerate(row, 1))
+        want = series_exp_by_powers(over(x, den), graph, cap)
+        assert _nonzero(exp_over(graph, (got, got_den))) == _nonzero(want)
+        for monos in got.values():
+            assert all(type(e) is int for _, _, c in monos for e in (c if isinstance(c, list) else [c]))
 
     @settings(max_examples=150, deadline=None)
-    @given(_exp_series, st.integers(1, 4), st.integers(0, 6))
-    def test_exp_matches_powers(self, x_one, den, cap):
-        x, one = x_one
-        graph = StableGraph([0, 0], [(0, 1), (0, 1)], [0, 1])
-        got, got_den = series_exp(x, den, graph, cap, one)
-        want = series_exp_by_powers(over(x, den), graph, cap)
-        assert _nonzero(over(got, got_den)) == _nonzero(want)
-        for c in got.values():
-            assert all(type(e) is int for e in (c if isinstance(c, list) else [c]))
-
-    def test_exp_rejects_constant_term(self):
-        g = StableGraph([1], [], [0])
-        with pytest.raises(ValueError, match="degree-0"):
-            series_exp({series_unit(g).popitem()[0]: 1}, 1, g, 2)
+    @given(st.integers(0, 3).flatmap(_atom_weights), st.integers(0, 3), st.integers(1, 4), st.integers(0, 6))
+    def test_exp_matches_product_of_exponentials(self, weights, n_vertices, den, cap):
+        # The atom recurrence on 0 to 3 legs and vertices against one
+        # exponential per leg and per vertex; every monomial is listed once,
+        # under its degree, with its kappa indices sorted.
+        legs, kappa, one = weights
+        graph = StableGraph([0] * n_vertices, [], [0] * len(legs))
+        L, L_den = series_exp(legs, kappa, n_vertices, den, cap, one)
+        rows = [[_rational(c, den) for c in row] for row in legs]
+        want = leg_vertex_series(graph, rows, [_rational(c, den) for c in kappa], cap)
+        assert _nonzero(exp_over(graph, (L, L_den))) == _nonzero(want)
+        assert sum(map(len, L.values())) == len(lift(L, graph))
+        assert all(monomial_degree(mono) == d for d, monos in L.items() for mono in lift({d: monos}, graph))
 
     def test_exp_matches_one_variable_recurrence(self):
         # The oracle's _exp_coefficients runs the RPoly recurrence in one
         # variable; a one-leg series in psi with integer lists is that case.
         g, cap = StableGraph([1], [], [0]), 6
         rows, den = chiodo._bernoulli_weights(cap)
-        x = {psi_leg_monomial(g, 0, m): row for m, row in enumerate(rows, 1)}
         weights = [oracles._bernoulli_weight(m) for m in range(1, cap + 1)]
         coefficients = oracles._exp_coefficients([RPoly([0])] + weights, cap)
         want = {psi_leg_monomial(g, 0, n): c for n, c in enumerate(coefficients)}
-        assert _nonzero(over(*series_exp(x, den, g, cap, [1]))) == _nonzero(want)
+        assert _nonzero(exp_over(g, series_exp([rows], [], g.n_vertices, den, cap, [1]))) == _nonzero(want)
 
     @pytest.mark.parametrize("cap", range(5))
     def test_exp_of_chiodo_weights_matches_oracle(self, cap):
@@ -336,10 +360,10 @@ class TestSeries:
             points = [RPoly([int(a < 0), a]) for a in dr.parts]
             legs, kappa = oracles._leg_vertex_weights(points, RPoly([0, k]), cap)
             for graph in graphs:
-                got = over(*chiodo._exponential(dr, cap)(graph, cap))
+                got = exp_over(graph, chiodo._exponential(dr, cap)(graph, cap))
                 assert _nonzero(got) == _nonzero(leg_vertex_series(graph, legs, kappa, cap)), (dr, graph)
                 for r in (2, 3, 5, 7):
-                    fixed = over(*chiodo._exponential(dr, cap, r)(graph, cap))
+                    fixed = exp_over(graph, chiodo._exponential(dr, cap, r)(graph, cap))
                     points = [F(a % r, r) for a in dr.parts]
                     legs_r, kappa_r = oracles._leg_vertex_weights(points, F(k, r), cap)
                     assert fixed == leg_vertex_series(graph, legs_r, kappa_r, cap), (dr, graph, r)
@@ -350,7 +374,7 @@ class TestSeries:
         for dr in (DRVector(2, (0, 0)), DRVector(2, (3, -1, -2)), DRVector(1, (3, 1), 1), DRVector(1, (2, 0), -1)):
             for graph in enumerate_stable_graphs(dr.genus, dr.n, max_edges=2):
                 want = leg_vertex_series(graph, [(F(a * a),) for a in dr.parts], (F(-dr.twist**2),), cap)
-                assert over(*pixton._vertex_leg_series(graph, dr, cap)) == want, (dr, graph)
+                assert exp_over(graph, pixton._vertex_leg_series(graph, dr, cap)) == want, (dr, graph)
 
     @pytest.mark.parametrize("dr", [DRVector(2, (3, 1), 1), DRVector(1, (2, -1, -1))])
     def test_edge_mul_is_the_degree_product(self, dr):
@@ -362,7 +386,7 @@ class TestSeries:
             pairs = itertools.product(itertools.product(range(3), repeat=2), repeat=graph.n_edges)
             edges = {p: F(i % 4, 3) for i, p in enumerate(pairs)}
             lifted = {((0,) * graph.n_legs, p, ((),) * graph.n_vertices): c for p, c in edges.items()}
-            assert series_edge_mul(L, graph, edges, 3) == series_degree_mul(L, lifted, cap), graph
+            assert series_edge_mul(L, graph, edges, 3) == series_degree_mul(lift(L, graph), lifted, cap), graph
 
     def test_unit(self):
         g = StableGraph([1, 1], [(0, 1)], [0])
@@ -379,7 +403,7 @@ def _nonzero(series: dict) -> dict:
 def pixton_profiles(graph, L, d):
     """Pixton's per-graph selection: exponents m with a degree ``cap - |m|`` monomial in L."""
     cap = d - graph.n_edges
-    degrees = {monomial_degree(mono) for mono in L}
+    degrees = {monomial_degree(mono) for mono in lift(L, graph)}
     return [
         m for m in itertools.product(range(cap + 1), repeat=graph.n_edges) if cap - sum(m) in degrees
     ]
@@ -389,7 +413,7 @@ def chiodo_profiles(graph, L, d):
     """Chiodo's per-graph selection: edge factor pairs within the budget that L completes."""
     part = d - graph.n_edges
     keys = [key for key, _ in chiodo._edge_factor_polys(d)[0] if sum(key) <= part]
-    degrees = {part - monomial_degree(mono) for mono in L}
+    degrees = {part - monomial_degree(mono) for mono in lift(L, graph)}
     return [
         prof
         for prof in itertools.product(keys, repeat=graph.n_edges)
